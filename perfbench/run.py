@@ -157,7 +157,7 @@ def run_ops(workload, tracer, seconds=None, count=None, inject=False):
                 outcome = workload.op(index, tracer)
         except Exception as exc:
             outcome = Outcome(
-                index=index, wall=clock() - started,
+                index=index, started=started, wall=clock() - started,
                 error=f"{type(exc).__name__}: {exc}",
             )
         finally:
@@ -169,28 +169,49 @@ def run_ops(workload, tracer, seconds=None, count=None, inject=False):
     return outcomes
 
 
-def end_to_end(outcomes, setup, peak_rss_mb):
-    """Each timing is the run's best unit, the one the machine disturbed
-    least.  On a shared machine whose speed drifts by a quarter within a
-    minute, run medians moved twice as much between runs as run bests.
-    The medians and tails are printed beside them."""
+def end_to_end(outcomes, setup, peak_rss_mb, sampler):
+    """Every timing is the run's median, at the reference machine speed
+    (``calibrate.py``): each op, unit or setup interval is scaled by the
+    kernel passes taken inside it.  Returns these metrics and the same
+    medians as measured."""
     measured = [o for o in outcomes if not o.warmup] or outcomes
     good = [o for o in measured if o.error is None] or measured
-    samples = [s for o in good for s in o.samples] or [o.wall for o in good]
-    return {
-        "events_per_s": (max(o.events / o.wall for o in good), "1/s"),
-        "ops_per_s": (max(o.units / o.wall for o in good), "1/s"),
-        "job_s": (min(samples), "s"),
-        "first_progress_s": (
-            min(
-                o.wall if o.first_progress is None else o.first_progress
-                for o in good
+    units = [u for o in good for u in o.samples] or [
+        (o.started, o.started + o.wall) for o in good
+    ]
+
+    def first(o):
+        span = o.wall if o.first_progress is None else o.first_progress
+        return o.started, o.started + span
+
+    def whole(o):
+        return o.started, o.started + o.wall
+
+    median = statistics.median
+
+    def timings(duration):
+        return {
+            "events_per_s": median(
+                o.events / duration(*whole(o)) for o in good
             ),
-            "s",
-        ),
-        "setup_s": (statistics.median(setup), "s"),
-        "peak_rss_mb": (peak_rss_mb, "MB"),
-    }, samples
+            "ops_per_s": median(o.units / duration(*whole(o)) for o in good),
+            "job_s": median(duration(*u) for u in units),
+            "first_progress_s": median(duration(*first(o)) for o in good),
+        }
+
+    metrics = timings(sampler.at_reference)
+    raw = timings(lambda begin, end: end - begin)
+    metrics["setup_s"] = median(at_reference for _, at_reference in setup)
+    raw["setup_s"] = median(seconds for seconds, _ in setup)
+    metrics["peak_rss_mb"] = peak_rss_mb
+    units_of = {"events_per_s": "1/s", "ops_per_s": "1/s",
+                "peak_rss_mb": "MB"}
+    return (
+        {name: (value, units_of.get(name, "s"))
+         for name, value in metrics.items()},
+        raw,
+        [end - begin for begin, end in units],
+    )
 
 
 def per_layer(untraced, traced, spans_list, divergence):
@@ -306,8 +327,9 @@ def merge_server_spans(tracer, server_spans, outcomes):
             tracer.record("serve.stream_tail", span["end"], end, parent=owner)
 
 
-def write_trace(path, stamp, outcomes, all_spans) -> None:
-    """The run's record: descriptor, ops, spans and per-layer summary."""
+def write_trace(path, stamp, outcomes, all_spans, passes) -> None:
+    """The run's record: descriptor, ops, kernel passes, spans and
+    per-layer summary."""
     import spans as spanlib
 
     timed = [s for s in all_spans if s["op"] is not None]
@@ -316,12 +338,14 @@ def write_trace(path, stamp, outcomes, all_spans) -> None:
             {
                 "descriptor": stamp,
                 "ops": [
-                    {"index": o.index, "warmup": o.warmup, "wall": o.wall,
+                    {"index": o.index, "warmup": o.warmup,
+                     "started": o.started, "wall": o.wall,
                      "events": o.events, "samples": o.samples,
                      "first_progress": o.first_progress,
                      "error": o.error, "digest": o.digest}
                     for o in outcomes
                 ],
+                "kernel_passes": passes,
                 "spans": all_spans,
                 "layers": spanlib.layer_summary(timed),
             },
@@ -376,20 +400,26 @@ def main(argv=None) -> int:
 
 def measure(args, workload, refs, stamp, size) -> int:
     import spans as spanlib
+    from calibrate import REFERENCE_S
     from workloads import WORK
 
     untraced = []
+    raw = {}
     if args.trace == 0:
         setup = workload.measure_setup()
-        workload.start(traced=False)
+        workload.start(traced=False, sample=True)
         outcomes = run_ops(
             workload, None, seconds=args.seconds, inject=args.inject_failure
         )
         finished = workload.stop()
+        sampler = finished["sampler"]
         workload.verify(outcomes)
-        metrics, samples = end_to_end(
-            outcomes, setup, finished["peak_rss_mb"]
+        metrics, raw, samples = end_to_end(
+            outcomes, setup, finished["peak_rss_mb"], sampler
         )
+        stamp["kernel_median_s"] = sampler.median_s()
+        stamp["kernel_passes"] = len(sampler.samples)
+        passes = sampler.samples
         all_spans = []
     else:
         # Untraced for half the time, then the same ops traced: the
@@ -424,6 +454,7 @@ def measure(args, workload, refs, stamp, size) -> int:
                   file=sys.stderr)
         metrics = per_layer(untraced, outcomes, all_spans, divergence)
         samples = []
+        passes = []
     checked = outcomes if args.trace == 0 else untraced + outcomes
     for outcome in checked:
         refs.check(outcome)
@@ -438,13 +469,18 @@ def measure(args, workload, refs, stamp, size) -> int:
         WORK, f"trace-{args.workload}-{size}-s{args.seed}-t{args.trace}.json"
     )
     write_trace(
-        trace_path, dict(stamp, jobspec_digests=digests), outcomes, all_spans
+        trace_path, dict(stamp, jobspec_digests=digests), outcomes,
+        all_spans, passes,
     )
     print("descriptor " + json.dumps(stamp, sort_keys=True))
     for outcome in failed:
         print(f"failed op {outcome.index}: {outcome.error}")
     for name, (value, unit) in metrics.items():
-        print(f"{name:28s} {value:14.6g} {unit}")
+        measured = f"  (as measured {raw[name]:.6g})" if name in raw else ""
+        print(f"{name:28s} {value:14.6g} {unit}{measured}")
+    if raw:
+        print(f"kernel pass: median {stamp['kernel_median_s']} s over "
+              f"{stamp['kernel_passes']} passes, reference {REFERENCE_S} s")
     if samples:
         extreme = tail(samples)
         note = f", {extreme[0]} {extreme[1]:.6g} s" if extreme else ""

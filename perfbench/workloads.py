@@ -6,8 +6,10 @@ after the previous one returned.  Op inputs are a pure function of
 JobSpecs and must get the same results.
 
 Each ``op`` returns an :class:`Outcome`.  Its ``wall`` is what the caller
-waits for, so checks the benchmark makes afterwards are not timed.
-``verify`` runs once after the loop and marks failed outcomes.
+waits for, so checks the benchmark makes afterwards are not timed.  Its
+``samples`` are the ``(begin, end)`` clock readings of each unit, so the
+kernel passes inside them can be found (``calibrate.py``).  ``verify``
+runs once after the loop and marks failed outcomes.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ import socket
 import subprocess
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
+from calibrate import Sampler
 from spans import clock
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -34,7 +37,7 @@ SRC = os.path.join(ROOT, "src")
 WORK = os.path.join(HERE, ".work")
 
 #: Fresh interpreters (or servers) launched to measure ``setup_s``.
-SETUP_LAUNCHES = 7
+SETUP_LAUNCHES = 9
 
 
 def op_seed(workload: str, seed: int, index: int) -> int:
@@ -61,10 +64,11 @@ def child_env() -> Dict[str, str]:
 @dataclass
 class Outcome:
     index: int
+    started: float = 0.0
     wall: float = 0.0
     events: int = 0
     units: int = 1
-    samples: List[float] = field(default_factory=list)
+    samples: List[Tuple[float, float]] = field(default_factory=list)
     first_progress: Optional[float] = None
     fingerprint: Optional[str] = None
     digest: Optional[str] = None
@@ -77,14 +81,22 @@ def _self_peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _import_setup(modules: List[str]) -> List[float]:
-    """Seconds from launching a fresh interpreter until ``modules`` are
-    imported, once per launch."""
+def _import_setup(modules: List[str]) -> List[Tuple[float, float]]:
+    """``(seconds, seconds at the reference speed)`` from launching a
+    fresh interpreter until ``modules`` are imported, once per launch.
+    The child samples the kernel while it imports and reports the passes
+    after its ``ready`` line."""
     code = (
-        "import importlib\n"
+        "import importlib, json, sys\n"
+        f"sys.path.insert(0, {HERE!r})\n"
+        "import calibrate\n"
+        "sampler = calibrate.Sampler()\n"
+        "sampler.start()\n"
         f"for name in {modules!r}:\n"
         "    importlib.import_module(name)\n"
+        "sampler.stop()\n"
         "print('ready', flush=True)\n"
+        "print(json.dumps(sampler.samples), flush=True)\n"
     )
     samples = []
     for _ in range(SETUP_LAUNCHES):
@@ -95,12 +107,15 @@ def _import_setup(modules: List[str]) -> List[float]:
         )
         try:
             line = proc.stdout.readline()
-            samples.append(clock() - start)
+            ready = clock()
+            passes = proc.stdout.readline()
         finally:
             proc.stdout.close()
             proc.wait(timeout=60)
         if line.strip() != "ready" or proc.returncode != 0:
             raise RuntimeError(f"setup import failed: {line!r}")
+        sampler = Sampler([tuple(s) for s in json.loads(passes)])
+        samples.append((ready - start, sampler.at_reference(start, ready)))
     return samples
 
 
@@ -113,19 +128,33 @@ class Workload:
     def __init__(self, seed: int, tiny: bool) -> None:
         self.seed = seed
         self.tiny = tiny
+        self.sampler = Sampler()
 
-    def measure_setup(self) -> List[float]:
+    def measure_setup(self) -> List[Tuple[float, float]]:
         return _import_setup(self.setup_modules)
 
-    def start(self, traced: bool, span_path: Optional[str] = None) -> None:
-        """Get ready for ops (the serve workload launches its server)."""
+    def start(
+        self, traced: bool, span_path: Optional[str] = None,
+        sample: bool = False,
+    ) -> None:
+        """Get ready for ops (the serve workload launches its server).
+        With ``sample``, the kernel is sampled where the ops run: here,
+        in the benchmark process."""
+        if sample:
+            self.sampler.start()
 
     def stop(self) -> Dict:
-        """Finish; returns ``{"peak_rss_mb": ..., "spans": [...]}``."""
-        return {"peak_rss_mb": _self_peak_rss_mb(), "spans": []}
+        """Finish; returns ``{"peak_rss_mb": ..., "spans": [...],
+        "sampler": ...}``."""
+        self.sampler.stop()
+        return {
+            "peak_rss_mb": _self_peak_rss_mb(), "spans": [],
+            "sampler": self.sampler,
+        }
 
     def close(self) -> None:
         """Release whatever is still held after an error."""
+        self.sampler.stop()
 
     def op(self, index: int, tracer) -> Outcome:
         raise NotImplementedError
@@ -177,8 +206,8 @@ class SimulateRing(Workload):
         wall = clock() - start
         final = result.final_configuration
         out = Outcome(
-            index=index, wall=wall, events=result.events, samples=[wall],
-            first_progress=wall,
+            index=index, started=start, wall=wall, events=result.events,
+            samples=[(start, start + wall)], first_progress=wall,
             fingerprint=(
                 f"{result.events}/{result.interactions}/"
                 f"{counts_digest(final.counts_list())}"
@@ -253,9 +282,20 @@ def _ws_stream(port: int, job_id: str, timeout: float):
 
 
 class _Server:
-    """One ``repro serve --port 0`` subprocess."""
+    """One ``repro serve --port 0`` subprocess: plain, or through
+    ``launch_serve.py`` when it is to record spans or kernel passes into
+    the files named."""
 
-    def __init__(self, argv: List[str]) -> None:
+    def __init__(
+        self, spans: Optional[str] = None, samples: Optional[str] = None
+    ) -> None:
+        argv = [sys.executable, "-m", "repro", "serve", "--port", "0"]
+        if spans is not None or samples is not None:
+            argv = [sys.executable, os.path.join(HERE, "launch_serve.py")]
+            if spans is not None:
+                argv += ["--spans", spans]
+            if samples is not None:
+                argv += ["--samples", samples]
         self.launched = clock()
         self.proc = subprocess.Popen(
             argv, stdout=subprocess.PIPE, env=child_env(), text=True,
@@ -288,7 +328,6 @@ class _Server:
 
 class ServeTree(Workload):
     name = "serve-tree-large"
-    plain_argv = [sys.executable, "-m", "repro", "serve", "--port", "0"]
 
     def __init__(self, seed: int, tiny: bool) -> None:
         super().__init__(seed, tiny)
@@ -296,6 +335,7 @@ class ServeTree(Workload):
         self.max_events = 6000 if tiny else 200_000
         self.server: Optional[_Server] = None
         self.span_path: Optional[str] = None
+        self.sample_path: Optional[str] = None
         self.timeout = 120.0
 
     def spec(self, index: int):
@@ -307,40 +347,51 @@ class ServeTree(Workload):
             seed=op_seed(self.name, self.seed, index),
         )
 
-    def measure_setup(self) -> List[float]:
-        # The last server launched serves the ops.
+    def _sample_path(self) -> str:
+        return os.path.join(WORK, f"server-passes-{os.getpid()}.json")
+
+    def measure_setup(self) -> List[Tuple[float, float]]:
         samples = []
-        for launch in range(SETUP_LAUNCHES):
-            server = _Server(self.plain_argv)
-            samples.append(server.ready - server.launched)
-            if launch + 1 < SETUP_LAUNCHES:
-                server.stop()
-        self.server = server
+        path = self._sample_path()
+        for _ in range(SETUP_LAUNCHES):
+            server = _Server(samples=path)
+            server.stop()
+            sampler = Sampler.load(path)
+            os.remove(path)
+            samples.append((
+                server.ready - server.launched,
+                sampler.at_reference(server.launched, server.ready),
+            ))
         return samples
 
-    def start(self, traced: bool, span_path: Optional[str] = None) -> None:
-        if self.server is not None:
-            return
-        argv = self.plain_argv
+    def start(
+        self, traced: bool, span_path: Optional[str] = None,
+        sample: bool = False,
+    ) -> None:
         if traced:
             self.span_path = span_path
-            argv = [
-                sys.executable, os.path.join(HERE, "launch_serve.py"),
-                span_path,
-            ]
-        self.server = _Server(argv)
+            self.server = _Server(spans=span_path)
+        elif sample:
+            self.sample_path = self._sample_path()
+            self.server = _Server(samples=self.sample_path)
+        else:
+            self.server = _Server()
 
     def stop(self) -> Dict:
         server, self.server = self.server, None
         rss = server.peak_rss_mb()
         server.stop()
-        spans = []
+        finished = {"peak_rss_mb": rss, "spans": [], "sampler": Sampler()}
         if self.span_path is not None:
             with open(self.span_path, encoding="utf-8") as handle:
-                spans = json.load(handle)
+                finished["spans"] = json.load(handle)
             os.remove(self.span_path)
             self.span_path = None
-        return {"peak_rss_mb": rss, "spans": spans}
+        if self.sample_path is not None:
+            finished["sampler"] = Sampler.load(self.sample_path)
+            os.remove(self.sample_path)
+            self.sample_path = None
+        return finished
 
     def close(self) -> None:
         if self.server is not None:
@@ -400,9 +451,10 @@ class ServeTree(Workload):
         end = clock()
 
         result = job.get("result") or {}
+        out.started = start
         out.wall = end - start
         out.events = int(result.get("events", 0))
-        out.samples = [done - start]
+        out.samples = [(start, done)]
         out.first_progress = (
             first_progress - start if first_progress is not None
             else done - start
@@ -497,7 +549,7 @@ class EnsembleTree(Workload):
         shutil.rmtree(out_dir, ignore_errors=True)
         self.dirs.append(out_dir)
         opened: Dict[int, float] = {}
-        shard_walls: List[float] = []
+        shards: List[Tuple[float, float]] = []
         done_at: List[float] = []
 
         def observer(kind, fields):
@@ -506,7 +558,7 @@ class EnsembleTree(Workload):
             elif kind == "shard_done":
                 now = clock()
                 done_at.append(now)
-                shard_walls.append(now - opened.pop(fields["shard"]))
+                shards.append((opened.pop(fields["shard"]), now))
 
         start = clock()
         aggregate = run_ensemble(
@@ -525,10 +577,10 @@ class EnsembleTree(Workload):
         with open(os.path.join(out_dir, "manifest.json"), "rb") as fh:
             digest = json.load(fh).get("jobspec_digest")
         out = Outcome(
-            index=index, wall=end - start,
+            index=index, started=start, wall=end - start,
             events=round(events["mean"] * events["count"])
             if events["count"] else 0,
-            units=summary["runs"], samples=shard_walls,
+            units=summary["runs"], samples=shards,
             first_progress=(done_at[0] - start) if done_at else end - start,
             fingerprint=aggregates_sha, digest=digest,
         )
@@ -580,9 +632,10 @@ class ScenarioEpochTree(Workload):
         wall = clock() - start
         records = [run_record(r, i) for i, r in enumerate(result.results)]
         out = Outcome(
-            index=index, wall=wall,
+            index=index, started=start, wall=wall,
             events=sum(r.total_events for r in result.results),
-            units=len(result.results), samples=[wall], first_progress=wall,
+            units=len(result.results), samples=[(start, start + wall)],
+            first_progress=wall,
             fingerprint=hashlib.sha256(
                 json.dumps(records, sort_keys=True).encode("utf-8")
             ).hexdigest(),
