@@ -41,7 +41,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro._deps import np
+import numpy as np
 
 from ..core.configuration import Configuration
 from ..core.engine import Recorder

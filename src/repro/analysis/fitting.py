@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple, Union
 
-from repro._deps import np
+import numpy as np
 
 from ..core.engine import make_rng
 from ..exceptions import ExperimentError

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro._deps import np
+import numpy as np
 
 from ..exceptions import ExperimentError
 from .stats import summarise, wilson_interval

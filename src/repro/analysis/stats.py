@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from repro._deps import np
+import numpy as np
 
 from ..exceptions import ExperimentError
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro._deps import np
+import numpy as np
 
 from ..core.configuration import Configuration
 from ..core.engine import RunResult, run_protocol

@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", choices=["python", "numpy"], default="python",
         help="execution substrate: 'python' (scalar hot paths, default) "
         "or 'numpy' (the vectorised batch kernel where supported; "
-        "step-distribution-identical, needs the repro[numpy] extra)",
+        "step-distribution-identical to the scalar engines)",
     )
     sim.add_argument(
         "--max-interactions", type=int, default=None,

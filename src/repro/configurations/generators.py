@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from repro._deps import np
+import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..core.configuration import Configuration

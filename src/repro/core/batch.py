@@ -63,25 +63,18 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
-from repro._deps import np
+import numpy as np
 
 from ..exceptions import SimulationError
 from .configuration import Configuration
-from .engine import Event, Recorder
+from .draws import BATCH, RAW_SPAN, DrawStream
+from .engine import Event, Recorder, checked_counts
 from .fused import FusedIndex
 from .protocol import PopulationProtocol
-from .snapshot import (
-    EngineSnapshot,
-    capture_rng,
-    check_snapshot,
-    restore_rng,
-)
+from .snapshot import EngineSnapshot, check_snapshot
 
 __all__ = ["BatchEngine", "batch_supported"]
 
-_RAW_SPAN = 1 << 64
-_RAW_BATCH = 8192
-_UNIFORM_BATCH = 8192
 #: Overflow guard for exact integer draws (matches the jump engine).
 _MAX_EXACT = 1 << 62
 
@@ -287,7 +280,9 @@ class BatchEngine:
             )
         self._protocol = protocol
         self._program = program
-        self._rng = rng
+        # Buffered exact draws (consumed scalar, refilled vectorised);
+        # the raw and log-uniform buffers persist across run() calls.
+        self._draws = DrawStream(rng)
         self._instr = instrumentation
         self._n = protocol.num_agents
         self._total_pairs = self._n * (self._n - 1)
@@ -295,13 +290,6 @@ class BatchEngine:
         self._counts_np = np.asarray(self.counts, dtype=np.int64)
         self.interactions = 0
         self.events = 0
-        # Buffered exact draws (consumed scalar, refilled vectorised).
-        self._raws: List[int] = []
-        self._raw_pos = 0
-        self._raw_batches = 0
-        self._lus: List[float] = []
-        self._lu_pos = 0
-        self._lu_batches = 0
         self._lp_weight = -1
         self._lp = 0.0
         # Telemetry (flushed into the Instrumentation bag per run).
@@ -496,7 +484,7 @@ class BatchEngine:
             raise SimulationError("batch refill with an empty envelope")
         size = self._batch_size
         self._batch_size = min(_MAX_BATCH, size * 2)
-        r = self._rng.integers(0, total, size=size, dtype=np.int64)
+        r = self._draws.integers(total, size)
         s1 = np.zeros(size, dtype=np.int64)
         s2 = np.zeros(size, dtype=np.int64)
         id1 = np.zeros(size, dtype=np.int64)
@@ -565,41 +553,14 @@ class BatchEngine:
     # ------------------------------------------------------------------
     # Buffered exact scalar draws
     # ------------------------------------------------------------------
-    def _next_raw(self) -> int:
-        pos = self._raw_pos
-        if pos >= len(self._raws):
-            self._raws = self._rng.integers(
-                0, _RAW_SPAN, size=_RAW_BATCH, dtype=np.uint64
-            ).tolist()
-            pos = 0
-            self._raw_batches += 1
-        self._raw_pos = pos + 1
-        return self._raws[pos]
-
-    def _rand_below(self, bound: int) -> int:
-        """Uniform integer in ``[0, bound)``, exact (rejection on raws)."""
-        limit = _RAW_SPAN - bound
-        while True:
-            raw = self._next_raw()
-            value = raw % bound
-            if raw - value <= limit:
-                return value
-
     def _geometric_skip(self, weight: int) -> int:
-        """Steps to the next productive interaction — the jump formula."""
+        """Steps to the next productive interaction — the jump formula
+        on one log-uniform draw (consumed even when ``p = 1``)."""
         if weight != self._lp_weight:
             self._lp_weight = weight
             p = weight / self._total_pairs
             self._lp = math.log1p(-p) if p < 1.0 else -math.inf
-        pos = self._lu_pos
-        if pos >= len(self._lus):
-            self._lus = np.log1p(
-                -self._rng.random(_UNIFORM_BATCH)
-            ).tolist()
-            pos = 0
-            self._lu_batches += 1
-        lu = self._lus[pos]
-        self._lu_pos = pos + 1
+        lu = self._draws.next_log_uniform()
         lp = self._lp
         if lp == -math.inf:
             return 1
@@ -657,10 +618,10 @@ class BatchEngine:
         base = int(self._start0[state])
         modified = self._modified
         for _ in range(64):
-            aid = base + self._rand_below(c0)
+            aid = base + self._draws.rand_below(c0)
             if aid not in modified:
                 return aid
-        return self._nth_unmod(state, self._rand_below(self._ctilde[state]))
+        return self._nth_unmod(state, self._draws.rand_below(self._ctilde[state]))
 
     def _nth_unmod(self, state: int, k: int) -> int:
         base = int(self._start0[state])
@@ -681,14 +642,14 @@ class BatchEngine:
         idx, cum, pad, start, total0 = self._side0[p][side]
         modified = self._modified
         for _ in range(64):
-            x = self._rand_below(total0)
+            x = self._draws.rand_below(total0)
             k = int(np.searchsorted(cum, x, side="right"))
             aid = int(start[k]) + x - int(pad[k])
             if aid not in modified:
                 return aid, int(idx[k])
         states = self._program.products[p][side]
         ctilde = self._ctilde
-        k = self._rand_below(sum(ctilde[s] for s in states))
+        k = self._draws.rand_below(sum(ctilde[s] for s in states))
         for s in states:
             c = ctilde[s]
             if k < c:
@@ -943,7 +904,7 @@ class BatchEngine:
         max_events: Optional[int],
     ) -> bool:
         total_pairs = self._total_pairs
-        raw_limit_base = _RAW_SPAN
+        draws = self._draws
         ceil = math.ceil
         neg_inf = -math.inf
         while True:
@@ -964,15 +925,13 @@ class BatchEngine:
                 self._lp_weight = w
                 p = w / total_pairs
                 self._lp = math.log1p(-p) if p < 1.0 else neg_inf
-            pos = self._lu_pos
-            if pos >= len(self._lus):
-                self._lus = np.log1p(
-                    -self._rng.random(_UNIFORM_BATCH)
-                ).tolist()
+            pos = draws.lu_pos
+            lus = draws.lus
+            if pos >= len(lus):
+                lus = draws.refill_log_uniforms()
                 pos = 0
-                self._lu_batches += 1
-            lu = self._lus[pos]
-            self._lu_pos = pos + 1
+            lu = lus[pos]
+            draws.lu_pos = pos + 1
             lp = self._lp
             if lp == neg_inf:
                 skip = 1
@@ -988,24 +947,21 @@ class BatchEngine:
                 return False
             self.interactions += skip
             # Exact uniform in [0, W) — inlined rand_below.
-            limit = raw_limit_base - w
-            rpos = self._raw_pos
-            raws = self._raws
+            limit = RAW_SPAN - w
+            rpos = draws.raw_pos
+            raws = draws.raws
             rsize = len(raws)
             while True:
                 if rpos >= rsize:
-                    raws = self._raws = self._rng.integers(
-                        0, _RAW_SPAN, size=_RAW_BATCH, dtype=np.uint64
-                    ).tolist()
+                    raws = draws.refill_raws()
                     rpos = 0
-                    rsize = _RAW_BATCH
-                    self._raw_batches += 1
+                    rsize = BATCH
                 raw = raws[rpos]
                 rpos += 1
                 u = raw % w
                 if raw - u <= limit:
                     break
-            self._raw_pos = rpos
+            draws.raw_pos = rpos
             if u < w1:
                 s1, s2, id1, id2 = self._next_k1()
             else:
@@ -1031,7 +987,7 @@ class BatchEngine:
         marks = (
             self._c_refreshes, self._c_refills, self._c_proposals,
             self._c_candidates, self._c_confirm_rejects, self._c_k2,
-            self._raw_batches, self._lu_batches,
+            self._draws.raw_batches, self._draws.lu_batches,
         )
         silent = self._run_loop(max_interactions, recorder, max_events)
         if self._instr is not None:
@@ -1046,9 +1002,8 @@ class BatchEngine:
                 batch_candidates=self._c_candidates - marks[3],
                 batch_confirm_rejects=self._c_confirm_rejects - marks[4],
                 batch_k2_events=self._c_k2 - marks[5],
-                raw_draws=(self._raw_batches - marks[6]) * _RAW_BATCH,
-                uniform_draws=(self._lu_batches - marks[7])
-                * _UNIFORM_BATCH,
+                raw_draws=(self._draws.raw_batches - marks[6]) * BATCH,
+                uniform_draws=(self._draws.lu_batches - marks[7]) * BATCH,
             )
         if recorder is not None:
             recorder.on_finish(silent, self.interactions, self.counts)
@@ -1071,7 +1026,7 @@ class BatchEngine:
             self._refresh()
             w1 = w
         self.interactions += self._geometric_skip(w)
-        u = self._rand_below(w)
+        u = self._draws.rand_below(w)
         if u < w1:
             s1, s2, id1, id2 = self._next_k1()
         else:
@@ -1090,23 +1045,9 @@ class BatchEngine:
         the frozen epoch are rebuilt from the new configuration; the
         counters and the generator stream are preserved.
         """
-        counts = (
-            configuration.counts_list()
-            if isinstance(configuration, Configuration)
-            else [int(c) for c in configuration]
+        counts = checked_counts(
+            configuration, self._protocol.num_states, self._n
         )
-        if len(counts) != self._protocol.num_states:
-            raise SimulationError(
-                f"reset configuration has {len(counts)} states, "
-                f"engine has {self._protocol.num_states}"
-            )
-        if any(c < 0 for c in counts):
-            raise SimulationError("reset configuration has negative counts")
-        if sum(counts) != self._n:
-            raise SimulationError(
-                f"reset configuration has {sum(counts)} agents, "
-                f"engine has {self._n}"
-            )
         self.counts = counts
         self._counts_np = np.asarray(counts, dtype=np.int64)
         self._live_from_counts()
@@ -1125,10 +1066,7 @@ class BatchEngine:
         too, so the snapshotting engine and any engine restored from
         the snapshot continue bit-identically to each other.
         """
-        self._raws = []
-        self._raw_pos = 0
-        self._lus = []
-        self._lu_pos = 0
+        self._draws.discard()
         self._lp_weight = -1
         self._refresh()
         self._c_refreshes -= 1  # canonicalisation, not a policy refresh
@@ -1147,7 +1085,7 @@ class BatchEngine:
             counts=tuple(self.counts),
             interactions=self.interactions,
             events=self.events,
-            rng_state=capture_rng(self._rng),
+            **self._draws.capture(),
         )
 
     def restore(self, snapshot: EngineSnapshot) -> None:
@@ -1159,11 +1097,7 @@ class BatchEngine:
         self._counts_np = np.asarray(self.counts, dtype=np.int64)
         self.interactions = snapshot.interactions
         self.events = snapshot.events
-        restore_rng(self._rng, snapshot.rng_state)
-        self._raws = []
-        self._raw_pos = 0
-        self._lus = []
-        self._lu_pos = 0
+        self._draws.restore(snapshot)
         self._lp_weight = -1
         self._live_from_counts()
         self._refresh()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from repro._deps import np
+import numpy as np
 
 from ..exceptions import ConfigurationError
 

@@ -16,8 +16,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from repro._deps import HAVE_NUMPY, np, require_numpy
-from repro._purerng import PureGenerator
+import numpy as np
 
 from ..exceptions import SimulationError, SimulationLimitReached
 from .configuration import Configuration
@@ -30,6 +29,7 @@ __all__ = [
     "TrajectoryRecorder",
     "MetricRecorder",
     "build_engine",
+    "checked_counts",
     "run_protocol",
     "make_rng",
 ]
@@ -133,25 +133,41 @@ class MetricRecorder(Recorder):
 def make_rng(
     seed_or_rng: Union[int, np.random.Generator, None],
 ) -> np.random.Generator:
-    """Normalise a seed / generator / None into a generator.
-
-    With numpy installed this is a ``numpy.random.Generator``; without
-    it, ints and ``None`` become the pure-Python
-    :class:`~repro._purerng.PureGenerator` that keeps the sequential
-    reference engine running (see :mod:`repro._deps`).
-    """
-    if isinstance(seed_or_rng, PureGenerator):
+    """Normalise a seed / generator / None into a ``numpy.random.Generator``."""
+    if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
-    if HAVE_NUMPY:
-        if isinstance(seed_or_rng, np.random.Generator):
-            return seed_or_rng
-        return np.random.default_rng(seed_or_rng)
-    if seed_or_rng is None or isinstance(seed_or_rng, int):
-        return PureGenerator(seed_or_rng)
-    raise SimulationError(
-        f"cannot normalise {type(seed_or_rng).__name__!r} into a "
-        "generator without numpy"
+    return np.random.default_rng(seed_or_rng)
+
+
+def checked_counts(
+    configuration: Union[Configuration, Sequence[int]],
+    num_states: int,
+    num_agents: int,
+) -> List[int]:
+    """Counts of a ``reset_configuration`` target, validated.
+
+    The shared check behind every engine's fault seam: the state space
+    and the population size must not change, and no count may be
+    negative.
+    """
+    counts = (
+        configuration.counts_list()
+        if isinstance(configuration, Configuration)
+        else [int(c) for c in configuration]
     )
+    if len(counts) != num_states:
+        raise SimulationError(
+            f"reset configuration has {len(counts)} states, "
+            f"engine has {num_states}"
+        )
+    if any(c < 0 for c in counts):
+        raise SimulationError("reset configuration has negative counts")
+    if sum(counts) != num_agents:
+        raise SimulationError(
+            f"reset configuration has {sum(counts)} agents, "
+            f"engine has {num_agents}"
+        )
+    return counts
 
 
 def build_engine(
@@ -189,40 +205,15 @@ def build_engine(
     (:class:`~repro.core.batch.BatchEngine`, engine name ``"batch"``)
     when the protocol's families compile for it, and falls back to the
     scalar reference otherwise (non-uniform schedulers, the sequential
-    engine, opaque families).  ``backend="numpy"`` without numpy
-    installed raises an actionable :class:`ImportError`; with numpy
-    missing entirely the ``"python"`` backend degrades to the
-    sequential reference engine — the clean scalar fallback.
+    engine, opaque families).
     """
     if backend not in ("python", "numpy"):
         raise SimulationError(
             f"unknown backend {backend!r}; expected 'python' or 'numpy'"
         )
-    if backend == "numpy":
-        require_numpy("the numpy batch backend (backend='numpy')")
     # Imported here to avoid a circular import at module load time.
-    from .sequential import SequentialEngine
-
-    if not HAVE_NUMPY:
-        # Scalar fallback: the sequential reference engine is the only
-        # numpy-free driver.  Scheduled/weighted/agent engines and the
-        # jump engine all draw through numpy's batched streams.
-        if scheduler is not None and not scheduler.is_uniform:
-            require_numpy("non-uniform pair schedulers")
-        if engine not in ("jump", "sequential"):
-            raise SimulationError(
-                f"unknown engine {engine!r}; expected one of "
-                f"['jump', 'sequential']"
-            )
-        return (
-            SequentialEngine(
-                protocol, configuration, make_rng(seed),
-                instrumentation=instrumentation,
-            ),
-            "sequential",
-        )
-
     from .jump import JumpEngine
+    from .sequential import SequentialEngine
 
     engines = {"jump": JumpEngine, "sequential": SequentialEngine}
     if engine not in engines:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Union
 
-from repro._deps import np
+import numpy as np
 
 from ..exceptions import ConfigurationError
 from .configuration import Configuration

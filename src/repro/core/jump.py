@@ -32,9 +32,8 @@ dominant −1/+1 transfer becomes a single flat re-label.
 The protocol's transition function is precompiled into lookup tables
 (per-state for same-state-only protocols, a lazily filled per-pair dict
 of straight-line update programs otherwise) so the inner loop never
-re-sums family weights or re-enters ``delta()``.  Protocols whose
-``delta`` is not a pure function opt out via
-:attr:`~repro.core.protocol.PopulationProtocol.compile_transitions`.
+re-sums family weights or re-enters ``delta()``; ``delta`` must
+therefore be a pure function.
 
 For protocols whose productive pairs are all same-state (every
 state-optimal protocol in the paper), the recorder-free ``run()``
@@ -52,7 +51,8 @@ Both are exact, so the engine switches between them adaptively (with
 hysteresis) based on the acceptance rate ``W/(n·M̂)``.
 
 All pair draws use exact integer rejection sampling from batched 64-bit
-draws, so selection is unbiased for any ``W < 2^62``.  Cost is
+draws (:class:`~repro.core.draws.DrawStream`), so selection is unbiased
+for any ``W < 2^62``.  Cost is
 ``O(log N)`` (or amortised O(1)) per *productive* event, independent of
 how many null interactions are skipped, which is what makes the paper's
 ``Θ(n²)``-interaction protocols simulatable.
@@ -63,38 +63,23 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
-from repro._deps import np
+import numpy as np
 
 from ..exceptions import SimulationError
 from .configuration import Configuration
-from .engine import Event, Recorder
+from .draws import BATCH, RAW_SPAN, RAW_SPAN32, DrawStream
+from .engine import Event, Recorder, checked_counts
 from .families import SameStatePairs
 from .fenwick import FenwickTree
 from .fused import PRODUCT, PROPOSAL, SAME, TRIANGULAR, FusedIndex
 from .protocol import PopulationProtocol
-from .snapshot import (
-    EngineSnapshot,
-    capture_rng,
-    check_snapshot,
-    restore_rng,
-)
+from .snapshot import EngineSnapshot, check_snapshot
 
 __all__ = ["JumpEngine"]
 
 # Above this bound rejection sampling from 64-bit draws gets inefficient
 # (and the float64 geometric-skip probability loses resolution).
 _MAX_EXACT = 1 << 62
-
-# Exclusive upper bound of one raw 64-bit draw.
-_RAW_SPAN = 1 << 64
-# Proposal draws fit comfortably in 32 bits (bound = N·m̂), where the
-# modulo arithmetic stays single-digit; a separate uint32 batch serves
-# them.
-_RAW_SPAN32 = 1 << 32
-
-_UNIFORM_BATCH = 8192
-_RAW_BATCH = 8192
-_AGENT_BATCH = 8192
 
 # How often (in productive events) the fast loop recomputes the exact
 # maximum count and re-evaluates its sampler choice.
@@ -170,7 +155,7 @@ class JumpEngine:
                 f"population {n} too large for exact pair sampling"
             )
         self._protocol = protocol
-        self._rng = rng
+        self._draws = DrawStream(rng, uniforms=True)
         self._debug = bool(debug)
         self.counts: List[int] = configuration.counts_list()
         self._num_states = protocol.num_states
@@ -183,31 +168,20 @@ class JumpEngine:
         families = protocol.build_families(self.counts)
         self._fused = FusedIndex(families, self._num_states, self.counts)
         self._weight = self._fused.total
-        self._uniforms = rng.random(_UNIFORM_BATCH)
-        self._uniform_pos = 0
-        self._raws: List[int] = []
-        self._raw_pos = 0
-        self._pair_table: Optional[Dict[int, tuple]] = (
-            {} if protocol.compile_transitions else None
-        )
+        self._pair_table: Dict[int, list] = {}
         # Dense same-state program cache: same-state draws dominate the
         # hybrid loop, and a list index beats hashing the pair key.
-        self._ss_progs: Optional[List[Optional[tuple]]] = (
-            [None] * self._num_states
-            if protocol.compile_transitions else None
-        )
+        self._ss_progs: List[Optional[list]] = [None] * self._num_states
         self._ss_table = self._compile_same_state_table(families)
 
     def _compile_same_state_table(self, families):
         """Per-state transition table for same-state-only protocols.
 
-        Returns ``None`` when the protocol opts out of compilation, has
-        cross-state families, or (defensively) claims a same-state pair
-        its ``delta`` reports as null — the dynamic path then raises the
-        coverage error lazily, exactly like the general sampler.
+        Returns ``None`` when the protocol has cross-state families or
+        (defensively) claims a same-state pair its ``delta`` reports as
+        null — the general sampler then raises the coverage error
+        lazily.
         """
-        if not self._protocol.compile_transitions:
-            return None
         if len(families) != 1:
             return None
         family = families[0]
@@ -229,43 +203,6 @@ class JumpEngine:
             )
             table[s] = (ti, tj, ops)
         return table
-
-    # ------------------------------------------------------------------
-    # Randomness helpers
-    # ------------------------------------------------------------------
-    def _next_uniform(self) -> float:
-        pos = self._uniform_pos
-        if pos == _UNIFORM_BATCH:
-            self._uniforms = self._rng.random(_UNIFORM_BATCH)
-            pos = 0
-        self._uniform_pos = pos + 1
-        return self._uniforms[pos]
-
-    def _next_raw(self) -> int:
-        """One uniform integer in ``[0, 2^64)`` from a batched draw."""
-        pos = self._raw_pos
-        if pos >= len(self._raws):
-            self._raws = self._rng.integers(
-                0, _RAW_SPAN, size=_RAW_BATCH, dtype=np.uint64
-            ).tolist()
-            pos = 0
-        self._raw_pos = pos + 1
-        return self._raws[pos]
-
-    def rand_below(self, bound: int) -> int:
-        """Uniform integer in ``[0, bound)``, exact for any ``bound < 2^62``.
-
-        Rejection sampling from 64-bit draws: a draw is accepted iff it
-        falls in a complete bucket of ``bound`` values, so the result is
-        unbiased — unlike float multiplication, which misweights values
-        once ``bound`` approaches 2⁵³.
-        """
-        limit = _RAW_SPAN - bound
-        while True:
-            raw = self._next_raw()
-            value = raw % bound
-            if raw - value <= limit:
-                return value
 
     # ------------------------------------------------------------------
     # Weight bookkeeping
@@ -310,23 +247,9 @@ class JumpEngine:
         continues exactly where it left off.  The population size and
         state space must not change — churn rebuilds the engine instead.
         """
-        counts = (
-            configuration.counts_list()
-            if isinstance(configuration, Configuration)
-            else [int(c) for c in configuration]
+        counts = checked_counts(
+            configuration, self._num_states, self._protocol.num_agents
         )
-        if len(counts) != self._num_states:
-            raise SimulationError(
-                f"reset configuration has {len(counts)} states, "
-                f"engine has {self._num_states}"
-            )
-        if any(c < 0 for c in counts):
-            raise SimulationError("reset configuration has negative counts")
-        if sum(counts) != self._protocol.num_agents:
-            raise SimulationError(
-                f"reset configuration has {sum(counts)} agents, "
-                f"engine has {self._protocol.num_agents}"
-            )
         self.counts = counts
         # In-place index resync keeps the compiled transition programs
         # valid; only indexes with opaque family slots need a rebuild.
@@ -351,9 +274,8 @@ class JumpEngine:
             self._protocol.build_families(counts), self._num_states, counts
         )
         self._weight = self._fused.total
-        if self._pair_table is not None:
-            self._pair_table = {}
-            self._ss_progs = [None] * self._num_states
+        self._pair_table = {}
+        self._ss_progs = [None] * self._num_states
 
     def _canonicalise_index(self) -> None:
         """Make the fused index a pure function of the live counts.
@@ -384,7 +306,6 @@ class JumpEngine:
                 "snapshot", events=self.events,
                 interactions=self.interactions,
             )
-        exhausted = self._uniform_pos >= _UNIFORM_BATCH
         return EngineSnapshot(
             kind="jump",
             num_states=self._num_states,
@@ -392,13 +313,7 @@ class JumpEngine:
             counts=tuple(self.counts),
             interactions=self.interactions,
             events=self.events,
-            rng_state=capture_rng(self._rng),
-            uniforms=(
-                () if exhausted
-                else tuple(float(u) for u in self._uniforms)
-            ),
-            uniform_pos=_UNIFORM_BATCH if exhausted else self._uniform_pos,
-            raws=tuple(int(r) for r in self._raws[self._raw_pos:]),
+            **self._draws.capture(),
         )
 
     def restore(self, snapshot: EngineSnapshot) -> None:
@@ -414,14 +329,7 @@ class JumpEngine:
         self._canonicalise_index()
         self.interactions = snapshot.interactions
         self.events = snapshot.events
-        restore_rng(self._rng, snapshot.rng_state)
-        if snapshot.uniforms:
-            self._uniforms = np.asarray(snapshot.uniforms, dtype=np.float64)
-            self._uniform_pos = snapshot.uniform_pos
-        else:
-            self._uniform_pos = _UNIFORM_BATCH
-        self._raws = [int(r) for r in snapshot.raws]
-        self._raw_pos = 0
+        self._draws.restore(snapshot)
         if self._instr is not None:
             self._instr.add("restores")
             self._instr.mark(
@@ -432,20 +340,6 @@ class JumpEngine:
     # ------------------------------------------------------------------
     # Simulation
     # ------------------------------------------------------------------
-    def _geometric_skip(self, weight: int) -> int:
-        """Steps until the next productive interaction (>= 1), exact."""
-        p = weight / self._total_pairs
-        if p >= 1.0:
-            return 1
-        u = self._next_uniform()
-        if u <= p:
-            return 1  # ceil(log(1-u)/log(1-p)) == 1 iff u <= p
-        skip = math.ceil(math.log(1.0 - u) / math.log1p(-p))
-        return skip if skip >= 1 else 1
-
-    def _sample_pair(self, weight: int) -> tuple:
-        return self._fused.sample(self.rand_below)
-
     def _compile_pair(self, si: int, sj: int, full: bool = True) -> list:
         """``[ti, tj, ops, prog, refresh, fast]`` — one transition, compiled.
 
@@ -470,17 +364,6 @@ class JumpEngine:
     def _transition(self, si: int, sj: int) -> tuple:
         """``(ti, tj, ops, ...)`` for a productive pair, via the table."""
         table = self._pair_table
-        if table is None:
-            # Dynamic delta (compilation opted out): no point building
-            # the fused straight-line program only to discard it.
-            out = self._protocol.delta(si, sj)
-            if out is None:
-                raise SimulationError(
-                    f"families sampled null pair ({si}, {sj}) — "
-                    "family coverage does not match delta"
-                )
-            ti, tj = out
-            return (ti, tj, _transition_ops(si, sj, ti, tj))
         entry = table.get(si * self._num_states + sj)
         if entry is None:
             entry = self._compile_pair(si, sj)
@@ -511,8 +394,9 @@ class JumpEngine:
         weight = self._weight
         if weight == 0:
             return None
-        self.interactions += self._geometric_skip(weight)
-        si, sj = self._sample_pair(weight)
+        draws = self._draws
+        self.interactions += draws.geometric_skip(weight / self._total_pairs)
+        si, sj = self._fused.sample(draws.rand_below)
         ti, tj, ops = self._transition(si, sj)[:3]
         self._apply_ops(ops)
         self.events += 1
@@ -556,6 +440,8 @@ class JumpEngine:
     ) -> bool:
         if recorder is not None:
             recorder.on_start(self.counts)
+        draws = self._draws
+        total_pairs = self._total_pairs
         events0 = self.events
         interactions0 = self.interactions
         silent = False
@@ -566,7 +452,7 @@ class JumpEngine:
                 break
             if max_events is not None and self.events >= max_events:
                 break
-            skip = self._geometric_skip(weight)
+            skip = draws.geometric_skip(weight / total_pairs)
             if (
                 max_interactions is not None
                 and self.interactions + skip > max_interactions
@@ -574,7 +460,7 @@ class JumpEngine:
                 self.interactions = max_interactions
                 break
             self.interactions += skip
-            si, sj = self._sample_pair(weight)
+            si, sj = self._fused.sample(draws.rand_below)
             ti, tj, ops = self._transition(si, sj)[:3]
             self._apply_ops(ops)
             self.events += 1
@@ -614,8 +500,7 @@ class JumpEngine:
         The pool partition is re-evaluated every ``_RECLASSIFY_EVENTS``
         so it tracks the drifting count profile.
         """
-        protocol = self._protocol
-        rng = self._rng
+        draws = self._draws
         counts = self.counts
         fused = self._fused
         tree = fused.tree
@@ -676,7 +561,7 @@ class JumpEngine:
         # numerators through numpy, raw 64-bit integers for exact
         # weighted targets.
         lus: List[float] = []
-        upos = _UNIFORM_BATCH
+        upos = BATCH
         raws: List[int] = []
         raw_len = 0
         rpos = 0
@@ -694,8 +579,8 @@ class JumpEngine:
             if weight >= total_pairs:
                 interactions += 1
             else:
-                if upos == _UNIFORM_BATCH:
-                    lus = np.log1p(-rng.random(_UNIFORM_BATCH)).tolist()
+                if upos == BATCH:
+                    lus = draws.log_uniform_batch()
                     upos = 0
                     nub += 1
                 lu = lus[upos]
@@ -718,14 +603,11 @@ class JumpEngine:
                 if pbound <= 0x80000000:
                     # Single-digit arithmetic: proposals draw from a
                     # uint32 batch (bound = N·m̂ fits easily).
-                    plimit = _RAW_SPAN32 - pbound
+                    plimit = RAW_SPAN32 - pbound
                     while True:
                         if spos == sraw_len:
-                            sraws = rng.integers(
-                                0, _RAW_SPAN32, size=_RAW_BATCH,
-                                dtype=np.uint32,
-                            ).tolist()
-                            sraw_len = _RAW_BATCH
+                            sraws = draws.raw32_batch()
+                            sraw_len = BATCH
                             spos = 0
                             nsb += 1
                         raw = sraws[spos]
@@ -742,14 +624,11 @@ class JumpEngine:
                             si = sj = s
                             break
                 else:
-                    plimit = _RAW_SPAN - pbound
+                    plimit = RAW_SPAN - pbound
                     while True:
                         if rpos == raw_len:
-                            raws = rng.integers(
-                                0, _RAW_SPAN, size=_RAW_BATCH,
-                                dtype=np.uint64,
-                            ).tolist()
-                            raw_len = _RAW_BATCH
+                            raws = draws.raw_batch()
+                            raw_len = BATCH
                             rpos = 0
                             nrb += 1
                         raw = raws[rpos]
@@ -777,16 +656,14 @@ class JumpEngine:
                 # Exact uniform target in [0, weight).
                 while True:
                     if rpos == raw_len:
-                        raws = rng.integers(
-                            0, _RAW_SPAN, size=_RAW_BATCH, dtype=np.uint64
-                        ).tolist()
-                        raw_len = _RAW_BATCH
+                        raws = draws.raw_batch()
+                        raw_len = BATCH
                         rpos = 0
                         nrb += 1
                     raw = raws[rpos]
                     rpos += 1
                     target = raw % weight
-                    if raw - target <= _RAW_SPAN - weight:
+                    if raw - target <= RAW_SPAN - weight:
                         break
                 # Fused-index find: the few composite slots (the pool
                 # pseudo-slot included) short-circuit with a linear
@@ -824,15 +701,12 @@ class JumpEngine:
                     # proposal draws).
                     mh = pmhat
                     pbound = len(pagents) * mh
-                    plimit = _RAW_SPAN - pbound
+                    plimit = RAW_SPAN - pbound
                     proposals = 0
                     while True:
                         if rpos == raw_len:
-                            raws = rng.integers(
-                                0, _RAW_SPAN, size=_RAW_BATCH,
-                                dtype=np.uint64,
-                            ).tolist()
-                            raw_len = _RAW_BATCH
+                            raws = draws.raw_batch()
+                            raw_len = BATCH
                             rpos = 0
                             nrb += 1
                         raw = raws[rpos]
@@ -899,7 +773,7 @@ class JumpEngine:
                         # Decode around the stale side trees: rejection
                         # against the global count bound, rebuilding
                         # only if the profile is too skewed for it.
-                        si, sj = prod.sample_stale(gmax, self.rand_below)
+                        si, sj = prod.sample_stale(gmax, draws.rand_below)
                     else:
                         rtree = prod.resp_tree
                         rsize = prod.resp_size
@@ -930,80 +804,95 @@ class JumpEngine:
                             bit >>= 1
                         sj = prod.responders[p2]
                 else:
-                    si, sj = slot_payload[pos].sample(self.rand_below)
-            # Transition: precompiled program when the table is on.
-            if pair_table is not None:
-                if si == sj:
-                    # Same-state draws dominate the hybrid loop: a
-                    # dense per-state list beats hashing the pair key,
-                    # and only the sprint variant is compiled up front
-                    # (the general program fills in lazily on demand).
-                    entry = ss_progs[si]
-                    if entry is None:
-                        entry = self._compile_pair(si, si, full=False)
-                        ss_progs[si] = entry
-                else:
-                    key = si * num_states + sj
-                    entry = pair_table.get(key)
-                    if entry is None:
-                        entry = self._compile_pair(si, sj)
-                        pair_table[key] = entry
-                fast = entry[5]
-                if fast is not None:
-                    # Same-state sprint variant: legal while every
-                    # product slot it touches weighs zero (empty
-                    # responder side, no responder-side ops) — then the
-                    # product work collapses to a stale-mark plus a net
-                    # scalar add, and no refresh pass is needed.
-                    fprods = fast[1]
-                    if len(fprods) == 1:
-                        # Dominant shape: guard and act in one step.
-                        prod, dinit, dresp = fprods[0]
-                        if dresp == 0 and prod.resp_total == 0:
+                    si, sj = slot_payload[pos].sample(draws.rand_below)
+            # Transition: the precompiled program.
+            if si == sj:
+                # Same-state draws dominate the hybrid loop: a
+                # dense per-state list beats hashing the pair key,
+                # and only the sprint variant is compiled up front
+                # (the general program fills in lazily on demand).
+                entry = ss_progs[si]
+                if entry is None:
+                    entry = self._compile_pair(si, si, full=False)
+                    ss_progs[si] = entry
+            else:
+                key = si * num_states + sj
+                entry = pair_table.get(key)
+                if entry is None:
+                    entry = self._compile_pair(si, sj)
+                    pair_table[key] = entry
+            fast = entry[5]
+            if fast is not None:
+                # Same-state sprint variant: legal while every
+                # product slot it touches weighs zero (empty
+                # responder side, no responder-side ops) — then the
+                # product work collapses to a stale-mark plus a net
+                # scalar add, and no refresh pass is needed.
+                fprods = fast[1]
+                if len(fprods) == 1:
+                    # Dominant shape: guard and act in one step.
+                    prod, dinit, dresp = fprods[0]
+                    if dresp == 0 and prod.resp_total == 0:
+                        prod.stale |= 1
+                        if dinit:
+                            prod.init_total += dinit
+                    else:
+                        fast = None
+                elif fprods:
+                    for prod, dinit, dresp in fprods:
+                        if dresp != 0 or prod.resp_total != 0:
+                            fast = None
+                            break
+                    if fast is not None:
+                        for prod, dinit, dresp in fprods:
                             prod.stale |= 1
                             if dinit:
                                 prod.init_total += dinit
-                        else:
-                            fast = None
-                    elif fprods:
-                        for prod, dinit, dresp in fprods:
-                            if dresp != 0 or prod.resp_total != 0:
-                                fast = None
-                                break
-                        if fast is not None:
-                            for prod, dinit, dresp in fprods:
-                                prod.stale |= 1
-                                if dinit:
-                                    prod.init_total += dinit
-                if fast is not None:
-                    transfer = fast[2]
-                    applied = False
-                    if transfer is not None:
-                        # One agent moves src → dst; when both states
-                        # are pool members this is a single flat
-                        # re-label (no swap-removal, no insertion).
-                        # Every applied variant funnels into the one
-                        # shared epilogue below — the branches must
-                        # never fall through into the generic loop.
-                        src = transfer[0]
-                        dst = transfer[1]
-                        pls = ppositions[src]
-                        pld = ppositions[dst]
-                        if pls is not None and pld is not None:
-                            old_s = counts[src]
-                            old_d = counts[dst]
-                            counts[src] = old_s - 1
-                            counts[dst] = old_d + 1
-                            if old_d + 1 > gmax:
-                                gmax = old_d + 1
+            if fast is not None:
+                transfer = fast[2]
+                applied = False
+                if transfer is not None:
+                    # One agent moves src → dst; when both states
+                    # are pool members this is a single flat
+                    # re-label (no swap-removal, no insertion).
+                    # Every applied variant funnels into the one
+                    # shared epilogue below — the branches must
+                    # never fall through into the generic loop.
+                    src = transfer[0]
+                    dst = transfer[1]
+                    pls = ppositions[src]
+                    pld = ppositions[dst]
+                    if pls is not None and pld is not None:
+                        old_s = counts[src]
+                        old_d = counts[dst]
+                        counts[src] = old_s - 1
+                        counts[dst] = old_d + 1
+                        if old_d + 1 > gmax:
+                            gmax = old_d + 1
+                        p = pls.pop()
+                        pagents[p] = dst
+                        pwhere[p] = len(pld)
+                        pld.append(p)
+                        if old_s == 2:
+                            # src drained below a pair: expel its
+                            # last agent.
                             p = pls.pop()
-                            pagents[p] = dst
-                            pwhere[p] = len(pld)
-                            pld.append(p)
-                            if old_s == 2:
-                                # src drained below a pair: expel its
-                                # last agent.
-                                p = pls.pop()
+                            last = len(pagents) - 1
+                            if p != last:
+                                moved = pagents[last]
+                                mw = pwhere[last]
+                                pagents[p] = moved
+                                pwhere[p] = mw
+                                ppositions[moved][mw] = p
+                            pagents.pop()
+                            pwhere.pop()
+                            ppositions[src] = None
+                        if old_d + 1 > pool.hi:
+                            # Expel dst above the window.
+                            pld = ppositions[dst]
+                            w = (old_d + 1) * old_d
+                            for _ in range(old_d + 1):
+                                p = pld.pop()
                                 last = len(pagents) - 1
                                 if p != last:
                                     moved = pagents[last]
@@ -1013,13 +902,131 @@ class JumpEngine:
                                     ppositions[moved][mw] = p
                                 pagents.pop()
                                 pwhere.pop()
-                                ppositions[src] = None
-                            if old_d + 1 > pool.hi:
-                                # Expel dst above the window.
-                                pld = ppositions[dst]
-                                w = (old_d + 1) * old_d
-                                for _ in range(old_d + 1):
-                                    p = pld.pop()
+                            ppositions[dst] = None
+                            # src keeps its pool delta; dst mass
+                            # moves from the pool to the tree.
+                            pool_w -= old_d * (old_d - 1)
+                            values[transfer[4]] = w
+                            node = transfer[5]
+                            while node <= fensize:
+                                tree[node] += w
+                                node += node & -node
+                            weight += w - old_d * (old_d - 1)
+                            dw = -(old_s + old_s - 2)
+                            pool_w += dw
+                            weight += dw
+                        else:
+                            dw = (old_d - old_s + 1) * 2
+                            if dw:
+                                pool_w += dw
+                                weight += dw
+                        applied = True
+                    elif (
+                        pls is not None
+                        and counts[dst] == 1
+                        and pool.lo <= 2 <= pool.hi
+                    ):
+                        # dst migrates in: its lone agent plus the
+                        # moved one form a fresh two-member list.
+                        old_s = counts[src]
+                        counts[src] = old_s - 1
+                        counts[dst] = 2
+                        if 2 > gmax:
+                            gmax = 2
+                        p = pls.pop()
+                        pagents[p] = dst
+                        pwhere[p] = 0
+                        ppositions[dst] = [p, len(pagents)]
+                        pwhere.append(1)
+                        pagents.append(dst)
+                        if old_s == 2:
+                            p = pls.pop()
+                            last = len(pagents) - 1
+                            if p != last:
+                                moved = pagents[last]
+                                mw = pwhere[last]
+                                pagents[p] = moved
+                                pwhere[p] = mw
+                                ppositions[moved][mw] = p
+                            pagents.pop()
+                            pwhere.pop()
+                            ppositions[src] = None
+                        dw = (2 - old_s) * 2
+                        if dw:
+                            pool_w += dw
+                            weight += dw
+                        applied = True
+                if applied:
+                    events += 1
+                    remaining -= 1
+                    reclassify_left -= 1
+                    reclassify_cooldown -= 1
+                    if reclassify_left <= 0:
+                        reclassify_left = _RECLASSIFY_EVENTS
+                        reclassify_cooldown = _RECLASSIFY_COOLDOWN
+                        gmax = max(counts)
+                        fused.reclassify(counts)
+                        pool_w = pool.weight
+                        pmhat = pool.mhat
+                        if instr_on:
+                            c_reclass += 1
+                    continue
+                for state, delta, slot, node0 in fast[0]:
+                    old = counts[state]
+                    new = old + delta
+                    if new < 0:
+                        raise SimulationError(
+                            f"state {state} count went negative "
+                            "applying transition"
+                        )
+                    counts[state] = new
+                    if new > gmax:
+                        gmax = new
+                    plist = ppositions[state]
+                    if plist is None:
+                        if pool.lo <= new <= pool.hi:
+                            # Migrate into the pool window.
+                            w = new * (new - 1)
+                            old_w = values[slot]
+                            if old_w:
+                                values[slot] = 0
+                                node = node0
+                                while node <= fensize:
+                                    tree[node] -= old_w
+                                    node += node & -node
+                            base = len(pagents)
+                            ppositions[state] = list(
+                                range(base, base + new)
+                            )
+                            pagents.extend([state] * new)
+                            pwhere.extend(range(new))
+                            if new > pmhat:
+                                pmhat = new
+                            pool_w += w
+                            weight += w - old_w
+                        else:
+                            w = new * (new - 1)
+                            dw = w - values[slot]
+                            if dw:
+                                values[slot] = w
+                                weight += dw
+                                node = node0
+                                while node <= fensize:
+                                    tree[node] += dw
+                                    node += node & -node
+                    else:
+                        if delta == 1:
+                            pwhere.append(len(plist))
+                            plist.append(len(pagents))
+                            pagents.append(state)
+                            if new > pool.hi:
+                                # Expel above the window: keeping
+                                # the member would stretch m̂ (and
+                                # the acceptance of every small
+                                # member) — the Fenwick serves
+                                # outgrown slots better.
+                                for _ in range(new):
+                                    p = plist.pop()
                                     last = len(pagents) - 1
                                     if p != last:
                                         moved = pagents[last]
@@ -1029,45 +1036,39 @@ class JumpEngine:
                                         ppositions[moved][mw] = p
                                     pagents.pop()
                                     pwhere.pop()
-                                ppositions[dst] = None
-                                # src keeps its pool delta; dst mass
-                                # moves from the pool to the tree.
-                                pool_w -= old_d * (old_d - 1)
-                                values[transfer[4]] = w
-                                node = transfer[5]
+                                ppositions[state] = None
+                                w = new * (new - 1)
+                                pool_w -= old * (old - 1)
+                                weight -= old * (old - 1)
+                                values[slot] = w
+                                node = node0
                                 while node <= fensize:
                                     tree[node] += w
                                     node += node & -node
-                                weight += w - old_d * (old_d - 1)
-                                dw = -(old_s + old_s - 2)
-                                pool_w += dw
-                                weight += dw
-                            else:
-                                dw = (old_d - old_s + 1) * 2
-                                if dw:
-                                    pool_w += dw
-                                    weight += dw
-                            applied = True
-                        elif (
-                            pls is not None
-                            and counts[dst] == 1
-                            and pool.lo <= 2 <= pool.hi
-                        ):
-                            # dst migrates in: its lone agent plus the
-                            # moved one form a fresh two-member list.
-                            old_s = counts[src]
-                            counts[src] = old_s - 1
-                            counts[dst] = 2
-                            if 2 > gmax:
-                                gmax = 2
-                            p = pls.pop()
-                            pagents[p] = dst
-                            pwhere[p] = 0
-                            ppositions[dst] = [p, len(pagents)]
-                            pwhere.append(1)
-                            pagents.append(dst)
-                            if old_s == 2:
-                                p = pls.pop()
+                                weight += w
+                                continue
+                        elif delta == -1 and new >= 2:
+                            p = plist.pop()
+                            last = len(pagents) - 1
+                            if p != last:
+                                moved = pagents[last]
+                                mw = pwhere[last]
+                                pagents[p] = moved
+                                pwhere[p] = mw
+                                ppositions[moved][mw] = p
+                            pagents.pop()
+                            pwhere.pop()
+                        elif delta > 0:
+                            for _ in range(delta):
+                                pwhere.append(len(plist))
+                                plist.append(len(pagents))
+                                pagents.append(state)
+                            if new > pmhat:
+                                pmhat = new
+                        else:
+                            removals = -delta if new >= 2 else old
+                            for _ in range(removals):
+                                p = plist.pop()
                                 last = len(pagents) - 1
                                 if p != last:
                                     moved = pagents[last]
@@ -1077,47 +1078,92 @@ class JumpEngine:
                                     ppositions[moved][mw] = p
                                 pagents.pop()
                                 pwhere.pop()
-                                ppositions[src] = None
-                            dw = (2 - old_s) * 2
-                            if dw:
-                                pool_w += dw
-                                weight += dw
-                            applied = True
-                    if applied:
-                        events += 1
-                        remaining -= 1
-                        reclassify_left -= 1
-                        reclassify_cooldown -= 1
-                        if reclassify_left <= 0:
-                            reclassify_left = _RECLASSIFY_EVENTS
-                            reclassify_cooldown = _RECLASSIFY_COOLDOWN
-                            gmax = max(counts)
-                            fused.reclassify(counts)
-                            pool_w = pool.weight
-                            pmhat = pool.mhat
-                            if instr_on:
-                                c_reclass += 1
-                        continue
-                    for state, delta, slot, node0 in fast[0]:
-                        old = counts[state]
-                        new = old + delta
-                        if new < 0:
-                            raise SimulationError(
-                                f"state {state} count went negative "
-                                "applying transition"
-                            )
-                        counts[state] = new
-                        if new > gmax:
-                            gmax = new
+                            if new < 2:
+                                # Expel: weightless members only
+                                # dilute proposal acceptance.
+                                ppositions[state] = None
+                        dw = new * (new - 1) - old * (old - 1)
+                        if dw:
+                            pool_w += dw
+                            weight += dw
+                events += 1
+                remaining -= 1
+                reclassify_left -= 1
+                reclassify_cooldown -= 1
+                if reclassify_left <= 0:
+                    reclassify_left = _RECLASSIFY_EVENTS
+                    reclassify_cooldown = _RECLASSIFY_COOLDOWN
+                    gmax = max(counts)
+                    if pool is not None:
+                        fused.reclassify(counts)
+                        pool_w = pool.weight
+                        pmhat = pool.mhat
+                        if instr_on:
+                            c_reclass += 1
+                continue
+            if entry[3] is None:
+                # First general-path use of a fast-only entry: fill
+                # the full program in now.
+                entry[3], entry[4], _ = fused.compile_transition(
+                    entry[2]
+                )
+            for state, delta, steps in entry[3]:
+                old = counts[state]
+                new = old + delta
+                if new < 0:
+                    raise SimulationError(
+                        f"state {state} count went negative applying "
+                        "transition"
+                    )
+                counts[state] = new
+                if new > gmax:
+                    gmax = new
+                for step in steps:
+                    code = step[0]
+                    if code == TRIANGULAR:
+                        tri = step[1]
+                        tri.counts[step[2]] = new
+                        tri.s += delta
+                        tri.q += new * new - old * old
+                    elif code == PRODUCT:
+                        # Scalar side totals always; the padded-tree
+                        # walk only while the slot can be sampled
+                        # (the other side occupied) — a gated side
+                        # goes stale and rebuilds on next decode.
+                        prod = step[5]
+                        if step[6]:
+                            prod.init_total += delta
+                            if prod.stale & 1 or prod.resp_total == 0:
+                                prod.stale |= 1
+                                continue
+                        else:
+                            prod.resp_total += delta
+                            if prod.stale & 2 or prod.init_total == 0:
+                                prod.stale |= 2
+                                continue
+                        ptree = step[1]
+                        node = step[2]
+                        psize = step[3]
+                        while node <= psize:
+                            ptree[node] += delta
+                            node += node & -node
+                    elif code == SAME:
+                        # Hybrid dispatch: the state's current pool
+                        # membership picks an O(1) member move or
+                        # the Fenwick walk (SAME steps only exist
+                        # when the pool does).
                         plist = ppositions[state]
                         if plist is None:
+                            slot = step[1]
                             if pool.lo <= new <= pool.hi:
-                                # Migrate into the pool window.
+                                # Migrate into the pool window: zero
+                                # the Fenwick slot once, O(1) moves
+                                # from here on.
                                 w = new * (new - 1)
                                 old_w = values[slot]
                                 if old_w:
                                     values[slot] = 0
-                                    node = node0
+                                    node = step[2]
                                     while node <= fensize:
                                         tree[node] -= old_w
                                         node += node & -node
@@ -1137,21 +1183,19 @@ class JumpEngine:
                                 if dw:
                                     values[slot] = w
                                     weight += dw
-                                    node = node0
+                                    node = step[2]
                                     while node <= fensize:
                                         tree[node] += dw
                                         node += node & -node
                         else:
-                            if delta == 1:
-                                pwhere.append(len(plist))
-                                plist.append(len(pagents))
-                                pagents.append(state)
+                            if delta > 0:
+                                for _ in range(delta):
+                                    pwhere.append(len(plist))
+                                    plist.append(len(pagents))
+                                    pagents.append(state)
                                 if new > pool.hi:
-                                    # Expel above the window: keeping
-                                    # the member would stretch m̂ (and
-                                    # the acceptance of every small
-                                    # member) — the Fenwick serves
-                                    # outgrown slots better.
+                                    # Expel above the window (see
+                                    # the sprint variant).
                                     for _ in range(new):
                                         p = plist.pop()
                                         last = len(pagents) - 1
@@ -1167,31 +1211,14 @@ class JumpEngine:
                                     w = new * (new - 1)
                                     pool_w -= old * (old - 1)
                                     weight -= old * (old - 1)
+                                    slot = step[1]
                                     values[slot] = w
-                                    node = node0
+                                    node = step[2]
                                     while node <= fensize:
                                         tree[node] += w
                                         node += node & -node
                                     weight += w
                                     continue
-                            elif delta == -1 and new >= 2:
-                                p = plist.pop()
-                                last = len(pagents) - 1
-                                if p != last:
-                                    moved = pagents[last]
-                                    mw = pwhere[last]
-                                    pagents[p] = moved
-                                    pwhere[p] = mw
-                                    ppositions[moved][mw] = p
-                                pagents.pop()
-                                pwhere.pop()
-                            elif delta > 0:
-                                for _ in range(delta):
-                                    pwhere.append(len(plist))
-                                    plist.append(len(pagents))
-                                    pagents.append(state)
-                                if new > pmhat:
-                                    pmhat = new
                             else:
                                 removals = -delta if new >= 2 else old
                                 for _ in range(removals):
@@ -1213,210 +1240,26 @@ class JumpEngine:
                             if dw:
                                 pool_w += dw
                                 weight += dw
-                    events += 1
-                    remaining -= 1
-                    reclassify_left -= 1
-                    reclassify_cooldown -= 1
-                    if reclassify_left <= 0:
-                        reclassify_left = _RECLASSIFY_EVENTS
-                        reclassify_cooldown = _RECLASSIFY_COOLDOWN
-                        gmax = max(counts)
-                        if pool is not None:
-                            fused.reclassify(counts)
-                            pool_w = pool.weight
-                            pmhat = pool.mhat
-                            if instr_on:
-                                c_reclass += 1
-                    continue
-                if entry[3] is None:
-                    # First general-path use of a fast-only entry: fill
-                    # the full program in now.
-                    entry[3], entry[4], _ = fused.compile_transition(
-                        entry[2]
-                    )
-                for state, delta, steps in entry[3]:
-                    old = counts[state]
-                    new = old + delta
-                    if new < 0:
-                        raise SimulationError(
-                            f"state {state} count went negative applying "
-                            "transition"
-                        )
-                    counts[state] = new
-                    if new > gmax:
-                        gmax = new
-                    for step in steps:
-                        code = step[0]
-                        if code == TRIANGULAR:
-                            tri = step[1]
-                            tri.counts[step[2]] = new
-                            tri.s += delta
-                            tri.q += new * new - old * old
-                        elif code == PRODUCT:
-                            # Scalar side totals always; the padded-tree
-                            # walk only while the slot can be sampled
-                            # (the other side occupied) — a gated side
-                            # goes stale and rebuilds on next decode.
-                            prod = step[5]
-                            if step[6]:
-                                prod.init_total += delta
-                                if prod.stale & 1 or prod.resp_total == 0:
-                                    prod.stale |= 1
-                                    continue
-                            else:
-                                prod.resp_total += delta
-                                if prod.stale & 2 or prod.init_total == 0:
-                                    prod.stale |= 2
-                                    continue
-                            ptree = step[1]
-                            node = step[2]
-                            psize = step[3]
-                            while node <= psize:
-                                ptree[node] += delta
-                                node += node & -node
-                        elif code == SAME:
-                            # Hybrid dispatch: the state's current pool
-                            # membership picks an O(1) member move or
-                            # the Fenwick walk (SAME steps only exist
-                            # when the pool does).
-                            plist = ppositions[state]
-                            if plist is None:
-                                slot = step[1]
-                                if pool.lo <= new <= pool.hi:
-                                    # Migrate into the pool window: zero
-                                    # the Fenwick slot once, O(1) moves
-                                    # from here on.
-                                    w = new * (new - 1)
-                                    old_w = values[slot]
-                                    if old_w:
-                                        values[slot] = 0
-                                        node = step[2]
-                                        while node <= fensize:
-                                            tree[node] -= old_w
-                                            node += node & -node
-                                    base = len(pagents)
-                                    ppositions[state] = list(
-                                        range(base, base + new)
-                                    )
-                                    pagents.extend([state] * new)
-                                    pwhere.extend(range(new))
-                                    if new > pmhat:
-                                        pmhat = new
-                                    pool_w += w
-                                    weight += w - old_w
-                                else:
-                                    w = new * (new - 1)
-                                    dw = w - values[slot]
-                                    if dw:
-                                        values[slot] = w
-                                        weight += dw
-                                        node = step[2]
-                                        while node <= fensize:
-                                            tree[node] += dw
-                                            node += node & -node
-                            else:
-                                if delta > 0:
-                                    for _ in range(delta):
-                                        pwhere.append(len(plist))
-                                        plist.append(len(pagents))
-                                        pagents.append(state)
-                                    if new > pool.hi:
-                                        # Expel above the window (see
-                                        # the sprint variant).
-                                        for _ in range(new):
-                                            p = plist.pop()
-                                            last = len(pagents) - 1
-                                            if p != last:
-                                                moved = pagents[last]
-                                                mw = pwhere[last]
-                                                pagents[p] = moved
-                                                pwhere[p] = mw
-                                                ppositions[moved][mw] = p
-                                            pagents.pop()
-                                            pwhere.pop()
-                                        ppositions[state] = None
-                                        w = new * (new - 1)
-                                        pool_w -= old * (old - 1)
-                                        weight -= old * (old - 1)
-                                        slot = step[1]
-                                        values[slot] = w
-                                        node = step[2]
-                                        while node <= fensize:
-                                            tree[node] += w
-                                            node += node & -node
-                                        weight += w
-                                        continue
-                                else:
-                                    removals = -delta if new >= 2 else old
-                                    for _ in range(removals):
-                                        p = plist.pop()
-                                        last = len(pagents) - 1
-                                        if p != last:
-                                            moved = pagents[last]
-                                            mw = pwhere[last]
-                                            pagents[p] = moved
-                                            pwhere[p] = mw
-                                            ppositions[moved][mw] = p
-                                        pagents.pop()
-                                        pwhere.pop()
-                                    if new < 2:
-                                        # Expel: weightless members only
-                                        # dilute proposal acceptance.
-                                        ppositions[state] = None
-                                dw = new * (new - 1) - old * (old - 1)
-                                if dw:
-                                    pool_w += dw
-                                    weight += dw
-                        else:
-                            step[1].on_count_change(state, old, new)
-                # One deferred weight refresh per touched composite
-                # slot — a plain values[] write, composite slots live
-                # outside the Fenwick tree.
-                for ref in entry[4]:
-                    rkind = ref[1]
-                    if rkind == TRIANGULAR:
-                        tri = ref[2]
-                        s_ = tri.s
-                        q_ = tri.q
-                        w = (q_ - s_) + (s_ * s_ - q_) // 2
-                    elif rkind == PRODUCT:
-                        prod = ref[2]
-                        w = prod.init_total * prod.resp_total
                     else:
-                        w = ref[2].weight
-                    slot = ref[0]
-                    weight += w - values[slot]
-                    values[slot] = w
-            else:
-                # Dynamic delta (compile_transitions opted out).  The
-                # generic update path reads and writes the shared pool
-                # weight, so sync the deferred local around it.
-                if pool is not None:
-                    values[pslot] = pool_w
-                    pool.weight = pool_w
-                    pool.mhat = pmhat
-                out = protocol.delta(si, sj)
-                if out is None:
-                    raise SimulationError(
-                        f"families sampled null pair ({si}, {sj}) — "
-                        "family coverage does not match delta"
-                    )
-                ti, tj = out
-                for state, delta in _transition_ops(si, sj, ti, tj):
-                    old = counts[state]
-                    new = old + delta
-                    if new < 0:
-                        raise SimulationError(
-                            f"state {state} count went negative applying "
-                            "transition"
-                        )
-                    counts[state] = new
-                    if new > gmax:
-                        gmax = new
-                    weight += fused.apply_count_change(state, old, new)
-                if pool is not None:
-                    pool_w = pool.weight
-                    pmhat = pool.mhat
+                        step[1].on_count_change(state, old, new)
+            # One deferred weight refresh per touched composite
+            # slot — a plain values[] write, composite slots live
+            # outside the Fenwick tree.
+            for ref in entry[4]:
+                rkind = ref[1]
+                if rkind == TRIANGULAR:
+                    tri = ref[2]
+                    s_ = tri.s
+                    q_ = tri.q
+                    w = (q_ - s_) + (s_ * s_ - q_) // 2
+                elif rkind == PRODUCT:
+                    prod = ref[2]
+                    w = prod.init_total * prod.resp_total
+                else:
+                    w = ref[2].weight
+                slot = ref[0]
+                weight += w - values[slot]
+                values[slot] = w
             events += 1
             remaining -= 1
             reclassify_left -= 1
@@ -1445,9 +1288,9 @@ class JumpEngine:
         if ins is not None:
             # Draw totals by batch-consumption arithmetic: full batches
             # refilled minus whatever is left unconsumed in the tail.
-            cu = nub * _UNIFORM_BATCH - (_UNIFORM_BATCH - upos) if nub else 0
-            cr = nrb * _RAW_BATCH - (raw_len - rpos) if nrb else 0
-            cs = nsb * _RAW_BATCH - (sraw_len - spos) if nsb else 0
+            cu = nub * BATCH - (BATCH - upos) if nub else 0
+            cr = nrb * BATCH - (raw_len - rpos) if nrb else 0
+            cs = nsb * BATCH - (sraw_len - spos) if nsb else 0
             ins.add_counters(
                 events=events - events0,
                 interactions=interactions - interactions0,
@@ -1471,9 +1314,7 @@ class JumpEngine:
             self._rebuild_fused(counts)
         # Discard any shared buffered draws so later step() calls start
         # from fresh batches of the (advanced) generator stream.
-        self._uniform_pos = _UNIFORM_BATCH
-        self._raws = []
-        self._raw_pos = 0
+        draws.discard()
         if self._debug:
             self._assert_weight_sync()
         return weight == 0
@@ -1491,7 +1332,7 @@ class JumpEngine:
         rebuilt from the final counts on exit.
         """
         protocol = self._protocol
-        rng = self._rng
+        draws = self._draws
         counts = self.counts
         table = self._ss_table
         num_states = self._num_states
@@ -1520,7 +1361,7 @@ class JumpEngine:
         # the numerator log through numpy is ~3x cheaper than math.log
         # per event.  log(1-u) >= log(1-p) iff skip == 1.
         lus: List[float] = []
-        upos = _UNIFORM_BATCH  # empty buffer — filled on first use
+        upos = BATCH  # empty buffer — filled on first use
         raws: List[int] = []
         rpos = 0
 
@@ -1569,10 +1410,8 @@ class JumpEngine:
                     if weight >= total_pairs:
                         interactions += 1
                     else:
-                        if upos == _UNIFORM_BATCH:
-                            lus = np.log1p(
-                                -rng.random(_UNIFORM_BATCH)
-                            ).tolist()
+                        if upos == BATCH:
+                            lus = draws.log_uniform_batch()
                             upos = 0
                             nub += 1
                         lu = lus[upos]
@@ -1585,9 +1424,7 @@ class JumpEngine:
                     # Propose until acceptance.
                     while True:
                         if ppos == len(props):
-                            props = rng.integers(
-                                0, prop_bound, size=_AGENT_BATCH
-                            ).tolist()
+                            props = draws.integers(prop_bound).tolist()
                             ppos = 0
                             npb += 1
                         v = props[ppos]
@@ -1647,10 +1484,8 @@ class JumpEngine:
                     if weight >= total_pairs:
                         interactions += 1
                     else:
-                        if upos == _UNIFORM_BATCH:
-                            lus = np.log1p(
-                                -rng.random(_UNIFORM_BATCH)
-                            ).tolist()
+                        if upos == BATCH:
+                            lus = draws.log_uniform_batch()
                             upos = 0
                             nub += 1
                         lu = lus[upos]
@@ -1663,16 +1498,13 @@ class JumpEngine:
                     # Exact uniform target in [0, weight).
                     while True:
                         if rpos == len(raws):
-                            raws = rng.integers(
-                                0, _RAW_SPAN, size=_RAW_BATCH,
-                                dtype=np.uint64,
-                            ).tolist()
+                            raws = draws.raw_batch()
                             rpos = 0
                             nrb += 1
                         raw = raws[rpos]
                         rpos += 1
                         target = raw % weight
-                        if raw - target <= _RAW_SPAN - weight:
+                        if raw - target <= RAW_SPAN - weight:
                             break
                     # Inlined FenwickTree.find.
                     pos = 0
@@ -1709,14 +1541,14 @@ class JumpEngine:
         self.interactions = interactions
         self.events = events
         if ins is not None:
-            cu = nub * _UNIFORM_BATCH - (_UNIFORM_BATCH - upos) if nub else 0
-            cr = nrb * _RAW_BATCH - (len(raws) - rpos) if nrb else 0
+            cu = nub * BATCH - (BATCH - upos) if nub else 0
+            cr = nrb * BATCH - (len(raws) - rpos) if nrb else 0
             ins.add_counters(
                 events=events - events0,
                 interactions=interactions - interactions0,
                 skip_draws=cu,
                 raw_draws=cr,
-                proposal_draws=npb * _AGENT_BATCH - c_pdisc,
+                proposal_draws=npb * BATCH - c_pdisc,
                 pool_draws=c_prop_events,
                 proposal_mode_events=c_prop_events,
                 fenwick_mode_events=c_fen_events,
@@ -1730,9 +1562,7 @@ class JumpEngine:
         self._weight = weight
         # Discard any shared buffered draws so later step() calls start
         # from fresh batches of the (advanced) generator stream.
-        self._uniform_pos = _UNIFORM_BATCH
-        self._raws = []
-        self._raw_pos = 0
+        draws.discard()
         if self._debug:
             self._assert_weight_sync()
         return weight == 0

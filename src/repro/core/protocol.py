@@ -30,19 +30,13 @@ Transition = Tuple[int, int]
 class PopulationProtocol(ABC):
     """A population protocol over states ``0..num_states-1``.
 
-    Subclasses must implement :meth:`delta`.  The default
+    Subclasses must implement :meth:`delta`, a pure function (the
+    engines precompile it into per-pair lookup tables).  The default
     :meth:`build_families` assumes all productive pairs are same-state
     pairs, which holds for every *state-optimal* protocol (the paper
     proves such protocols admit only ``(s, s)`` rules); protocols with
     cross-state rules override it.
     """
-
-    #: Engines may precompile ``delta`` into per-pair lookup tables (the
-    #: transition function must then be pure: the same ``(si, sj)``
-    #: always maps to the same outcome).  Every protocol in the paper is
-    #: pure; set this to False on subclasses whose ``delta`` is stateful
-    #: or randomised, forcing the engines back onto dynamic dispatch.
-    compile_transitions: bool = True
 
     def __init__(self, num_states: int, num_agents: int) -> None:
         if num_states <= 0:

@@ -61,11 +61,12 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro._deps import np
+import numpy as np
 
 from ..exceptions import SimulationError
 from .configuration import Configuration
-from .engine import Event, Recorder
+from .draws import BATCH, DrawStream
+from .engine import Event, Recorder, checked_counts
 from .fused import (
     PRODUCT,
     SAME,
@@ -78,12 +79,7 @@ from .fused import (
 from .jump import _transition_ops
 from .protocol import PopulationProtocol
 from .sequential import SequentialEngine
-from .snapshot import (
-    EngineSnapshot,
-    capture_rng,
-    check_snapshot,
-    restore_rng,
-)
+from .snapshot import EngineSnapshot, check_snapshot
 
 __all__ = [
     "AgentScheduledEngine",
@@ -97,13 +93,6 @@ __all__ = [
     "try_weighted_engine",
 ]
 
-_ACCEPT_BATCH = 4096
-_RAW_BATCH = 8192
-_UNIFORM_BATCH = 8192
-_RAW_SPAN = 1 << 64
-# Single-raw rejection sampling stays efficient below this bound;
-# larger bounds (weighted masses scale by 2⁵³) splice multiple raws.
-_SINGLE_RAW_MAX = 1 << 62
 # Beyond this many weight classes the blocked index stops paying off
 # (slots grow as classes², updates as classes); rejection takes over.
 _MAX_CLASSES = 64
@@ -581,7 +570,6 @@ class WeightedScheduledEngine:
     ) -> None:
         protocol.validate_configuration(configuration)
         self._protocol = protocol
-        self._rng = rng
         self._scheduler = scheduler
         # Optional telemetry bag (see repro.obs); the segment loops
         # flush chunk-level deltas, never per-event increments.
@@ -654,13 +642,8 @@ class WeightedScheduledEngine:
             FusedIndex(families, self._num_states, self.counts)
             if any(self._thinned) else None
         )
-        self._uniforms = rng.random(_UNIFORM_BATCH)
-        self._uniform_pos = 0
-        self._raws: List[int] = []
-        self._raw_pos = 0
-        self._pair_table: Optional[Dict[int, tuple]] = (
-            {} if protocol.compile_transitions else None
-        )
+        self._draws = DrawStream(rng, uniforms=True)
+        self._pair_table: Dict[int, tuple] = {}
         # Thinned-segment rejection tally (only ticks when instrumented;
         # read as a delta by the _run_segment flush).
         self._thinned_rejects = 0
@@ -721,70 +704,13 @@ class WeightedScheduledEngine:
         return self._index.total == 0
 
     # ------------------------------------------------------------------
-    # Randomness
-    # ------------------------------------------------------------------
-    def _next_uniform(self) -> float:
-        pos = self._uniform_pos
-        if pos == _UNIFORM_BATCH:
-            self._uniforms = self._rng.random(_UNIFORM_BATCH)
-            pos = 0
-        self._uniform_pos = pos + 1
-        return self._uniforms[pos]
-
-    def _next_raw(self) -> int:
-        pos = self._raw_pos
-        if pos >= len(self._raws):
-            self._raws = self._rng.integers(
-                0, _RAW_SPAN, size=_RAW_BATCH, dtype=np.uint64
-            ).tolist()
-            pos = 0
-        self._raw_pos = pos + 1
-        return self._raws[pos]
-
-    def rand_below(self, bound: int) -> int:
-        """Uniform integer in ``[0, bound)``, exact for arbitrary bounds.
-
-        Weighted masses carry the 2⁵³ scale, so bounds can exceed the
-        single-raw range; larger bounds splice multiple 64-bit raws and
-        reject into the largest multiple of ``bound``.
-        """
-        if bound < _SINGLE_RAW_MAX:
-            limit = _RAW_SPAN - bound
-            while True:
-                raw = self._next_raw()
-                value = raw % bound
-                if raw - value <= limit:
-                    return value
-        words = (bound.bit_length() + 63) // 64
-        span = 1 << (64 * words)
-        limit = span - span % bound
-        while True:
-            value = 0
-            for _ in range(words):
-                value = (value << 64) | self._next_raw()
-            if value < limit:
-                return value % bound
-
-    # ------------------------------------------------------------------
     # Simulation
     # ------------------------------------------------------------------
-    def _geometric_skip(self, weight: int, mass: int) -> int:
-        """Accepted steps until the next productive one (>= 1), exact."""
-        p = weight / mass
-        if p >= 1.0:
-            return 1
-        u = self._next_uniform()
-        if u <= p:
-            return 1
-        skip = math.ceil(math.log(1.0 - u) / math.log1p(-p))
-        return skip if skip >= 1 else 1
-
     def _transition(self, si: int, sj: int) -> tuple:
         table = self._pair_table
-        if table is not None:
-            entry = table.get(si * self._num_states + sj)
-            if entry is not None:
-                return entry
+        entry = table.get(si * self._num_states + sj)
+        if entry is not None:
+            return entry
         out = self._protocol.delta(si, sj)
         if out is None:
             raise SimulationError(
@@ -796,8 +722,7 @@ class WeightedScheduledEngine:
         for state, change in ((si, -1), (sj, -1), (ti, 1), (tj, 1)):
             delta[state] = delta.get(state, 0) + change
         entry = (ti, tj, tuple((s, d) for s, d in delta.items() if d != 0))
-        if table is not None:
-            table[si * self._num_states + sj] = entry
+        table[si * self._num_states + sj] = entry
         return entry
 
     def _apply_ops(self, ops) -> None:
@@ -823,23 +748,9 @@ class WeightedScheduledEngine:
         Inactive segment indexes stay stale — the epoch swap resyncs the
         incoming index anyway.
         """
-        counts = (
-            configuration.counts_list()
-            if isinstance(configuration, Configuration)
-            else [int(c) for c in configuration]
+        counts = checked_counts(
+            configuration, self._num_states, self._protocol.num_agents
         )
-        if len(counts) != self._num_states:
-            raise SimulationError(
-                f"reset configuration has {len(counts)} states, "
-                f"engine has {self._num_states}"
-            )
-        if any(c < 0 for c in counts):
-            raise SimulationError("reset configuration has negative counts")
-        if sum(counts) != self._protocol.num_agents:
-            raise SimulationError(
-                f"reset configuration has {sum(counts)} agents, "
-                f"engine has {self._protocol.num_agents}"
-            )
         self.counts = counts
         self._index.resync(counts)
         if self._instr is not None:
@@ -865,7 +776,6 @@ class WeightedScheduledEngine:
                 "snapshot", events=self.events, interactions=self.interactions
             )
         cursor = self._cursor
-        exhausted = self._uniform_pos >= _UNIFORM_BATCH
         return EngineSnapshot(
             kind="weighted",
             num_states=self._num_states,
@@ -873,13 +783,7 @@ class WeightedScheduledEngine:
             counts=tuple(self.counts),
             interactions=self.interactions,
             events=self.events,
-            rng_state=capture_rng(self._rng),
-            uniforms=(
-                () if exhausted
-                else tuple(float(u) for u in self._uniforms)
-            ),
-            uniform_pos=_UNIFORM_BATCH if exhausted else self._uniform_pos,
-            raws=tuple(int(r) for r in self._raws[self._raw_pos:]),
+            **self._draws.capture(),
             epoch=cursor.epoch,
             start_events=cursor.start_events,
             start_interactions=cursor.start_interactions,
@@ -926,14 +830,7 @@ class WeightedScheduledEngine:
                 )
         self.interactions = snapshot.interactions
         self.events = snapshot.events
-        restore_rng(self._rng, snapshot.rng_state)
-        if snapshot.uniforms:
-            self._uniforms = np.asarray(snapshot.uniforms, dtype=np.float64)
-            self._uniform_pos = snapshot.uniform_pos
-        else:
-            self._uniform_pos = _UNIFORM_BATCH
-        self._raws = [int(r) for r in snapshot.raws]
-        self._raw_pos = 0
+        self._draws.restore(snapshot)
         if self._instr is not None:
             self._instr.add("restores")
             self._instr.mark(
@@ -956,7 +853,7 @@ class WeightedScheduledEngine:
         weight = index.total
         if weight == 0:
             return None
-        skip = self._geometric_skip(weight, index.total_mass())
+        skip = self._draws.geometric_skip(weight / index.total_mass())
         boundary = self._cursor.boundary
         if (
             not self._cursor.last
@@ -969,7 +866,7 @@ class WeightedScheduledEngine:
                 self._advance_epoch()
                 return self.step()
         self.interactions += skip
-        si, sj = index.sample(self.rand_below)
+        si, sj = index.sample(self._draws.rand_below)
         ti, tj, ops = self._transition(si, sj)
         self._apply_ops(ops)
         self.events += 1
@@ -1036,13 +933,14 @@ class WeightedScheduledEngine:
     ) -> bool:
         """The instrumented single-scheduler jump loop (recorders)."""
         index = self._index
+        draws = self._draws
         while True:
             weight = index.total
             if weight == 0:
                 return True
             if max_events is not None and self.events >= max_events:
                 return False
-            skip = self._geometric_skip(weight, index.total_mass())
+            skip = draws.geometric_skip(weight / index.total_mass())
             if (
                 max_interactions is not None
                 and self.interactions + skip > max_interactions
@@ -1050,7 +948,7 @@ class WeightedScheduledEngine:
                 self.interactions = max_interactions
                 return False
             self.interactions += skip
-            si, sj = index.sample(self.rand_below)
+            si, sj = index.sample(draws.rand_below)
             ti, tj, ops = self._transition(si, sj)
             self._apply_ops(ops)
             self.events += 1
@@ -1083,8 +981,9 @@ class WeightedScheduledEngine:
         class_of = index.class_of
         matrix = index._class_matrix
         index.tree_dirty = True
-        rand_below = self.rand_below
-        next_raw = self._next_raw
+        draws = self._draws
+        rand_below = draws.rand_below
+        next_raw = draws.next_raw
         transition = self._transition
         full = WEIGHT_DENOMINATOR
         instr_on = self._instr is not None
@@ -1102,7 +1001,7 @@ class WeightedScheduledEngine:
                 # keeps long `until=silence` segments from degrading.
                 reclassify_left = _THINNED_RECLASSIFY_EVENTS
                 uniform.reclassify(counts)
-            skip = self._geometric_skip(weight, index.total_mass())
+            skip = draws.geometric_skip(weight / index.total_mass())
             if (
                 max_interactions is not None
                 and self.interactions + skip > max_interactions
@@ -1149,12 +1048,6 @@ class WeightedScheduledEngine:
         cap = WEIGHT_DENOMINATOR * self._protocol.num_agents ** 2
         if cap >= (1 << 126):  # pragma: no cover — absurd populations
             return self._run_segment_slow(max_interactions, None, max_events)
-        if self._pair_table is None:
-            # The protocol opted out of transition compilation (its
-            # delta is not a pure function) — caching straight-line
-            # programs would freeze the first-sampled outcome, so stay
-            # on the dynamic-dispatch loop.
-            return self._run_segment_slow(max_interactions, None, max_events)
         if index.tree_dirty:
             from .fenwick import fill_tree
 
@@ -1173,7 +1066,7 @@ class WeightedScheduledEngine:
         num_classes = len(u)
         prog_cache = index.prog_cache
         num_states = self._num_states
-        rng = self._rng
+        draws = self._draws
         log1p, ceil = math.log1p, math.ceil
         span = 1 << 128
         total = index.total
@@ -1181,7 +1074,7 @@ class WeightedScheduledEngine:
         events = self.events
         remaining = -1 if max_events is None else max(0, max_events - events)
         lus: List[float] = []
-        upos = _UNIFORM_BATCH
+        upos = BATCH
         raws: List[int] = []
         raw_len = 0
         rpos = 0
@@ -1203,8 +1096,8 @@ class WeightedScheduledEngine:
             if ratio >= 1.0:
                 skip = 1
             else:
-                if upos == _UNIFORM_BATCH:
-                    lus = np.log1p(-rng.random(_UNIFORM_BATCH)).tolist()
+                if upos == BATCH:
+                    lus = draws.log_uniform_batch()
                     upos = 0
                 lu = lus[upos]
                 upos += 1
@@ -1221,10 +1114,8 @@ class WeightedScheduledEngine:
             # any mass the dyadic scale can reach at sane populations.
             while True:
                 if rpos >= raw_len - 1:
-                    raws = rng.integers(
-                        0, _RAW_SPAN, size=_RAW_BATCH, dtype=np.uint64
-                    ).tolist()
-                    raw_len = _RAW_BATCH
+                    raws = draws.raw_batch()
+                    raw_len = BATCH
                     rpos = 0
                 draw = (raws[rpos] << 64) | raws[rpos + 1]
                 rpos += 2
@@ -1420,48 +1311,6 @@ def try_weighted_engine(
     return engine
 
 
-class _AcceptStream:
-    """Batched uniform thresholds for rejection acceptance tests.
-
-    One shared implementation for both rejection engines — the
-    acceptance-draw semantics (53-bit uniforms, batch refill order) are
-    part of the exactness contract with the weighted index's dyadic
-    numerators, so they must never diverge between engines.
-    """
-
-    __slots__ = ("_rng", "_accepts", "_pos", "drawn")
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        self._rng = rng
-        self._accepts = np.empty(0)
-        self._pos = 0
-        # Cumulative thresholds handed out, maintained by batch
-        # arithmetic at refill (telemetry reads it as a delta).
-        self.drawn = 0
-
-    def next(self) -> float:
-        if self._pos >= len(self._accepts):
-            self.drawn += len(self._accepts)
-            self._accepts = self._rng.random(_ACCEPT_BATCH)
-            self._pos = 0
-        u = self._accepts[self._pos]
-        self._pos += 1
-        return u
-
-    def consumed(self) -> int:
-        """Total thresholds consumed so far (exhausted batches + head)."""
-        return self.drawn + self._pos
-
-    def tail(self) -> tuple:
-        """Unconsumed buffered thresholds (checkpoint capture)."""
-        return tuple(float(u) for u in self._accepts[self._pos:])
-
-    def restore_tail(self, accepts) -> None:
-        """Adopt captured thresholds; the next draws consume them first."""
-        self._accepts = np.asarray(accepts, dtype=np.float64)
-        self._pos = 0
-
-
 class ScheduledEngine(SequentialEngine):
     """Per-interaction rejection engine honouring an arbitrary scheduler.
 
@@ -1510,7 +1359,6 @@ class ScheduledEngine(SequentialEngine):
                 matrices.setdefault(matrix.tobytes(), matrix)
             )
         self._weights = self._matrices[self._cursor.epoch]
-        self._accept = _AcceptStream(self._rng)
 
     @property
     def scheduler(self) -> Union[PairScheduler, EpochScheduler]:
@@ -1548,16 +1396,15 @@ class ScheduledEngine(SequentialEngine):
         """One *accepted* ordered pair of distinct agent indices."""
         weights = self._weights
         states = self.agent_states
-        accept = self._accept
+        draws = self._draws
         while True:
-            a, b = super()._next_pair()
-            if accept.next() < weights[states[a], states[b]]:
+            a, b = draws.next_pair()
+            if draws.next_accept() < weights[states[a], states[b]]:
                 return a, b
 
     def _snapshot_fields(self) -> dict:
         cursor = self._cursor
         return {
-            "accepts": self._accept.tail(),
             "epoch": cursor.epoch,
             "start_events": cursor.start_events,
             "start_interactions": cursor.start_interactions,
@@ -1576,7 +1423,6 @@ class ScheduledEngine(SequentialEngine):
         cursor.start_interactions = snapshot.start_interactions
         cursor.next_predicate_check = snapshot.next_predicate_check
         self._weights = self._matrices[snapshot.epoch]
-        self._accept.restore_tail(snapshot.accepts)
 
     def step(self) -> Optional[Event]:
         """One accepted scheduler step under the active epoch segment."""
@@ -1595,14 +1441,14 @@ class ScheduledEngine(SequentialEngine):
             recorder.on_start(self.counts)
         events0 = self.events
         interactions0 = self.interactions
-        accepts0 = self._accept.consumed()
+        accepts0 = self._draws.accepts_consumed()
         silent = _drive_epoch_timeline(
             self, self._run_loop, max_interactions, recorder, max_events
         )
         if self._instr is not None:
             # Every accepted step is one consumed threshold; the rest
             # were rejections of the uniform candidate stream.
-            tests = self._accept.consumed() - accepts0
+            tests = self._draws.accepts_consumed() - accepts0
             self._instr.add_counters(
                 events=self.events - events0,
                 interactions=self.interactions - interactions0,
@@ -1688,26 +1534,19 @@ class AgentScheduledEngine(SequentialEngine):
         )
         self._scheduler = scheduler
         self._agent_weights = scheduler.weight_vector(protocol.num_agents)
-        self._accept = _AcceptStream(self._rng)
 
     @property
     def scheduler(self) -> AgentScheduler:
         """The agent scheduler this engine realises."""
         return self._scheduler
 
-    def _snapshot_fields(self) -> dict:
-        return {"accepts": self._accept.tail()}
-
-    def _restore_fields(self, snapshot: EngineSnapshot) -> None:
-        self._accept.restore_tail(snapshot.accepts)
-
     def _next_pair(self) -> tuple:
         """One *accepted* ordered pair of distinct agent indices."""
         weights = self._agent_weights
-        accept = self._accept
+        draws = self._draws
         while True:
-            a, b = super()._next_pair()
-            if accept.next() < weights[a] * weights[b]:
+            a, b = draws.next_pair()
+            if draws.next_accept() < weights[a] * weights[b]:
                 return a, b
 
     def run(
@@ -1718,10 +1557,10 @@ class AgentScheduledEngine(SequentialEngine):
     ) -> bool:
         """Run until silence or budget exhaustion; True iff silent."""
         interactions0 = self.interactions
-        accepts0 = self._accept.consumed()
+        accepts0 = self._draws.accepts_consumed()
         silent = super().run(max_interactions, recorder, max_events)
         if self._instr is not None:
-            tests = self._accept.consumed() - accepts0
+            tests = self._draws.accepts_consumed() - accepts0
             self._instr.add_counters(
                 accept_tests=tests,
                 accept_rejects=tests - (self.interactions - interactions0),

@@ -14,22 +14,18 @@ this engine the natural place for agent-level observations in examples.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
+
+import numpy as np
 
 from ..exceptions import SimulationError
 from .configuration import Configuration
-from .engine import Event, Recorder
+from .draws import DrawStream
+from .engine import Event, Recorder, checked_counts
 from .protocol import PopulationProtocol
-from .snapshot import (
-    EngineSnapshot,
-    capture_rng,
-    check_snapshot,
-    restore_rng,
-)
+from .snapshot import EngineSnapshot, check_snapshot
 
 __all__ = ["SequentialEngine"]
-
-_PAIR_BATCH = 4096
 
 
 class SequentialEngine:
@@ -47,24 +43,21 @@ class SequentialEngine:
     ) -> None:
         protocol.validate_configuration(configuration)
         self._protocol = protocol
-        self._rng = rng
+        self._n = protocol.num_agents
+        self._draws = DrawStream(rng, agents=self._n)
         # Optional telemetry bag (see repro.obs); counters are flushed
-        # per run from batch arithmetic, never per step.
+        # per run from the stream's tallies, never per step.
         self._instr = instrumentation
-        self._pair_batches = 0
         self.counts: List[int] = configuration.counts_list()
         # Explicit agent array: agent i holds state agent_states[i].
         self.agent_states: List[int] = []
         for state, count in enumerate(self.counts):
             self.agent_states.extend([state] * count)
-        self._n = protocol.num_agents
         self._families = protocol.build_families(self.counts)
         self._weight = sum(family.weight for family in self._families)
         self._state_families = self._compile_state_families()
         self.interactions = 0
         self.events = 0
-        self._pair_buffer: List[Tuple[int, int]] = []
-        self._pair_pos = 0
 
     def _compile_state_families(self):
         """Per-state tuple of the families whose weight the state touches.
@@ -80,24 +73,9 @@ class SequentialEngine:
         return [tuple(families) for families in by_state]
 
     def _next_pair(self) -> tuple:
-        """Uniform ordered pair of distinct agent indices.
-
-        Buffered as plain int tuples — the same code serves numpy
-        generators (whose ``integers`` returns arrays) and the
-        pure-Python fallback generator (which returns lists), keeping
-        this the engine that runs when numpy is absent.
-        """
-        if self._pair_pos >= len(self._pair_buffer):
-            first = self._rng.integers(0, self._n, size=_PAIR_BATCH)
-            second = self._rng.integers(0, self._n - 1, size=_PAIR_BATCH)
-            self._pair_buffer = [
-                (int(a), int(b + (b >= a))) for a, b in zip(first, second)
-            ]
-            self._pair_pos = 0
-            self._pair_batches += 1
-        a, b = self._pair_buffer[self._pair_pos]
-        self._pair_pos += 1
-        return a, b
+        """The next scheduled ordered pair of distinct agent indices —
+        uniform here; the rejection subclasses filter it."""
+        return self._draws.next_pair()
 
     @property
     def productive_weight(self) -> int:
@@ -133,23 +111,9 @@ class SequentialEngine:
         counters and the generator stream are preserved.  The population
         size and state space must not change.
         """
-        counts = (
-            configuration.counts_list()
-            if isinstance(configuration, Configuration)
-            else [int(c) for c in configuration]
+        counts = checked_counts(
+            configuration, self._protocol.num_states, self._n
         )
-        if len(counts) != self._protocol.num_states:
-            raise SimulationError(
-                f"reset configuration has {len(counts)} states, "
-                f"engine has {self._protocol.num_states}"
-            )
-        if any(c < 0 for c in counts):
-            raise SimulationError("reset configuration has negative counts")
-        if sum(counts) != self._n:
-            raise SimulationError(
-                f"reset configuration has {sum(counts)} agents, "
-                f"engine has {self._n}"
-            )
         self.counts = counts
         self.agent_states = []
         for state, count in enumerate(counts):
@@ -175,9 +139,9 @@ class SequentialEngine:
 
         The explicit agent array *is* the engine's dynamical state (no
         compiled sampler to canonicalise), so a sequential snapshot is
-        always state-preserving: the unconsumed pair draws and the
-        exact generator state travel along, and the restored engine
-        continues identically to the uninterrupted one.
+        always state-preserving: the unconsumed pair (and acceptance)
+        draws and the exact generator state travel along, and the
+        restored engine continues identically to the uninterrupted one.
         """
         if self._instr is not None:
             self._instr.add("snapshots")
@@ -191,13 +155,8 @@ class SequentialEngine:
             counts=tuple(self.counts),
             interactions=self.interactions,
             events=self.events,
-            rng_state=capture_rng(self._rng),
             agent_states=tuple(self.agent_states),
-            pair_buffer=tuple(
-                v
-                for row in self._pair_buffer[self._pair_pos:]
-                for v in row
-            ),
+            **self._draws.capture(),
             **self._snapshot_fields(),
         )
 
@@ -231,10 +190,7 @@ class SequentialEngine:
         self._state_families = self._compile_state_families()
         self.interactions = snapshot.interactions
         self.events = snapshot.events
-        restore_rng(self._rng, snapshot.rng_state)
-        flat = [int(v) for v in snapshot.pair_buffer]
-        self._pair_buffer = list(zip(flat[0::2], flat[1::2]))
-        self._pair_pos = 0
+        self._draws.restore(snapshot)
         self._restore_fields(snapshot)
         if self._instr is not None:
             self._instr.add("restores")
@@ -291,18 +247,13 @@ class SequentialEngine:
             recorder.on_start(self.counts)
         events0 = self.events
         interactions0 = self.interactions
-        batches0 = self._pair_batches
-        avail0 = len(self._pair_buffer) - self._pair_pos
+        pairs0 = self._draws.pairs_consumed()
         silent = self._run_loop(max_interactions, recorder, max_events)
         if self._instr is not None:
-            avail = len(self._pair_buffer) - self._pair_pos
             self._instr.add_counters(
                 events=self.events - events0,
                 interactions=self.interactions - interactions0,
-                pair_draws=(
-                    (self._pair_batches - batches0) * _PAIR_BATCH
-                    + avail0 - avail
-                ),
+                pair_draws=self._draws.pairs_consumed() - pairs0,
             )
         if recorder is not None:
             recorder.on_finish(silent, self.interactions, self.counts)

@@ -37,7 +37,7 @@ import copy
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro._deps import np
+import numpy as np
 
 from ..exceptions import SimulationError
 
@@ -198,22 +198,6 @@ def check_snapshot(
         raise SimulationError("snapshot carries no generator state")
 
 
-def restore_rng(rng: np.random.Generator, state: Dict) -> None:
-    """Install a captured bit-generator state into a live generator."""
-    expected = type(rng.bit_generator).__name__
-    name = state.get("bit_generator")
-    if name != expected:
-        raise SimulationError(
-            f"snapshot generator is {name!r}, engine uses {expected!r}"
-        )
-    rng.bit_generator.state = copy.deepcopy(state)
-
-
-def capture_rng(rng: np.random.Generator) -> Dict:
-    """Deep copy of the generator's exact bit-generator state."""
-    return copy.deepcopy(rng.bit_generator.state)
-
-
 def resume_engine(protocol, snapshot: EngineSnapshot, scheduler=None):
     """Build a fresh engine of ``snapshot.kind`` and restore it.
 
@@ -251,11 +235,8 @@ def resume_engine(protocol, snapshot: EngineSnapshot, scheduler=None):
             f"snapshot has {snapshot.num_agents}"
         )
     configuration = Configuration(list(snapshot.counts))
-    # Throwaway stream: restore() installs the captured state.  Routed
-    # through make_rng so the numpy-free fallback generator works too.
-    from .engine import make_rng
-
-    rng = make_rng(0)
+    # Throwaway stream: restore() installs the captured state.
+    rng = np.random.default_rng(0)
     if snapshot.kind == "jump":
         engine = JumpEngine(protocol, configuration, rng)
     elif snapshot.kind == "sequential":

@@ -45,7 +45,7 @@ import random
 import time
 from typing import Callable, Dict, List, Optional
 
-from repro._deps import np
+import numpy as np
 
 from ..analysis.supervision import SupervisionPolicy, supervised_map
 from ..exceptions import ExperimentError

@@ -25,7 +25,7 @@ from typing import Optional
 
 import math
 
-from repro._deps import np
+import numpy as np
 
 from ..analysis.stats import wilson_interval
 from ..analysis.tables import Table

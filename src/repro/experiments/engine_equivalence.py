@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro._deps import np
+import numpy as np
 
 from ..analysis.stats import summarise
 from ..analysis.tables import Table

@@ -22,7 +22,7 @@ from typing import Optional
 
 import math
 
-from repro._deps import np
+import numpy as np
 
 from ..analysis.potentials import all_traps_tidy
 from ..analysis.stats import summarise

@@ -19,7 +19,7 @@ from typing import Optional
 
 import math
 
-from repro._deps import np
+import numpy as np
 
 from ..analysis.stats import summarise
 from ..analysis.tables import Table

@@ -1,4 +1,4 @@
-"""Observability: engine counters, structured traces, metrics sinks.
+"""Observability: engine counters and structured run traces.
 
 Zero-cost-when-off instrumentation for the simulation stack:
 
@@ -10,12 +10,9 @@ Zero-cost-when-off instrumentation for the simulation stack:
 * :mod:`repro.obs.trace` — versioned JSONL run traces with
   deterministic logical content (no wall-clock in compared fields), so
   traces taken at any worker count merge to identical histories.
-* :mod:`repro.obs.metrics` — a counters/gauges/histograms registry on
-  the ensemble reducers, exported as JSON or Prometheus text.
 """
 
 from .instrumentation import Instrumentation, check_instrumentation_off_overhead
-from .metrics import MetricsRegistry, ensemble_event_counter
 from .trace import (
     TRACE_VERSION,
     TraceReader,
@@ -28,13 +25,11 @@ from .trace import (
 
 __all__ = [
     "Instrumentation",
-    "MetricsRegistry",
     "TRACE_VERSION",
     "TraceReader",
     "TraceWriter",
     "check_instrumentation_off_overhead",
     "diff_traces",
-    "ensemble_event_counter",
     "merge_trace_events",
     "summarize_trace",
     "validate_trace",

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from repro._deps import np
+import numpy as np
 
 from ..core.configuration import Configuration
 from ..core.engine import RunResult, run_protocol

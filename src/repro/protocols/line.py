@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro._deps import np
+import numpy as np
 
 from ..exceptions import ProtocolError
 from ..core.families import Family, OrderedProduct, SameStatePairs

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional
 
-from repro._deps import np
+import numpy as np
 
 from ..exceptions import ProtocolError
 from ..core.protocol import RankingProtocol, Transition

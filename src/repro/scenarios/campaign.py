@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro._deps import np
+import numpy as np
 
 from ..analysis.supervision import (
     JobFailure,

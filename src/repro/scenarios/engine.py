@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro._deps import np
+import numpy as np
 
 from ..core.configuration import Configuration
 from ..core.engine import make_rng

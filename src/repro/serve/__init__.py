@@ -2,7 +2,7 @@
 
 Stdlib-only (asyncio + sockets) — the ``repro[serve]`` extra exists as
 an installation marker but pins nothing, so the server runs anywhere
-the core package does, with or without numpy.  Every request is one
+the core package does.  Every request is one
 versioned :class:`~repro.jobspec.JobSpec`; see
 :mod:`repro.serve.server` for the endpoint contract.
 """

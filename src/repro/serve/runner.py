@@ -24,11 +24,10 @@ finished job by its spec digest and replay it byte-identically.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from typing import Callable, Dict, List, Optional
 
-from repro._deps import HAVE_NUMPY, np
+import numpy as np
 
 from ..core.configuration import Configuration
 from ..core.engine import build_engine
@@ -68,21 +67,11 @@ class JobControl:
 def spawn_seeds(seed: int, count: int) -> List:
     """Per-repetition seeds, matching campaign seeding discipline.
 
-    With numpy this is exactly :func:`run_campaign`'s spawn — one root
-    ``SeedSequence`` split into independent children before dispatch —
-    so a scenario JobSpec reproduces ``repro scenario run`` bit for
-    bit.  Without numpy (where only simulate-mode jobs can actually
-    run) the fallback derives independent integer seeds by hashing.
+    Exactly :func:`run_campaign`'s spawn — one root ``SeedSequence``
+    split into independent children before dispatch — so a scenario
+    JobSpec reproduces ``repro scenario run`` bit for bit.
     """
-    if HAVE_NUMPY:
-        return list(np.random.SeedSequence(seed).spawn(count))
-    return [
-        int.from_bytes(
-            hashlib.sha256(f"{seed}/{index}".encode("ascii")).digest()[:8],
-            "big",
-        )
-        for index in range(count)
-    ]
+    return list(np.random.SeedSequence(seed).spawn(count))
 
 
 def _annotate(record: Dict, run: int) -> Dict:

@@ -16,7 +16,10 @@ from repro import (
     Configuration,
     JumpEngine,
     LineOfTrapsProtocol,
+    SequentialEngine,
+    StateBiasedScheduler,
     TreeRankingProtocol,
+    WeightedScheduledEngine,
     random_configuration,
     run_protocol,
 )
@@ -171,13 +174,29 @@ class TestExactnessHooks:
         assert engine.run() is True
         assert engine.counts == [1] * 20
 
-    def test_reset_configuration_rejects_bad_shapes(self):
+    @pytest.mark.parametrize(
+        "make_engine",
+        [
+            lambda p, c, rng: JumpEngine(p, c, rng),
+            lambda p, c, rng: WeightedScheduledEngine(
+                p, c, rng, StateBiasedScheduler([1.0] * 10 + [0.5] * 10)
+            ),
+            lambda p, c, rng: SequentialEngine(p, c, rng),
+            lambda p, c, rng: BatchEngine(p, c, rng),
+        ],
+        ids=["jump", "weighted", "sequential", "batch"],
+    )
+    def test_reset_configuration_rejects_bad_shapes(self, make_engine):
+        """Every engine's fault seam shares one count check."""
         protocol, start = _ag(20)
-        engine = BatchEngine(protocol, start, np.random.default_rng(1))
-        with pytest.raises(SimulationError):
+        engine = make_engine(protocol, start, np.random.default_rng(1))
+        with pytest.raises(SimulationError, match="19 states"):
             engine.reset_configuration([1] * 19)  # wrong state count
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="negative"):
+            engine.reset_configuration([-1, 3] + [1] * 18)
+        with pytest.raises(SimulationError, match="21 agents"):
             engine.reset_configuration([21] + [0] * 19)  # wrong population
+        assert engine.counts == start.counts_list()
 
 
 class TestProgramCache:

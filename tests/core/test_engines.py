@@ -76,7 +76,7 @@ class TestJumpEngineBasics:
     def test_rand_below_range(self):
         protocol = AGProtocol(4)
         engine = _engine(protocol, Configuration([1] * 4))
-        draws = [engine.rand_below(7) for _ in range(1000)]
+        draws = [engine._draws.rand_below(7) for _ in range(1000)]
         assert min(draws) >= 0 and max(draws) < 7
         assert len(set(draws)) == 7  # all values reachable
 
@@ -239,31 +239,6 @@ class TestRecorders:
 
 
 class TestCompiledTransitionTables:
-    def test_opt_out_falls_back_to_dynamic_delta(self):
-        class DynamicAG(AGProtocol):
-            compile_transitions = False
-
-        compiled = _engine(AGProtocol(10), Configuration.all_in_state(0, 10, 10))
-        dynamic = _engine(DynamicAG(10), Configuration.all_in_state(0, 10, 10))
-        assert compiled._ss_table is not None
-        assert dynamic._ss_table is None and dynamic._pair_table is None
-        # The table is a pure cache: step() consumes the identical RNG
-        # stream either way, so same-seed trajectories match exactly.
-        while True:
-            a, b = compiled.step(), dynamic.step()
-            assert a == b
-            if a is None:
-                break
-        assert compiled.counts == dynamic.counts == [1] * 10
-
-    def test_opt_out_run_still_stabilises(self):
-        class DynamicAG(AGProtocol):
-            compile_transitions = False
-
-        engine = _engine(DynamicAG(12), Configuration.all_in_state(0, 12, 12))
-        assert engine.run() is True
-        assert engine.counts == [1] * 12
-
     def test_tree_protocol_uses_lazy_pair_table(self):
         protocol = TreeRankingProtocol(9, k=2)
         engine = _engine(protocol, Configuration.all_in_state(8, 9, protocol.num_states))
@@ -312,7 +287,7 @@ class TestExactSampling:
     def test_rand_below_huge_bound_in_range(self):
         engine = _engine(AGProtocol(4), Configuration([1] * 4))
         bound = (1 << 60) + 3
-        draws = [engine.rand_below(bound) for _ in range(200)]
+        draws = [engine._draws.rand_below(bound) for _ in range(200)]
         assert all(0 <= d < bound for d in draws)
         # Float-multiply sampling would collapse to multiples of 128 up
         # here; exact sampling must produce odd values too.
@@ -320,14 +295,14 @@ class TestExactSampling:
 
     def test_rand_below_small_bound_uniform(self):
         engine = _engine(AGProtocol(4), Configuration([1] * 4))
-        draws = [engine.rand_below(3) for _ in range(3000)]
+        draws = [engine._draws.rand_below(3) for _ in range(3000)]
         for value in range(3):
             share = draws.count(value) / len(draws)
             assert abs(share - 1 / 3) < 0.05
 
     def test_rand_below_bound_one(self):
         engine = _engine(AGProtocol(4), Configuration([1] * 4))
-        assert engine.rand_below(1) == 0
+        assert engine._draws.rand_below(1) == 0
 
 
 class TestFastLoop:

@@ -1,0 +1,204 @@
+"""Golden trajectories: every engine kind, pinned bit-for-bit.
+
+Each case runs one engine three ways from the same seed and records
+``(events, interactions, sha256(counts))`` for each arm:
+
+* ``full`` — one uninterrupted ``run()``;
+* ``chunked`` — the same run in fixed ``max_events`` chunks;
+* ``resumed`` — run half way, ``snapshot()`` → ``to_dict`` → JSON →
+  :func:`~repro.core.snapshot.resume_engine`, then continue.
+
+The expected records live in ``golden_trajectories.json``.  They pin
+the exact draw consumption of every realisation (the same-state and
+fused jump loops, the general loop behind a recorder, sequential,
+rejection, agent, weighted with thinned and weighted segments, batch),
+so a refactor of the randomness layer that changes any trajectory
+fails here.  Regenerate deliberately with::
+
+    PYTHONPATH=src python tests/core/test_golden_trajectories.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro import (
+    AGProtocol,
+    Configuration,
+    EngineSnapshot,
+    EpochBoundary,
+    EpochScheduler,
+    JumpEngine,
+    LineOfTrapsProtocol,
+    Recorder,
+    RingOfTrapsProtocol,
+    ScheduledEngine,
+    SequentialEngine,
+    StateBiasedScheduler,
+    TargetedSuppressionScheduler,
+    TreeRankingProtocol,
+    WeightedScheduledEngine,
+    random_configuration,
+    resume_engine,
+)
+from repro.core.batch import BatchEngine
+from repro.core.scheduler import AgentScheduledEngine
+from repro.obs import Instrumentation
+
+GOLDEN = Path(__file__).with_name("golden_trajectories.json")
+
+
+def _ring():
+    protocol = RingOfTrapsProtocol(m=20)
+    start = Configuration.all_in_state(0, protocol.num_agents, protocol.num_states)
+    return protocol, start
+
+
+def _tree():
+    protocol = TreeRankingProtocol(256)
+    return protocol, random_configuration(protocol, seed=5, include_extras=True)
+
+
+def _line():
+    protocol = LineOfTrapsProtocol(72)
+    return protocol, Configuration.all_in_state(10, 72, protocol.num_states)
+
+
+def _ag(n):
+    protocol = AGProtocol(n)
+    return protocol, Configuration.all_in_state(0, n, n)
+
+
+def _small_tree():
+    protocol = TreeRankingProtocol(33, k=2)
+    return protocol, random_configuration(protocol, seed=0, include_extras=True)
+
+
+def _biased(protocol):
+    return StateBiasedScheduler(
+        [1.0] * protocol.num_ranks + [0.2] * protocol.num_extra_states
+    )
+
+
+def _many_class(protocol):
+    # >= 8 distinct high weights: routed to the thinned realisation.
+    return StateBiasedScheduler(
+        [0.80 + 0.02 * (s % 9) for s in range(protocol.num_states)]
+    )
+
+
+def _timeline(protocol):
+    return EpochScheduler([
+        (EpochBoundary(kind="events", value=1000), _biased(protocol)),
+        (EpochBoundary(kind="events", value=3000), _many_class(protocol)),
+        (None, _biased(protocol)),
+    ])
+
+
+def _targeted(protocol):
+    return TargetedSuppressionScheduler([0, 1, 2], weight=0.2)
+
+
+# name -> (setup, engine class, scheduler factory, total events, chunk,
+#          recorder).  Sizes cross at least one 8192-draw refill on the
+# fast paths.
+CASES = {
+    "jump-same-state-ring": (_ring, JumpEngine, None, 20000, 3001, False),
+    "jump-fused-tree": (_tree, JumpEngine, None, 20000, 3001, False),
+    "jump-fused-line-m2": (_line, JumpEngine, None, 20000, 3001, False),
+    "jump-general-recorder": (_tree, JumpEngine, None, 12000, 2501, True),
+    "sequential": (lambda: _ag(30), SequentialEngine, None, 1000, 71, False),
+    "scheduled": (_small_tree, ScheduledEngine, _biased, 3000, 397, False),
+    "agent": (lambda: _ag(30), AgentScheduledEngine, _targeted, 1000, 71,
+              False),
+    "weighted-timeline": (_small_tree, WeightedScheduledEngine, _timeline,
+                          8000, 1237, False),
+    "batch": (_tree, BatchEngine, None, 20000, 3001, False),
+}
+
+SEED = 11
+
+
+def _build(name, instrumentation=None):
+    setup, cls, make_scheduler, _, _, _ = CASES[name]
+    protocol, start = setup()
+    scheduler = make_scheduler(protocol) if make_scheduler else None
+    args = [protocol, start, np.random.default_rng(SEED)]
+    if scheduler is not None:
+        args.append(scheduler)
+    kwargs = {}
+    if instrumentation is not None:
+        kwargs["instrumentation"] = instrumentation
+    return protocol, scheduler, cls(*args, **kwargs)
+
+
+def _record(engine):
+    digest = hashlib.sha256(
+        ",".join(str(int(c)) for c in engine.counts).encode()
+    ).hexdigest()
+    return [engine.events, engine.interactions, digest]
+
+
+def _run(engine, events, recorder):
+    # Any recorder routes the jump engine through its general loop.
+    engine.run(max_events=events, recorder=Recorder() if recorder else None)
+
+
+def _arms(name):
+    _, _, _, total, chunk, recorder = CASES[name]
+
+    _, _, engine = _build(name)
+    _run(engine, total, recorder)
+    full = _record(engine)
+
+    _, _, engine = _build(name)
+    target = 0
+    while engine.events < total and not engine.is_silent():
+        target = min(total, target + chunk)
+        _run(engine, target, recorder)
+    chunked = _record(engine)
+
+    protocol, scheduler, engine = _build(name)
+    _run(engine, total // 2, recorder)
+    data = json.loads(json.dumps(engine.snapshot().to_dict()))
+    engine = resume_engine(
+        protocol, EngineSnapshot.from_dict(data), scheduler=scheduler
+    )
+    _run(engine, total, recorder)
+    resumed = _record(engine)
+    return {"full": full, "chunked": chunked, "resumed": resumed}
+
+
+def _golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_trajectory_matches_golden(name):
+    assert _arms(name) == _golden()[name]
+
+
+def test_cases_reach_their_loops():
+    """Each case exercises the realisation its name claims."""
+    assert _build("jump-same-state-ring")[2]._ss_table is not None
+    for name in ("jump-fused-tree", "jump-fused-line-m2"):
+        assert _build(name)[2]._ss_table is None
+    instr = Instrumentation()
+    engine = _build("weighted-timeline", instrumentation=instr)[2]
+    engine.run(max_events=CASES["weighted-timeline"][3])
+    assert instr.get("thinned_events") > 0
+    assert instr.get("weighted_events") > 0
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(
+        json.dumps({name: _arms(name) for name in sorted(CASES)}, indent=1)
+        + "\n"
+    )
+    sys.stdout.write(f"wrote {GOLDEN}\n")

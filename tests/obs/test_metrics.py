@@ -1,59 +1,14 @@
-"""Metrics registry and the supervision observer seam.
+"""The supervision observer seam, counted into metrics.
 
-The registry aggregates counter bags from any number of runs; the
-observer seam on :func:`supervised_map` turns retries, quarantines, and
-pool rebuilds into metrics without touching the results contract.
+The observer seam on :func:`supervised_map` turns retries, quarantines,
+and pool rebuilds into per-kind event counts without touching the
+results contract.
 """
 
 import os
-
-import pytest
+from collections import Counter
 
 from repro.analysis.supervision import SupervisionPolicy, supervised_map
-from repro.obs import Instrumentation, MetricsRegistry
-
-
-class TestMetricsRegistry:
-    def test_counters_gauges_histograms(self):
-        registry = MetricsRegistry()
-        registry.counter_add("events", 10)
-        registry.counter_add("events", 5)
-        registry.gauge_set("shards_done", 3)
-        for value in [1.0, 2.0, 3.0, 4.0]:
-            registry.observe("recovery_time", value)
-        data = registry.to_dict()
-        assert data["counters"]["events"] == 15
-        assert data["gauges"]["shards_done"] == 3.0
-        histogram = data["histograms"]["recovery_time"]
-        assert histogram["count"] == 4
-        assert histogram["mean"] == pytest.approx(2.5)
-
-    def test_merge_counters_folds_instrumentation_bags(self):
-        registry = MetricsRegistry()
-        for seed in range(3):
-            instr = Instrumentation()
-            instr.add_counters(events=10 * (seed + 1), skip_draws=7)
-            registry.merge_counters(instr.counters, prefix="engine_")
-        assert registry.counters["engine_events"] == 60
-        assert registry.counters["engine_skip_draws"] == 21
-
-    def test_prometheus_exposition(self):
-        registry = MetricsRegistry(namespace="repro")
-        registry.counter_add("retries", 2)
-        registry.gauge_set("eta seconds", 12.5)  # space gets sanitised
-        registry.observe("runs", 3.0)
-        text = registry.to_prometheus()
-        assert "# TYPE repro_retries_total counter" in text
-        assert "repro_retries_total 2" in text
-        assert "repro_eta_seconds 12.5" in text
-        assert 'repro_runs{quantile="0.5"}' in text
-        assert "repro_runs_count 1" in text
-        assert text.endswith("\n")
-
-    def test_empty_registry_exports_cleanly(self):
-        registry = MetricsRegistry()
-        assert registry.to_prometheus() == ""
-        assert registry.to_dict()["counters"] == {}
 
 
 # ----------------------------------------------------------------------
@@ -90,12 +45,12 @@ class TestSupervisionObserver:
             max_attempts=4, backoff_base=0.01, backoff_cap=0.02,
             fail_fast=False,
         )
-        registry = MetricsRegistry()
+        counts = Counter()
         events = []
 
         def observer(kind, fields):
             events.append((kind, fields))
-            registry.counter_add(f"supervision_{kind}")
+            counts[kind] += 1
 
         results, failures = supervised_map(
             _flaky, jobs, workers=2, policy=policy, observer=observer
@@ -104,8 +59,8 @@ class TestSupervisionObserver:
         # identical to an unsupervised run.
         assert failures == []
         assert results == [value * 2 for value, _, _ in jobs]
-        assert registry.counters["supervision_retry"] >= 1
-        assert registry.counters.get("supervision_pool_rebuild", 0) >= 1
+        assert counts["retry"] >= 1
+        assert counts["pool_rebuild"] >= 1
         retry = next(f for k, f in events if k == "retry")
         assert retry["job"] == 3 and retry["attempt"] >= 1
         assert retry["failure"] in ("crash", "hang")

@@ -29,6 +29,7 @@ from repro import (
     random_configuration,
 )
 from repro.core.batch import _MIN_BATCH, BatchEngine
+from repro.core.draws import DrawStream
 from repro.core.faults import adversarial_swap
 
 
@@ -134,11 +135,7 @@ class TestWeightCacheAfterMutation:
         # Re-seed the warm engine's stream to match the fresh engine,
         # replaying the constructor's uniform-batch draw so both
         # generators sit at the same stream position.
-        warm._rng = np.random.default_rng(seed + 2)
-        warm._uniforms = warm._rng.random(len(warm._uniforms))
-        warm._uniform_pos = 0
-        warm._raws = []
-        warm._raw_pos = 0
+        warm._draws = DrawStream(np.random.default_rng(seed + 2), uniforms=True)
         base_interactions = warm.interactions
         base_events = warm.events
         warm_silent = warm.run(max_events=base_events + 10_000)
@@ -207,11 +204,7 @@ class TestBatchResyncEquivalence:
         fresh = BatchEngine(
             protocol, corrupted, np.random.default_rng(seed + 2)
         )
-        warm._rng = np.random.default_rng(seed + 2)
-        warm._lus = []
-        warm._lu_pos = 0
-        warm._raws = []
-        warm._raw_pos = 0
+        warm._draws = DrawStream(np.random.default_rng(seed + 2))
         warm._lp_weight = -1
         warm._batch_size = _MIN_BATCH
         base_interactions = warm.interactions

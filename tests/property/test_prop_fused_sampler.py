@@ -151,7 +151,7 @@ class TestFusedIndexWeightInvariant:
             weight = engine.productive_weight
             if weight == 0:
                 break
-            si, sj = engine._fused.sample(engine.rand_below)
+            si, sj = engine._fused.sample(engine._draws.rand_below)
             assert protocol.delta(si, sj) is not None
             assert engine.counts[si] >= (2 if si == sj else 1)
             if si != sj:
@@ -434,7 +434,7 @@ class TestHybridSamplerExactness:
         for _ in range(300):
             if engine.is_silent():
                 break
-            si, sj = fused.sample(engine.rand_below)
+            si, sj = fused.sample(engine._draws.rand_below)
             assert protocol.delta(si, sj) is not None
             assert engine.counts[si] >= (2 if si == sj else 1)
             engine.step()
