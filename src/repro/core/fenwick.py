@@ -8,42 +8,70 @@ weights, both on the hot path of every productive interaction:
   prefix-sum search, also ``O(log N)``.
 
 Weights here are plain Python integers (pair counts), so all arithmetic
-is exact — no floating point drift can bias the sampler.
+is exact — no floating point drift can bias the sampler.  Bulk builds
+(:func:`fill_tree`) run as one numpy prefix-sum pass with the same
+exact integer results.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Sequence
 
+import numpy as np
+
 __all__ = ["FenwickTree", "fill_tree"]
+
+#: Bound below which every partial sum of a build fits int64 with room.
+_INT64_SAFE = 1 << 62
 
 
 def fill_tree(tree: List[int], size: int, values: Sequence[int]) -> int:
     """(Re)build a raw Fenwick array in place; returns the total.
 
-    ``tree`` must have ``size + 1`` entries; ``values`` may be shorter
-    than ``size`` (missing slots count as zero — used for power-of-two
-    padded trees, whose top node is then the total).  In-place filling
-    matters: hot loops hold direct references to the list, so a resync
-    must not swap the object out from under them.  The classic O(N)
-    push-up: every node forwards its accumulated partial sum to its
-    parent, in index order.
+    ``tree`` must have ``size + 1`` entries; ``values`` (a sequence or a
+    numpy integer array) may be shorter than ``size`` (missing slots
+    count as zero — used for power-of-two padded trees, whose top node
+    is then the total).  In-place filling matters: hot loops hold
+    direct references to the list, so a resync must not swap the
+    object out from under them.
+
+    One vectorised prefix-sum pass: with ``P`` the zero-padded
+    cumulative sum of the values, node ``i`` covers the slots
+    ``(i − lowbit(i), i]``, so ``tree[i] = P[i] − P[i − (i & −i)]``.
+    The subtraction runs level by level in place: the nodes with
+    ``lowbit = 2^k`` only read nodes whose lowbit is larger, which later
+    levels have not overwritten yet.  The arithmetic is int64 when
+    ``len(values) · max(values)`` (a bound on every partial sum) stays
+    below ``2⁶²`` — always true for pair counts, ``n(n−1) < 2⁶²`` — and
+    exact Python integers otherwise (the weighted index's dyadic slot
+    weights reach ``2⁵³·n²``).  Either way the result is exact.
+
+    Raises :class:`ValueError` for a negative value or for more values
+    than slots.
     """
-    for i in range(size + 1):
-        tree[i] = 0
-    total = 0
     num_values = len(values)
-    for i in range(size):
-        pos = i + 1
-        if i < num_values:
-            value = values[i]
-            total += value
-            tree[pos] += value
-        acc = tree[pos]
-        if acc:
-            parent = pos + (pos & -pos)
-            if parent <= size:
-                tree[parent] += acc
+    if num_values > size:
+        raise ValueError(
+            f"{num_values} Fenwick values do not fit in {size} slots"
+        )
+    try:
+        weights = np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        weights = np.asarray(values, dtype=object)
+    if num_values:
+        if weights.min() < 0:
+            raise ValueError("Fenwick weights must be >= 0")
+        if int(weights.max()) * num_values >= _INT64_SAFE:
+            weights = weights.astype(object)
+    sums = np.zeros(size + 1, dtype=weights.dtype)
+    np.cumsum(weights, out=sums[1:num_values + 1])
+    sums[num_values + 1:] = sums[num_values]
+    total = int(sums[size])
+    step = 1
+    while step <= size:
+        sums[step::2 * step] -= sums[:size + 1 - step:2 * step]
+        step <<= 1
+    tree[:] = sums.tolist()
     return total
 
 
@@ -66,11 +94,14 @@ class FenwickTree:
 
     @classmethod
     def from_values(cls, values: Iterable[int]) -> "FenwickTree":
-        """Build a tree from an iterable of initial weights in O(N)."""
-        values = list(values)
+        """Build a tree from initial weights (an iterable or numpy array)."""
+        if isinstance(values, np.ndarray):
+            weights, values = values, values.tolist()
+        else:
+            weights = values = list(values)
         tree = cls(len(values))
         tree._values = values
-        tree._total = fill_tree(tree._tree, len(values), values)
+        tree._total = fill_tree(tree._tree, len(values), weights)
         return tree
 
     @property

@@ -28,11 +28,14 @@ falling back to the Fenwick walk over the same-state block.  Side
 Fenwick trees are padded to powers of two so their top node *is* the
 side total — updates become bare add-delta walks with no bookkeeping.
 
-Per-state **update plans** are precompiled from the families' membership
-(:meth:`~repro.core.families.Family.states`), and whole transitions
-compile to straight-line programs (:meth:`FusedIndex.compile_transition`)
-that the engine's fast loop executes without any per-event family
-dispatch.  All weights stay exact Python integers.
+Per-state **update plans** are compiled from the families' membership
+(:meth:`~repro.core.families.Family.states`) the first time a state is
+touched, and whole transitions compile to straight-line programs
+(:meth:`FusedIndex.compile_transition`) that the engine's fast loop
+executes without any per-event family dispatch.  All weights stay exact
+Python integers; the passes over the whole state space (construction,
+:meth:`FusedIndex.resync`, :meth:`FusedIndex.reclassify`) compute them
+with numpy from one int64 copy of the counts.
 
 **Hybrid proposal/Fenwick sampling.**  Same-state slots are further
 split into two pools.  Slots whose counts sit near the current maximum
@@ -59,8 +62,11 @@ engines realise the *identical* step distribution).  See
 
 from __future__ import annotations
 
+import gc
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..exceptions import SimulationError
 from .families import Family, OrderedProduct, SameStatePairs, TriangularLine
@@ -122,20 +128,14 @@ def dyadic_weight_numerator(weight: float) -> int:
     return -(-scaled.numerator // scaled.denominator)
 
 
-def _padded_tree(values: Sequence[int]) -> Tuple[List[int], int]:
-    """Fenwick array padded to a power-of-two size.
+def _padded_size(length: int) -> int:
+    """Smallest power of two ``>= length`` (1 for an empty side).
 
-    With ``size`` a power of two, ``tree[size]`` is the total weight, so
-    callers need no separate total bookkeeping; updates are bare
-    add-delta walks.
+    With a power-of-two size, a Fenwick array's top node ``tree[size]``
+    is the total weight, so callers need no separate total bookkeeping;
+    updates are bare add-delta walks.
     """
-    values = list(values)
-    size = 1
-    while size < len(values):
-        size <<= 1
-    tree = [0] * (size + 1)
-    fill_tree(tree, size, values)
-    return tree, size
+    return 1 << max(length - 1, 0).bit_length()
 
 
 def _tree_find(tree: List[int], size: int, target: int) -> int:
@@ -180,7 +180,7 @@ class _ProposalPool:
     """
 
     __slots__ = ("slot", "factor", "states", "positions", "agents",
-                 "where", "weight", "mhat", "lo", "hi")
+                 "where", "weight", "mhat", "lo", "hi", "_candidates")
 
     def __init__(
         self,
@@ -191,6 +191,7 @@ class _ProposalPool:
         self.slot = -1  # pseudo-slot id, assigned by the owning index
         self.factor = factor
         self.states = list(candidate_states)
+        self._candidates = np.asarray(self.states, dtype=np.intp)
         self.positions: List[Optional[List[int]]] = [None] * num_states
         self.agents: List[int] = []
         self.where: List[int] = []
@@ -199,7 +200,7 @@ class _ProposalPool:
         self.lo = 2
         self.hi = 0
 
-    def classify(self, counts: Sequence[int]) -> None:
+    def classify(self, counts: Sequence[int]) -> np.ndarray:
         """(Re)partition candidate states by count, in place.
 
         Members are the count *window* ``[lo, hi]`` minimising the cost
@@ -215,29 +216,37 @@ class _ProposalPool:
         migrated eagerly by the update paths (see ``lo``/``hi``);
         drifting out is harmless (drained members are expelled on the
         spot and overgrown ones only stretch ``m̂``) until the next
-        reclassification re-balances.  The agent array is rebuilt via
+        reclassification re-balances.
+
+        The count histogram is one ``np.unique`` over the candidates
+        holding a pair (count ``>= 2``); only the O(distinct²) window
+        search and the members' position lists are built in Python.
+        Members are laid out bucket by bucket, buckets in order of
+        their count's first appearance among the candidates and
+        candidate order inside a bucket, each state's agents at
+        consecutive flat positions.  The agent array is rebuilt via
         in-place list mutation so hot loops holding references stay
-        valid.
+        valid.  ``counts`` is the full per-state count vector (list or
+        numpy array).
+
+        Returns the membership mask over the candidate states, in
+        candidate order.  It describes the partition as classified: the
+        update paths migrate members in and out afterwards without
+        touching it.
         """
         positions = self.positions
-        agents = self.agents
-        # Histogram of candidate counts (counts >= 2 carry weight).
-        by_count: Dict[int, List[int]] = {}
-        for state in self.states:
-            count = counts[state]
-            if count >= 2:
-                by_count.setdefault(count, []).append(state)
-            else:
-                positions[state] = None
-        del agents[:]
-        del self.where[:]
+        candidate_counts = np.asarray(counts, dtype=np.int64)[self._candidates]
+        paired = np.flatnonzero(candidate_counts >= 2)
+        distinct, first, bucket, sizes = np.unique(
+            candidate_counts[paired],
+            return_index=True, return_inverse=True, return_counts=True,
+        )
+        distinct = distinct.tolist()
+        sizes = sizes.tolist()
         window = None
-        if by_count:
-            distinct = sorted(by_count)
-            pair_mass = [
-                len(by_count[c]) * c * (c - 1) for c in distinct
-            ]
-            agent_mass = [len(by_count[c]) * c for c in distinct]
+        if distinct:
+            pair_mass = [k * c * (c - 1) for c, k in zip(distinct, sizes)]
+            agent_mass = [k * c for c, k in zip(distinct, sizes)]
             total_pairs = sum(pair_mass)
             best = _POOL_TREE_COST_RATIO * total_pairs  # empty pool
             # O(distinct²) window search — distinct counts are few (the
@@ -258,30 +267,53 @@ class _ProposalPool:
                     )
                     if cost < best:
                         best = cost
-                        window = (distinct[lo_idx], hi)
-        weight = 0
-        if window is not None:
-            lo, hi = window
-            for count, bucket in by_count.items():
-                if not lo <= count <= hi:
-                    for state in bucket:
-                        positions[state] = None
-                    continue
-                for state in bucket:
-                    base = len(agents)
-                    positions[state] = list(range(base, base + count))
-                    agents.extend([state] * count)
-                    self.where.extend(range(count))
-                weight += len(bucket) * count * (count - 1)
-            self.lo, self.hi = lo, hi
-            self.mhat = hi
-        else:
-            for bucket in by_count.values():
-                for state in bucket:
-                    positions[state] = None
+                        window = (lo_idx, hi_idx)
+        positions[:] = [None] * len(positions)
+        member = np.zeros(len(candidate_counts), dtype=bool)
+        if window is None:
+            self.agents[:] = []
+            self.where[:] = []
             self.lo, self.hi = 2, 0  # empty window: nothing migrates in
             self.mhat = 1
-        self.weight = weight
+            self.weight = 0
+            return member
+        lo_idx, hi_idx = window
+        chosen = (bucket >= lo_idx) & (bucket <= hi_idx)
+        # Sorting by the index of each count's first appearance orders
+        # the buckets as first seen; the stable sort keeps candidate
+        # order inside each bucket.
+        inside = paired[chosen][
+            np.argsort(first[bucket[chosen]], kind="stable")
+        ]
+        member[inside] = True
+        member_counts = candidate_counts[inside]
+        states = self._candidates[inside]
+        ends = np.cumsum(member_counts)
+        starts = ends - member_counts
+        num_agents = int(ends[-1])
+        self.agents[:] = np.repeat(states, member_counts).tolist()
+        self.where[:] = (
+            np.arange(num_agents) - np.repeat(starts, member_counts)
+        ).tolist()
+        flat = list(range(num_agents))
+        # One new list per member state.  They hold only ints, so they
+        # cannot form reference cycles; with the cyclic collector on,
+        # creating hundreds of thousands of them would trigger repeated
+        # full collections (about half the resync time at n = 10⁶).
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            for state, start, end in zip(
+                states.tolist(), starts.tolist(), ends.tolist()
+            ):
+                positions[state] = flat[start:end]
+        finally:
+            if collecting:
+                gc.enable()
+        self.lo, self.hi = distinct[lo_idx], distinct[hi_idx]
+        self.mhat = self.hi
+        self.weight = int((member_counts * (member_counts - 1)).sum())
+        return member
 
     def count_change(self, state: int, old: int, new: int) -> Optional[int]:
         """Adopt a member state's new count; returns the raw weight delta.
@@ -372,7 +404,8 @@ class _ProductSlot:
 
     __slots__ = ("initiators", "responders", "init_tree", "init_size",
                  "resp_tree", "resp_size", "init_total", "resp_total",
-                 "stale", "counts", "factor")
+                 "stale", "counts", "factor", "_init_states",
+                 "_resp_states")
 
     def __init__(
         self,
@@ -383,17 +416,14 @@ class _ProductSlot:
     ) -> None:
         self.initiators = list(initiators)
         self.responders = list(responders)
-        self.init_tree, self.init_size = _padded_tree(
-            [counts[s] for s in self.initiators]
-        )
-        self.resp_tree, self.resp_size = _padded_tree(
-            [counts[s] for s in self.responders]
-        )
-        self.init_total = self.init_tree[self.init_size]
-        self.resp_total = self.resp_tree[self.resp_size]
-        self.stale = 0  # bit 1: init tree stale, bit 2: resp tree stale
-        self.counts = counts  # live engine counts (re-captured on resync)
+        self._init_states = np.asarray(self.initiators, dtype=np.intp)
+        self._resp_states = np.asarray(self.responders, dtype=np.intp)
+        self.init_size = _padded_size(len(self.initiators))
+        self.resp_size = _padded_size(len(self.responders))
+        self.init_tree = [0] * (self.init_size + 1)
+        self.resp_tree = [0] * (self.resp_size + 1)
         self.factor = factor
+        self.resync(counts, np.asarray(counts, dtype=np.int64))
 
     def weight(self) -> int:
         return self.factor * self.init_total * self.resp_total
@@ -481,22 +511,24 @@ class _ProductSlot:
             )
         self.stale = 0
 
-    def resync(self, counts: Sequence[int]) -> None:
+    def resync(self, counts: Sequence[int], count_array: np.ndarray) -> None:
         """Reload both side trees from a counts list, in place.
 
-        Compiled transition programs hold direct references to the tree
-        lists, so a resync must refill rather than replace them.  The
-        counts reference is re-captured — this is the seam through
-        which engines adopt an externally supplied configuration.
+        ``count_array`` is ``counts`` as an int64 array, read once per
+        pass by the owning index; each side tree is one gather plus one
+        :func:`fill_tree`.  Compiled transition programs hold direct
+        references to the tree lists, so a resync must refill rather
+        than replace them.  The ``counts`` list reference is
+        re-captured — this is the seam through which engines adopt an
+        externally supplied configuration (stale side trees are later
+        rebuilt from it).
         """
         self.counts = counts
         self.init_total = fill_tree(
-            self.init_tree, self.init_size,
-            [counts[s] for s in self.initiators],
+            self.init_tree, self.init_size, count_array[self._init_states]
         )
         self.resp_total = fill_tree(
-            self.resp_tree, self.resp_size,
-            [counts[s] for s in self.responders],
+            self.resp_tree, self.resp_size, count_array[self._resp_states]
         )
         self.stale = 0
 
@@ -547,11 +579,10 @@ class _TriangularSlot:
         s, q = self.s, self.q
         return self.factor * ((q - s) + (s * s - q) // 2)
 
-    def resync(self, counts: Sequence[int]) -> None:
-        """Reload line counts and moments from a counts list, in place."""
+    def resync(self, count_array: np.ndarray) -> None:
+        """Reload line counts and moments from a counts array, in place."""
         line_counts = self.counts
-        for pos, state in enumerate(self.line):
-            line_counts[pos] = counts[state]
+        line_counts[:] = count_array[self.line].tolist()
         self.s = sum(line_counts)
         self.q = sum(c * c for c in line_counts)
 
@@ -581,6 +612,43 @@ class _TriangularSlot:
         raise SimulationError("fused triangular sample out of range")
 
 
+class _StatePlans(dict):
+    """Per-state update plans (``FusedIndex.state_steps``), built lazily.
+
+    ``plans[state]`` is the tuple of update steps one count change of
+    ``state`` must apply: one per structure the state feeds, in the
+    order the structures were registered (composite families in family
+    order, then the same-state slot).  A plan is built on first lookup
+    and kept, so index construction runs no per-state Python loop; the
+    engines only ever compile the states their runs reach.
+    """
+
+    __slots__ = ("_num_states", "_sources")
+
+    def __init__(self, num_states: int) -> None:
+        super().__init__()
+        self._num_states = num_states
+        self._sources: List[Tuple[np.ndarray, Callable[[int], tuple]]] = []
+
+    def add(
+        self, states: Sequence[int], make_step: Callable[[int], tuple]
+    ) -> None:
+        """Register a structure: ``make_step(pos)`` steps ``states[pos]``."""
+        position = np.full(self._num_states, -1, dtype=np.int64)
+        position[np.asarray(states, dtype=np.intp)] = np.arange(len(states))
+        self._sources.append((position, make_step))
+
+    def __missing__(self, state: int) -> tuple:
+        plan = []
+        for position, make_step in self._sources:
+            pos = position.item(state)
+            if pos >= 0:
+                plan.append(make_step(pos))
+        plan = tuple(plan)
+        self[state] = plan
+        return plan
+
+
 class FusedIndex:
     """Flat integer weight index over all productive pair slots.
 
@@ -606,7 +674,7 @@ class FusedIndex:
 
     __slots__ = ("num_slots", "num_composite", "fenwick_size", "tree",
                  "values", "total", "slot_kind", "slot_payload",
-                 "state_steps", "pool", "_num_states")
+                 "state_steps", "pool", "_num_states", "_same_states")
 
     def __init__(
         self,
@@ -618,7 +686,7 @@ class FusedIndex:
         kinds: List[int] = []
         payloads: List[object] = []
         weights: List[int] = []
-        steps: List[List[tuple]] = [[] for _ in range(num_states)]
+        plans = _StatePlans(num_states)
 
         # Composite slots first: the hot loop short-circuits the find
         # for them, and a handful of comparisons resolves the draws that
@@ -635,24 +703,32 @@ class FusedIndex:
                 kinds.append(PRODUCT)
                 payloads.append(payload)
                 weights.append(payload.weight())
-                for pos, state in enumerate(payload.initiators):
-                    steps[state].append(
-                        (PRODUCT, payload.init_tree, pos + 1,
-                         payload.init_size, slot, payload, True)
-                    )
-                for pos, state in enumerate(payload.responders):
-                    steps[state].append(
-                        (PRODUCT, payload.resp_tree, pos + 1,
-                         payload.resp_size, slot, payload, False)
-                    )
+                plans.add(
+                    payload.initiators,
+                    lambda pos, p=payload, slot=slot: (
+                        PRODUCT, p.init_tree, pos + 1, p.init_size, slot, p,
+                        True,
+                    ),
+                )
+                plans.add(
+                    payload.responders,
+                    lambda pos, p=payload, slot=slot: (
+                        PRODUCT, p.resp_tree, pos + 1, p.resp_size, slot, p,
+                        False,
+                    ),
+                )
             elif type(family) is TriangularLine:
                 slot = len(kinds)
                 payload = _TriangularSlot(counts, family.line_states())
                 kinds.append(TRIANGULAR)
                 payloads.append(payload)
                 weights.append(payload.weight())
-                for pos, state in enumerate(payload.line):
-                    steps[state].append((TRIANGULAR, payload, pos, slot))
+                plans.add(
+                    payload.line,
+                    lambda pos, p=payload, slot=slot: (
+                        TRIANGULAR, p, pos, slot,
+                    ),
+                )
             else:
                 # Opaque adapter: the family keeps maintaining its own
                 # weight; the index mirrors it in one slot.
@@ -660,8 +736,11 @@ class FusedIndex:
                 kinds.append(OPAQUE)
                 payloads.append(family)
                 weights.append(family.weight)
-                for state in family.states():
-                    steps[state].append((OPAQUE, family, slot))
+                plans.add(
+                    list(family.states()),
+                    lambda pos, f=family, slot=slot: (OPAQUE, f, slot),
+                )
+        composite_mass = sum(weights)
         # Hybrid same-state sampling: one proposal-pool pseudo-slot at
         # the end of the composite block carries the pooled mass; the
         # per-state slots below hold only the tree-mode residue (value 0
@@ -674,37 +753,35 @@ class FusedIndex:
         pool: Optional[_ProposalPool] = None
         if rule_states:
             pool = _ProposalPool(num_states, rule_states)
-            pool.classify(counts)
             pool.slot = len(kinds)
             kinds.append(PROPOSAL)
             payloads.append(pool)
-            weights.append(pool.weight)
+            weights.append(0)  # set when the same-state block is filled
         self.pool = pool
         num_composite = len(kinds)
         self.num_composite = num_composite
-        pool_positions = pool.positions if pool is not None else None
-        for family in same_state:
-            for state in family.rule_states():
-                slot = len(kinds)
-                kinds.append(SAME)
-                payloads.append(state)
-                weights.append(
-                    0 if pool_positions[state] is not None
-                    else counts[state] * (counts[state] - 1)
-                )
-                # Third field: the slot's first Fenwick node (the tree
-                # only spans the same-state block).
-                steps[state].append((SAME, slot, slot - num_composite + 1))
+        # One same-state slot per rule state, in rule-state order (which
+        # is also the pool's candidate order).  A plan step's third
+        # field is the slot's first Fenwick node (the tree only spans
+        # the same-state block).
+        kinds.extend([SAME] * len(rule_states))
+        payloads.extend(rule_states)
+        weights.extend([0] * len(rule_states))
+        plans.add(
+            rule_states, lambda pos: (SAME, num_composite + pos, pos + 1)
+        )
 
         self.num_slots = len(kinds)
         self.fenwick_size = self.num_slots - num_composite
         self.slot_kind = kinds
         self.slot_payload = payloads
         self.values = weights
-        fenwick = FenwickTree.from_values(weights[num_composite:])
-        self.tree = fenwick._tree
-        self.total = sum(weights[:num_composite]) + fenwick.total
-        self.state_steps = [tuple(entries) for entries in steps]
+        self.tree = [0] * (self.fenwick_size + 1)
+        self.state_steps = plans
+        self._same_states = np.asarray(rule_states, dtype=np.intp)
+        self.total = composite_mass + self._fill_same_state(
+            np.asarray(counts, dtype=np.int64)
+        )
 
     def layout(self) -> tuple:
         """Plain structural description of the slot layout.
@@ -823,12 +900,17 @@ class FusedIndex:
     # Updates
     # ------------------------------------------------------------------
     def resync(self, counts: Sequence[int]) -> bool:
-        """Reload every slot weight from a counts list, in place (O(n)).
+        """Reload every slot weight from a counts list, in place.
 
         The slot layout, payload objects, and any compiled transition
         programs stay valid — only the weights move.  This is the
         fault-injection seam: adopting an externally mutated
         configuration costs one pass, with no program recompilation.
+        The pass reads ``counts`` into one int64 array and works on it
+        with numpy: a gather plus a :func:`fill_tree` per side tree, the
+        pool classification, and the same-state block.  The only
+        per-state Python work left is building each pool member's
+        position list.
         Returns ``False`` when the index contains opaque family slots
         (their internal state cannot be resynced from counts — the
         caller must rebuild the index from fresh families instead).
@@ -847,33 +929,24 @@ class FusedIndex:
         payloads = self.slot_payload
         if any(kinds[slot] == OPAQUE for slot in range(self.num_composite)):
             return False
+        count_array = np.asarray(counts, dtype=np.int64)
         values = self.values
-        pool = self.pool
-        pool_positions = None
         total = 0
         for slot in range(self.num_composite):
+            kind = kinds[slot]
             payload = payloads[slot]
-            if kinds[slot] == PROPOSAL:
-                # Resync doubles as reclassification: the new counts
-                # decide which same-state slots are proposal-mode.
-                payload.classify(counts)
-                pool_positions = payload.positions
-                weight = payload.weight
+            if kind == PRODUCT:
+                payload.resync(counts, count_array)
+            elif kind == TRIANGULAR:
+                payload.resync(count_array)
             else:
-                payload.resync(counts)
-                weight = payload.weight()
+                continue  # the pool: refilled with the same-state block
+            weight = payload.weight()
             values[slot] = weight
             total += weight
-        for slot in range(self.num_composite, self.num_slots):
-            state = payloads[slot]
-            if pool_positions is not None and pool_positions[state] is not None:
-                values[slot] = 0
-            else:
-                values[slot] = counts[state] * (counts[state] - 1)
-        total += fill_tree(
-            self.tree, self.fenwick_size, values[self.num_composite:]
-        )
-        self.total = total
+        # Resync doubles as reclassification: the new counts decide
+        # which same-state slots are proposal-mode.
+        self.total = total + self._fill_same_state(count_array)
         return True
 
     def reclassify(self, counts: Sequence[int]) -> None:
@@ -886,21 +959,26 @@ class FusedIndex:
         :attr:`total` — classification is a constant-factor choice, the
         sampled distribution is identical for any partition.
         """
+        if self.pool is not None:
+            self._fill_same_state(np.asarray(counts, dtype=np.int64))
+
+    def _fill_same_state(self, count_array: np.ndarray) -> int:
+        """Classify the pool and refill the same-state block; returns its mass.
+
+        Each same-state slot weighs ``c(c−1)``, or 0 while its state is
+        a pool member (the pool pseudo-slot carries that mass).  The
+        return value is the pooled plus the tree-mode mass.
+        """
+        block = count_array[self._same_states]
+        block *= block - 1
+        pooled = 0
         pool = self.pool
-        if pool is None:
-            return
-        pool.classify(counts)
-        values = self.values
-        values[pool.slot] = pool.weight
-        positions = pool.positions
-        payloads = self.slot_payload
-        for slot in range(self.num_composite, self.num_slots):
-            state = payloads[slot]
-            if positions[state] is not None:
-                values[slot] = 0
-            else:
-                values[slot] = counts[state] * (counts[state] - 1)
-        fill_tree(self.tree, self.fenwick_size, values[self.num_composite:])
+        if pool is not None:
+            block[pool.classify(count_array)] = 0
+            pooled = pool.weight
+            self.values[pool.slot] = pooled
+        self.values[self.num_composite:] = block.tolist()
+        return pooled + fill_tree(self.tree, self.fenwick_size, block)
 
     def apply_count_change(self, state: int, old: int, new: int) -> int:
         """Route one count change to every structure touching ``state``.
@@ -1424,6 +1502,7 @@ class WeightedFusedIndex:
         values = self.values
         kinds = self.slot_kind
         payloads = self.slot_payload
+        count_array = np.asarray(counts, dtype=np.int64)
         lines_done: set = set()
         for slot in range(self.num_slots):
             kind = kinds[slot]
@@ -1432,7 +1511,7 @@ class WeightedFusedIndex:
                 state, factor = payload
                 values[slot] = factor * counts[state] * (counts[state] - 1)
             elif kind == PRODUCT:
-                payload.resync(counts)
+                payload.resync(counts, count_array)
                 values[slot] = payload.weight()
             elif isinstance(payload, tuple):  # weighted per-position line
                 line_payload, pos = payload
@@ -1441,7 +1520,7 @@ class WeightedFusedIndex:
                     lines_done.add(id(line_payload))
                 values[slot] = line_payload.position_weight(pos)
             else:
-                payload.resync(counts)
+                payload.resync(count_array)
                 values[slot] = payload.weight()
         self.total = fill_tree(self.tree, self.num_slots, values)
         self.tree_dirty = False

@@ -173,6 +173,9 @@ class JumpEngine:
         # hybrid loop, and a list index beats hashing the pair key.
         self._ss_progs: List[Optional[list]] = [None] * self._num_states
         self._ss_table = self._compile_same_state_table(families)
+        # Mask of the states without a same-state rule (they carry no
+        # weight), built on the same-state loop's first Fenwick entry.
+        self._ss_idle: Optional[np.ndarray] = None
 
     def _compile_same_state_table(self, families):
         """Per-state transition table for same-state-only protocols.
@@ -1463,11 +1466,14 @@ class JumpEngine:
                     c_pdisc += len(props) - ppos
             else:
                 # ---- Fenwick sampler -------------------------------------
-                fenwick = FenwickTree.from_values(
-                    counts[s] * (counts[s] - 1)
-                    if table[s] is not None else 0
-                    for s in range(num_states)
-                )
+                if self._ss_idle is None:
+                    self._ss_idle = np.array(
+                        [entry is None for entry in table]
+                    )
+                ss_weights = np.asarray(counts, dtype=np.int64)
+                ss_weights *= ss_weights - 1
+                ss_weights[self._ss_idle] = 0
+                fenwick = FenwickTree.from_values(ss_weights)
                 tree = fenwick._tree
                 values = fenwick._values
                 highbit = 1 << (num_states.bit_length() - 1)

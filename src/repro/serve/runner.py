@@ -42,8 +42,12 @@ from ..scenarios.engine import run_scenario
 __all__ = ["JobControl", "execute_jobspec", "spawn_seeds"]
 
 #: Productive events between pause checks / progress records on a
-#: simulate job.  Purely an observation granularity — the trajectory is
-#: chunk-size-invariant because ``run()`` boundaries are exact.
+#: simulate job.  Not just an observation granularity: every ``run()``
+#: call ends in an exit resync that re-partitions the fused sampler (and
+#: drops buffered draws), so a served result depends on this chunk size
+#: and can differ from one uninterrupted ``run()`` of the same JobSpec —
+#: see the chunk-invariant engines item in ROADMAP.md ("One result per
+#: (JobSpec, seed)").
 SIMULATE_CHUNK_EVENTS = 4096
 
 

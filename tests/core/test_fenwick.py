@@ -31,6 +31,18 @@ class TestFillTree:
         assert alias is tree
         assert tree[4] == 10
 
+    def test_negative_value_rejected(self):
+        tree = [0] * 4
+        with pytest.raises(ValueError):
+            fill_tree(tree, 3, [3, -1, 2])
+        with pytest.raises(ValueError):
+            fill_tree(tree, 3, [1 << 70, -1])
+
+    def test_more_values_than_slots_rejected(self):
+        tree = [0] * 3
+        with pytest.raises(ValueError):
+            fill_tree(tree, 2, [1, 2, 3])
+
 
 class TestConstruction:
     def test_empty_tree(self):
@@ -56,6 +68,20 @@ class TestConstruction:
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             FenwickTree(-1)
+
+    def test_from_values_rejects_negative_weight(self):
+        # set() rejects negative weights; a bulk build must too, or the
+        # tree's total and find() silently disagree with the values.
+        with pytest.raises(ValueError):
+            FenwickTree.from_values([3, -1, 2])
+
+    def test_from_values_accepts_numpy_array(self):
+        import numpy as np
+
+        tree = FenwickTree.from_values(np.array([3, 0, 2], dtype=np.int64))
+        assert tree.total == 5
+        assert [tree.get(i) for i in range(3)] == [3, 0, 2]
+        assert all(type(tree.get(i)) is int for i in range(3))
 
 
 class TestUpdates:
