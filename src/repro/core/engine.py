@@ -178,16 +178,20 @@ def build_engine(
     scheduler: Optional["PairScheduler"] = None,
     instrumentation=None,
     backend: str = "python",
+    start_epoch: int = 0,
 ):
     """Construct the right driver for a run; returns ``(driver, name)``.
 
-    The engine-routing seam shared by :func:`run_protocol` and the
-    ensemble/checkpoint layers: uniform scheduling picks the named
-    engine class, a biased state-level scheduler routes ``"jump"``
-    through the weighted fast path when it compiles (falling back to
-    the rejection engine), and agent-identity schedulers always run on
-    the explicit-agent engine.  ``name`` is the qualified engine name
+    The one engine-routing rule, shared by :func:`run_protocol`, the
+    scenario engine and ``repro serve``: uniform scheduling picks the
+    named engine class; a biased state-level scheduler (or epoch
+    timeline) runs ``"jump"`` on the weighted fast path whenever its
+    index compiles, and on the rejection engine otherwise or under
+    ``"sequential"``; agent-identity schedulers always run on the
+    explicit-agent engine.  ``name`` is the qualified engine name
     recorded in results (``weighted:<scheduler>`` etc.).
+    ``start_epoch`` starts a biased engine's timeline at a later
+    segment (the scenario engine's churn rebuild).
 
     ``seed`` is normalised per constructed engine (an int seed hands
     every candidate constructor a fresh generator, so a discarded
@@ -239,14 +243,14 @@ def build_engine(
         if engine == "jump":
             driver = try_weighted_engine(
                 protocol, configuration, make_rng(seed), scheduler,
-                instrumentation=instrumentation,
+                start_epoch=start_epoch, instrumentation=instrumentation,
             )
             if driver is not None:
                 return driver, f"weighted:{scheduler.name}"
         return (
             ScheduledEngine(
                 protocol, configuration, make_rng(seed), scheduler,
-                instrumentation=instrumentation,
+                start_epoch=start_epoch, instrumentation=instrumentation,
             ),
             f"scheduled:{scheduler.name}",
         )

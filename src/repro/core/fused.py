@@ -1165,7 +1165,7 @@ class WeightedFusedIndex:
     __slots__ = ("num_slots", "tree", "values", "total", "slot_kind",
                  "slot_payload", "state_steps", "_num_states",
                  "class_of", "class_counts", "_class_matrix", "_row_dot",
-                 "tree_dirty", "prog_cache")
+                 "prog_cache")
 
     def __init__(
         self,
@@ -1226,10 +1226,6 @@ class WeightedFusedIndex:
         self.values = fenwick._values
         self.total = fenwick.total
         self.state_steps = [tuple(entries) for entries in steps]
-        # Flat-update (thinned-segment) bookkeeping: per-slot values and
-        # the scalar totals stay exact while the Fenwick tree goes
-        # stale; the first find rebuilds it from the values.
-        self.tree_dirty = False
         # Per-index cache of compiled transition programs (slot ids are
         # index-specific, so the cache cannot live on the engine when a
         # timeline compiles several indexes).
@@ -1314,11 +1310,6 @@ class WeightedFusedIndex:
             raise SimulationError(
                 f"fused find target {target} outside [0, {self.total})"
             )
-        if self.tree_dirty:
-            # Flat updates (thinned segments) left the tree behind the
-            # per-slot values; one O(slots) refill revalidates it.
-            fill_tree(self.tree, self.num_slots, self.values)
-            self.tree_dirty = False
         tree = self.tree
         num_slots = self.num_slots
         pos = 0
@@ -1391,57 +1382,6 @@ class WeightedFusedIndex:
                 payload, pos, base_slot = step[1], step[2], step[3]
                 for line_pos in payload.update(pos, new):
                     delta_w += self._set(
-                        base_slot + line_pos,
-                        payload.position_weight(line_pos),
-                    )
-        return delta_w
-
-    def _set_flat(self, slot: int, weight: int) -> int:
-        """Set one slot's weight without touching the (dirty) tree."""
-        values = self.values
-        delta = weight - values[slot]
-        if delta:
-            values[slot] = weight
-            self.total += delta
-        return delta
-
-    def apply_count_change_flat(self, state: int, old: int, new: int) -> int:
-        """Route one count change through values and class sums only.
-
-        The thinned-segment path: per-slot values, the scalar totals,
-        and the class sums stay exact while the Fenwick tree is left
-        dirty (callers set :attr:`tree_dirty`; the next ``find``
-        refills it).  This is what makes high-acceptance segments
-        cheap — no per-slot big-integer tree walks, just O(1) scalar
-        arithmetic per touched slot.
-        """
-        delta = new - old
-        cls = self.class_of[state]
-        self.class_counts[cls] += delta
-        u = self._class_matrix
-        row_dot = self._row_dot
-        for q in range(len(row_dot)):
-            row_dot[q] += u[q][cls] * delta
-        delta_w = 0
-        for step in self.state_steps[state]:
-            kind = step[0]
-            if kind == SAME:
-                slot, factor = step[1], step[2]
-                delta_w += self._set_flat(slot, factor * new * (new - 1))
-            elif kind == PRODUCT:
-                payload, side, pos, slot = step[1], step[2], step[3], step[4]
-                payload.add(side, pos, delta)
-                delta_w += self._set_flat(slot, payload.weight())
-            elif kind == TRIANGULAR:
-                payload, pos, slot = step[1], step[2], step[3]
-                payload.counts[pos] = new
-                payload.s += delta
-                payload.q += new * new - old * old
-                delta_w += self._set_flat(slot, payload.weight())
-            else:  # _WEIGHTED_LINE
-                payload, pos, base_slot = step[1], step[2], step[3]
-                for line_pos in payload.update(pos, new):
-                    delta_w += self._set_flat(
                         base_slot + line_pos,
                         payload.position_weight(line_pos),
                     )
@@ -1523,7 +1463,6 @@ class WeightedFusedIndex:
                 payload.resync(count_array)
                 values[slot] = payload.weight()
         self.total = fill_tree(self.tree, self.num_slots, values)
-        self.tree_dirty = False
         class_counts = self.class_counts
         num_classes = len(class_counts)
         for cls in range(num_classes):

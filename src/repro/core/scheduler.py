@@ -39,6 +39,15 @@ links, starved states).  This module is the engine-side seam:
   they run on the explicit-agent :class:`SequentialEngine` via the same
   rejection filter.
 
+One rule picks the engine, applied by
+:func:`repro.core.engine.build_engine` for every surface
+(``run_protocol``, the scenario engine, ``repro serve``): a state-level
+scheduler or timeline runs on the weighted engine whenever every
+segment compiles into its index, and on the rejection engine otherwise
+or when ``engine="sequential"`` asks for it.  Inside the weighted
+engine a segment has one realisation: the inlined jump loop, or the
+per-event loop while a recorder watches.
+
 The biased engines realise the identical step distribution: the
 weighted index's slot weights use the dyadic numerators
 ``ceil(w·2⁵³)`` — exactly the acceptance probability the rejection
@@ -71,7 +80,6 @@ from .fused import (
     PRODUCT,
     SAME,
     WEIGHT_DENOMINATOR,
-    FusedIndex,
     WeightedFusedIndex,
     WeightedIndexUnsupported,
     dyadic_weight_numerator,
@@ -99,39 +107,6 @@ _MAX_CLASSES = 64
 # Without declared classes they are derived from the dense weight
 # matrix, which is O(num_states²) — only worth it for modest spaces.
 _DENSE_CLASS_LIMIT = 2048
-
-#: Acceptance-aware engine choice.  The *acceptance mass* of a segment
-#: scheduler is its weighted productive mass over the uniform
-#: productive mass — the probability that a uniformly drawn productive
-#: pair passes the scheduler's rejection test, estimated exactly (as a
-#: ratio of integer totals) on the start configuration.  The weighted
-#: index's cost grows with the scheduler's class count (slots multiply
-#: as classes², updates as classes), while rejection mechanisms pay
-#: 1/acceptance instead — so the routing rule is two-dimensional:
-#:
-#: * a segment with many classes *and* workable acceptance runs the
-#:   **thinned** realisation — sample from the cheap uniform hybrid
-#:   index and thin with the exact 53-bit dyadic acceptance test (the
-#:   rejection engine's own mechanism, mounted on the jump clock);
-#: * a *scalar* scheduler with many classes and workable acceptance is
-#:   routed away from the weighted engine entirely
-#:   (:func:`try_weighted_engine` returns ``None``) so callers fall
-#:   back to the per-step rejection engine, which measured several
-#:   times faster there;
-#: * everything else (the common few-class adversaries) runs the
-#:   inlined weighted jump loop, which does not pay retries at all.
-#:
-#: Thresholds are reference-box measurements; both realisations are
-#: exact, so this is purely a constant-factor choice.
-_THINNING_ACCEPTANCE = 0.4
-_THINNING_CLASSES = 8
-_REJECTION_ACCEPTANCE = 0.25
-_REJECTION_CLASSES = 16
-# How often (in productive events) a thinned segment re-partitions the
-# uniform hybrid index's proposal pool (the jump engine's loop reacts
-# to measured acceptance instead; here a periodic pass is enough since
-# the thinned route only serves high-acceptance segments).
-_THINNED_RECLASSIFY_EVENTS = 4096
 
 
 class PairScheduler(ABC):
@@ -555,8 +530,9 @@ class WeightedScheduledEngine:
     counters).
 
     Raises :class:`~repro.core.fused.WeightedIndexUnsupported` when any
-    scheduler/protocol combination cannot be compiled exactly (use
-    :func:`try_weighted_engine` for transparent fallback).
+    scheduler/protocol combination cannot be compiled exactly;
+    :func:`~repro.core.engine.build_engine` then falls back to the
+    rejection engine.
     """
 
     def __init__(
@@ -613,40 +589,8 @@ class WeightedScheduledEngine:
                 )
             self._indices.append(compiled[key])
         self._index = self._indices[self._cursor.epoch]
-        # Acceptance-aware engine choice per segment: estimate each
-        # segment's acceptance mass at compile time (both totals are
-        # exact integers over the *start* configuration — the choice is
-        # a constant-factor routing decision, both realisations are
-        # exact) and route high-acceptance segments to the thinned
-        # rejection mechanism, low-acceptance ones to the weighted
-        # index.
-        uniform_total = sum(family.weight for family in families)
-        self.acceptance_estimates = [
-            (
-                index.total / (WEIGHT_DENOMINATOR * uniform_total)
-                if uniform_total > 0 else 0.0
-            )
-            for index in self._indices
-        ]
-        self._thinned = [
-            estimate >= _THINNING_ACCEPTANCE
-            and len(index._class_matrix) >= _THINNING_CLASSES
-            for estimate, index in zip(
-                self.acceptance_estimates, self._indices
-            )
-        ]
-        # The thinned loops sample productive pairs from the uniform
-        # hybrid fused index (proposal pool included), resynced at
-        # segment entry.
-        self._uniform: Optional[FusedIndex] = (
-            FusedIndex(families, self._num_states, self.counts)
-            if any(self._thinned) else None
-        )
         self._draws = DrawStream(rng, uniforms=True)
         self._pair_table: Dict[int, tuple] = {}
-        # Thinned-segment rejection tally (only ticks when instrumented;
-        # read as a delta by the _run_segment flush).
-        self._thinned_rejects = 0
 
     @property
     def scheduler(self) -> Union[PairScheduler, EpochScheduler]:
@@ -763,11 +707,8 @@ class WeightedScheduledEngine:
         """Plain-data checkpoint for bit-exact resumption.
 
         Resyncs the active weighted index first (deterministic — no
-        randomness is consumed, and the refilled trees equal what lazy
-        rebuilds would produce), then captures counts, counters, the
-        epoch cursor, the per-segment routing decisions (made from the
-        *start* configuration, so they must travel with the snapshot),
-        and the exact generator state.
+        randomness is consumed), then captures counts, counters, the
+        epoch cursor, and the exact generator state.
         """
         self._index.resync(self.counts)
         if self._instr is not None:
@@ -788,8 +729,6 @@ class WeightedScheduledEngine:
             start_events=cursor.start_events,
             start_interactions=cursor.start_interactions,
             next_predicate_check=cursor.next_predicate_check,
-            thinned=tuple(self._thinned),
-            acceptance_estimates=tuple(self.acceptance_estimates),
         )
 
     def restore(self, snapshot: EngineSnapshot) -> None:
@@ -817,17 +756,6 @@ class WeightedScheduledEngine:
         cursor.next_predicate_check = snapshot.next_predicate_check
         self._index = self._indices[snapshot.epoch]
         self._index.resync(self.counts)
-        if snapshot.thinned is not None:
-            self._thinned = [bool(flag) for flag in snapshot.thinned]
-            self.acceptance_estimates = [
-                float(e) for e in snapshot.acceptance_estimates or ()
-            ]
-            if any(self._thinned) and self._uniform is None:
-                self._uniform = FusedIndex(
-                    self._protocol.build_families(self.counts),
-                    self._num_states,
-                    self.counts,
-                )
         self.interactions = snapshot.interactions
         self.events = snapshot.events
         self._draws.restore(snapshot)
@@ -878,33 +806,11 @@ class WeightedScheduledEngine:
         recorder: Optional[Recorder],
         max_events: Optional[int],
     ) -> bool:
-        """One epoch-segment chunk, routed to the segment's realisation.
-
-        Recorder-free chunks dispatch on the segment's compile-time
-        acceptance estimate: high-acceptance segments run the thinned
-        rejection loop over the uniform hybrid index, the rest the
-        inlined weighted jump loop.  Both realise the identical step
-        distribution, and segment boundaries are stopping times, so the
-        per-segment choice is exact.
-        """
-        ins = self._instr
-        if ins is None:
-            if recorder is None:
-                if self._thinned[self._cursor.epoch]:
-                    return self._run_segment_thinned(
-                        max_interactions, max_events
-                    )
-                return self._run_segment_weighted(max_interactions, max_events)
-            return self._run_segment_slow(max_interactions, recorder, max_events)
-        # Instrumented: route identically, then flush this chunk's event
-        # delta under the realisation that produced it.
+        """One epoch-segment chunk: the inlined weighted jump loop, or
+        the per-event loop when a recorder watches."""
         events0 = self.events
         interactions0 = self.interactions
-        rejects0 = self._thinned_rejects
-        if recorder is None and self._thinned[self._cursor.epoch]:
-            name = "thinned_events"
-            silent = self._run_segment_thinned(max_interactions, max_events)
-        elif recorder is None:
+        if recorder is None:
             name = "weighted_events"
             silent = self._run_segment_weighted(max_interactions, max_events)
         else:
@@ -912,17 +818,14 @@ class WeightedScheduledEngine:
             silent = self._run_segment_slow(
                 max_interactions, recorder, max_events
             )
-        deltas = {
-            "events": self.events - events0,
-            "interactions": self.interactions - interactions0,
-            name: self.events - events0,
-        }
-        if name == "thinned_events":
-            # One acceptance test per accepted event plus one per reject.
-            rejects = self._thinned_rejects - rejects0
-            deltas["accept_tests"] = (self.events - events0) + rejects
-            deltas["accept_rejects"] = rejects
-        ins.add_counters(**deltas)
+        if self._instr is not None:
+            # Flush this chunk's event delta under the loop that ran it.
+            events = self.events - events0
+            self._instr.add_counters(
+                events=events,
+                interactions=self.interactions - interactions0,
+                **{name: events},
+            )
         return silent
 
     def _run_segment_slow(
@@ -931,7 +834,7 @@ class WeightedScheduledEngine:
         recorder: Optional[Recorder],
         max_events: Optional[int],
     ) -> bool:
-        """The instrumented single-scheduler jump loop (recorders)."""
+        """The per-event single-scheduler jump loop (recorders)."""
         index = self._index
         draws = self._draws
         while True:
@@ -957,86 +860,12 @@ class WeightedScheduledEngine:
                     Event(self.interactions, si, sj, ti, tj), self.counts
                 )
 
-    def _run_segment_thinned(
-        self,
-        max_interactions: Optional[int],
-        max_events: Optional[int],
-    ) -> bool:
-        """High-acceptance segments: the rejection mechanism on the jump
-        clock.
-
-        Null steps still collapse into the geometric skip (the weighted
-        totals are maintained as scalars), but the productive pair is
-        drawn from the *uniform* hybrid fused index — proposal pool and
-        all — and thinned by the exact 53-bit dyadic acceptance test,
-        exactly the probability the rejection engine realises.  The
-        weighted index's big-integer Fenwick is left dirty and refills
-        lazily on its next ``find``.
-        """
-        index = self._index
-        uniform = self._uniform
-        counts = self.counts
-        if not uniform.resync(counts):  # pragma: no cover — defensive
-            return self._run_segment_slow(max_interactions, None, max_events)
-        class_of = index.class_of
-        matrix = index._class_matrix
-        index.tree_dirty = True
-        draws = self._draws
-        rand_below = draws.rand_below
-        next_raw = draws.next_raw
-        transition = self._transition
-        full = WEIGHT_DENOMINATOR
-        instr_on = self._instr is not None
-        reclassify_left = _THINNED_RECLASSIFY_EVENTS
-        while True:
-            weight = index.total
-            if weight == 0:
-                return True
-            if max_events is not None and self.events >= max_events:
-                return False
-            reclassify_left -= 1
-            if reclassify_left <= 0:
-                # The uniform hybrid's proposal-pool bound m̂ only
-                # stretches within a segment; a periodic re-partition
-                # keeps long `until=silence` segments from degrading.
-                reclassify_left = _THINNED_RECLASSIFY_EVENTS
-                uniform.reclassify(counts)
-            skip = draws.geometric_skip(weight / index.total_mass())
-            if (
-                max_interactions is not None
-                and self.interactions + skip > max_interactions
-            ):
-                self.interactions = max_interactions
-                return False
-            self.interactions += skip
-            while True:
-                si, sj = uniform.sample(rand_below)
-                numerator = matrix[class_of[si]][class_of[sj]]
-                # 53 top bits of one raw are a uniform dyadic threshold.
-                if numerator >= full or (next_raw() >> 11) < numerator:
-                    break
-                if instr_on:
-                    self._thinned_rejects += 1
-            _, _, ops = transition(si, sj)
-            for state, delta in ops:
-                old = counts[state]
-                new = old + delta
-                if new < 0:
-                    raise SimulationError(
-                        f"state {state} count went negative applying "
-                        "transition"
-                    )
-                counts[state] = new
-                uniform.apply_count_change(state, old, new)
-                index.apply_count_change_flat(state, old, new)
-            self.events += 1
-
     def _run_segment_weighted(
         self,
         max_interactions: Optional[int],
         max_events: Optional[int],
     ) -> bool:
-        """Low-acceptance segments: the inlined weighted jump loop.
+        """The inlined weighted jump loop (recorder-free chunks).
 
         The method-dispatch loop is unrolled: batched skip draws, a
         spliced two-raw exact target, an inlined Fenwick find, and
@@ -1048,11 +877,6 @@ class WeightedScheduledEngine:
         cap = WEIGHT_DENOMINATOR * self._protocol.num_agents ** 2
         if cap >= (1 << 126):  # pragma: no cover — absurd populations
             return self._run_segment_slow(max_interactions, None, max_events)
-        if index.tree_dirty:
-            from .fenwick import fill_tree
-
-            fill_tree(index.tree, index.num_slots, index.values)
-            index.tree_dirty = False
         counts = self.counts
         tree = index.tree
         values = index.values
@@ -1280,35 +1104,21 @@ def try_weighted_engine(
     start_epoch: int = 0,
     instrumentation=None,
 ) -> Optional[WeightedScheduledEngine]:
-    """Weighted jump engine, or ``None`` when it cannot apply exactly.
+    """Weighted jump engine, or ``None`` when its index cannot compile.
 
     Callers fall back to the rejection :class:`ScheduledEngine`, which
     handles any scheduler/protocol combination.  For an epoch timeline,
     *every* segment scheduler must compile — a single unsupported
     segment sends the whole timeline to the rejection engine, so the
     step distribution never changes mid-run for engine reasons.
-
-    The fallback is also **acceptance-aware**: a scalar scheduler whose
-    estimated acceptance mass is workable but whose class count bloats
-    the weighted index (slots grow as classes²) measures several times
-    faster on the per-step rejection engine, so ``None`` is returned
-    even though the index *could* compile.  Both engines are exact;
-    this only picks the cheaper realisation.
     """
     try:
-        engine = WeightedScheduledEngine(
+        return WeightedScheduledEngine(
             protocol, configuration, rng, scheduler, start_epoch=start_epoch,
             instrumentation=instrumentation,
         )
     except WeightedIndexUnsupported:
         return None
-    if (
-        len(engine._indices) == 1
-        and engine.acceptance_estimates[0] >= _REJECTION_ACCEPTANCE
-        and len(engine._indices[0]._class_matrix) >= _REJECTION_CLASSES
-    ):
-        return None
-    return engine
 
 
 class ScheduledEngine(SequentialEngine):

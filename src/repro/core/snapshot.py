@@ -26,15 +26,14 @@ The exactness contract (property-tested in
 
 Snapshots are picklable and JSON-serialisable (:meth:`~EngineSnapshot.to_dict`
 / :meth:`~EngineSnapshot.from_dict` — numpy bit-generator states are
-plain nested dicts of ints, and Python floats round-trip JSON exactly),
-which is what lets the ensemble runner park jobs on disk and migrate
-them between processes.
+plain nested dicts of ints, and Python floats round-trip JSON exactly).
+The ``repro serve`` runner parks a paused simulate job as such a dict,
+held in memory until the job resumes.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -44,16 +43,17 @@ from ..exceptions import SimulationError
 __all__ = ["EngineSnapshot", "resume_engine"]
 
 #: Snapshot schema version — bumped on any incompatible field change.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 _KINDS = ("jump", "sequential", "scheduled", "agent", "weighted", "batch")
 
-#: Kinds a snapshot can be converted between via :meth:`EngineSnapshot.rehost`
-#: — the uniform-scheduler engines, whose dynamical state is fully
-#: determined by the counts (agents are exchangeable; buffered draws are
-#: discardable by memorylessness).  Scheduled/weighted/agent snapshots
-#: carry epoch cursors tied to their scheduler and stay host-locked.
-_REHOSTABLE = ("jump", "sequential", "batch")
+#: Fields every snapshot dict must carry.
+_REQUIRED = (
+    "kind", "num_states", "num_agents", "counts", "interactions", "events",
+)
+#: Fields stored as tuples (``agent_states`` may also be ``None``).
+_TUPLES = ("counts", "uniforms", "raws", "pair_buffer", "accepts",
+           "agent_states")
 
 
 @dataclass(frozen=True)
@@ -90,64 +90,20 @@ class EngineSnapshot:
     start_events: int = 0
     start_interactions: int = 0
     next_predicate_check: int = 0
-    #: Per-segment thinned-routing flags (weighted engine) — decided
-    #: from the *start* configuration, so they must travel with the
-    #: snapshot for the restored engine to realise the same loop.
-    thinned: Optional[Tuple[bool, ...]] = None
-    acceptance_estimates: Optional[Tuple[float, ...]] = None
     version: int = SNAPSHOT_VERSION
 
     def to_dict(self) -> Dict:
         """JSON-safe dict (tuples become lists; ints stay exact)."""
         return asdict(self)
 
-    def rehost(self, kind: str) -> "EngineSnapshot":
-        """Convert this snapshot for restoration onto another backend.
-
-        Cross-backend restore seam: a snapshot taken on one
-        uniform-scheduler engine (``jump`` / ``sequential`` / ``batch``)
-        becomes restorable on another.  Backend-specific buffered draws
-        are dropped — discarding unconsumed i.i.d. draws at a stopping
-        time is distribution-exact — and a target that needs explicit
-        agent identities (``sequential``) gets the canonical
-        state-sorted agent array, which realises the same law because
-        agents are exchangeable.  The continuation is therefore
-        *step-distribution-identical* to the source engine's, not
-        bit-identical: the new host consumes the restored generator
-        stream in its own pattern.
-        """
-        if self.kind not in _REHOSTABLE:
-            raise SimulationError(
-                f"cannot rehost a {self.kind!r} snapshot; only "
-                f"{_REHOSTABLE} interconvert"
-            )
-        if kind not in _REHOSTABLE:
-            raise SimulationError(
-                f"cannot rehost onto {kind!r}; expected one of {_REHOSTABLE}"
-            )
-        if kind == self.kind:
-            return self
-        agent_states: Optional[Tuple[int, ...]] = None
-        if kind == "sequential":
-            agent_states = tuple(
-                state
-                for state, count in enumerate(self.counts)
-                for _ in range(count)
-            )
-        return EngineSnapshot(
-            kind=kind,
-            num_states=self.num_states,
-            num_agents=self.num_agents,
-            counts=self.counts,
-            interactions=self.interactions,
-            events=self.events,
-            rng_state=copy.deepcopy(self.rng_state),
-            agent_states=agent_states,
-        )
-
     @classmethod
     def from_dict(cls, data: Dict) -> "EngineSnapshot":
-        """Inverse of :meth:`to_dict`; coerces sequences back to tuples."""
+        """Inverse of :meth:`to_dict`; coerces sequences back to tuples.
+
+        A damaged dict fails with :class:`SimulationError` naming the
+        field: an unknown key, a missing required field, or a
+        non-sequence where a tuple is stored.
+        """
         data = dict(data)
         version = int(data.get("version", SNAPSHOT_VERSION))
         if version != SNAPSHOT_VERSION:
@@ -155,11 +111,25 @@ class EngineSnapshot:
                 f"snapshot version {version} is not supported "
                 f"(expected {SNAPSHOT_VERSION})"
             )
-        for key in ("counts", "uniforms", "raws", "pair_buffer", "accepts"):
-            data[key] = tuple(data.get(key) or ())
-        for key in ("agent_states", "thinned", "acceptance_estimates"):
-            if data.get(key) is not None:
-                data[key] = tuple(data[key])
+        known = {f.name for f in fields(cls)}
+        unknown = [key for key in data if key not in known]
+        if unknown:
+            raise SimulationError(
+                "snapshot has unknown field(s) "
+                + ", ".join(repr(key) for key in unknown)
+            )
+        for key in _REQUIRED:
+            if key not in data:
+                raise SimulationError(f"snapshot is missing field {key!r}")
+        for key in _TUPLES:
+            if key not in data or (key == "agent_states" and data[key] is None):
+                continue
+            if not isinstance(data[key], (list, tuple)):
+                raise SimulationError(
+                    f"snapshot field {key!r} must be a sequence, got "
+                    f"{type(data[key]).__name__}"
+                )
+            data[key] = tuple(data[key])
         return cls(**data)
 
 
@@ -201,10 +171,10 @@ def check_snapshot(
 def resume_engine(protocol, snapshot: EngineSnapshot, scheduler=None):
     """Build a fresh engine of ``snapshot.kind`` and restore it.
 
-    The engine class is chosen by the snapshot's ``kind`` tag directly
-    — **not** re-routed through the acceptance heuristics of
-    :func:`~repro.core.scheduler.try_weighted_engine`, whose decision
-    depends on the configuration and could diverge mid-run.  Scheduled,
+    The engine class is chosen by the snapshot's ``kind`` tag directly,
+    not re-routed through :func:`~repro.core.engine.build_engine`, so a
+    run resumes on the engine that took the snapshot (a rejection run
+    started with ``engine="sequential"`` included).  Scheduled,
     agent, and weighted kinds need the original ``scheduler`` (or epoch
     timeline) object back; it is deliberately not serialised in the
     snapshot, which stays plain data.

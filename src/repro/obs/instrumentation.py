@@ -32,12 +32,15 @@ Counter vocabulary (engines only touch the ones their loop has):
 ``proposal_mode_events``, ``fenwick_mode_events``, ``mode_switches``
     The same-state dual sampler's adaptive split.
 ``accept_tests``, ``accept_rejects``
-    Rejection/thinning acceptance loop activity (scheduled engines).
-``weighted_events``, ``thinned_events``, ``slow_events``
-    Weighted-engine segment routing.
+    Acceptance tests and rejections of the rejection engines
+    (``ScheduledEngine``, ``AgentScheduledEngine``); the weighted
+    engine draws productive pairs directly and never emits them.
+``weighted_events``, ``slow_events``
+    Weighted-engine events on the inlined jump loop vs the per-event
+    loop that serves recorders.
 ``pair_draws``
     Ordered agent pairs drawn by the sequential reference engine (from
-    batch arithmetic, rejected thinning draws included).
+    batch arithmetic, the rejection engines' rejected draws included).
 ``batch_refreshes``, ``batch_refills``, ``batch_candidates``,
 ``batch_confirm_rejects``, ``batch_k2_events``, ``uniform_draws``
     The numpy batch kernel's epoch machinery: frozen-stratum refreshes,

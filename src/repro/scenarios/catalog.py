@@ -176,8 +176,9 @@ def _line_churn_storm(scale: str) -> Scenario:
 
 
 def _ag_clustered_adversary(scale: str) -> Scenario:
-    # The clustered scheduler runs through the per-interaction engine,
-    # so populations stay small; interaction budgets bound the work.
+    # The clustered scheduler compiles into the weighted fused index, so
+    # every scale runs on the weighted jump engine; interaction budgets
+    # bound the work.
     n = _pick(scale, 12, 48, 128)
     interactions = _pick(scale, 200_000, 2_000_000, 40_000_000)
     return Scenario(
@@ -331,7 +332,7 @@ CAMPAIGNS: Dict[str, Campaign] = {
             campaign_id="ag_clustered_adversary",
             description=(
                 "AG under the clustered adversarial scheduler, corruption "
-                "mid-run (per-interaction engine, small n)"
+                "mid-run (weighted jump engine, small n)"
             ),
             build=_ag_clustered_adversary,
             repetitions=(2, 4, 5),

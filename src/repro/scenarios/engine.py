@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..core.configuration import Configuration
-from ..core.engine import make_rng
+from ..core.engine import build_engine, make_rng
 from ..core.faults import (
     adversarial_swap,
     arrive_agents,
@@ -34,15 +34,8 @@ from ..core.faults import (
     crash_and_replace,
     depart_agents,
 )
-from ..core.jump import JumpEngine
 from ..core.protocol import PopulationProtocol, RankingProtocol
-from ..core.scheduler import (
-    AgentScheduledEngine,
-    AgentScheduler,
-    EpochScheduler,
-    ScheduledEngine,
-    try_weighted_engine,
-)
+from ..core.scheduler import EpochScheduler
 from ..configurations.generators import (
     all_in_extras_configuration,
     all_in_state_configuration,
@@ -232,58 +225,20 @@ def _make_engine(
     scenario, protocol, configuration, rng, start_epoch=0,
     instrumentation=None, backend="python",
 ):
-    if scenario.timeline:
-        # Time-varying adversary: the whole timeline compiles into the
-        # weighted jump fast path whenever every segment does; the
-        # rejection engine realises the identical step distribution
-        # otherwise.  ``start_epoch`` resumes the timeline after a
-        # churn-induced engine rebuild.
-        timeline = build_epoch_scheduler(scenario, protocol)
-        engine = try_weighted_engine(
-            protocol, configuration, rng, timeline, start_epoch=start_epoch,
-            instrumentation=instrumentation,
-        )
-        if engine is not None:
-            return engine
-        return ScheduledEngine(
-            protocol, configuration, rng, timeline, start_epoch=start_epoch,
-            instrumentation=instrumentation,
-        )
-    scheduler = build_scheduler(scenario.scheduler, protocol)
-    if scheduler is None:
-        # Uniform phases are the only ones the numpy batch kernel can
-        # serve (biased schedulers perturb the pair law it freezes);
-        # unsupported protocols fall back to the scalar jump engine.
-        if backend == "numpy":
-            from ..core.batch import BatchEngine, batch_supported
+    """The scenario's engine, routed by :func:`~repro.core.engine.build_engine`.
 
-            if batch_supported(protocol):
-                return BatchEngine(
-                    protocol, configuration, rng,
-                    instrumentation=instrumentation,
-                )
-        return JumpEngine(
-            protocol, configuration, rng, instrumentation=instrumentation
-        )
-    if isinstance(scheduler, AgentScheduler):
-        # Identity-level adversaries need explicit agents.
-        return AgentScheduledEngine(
-            protocol, configuration, rng, scheduler,
-            instrumentation=instrumentation,
-        )
-    # Biased phases run on the weighted jump fast path whenever the
-    # scheduler compiles into the weighted fused index; the
-    # rejection engine remains the fallback for exotic schedulers.
-    engine = try_weighted_engine(
-        protocol, configuration, rng, scheduler,
-        instrumentation=instrumentation,
+    ``start_epoch`` resumes a timeline after a churn-induced rebuild.
+    """
+    if scenario.timeline:
+        scheduler = build_epoch_scheduler(scenario, protocol)
+    else:
+        scheduler = build_scheduler(scenario.scheduler, protocol)
+    engine, _ = build_engine(
+        protocol, configuration, seed=rng, scheduler=scheduler,
+        instrumentation=instrumentation, backend=backend,
+        start_epoch=start_epoch,
     )
-    if engine is not None:
-        return engine
-    return ScheduledEngine(
-        protocol, configuration, rng, scheduler,
-        instrumentation=instrumentation,
-    )
+    return engine
 
 
 def _scheduler_label(engine) -> str:
@@ -484,7 +439,8 @@ def run_scenario(
     batch kernel where the protocol supports it (biased/epoch scenarios
     keep their scalar engines); the step distribution is unchanged, and
     the fault seams (``reset_configuration``, churn rebuild) work
-    identically.
+    identically.  An unknown backend raises
+    :class:`~repro.exceptions.SimulationError`, as in ``run_protocol``.
 
     ``collect_trace`` additionally records the run's logical history
     (phase lifecycle, faults, engine epoch switches / resyncs /

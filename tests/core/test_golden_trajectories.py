@@ -11,11 +11,13 @@ Each case runs one engine three ways from the same seed and records
 The expected records live in ``golden_trajectories.json``.  They pin
 the exact draw consumption of every realisation (the same-state and
 fused jump loops, the general loop behind a recorder, sequential,
-rejection, agent, weighted with thinned and weighted segments, batch),
-so a refactor of the randomness layer that changes any trajectory
-fails here.  Regenerate deliberately with::
+rejection, agent, weighted across an epoch timeline, batch), so a
+refactor of the randomness layer that changes any trajectory fails
+here.  Regenerate deliberately with::
 
-    PYTHONPATH=src python tests/core/test_golden_trajectories.py
+    PYTHONPATH=src python tests/core/test_golden_trajectories.py [CASE...]
+
+Named cases rewrite only their own entries; no names rewrite them all.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ def _biased(protocol):
 
 
 def _many_class(protocol):
-    # >= 8 distinct high weights: routed to the thinned realisation.
+    # 9 distinct high weights: a many-class segment on the weighted loop.
     return StateBiasedScheduler(
         [0.80 + 0.02 * (s % 9) for s in range(protocol.num_states)]
     )
@@ -192,13 +194,19 @@ def test_cases_reach_their_loops():
     instr = Instrumentation()
     engine = _build("weighted-timeline", instrumentation=instr)[2]
     engine.run(max_events=CASES["weighted-timeline"][3])
-    assert instr.get("thinned_events") > 0
-    assert instr.get("weighted_events") > 0
+    # The timeline crosses both boundaries, every event on the inlined
+    # weighted loop.
+    assert engine.epoch == 2
+    assert instr.get("epoch_switches") == 2
+    assert instr.get("weighted_events") == engine.events
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(
-        json.dumps({name: _arms(name) for name in sorted(CASES)}, indent=1)
-        + "\n"
-    )
-    sys.stdout.write(f"wrote {GOLDEN}\n")
+    names = sys.argv[1:] or sorted(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown case(s) {unknown}; known: {sorted(CASES)}")
+    golden = _golden() if sys.argv[1:] else {}
+    golden.update((name, _arms(name)) for name in names)
+    GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
+    sys.stdout.write(f"wrote {', '.join(names)} to {GOLDEN}\n")

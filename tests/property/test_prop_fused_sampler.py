@@ -440,109 +440,12 @@ class TestHybridSamplerExactness:
             engine.step()
 
 
-class TestThinnedSegmentExactness:
-    """The thinned (rejection-on-jump-clock) realisation stays exact."""
-
-    def _many_class_scheduler(self, protocol):
-        # >= 8 distinct high weights: routed to the thinned realisation.
-        return StateBiasedScheduler(
-            [0.80 + 0.02 * (s % 9) for s in range(protocol.num_states)]
-        )
-
-    def test_routing_picks_the_thinned_mode(self):
-        from repro.core.scheduler import EpochBoundary, EpochScheduler
-
-        protocol = TreeRankingProtocol(9, k=2)
-        biased = StateBiasedScheduler(
-            [1.0] * protocol.num_ranks + [0.2] * protocol.num_extra_states
-        )
-        many = self._many_class_scheduler(protocol)
-        timeline = EpochScheduler([
-            (EpochBoundary(kind="events", value=30), biased),
-            (None, many),
-        ])
-        engine = WeightedScheduledEngine(
-            protocol,
-            random_configuration(protocol, seed=0, include_extras=True),
-            np.random.default_rng(0),
-            timeline,
-        )
-        assert engine._thinned == [False, True]
-        assert 0.0 < engine.acceptance_estimates[0] < 1.0
-
-    def test_scalar_many_class_high_acceptance_falls_back_to_rejection(self):
-        protocol = TreeRankingProtocol(13, k=3)
-        weights = [0.80 + 0.01 * (s % 20) for s in range(protocol.num_states)]
-        result = run_protocol(
-            protocol,
-            random_configuration(protocol, seed=2, include_extras=True),
-            seed=2,
-            scheduler=StateBiasedScheduler(weights),
-            max_events=500,
-        )
-        assert result.engine_name.startswith("scheduled:")
-
-    @given(seed=st.integers(0, 2**31 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_thinned_runs_keep_exact_masses(self, seed):
-        """After thinned chunks the weighted index still matches the
-        rejection model, pair by pair (flat updates + lazy tree)."""
-        protocol = TreeRankingProtocol(9, k=2)
-        scheduler = self._many_class_scheduler(protocol)
-        engine = WeightedScheduledEngine(
-            protocol,
-            random_configuration(protocol, seed=seed, include_extras=True),
-            np.random.default_rng(seed),
-            scheduler,
-        )
-        assert engine._thinned == [True]
-        engine.run(max_events=120)
-        expected, expected_total = _pair_mass_from_rejection_model(
-            protocol, engine.counts, scheduler
-        )
-        assert engine.total_mass() == expected_total
-        assert engine.productive_weight == sum(expected.values())
-        assert (
-            _reconstruct_pair_masses(engine._index, engine.counts) == expected
-        )
-        # The dirty tree must self-heal for step()-driven continuation.
-        if not engine.is_silent():
-            assert engine.step() is not None
-            assert engine.productive_weight == sum(
-                _pair_mass_from_rejection_model(
-                    protocol, engine.counts, scheduler
-                )[0].values()
-            )
-
-    def test_thinned_and_weighted_modes_agree_distributionally(self):
-        from repro.core import scheduler as scheduler_module
-
-        protocol = TreeRankingProtocol(9, k=2)
-        scheduler = self._many_class_scheduler(protocol)
-        start = random_configuration(protocol, seed=0, include_extras=True)
-        thinned, weighted = [], []
-        original = scheduler_module._THINNING_CLASSES
-        try:
-            for seed in range(30):
-                engine = WeightedScheduledEngine(
-                    protocol, start, np.random.default_rng(seed), scheduler
-                )
-                assert engine._thinned == [True]
-                assert engine.run(max_events=10**6)
-                thinned.append(engine.interactions)
-                scheduler_module._THINNING_CLASSES = 10**9  # force weighted
-                engine = WeightedScheduledEngine(
-                    protocol, start, np.random.default_rng(seed + 500),
-                    scheduler,
-                )
-                assert engine._thinned == [False]
-                assert engine.run(max_events=10**6)
-                weighted.append(engine.interactions)
-                scheduler_module._THINNING_CLASSES = original
-        finally:
-            scheduler_module._THINNING_CLASSES = original
-        ratio = np.median(thinned) / np.median(weighted)
-        assert 0.5 < ratio < 2.0, f"median interactions ratio {ratio}"
+def _many_class_scheduler(protocol):
+    # Nine distinct high weights: the only exact-mass input with more
+    # than three weight classes.
+    return StateBiasedScheduler(
+        [0.80 + 0.02 * (s % 9) for s in range(protocol.num_states)]
+    )
 
 
 class TestWeightedIndexMatchesRejectionDistribution:
@@ -601,17 +504,28 @@ class TestWeightedIndexMatchesRejectionDistribution:
         n = protocol.num_agents
         assert engine.total_mass() == n * (n - 1) * WEIGHT_DENOMINATOR
 
+    @pytest.mark.parametrize(
+        "make_scheduler",
+        [
+            lambda p: StateBiasedScheduler(
+                [1.0] * p.num_ranks + [0.2] * p.num_extra_states
+            ),
+            _many_class_scheduler,
+        ],
+        ids=["biased-0.2", "many-class"],
+    )
     @given(
         warmup=st.integers(0, 80),
         seed=st.integers(0, 2**31 - 1),
     )
     @settings(max_examples=25, deadline=None)
-    def test_masses_stay_exact_along_biased_runs(self, warmup, seed):
-        """Incremental class sums / slots never drift from enumeration."""
+    def test_masses_stay_exact_along_biased_runs(
+        self, make_scheduler, warmup, seed
+    ):
+        """Incremental class sums / slots never drift from enumeration,
+        pair by pair, and ``step()`` continues from the loop's index."""
         protocol = TreeRankingProtocol(9, k=2)
-        scheduler = StateBiasedScheduler(
-            [1.0] * protocol.num_ranks + [0.2] * protocol.num_extra_states
-        )
+        scheduler = make_scheduler(protocol)
         engine = WeightedScheduledEngine(
             protocol,
             random_configuration(protocol, seed=seed, include_extras=True),
@@ -624,6 +538,16 @@ class TestWeightedIndexMatchesRejectionDistribution:
         )
         assert engine.total_mass() == expected_total
         assert engine.productive_weight == sum(expected.values())
+        assert (
+            _reconstruct_pair_masses(engine._index, engine.counts) == expected
+        )
+        if not engine.is_silent():
+            assert engine.step() is not None
+            assert engine.productive_weight == sum(
+                _pair_mass_from_rejection_model(
+                    protocol, engine.counts, scheduler
+                )[0].values()
+            )
 
     def test_reset_configuration_resyncs_weighted_index(self):
         protocol = TreeRankingProtocol(9, k=2)
@@ -688,6 +612,20 @@ class TestWeightedEngineBehaviour:
         ]
         assert runs[0].final_configuration == runs[1].final_configuration
         assert runs[0].interactions == runs[1].interactions
+
+    def test_many_class_scalar_scheduler_runs_weighted(self):
+        """Twenty weight classes at high acceptance compile, so the
+        weighted loop runs them."""
+        protocol = TreeRankingProtocol(13, k=3)
+        weights = [0.80 + 0.01 * (s % 20) for s in range(protocol.num_states)]
+        result = run_protocol(
+            protocol,
+            random_configuration(protocol, seed=2, include_extras=True),
+            seed=2,
+            scheduler=StateBiasedScheduler(weights),
+            max_events=500,
+        )
+        assert result.engine_name == "weighted:state_biased"
 
     def test_unsupported_scheduler_falls_back_to_rejection(self):
         """A scheduler exceeding the class cap still runs (rejection)."""

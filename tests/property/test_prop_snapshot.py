@@ -27,7 +27,6 @@ from repro import (
     random_configuration,
     resume_engine,
 )
-from repro.core.scheduler import WeightedScheduledEngine
 from repro.exceptions import ReproError, SimulationError
 from repro.scenarios.schedulers import ClusteredScheduler, DegreeSkewedScheduler
 
@@ -236,41 +235,6 @@ class TestSnapshotExactness:
         assert len(set(silences)) == 1
         _assert_same_state(*arms)
 
-    @settings(max_examples=20, deadline=None)
-    @given(
-        protocol_index=st.integers(0, 2),
-        warm_events=st.integers(0, 100),
-        tail_events=st.integers(1, 300),
-        seed=st.integers(0, 2**31 - 1),
-        target=st.sampled_from(["jump", "sequential"]),
-    )
-    def test_batch_snapshot_rehosts_across_backends(
-        self, protocol_index, warm_events, tail_events, seed, target
-    ):
-        """A batch snapshot rehosts onto the scalar engines (and back):
-        the continuation runs to silence with conserved population —
-        step-distribution-identical, not bit-identical, per the rehost
-        contract."""
-        protocol = _protocol(protocol_index)
-        start = random_configuration(protocol, seed=seed)
-        live, _ = build_engine(
-            protocol, start, seed, engine="jump", backend="numpy"
-        )
-        live.run(max_events=warm_events)
-        snapshot = live.snapshot()
-        rehosted = resume_engine(protocol, snapshot.rehost(target))
-        assert rehosted.counts == list(snapshot.counts)
-        assert rehosted.events == snapshot.events
-        rehosted.run(max_events=rehosted.events + tail_events)
-        assert sum(rehosted.counts) == protocol.num_agents
-        # And the reverse direction: scalar snapshot onto the batch host.
-        scalar, _ = build_engine(protocol, start, seed, engine="jump")
-        scalar.run(max_events=warm_events)
-        back = resume_engine(protocol, scalar.snapshot().rehost("batch"))
-        assert back.counts == scalar.counts
-        back.run(max_events=back.events + tail_events)
-        assert sum(back.counts) == protocol.num_agents
-
     @settings(max_examples=15, deadline=None)
     @given(
         protocol_index=st.integers(0, 2),
@@ -354,14 +318,40 @@ class TestSnapshotValidation:
         with pytest.raises(SimulationError):
             resume_engine(protocol, snapshot)
 
-    def test_version_gate(self):
+    def _snapshot_dict(self):
         protocol = AGProtocol(12)
         start = random_configuration(protocol, seed=0)
         driver, _ = build_engine(protocol, start, 1)
         driver.run(max_events=20)
-        data = driver.snapshot().to_dict()
+        return driver.snapshot().to_dict()
+
+    def test_version_gate(self):
+        data = self._snapshot_dict()
         data["version"] = 99
         with pytest.raises(SimulationError):
+            EngineSnapshot.from_dict(data)
+
+    def test_unknown_field_named(self):
+        data = self._snapshot_dict()
+        data["bogus"] = 1
+        with pytest.raises(SimulationError, match="'bogus'"):
+            EngineSnapshot.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["kind", "num_states", "num_agents", "counts", "interactions",
+         "events"],
+    )
+    def test_missing_field_named(self, field):
+        data = self._snapshot_dict()
+        del data[field]
+        with pytest.raises(SimulationError, match=f"missing field '{field}'"):
+            EngineSnapshot.from_dict(data)
+
+    def test_non_sequence_field_named(self):
+        data = self._snapshot_dict()
+        data["counts"] = 5
+        with pytest.raises(SimulationError, match="'counts' must be a sequence"):
             EngineSnapshot.from_dict(data)
 
     def test_tampered_counts_rejected(self):
@@ -373,20 +363,3 @@ class TestSnapshotValidation:
         data["counts"] = [c + 1 for c in data["counts"]]
         with pytest.raises(ReproError):
             resume_engine(protocol, EngineSnapshot.from_dict(data))
-
-    def test_weighted_routing_travels(self):
-        """A restored weighted engine reuses the snapshot's thinned
-        routing flags instead of re-deriving them from mid-run counts."""
-        protocol = TreeRankingProtocol(13, k=3)
-        scheduler = _scheduler("clustered", protocol)
-        start = random_configuration(protocol, seed=2)
-        driver, name = build_engine(
-            protocol, start, 2, scheduler=scheduler
-        )
-        if not isinstance(driver, WeightedScheduledEngine):
-            pytest.skip("scheduler did not compile to the weighted path")
-        driver.run(max_events=50)
-        snapshot = driver.snapshot()
-        assert snapshot.thinned is not None
-        restored = resume_engine(protocol, snapshot, scheduler=scheduler)
-        assert tuple(restored._thinned) == snapshot.thinned

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.exceptions import ExperimentError
+from repro.exceptions import ExperimentError, SimulationError
 from repro.scenarios import (
     FaultPhase,
     ProtocolSpec,
@@ -345,6 +345,35 @@ class TestDeterminism:
         assert log.silent
 
 
+class TestEngineRouting:
+    """Every scenario engine comes from ``build_engine``'s one rule."""
+
+    @pytest.mark.parametrize("scale", ["smoke", "small", "paper"])
+    @pytest.mark.parametrize(
+        "campaign_id", [c.campaign_id for c in list_campaigns()]
+    )
+    def test_canned_campaigns_pick_their_engine(self, campaign_id, scale):
+        from repro.core.engine import make_rng
+        from repro.core.jump import JumpEngine
+        from repro.core.scheduler import WeightedScheduledEngine
+        from repro.scenarios.engine import _make_engine, _start_configuration
+
+        expected = {
+            "ag_corrupt_recover": JumpEngine,
+            "tree_corrupt_recover": JumpEngine,
+            "line_churn_storm": JumpEngine,
+            "ag_clustered_adversary": WeightedScheduledEngine,
+            "ag_epoch_cluster_flip": WeightedScheduledEngine,
+            "tree_epoch_bias_flip": WeightedScheduledEngine,
+        }[campaign_id]
+        scenario = get_campaign(campaign_id).build(scale)
+        protocol = scenario.protocol.build()
+        rng = make_rng(0)
+        start = _start_configuration(scenario, protocol, rng)
+        engine = _make_engine(scenario, protocol, start, rng)
+        assert type(engine) is expected
+
+
 class TestEpochTimelines:
     def test_mid_phase_epoch_switch_composes_with_churn(self):
         from repro.scenarios import EpochSpec
@@ -507,6 +536,11 @@ class TestNumpyBackendScenarios:
         assert [log.interactions for log in a.phase_logs] == (
             [log.interactions for log in b.phase_logs]
         )
+
+    def test_misspelt_backend_is_rejected(self):
+        scenario = _scenario([RunPhase(until="silence", max_events=1000)])
+        with pytest.raises(SimulationError, match="unknown backend"):
+            run_scenario(scenario, seed=1, backend="nunpy")
 
     def test_biased_scenario_keeps_scalar_engine(self):
         result = run_scenario(
