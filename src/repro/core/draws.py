@@ -8,7 +8,8 @@ one vectorised batch when it runs dry:
 * **uniform** — float64 in ``[0, 1)``, the geometric skip's
   inverse-CDF input (:meth:`~DrawStream.next_uniform`);
 * **raw** — 64-bit integers, the source of every exact integer draw
-  (:meth:`~DrawStream.next_raw`, :meth:`~DrawStream.rand_below`);
+  (:meth:`~DrawStream.next_raw`, :meth:`~DrawStream.rand_below`), the
+  fused loop's routed targets and pool proposals included;
 * **log-uniform** — precomputed ``log(1 − u)``, the fast loops' skip
   numerators (:meth:`~DrawStream.next_log_uniform`);
 * **accept** — float64 thresholds for rejection acceptance tests
@@ -44,7 +45,7 @@ import numpy as np
 from ..exceptions import SimulationError
 from .snapshot import EngineSnapshot
 
-__all__ = ["DrawStream", "BATCH", "RAW_SPAN", "RAW_SPAN32"]
+__all__ = ["DrawStream", "BATCH", "RAW_SPAN"]
 
 #: Refill size of the uniform, raw and log-uniform channels.
 BATCH = 8192
@@ -52,8 +53,6 @@ BATCH = 8192
 SMALL_BATCH = 4096
 #: Exclusive upper bound of one raw 64-bit draw.
 RAW_SPAN = 1 << 64
-#: Exclusive upper bound of one 32-bit proposal draw.
-RAW_SPAN32 = 1 << 32
 # Single-raw rejection sampling stays efficient below this bound;
 # larger bounds splice several raws.
 _SINGLE_RAW_MAX = 1 << 62
@@ -116,11 +115,6 @@ class DrawStream:
     def raw_batch(self) -> List[int]:
         return self.rng.integers(
             0, RAW_SPAN, size=BATCH, dtype=np.uint64
-        ).tolist()
-
-    def raw32_batch(self) -> List[int]:
-        return self.rng.integers(
-            0, RAW_SPAN32, size=BATCH, dtype=np.uint32
         ).tolist()
 
     def integers(self, bound: int, size: int = BATCH) -> np.ndarray:

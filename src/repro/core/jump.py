@@ -26,9 +26,11 @@ by O(1) agent-proposal rejection (and O(1) member moves on update),
 while the rest keep the Fenwick walk.  When the pool holds every
 remaining unit of weight — the steady state of same-state-heavy drains
 like the §4 line — the loop *sprints*: the routed target draw is
-skipped, transitions execute their compiled same-state variant
-(guarded so gated product slots collapse to a stale-mark), and the
-dominant −1/+1 transfer becomes a single flat re-label.
+skipped and the loop enters the pool's one proposal block directly;
+transitions execute their compiled sprint program (same-state steps
+only, guarded so gated product slots collapse to a stale-mark) through
+the same per-state update loop as the full program, and the dominant
+−1/+1 transfer becomes a single flat re-label.
 The protocol's transition function is precompiled into lookup tables
 (per-state for same-state-only protocols, a lazily filled per-pair dict
 of straight-line update programs otherwise) so the inner loop never
@@ -67,7 +69,7 @@ import numpy as np
 
 from ..exceptions import SimulationError
 from .configuration import Configuration
-from .draws import BATCH, RAW_SPAN, RAW_SPAN32, DrawStream
+from .draws import BATCH, RAW_SPAN, DrawStream
 from .engine import Event, Recorder, checked_counts
 from .families import SameStatePairs
 from .fenwick import FenwickTree
@@ -344,14 +346,15 @@ class JumpEngine:
     # Simulation
     # ------------------------------------------------------------------
     def _compile_pair(self, si: int, sj: int, full: bool = True) -> list:
-        """``[ti, tj, ops, prog, refresh, fast]`` — one transition, compiled.
+        """``[ti, tj, ops, prog, refresh, prods, sprint, transfer]`` — one
+        transition, compiled.
 
-        ``prog``/``refresh``/``fast`` are the fused index's straight-line
-        update programs for the transition (executed inline by the fast
-        loop; ``fast`` is the guarded same-state sprint variant).  With
-        ``full=False`` only ``fast`` is compiled; the entry is a list
-        so the general path can fill ``prog``/``refresh`` in lazily on
-        the first draw whose sprint guard fails.
+        The last five fields are the fused index's straight-line update
+        programs for the transition (see
+        :meth:`~repro.core.fused.FusedIndex.compile_transition`), executed
+        inline by the fast loop.  With ``full=False`` ``prog``/``refresh``
+        are left ``None``; the entry is a list so the loop can fill them
+        in lazily on the first draw whose sprint guard fails.
         """
         out = self._protocol.delta(si, sj)
         if out is None:
@@ -361,8 +364,7 @@ class JumpEngine:
             )
         ti, tj = out
         ops = _transition_ops(si, sj, ti, tj)
-        prog, refresh, fast = self._fused.compile_transition(ops, full=full)
-        return [ti, tj, ops, prog, refresh, fast]
+        return [ti, tj, ops, *self._fused.compile_transition(ops, full=full)]
 
     def _transition(self, si: int, sj: int) -> tuple:
         """``(ti, tj, ops, ...)`` for a productive pair, via the table."""
@@ -494,12 +496,17 @@ class JumpEngine:
         need no further randomness.  Draws landing in the proposal-pool
         pseudo-slot switch to O(1) agent-proposal rejection — the fast
         regime for same-state-heavy protocols like the §4 line, whose
-        mass the Fenwick walk used to re-search on every event.
+        mass the Fenwick walk used to re-search on every event.  While
+        the pool holds every remaining unit of weight the routed draw
+        is skipped (the *sprint*) and the loop proposes directly.
         Transitions execute as precompiled straight-line programs:
         per-state payload updates (O(1) count moments for the reset
         line, one-sided Fenwick writes for products, O(1) member moves
         for pooled slots) followed by one deduplicated weight refresh
-        per composite slot — no per-event family dispatch anywhere.
+        per composite slot — no per-event family dispatch anywhere.  A
+        transition whose product slots all weigh zero runs its sprint
+        program instead (same-state steps only, no refresh), and a
+        −1/+1 move between two pool members is a single re-label.
         The pool partition is re-evaluated every ``_RECLASSIFY_EVENTS``
         so it tracks the drifting count profile.
         """
@@ -538,15 +545,15 @@ class JumpEngine:
         reclassify_left = _RECLASSIFY_EVENTS
         reclassify_cooldown = 0
         # Telemetry: draw totals derive from batch-refill tallies at
-        # loop exit (the `nub`/`nrb`/`nsb` increments below run once per
-        # 8192 draws); the per-branch counters only tick when
-        # instrumentation is attached (`instr_on`), so the off path pays
-        # one local bool test per event at most.
+        # loop exit (the `nub`/`nrb` increments below run once per 8192
+        # draws); the per-branch counters only tick when instrumentation
+        # is attached (`instr_on`), so the off path pays one local bool
+        # test per event at most.
         ins = self._instr
         instr_on = ins is not None
         events0 = events
         interactions0 = interactions
-        nub = nrb = nsb = 0
+        nub = nrb = 0
         c_sprint = c_pool = c_prop = 0
         c_fen = c_comp = c_reclass = 0
         # Monotone upper bound on every state count (reset at each
@@ -562,15 +569,12 @@ class JumpEngine:
 
         # Batched draws, as in the same-state loop: log(1-u) skip
         # numerators through numpy, raw 64-bit integers for exact
-        # weighted targets.
+        # weighted targets and pool proposals.
         lus: List[float] = []
         upos = BATCH
         raws: List[int] = []
         raw_len = 0
         rpos = 0
-        sraws: List[int] = []
-        sraw_len = 0
-        spos = 0
         # log1p(-W/T) cached on W: the drain's dominant transfer events
         # leave the total weight unchanged, so the skip denominator is
         # usually reusable.
@@ -599,60 +603,10 @@ class JumpEngine:
                 # Sprint: every remaining unit of weight is pooled (the
                 # steady state of a same-state-heavy drain), so the
                 # routed target draw is a foregone conclusion — propose
-                # directly, exactly as the same-state fast loop does.
-                mh = pmhat
-                pbound = len(pagents) * mh
-                proposals = 0
-                if pbound <= 0x80000000:
-                    # Single-digit arithmetic: proposals draw from a
-                    # uint32 batch (bound = N·m̂ fits easily).
-                    plimit = RAW_SPAN32 - pbound
-                    while True:
-                        if spos == sraw_len:
-                            sraws = draws.raw32_batch()
-                            sraw_len = BATCH
-                            spos = 0
-                            nsb += 1
-                        raw = sraws[spos]
-                        spos += 1
-                        v = raw % pbound
-                        if raw - v > plimit:
-                            continue
-                        proposals += 1
-                        s = pagents[v // mh]
-                        # Member invariant: len(positions[s]) ==
-                        # counts[s], so the threshold test reads the
-                        # counts directly.
-                        if v % mh < counts[s] - 1:
-                            si = sj = s
-                            break
-                else:
-                    plimit = RAW_SPAN - pbound
-                    while True:
-                        if rpos == raw_len:
-                            raws = draws.raw_batch()
-                            raw_len = BATCH
-                            rpos = 0
-                            nrb += 1
-                        raw = raws[rpos]
-                        rpos += 1
-                        v = raw % pbound
-                        if raw - v > plimit:
-                            continue
-                        proposals += 1
-                        s = pagents[v // mh]
-                        if v % mh < counts[s] - 1:
-                            si = sj = s
-                            break
-                if (
-                    proposals > _RECLASSIFY_PROPOSALS
-                    and reclassify_cooldown <= 0
-                ):
-                    reclassify_left = 0
+                # directly.
+                kind = PROPOSAL
                 if instr_on:
                     c_sprint += 1
-                    c_prop += proposals
-                kind = SAME
             else:
                 if pslot >= 0:
                     values[pslot] = pool_w
@@ -696,124 +650,124 @@ class JumpEngine:
                 elif instr_on:
                     c_comp += 1
                 kind = slot_kind[pos]
-                if kind == PROPOSAL:
-                    # Inlined _ProposalPool.sample_state: one raw draw
-                    # fuses the uniform pool-agent proposal with its
-                    # acceptance threshold; the routed residual target
-                    # is discarded (it is independent of the fresh
-                    # proposal draws).
-                    mh = pmhat
-                    pbound = len(pagents) * mh
-                    plimit = RAW_SPAN - pbound
-                    proposals = 0
-                    while True:
-                        if rpos == raw_len:
-                            raws = draws.raw_batch()
-                            raw_len = BATCH
-                            rpos = 0
-                            nrb += 1
-                        raw = raws[rpos]
-                        rpos += 1
-                        v = raw % pbound
-                        if raw - v > plimit:
-                            continue
-                        proposals += 1
-                        s = pagents[v // mh]
-                        if v % mh < counts[s] - 1:
-                            si = sj = s
+            if kind == PROPOSAL:
+                # Inlined _ProposalPool.sample_state: one raw draw fuses
+                # the uniform pool-agent proposal with its acceptance
+                # threshold; a routed residual target is discarded (it
+                # is independent of the fresh proposal draws).
+                mh = pmhat
+                pbound = len(pagents) * mh
+                plimit = RAW_SPAN - pbound
+                proposals = 0
+                while True:
+                    if rpos == raw_len:
+                        raws = draws.raw_batch()
+                        raw_len = BATCH
+                        rpos = 0
+                        nrb += 1
+                    raw = raws[rpos]
+                    rpos += 1
+                    v = raw % pbound
+                    if raw - v > plimit:
+                        continue
+                    proposals += 1
+                    s = pagents[v // mh]
+                    # Member invariant: len(positions[s]) == counts[s],
+                    # so the threshold test reads the counts directly.
+                    if v % mh < counts[s] - 1:
+                        si = sj = s
+                        break
+                if (
+                    proposals > _RECLASSIFY_PROPOSALS
+                    and reclassify_cooldown <= 0
+                ):
+                    # Acceptance degraded since the last partition (a
+                    # member count drifted far from m̂) — re-partition
+                    # now instead of waiting out the periodic counter.
+                    reclassify_left = 0
+                if instr_on:
+                    c_pool += 1
+                    c_prop += proposals
+            elif kind == TRIANGULAR:
+                # Inlined _TriangularSlot.pair_from_target (factor 1).
+                tri = slot_payload[pos]
+                tcounts = tri.counts
+                line = tri.line
+                suffix = tri.s
+                tlen = len(tcounts)
+                si = -1
+                for i in range(tlen):
+                    c = tcounts[i]
+                    if c == 0:
+                        continue
+                    suffix -= c
+                    block = c * (c - 1 + suffix)
+                    if target < block:
+                        same = c * (c - 1)
+                        if target < same:
+                            si = sj = line[i]
                             break
-                    if (
-                        proposals > _RECLASSIFY_PROPOSALS
-                        and reclassify_cooldown <= 0
-                    ):
-                        # Acceptance degraded since the last partition
-                        # (a member count drifted far from m̂) —
-                        # re-partition now instead of waiting out the
-                        # periodic counter.
-                        reclassify_left = 0
-                    if instr_on:
-                        c_pool += 1
-                        c_prop += proposals
-                elif kind == TRIANGULAR:
-                    # Inlined _TriangularSlot.pair_from_target (factor 1).
-                    tri = slot_payload[pos]
-                    tcounts = tri.counts
-                    line = tri.line
-                    suffix = tri.s
-                    tlen = len(tcounts)
-                    si = -1
-                    for i in range(tlen):
-                        c = tcounts[i]
-                        if c == 0:
-                            continue
-                        suffix -= c
-                        block = c * (c - 1 + suffix)
-                        if target < block:
-                            same = c * (c - 1)
-                            if target < same:
-                                si = sj = line[i]
+                        si = line[i]
+                        sj = -1
+                        j_target = (target - same) // c
+                        for j in range(i + 1, tlen):
+                            cj = tcounts[j]
+                            if j_target < cj:
+                                sj = line[j]
                                 break
-                            si = line[i]
-                            sj = -1
-                            j_target = (target - same) // c
-                            for j in range(i + 1, tlen):
-                                cj = tcounts[j]
-                                if j_target < cj:
-                                    sj = line[j]
-                                    break
-                                j_target -= cj
-                            break
-                        target -= block
-                    if si < 0 or sj < 0:
-                        raise SimulationError(
-                            "fused triangular sample out of range"
-                        )
-                elif kind == SAME:
-                    si = sj = slot_payload[pos]
-                elif kind == PRODUCT:
-                    prod = slot_payload[pos]
-                    if prod.stale:
-                        # Decode around the stale side trees: rejection
-                        # against the global count bound, rebuilding
-                        # only if the profile is too skewed for it.
-                        si, sj = prod.sample_stale(gmax, draws.rand_below)
-                    else:
-                        rtree = prod.resp_tree
-                        rsize = prod.resp_size
-                        # Both side draws decode from the one residual target.
-                        t1 = target // rtree[rsize]
-                        t2 = target - t1 * rtree[rsize]
-                        p1 = 0
-                        bit = prod.init_size
-                        itree = prod.init_tree
-                        while bit:
-                            nxt = p1 + bit
-                            if nxt <= prod.init_size:
-                                below = itree[nxt]
-                                if below <= t1:
-                                    t1 -= below
-                                    p1 = nxt
-                            bit >>= 1
-                        si = prod.initiators[p1]
-                        p2 = 0
-                        bit = rsize
-                        while bit:
-                            nxt = p2 + bit
-                            if nxt <= rsize:
-                                below = rtree[nxt]
-                                if below <= t2:
-                                    t2 -= below
-                                    p2 = nxt
-                            bit >>= 1
-                        sj = prod.responders[p2]
+                            j_target -= cj
+                        break
+                    target -= block
+                if si < 0 or sj < 0:
+                    raise SimulationError(
+                        "fused triangular sample out of range"
+                    )
+            elif kind == SAME:
+                si = sj = slot_payload[pos]
+            elif kind == PRODUCT:
+                prod = slot_payload[pos]
+                if prod.stale:
+                    # Decode around the stale side trees: rejection
+                    # against the global count bound, rebuilding only
+                    # if the profile is too skewed for it.
+                    si, sj = prod.sample_stale(gmax, draws.rand_below)
                 else:
-                    si, sj = slot_payload[pos].sample(draws.rand_below)
+                    rtree = prod.resp_tree
+                    rsize = prod.resp_size
+                    # Both side draws decode from the one residual target.
+                    t1 = target // rtree[rsize]
+                    t2 = target - t1 * rtree[rsize]
+                    p1 = 0
+                    bit = prod.init_size
+                    itree = prod.init_tree
+                    while bit:
+                        nxt = p1 + bit
+                        if nxt <= prod.init_size:
+                            below = itree[nxt]
+                            if below <= t1:
+                                t1 -= below
+                                p1 = nxt
+                        bit >>= 1
+                    si = prod.initiators[p1]
+                    p2 = 0
+                    bit = rsize
+                    while bit:
+                        nxt = p2 + bit
+                        if nxt <= rsize:
+                            below = rtree[nxt]
+                            if below <= t2:
+                                t2 -= below
+                                p2 = nxt
+                        bit >>= 1
+                    sj = prod.responders[p2]
+            else:
+                si, sj = slot_payload[pos].sample(draws.rand_below)
             # Transition: the precompiled program.
             if si == sj:
-                # Same-state draws dominate the hybrid loop: a
-                # dense per-state list beats hashing the pair key,
-                # and only the sprint variant is compiled up front
-                # (the general program fills in lazily on demand).
+                # Same-state draws dominate the hybrid loop: a dense
+                # per-state list beats hashing the pair key, and only
+                # the sprint program is compiled up front (the full
+                # program fills in lazily on demand).
                 entry = ss_progs[si]
                 if entry is None:
                     entry = self._compile_pair(si, si, full=False)
@@ -824,14 +778,14 @@ class JumpEngine:
                 if entry is None:
                     entry = self._compile_pair(si, sj)
                     pair_table[key] = entry
-            fast = entry[5]
-            if fast is not None:
-                # Same-state sprint variant: legal while every
-                # product slot it touches weighs zero (empty
-                # responder side, no responder-side ops) — then the
-                # product work collapses to a stale-mark plus a net
-                # scalar add, and no refresh pass is needed.
-                fprods = fast[1]
+            prog = entry[6]
+            if prog is not None:
+                # Sprint program: legal while every product slot it
+                # touches weighs zero (empty responder side, no
+                # responder-side ops) — then the product work collapses
+                # to a stale-mark plus a net scalar add, and no refresh
+                # pass is needed.
+                fprods = entry[5]
                 if len(fprods) == 1:
                     # Dominant shape: guard and act in one step.
                     prod, dinit, dresp = fprods[0]
@@ -840,27 +794,25 @@ class JumpEngine:
                         if dinit:
                             prod.init_total += dinit
                     else:
-                        fast = None
+                        prog = None
                 elif fprods:
                     for prod, dinit, dresp in fprods:
                         if dresp != 0 or prod.resp_total != 0:
-                            fast = None
+                            prog = None
                             break
-                    if fast is not None:
+                    if prog is not None:
                         for prod, dinit, dresp in fprods:
                             prod.stale |= 1
                             if dinit:
                                 prod.init_total += dinit
-            if fast is not None:
-                transfer = fast[2]
-                applied = False
+            if prog is not None:
+                refresh = ()
+                transfer = entry[7]
                 if transfer is not None:
-                    # One agent moves src → dst; when both states
-                    # are pool members this is a single flat
-                    # re-label (no swap-removal, no insertion).
-                    # Every applied variant funnels into the one
-                    # shared epilogue below — the branches must
-                    # never fall through into the generic loop.
+                    # One agent moves src → dst; when both states are
+                    # pool members this is a single flat re-label (no
+                    # swap-removal, no insertion).  An applied re-label
+                    # empties the program, so nothing else applies it.
                     src = transfer[0]
                     dst = transfer[1]
                     pls = ppositions[src]
@@ -877,8 +829,8 @@ class JumpEngine:
                         pwhere[p] = len(pld)
                         pld.append(p)
                         if old_s == 2:
-                            # src drained below a pair: expel its
-                            # last agent.
+                            # src drained below a pair: expel its last
+                            # agent.
                             p = pls.pop()
                             last = len(pagents) - 1
                             if p != last:
@@ -906,11 +858,11 @@ class JumpEngine:
                                 pagents.pop()
                                 pwhere.pop()
                             ppositions[dst] = None
-                            # src keeps its pool delta; dst mass
-                            # moves from the pool to the tree.
+                            # src keeps its pool delta; dst mass moves
+                            # from the pool to the tree.
                             pool_w -= old_d * (old_d - 1)
-                            values[transfer[4]] = w
-                            node = transfer[5]
+                            values[transfer[2]] = w
+                            node = transfer[3]
                             while node <= fensize:
                                 tree[node] += w
                                 node += node & -node
@@ -923,14 +875,14 @@ class JumpEngine:
                             if dw:
                                 pool_w += dw
                                 weight += dw
-                        applied = True
+                        prog = ()
                     elif (
                         pls is not None
                         and counts[dst] == 1
                         and pool.lo <= 2 <= pool.hi
                     ):
-                        # dst migrates in: its lone agent plus the
-                        # moved one form a fresh two-member list.
+                        # dst migrates in: its lone agent plus the moved
+                        # one form a fresh two-member list.
                         old_s = counts[src]
                         counts[src] = old_s - 1
                         counts[dst] = 2
@@ -958,159 +910,16 @@ class JumpEngine:
                         if dw:
                             pool_w += dw
                             weight += dw
-                        applied = True
-                if applied:
-                    events += 1
-                    remaining -= 1
-                    reclassify_left -= 1
-                    reclassify_cooldown -= 1
-                    if reclassify_left <= 0:
-                        reclassify_left = _RECLASSIFY_EVENTS
-                        reclassify_cooldown = _RECLASSIFY_COOLDOWN
-                        gmax = max(counts)
-                        fused.reclassify(counts)
-                        pool_w = pool.weight
-                        pmhat = pool.mhat
-                        if instr_on:
-                            c_reclass += 1
-                    continue
-                for state, delta, slot, node0 in fast[0]:
-                    old = counts[state]
-                    new = old + delta
-                    if new < 0:
-                        raise SimulationError(
-                            f"state {state} count went negative "
-                            "applying transition"
-                        )
-                    counts[state] = new
-                    if new > gmax:
-                        gmax = new
-                    plist = ppositions[state]
-                    if plist is None:
-                        if pool.lo <= new <= pool.hi:
-                            # Migrate into the pool window.
-                            w = new * (new - 1)
-                            old_w = values[slot]
-                            if old_w:
-                                values[slot] = 0
-                                node = node0
-                                while node <= fensize:
-                                    tree[node] -= old_w
-                                    node += node & -node
-                            base = len(pagents)
-                            ppositions[state] = list(
-                                range(base, base + new)
-                            )
-                            pagents.extend([state] * new)
-                            pwhere.extend(range(new))
-                            if new > pmhat:
-                                pmhat = new
-                            pool_w += w
-                            weight += w - old_w
-                        else:
-                            w = new * (new - 1)
-                            dw = w - values[slot]
-                            if dw:
-                                values[slot] = w
-                                weight += dw
-                                node = node0
-                                while node <= fensize:
-                                    tree[node] += dw
-                                    node += node & -node
-                    else:
-                        if delta == 1:
-                            pwhere.append(len(plist))
-                            plist.append(len(pagents))
-                            pagents.append(state)
-                            if new > pool.hi:
-                                # Expel above the window: keeping
-                                # the member would stretch m̂ (and
-                                # the acceptance of every small
-                                # member) — the Fenwick serves
-                                # outgrown slots better.
-                                for _ in range(new):
-                                    p = plist.pop()
-                                    last = len(pagents) - 1
-                                    if p != last:
-                                        moved = pagents[last]
-                                        mw = pwhere[last]
-                                        pagents[p] = moved
-                                        pwhere[p] = mw
-                                        ppositions[moved][mw] = p
-                                    pagents.pop()
-                                    pwhere.pop()
-                                ppositions[state] = None
-                                w = new * (new - 1)
-                                pool_w -= old * (old - 1)
-                                weight -= old * (old - 1)
-                                values[slot] = w
-                                node = node0
-                                while node <= fensize:
-                                    tree[node] += w
-                                    node += node & -node
-                                weight += w
-                                continue
-                        elif delta == -1 and new >= 2:
-                            p = plist.pop()
-                            last = len(pagents) - 1
-                            if p != last:
-                                moved = pagents[last]
-                                mw = pwhere[last]
-                                pagents[p] = moved
-                                pwhere[p] = mw
-                                ppositions[moved][mw] = p
-                            pagents.pop()
-                            pwhere.pop()
-                        elif delta > 0:
-                            for _ in range(delta):
-                                pwhere.append(len(plist))
-                                plist.append(len(pagents))
-                                pagents.append(state)
-                            if new > pmhat:
-                                pmhat = new
-                        else:
-                            removals = -delta if new >= 2 else old
-                            for _ in range(removals):
-                                p = plist.pop()
-                                last = len(pagents) - 1
-                                if p != last:
-                                    moved = pagents[last]
-                                    mw = pwhere[last]
-                                    pagents[p] = moved
-                                    pwhere[p] = mw
-                                    ppositions[moved][mw] = p
-                                pagents.pop()
-                                pwhere.pop()
-                            if new < 2:
-                                # Expel: weightless members only
-                                # dilute proposal acceptance.
-                                ppositions[state] = None
-                        dw = new * (new - 1) - old * (old - 1)
-                        if dw:
-                            pool_w += dw
-                            weight += dw
-                events += 1
-                remaining -= 1
-                reclassify_left -= 1
-                reclassify_cooldown -= 1
-                if reclassify_left <= 0:
-                    reclassify_left = _RECLASSIFY_EVENTS
-                    reclassify_cooldown = _RECLASSIFY_COOLDOWN
-                    gmax = max(counts)
-                    if pool is not None:
-                        fused.reclassify(counts)
-                        pool_w = pool.weight
-                        pmhat = pool.mhat
-                        if instr_on:
-                            c_reclass += 1
-                continue
-            if entry[3] is None:
-                # First general-path use of a fast-only entry: fill
-                # the full program in now.
-                entry[3], entry[4], _ = fused.compile_transition(
-                    entry[2]
-                )
-            for state, delta, steps in entry[3]:
+                        prog = ()
+            else:
+                prog = entry[3]
+                if prog is None:
+                    # First full-program use of a sprint-only entry:
+                    # fill the full program in now.
+                    prog, entry[4] = fused.compile_transition(entry[2])[:2]
+                    entry[3] = prog
+                refresh = entry[4]
+            for state, delta, steps in prog:
                 old = counts[state]
                 new = old + delta
                 if new < 0:
@@ -1130,9 +939,9 @@ class JumpEngine:
                         tri.q += new * new - old * old
                     elif code == PRODUCT:
                         # Scalar side totals always; the padded-tree
-                        # walk only while the slot can be sampled
-                        # (the other side occupied) — a gated side
-                        # goes stale and rebuilds on next decode.
+                        # walk only while the slot can be sampled (the
+                        # other side occupied) — a gated side goes
+                        # stale and rebuilds on next decode.
                         prod = step[5]
                         if step[6]:
                             prod.init_total += delta
@@ -1152,16 +961,16 @@ class JumpEngine:
                             node += node & -node
                     elif code == SAME:
                         # Hybrid dispatch: the state's current pool
-                        # membership picks an O(1) member move or
-                        # the Fenwick walk (SAME steps only exist
-                        # when the pool does).
+                        # membership picks an O(1) member move or the
+                        # Fenwick walk (SAME steps only exist when the
+                        # pool does).
                         plist = ppositions[state]
                         if plist is None:
                             slot = step[1]
                             if pool.lo <= new <= pool.hi:
-                                # Migrate into the pool window: zero
-                                # the Fenwick slot once, O(1) moves
-                                # from here on.
+                                # Migrate into the pool window: zero the
+                                # Fenwick slot once, O(1) moves from
+                                # here on.
                                 w = new * (new - 1)
                                 old_w = values[slot]
                                 if old_w:
@@ -1197,8 +1006,11 @@ class JumpEngine:
                                     plist.append(len(pagents))
                                     pagents.append(state)
                                 if new > pool.hi:
-                                    # Expel above the window (see
-                                    # the sprint variant).
+                                    # Expel above the window: keeping
+                                    # the member would stretch m̂ (and
+                                    # the acceptance of every small
+                                    # member) — the Fenwick serves
+                                    # outgrown slots better.
                                     for _ in range(new):
                                         p = plist.pop()
                                         last = len(pagents) - 1
@@ -1245,10 +1057,10 @@ class JumpEngine:
                                 weight += dw
                     else:
                         step[1].on_count_change(state, old, new)
-            # One deferred weight refresh per touched composite
-            # slot — a plain values[] write, composite slots live
-            # outside the Fenwick tree.
-            for ref in entry[4]:
+            # One deferred weight refresh per touched composite slot —
+            # a plain values[] write, composite slots live outside the
+            # Fenwick tree.
+            for ref in refresh:
                 rkind = ref[1]
                 if rkind == TRIANGULAR:
                     tri = ref[2]
@@ -1293,14 +1105,13 @@ class JumpEngine:
             # refilled minus whatever is left unconsumed in the tail.
             cu = nub * BATCH - (BATCH - upos) if nub else 0
             cr = nrb * BATCH - (raw_len - rpos) if nrb else 0
-            cs = nsb * BATCH - (sraw_len - spos) if nsb else 0
             ins.add_counters(
                 events=events - events0,
                 interactions=interactions - interactions0,
                 skip_draws=cu,
-                raw_draws=cr + cs,
+                raw_draws=cr,
                 proposal_draws=c_prop,
-                pool_draws=c_sprint + c_pool,
+                pool_draws=c_pool,
                 sprint_events=c_sprint,
                 fenwick_finds=c_fen,
                 composite_finds=c_comp,

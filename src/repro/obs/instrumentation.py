@@ -20,7 +20,8 @@ Counter vocabulary (engines only touch the ones their loop has):
     Productive events and scheduler steps covered by the run.
 ``skip_draws``, ``raw_draws``
     Uniforms consumed for geometric skips and 64-bit raws consumed for
-    routing/rejection, from batch arithmetic.
+    routing targets, pool proposals and rejection, from batch
+    arithmetic.
 ``pool_draws``, ``sprint_events``, ``proposal_draws``
     Events served by the proposal pool, the subset taken on the sprint
     shortcut (no routing draw), and agent proposals consumed including
@@ -56,7 +57,7 @@ Counter vocabulary (engines only touch the ones their loop has):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 __all__ = ["Instrumentation", "check_instrumentation_off_overhead"]
 

@@ -14,7 +14,7 @@ classes:
   retries/quarantines/pool-rebuilds, shard lifecycle (including the
   cooperative-mode lease protocol: ``lease_claim``/``lease_renew``/
   ``lease_expire``/``lease_steal`` and the fenced ``shard_commit``),
-  and timing summaries.  They describe *this execution* and are
+  and served-job lifecycle.  They describe *this execution* and are
   excluded from logical comparison.
 
 Files are written atomically via :func:`repro._io.atomic_write_text`
@@ -63,8 +63,6 @@ OPERATIONAL_KINDS = frozenset(
         "job_paused",
         "job_resumed",
         "job_done",
-        "timing",
-        "note",
     }
 )
 

@@ -8,6 +8,8 @@ from repro import (
     Configuration,
     JumpEngine,
     MetricRecorder,
+    PopulationProtocol,
+    Recorder,
     RingOfTrapsProtocol,
     SequentialEngine,
     TrajectoryRecorder,
@@ -15,6 +17,7 @@ from repro import (
     run_protocol,
     solved_configuration,
 )
+from repro.core.families import OrderedProduct, SameStatePairs
 from repro.exceptions import (
     ConfigurationError,
     SimulationError,
@@ -24,6 +27,23 @@ from repro.exceptions import (
 
 def _engine(protocol, config, seed=0, cls=JumpEngine):
     return cls(protocol, config, np.random.default_rng(seed))
+
+
+class _SinkProtocol(PopulationProtocol):
+    """Rules ``(0,0)→(0,4)`` and ``(2,3)→(2,2)``; state 4 is in no family."""
+
+    def __init__(self):
+        super().__init__(num_states=5, num_agents=40)
+
+    def delta(self, initiator, responder):
+        if initiator == responder == 0:
+            return 0, 4
+        if (initiator, responder) == (2, 3):
+            return 2, 2
+        return None
+
+    def build_families(self, counts):
+        return [SameStatePairs(counts, [0]), OrderedProduct(counts, [2], [3])]
 
 
 class TestJumpEngineBasics:
@@ -352,6 +372,17 @@ class TestFastLoop:
         engine = _engine(AGProtocol(n), Configuration(counts))
         assert engine.run() is True
         assert engine.counts == [1] * n
+
+    def test_count_change_into_a_state_in_no_family_is_kept(self):
+        """The fused loop moves every count a transition changes, also
+        into a state that has no slot of its own."""
+        protocol = _SinkProtocol()
+        start = Configuration([30, 0, 5, 5, 0])
+        fast = run_protocol(protocol, start, seed=1)
+        general = run_protocol(protocol, start, seed=1, recorder=Recorder())
+        counts = fast.final_configuration.counts_list()
+        assert sum(counts) == 40
+        assert counts == general.final_configuration.counts_list()
 
     def test_fast_and_general_loops_agree_distributionally(self):
         protocol = AGProtocol(16)

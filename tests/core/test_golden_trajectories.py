@@ -192,6 +192,13 @@ def test_cases_reach_their_loops():
     for name in ("jump-fused-tree", "jump-fused-line-m2"):
         assert _build(name)[2]._ss_table is None
     instr = Instrumentation()
+    engine = _build("jump-fused-line-m2", instrumentation=instr)[2]
+    engine.run(max_events=CASES["jump-fused-line-m2"][3])
+    # The line drain enters the pool proposal both on the sprint and
+    # from routed draws.
+    assert instr.get("sprint_events") > 0
+    assert instr.get("pool_draws") > instr.get("sprint_events")
+    instr = Instrumentation()
     engine = _build("weighted-timeline", instrumentation=instr)[2]
     engine.run(max_events=CASES["weighted-timeline"][3])
     # The timeline crosses both boundaries, every event on the inlined

@@ -14,7 +14,6 @@ from repro.ensemble import (
     run_ensemble,
 )
 from repro.ensemble.manifest import (
-    done_marker_path,
     load_manifest,
     read_done_marker,
     save_manifest,

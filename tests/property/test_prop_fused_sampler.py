@@ -17,8 +17,15 @@ Three invariant groups:
   swapped-in index must match the rejection model of the *active*
   segment pair by pair, before and after the switch;
 * sampling consistency: every pair the fused index produces is
-  productive under ``delta`` and covered by exactly one family.
+  productive under ``delta`` and covered by exactly one family;
+* compiled transitions: every program the fused loop can run changes
+  exactly the counts the transition changes;
+* the fused loop's first event follows the exact one-step law, whether
+  the pool proposal is entered on the sprint or from a routed draw.
 """
+
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,11 +33,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
+    AGProtocol,
     Configuration,
     JumpEngine,
     LineOfTrapsProtocol,
     ModifiedTreeProtocol,
     RingOfTrapsProtocol,
+    SingleTrapProtocol,
+    TreeDispersalProtocol,
     TreeRankingProtocol,
     WeightedScheduledEngine,
     random_configuration,
@@ -45,12 +55,14 @@ from repro.core.fused import (
     FusedIndex,
     dyadic_weight_numerator,
 )
+from repro.core.jump import _transition_ops
 from repro.core.scheduler import (
     EpochBoundary,
     EpochScheduler,
     ScheduledEngine,
     try_weighted_engine,
 )
+from repro.obs import Instrumentation
 from repro.scenarios.schedulers import ClusteredScheduler, StateBiasedScheduler
 
 
@@ -438,6 +450,120 @@ class TestHybridSamplerExactness:
             assert protocol.delta(si, sj) is not None
             assert engine.counts[si] >= (2 if si == sj else 1)
             engine.step()
+
+
+def _chi2_sf(stat, dof):
+    """Upper tail ``P(X ≥ stat)`` of the chi-square law with ``dof``
+    degrees of freedom (closed forms of the incomplete gamma)."""
+    half = stat / 2.0
+    if dof % 2 == 0:
+        term = total = math.exp(-half)
+        for k in range(1, dof // 2):
+            term *= half / k
+            total += term
+        return total
+    total = math.erfc(math.sqrt(half))
+    term = math.exp(-half) * math.sqrt(half) / math.gamma(1.5)
+    for k in range((dof - 1) // 2):
+        total += term
+        term *= half / (k + 1.5)
+    return total
+
+
+def _one_step_law(protocol, counts):
+    """Exact law of the count vector after one productive event."""
+    law = Counter()
+    for (si, sj), mass in _uniform_pair_masses(protocol, counts).items():
+        ti, tj = protocol.delta(si, sj)
+        after = list(counts)
+        for state, delta in _transition_ops(si, sj, ti, tj):
+            after[state] += delta
+        law[tuple(after)] += mass
+    return law
+
+
+class TestFusedLoopPrograms:
+    @pytest.mark.parametrize(
+        "protocol",
+        [
+            AGProtocol(8),
+            RingOfTrapsProtocol(m=4),
+            SingleTrapProtocol(inner_size=16, num_agents=40),
+            LineOfTrapsProtocol(m=2),
+            TreeRankingProtocol(33, k=2),
+            ModifiedTreeProtocol(33, k=2),
+            TreeDispersalProtocol(33),
+        ],
+        ids=lambda p: p.name,
+    )
+    def test_programs_change_exactly_the_transition_counts(self, protocol):
+        """``prog`` and ``sprint`` hold one entry per count change — a
+        state with no same-state slot (an absorbing exit, a leaf) must
+        still move."""
+        counts = Configuration.all_in_state(
+            0, protocol.num_agents, protocol.num_states
+        ).counts_list()
+        families = protocol.build_families(counts)
+        fused = FusedIndex(families, protocol.num_states, counts)
+        for family in families:
+            for si, sj in family.pairs():
+                ops = _transition_ops(si, sj, *protocol.delta(si, sj))
+                prog, _, _, sprint, _ = fused.compile_transition(ops)
+                assert [(s, d) for s, d, _ in prog] == list(ops), (si, sj)
+                if sprint is not None:
+                    assert [(s, d) for s, d, _ in sprint] == list(ops), (
+                        si, sj
+                    )
+
+    @pytest.mark.parametrize(
+        "extras, entry",
+        [(False, "sprint"), (True, "routed")],
+        ids=["sprint", "routed"],
+    )
+    def test_first_event_follows_the_exact_one_step_law(self, extras, entry):
+        """Chi-square of the post-event count vector against
+        ``c_i(c_j − [i=j])/W``, at α = 10⁻³.  Without extras the pool
+        holds all the weight, so every first event sprints; with them
+        the target is routed, and part of the draws land on the pool."""
+        protocol = LineOfTrapsProtocol(m=2)
+        start = random_configuration(protocol, seed=0, include_extras=extras)
+        law = _one_step_law(protocol, start.counts_list())
+        instr = Instrumentation()
+        engine = JumpEngine(
+            protocol, start, np.random.default_rng(5),
+            instrumentation=instr,
+        )
+        draws = 1000
+        seen = Counter()
+        for _ in range(draws):
+            engine.reset_configuration(start)
+            engine.run(max_events=engine.events + 1)
+            seen[tuple(engine.counts)] += 1
+        assert set(seen) <= set(law)
+        if entry == "sprint":
+            assert instr.get("sprint_events") == draws
+        else:
+            assert instr.get("sprint_events") == 0
+            assert instr.get("pool_draws") > 0
+        # Outcomes expected fewer than 5 times are pooled into one cell.
+        total = sum(law.values())
+        stat = 0.0
+        cells = 0
+        rest_expected = 0.0
+        rest_seen = 0
+        for outcome, mass in law.items():
+            expected = draws * mass / total
+            if expected < 5:
+                rest_expected += expected
+                rest_seen += seen[outcome]
+                continue
+            stat += (seen[outcome] - expected) ** 2 / expected
+            cells += 1
+        if rest_expected:
+            stat += (rest_seen - rest_expected) ** 2 / rest_expected
+            cells += 1
+        assert cells > 1
+        assert _chi2_sf(stat, cells - 1) > 1e-3, (stat, cells)
 
 
 def _many_class_scheduler(protocol):
