@@ -1043,11 +1043,9 @@ class FusedIndex:
         return delta_w
 
     def compile_transition(
-        self, ops: Sequence[Tuple[int, int]], full: bool = True
-    ) -> Tuple[Optional[tuple], Optional[tuple], Optional[tuple],
-               Optional[tuple], Optional[tuple]]:
-        """Compile one transition into ``(prog, refresh, prods, sprint,
-        transfer)``.
+        self, ops: Sequence[Tuple[int, int]]
+    ) -> Tuple[tuple, tuple, Optional[tuple], Optional[tuple]]:
+        """Compile one transition into ``(prog, refresh, prods, transfer)``.
 
         ``prog`` lists ``(state, delta, steps)`` with each state's
         precompiled update steps; ``refresh`` is the *deduplicated* set
@@ -1061,76 +1059,62 @@ class FusedIndex:
           product of the two maintained side totals)
         * opaque — ``(slot, OPAQUE, family)``
 
-        ``sprint`` is ``prog`` restricted to SAME steps — one entry per
-        count change, so states without a same-state slot still move
-        their counts — and exists for transitions touching only SAME
-        and PRODUCT steps (``sprint``, ``prods`` and ``transfer`` are
-        ``None`` otherwise).  ``prods = ((payload, net_init_delta,
-        net_resp_delta), …)`` is its guard: the engine may run
-        ``sprint`` in place of ``prog`` *only* while every listed
-        product slot has ``net_resp_delta == 0`` and ``resp_total ==
-        0``.  The slot then weighs zero throughout, so the whole product
-        update collapses to one stale-mark plus a scalar add, and the
-        refresh pass disappears — which is what lets the §4 line's
-        drain run at the same-state loop's O(1)-per-event pace.
-        ``transfer`` pre-resolves the dominant −1/+1 shape between two
-        same-state slots (``(src, dst, dst_slot, dst_node)``): one agent
-        moves between two states, so when both are pool members the
-        whole update is a single flat re-label instead of a removal
-        plus an insertion.
-
-        With ``full=False`` ``prog``/``refresh`` come back ``None`` —
-        engines compile the sprint variant up front and fill in the
-        general program lazily on the first draw whose guard fails,
-        which keeps the per-pair compile cost off runs that never leave
-        the sprint.
+        ``prods`` is the transition's *sprint guard*, ``((payload,
+        net_init_delta), …)`` over the product slots it touches, or
+        ``None`` when it touches a triangular or opaque slot or changes
+        a product's responder side.  While every listed slot has
+        ``resp_total == 0`` it weighs zero before and after the event:
+        ``prog``'s product steps then only stale-mark and add to the
+        initiator total, and the engine may skip the refresh pass —
+        which is what lets the §4 line's drain run at the same-state
+        loop's O(1)-per-event pace.  ``transfer`` additionally
+        pre-resolves the dominant −1/+1 shape between two same-state
+        slots (``(src, dst, dst_slot, dst_node)``): one agent moves
+        between two states, so when both are pool members their
+        same-state update is a single flat re-label instead of a
+        removal plus an insertion.
         """
-        plans = self.state_steps
-        prog = None
-        if full:
-            prog = tuple((state, delta, plans[state]) for state, delta in ops)
-        refreshes: Dict[int, tuple] = {}
-        sprint_ok = True
+        prog = tuple(
+            (state, delta, self.state_steps[state])
+            for state, delta in ops
+        )
+        refresh: Dict[int, tuple] = {}
+        guarded = True
+        sops: List[tuple] = []
         prods: Dict[int, list] = {}
         for state, delta in ops:
-            for step in plans[state]:
+            for step in self.state_steps[state]:
                 kind = step[0]
                 if kind == SAME:
+                    sops.append((state, delta, step[1], step[2]))
                     continue
                 if kind == PRODUCT:
                     slot, payload = step[4], step[5]
-                    if full and slot not in refreshes:
-                        refreshes[slot] = (slot, PRODUCT, payload)
+                    if slot not in refresh:
+                        refresh[slot] = (slot, PRODUCT, payload)
                     entry = prods.setdefault(slot, [payload, 0, 0])
                     entry[1 if step[6] else 2] += delta
                 elif kind == TRIANGULAR:
-                    sprint_ok = False
+                    guarded = False
                     slot = step[3]
-                    if full and slot not in refreshes:
-                        refreshes[slot] = (slot, TRIANGULAR, step[1])
+                    if slot not in refresh:
+                        refresh[slot] = (slot, TRIANGULAR, step[1])
                 else:
-                    sprint_ok = False
+                    guarded = False
                     slot = step[2]
-                    if full and slot not in refreshes:
-                        refreshes[slot] = (slot, OPAQUE, step[1])
-        refresh = tuple(refreshes.values()) if full else None
-        if not sprint_ok:
-            return prog, refresh, None, None, None
-        sprint = tuple(
-            (state, delta, tuple(s for s in plans[state] if s[0] == SAME))
-            for state, delta in ops
-        )
+                    if slot not in refresh:
+                        refresh[slot] = (slot, OPAQUE, step[1])
+        if not guarded or any(dr for _, _, dr in prods.values()):
+            return prog, tuple(refresh.values()), None, None
         transfer = None
-        if len(sprint) == 2 and sprint[0][2] and sprint[1][2]:
-            src, dst = sprint if sprint[0][1] < 0 else sprint[::-1]
+        if len(ops) == 2 and len(sops) == 2:
+            src, dst = sops if sops[0][1] < 0 else sops[::-1]
             if (src[1], dst[1]) == (-1, 1):
-                step = dst[2][0]
-                transfer = (src[0], dst[0], step[1], step[2])
+                transfer = (src[0], dst[0], dst[2], dst[3])
         return (
             prog,
-            refresh,
-            tuple((p, di, dr) for p, di, dr in prods.values()),
-            sprint,
+            tuple(refresh.values()),
+            tuple((p, di) for p, di, _ in prods.values()),
             transfer,
         )
 

@@ -26,11 +26,10 @@ by O(1) agent-proposal rejection (and O(1) member moves on update),
 while the rest keep the Fenwick walk.  When the pool holds every
 remaining unit of weight — the steady state of same-state-heavy drains
 like the §4 line — the loop *sprints*: the routed target draw is
-skipped and the loop enters the pool's one proposal block directly;
-transitions execute their compiled sprint program (same-state steps
-only, guarded so gated product slots collapse to a stale-mark) through
-the same per-state update loop as the full program, and the dominant
-−1/+1 transfer becomes a single flat re-label.
+skipped and the loop enters the pool's one proposal block directly.
+A transition whose product slots all weigh zero skips the refresh pass
+(its product steps collapse to a stale-mark), and the dominant −1/+1
+transfer becomes a single flat re-label.
 The protocol's transition function is precompiled into lookup tables
 (per-state for same-state-only protocols, a lazily filled per-pair dict
 of straight-line update programs otherwise) so the inner loop never
@@ -170,10 +169,10 @@ class JumpEngine:
         families = protocol.build_families(self.counts)
         self._fused = FusedIndex(families, self._num_states, self.counts)
         self._weight = self._fused.total
-        self._pair_table: Dict[int, list] = {}
+        self._pair_table: Dict[int, tuple] = {}
         # Dense same-state program cache: same-state draws dominate the
         # hybrid loop, and a list index beats hashing the pair key.
-        self._ss_progs: List[Optional[list]] = [None] * self._num_states
+        self._ss_progs: List[Optional[tuple]] = [None] * self._num_states
         self._ss_table = self._compile_same_state_table(families)
         # Mask of the states without a same-state rule (they carry no
         # weight), built on the same-state loop's first Fenwick entry.
@@ -345,16 +344,15 @@ class JumpEngine:
     # ------------------------------------------------------------------
     # Simulation
     # ------------------------------------------------------------------
-    def _compile_pair(self, si: int, sj: int, full: bool = True) -> list:
-        """``[ti, tj, ops, prog, refresh, prods, sprint, transfer]`` — one
+    def _compile_pair(self, si: int, sj: int) -> tuple:
+        """``(ti, tj, ops, prog, refresh, prods, transfer)`` — one
         transition, compiled.
 
-        The last five fields are the fused index's straight-line update
-        programs for the transition (see
-        :meth:`~repro.core.fused.FusedIndex.compile_transition`), executed
-        inline by the fast loop.  With ``full=False`` ``prog``/``refresh``
-        are left ``None``; the entry is a list so the loop can fill them
-        in lazily on the first draw whose sprint guard fails.
+        The last four fields are the fused index's straight-line update
+        program for the transition, its sprint guard and its transfer
+        shortcut (see
+        :meth:`~repro.core.fused.FusedIndex.compile_transition`),
+        executed inline by the fast loop.
         """
         out = self._protocol.delta(si, sj)
         if out is None:
@@ -364,7 +362,7 @@ class JumpEngine:
             )
         ti, tj = out
         ops = _transition_ops(si, sj, ti, tj)
-        return [ti, tj, ops, *self._fused.compile_transition(ops, full=full)]
+        return (ti, tj, ops) + self._fused.compile_transition(ops)
 
     def _transition(self, si: int, sj: int) -> tuple:
         """``(ti, tj, ops, ...)`` for a productive pair, via the table."""
@@ -504,9 +502,8 @@ class JumpEngine:
         line, one-sided Fenwick writes for products, O(1) member moves
         for pooled slots) followed by one deduplicated weight refresh
         per composite slot — no per-event family dispatch anywhere.  A
-        transition whose product slots all weigh zero runs its sprint
-        program instead (same-state steps only, no refresh), and a
-        −1/+1 move between two pool members is a single re-label.
+        transition whose product slots all weigh zero skips the refresh,
+        and a −1/+1 move between two pool members is a single re-label.
         The pool partition is re-evaluated every ``_RECLASSIFY_EVENTS``
         so it tracks the drifting count profile.
         """
@@ -545,10 +542,10 @@ class JumpEngine:
         reclassify_left = _RECLASSIFY_EVENTS
         reclassify_cooldown = 0
         # Telemetry: draw totals derive from batch-refill tallies at
-        # loop exit (the `nub`/`nrb` increments below run once per 8192
-        # draws); the per-branch counters only tick when instrumentation
-        # is attached (`instr_on`), so the off path pays one local bool
-        # test per event at most.
+        # loop exit (the `nub`/`nrb` increments below run once per
+        # 8192 draws); the per-branch counters only tick when
+        # instrumentation is attached (`instr_on`), so the off path pays
+        # one local bool test per event at most.
         ins = self._instr
         instr_on = ins is not None
         events0 = events
@@ -764,13 +761,11 @@ class JumpEngine:
                 si, sj = slot_payload[pos].sample(draws.rand_below)
             # Transition: the precompiled program.
             if si == sj:
-                # Same-state draws dominate the hybrid loop: a dense
-                # per-state list beats hashing the pair key, and only
-                # the sprint program is compiled up front (the full
-                # program fills in lazily on demand).
+                # Same-state draws dominate the hybrid loop: a
+                # dense per-state list beats hashing the pair key.
                 entry = ss_progs[si]
                 if entry is None:
-                    entry = self._compile_pair(si, si, full=False)
+                    entry = self._compile_pair(si, si)
                     ss_progs[si] = entry
             else:
                 key = si * num_states + sj
@@ -778,41 +773,30 @@ class JumpEngine:
                 if entry is None:
                     entry = self._compile_pair(si, sj)
                     pair_table[key] = entry
-            prog = entry[6]
-            if prog is not None:
-                # Sprint program: legal while every product slot it
-                # touches weighs zero (empty responder side, no
-                # responder-side ops) — then the product work collapses
-                # to a stale-mark plus a net scalar add, and no refresh
-                # pass is needed.
-                fprods = entry[5]
-                if len(fprods) == 1:
-                    # Dominant shape: guard and act in one step.
-                    prod, dinit, dresp = fprods[0]
-                    if dresp == 0 and prod.resp_total == 0:
-                        prod.stale |= 1
-                        if dinit:
-                            prod.init_total += dinit
-                    else:
-                        prog = None
-                elif fprods:
-                    for prod, dinit, dresp in fprods:
-                        if dresp != 0 or prod.resp_total != 0:
-                            prog = None
-                            break
-                    if prog is not None:
-                        for prod, dinit, dresp in fprods:
-                            prod.stale |= 1
-                            if dinit:
-                                prod.init_total += dinit
-            if prog is not None:
+            prog = entry[3]
+            prods = entry[5]
+            if prods is not None:
+                # Sprint guard: while every product slot the
+                # transition touches has an empty responder side (it
+                # has no responder-side ops, or prods would be None)
+                # the slots weigh zero before and after — the product
+                # steps only stale-mark and add to the initiator
+                # total, and no refresh pass is needed.
+                for prod, _ in prods:
+                    if prod.resp_total:
+                        prods = None
+                        break
+            if prods is None:
+                refresh = entry[4]
+            else:
                 refresh = ()
-                transfer = entry[7]
+                transfer = entry[6]
                 if transfer is not None:
-                    # One agent moves src → dst; when both states are
-                    # pool members this is a single flat re-label (no
-                    # swap-removal, no insertion).  An applied re-label
-                    # empties the program, so nothing else applies it.
+                    # One agent moves src → dst; when both states
+                    # are pool members this is a single flat
+                    # re-label (no swap-removal, no insertion).
+                    # An applied re-label empties the program and
+                    # does its product part here.
                     src = transfer[0]
                     dst = transfer[1]
                     pls = ppositions[src]
@@ -829,8 +813,8 @@ class JumpEngine:
                         pwhere[p] = len(pld)
                         pld.append(p)
                         if old_s == 2:
-                            # src drained below a pair: expel its last
-                            # agent.
+                            # src drained below a pair: expel its
+                            # last agent.
                             p = pls.pop()
                             last = len(pagents) - 1
                             if p != last:
@@ -858,8 +842,8 @@ class JumpEngine:
                                 pagents.pop()
                                 pwhere.pop()
                             ppositions[dst] = None
-                            # src keeps its pool delta; dst mass moves
-                            # from the pool to the tree.
+                            # src keeps its pool delta; dst mass
+                            # moves from the pool to the tree.
                             pool_w -= old_d * (old_d - 1)
                             values[transfer[2]] = w
                             node = transfer[3]
@@ -881,8 +865,8 @@ class JumpEngine:
                         and counts[dst] == 1
                         and pool.lo <= 2 <= pool.hi
                     ):
-                        # dst migrates in: its lone agent plus the moved
-                        # one form a fresh two-member list.
+                        # dst migrates in: its lone agent plus the
+                        # moved one form a fresh two-member list.
                         old_s = counts[src]
                         counts[src] = old_s - 1
                         counts[dst] = 2
@@ -911,14 +895,10 @@ class JumpEngine:
                             pool_w += dw
                             weight += dw
                         prog = ()
-            else:
-                prog = entry[3]
-                if prog is None:
-                    # First full-program use of a sprint-only entry:
-                    # fill the full program in now.
-                    prog, entry[4] = fused.compile_transition(entry[2])[:2]
-                    entry[3] = prog
-                refresh = entry[4]
+                    if not prog:
+                        for prod, dinit in prods:
+                            prod.stale |= 1
+                            prod.init_total += dinit
             for state, delta, steps in prog:
                 old = counts[state]
                 new = old + delta
@@ -939,9 +919,9 @@ class JumpEngine:
                         tri.q += new * new - old * old
                     elif code == PRODUCT:
                         # Scalar side totals always; the padded-tree
-                        # walk only while the slot can be sampled (the
-                        # other side occupied) — a gated side goes
-                        # stale and rebuilds on next decode.
+                        # walk only while the slot can be sampled
+                        # (the other side occupied) — a gated side
+                        # goes stale and rebuilds on next decode.
                         prod = step[5]
                         if step[6]:
                             prod.init_total += delta
@@ -961,16 +941,16 @@ class JumpEngine:
                             node += node & -node
                     elif code == SAME:
                         # Hybrid dispatch: the state's current pool
-                        # membership picks an O(1) member move or the
-                        # Fenwick walk (SAME steps only exist when the
-                        # pool does).
+                        # membership picks an O(1) member move or
+                        # the Fenwick walk (SAME steps only exist
+                        # when the pool does).
                         plist = ppositions[state]
                         if plist is None:
                             slot = step[1]
                             if pool.lo <= new <= pool.hi:
-                                # Migrate into the pool window: zero the
-                                # Fenwick slot once, O(1) moves from
-                                # here on.
+                                # Migrate into the pool window: zero
+                                # the Fenwick slot once, O(1) moves
+                                # from here on.
                                 w = new * (new - 1)
                                 old_w = values[slot]
                                 if old_w:
@@ -1057,9 +1037,9 @@ class JumpEngine:
                                 weight += dw
                     else:
                         step[1].on_count_change(state, old, new)
-            # One deferred weight refresh per touched composite slot —
-            # a plain values[] write, composite slots live outside the
-            # Fenwick tree.
+            # One deferred weight refresh per touched composite
+            # slot — a plain values[] write, composite slots live
+            # outside the Fenwick tree.
             for ref in refresh:
                 rkind = ref[1]
                 if rkind == TRIANGULAR:

@@ -497,9 +497,9 @@ class TestFusedLoopPrograms:
         ids=lambda p: p.name,
     )
     def test_programs_change_exactly_the_transition_counts(self, protocol):
-        """``prog`` and ``sprint`` hold one entry per count change — a
-        state with no same-state slot (an absorbing exit, a leaf) must
-        still move."""
+        """``prog`` holds one entry per count change, and a ``transfer``
+        re-label moves exactly the transition's one agent — a state with
+        no same-state slot (an absorbing exit, a leaf) must still move."""
         counts = Configuration.all_in_state(
             0, protocol.num_agents, protocol.num_states
         ).counts_list()
@@ -508,10 +508,11 @@ class TestFusedLoopPrograms:
         for family in families:
             for si, sj in family.pairs():
                 ops = _transition_ops(si, sj, *protocol.delta(si, sj))
-                prog, _, _, sprint, _ = fused.compile_transition(ops)
+                prog, _, _, transfer = fused.compile_transition(ops)
                 assert [(s, d) for s, d, _ in prog] == list(ops), (si, sj)
-                if sprint is not None:
-                    assert [(s, d) for s, d, _ in sprint] == list(ops), (
+                if transfer is not None:
+                    src, dst = transfer[:2]
+                    assert sorted(ops) == sorted([(src, -1), (dst, 1)]), (
                         si, sj
                     )
 
