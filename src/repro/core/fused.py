@@ -52,12 +52,19 @@ top-level split weights the pools exactly); classification only moves
 constants, and is re-evaluated cheaply on :meth:`FusedIndex.resync` and
 by the engines' periodic :meth:`FusedIndex.reclassify` calls.
 
-:class:`WeightedFusedIndex` extends the same machinery to *biased* pair
-schedulers: every slot weight is scaled by the scheduler's pair weight,
-kept exact as a dyadic rational numerator (denominator ``2⁵³`` — the
-resolution of the rejection engine's float acceptance test, so both
-engines realise the *identical* step distribution).  See
-:mod:`repro.core.scheduler` for the engine built on top of it.
+**Class factors.**  Given a partition of the states into scheduler
+weight classes and a class matrix ``u`` of dyadic numerators
+(denominator ``2⁵³`` — the resolution of the rejection engine's float
+acceptance test, so both engines realise the *identical* step
+distribution), every slot carries its class factor: a same-state slot
+weighs ``u(c,c)·c(c−1)``, a product family splits into one slot per
+(initiator class, responder class) block, and a triangular line splits
+into its runs of consecutive same-class states — one triangular slot
+per run plus one product slot per ordered pair of runs.  Without a
+partition the index is one class with factor 1, the uniform layout.
+:class:`WeightedFusedIndex` adds the per-class count sums that give a
+biased scheduler's total step mass; see :mod:`repro.core.scheduler`
+for the engine built on top of it.
 """
 
 from __future__ import annotations
@@ -70,7 +77,7 @@ import numpy as np
 
 from ..exceptions import SimulationError
 from .families import Family, OrderedProduct, SameStatePairs, TriangularLine
-from .fenwick import FenwickTree, fill_tree
+from .fenwick import fill_tree
 
 __all__ = [
     "FusedIndex",
@@ -91,8 +98,6 @@ class WeightedIndexUnsupported(SimulationError):
 
 # Slot kinds (also the dispatch codes burned into compiled programs).
 SAME, PRODUCT, TRIANGULAR, OPAQUE = 0, 1, 2, 3
-# Step code for per-position weighted line slots (weighted index only).
-_WEIGHTED_LINE = 4
 # Slot kind of a proposal-pool pseudo-slot (hybrid same-state sampling).
 PROPOSAL = 5
 
@@ -172,24 +177,17 @@ class _ProposalPool:
     per attempt — proportional to its slot weight.  ``m̂`` only ever
     grows between reclassifications (set on every count increase), so
     the bound ``m̂ >= c_s`` can never be violated mid-run.
-
-    ``weight`` is the raw pooled mass ``Σ c(c−1)``; the owning index
-    scales it by ``factor`` (1 for the uniform index, the scheduler's
-    dyadic diagonal numerator for a weighted class group) when writing
-    the pseudo-slot value.
     """
 
-    __slots__ = ("slot", "factor", "states", "positions", "agents",
+    __slots__ = ("slot", "states", "positions", "agents",
                  "where", "weight", "mhat", "lo", "hi", "_candidates")
 
     def __init__(
         self,
         num_states: int,
         candidate_states: Sequence[int],
-        factor: int = 1,
     ) -> None:
         self.slot = -1  # pseudo-slot id, assigned by the owning index
-        self.factor = factor
         self.states = list(candidate_states)
         self._candidates = np.asarray(self.states, dtype=np.intp)
         self.positions: List[Optional[List[int]]] = [None] * num_states
@@ -388,7 +386,8 @@ class _ProposalPool:
 
 
 class _ProductSlot:
-    """One fused slot for an ``OrderedProduct`` family (or class block).
+    """One fused slot for an ``OrderedProduct`` family (or one class
+    block of it), or for the pairs across two class runs of a line.
 
     Weight is ``factor · A · B`` where ``A``/``B`` are the side totals,
     maintained as O(1) scalars.  ``factor`` is 1 for the uniform index
@@ -427,25 +426,6 @@ class _ProductSlot:
 
     def weight(self) -> int:
         return self.factor * self.init_total * self.resp_total
-
-    def add(self, side: int, pos: int, delta: int) -> None:
-        """Add a count delta on one side (generic update path)."""
-        if side == OrderedProduct.INITIATOR:
-            self.init_total += delta
-            if self.stale & 1 or self.resp_total == 0:
-                self.stale |= 1
-                return
-            tree, size = self.init_tree, self.init_size
-        else:
-            self.resp_total += delta
-            if self.stale & 2 or self.init_total == 0:
-                self.stale |= 2
-                return
-            tree, size = self.resp_tree, self.resp_size
-        node = pos + 1
-        while node <= size:
-            tree[node] += delta
-            node += node & -node
 
     def sample_stale(self, bound: int, rand_below) -> Tuple[int, int]:
         """Decode a draw while some side tree is stale, without rebuilding.
@@ -558,10 +538,8 @@ class _TriangularSlot:
 
     Weight ``factor · [(Q − S) + (S² − Q)/2]`` from the running count
     moments ``S = Σc``, ``Q = Σc²`` — O(1) per count change, the fix for
-    the old per-change O(len) recompute.  Only valid when the scheduler
-    weight is constant across the line (always true for the uniform
-    index); the weighted index falls back to per-position slots
-    otherwise.
+    the old per-change O(len) recompute.  The line is one run of a
+    single weight class, so one factor scales all of it.
     """
 
     __slots__ = ("line", "counts", "s", "q", "factor")
@@ -669,24 +647,84 @@ class FusedIndex:
     Attributes exposed for the engine's inlined hot loop: ``tree`` /
     ``values``, ``num_slots``, ``num_composite``, ``fenwick_size``
     (``num_slots - num_composite``), ``slot_kind``, ``slot_payload``,
-    and ``total`` (the cached total weight ``W``).
+    ``same_factors`` and ``total`` (the cached total weight ``W``).
+
+    ``class_of`` (one class id per state) and ``class_matrix`` (the
+    dyadic numerators ``u(p,q)`` per ordered class pair) scale every
+    slot by its class factor (see the module docstring); composite
+    payloads keep their factor, and ``same_factors`` lists the
+    same-state block's factors in slot order (``None`` without a
+    partition).  Only the unscaled index builds the proposal pool,
+    whose rejection draw realises ``c(c−1)`` and nothing else.  Opaque
+    families cannot be scaled, so a partitioned index raises
+    :class:`WeightedIndexUnsupported` for them.
     """
 
     __slots__ = ("num_slots", "num_composite", "fenwick_size", "tree",
                  "values", "total", "slot_kind", "slot_payload",
-                 "state_steps", "pool", "_num_states", "_same_states")
+                 "state_steps", "pool", "same_factors", "_num_states",
+                 "_same_states")
 
     def __init__(
         self,
         families: Sequence[Family],
         num_states: int,
         counts: Sequence[int],
+        class_of: Optional[Sequence[int]] = None,
+        class_matrix: Optional[Sequence[Sequence[int]]] = None,
     ) -> None:
         self._num_states = num_states
+        if class_of is None:
+            u = [[1]]
+        elif len(class_of) != num_states:
+            raise SimulationError(
+                f"state classes cover {len(class_of)} states, "
+                f"expected {num_states}"
+            )
+        else:
+            u = [[int(w) for w in row] for row in class_matrix]
         kinds: List[int] = []
         payloads: List[object] = []
         weights: List[int] = []
         plans = _StatePlans(num_states)
+
+        def class_blocks(states, runs=False):
+            """``(class, states)`` groups of ``states``: its maximal runs
+            of consecutive same-class states when ``runs``, else one
+            block per class in order of first appearance."""
+            if class_of is None:
+                return [(0, list(states))]
+            groups: List[Tuple[int, List[int]]] = []
+            for state in states:
+                cls = class_of[state]
+                for group in groups[-1:] if runs else groups:
+                    if group[0] == cls:
+                        group[1].append(state)
+                        break
+                else:
+                    groups.append((cls, [state]))
+            return groups
+
+        def add_product(initiators, responders, factor):
+            slot = len(kinds)
+            payload = _ProductSlot(counts, initiators, responders, factor)
+            kinds.append(PRODUCT)
+            payloads.append(payload)
+            weights.append(payload.weight())
+            plans.add(
+                payload.initiators,
+                lambda pos, p=payload, slot=slot: (
+                    PRODUCT, p.init_tree, pos + 1, p.init_size, slot, p,
+                    True,
+                ),
+            )
+            plans.add(
+                payload.responders,
+                lambda pos, p=payload, slot=slot: (
+                    PRODUCT, p.resp_tree, pos + 1, p.resp_size, slot, p,
+                    False,
+                ),
+            )
 
         # Composite slots first: the hot loop short-circuits the find
         # for them, and a handful of comparisons resolves the draws that
@@ -696,38 +734,33 @@ class FusedIndex:
             if type(family) is SameStatePairs:
                 same_state.append(family)
             elif type(family) is OrderedProduct:
-                slot = len(kinds)
-                payload = _ProductSlot(
-                    counts, family.initiators, family.responders
-                )
-                kinds.append(PRODUCT)
-                payloads.append(payload)
-                weights.append(payload.weight())
-                plans.add(
-                    payload.initiators,
-                    lambda pos, p=payload, slot=slot: (
-                        PRODUCT, p.init_tree, pos + 1, p.init_size, slot, p,
-                        True,
-                    ),
-                )
-                plans.add(
-                    payload.responders,
-                    lambda pos, p=payload, slot=slot: (
-                        PRODUCT, p.resp_tree, pos + 1, p.resp_size, slot, p,
-                        False,
-                    ),
-                )
+                for p, initiators in class_blocks(family.initiators):
+                    for q, responders in class_blocks(family.responders):
+                        add_product(initiators, responders, u[p][q])
             elif type(family) is TriangularLine:
-                slot = len(kinds)
-                payload = _TriangularSlot(counts, family.line_states())
-                kinds.append(TRIANGULAR)
-                payloads.append(payload)
-                weights.append(payload.weight())
-                plans.add(
-                    payload.line,
-                    lambda pos, p=payload, slot=slot: (
-                        TRIANGULAR, p, pos, slot,
-                    ),
+                # A line pair (i ≤ j) lies inside one run or across two;
+                # the earlier run initiates a cross-run pair.
+                runs = class_blocks(family.line_states(), runs=True)
+                for cls, line in runs:
+                    slot = len(kinds)
+                    payload = _TriangularSlot(counts, line, u[cls][cls])
+                    kinds.append(TRIANGULAR)
+                    payloads.append(payload)
+                    weights.append(payload.weight())
+                    plans.add(
+                        payload.line,
+                        lambda pos, p=payload, slot=slot: (
+                            TRIANGULAR, p, pos, slot,
+                        ),
+                    )
+                for r, (p, initiators) in enumerate(runs):
+                    for q, responders in runs[r + 1:]:
+                        add_product(initiators, responders, u[p][q])
+            elif class_of is not None:
+                raise WeightedIndexUnsupported(
+                    f"weighted fused index cannot scale custom family "
+                    f"{type(family).__name__} exactly; use the rejection "
+                    "engine for this protocol"
                 )
             else:
                 # Opaque adapter: the family keeps maintaining its own
@@ -750,8 +783,13 @@ class FusedIndex:
             for family in same_state
             for state in family.rule_states()
         ]
+        self.same_factors: Optional[List[int]] = None
+        if class_of is not None:
+            self.same_factors = [
+                u[class_of[state]][class_of[state]] for state in rule_states
+            ]
         pool: Optional[_ProposalPool] = None
-        if rule_states:
+        if rule_states and class_of is None:
             pool = _ProposalPool(num_states, rule_states)
             pool.slot = len(kinds)
             kinds.append(PROPOSAL)
@@ -925,11 +963,15 @@ class FusedIndex:
         snapshots stay compiled-index-free while restores stay
         bit-exact.
         """
+        if OPAQUE in self.slot_kind[:self.num_composite]:
+            return False
+        self._reload(counts, np.asarray(counts, dtype=np.int64))
+        return True
+
+    def _reload(self, counts: Sequence[int], count_array: np.ndarray) -> None:
+        """Reload every slot weight (the body of :meth:`resync`)."""
         kinds = self.slot_kind
         payloads = self.slot_payload
-        if any(kinds[slot] == OPAQUE for slot in range(self.num_composite)):
-            return False
-        count_array = np.asarray(counts, dtype=np.int64)
         values = self.values
         total = 0
         for slot in range(self.num_composite):
@@ -947,7 +989,6 @@ class FusedIndex:
         # Resync doubles as reclassification: the new counts decide
         # which same-state slots are proposal-mode.
         self.total = total + self._fill_same_state(count_array)
-        return True
 
     def reclassify(self, counts: Sequence[int]) -> None:
         """Re-partition same-state slots between the pools, in place.
@@ -965,9 +1006,10 @@ class FusedIndex:
     def _fill_same_state(self, count_array: np.ndarray) -> int:
         """Classify the pool and refill the same-state block; returns its mass.
 
-        Each same-state slot weighs ``c(c−1)``, or 0 while its state is
-        a pool member (the pool pseudo-slot carries that mass).  The
-        return value is the pooled plus the tree-mode mass.
+        Each same-state slot weighs ``f·c(c−1)`` for its class factor
+        ``f``, or 0 while its state is a pool member (the pool
+        pseudo-slot carries that mass).  The return value is the pooled
+        plus the tree-mode mass.
         """
         block = count_array[self._same_states]
         block *= block - 1
@@ -977,7 +1019,13 @@ class FusedIndex:
             block[pool.classify(count_array)] = 0
             pooled = pool.weight
             self.values[pool.slot] = pooled
-        self.values[self.num_composite:] = block.tolist()
+        weights = block.tolist()
+        if self.same_factors is not None:
+            # Dyadic factors reach 2⁵³, past int64: exact Python ints.
+            block = weights = [
+                f * w for f, w in zip(self.same_factors, weights)
+            ]
+        self.values[self.num_composite:] = weights
         return pooled + fill_tree(self.tree, self.fenwick_size, block)
 
     def apply_count_change(self, state: int, old: int, new: int) -> int:
@@ -1011,7 +1059,12 @@ class FusedIndex:
                     self.total += gained
                     delta_w += gained + self._set(step[1], 0)
                 else:
-                    delta_w += self._set(step[1], new * (new - 1))
+                    weight = new * (new - 1)
+                    if self.same_factors is not None:
+                        weight *= self.same_factors[
+                            step[1] - self.num_composite
+                        ]
+                    delta_w += self._set(step[1], weight)
             elif kind == PRODUCT:
                 tree, node, size, slot, payload = (
                     step[1], step[2], step[3], step[4], step[5]
@@ -1054,9 +1107,10 @@ class FusedIndex:
         states costs one slot refresh, not three.  Refresh entries are
         pre-resolved per kind:
 
-        * triangular — ``(slot, TRIANGULAR, payload)``
+        * triangular — ``(slot, TRIANGULAR, payload)`` (the weight is
+          the payload's factor times the moment formula)
         * product — ``(slot, PRODUCT, payload)`` (the weight is the
-          product of the two maintained side totals)
+          payload's factor times the two maintained side totals)
         * opaque — ``(slot, OPAQUE, family)``
 
         ``prods`` is the transition's *sprint guard*, ``((payload,
@@ -1119,23 +1173,15 @@ class FusedIndex:
         )
 
 
-class WeightedFusedIndex:
-    """Fused index with every slot scaled by a scheduler's pair weight.
+class WeightedFusedIndex(FusedIndex):
+    """Fused index scaled by a biased scheduler, plus its total step mass.
 
     Exactness contract: pair weights enter as dyadic numerators
     (:func:`dyadic_weight_numerator`), and the scheduler must be
     *class-uniform* — its ``pair_weight`` depends only on the (state
     class, state class) pair for a given partition of the state space
-    (see ``PairScheduler.state_classes``).  Slot layout per family:
-
-    * ``SameStatePairs`` — per-state slots, weight ``c(c−1)·u(s,s)``;
-    * ``OrderedProduct`` — the sides are split into per-class blocks and
-      every (initiator block, responder block) pair gets one slot of
-      weight ``u(p,q)·A_p·B_q`` — single-sided O(#classes) updates
-      instead of rejection;
-    * ``TriangularLine`` — one O(1) moment slot when the whole line
-      shares a class (the common case: reset-line states are all
-      "extra" states), else exact per-position slots.
+    (see ``PairScheduler.state_classes``).  The slots are
+    :class:`FusedIndex`'s class-scaled layout, without a proposal pool.
 
     The index also tracks the scheduler's **total step mass** over all
     ordered agent pairs (productive or not) through per-class count
@@ -1144,10 +1190,8 @@ class WeightedFusedIndex:
     ``total / total_mass()``, both exact integers.
     """
 
-    __slots__ = ("num_slots", "tree", "values", "total", "slot_kind",
-                 "slot_payload", "state_steps", "_num_states",
-                 "class_of", "class_counts", "_class_matrix", "_row_dot",
-                 "prog_cache")
+    __slots__ = ("class_of", "class_matrix", "class_counts", "_row_dot",
+                 "_class_array")
 
     def __init__(
         self,
@@ -1157,307 +1201,48 @@ class WeightedFusedIndex:
         class_of: Sequence[int],
         class_matrix: Sequence[Sequence[int]],
     ) -> None:
-        if len(class_of) != num_states:
-            raise SimulationError(
-                f"state classes cover {len(class_of)} states, "
-                f"expected {num_states}"
-            )
-        self._num_states = num_states
+        super().__init__(families, num_states, counts, class_of, class_matrix)
         self.class_of = list(class_of)
-        u = [[int(w) for w in row] for row in class_matrix]
-        self._class_matrix = u
-        num_classes = len(u)
+        self.class_matrix = [[int(w) for w in row] for row in class_matrix]
+        self._class_array = np.asarray(class_of, dtype=np.intp)
+        self.class_counts = [0] * len(self.class_matrix)
+        self._row_dot = [0] * len(self.class_matrix)
+        self._load_class_sums(np.asarray(counts, dtype=np.int64))
 
-        kinds: List[int] = []
-        payloads: List[object] = []
-        weights: List[int] = []
-        steps: List[List[tuple]] = [[] for _ in range(num_states)]
-
-        for family in families:
-            if type(family) is SameStatePairs:
-                for state in family.rule_states():
-                    cls = self.class_of[state]
-                    slot = len(kinds)
-                    factor = u[cls][cls]
-                    kinds.append(SAME)
-                    payloads.append((state, factor))
-                    weights.append(
-                        factor * counts[state] * (counts[state] - 1)
-                    )
-                    steps[state].append((SAME, slot, factor))
-            elif type(family) is OrderedProduct:
-                self._compile_product(
-                    family, counts, u, kinds, payloads, weights, steps
-                )
-            elif type(family) is TriangularLine:
-                self._compile_triangular(
-                    family, counts, u, kinds, payloads, weights, steps
-                )
-            else:
-                raise WeightedIndexUnsupported(
-                    f"weighted fused index cannot scale custom family "
-                    f"{type(family).__name__} exactly; use the rejection "
-                    "engine for this protocol"
-                )
-
-        self.num_slots = len(kinds)
-        self.slot_kind = kinds
-        self.slot_payload = payloads
-        fenwick = FenwickTree.from_values(weights)
-        self.tree = fenwick._tree
-        self.values = fenwick._values
-        self.total = fenwick.total
-        self.state_steps = [tuple(entries) for entries in steps]
-        # Per-index cache of compiled transition programs (slot ids are
-        # index-specific, so the cache cannot live on the engine when a
-        # timeline compiles several indexes).
-        self.prog_cache: Dict[int, tuple] = {}
-
-        # Per-class count sums for the total step mass.
-        class_counts = [0] * num_classes
-        for state, count in enumerate(counts):
-            class_counts[self.class_of[state]] += count
-        self.class_counts = class_counts
-        self._row_dot = [
-            sum(u[p][q] * class_counts[q] for q in range(num_classes))
-            for p in range(num_classes)
+    def _load_class_sums(self, count_array: np.ndarray) -> None:
+        """Per-class count sums and ``row_dot[p] = Σ_q u(p,q)·C_q``."""
+        sums = np.zeros(len(self.class_counts), dtype=np.int64)
+        np.add.at(sums, self._class_array, count_array)
+        class_counts = self.class_counts
+        class_counts[:] = sums.tolist()
+        self._row_dot[:] = [
+            sum(w * count for w, count in zip(row, class_counts))
+            for row in self.class_matrix
         ]
 
-    def _compile_product(
-        self, family, counts, u, kinds, payloads, weights, steps
-    ) -> None:
-        """Split an OrderedProduct's sides into per-class blocks."""
-        def blocks(states):
-            grouped: Dict[int, List[int]] = {}
-            for state in states:
-                grouped.setdefault(self.class_of[state], []).append(state)
-            return grouped
-
-        init_blocks = blocks(family.initiators)
-        resp_blocks = blocks(family.responders)
-        for p, initiators in init_blocks.items():
-            for q, responders in resp_blocks.items():
-                slot = len(kinds)
-                payload = _ProductSlot(
-                    counts, initiators, responders, factor=u[p][q]
-                )
-                kinds.append(PRODUCT)
-                payloads.append(payload)
-                weights.append(payload.weight())
-                for pos, state in enumerate(initiators):
-                    steps[state].append(
-                        (PRODUCT, payload, OrderedProduct.INITIATOR, pos,
-                         slot)
-                    )
-                for pos, state in enumerate(responders):
-                    steps[state].append(
-                        (PRODUCT, payload, OrderedProduct.RESPONDER, pos,
-                         slot)
-                    )
-
-    def _compile_triangular(
-        self, family, counts, u, kinds, payloads, weights, steps
-    ) -> None:
-        """One moment slot if the line is class-uniform, else per-position."""
-        line = family.line_states()
-        classes = {self.class_of[state] for state in line}
-        if len(classes) == 1:
-            cls = classes.pop()
-            slot = len(kinds)
-            payload = _TriangularSlot(counts, line, factor=u[cls][cls])
-            kinds.append(TRIANGULAR)
-            payloads.append(payload)
-            weights.append(payload.weight())
-            for pos, state in enumerate(line):
-                steps[state].append((TRIANGULAR, payload, pos, slot))
-            return
-        payload = _WeightedLine(
-            counts, line, [self.class_of[s] for s in line], u
-        )
-        base_slot = len(kinds)
-        for pos in range(len(line)):
-            kinds.append(TRIANGULAR)
-            payloads.append((payload, pos))
-            weights.append(payload.position_weight(pos))
-        for pos, state in enumerate(line):
-            steps[state].append((_WEIGHTED_LINE, payload, pos, base_slot))
-
-    # ------------------------------------------------------------------
-    # Sampling (method-based: the weighted engine replaces a rejection
-    # loop whose cost per step dwarfs a few Python calls)
-    # ------------------------------------------------------------------
-    def find(self, target: int) -> Tuple[int, int]:
-        """Slot hit by a weighted draw, plus the residual target."""
-        if not 0 <= target < self.total:
-            raise SimulationError(
-                f"fused find target {target} outside [0, {self.total})"
-            )
-        tree = self.tree
-        num_slots = self.num_slots
-        pos = 0
-        bit = 1 << (num_slots.bit_length() - 1) if num_slots else 0
-        while bit:
-            nxt = pos + bit
-            if nxt <= num_slots:
-                below = tree[nxt]
-                if below <= target:
-                    target -= below
-                    pos = nxt
-            bit >>= 1
-        return pos, target
-
-    def sample(self, rand_below) -> Tuple[int, int]:
-        """Draw a productive pair ∝ ``count-pairs · scheduler weight``."""
-        slot, residual = self.find(rand_below(self.total))
-        kind = self.slot_kind[slot]
-        payload = self.slot_payload[slot]
-        if kind == SAME:
-            return payload[0], payload[0]
-        if kind == PRODUCT:
-            return payload.pair_from_target(residual)
-        if isinstance(payload, tuple):  # weighted per-position line slot
-            line_payload, pos = payload
-            return line_payload.pair_from_target(pos, residual)
-        return payload.pair_from_target(residual)
-
-    def _set(self, slot: int, weight: int) -> int:
-        values = self.values
-        delta = weight - values[slot]
-        if delta == 0:
-            return 0
-        values[slot] = weight
-        self.total += delta
-        tree = self.tree
-        node = slot + 1
-        num_slots = self.num_slots
-        while node <= num_slots:
-            tree[node] += delta
-            node += node & -node
-        return delta
-
-    def apply_count_change(self, state: int, old: int, new: int) -> int:
-        """Route one count change through slots and class sums."""
-        delta = new - old
+    def add_class_count(self, state: int, delta: int) -> None:
+        """Adopt one state's count change in the class sums."""
         cls = self.class_of[state]
         self.class_counts[cls] += delta
-        u = self._class_matrix
         row_dot = self._row_dot
-        for q in range(len(row_dot)):
-            row_dot[q] += u[q][cls] * delta
-        delta_w = 0
-        for step in self.state_steps[state]:
-            kind = step[0]
-            if kind == SAME:
-                slot, factor = step[1], step[2]
-                delta_w += self._set(slot, factor * new * (new - 1))
-            elif kind == PRODUCT:
-                payload, side, pos, slot = step[1], step[2], step[3], step[4]
-                payload.add(side, pos, delta)
-                delta_w += self._set(slot, payload.weight())
-            elif kind == TRIANGULAR:
-                payload, pos, slot = step[1], step[2], step[3]
-                payload.counts[pos] = new
-                payload.s += delta
-                payload.q += new * new - old * old
-                delta_w += self._set(slot, payload.weight())
-            else:  # _WEIGHTED_LINE
-                payload, pos, base_slot = step[1], step[2], step[3]
-                for line_pos in payload.update(pos, new):
-                    delta_w += self._set(
-                        base_slot + line_pos,
-                        payload.position_weight(line_pos),
-                    )
-        return delta_w
+        for p, row in enumerate(self.class_matrix):
+            row_dot[p] += row[cls] * delta
 
-    def compile_transition(
-        self, ops: Sequence[Tuple[int, int]]
-    ) -> Optional[Tuple[tuple, tuple]]:
-        """Compile one transition into a (prog, refresh) pair, or ``None``.
-
-        Mirrors :meth:`FusedIndex.compile_transition` for the weighted
-        index's inlined segment loop: ``prog`` lists ``(state, delta,
-        steps, cls, col)`` — the class-sum column ``col[q] = u[q][cls]``
-        is pre-resolved so the loop updates ``row_dot`` without matrix
-        indexing — and ``refresh`` deduplicates the composite slots to
-        recompute (``(slot, kind, payload, factor)``).  Transitions
-        touching per-position weighted-line slots are not compiled
-        (``None``): their fan-out refresh stays on the generic method
-        path.
-        """
-        u = self._class_matrix
-        num_classes = len(u)
-        prog: List[tuple] = []
-        refresh: Dict[int, tuple] = {}
-        for state, delta in ops:
-            steps = self.state_steps[state]
-            for step in steps:
-                kind = step[0]
-                if kind == SAME:
-                    continue
-                if kind == PRODUCT:
-                    payload, slot = step[1], step[4]
-                    if slot not in refresh:
-                        refresh[slot] = (slot, PRODUCT, payload,
-                                         payload.factor)
-                elif kind == TRIANGULAR:
-                    payload, slot = step[1], step[3]
-                    if slot not in refresh:
-                        refresh[slot] = (slot, TRIANGULAR, payload,
-                                         payload.factor)
-                else:
-                    return None  # weighted-line fan-out: generic path
-            cls = self.class_of[state]
-            col = tuple(u[q][cls] for q in range(num_classes))
-            prog.append((state, delta, steps, cls, col))
-        return tuple(prog), tuple(refresh.values())
-
-    def resync(self, counts: Sequence[int]) -> None:
+    def resync(self, counts: Sequence[int]) -> bool:
         """Reload every slot weight and class sum from a counts list, in place.
 
         The slot layout and payload objects stay valid — only the
-        weights move.  One O(n + slots) pass serves two seams: adopting
-        an externally mutated configuration (fault injection) and
-        **epoch hot-swap** — an engine switching scheduler segments
-        resyncs the incoming precompiled index from the live counts
-        instead of recompiling it.
+        weights move.  One pass serves two seams: adopting an
+        externally mutated configuration (fault injection) and **epoch
+        hot-swap** — an engine switching scheduler segments resyncs the
+        incoming precompiled index from the live counts instead of
+        recompiling it.  A weighted index has no opaque slots, so this
+        always succeeds.
         """
-        values = self.values
-        kinds = self.slot_kind
-        payloads = self.slot_payload
         count_array = np.asarray(counts, dtype=np.int64)
-        lines_done: set = set()
-        for slot in range(self.num_slots):
-            kind = kinds[slot]
-            payload = payloads[slot]
-            if kind == SAME:
-                state, factor = payload
-                values[slot] = factor * counts[state] * (counts[state] - 1)
-            elif kind == PRODUCT:
-                payload.resync(counts, count_array)
-                values[slot] = payload.weight()
-            elif isinstance(payload, tuple):  # weighted per-position line
-                line_payload, pos = payload
-                if id(line_payload) not in lines_done:
-                    line_payload.resync(counts)
-                    lines_done.add(id(line_payload))
-                values[slot] = line_payload.position_weight(pos)
-            else:
-                payload.resync(count_array)
-                values[slot] = payload.weight()
-        self.total = fill_tree(self.tree, self.num_slots, values)
-        class_counts = self.class_counts
-        num_classes = len(class_counts)
-        for cls in range(num_classes):
-            class_counts[cls] = 0
-        class_of = self.class_of
-        for state, count in enumerate(counts):
-            class_counts[class_of[state]] += count
-        u = self._class_matrix
-        row_dot = self._row_dot
-        for p in range(num_classes):
-            row_dot[p] = sum(
-                u[p][q] * class_counts[q] for q in range(num_classes)
-            )
+        self._reload(counts, count_array)
+        self._load_class_sums(count_array)
+        return True
 
     def total_mass(self) -> int:
         """Scheduler mass of *all* ordered agent pairs (incl. null ones).
@@ -1466,7 +1251,7 @@ class WeightedFusedIndex:
         analogue of ``n(n−1)``, and the denominator of the geometric
         jump's success probability.  O(#classes) per call.
         """
-        u = self._class_matrix
+        u = self.class_matrix
         class_counts = self.class_counts
         row_dot = self._row_dot
         cross = 0
@@ -1475,62 +1260,3 @@ class WeightedFusedIndex:
             cross += count * row_dot[p]
             diagonal += u[p][p] * count
         return cross - diagonal
-
-
-class _WeightedLine:
-    """Per-position triangular slots for a non-class-uniform line.
-
-    Position ``i`` carries ``w_i = c_i·[(c_i−1)·u_ii + Σ_{j>i} c_j·u_ij]``
-    so Σ w_i is the family's exact weighted mass.  A count change at
-    position ``p`` touches positions ``i ≤ p`` (the line is O(log n)
-    states, so the O(len) update only ever runs on a short list).
-    """
-
-    __slots__ = ("line", "counts", "matrix")
-
-    def __init__(self, counts, line, line_classes, u) -> None:
-        self.line = list(line)
-        self.counts = [counts[s] for s in self.line]
-        length = len(self.line)
-        self.matrix = [
-            [u[line_classes[i]][line_classes[j]] for j in range(length)]
-            for i in range(length)
-        ]
-
-    def position_weight(self, i: int) -> int:
-        counts = self.counts
-        row = self.matrix[i]
-        c = counts[i]
-        if c == 0:
-            return 0
-        acc = (c - 1) * row[i]
-        for j in range(i + 1, len(counts)):
-            acc += counts[j] * row[j]
-        return c * acc
-
-    def update(self, pos: int, new: int) -> range:
-        """Adopt a new count; returns the positions whose weight moved."""
-        self.counts[pos] = new
-        return range(pos + 1)
-
-    def resync(self, counts) -> None:
-        """Reload line counts from a full counts list, in place."""
-        line_counts = self.counts
-        for pos, state in enumerate(self.line):
-            line_counts[pos] = counts[state]
-
-    def pair_from_target(self, i: int, target: int) -> Tuple[int, int]:
-        counts = self.counts
-        line = self.line
-        row = self.matrix[i]
-        c = counts[i]
-        same = c * (c - 1) * row[i]
-        if target < same:
-            return line[i], line[i]
-        target -= same
-        for j in range(i + 1, len(counts)):
-            cross = c * counts[j] * row[j]
-            if target < cross:
-                return line[i], line[j]
-            target -= cross
-        raise SimulationError("weighted line sample out of range")

@@ -15,10 +15,11 @@ links, starved states).  This module is the engine-side seam:
   to the allocation-free jump fast path, so selecting it costs nothing;
 * :class:`WeightedScheduledEngine` — the **weighted jump fast path**: a
   geometric-jump engine over a
-  :class:`~repro.core.fused.WeightedFusedIndex`, which scales every
-  productive pair slot by the scheduler weight (exact dyadic rationals)
-  and tracks the scheduler's total step mass, so biased runs sample
-  productive steps directly instead of rejecting draw after draw;
+  :class:`~repro.core.fused.WeightedFusedIndex` — the uniform engine's
+  composite-first fused layout with every slot scaled by its class
+  factor (exact dyadic rationals), plus the scheduler's total step
+  mass — so biased runs sample productive steps directly instead of
+  rejecting draw after draw;
 * :class:`ScheduledEngine` — the rejection reference: a
   sequential-style engine that realises an arbitrary scheduler exactly
   by accepting uniform draws with probability ``pair_weight(si, sj)``.
@@ -517,7 +518,11 @@ class WeightedScheduledEngine:
     ordered agent pairs — both exact integers maintained incrementally —
     so null steps collapse into a geometric skip exactly as in the
     uniform jump chain, and the productive pair itself is drawn from
-    the weighted index in one ``find``.
+    the weighted index in one ``find``.  That index is the uniform
+    engine's fused layout with every slot scaled by its class factor
+    (:class:`~repro.core.fused.WeightedFusedIndex`), so the inlined
+    loop runs the same compiled transition programs and resolves most
+    draws in the composite pre-scan; it has no proposal pool.
 
     Accepts an :class:`EpochScheduler` natively: one
     :class:`~repro.core.fused.WeightedFusedIndex` is precompiled per
@@ -559,9 +564,11 @@ class WeightedScheduledEngine:
         # Deduplicate on the *derived* (classes, dyadic matrix): the
         # scenario layer builds a fresh scheduler object per timeline
         # segment, so value-equal segments (the common "flip back"
-        # pattern) must still share one compiled index.
-        compiled: Dict[tuple, WeightedFusedIndex] = {}
-        self._indices: List[WeightedFusedIndex] = []
+        # pattern) must still share one compiled index.  Each index
+        # comes with its own cache of compiled transition programs
+        # (slot ids and classes are per index).
+        compiled: Dict[tuple, Tuple[WeightedFusedIndex, dict]] = {}
+        self._segments: List[Tuple[WeightedFusedIndex, dict]] = []
         for _, segment_scheduler in self._cursor.segments:
             class_of, reps = _derive_classes(
                 segment_scheduler, self._num_states
@@ -580,15 +587,18 @@ class WeightedScheduledEngine:
                 tuple(tuple(row) for row in matrix),
             )
             if key not in compiled:
-                compiled[key] = WeightedFusedIndex(
-                    families,
-                    self._num_states,
-                    self.counts,
-                    class_of,
-                    matrix,
+                compiled[key] = (
+                    WeightedFusedIndex(
+                        families,
+                        self._num_states,
+                        self.counts,
+                        class_of,
+                        matrix,
+                    ),
+                    {},
                 )
-            self._indices.append(compiled[key])
-        self._index = self._indices[self._cursor.epoch]
+            self._segments.append(compiled[key])
+        self._index, self._programs = self._segments[self._cursor.epoch]
         self._draws = DrawStream(rng, uniforms=True)
         self._pair_table: Dict[int, tuple] = {}
 
@@ -610,13 +620,14 @@ class WeightedScheduledEngine:
     def _advance_epoch(self) -> None:
         """Enter the next segment, hot-swapping its precompiled index."""
         self._cursor.advance(self.events, self.interactions)
-        index = self._indices[self._cursor.epoch]
+        index, programs = self._segments[self._cursor.epoch]
         swapped = index is not self._index
         if swapped:
             # The incoming index went stale while another segment ran;
             # one in-place resync from the live counts revalidates it.
             index.resync(self.counts)
             self._index = index
+            self._programs = programs
         if self._instr is not None:
             self._instr.add("epoch_switches")
             if swapped:
@@ -651,6 +662,7 @@ class WeightedScheduledEngine:
     # Simulation
     # ------------------------------------------------------------------
     def _transition(self, si: int, sj: int) -> tuple:
+        """``(ti, tj, ops)`` for a productive pair, via the table."""
         table = self._pair_table
         entry = table.get(si * self._num_states + sj)
         if entry is not None:
@@ -662,12 +674,35 @@ class WeightedScheduledEngine:
                 "family coverage does not match delta"
             )
         ti, tj = out
-        delta: Dict[int, int] = {}
-        for state, change in ((si, -1), (sj, -1), (ti, 1), (tj, 1)):
-            delta[state] = delta.get(state, 0) + change
-        entry = (ti, tj, tuple((s, d) for s, d in delta.items() if d != 0))
+        entry = (ti, tj, _transition_ops(si, sj, ti, tj))
         table[si * self._num_states + sj] = entry
         return entry
+
+    def _program(self, si: int, sj: int) -> tuple:
+        """``(prog, refresh, moves)``: one transition compiled for the
+        active index.
+
+        ``prog`` and ``refresh`` come from
+        :meth:`~repro.core.fused.FusedIndex.compile_transition`;
+        ``moves`` lists the transition's net class-count changes as
+        ``(class, delta, column)`` with the matrix column
+        ``u(·, class)`` pre-resolved for the ``row_dot`` update.  A
+        transition inside one class has no moves and leaves the total
+        step mass alone.
+        """
+        index = self._index
+        ops = self._transition(si, sj)[2]
+        prog, refresh = index.compile_transition(ops)[:2]
+        net: Dict[int, int] = {}
+        for state, delta in ops:
+            cls = index.class_of[state]
+            net[cls] = net.get(cls, 0) + delta
+        moves = tuple(
+            (cls, delta, tuple(row[cls] for row in index.class_matrix))
+            for cls, delta in net.items()
+            if delta
+        )
+        return prog, refresh, moves
 
     def _apply_ops(self, ops) -> None:
         counts = self.counts
@@ -681,6 +716,7 @@ class WeightedScheduledEngine:
                 )
             counts[state] = new
             index.apply_count_change(state, old, new)
+            index.add_class_count(state, delta)
 
     def reset_configuration(self, configuration) -> None:
         """Adopt an externally mutated configuration mid-run.
@@ -754,7 +790,7 @@ class WeightedScheduledEngine:
         cursor.start_events = snapshot.start_events
         cursor.start_interactions = snapshot.start_interactions
         cursor.next_predicate_check = snapshot.next_predicate_check
-        self._index = self._indices[snapshot.epoch]
+        self._index, self._programs = self._segments[snapshot.epoch]
         self._index.resync(self.counts)
         self.interactions = snapshot.interactions
         self.events = snapshot.events
@@ -867,11 +903,14 @@ class WeightedScheduledEngine:
     ) -> bool:
         """The inlined weighted jump loop (recorder-free chunks).
 
-        The method-dispatch loop is unrolled: batched skip draws, a
-        spliced two-raw exact target, an inlined Fenwick find, and
-        transitions compiled to straight-line programs cached on the
-        index (:attr:`~repro.core.fused.WeightedFusedIndex.prog_cache`)
-        with pre-resolved class-sum columns.
+        The method-dispatch loop is unrolled over the index's
+        composite-first layout: batched skip draws, a spliced two-raw
+        exact target, the composite pre-scan with the Fenwick walk over
+        the same-state block as fallback, and the shared
+        :meth:`~repro.core.fused.FusedIndex.compile_transition`
+        programs, cached per index, with the slot refresh scaled by
+        each payload's class factor.  The total step mass is recomputed
+        only after a transition that moves agents between classes.
         """
         index = self._index
         cap = WEIGHT_DENOMINATOR * self._protocol.num_agents ** 2
@@ -880,23 +919,30 @@ class WeightedScheduledEngine:
         counts = self.counts
         tree = index.tree
         values = index.values
-        num_slots = index.num_slots
-        highbit = 1 << (num_slots.bit_length() - 1) if num_slots else 0
+        num_composite = index.num_composite
+        fensize = index.fenwick_size
+        highbit = 1 << (fensize.bit_length() - 1) if fensize else 0
         slot_kind = index.slot_kind
         slot_payload = index.slot_payload
+        same_factors = index.same_factors
         class_counts = index.class_counts
         row_dot = index._row_dot
-        u = index._class_matrix
-        num_classes = len(u)
-        prog_cache = index.prog_cache
+        programs = self._programs
         num_states = self._num_states
         draws = self._draws
         log1p, ceil = math.log1p, math.ceil
         span = 1 << 128
         total = index.total
+        mass = index.total_mass()
         interactions = self.interactions
         events = self.events
         remaining = -1 if max_events is None else max(0, max_events - events)
+        # Telemetry as in the uniform fused loop: draw totals from
+        # batch-refill tallies, find counters only while `instr_on`.
+        ins = self._instr
+        instr_on = ins is not None
+        nub = nrb = 0
+        c_fen = c_comp = 0
         lus: List[float] = []
         upos = BATCH
         raws: List[int] = []
@@ -907,14 +953,6 @@ class WeightedScheduledEngine:
             if total == 0:
                 silent = True
                 break
-            # Total step mass over all ordered pairs, O(#classes).
-            mass = 0
-            diag = 0
-            for p in range(num_classes):
-                cp = class_counts[p]
-                mass += cp * row_dot[p]
-                diag += u[p][p] * cp
-            mass -= diag
             # Geometric skip over accepted scheduler steps.
             ratio = total / mass
             if ratio >= 1.0:
@@ -923,6 +961,7 @@ class WeightedScheduledEngine:
                 if upos == BATCH:
                     lus = draws.log_uniform_batch()
                     upos = 0
+                    nub += 1
                 lu = lus[upos]
                 upos += 1
                 lp = log1p(-ratio)
@@ -941,130 +980,127 @@ class WeightedScheduledEngine:
                     raws = draws.raw_batch()
                     raw_len = BATCH
                     rpos = 0
+                    nrb += 1
                 draw = (raws[rpos] << 64) | raws[rpos + 1]
                 rpos += 2
                 target = draw % total
                 if draw - target <= span - total:
                     break
-            # Inlined Fenwick find over all slots.
-            pos = 0
-            bit = highbit
-            while bit:
-                nxt = pos + bit
-                if nxt <= num_slots:
-                    below = tree[nxt]
-                    if below <= target:
-                        target -= below
-                        pos = nxt
-                bit >>= 1
-            kind = slot_kind[pos]
-            payload = slot_payload[pos]
-            if kind == SAME:
-                si = sj = payload[0]
-            elif kind == PRODUCT:
-                si, sj = payload.pair_from_target(target)
-            elif type(payload) is tuple:  # weighted per-position line
-                si, sj = payload[0].pair_from_target(payload[1], target)
+            # Composite slots first, then the same-state Fenwick block.
+            pos = -1
+            for ci in range(num_composite):
+                v = values[ci]
+                if target < v:
+                    pos = ci
+                    break
+                target -= v
+            if pos < 0:
+                pos = 0
+                bit = highbit
+                while bit:
+                    nxt = pos + bit
+                    if nxt <= fensize:
+                        below = tree[nxt]
+                        if below <= target:
+                            target -= below
+                            pos = nxt
+                    bit >>= 1
+                pos += num_composite
+                if instr_on:
+                    c_fen += 1
+            elif instr_on:
+                c_comp += 1
+            if slot_kind[pos] == SAME:
+                si = sj = slot_payload[pos]
             else:
-                si, sj = payload.pair_from_target(target)
-            # Transition via the index's compiled-program cache.
+                si, sj = slot_payload[pos].pair_from_target(target)
             key = si * num_states + sj
-            entry = prog_cache.get(key)
+            entry = programs.get(key)
             if entry is None:
-                entry = self._compile_weighted_pair(si, sj, index)
-                prog_cache[key] = entry
-            prog = entry[2]
-            if prog is None:
-                # Weighted-line fan-out: generic method path.
-                for state, delta in entry[3]:
-                    old = counts[state]
-                    new = old + delta
-                    if new < 0:
-                        raise SimulationError(
-                            f"state {state} count went negative applying "
-                            "transition"
+                entry = self._program(si, sj)
+                programs[key] = entry
+            prog, refresh, moves = entry
+            dtotal = 0
+            for state, delta, steps in prog:
+                old = counts[state]
+                new = old + delta
+                if new < 0:
+                    raise SimulationError(
+                        f"state {state} count went negative applying "
+                        "transition"
+                    )
+                counts[state] = new
+                for step in steps:
+                    code = step[0]
+                    if code == SAME:
+                        slot = step[1]
+                        w = (
+                            same_factors[slot - num_composite]
+                            * new * (new - 1)
                         )
-                    counts[state] = new
-                    index.apply_count_change(state, old, new)
-                total = index.total
-            else:
-                dtotal = 0
-                for state, delta, steps, cls, col in prog:
-                    old = counts[state]
-                    new = old + delta
-                    if new < 0:
-                        raise SimulationError(
-                            f"state {state} count went negative applying "
-                            "transition"
-                        )
-                    counts[state] = new
-                    class_counts[cls] += delta
-                    qi = 0
-                    for column in col:
-                        row_dot[qi] += column * delta
-                        qi += 1
-                    for step in steps:
-                        code = step[0]
-                        if code == SAME:
-                            slot = step[1]
-                            w = step[2] * new * (new - 1)
-                            dv = w - values[slot]
-                            if dv:
-                                values[slot] = w
-                                dtotal += dv
-                                node = slot + 1
-                                while node <= num_slots:
-                                    tree[node] += dv
-                                    node += node & -node
-                        elif code == PRODUCT:
-                            step[1].add(step[2], step[3], delta)
-                        else:  # TRIANGULAR (no weighted-line here)
-                            pay = step[1]
-                            pay.counts[step[2]] = new
-                            pay.s += delta
-                            pay.q += new * new - old * old
-                for slot, rkind, pay, factor in entry[3]:
-                    if rkind == PRODUCT:
-                        w = factor * pay.init_total * pay.resp_total
-                    else:
-                        s_ = pay.s
-                        q_ = pay.q
-                        w = factor * ((q_ - s_) + (s_ * s_ - q_) // 2)
-                    dv = w - values[slot]
-                    if dv:
-                        values[slot] = w
-                        dtotal += dv
-                        node = slot + 1
-                        while node <= num_slots:
-                            tree[node] += dv
+                        dv = w - values[slot]
+                        if dv:
+                            values[slot] = w
+                            dtotal += dv
+                            node = step[2]
+                            while node <= fensize:
+                                tree[node] += dv
+                                node += node & -node
+                    elif code == PRODUCT:
+                        # Gated side walks, as in the uniform loop.
+                        prod = step[5]
+                        if step[6]:
+                            prod.init_total += delta
+                            if prod.stale & 1 or prod.resp_total == 0:
+                                prod.stale |= 1
+                                continue
+                        else:
+                            prod.resp_total += delta
+                            if prod.stale & 2 or prod.init_total == 0:
+                                prod.stale |= 2
+                                continue
+                        ptree = step[1]
+                        node = step[2]
+                        psize = step[3]
+                        while node <= psize:
+                            ptree[node] += delta
                             node += node & -node
-                if dtotal:
-                    total += dtotal
-                    index.total = total
+                    else:  # TRIANGULAR
+                        tri = step[1]
+                        tri.counts[step[2]] = new
+                        tri.s += delta
+                        tri.q += new * new - old * old
+            for slot, rkind, pay in refresh:
+                if rkind == PRODUCT:
+                    w = pay.factor * pay.init_total * pay.resp_total
+                else:
+                    s_ = pay.s
+                    q_ = pay.q
+                    w = pay.factor * ((q_ - s_) + (s_ * s_ - q_) // 2)
+                dtotal += w - values[slot]
+                values[slot] = w
+            total += dtotal
+            if moves:
+                for cls, delta, column in moves:
+                    class_counts[cls] += delta
+                    p = 0
+                    for u_pc in column:
+                        row_dot[p] += u_pc * delta
+                        p += 1
+                mass = index.total_mass()
             events += 1
             remaining -= 1
         self.interactions = interactions
         self.events = events
         index.total = total
-        return silent
-
-    def _compile_weighted_pair(
-        self, si: int, sj: int, index: WeightedFusedIndex
-    ) -> tuple:
-        """``(ti, tj, prog, refresh_or_ops)`` for the inlined loop."""
-        out = self._protocol.delta(si, sj)
-        if out is None:
-            raise SimulationError(
-                f"weighted index sampled null pair ({si}, {sj}) — "
-                "family coverage does not match delta"
+        if instr_on:
+            ins.add_counters(
+                skip_draws=nub * BATCH - (BATCH - upos) if nub else 0,
+                raw_draws=nrb * BATCH - (raw_len - rpos) if nrb else 0,
+                fenwick_finds=c_fen,
+                composite_finds=c_comp,
             )
-        ti, tj = out
-        ops = _transition_ops(si, sj, ti, tj)
-        compiled = index.compile_transition(ops)
-        if compiled is None:
-            return (ti, tj, None, ops)
-        prog, refresh = compiled
-        return (ti, tj, prog, refresh)
+        return silent
 
     def run(
         self,

@@ -20,8 +20,8 @@ Counter vocabulary (engines only touch the ones their loop has):
     Productive events and scheduler steps covered by the run.
 ``skip_draws``, ``raw_draws``
     Uniforms consumed for geometric skips and 64-bit raws consumed for
-    routing targets, pool proposals and rejection, from batch
-    arithmetic.
+    routing targets (two per weighted-loop target), pool proposals and
+    rejection, from batch arithmetic.
 ``pool_draws``, ``sprint_events``, ``proposal_draws``
     Events served by the proposal pool, the subset taken on the sprint
     shortcut (no routing draw), and agent proposals consumed including
@@ -29,7 +29,7 @@ Counter vocabulary (engines only touch the ones their loop has):
     "proposals per draw" residual-cost number.
 ``fenwick_finds``, ``composite_finds``
     Routed target draws resolved by a Fenwick walk vs the composite
-    linear scan.
+    linear scan, in the fused loop and the weighted loop alike.
 ``proposal_mode_events``, ``fenwick_mode_events``, ``mode_switches``
     The same-state dual sampler's adaptive split.
 ``accept_tests``, ``accept_rejects``

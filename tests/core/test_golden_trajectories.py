@@ -202,10 +202,13 @@ def test_cases_reach_their_loops():
     engine = _build("weighted-timeline", instrumentation=instr)[2]
     engine.run(max_events=CASES["weighted-timeline"][3])
     # The timeline crosses both boundaries, every event on the inlined
-    # weighted loop.
+    # weighted loop, whose draws reach both blocks of the shared fused
+    # layout.
     assert engine.epoch == 2
     assert instr.get("epoch_switches") == 2
     assert instr.get("weighted_events") == engine.events
+    assert instr.get("composite_finds") > 0
+    assert instr.get("fenwick_finds") > 0
 
 
 if __name__ == "__main__":

@@ -21,7 +21,9 @@ Three invariant groups:
 * compiled transitions: every program the fused loop can run changes
   exactly the counts the transition changes;
 * the fused loop's first event follows the exact one-step law, whether
-  the pool proposal is entered on the sprint or from a routed draw.
+  the pool proposal is entered on the sprint or from a routed draw, and
+  so does the weighted loop's under biased, clustered and many-class
+  schedulers.
 """
 
 import math
@@ -275,24 +277,17 @@ def _reconstruct_pair_masses(index, counts):
         if index.values[slot] == 0:
             continue
         if kind == 0:  # same-state
-            state, factor = payload
+            state = payload
+            factor = index.same_factors[slot - index.num_composite]
             add((state, state), factor * counts[state] * (counts[state] - 1))
-        elif kind == 1:  # product block
+        elif kind == 1:  # product block (a product family or two line runs)
             for initiator in payload.initiators:
                 for responder in payload.responders:
                     add(
                         (initiator, responder),
                         payload.factor * counts[initiator] * counts[responder],
                     )
-        elif isinstance(payload, tuple):  # weighted per-position line
-            line_payload, pos = payload
-            line = line_payload.line
-            row = line_payload.matrix[pos]
-            ci = line_payload.counts[pos]
-            add((line[pos], line[pos]), row[pos] * ci * (ci - 1))
-            for j in range(pos + 1, len(line)):
-                add((line[pos], line[j]), row[j] * ci * line_payload.counts[j])
-        else:  # class-uniform triangular line
+        else:  # one class run of a triangular line
             factor = payload.factor
             line = payload.line
             for i, initiator in enumerate(line):
@@ -470,16 +465,42 @@ def _chi2_sf(stat, dof):
     return total
 
 
-def _one_step_law(protocol, counts):
-    """Exact law of the count vector after one productive event."""
+def _one_step_law(protocol, counts, masses=None):
+    """Exact law of the count vector after one productive event, from
+    per-pair step masses (the uniform scheduler's by default)."""
+    if masses is None:
+        masses = _uniform_pair_masses(protocol, counts)
     law = Counter()
-    for (si, sj), mass in _uniform_pair_masses(protocol, counts).items():
+    for (si, sj), mass in masses.items():
         ti, tj = protocol.delta(si, sj)
         after = list(counts)
         for state, delta in _transition_ops(si, sj, ti, tj):
             after[state] += delta
         law[tuple(after)] += mass
     return law
+
+
+def _chi2_cells(seen, law, draws):
+    """Pearson statistic and cell count of ``draws`` observed outcomes
+    against an exact law; outcomes expected fewer than 5 times are
+    pooled into one cell."""
+    total = sum(law.values())
+    stat = 0.0
+    cells = 0
+    rest_expected = 0.0
+    rest_seen = 0
+    for outcome, mass in law.items():
+        expected = draws * mass / total
+        if expected < 5:
+            rest_expected += expected
+            rest_seen += seen[outcome]
+            continue
+        stat += (seen[outcome] - expected) ** 2 / expected
+        cells += 1
+    if rest_expected:
+        stat += (rest_seen - rest_expected) ** 2 / rest_expected
+        cells += 1
+    return stat, cells
 
 
 class TestFusedLoopPrograms:
@@ -546,23 +567,7 @@ class TestFusedLoopPrograms:
         else:
             assert instr.get("sprint_events") == 0
             assert instr.get("pool_draws") > 0
-        # Outcomes expected fewer than 5 times are pooled into one cell.
-        total = sum(law.values())
-        stat = 0.0
-        cells = 0
-        rest_expected = 0.0
-        rest_seen = 0
-        for outcome, mass in law.items():
-            expected = draws * mass / total
-            if expected < 5:
-                rest_expected += expected
-                rest_seen += seen[outcome]
-                continue
-            stat += (seen[outcome] - expected) ** 2 / expected
-            cells += 1
-        if rest_expected:
-            stat += (rest_seen - rest_expected) ** 2 / rest_expected
-            cells += 1
+        stat, cells = _chi2_cells(seen, law, draws)
         assert cells > 1
         assert _chi2_sf(stat, cells - 1) > 1e-3, (stat, cells)
 
@@ -612,6 +617,36 @@ class TestWeightedIndexMatchesRejectionDistribution:
         # pairs it covers (families and class blocks are disjoint) and
         # compare against the agent-enumerated masses, exactly.
         assert _reconstruct_pair_masses(engine._index, counts) == expected
+
+    def test_pile_up_masses_stay_exact_past_int64(self):
+        """A same-state slot of 64 agents weighs ``u·64·63 > 2⁶³``: the
+        build and the resync keep such weights exact."""
+        protocol = TreeRankingProtocol(64, k=2)
+        scheduler = StateBiasedScheduler(
+            [1.0] * protocol.num_ranks + [0.3] * protocol.num_extra_states
+        )
+
+        def pile(state):
+            return Configuration.all_in_state(
+                state, protocol.num_agents, protocol.num_states
+            ).counts_list()
+
+        def assert_exact(counts):
+            expected, expected_total = _pair_mass_from_rejection_model(
+                protocol, counts, scheduler
+            )
+            assert max(engine._index.values) >= 1 << 63
+            assert engine.total_mass() == expected_total
+            assert engine.productive_weight == sum(expected.values())
+            assert _reconstruct_pair_masses(engine._index, counts) == expected
+
+        engine = WeightedScheduledEngine(
+            protocol, Configuration(pile(0)), np.random.default_rng(0),
+            scheduler,
+        )
+        assert_exact(pile(0))
+        engine.reset_configuration(pile(1))
+        assert_exact(pile(1))
 
     def test_trivial_weights_reduce_to_uniform_masses(self):
         """All-1.0 weights: every mass is count-pairs × 2⁵³ exactly."""
@@ -723,6 +758,50 @@ class TestWeightedEngineBehaviour:
             rejection.append(r.parallel_time)
         ratio = np.median(weighted) / np.median(rejection)
         assert 0.6 < ratio < 1.7, f"median parallel-time ratio {ratio}"
+
+    @pytest.mark.parametrize(
+        "make_scheduler",
+        [
+            lambda p: StateBiasedScheduler(
+                [1.0] * p.num_ranks + [0.3] * p.num_extra_states
+            ),
+            lambda p: ClusteredScheduler(p.num_states, 3, across=0.05),
+            _many_class_scheduler,
+        ],
+        ids=["biased-0.3", "clustered", "many-class"],
+    )
+    def test_first_event_follows_the_exact_one_step_law(
+        self, make_scheduler
+    ):
+        """Chi-square of the inlined weighted loop's first event against
+        the rejection model's exact one-step law, at α = 10⁻³.  The
+        clustered and many-class schedulers cut the reset line into 2
+        and 4 class runs, so draws also land in run and cross-run
+        slots.  The start puts four agents on three reset-line states,
+        and its law has 15 outcomes, each expected at least 5 times."""
+        protocol = TreeRankingProtocol(9, k=2)
+        start = random_configuration(protocol, seed=15, include_extras=True)
+        scheduler = make_scheduler(protocol)
+        counts = start.counts_list()
+        masses, _ = _pair_mass_from_rejection_model(
+            protocol, counts, scheduler
+        )
+        law = _one_step_law(protocol, counts, masses)
+        instr = Instrumentation()
+        draws = 1000
+        seen = Counter()
+        for seed in range(draws):
+            engine = WeightedScheduledEngine(
+                protocol, start, np.random.default_rng(seed), scheduler,
+                instrumentation=instr,
+            )
+            engine.run(max_events=1)
+            seen[tuple(engine.counts)] += 1
+        assert set(seen) <= set(law)
+        assert instr.get("weighted_events") == draws
+        stat, cells = _chi2_cells(seen, law, draws)
+        assert cells > 1
+        assert _chi2_sf(stat, cells - 1) > 1e-3, (stat, cells)
 
     def test_weighted_engine_deterministic(self):
         protocol = LineOfTrapsProtocol(m=2)
@@ -837,7 +916,7 @@ def _epoch_timeline(protocol, boundary_events):
         [1.0] * protocol.num_ranks + [0.2] * protocol.num_extra_states
     )
     # Three clusters cut the reset line across class boundaries, so the
-    # swapped-in index exercises the per-position weighted-line slots.
+    # swapped-in index exercises the line's run and cross-run slots.
     after = ClusteredScheduler(protocol.num_states, 3, across=0.05)
     timeline = EpochScheduler([
         (EpochBoundary(kind="events", value=boundary_events), before),
