@@ -30,12 +30,13 @@ side total — updates become bare add-delta walks with no bookkeeping.
 
 Per-state **update plans** are compiled from the families' membership
 (:meth:`~repro.core.families.Family.states`) the first time a state is
-touched, and whole transitions compile to straight-line programs
+touched, and whole transitions compile to plain-integer programs
 (:meth:`FusedIndex.compile_transition`) that the engine's fast loop
-executes without any per-event family dispatch.  All weights stay exact
-Python integers; the passes over the whole state space (construction,
-:meth:`FusedIndex.resync`, :meth:`FusedIndex.reclassify`) compute them
-with numpy from one int64 copy of the counts.
+executes through those plans without any per-event family dispatch.
+All weights stay exact Python integers; the passes over the whole state
+space (construction, :meth:`FusedIndex.resync`,
+:meth:`FusedIndex.reclassify`) compute them with numpy from one int64
+copy of the counts.
 
 **Hybrid proposal/Fenwick sampling.**  Same-state slots are further
 split into two pools.  Slots whose counts sit near the current maximum
@@ -496,7 +497,7 @@ class _ProductSlot:
 
         ``count_array`` is ``counts`` as an int64 array, read once per
         pass by the owning index; each side tree is one gather plus one
-        :func:`fill_tree`.  Compiled transition programs hold direct
+        :func:`fill_tree`.  Per-state update plans hold direct
         references to the tree lists, so a resync must refill rather
         than replace them.  The ``counts`` list reference is
         re-captured — this is the seam through which engines adopt an
@@ -590,40 +591,51 @@ class _TriangularSlot:
         raise SimulationError("fused triangular sample out of range")
 
 
-class _StatePlans(dict):
+class _StatePlans:
     """Per-state update plans (``FusedIndex.state_steps``), built lazily.
 
-    ``plans[state]`` is the tuple of update steps one count change of
-    ``state`` must apply: one per structure the state feeds, in the
-    order the structures were registered (composite families in family
-    order, then the same-state slot).  A plan is built on first lookup
-    and kept, so index construction runs no per-state Python loop; the
-    engines only ever compile the states their runs reach.
+    ``steps`` is a plain list indexed by state: ``steps[state]`` is the
+    tuple of update steps one count change of ``state`` must apply — one
+    per structure the state feeds, in the order the structures were
+    registered (composite families in family order, then the same-state
+    slot) — or ``None`` until :meth:`plan` first builds it.  Index
+    construction therefore runs no per-state Python loop, and the
+    engines only ever build the states their runs reach.
+
+    The step tuples hold the payload objects and side trees they update,
+    so a plan is built once per state and shared by every compiled
+    transition that touches the state; the compiled programs themselves
+    stay plain integers.  :meth:`FusedIndex.compile_transition` builds
+    the plans of its states, which is what lets the inlined loops read
+    ``steps[state]`` with a bare list subscript (CPython specialises
+    subscripts on exact lists, not on a dict subclass with
+    ``__missing__``).
     """
 
-    __slots__ = ("_num_states", "_sources")
+    __slots__ = ("steps", "_sources")
 
     def __init__(self, num_states: int) -> None:
-        super().__init__()
-        self._num_states = num_states
+        self.steps: List[Optional[tuple]] = [None] * num_states
         self._sources: List[Tuple[np.ndarray, Callable[[int], tuple]]] = []
 
     def add(
         self, states: Sequence[int], make_step: Callable[[int], tuple]
     ) -> None:
         """Register a structure: ``make_step(pos)`` steps ``states[pos]``."""
-        position = np.full(self._num_states, -1, dtype=np.int64)
+        position = np.full(len(self.steps), -1, dtype=np.int64)
         position[np.asarray(states, dtype=np.intp)] = np.arange(len(states))
         self._sources.append((position, make_step))
 
-    def __missing__(self, state: int) -> tuple:
-        plan = []
-        for position, make_step in self._sources:
-            pos = position.item(state)
-            if pos >= 0:
-                plan.append(make_step(pos))
-        plan = tuple(plan)
-        self[state] = plan
+    def plan(self, state: int) -> tuple:
+        """``state``'s plan, built and stored on first use."""
+        plan = self.steps[state]
+        if plan is None:
+            built = []
+            for position, make_step in self._sources:
+                pos = position.item(state)
+                if pos >= 0:
+                    built.append(make_step(pos))
+            plan = self.steps[state] = tuple(built)
         return plan
 
 
@@ -663,7 +675,7 @@ class FusedIndex:
     __slots__ = ("num_slots", "num_composite", "fenwick_size", "tree",
                  "values", "total", "slot_kind", "slot_payload",
                  "state_steps", "pool", "same_factors", "_num_states",
-                 "_same_states")
+                 "_same_states", "_plans")
 
     def __init__(
         self,
@@ -815,7 +827,8 @@ class FusedIndex:
         self.slot_payload = payloads
         self.values = weights
         self.tree = [0] * (self.fenwick_size + 1)
-        self.state_steps = plans
+        self._plans = plans
+        self.state_steps = plans.steps
         self._same_states = np.asarray(rule_states, dtype=np.intp)
         self.total = composite_mass + self._fill_same_state(
             np.asarray(counts, dtype=np.int64)
@@ -1039,7 +1052,7 @@ class FusedIndex:
         delta = new - old
         delta_w = 0
         pool = self.pool
-        for step in self.state_steps[state]:
+        for step in self._plans.plan(state):
             kind = step[0]
             if kind == SAME:
                 pooled = (
@@ -1097,78 +1110,69 @@ class FusedIndex:
 
     def compile_transition(
         self, ops: Sequence[Tuple[int, int]]
-    ) -> Tuple[tuple, tuple, Optional[tuple], Optional[tuple]]:
-        """Compile one transition into ``(prog, refresh, prods, transfer)``.
+    ) -> Tuple[tuple, Optional[tuple], Optional[tuple]]:
+        """Compile one transition into ``(refresh, prods, transfer)``.
 
-        ``prog`` lists ``(state, delta, steps)`` with each state's
-        precompiled update steps; ``refresh`` is the *deduplicated* set
-        of composite slots whose fused weight must be recomputed once
-        after all payload updates — so a transition touching three line
-        states costs one slot refresh, not three.  Refresh entries are
-        pre-resolved per kind:
+        The result is plain integer data: ints, ``None`` and tuples of
+        those, which the cyclic garbage collector stops tracking at its
+        first pass — engines cache one program per distinct pair, and a
+        §5 reset storm compiles tens of thousands of them.  The program
+        body is ``ops`` itself: the inlined loops apply each
+        ``(state, delta)`` through the state's plan in
+        :attr:`state_steps`, which this call builds for every state of
+        the transition, and read each refreshed slot's kind and payload
+        from :attr:`slot_kind` and :attr:`slot_payload`.
 
-        * triangular — ``(slot, TRIANGULAR, payload)`` (the weight is
-          the payload's factor times the moment formula)
-        * product — ``(slot, PRODUCT, payload)`` (the weight is the
-          payload's factor times the two maintained side totals)
-        * opaque — ``(slot, OPAQUE, family)``
+        ``refresh`` lists the *deduplicated* composite slots the
+        transition's states feed, in first-touch order: each fused
+        weight is recomputed once after all payload updates, so a
+        transition touching three line states costs one slot refresh,
+        not three.
 
-        ``prods`` is the transition's *sprint guard*, ``((payload,
+        ``prods`` is the transition's *sprint guard*, ``((slot,
         net_init_delta), …)`` over the product slots it touches, or
         ``None`` when it touches a triangular or opaque slot or changes
         a product's responder side.  While every listed slot has
         ``resp_total == 0`` it weighs zero before and after the event:
-        ``prog``'s product steps then only stale-mark and add to the
-        initiator total, and the engine may skip the refresh pass —
-        which is what lets the §4 line's drain run at the same-state
-        loop's O(1)-per-event pace.  ``transfer`` additionally
-        pre-resolves the dominant −1/+1 shape between two same-state
-        slots (``(src, dst, dst_slot, dst_node)``): one agent moves
-        between two states, so when both are pool members their
-        same-state update is a single flat re-label instead of a
-        removal plus an insertion.
+        the product steps then only stale-mark and add to the initiator
+        total, and the engine may skip the refresh pass — which is what
+        lets the §4 line's drain run at the same-state loop's
+        O(1)-per-event pace.  ``transfer`` additionally pre-resolves the
+        dominant −1/+1 shape between two same-state slots (``(src, dst,
+        dst_slot, dst_node)``): one agent moves between two states, so
+        when both are pool members their same-state update is a single
+        flat re-label instead of a removal plus an insertion.
         """
-        prog = tuple(
-            (state, delta, self.state_steps[state])
-            for state, delta in ops
-        )
-        refresh: Dict[int, tuple] = {}
+        plan = self._plans.plan
+        refresh: List[int] = []
+        prods: Dict[int, List[int]] = {}
         guarded = True
-        sops: List[tuple] = []
-        prods: Dict[int, list] = {}
+        same: List[Tuple[int, int, int, int]] = []
         for state, delta in ops:
-            for step in self.state_steps[state]:
+            for step in plan(state):
                 kind = step[0]
                 if kind == SAME:
-                    sops.append((state, delta, step[1], step[2]))
+                    same.append((state, delta, step[1], step[2]))
                     continue
                 if kind == PRODUCT:
-                    slot, payload = step[4], step[5]
-                    if slot not in refresh:
-                        refresh[slot] = (slot, PRODUCT, payload)
-                    entry = prods.setdefault(slot, [payload, 0, 0])
-                    entry[1 if step[6] else 2] += delta
-                elif kind == TRIANGULAR:
-                    guarded = False
-                    slot = step[3]
-                    if slot not in refresh:
-                        refresh[slot] = (slot, TRIANGULAR, step[1])
+                    slot = step[4]
+                    net = prods.setdefault(slot, [0, 0])
+                    net[0 if step[6] else 1] += delta
                 else:
                     guarded = False
-                    slot = step[2]
-                    if slot not in refresh:
-                        refresh[slot] = (slot, OPAQUE, step[1])
-        if not guarded or any(dr for _, _, dr in prods.values()):
-            return prog, tuple(refresh.values()), None, None
+                    slot = step[3] if kind == TRIANGULAR else step[2]
+                if slot not in refresh:
+                    refresh.append(slot)
+        if not guarded or any(dr for _, dr in prods.values()):
+            return tuple(refresh), None, None
         transfer = None
-        if len(ops) == 2 and len(sops) == 2:
-            src, dst = sops if sops[0][1] < 0 else sops[::-1]
+        if len(ops) == 2 and len(same) == 2:
+            src, dst = same if same[0][1] < 0 else same[::-1]
             if (src[1], dst[1]) == (-1, 1):
                 transfer = (src[0], dst[0], dst[2], dst[3])
         return (
-            prog,
-            tuple(refresh.values()),
-            tuple((p, di) for p, di, _ in prods.values()),
+            tuple(refresh),
+            tuple([(slot, di) for slot, (di, _) in prods.items()]),
             transfer,
         )
 

@@ -32,9 +32,17 @@ A transition whose product slots all weigh zero skips the refresh pass
 transfer becomes a single flat re-label.
 The protocol's transition function is precompiled into lookup tables
 (per-state for same-state-only protocols, a lazily filled per-pair dict
-of straight-line update programs otherwise) so the inner loop never
-re-sums family weights or re-enters ``delta()``; ``delta`` must
-therefore be a pure function.
+of update programs otherwise) so the inner loop never re-sums family
+weights or re-enters ``delta()``; ``delta`` must therefore be a pure
+function.  A compiled program is plain integer data — the transition's
+``(state, delta)`` ops, the composite slot ids to refresh, the sprint
+guard's ``(slot, initiator delta)`` pairs and the transfer shortcut —
+and the loop reaches the payload objects through the index's per-state
+plans (``state_steps``, a plain list filled when a transition touching
+the state compiles) and its ``slot_kind``/``slot_payload`` lists.  The
+cache of programs, tens of thousands during a §5 reset storm, then
+holds nothing the cyclic garbage collector must traverse on every
+pass.
 
 For protocols whose productive pairs are all same-state (every
 state-optimal protocol in the paper), the recorder-free ``run()``
@@ -120,12 +128,13 @@ def _transition_ops(si: int, sj: int, ti: int, tj: int):
         if tj == si:
             return ((si, -1), (ti, 1))
         return ((si, -2), (ti, 1), (tj, 1))
-    delta: Dict[int, int] = {}
-    delta[si] = delta.get(si, 0) - 1
-    delta[sj] = delta.get(sj, 0) - 1
-    delta[ti] = delta.get(ti, 0) + 1
-    delta[tj] = delta.get(tj, 0) + 1
-    return tuple((s, d) for s, d in delta.items() if d != 0)
+    # Keys in first-appearance order: si, sj, ti, tj.
+    net = {si: 0, sj: 0, ti: 0, tj: 0}
+    net[si] -= 1
+    net[sj] -= 1
+    net[ti] += 1
+    net[tj] += 1
+    return tuple([(s, d) for s, d in net.items() if d])
 
 
 class JumpEngine:
@@ -270,9 +279,10 @@ class JumpEngine:
     def _rebuild_fused(self, counts: List[int]) -> None:
         """Recompile the fused index (and weight) from a counts list.
 
-        The compiled pair table holds straight-line programs bound to
-        the *old* index's payload objects, so it must be invalidated
-        whenever the index is rebuilt — entries recompile lazily.
+        The compiled programs name the *old* index's slots and rely on
+        its per-state plans having been built when they compiled, so
+        the program caches are invalidated whenever the index is
+        rebuilt — entries recompile lazily.
         """
         self._fused = FusedIndex(
             self._protocol.build_families(counts), self._num_states, counts
@@ -345,14 +355,16 @@ class JumpEngine:
     # Simulation
     # ------------------------------------------------------------------
     def _compile_pair(self, si: int, sj: int) -> tuple:
-        """``(ti, tj, ops, prog, refresh, prods, transfer)`` — one
-        transition, compiled.
+        """``(ti, tj, ops, refresh, prods, transfer)`` — one transition,
+        compiled.
 
-        The last four fields are the fused index's straight-line update
-        program for the transition, its sprint guard and its transfer
-        shortcut (see
-        :meth:`~repro.core.fused.FusedIndex.compile_transition`),
-        executed inline by the fast loop.
+        ``ops`` is the program body, ``((state, delta), …)``, which the
+        fast loop applies through each state's plan in the index's
+        ``state_steps``; the last three fields are the composite slots
+        to refresh, the sprint guard and the transfer shortcut (see
+        :meth:`~repro.core.fused.FusedIndex.compile_transition`).  Every
+        field is an int, ``None`` or a tuple of those, so a cached entry
+        holds no reference the cyclic garbage collector has to follow.
         """
         out = self._protocol.delta(si, sj)
         if out is None:
@@ -497,11 +509,13 @@ class JumpEngine:
         mass the Fenwick walk used to re-search on every event.  While
         the pool holds every remaining unit of weight the routed draw
         is skipped (the *sprint*) and the loop proposes directly.
-        Transitions execute as precompiled straight-line programs:
-        per-state payload updates (O(1) count moments for the reset
-        line, one-sided Fenwick writes for products, O(1) member moves
-        for pooled slots) followed by one deduplicated weight refresh
-        per composite slot — no per-event family dispatch anywhere.  A
+        Transitions execute as precompiled plain-integer programs: each
+        op runs its state's plan from ``fused.state_steps`` (O(1) count
+        moments for the reset line, one-sided Fenwick writes for
+        products, O(1) member moves for pooled slots), followed by one
+        deduplicated weight refresh per composite slot, read through
+        ``slot_kind``/``slot_payload`` — no per-event family dispatch
+        anywhere.  Cache misses count as ``programs_compiled``.  A
         transition whose product slots all weigh zero skips the refresh,
         and a −1/+1 move between two pool members is a single re-label.
         The pool partition is re-evaluated every ``_RECLASSIFY_EVENTS``
@@ -517,6 +531,7 @@ class JumpEngine:
         highbit = 1 << (fensize.bit_length() - 1) if fensize else 0
         slot_kind = fused.slot_kind
         slot_payload = fused.slot_payload
+        plans = fused.state_steps
         num_states = self._num_states
         total_pairs = self._total_pairs
         pair_table = self._pair_table
@@ -552,7 +567,7 @@ class JumpEngine:
         interactions0 = interactions
         nub = nrb = 0
         c_sprint = c_pool = c_prop = 0
-        c_fen = c_comp = c_reclass = 0
+        c_fen = c_comp = c_reclass = c_compiled = 0
         # Monotone upper bound on every state count (reset at each
         # reclassification) — the acceptance bound for decoding stale
         # product sides by rejection instead of rebuilding their trees.
@@ -767,14 +782,16 @@ class JumpEngine:
                 if entry is None:
                     entry = self._compile_pair(si, si)
                     ss_progs[si] = entry
+                    c_compiled += 1
             else:
                 key = si * num_states + sj
                 entry = pair_table.get(key)
                 if entry is None:
                     entry = self._compile_pair(si, sj)
                     pair_table[key] = entry
-            prog = entry[3]
-            prods = entry[5]
+                    c_compiled += 1
+            ops = entry[2]
+            prods = entry[4]
             if prods is not None:
                 # Sprint guard: while every product slot the
                 # transition touches has an empty responder side (it
@@ -782,21 +799,21 @@ class JumpEngine:
                 # the slots weigh zero before and after — the product
                 # steps only stale-mark and add to the initiator
                 # total, and no refresh pass is needed.
-                for prod, _ in prods:
-                    if prod.resp_total:
+                for slot, _ in prods:
+                    if slot_payload[slot].resp_total:
                         prods = None
                         break
             if prods is None:
-                refresh = entry[4]
+                refresh = entry[3]
             else:
                 refresh = ()
-                transfer = entry[6]
+                transfer = entry[5]
                 if transfer is not None:
                     # One agent moves src → dst; when both states
                     # are pool members this is a single flat
                     # re-label (no swap-removal, no insertion).
-                    # An applied re-label empties the program and
-                    # does its product part here.
+                    # An applied re-label empties the ops and does
+                    # their product part here.
                     src = transfer[0]
                     dst = transfer[1]
                     pls = ppositions[src]
@@ -859,7 +876,7 @@ class JumpEngine:
                             if dw:
                                 pool_w += dw
                                 weight += dw
-                        prog = ()
+                        ops = ()
                     elif (
                         pls is not None
                         and counts[dst] == 1
@@ -894,12 +911,13 @@ class JumpEngine:
                         if dw:
                             pool_w += dw
                             weight += dw
-                        prog = ()
-                    if not prog:
-                        for prod, dinit in prods:
+                        ops = ()
+                    if not ops:
+                        for slot, dinit in prods:
+                            prod = slot_payload[slot]
                             prod.stale |= 1
                             prod.init_total += dinit
-            for state, delta, steps in prog:
+            for state, delta in ops:
                 old = counts[state]
                 new = old + delta
                 if new < 0:
@@ -910,7 +928,7 @@ class JumpEngine:
                 counts[state] = new
                 if new > gmax:
                     gmax = new
-                for step in steps:
+                for step in plans[state]:
                     code = step[0]
                     if code == TRIANGULAR:
                         tri = step[1]
@@ -1040,19 +1058,18 @@ class JumpEngine:
             # One deferred weight refresh per touched composite
             # slot — a plain values[] write, composite slots live
             # outside the Fenwick tree.
-            for ref in refresh:
-                rkind = ref[1]
+            for slot in refresh:
+                rkind = slot_kind[slot]
                 if rkind == TRIANGULAR:
-                    tri = ref[2]
+                    tri = slot_payload[slot]
                     s_ = tri.s
                     q_ = tri.q
                     w = (q_ - s_) + (s_ * s_ - q_) // 2
                 elif rkind == PRODUCT:
-                    prod = ref[2]
+                    prod = slot_payload[slot]
                     w = prod.init_total * prod.resp_total
                 else:
-                    w = ref[2].weight
-                slot = ref[0]
+                    w = slot_payload[slot].weight
                 weight += w - values[slot]
                 values[slot] = w
             events += 1
@@ -1096,6 +1113,7 @@ class JumpEngine:
                 fenwick_finds=c_fen,
                 composite_finds=c_comp,
                 reclassifications=c_reclass,
+                programs_compiled=c_compiled,
             )
         # Canonicalise the sampler at the run boundary: the pool
         # partition and any stale product sides drift with the loop's

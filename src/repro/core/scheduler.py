@@ -679,20 +679,22 @@ class WeightedScheduledEngine:
         return entry
 
     def _program(self, si: int, sj: int) -> tuple:
-        """``(prog, refresh, moves)``: one transition compiled for the
-        active index.
+        """``(ops, refresh, moves)``: one transition compiled for the
+        active index, as plain integer data.
 
-        ``prog`` and ``refresh`` come from
-        :meth:`~repro.core.fused.FusedIndex.compile_transition`;
-        ``moves`` lists the transition's net class-count changes as
-        ``(class, delta, column)`` with the matrix column
-        ``u(·, class)`` pre-resolved for the ``row_dot`` update.  A
-        transition inside one class has no moves and leaves the total
-        step mass alone.
+        ``ops`` (``((state, delta), …)``, the program body) and the
+        composite slot ids in ``refresh`` come from
+        :meth:`~repro.core.fused.FusedIndex.compile_transition`, which
+        also builds each op state's plan in the index's
+        ``state_steps``; ``moves`` lists the transition's net
+        class-count changes as ``(class, delta, column)`` with the
+        matrix column ``u(·, class)`` pre-resolved for the ``row_dot``
+        update.  A transition inside one class has no moves and leaves
+        the total step mass alone.
         """
         index = self._index
         ops = self._transition(si, sj)[2]
-        prog, refresh = index.compile_transition(ops)[:2]
+        refresh = index.compile_transition(ops)[0]
         net: Dict[int, int] = {}
         for state, delta in ops:
             cls = index.class_of[state]
@@ -702,7 +704,7 @@ class WeightedScheduledEngine:
             for cls, delta in net.items()
             if delta
         )
-        return prog, refresh, moves
+        return ops, refresh, moves
 
     def _apply_ops(self, ops) -> None:
         counts = self.counts
@@ -908,9 +910,12 @@ class WeightedScheduledEngine:
         exact target, the composite pre-scan with the Fenwick walk over
         the same-state block as fallback, and the shared
         :meth:`~repro.core.fused.FusedIndex.compile_transition`
-        programs, cached per index, with the slot refresh scaled by
-        each payload's class factor.  The total step mass is recomputed
-        only after a transition that moves agents between classes.
+        programs, cached per index as plain integers (:meth:`_program`).
+        Each op runs its state's plan from the index's ``state_steps``
+        list, and each refreshed slot reads its kind and payload from
+        ``slot_kind``/``slot_payload``, its weight scaled by the
+        payload's class factor.  The total step mass is recomputed only
+        after a transition that moves agents between classes.
         """
         index = self._index
         cap = WEIGHT_DENOMINATOR * self._protocol.num_agents ** 2
@@ -924,6 +929,7 @@ class WeightedScheduledEngine:
         highbit = 1 << (fensize.bit_length() - 1) if fensize else 0
         slot_kind = index.slot_kind
         slot_payload = index.slot_payload
+        plans = index.state_steps
         same_factors = index.same_factors
         class_counts = index.class_counts
         row_dot = index._row_dot
@@ -942,7 +948,7 @@ class WeightedScheduledEngine:
         ins = self._instr
         instr_on = ins is not None
         nub = nrb = 0
-        c_fen = c_comp = 0
+        c_fen = c_comp = c_compiled = 0
         lus: List[float] = []
         upos = BATCH
         raws: List[int] = []
@@ -1019,9 +1025,10 @@ class WeightedScheduledEngine:
             if entry is None:
                 entry = self._program(si, sj)
                 programs[key] = entry
-            prog, refresh, moves = entry
+                c_compiled += 1
+            ops, refresh, moves = entry
             dtotal = 0
-            for state, delta, steps in prog:
+            for state, delta in ops:
                 old = counts[state]
                 new = old + delta
                 if new < 0:
@@ -1030,7 +1037,7 @@ class WeightedScheduledEngine:
                         "transition"
                     )
                 counts[state] = new
-                for step in steps:
+                for step in plans[state]:
                     code = step[0]
                     if code == SAME:
                         slot = step[1]
@@ -1070,8 +1077,9 @@ class WeightedScheduledEngine:
                         tri.counts[step[2]] = new
                         tri.s += delta
                         tri.q += new * new - old * old
-            for slot, rkind, pay in refresh:
-                if rkind == PRODUCT:
+            for slot in refresh:
+                pay = slot_payload[slot]
+                if slot_kind[slot] == PRODUCT:
                     w = pay.factor * pay.init_total * pay.resp_total
                 else:
                     s_ = pay.s
@@ -1099,6 +1107,7 @@ class WeightedScheduledEngine:
                 raw_draws=nrb * BATCH - (raw_len - rpos) if nrb else 0,
                 fenwick_finds=c_fen,
                 composite_finds=c_comp,
+                programs_compiled=c_compiled,
             )
         return silent
 

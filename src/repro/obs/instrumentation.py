@@ -30,6 +30,11 @@ Counter vocabulary (engines only touch the ones their loop has):
 ``fenwick_finds``, ``composite_finds``
     Routed target draws resolved by a Fenwick walk vs the composite
     linear scan, in the fused loop and the weighted loop alike.
+``programs_compiled``
+    Transition programs compiled on a program-cache miss in the fused
+    loop and the weighted loop — ``programs_compiled / events`` is the
+    share of events that paid a compile (a §5 reset storm's new
+    (red line state, rank) pairs).
 ``proposal_mode_events``, ``fenwick_mode_events``, ``mode_switches``
     The same-state dual sampler's adaptive split.
 ``accept_tests``, ``accept_rejects``
@@ -128,6 +133,7 @@ class Instrumentation:
         if events:
             out["skip_draws_per_event"] = c("skip_draws", 0) / events
             out["raw_draws_per_event"] = c("raw_draws", 0) / events
+            out["compiles_per_event"] = c("programs_compiled", 0) / events
         if pool or finds:
             out["fenwick_share"] = finds / (pool + finds)
         tests = c("accept_tests", 0)

@@ -6,14 +6,19 @@ import pytest
 from repro import (
     AGProtocol,
     Configuration,
+    EpochBoundary,
+    EpochScheduler,
     JumpEngine,
     MetricRecorder,
     PopulationProtocol,
     Recorder,
     RingOfTrapsProtocol,
     SequentialEngine,
+    StateBiasedScheduler,
     TrajectoryRecorder,
     TreeRankingProtocol,
+    WeightedScheduledEngine,
+    random_configuration,
     run_protocol,
     solved_configuration,
 )
@@ -23,6 +28,7 @@ from repro.exceptions import (
     SimulationError,
     SimulationLimitReached,
 )
+from repro.obs import Instrumentation
 
 
 def _engine(protocol, config, seed=0, cls=JumpEngine):
@@ -258,7 +264,100 @@ class TestRecorders:
         assert len(recorder.events) == result.events
 
 
+def _reset_storm_engine(instrumentation=None):
+    """Tree n=4096 from the tree bench case's random start: its reset
+    storm compiles thousands of distinct pairs in 20 000 events."""
+    protocol = TreeRankingProtocol(4096)
+    return JumpEngine(
+        protocol,
+        random_configuration(protocol, seed=11),
+        np.random.default_rng(11),
+        instrumentation=instrumentation,
+    )
+
+
+def _weighted_timeline_engine(instrumentation=None):
+    """The golden ``weighted-timeline`` case: a biased segment, a
+    many-class segment, then the first segment's scheduler again (which
+    shares its compiled index and program cache)."""
+    protocol = TreeRankingProtocol(33, k=2)
+    biased = StateBiasedScheduler(
+        [1.0] * protocol.num_ranks + [0.2] * protocol.num_extra_states
+    )
+    many_class = StateBiasedScheduler(
+        [0.80 + 0.02 * (s % 9) for s in range(protocol.num_states)]
+    )
+    timeline = EpochScheduler([
+        (EpochBoundary(kind="events", value=1000), biased),
+        (EpochBoundary(kind="events", value=3000), many_class),
+        (None, biased),
+    ])
+    return WeightedScheduledEngine(
+        protocol,
+        random_configuration(protocol, seed=0, include_extras=True),
+        np.random.default_rng(11),
+        timeline,
+        instrumentation=instrumentation,
+    )
+
+
+def _program_caches(engine):
+    """The weighted engine's distinct per-index program caches."""
+    return list({id(cache): cache for _, cache in engine._segments}.values())
+
+
+def _plain(value):
+    """True iff ``value`` is built only from ints, bools, ``None`` and
+    tuples of those, at every depth."""
+    if type(value) is tuple:
+        return all(_plain(item) for item in value)
+    return value is None or type(value) in (int, bool)
+
+
 class TestCompiledTransitionTables:
+    def test_compiled_programs_are_plain_data(self):
+        """Cached programs hold no object the cyclic garbage collector
+        must keep tracking: the per-state plans carry the references."""
+        engine = _reset_storm_engine()
+        engine.run(max_events=20_000)
+        entries = list(engine._pair_table.values()) + [
+            entry for entry in engine._ss_progs if entry is not None
+        ]
+        assert len(entries) >= 1000
+        assert all(_plain(entry) for entry in entries)
+
+        engine = _weighted_timeline_engine()
+        engine.run(max_events=8000)
+        assert engine.epoch == 2
+        entries = [
+            entry
+            for cache in _program_caches(engine)
+            for entry in cache.values()
+        ]
+        assert entries
+        assert all(_plain(entry) for entry in entries)
+
+    def test_compile_counter_counts_cache_misses(self):
+        instr = Instrumentation()
+        engine = _reset_storm_engine(instr)
+        engine.run(max_events=20_000)
+        compiled = len(engine._pair_table) + sum(
+            entry is not None for entry in engine._ss_progs
+        )
+        assert compiled >= 1000
+        assert instr.get("programs_compiled") == compiled
+        assert instr.derived()["compiles_per_event"] == pytest.approx(
+            compiled / engine.events
+        )
+
+        instr = Instrumentation()
+        engine = _weighted_timeline_engine(instr)
+        engine.run(max_events=8000)
+        assert instr.get("programs_compiled") == sum(
+            len(cache) for cache in _program_caches(engine)
+        )
+        assert instr.get("programs_compiled") > 0
+
     def test_tree_protocol_uses_lazy_pair_table(self):
         protocol = TreeRankingProtocol(9, k=2)
         engine = _engine(protocol, Configuration.all_in_state(8, 9, protocol.num_states))

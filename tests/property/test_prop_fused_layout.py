@@ -305,7 +305,6 @@ class TestLazyPlansMatchEagerBuild:
         # which states were compiled before it.
         order = np.random.default_rng(5).permutation(protocol.num_states)
         for state in order.tolist():
-            assert _identities(index.state_steps[state]) == _identities(
-                expected[state]
-            )
-            assert index.state_steps[state] is index.state_steps[state]
+            plan = index._plans.plan(state)
+            assert _identities(plan) == _identities(expected[state])
+            assert index.state_steps[state] is plan

@@ -18,8 +18,10 @@ Three invariant groups:
   segment pair by pair, before and after the switch;
 * sampling consistency: every pair the fused index produces is
   productive under ``delta`` and covered by exactly one family;
-* compiled transitions: every program the fused loop can run changes
-  exactly the counts the transition changes;
+* compiled transitions: every program the fused loop can run refreshes
+  exactly the composite slots its states feed, has a sprint guard only
+  when it touches product slots alone and changes no responder side in
+  net, and a transfer re-label moves exactly the transition's one agent;
 * the fused loop's first event follows the exact one-step law, whether
   the pool proposal is entered on the sprint or from a routed draw, and
   so does the weighted loop's under biased, clustered and many-class
@@ -503,6 +505,29 @@ def _chi2_cells(seen, law, draws):
     return stat, cells
 
 
+def _composite_feeds(fused):
+    """``state -> [(slot, side), …]`` over the composite slots each
+    state feeds, in slot order, read from the slot payloads: ``side``
+    is ``"initiator"`` or ``"responder"`` for a product slot, the slot
+    kind's name otherwise."""
+    feeds = {}
+    for slot in range(fused.num_composite):
+        kind = fused.slot_kind[slot]
+        payload = fused.slot_payload[slot]
+        if kind == PRODUCT:
+            members = [(s, "initiator") for s in payload.initiators]
+            members += [(s, "responder") for s in payload.responders]
+        elif kind == TRIANGULAR:
+            members = [(s, "triangular") for s in payload.line]
+        elif kind == PROPOSAL:
+            continue  # fed through the same-state steps, never refreshed
+        else:
+            members = [(s, "opaque") for s in payload.states()]
+        for state, side in members:
+            feeds.setdefault(state, []).append((slot, side))
+    return feeds
+
+
 class TestFusedLoopPrograms:
     @pytest.mark.parametrize(
         "protocol",
@@ -518,19 +543,45 @@ class TestFusedLoopPrograms:
         ids=lambda p: p.name,
     )
     def test_programs_change_exactly_the_transition_counts(self, protocol):
-        """``prog`` holds one entry per count change, and a ``transfer``
-        re-label moves exactly the transition's one agent — a state with
-        no same-state slot (an absorbing exit, a leaf) must still move."""
+        """``refresh`` is every composite slot the transition's states
+        feed, each once, in first-touch order.  A sprint guard lists
+        each touched product slot once with its net initiator delta,
+        and only a transition touching no triangular or opaque slot and
+        leaving every product's responder side unchanged in net has one
+        (a tree rank moving to another rank touches two responder
+        states of the reset product, net zero).  A ``transfer``
+        re-label moves exactly the transition's one agent — a state
+        with no same-state slot (an absorbing exit, a leaf) must still
+        move."""
         counts = Configuration.all_in_state(
             0, protocol.num_agents, protocol.num_states
         ).counts_list()
         families = protocol.build_families(counts)
         fused = FusedIndex(families, protocol.num_states, counts)
+        feeds = _composite_feeds(fused)
         for family in families:
             for si, sj in family.pairs():
                 ops = _transition_ops(si, sj, *protocol.delta(si, sj))
-                prog, _, _, transfer = fused.compile_transition(ops)
-                assert [(s, d) for s, d, _ in prog] == list(ops), (si, sj)
+                refresh, prods, transfer = fused.compile_transition(ops)
+                touched = [
+                    (slot, side, delta)
+                    for state, delta in ops
+                    for slot, side in feeds.get(state, ())
+                ]
+                first_touch = list(dict.fromkeys(s for s, _, _ in touched))
+                assert list(refresh) == first_touch, (si, sj)
+                if prods is not None:
+                    net = {
+                        side: dict.fromkeys(first_touch, 0)
+                        for side in ("initiator", "responder")
+                    }
+                    for slot, side, delta in touched:
+                        assert side in net, (si, sj)  # a product slot
+                        net[side][slot] += delta
+                    assert not any(net["responder"].values()), (si, sj)
+                    assert list(prods) == list(net["initiator"].items()), (
+                        si, sj
+                    )
                 if transfer is not None:
                     src, dst = transfer[:2]
                     assert sorted(ops) == sorted([(src, -1), (dst, 1)]), (
