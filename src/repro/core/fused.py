@@ -63,6 +63,12 @@ weighs ``u(c,c)·c(c−1)``, a product family splits into one slot per
 into its runs of consecutive same-class states — one triangular slot
 per run plus one product slot per ordered pair of runs.  Without a
 partition the index is one class with factor 1, the uniform layout.
+The class-scaled layout has its own codes, so the engines' shared fused
+loop multiplies no factor on the uniform path: its product and
+triangular slots are :data:`SCALED`, decoded through the payloads'
+``pair_from_target`` and weighed with their factor, and its same-state
+plan steps are :data:`SCALED_SAME`, which carry the slot's factor.  Its
+compiled transitions also list their net class-count moves.
 :class:`WeightedFusedIndex` adds the per-class count sums that give a
 biased scheduler's total step mass; see :mod:`repro.core.scheduler`
 for the engine built on top of it.
@@ -97,10 +103,18 @@ class WeightedIndexUnsupported(SimulationError):
     engine, which handles any scheduler.
     """
 
-# Slot kinds (also the dispatch codes burned into compiled programs).
+# Slot kinds, which double as the codes of the per-state plan steps.
 SAME, PRODUCT, TRIANGULAR, OPAQUE = 0, 1, 2, 3
+# Slot kind of a class-scaled composite slot: a product or triangular
+# payload that carries its class factor, decoded through the payload's
+# ``pair_from_target`` and weighed with the factor.  Its plan steps keep
+# the PRODUCT/TRIANGULAR codes (the payload updates are the same).
+SCALED = 4
 # Slot kind of a proposal-pool pseudo-slot (hybrid same-state sampling).
 PROPOSAL = 5
+# Plan-step code of a class-scaled same-state slot; the step carries the
+# slot's class factor.
+SCALED_SAME = 6
 
 #: Relative cost of serving one unit of same-state mass through the
 #: Fenwick walk versus one O(1) proposal — the constant in the window
@@ -663,19 +677,22 @@ class FusedIndex:
 
     ``class_of`` (one class id per state) and ``class_matrix`` (the
     dyadic numerators ``u(p,q)`` per ordered class pair) scale every
-    slot by its class factor (see the module docstring); composite
-    payloads keep their factor, and ``same_factors`` lists the
-    same-state block's factors in slot order (``None`` without a
-    partition).  Only the unscaled index builds the proposal pool,
-    whose rejection draw realises ``c(c−1)`` and nothing else.  Opaque
-    families cannot be scaled, so a partitioned index raises
-    :class:`WeightedIndexUnsupported` for them.
+    slot by its class factor (see the module docstring); both stay
+    ``None`` without a partition.  A class-scaled index marks its
+    composite slots :data:`SCALED` (their payloads keep the factor) and
+    its same-state plan steps :data:`SCALED_SAME` (the step carries the
+    factor); ``same_factors`` lists the same-state block's factors in
+    slot order (``None`` without a partition).  Only the unscaled index
+    builds the proposal pool, whose rejection draw realises ``c(c−1)``
+    and nothing else.  Opaque families cannot be scaled, so a
+    partitioned index raises :class:`WeightedIndexUnsupported` for
+    them.
     """
 
     __slots__ = ("num_slots", "num_composite", "fenwick_size", "tree",
                  "values", "total", "slot_kind", "slot_payload",
-                 "state_steps", "pool", "same_factors", "_num_states",
-                 "_same_states", "_plans")
+                 "state_steps", "pool", "same_factors", "class_of",
+                 "class_matrix", "_num_states", "_same_states", "_plans")
 
     def __init__(
         self,
@@ -686,6 +703,8 @@ class FusedIndex:
         class_matrix: Optional[Sequence[Sequence[int]]] = None,
     ) -> None:
         self._num_states = num_states
+        self.class_of: Optional[List[int]] = None
+        self.class_matrix: Optional[List[List[int]]] = None
         if class_of is None:
             u = [[1]]
         elif len(class_of) != num_states:
@@ -695,6 +714,9 @@ class FusedIndex:
             )
         else:
             u = [[int(w) for w in row] for row in class_matrix]
+            self.class_of = list(class_of)
+            self.class_matrix = u
+        scaled = class_of is not None
         kinds: List[int] = []
         payloads: List[object] = []
         weights: List[int] = []
@@ -720,7 +742,7 @@ class FusedIndex:
         def add_product(initiators, responders, factor):
             slot = len(kinds)
             payload = _ProductSlot(counts, initiators, responders, factor)
-            kinds.append(PRODUCT)
+            kinds.append(SCALED if scaled else PRODUCT)
             payloads.append(payload)
             weights.append(payload.weight())
             plans.add(
@@ -756,7 +778,7 @@ class FusedIndex:
                 for cls, line in runs:
                     slot = len(kinds)
                     payload = _TriangularSlot(counts, line, u[cls][cls])
-                    kinds.append(TRIANGULAR)
+                    kinds.append(SCALED if scaled else TRIANGULAR)
                     payloads.append(payload)
                     weights.append(payload.weight())
                     plans.add(
@@ -768,7 +790,7 @@ class FusedIndex:
                 for r, (p, initiators) in enumerate(runs):
                     for q, responders in runs[r + 1:]:
                         add_product(initiators, responders, u[p][q])
-            elif class_of is not None:
+            elif scaled:
                 raise WeightedIndexUnsupported(
                     f"weighted fused index cannot scale custom family "
                     f"{type(family).__name__} exactly; use the rejection "
@@ -796,12 +818,12 @@ class FusedIndex:
             for state in family.rule_states()
         ]
         self.same_factors: Optional[List[int]] = None
-        if class_of is not None:
+        if scaled:
             self.same_factors = [
                 u[class_of[state]][class_of[state]] for state in rule_states
             ]
         pool: Optional[_ProposalPool] = None
-        if rule_states and class_of is None:
+        if rule_states and not scaled:
             pool = _ProposalPool(num_states, rule_states)
             pool.slot = len(kinds)
             kinds.append(PROPOSAL)
@@ -813,13 +835,22 @@ class FusedIndex:
         # One same-state slot per rule state, in rule-state order (which
         # is also the pool's candidate order).  A plan step's third
         # field is the slot's first Fenwick node (the tree only spans
-        # the same-state block).
+        # the same-state block); a class-scaled step's fourth is the
+        # slot's factor.
         kinds.extend([SAME] * len(rule_states))
         payloads.extend(rule_states)
         weights.extend([0] * len(rule_states))
-        plans.add(
-            rule_states, lambda pos: (SAME, num_composite + pos, pos + 1)
-        )
+        if scaled:
+            plans.add(
+                rule_states,
+                lambda pos, factors=self.same_factors: (
+                    SCALED_SAME, num_composite + pos, pos + 1, factors[pos],
+                ),
+            )
+        else:
+            plans.add(
+                rule_states, lambda pos: (SAME, num_composite + pos, pos + 1)
+            )
 
         self.num_slots = len(kinds)
         self.fenwick_size = self.num_slots - num_composite
@@ -859,7 +890,7 @@ class FusedIndex:
             payload = self.slot_payload[slot]
             if kind == SAME:
                 slots.append(("same", payload))
-            elif kind == PRODUCT:
+            elif type(payload) is _ProductSlot:
                 slots.append(
                     (
                         "product",
@@ -867,7 +898,7 @@ class FusedIndex:
                         tuple(payload.responders),
                     )
                 )
-            elif kind == TRIANGULAR:
+            elif type(payload) is _TriangularSlot:
                 slots.append(("triangular", tuple(payload.line)))
             elif kind == PROPOSAL:
                 slots.append(("proposal-pool", tuple(payload.states)))
@@ -938,9 +969,9 @@ class FusedIndex:
         if kind == PROPOSAL:
             state = payload.sample_state(rand_below)
             return state, state
-        if kind == PRODUCT or kind == TRIANGULAR:
-            return payload.pair_from_target(residual)
-        return payload.sample(rand_below)
+        if kind == OPAQUE:
+            return payload.sample(rand_below)
+        return payload.pair_from_target(residual)
 
     def sample(self, rand_below) -> Tuple[int, int]:
         """Draw a productive ordered state pair ∝ its slot weight."""
@@ -988,14 +1019,13 @@ class FusedIndex:
         values = self.values
         total = 0
         for slot in range(self.num_composite):
-            kind = kinds[slot]
+            if kinds[slot] == PROPOSAL:
+                continue  # refilled with the same-state block
             payload = payloads[slot]
-            if kind == PRODUCT:
+            if type(payload) is _ProductSlot:
                 payload.resync(counts, count_array)
-            elif kind == TRIANGULAR:
-                payload.resync(count_array)
             else:
-                continue  # the pool: refilled with the same-state block
+                payload.resync(count_array)
             weight = payload.weight()
             values[slot] = weight
             total += weight
@@ -1072,12 +1102,9 @@ class FusedIndex:
                     self.total += gained
                     delta_w += gained + self._set(step[1], 0)
                 else:
-                    weight = new * (new - 1)
-                    if self.same_factors is not None:
-                        weight *= self.same_factors[
-                            step[1] - self.num_composite
-                        ]
-                    delta_w += self._set(step[1], weight)
+                    delta_w += self._set(step[1], new * (new - 1))
+            elif kind == SCALED_SAME:
+                delta_w += self._set(step[1], step[3] * new * (new - 1))
             elif kind == PRODUCT:
                 tree, node, size, slot, payload = (
                     step[1], step[2], step[3], step[4], step[5]
@@ -1110,8 +1137,8 @@ class FusedIndex:
 
     def compile_transition(
         self, ops: Sequence[Tuple[int, int]]
-    ) -> Tuple[tuple, Optional[tuple], Optional[tuple]]:
-        """Compile one transition into ``(refresh, prods, transfer)``.
+    ) -> Tuple[tuple, Optional[tuple], Optional[tuple], tuple]:
+        """Compile one transition into ``(refresh, prods, transfer, moves)``.
 
         The result is plain integer data: ints, ``None`` and tuples of
         those, which the cyclic garbage collector stops tracking at its
@@ -1142,6 +1169,12 @@ class FusedIndex:
         dst_slot, dst_node)``): one agent moves between two states, so
         when both are pool members their same-state update is a single
         flat re-label instead of a removal plus an insertion.
+
+        ``moves`` lists the transition's net class-count changes on a
+        class-scaled index, ``((class, delta, column), …)``: each class
+        once, in first-touch order, with the matrix column ``u(·, class)``
+        for the step-mass update.  A transition inside one class has no
+        moves, and neither has any transition of the unscaled index.
         """
         plan = self._plans.plan
         refresh: List[int] = []
@@ -1154,6 +1187,8 @@ class FusedIndex:
                 if kind == SAME:
                     same.append((state, delta, step[1], step[2]))
                     continue
+                if kind == SCALED_SAME:
+                    continue
                 if kind == PRODUCT:
                     slot = step[4]
                     net = prods.setdefault(slot, [0, 0])
@@ -1163,8 +1198,19 @@ class FusedIndex:
                     slot = step[3] if kind == TRIANGULAR else step[2]
                 if slot not in refresh:
                     refresh.append(slot)
+        moves = ()
+        if self.class_of is not None:
+            classes: Dict[int, int] = {}
+            for state, delta in ops:
+                cls = self.class_of[state]
+                classes[cls] = classes.get(cls, 0) + delta
+            moves = tuple([
+                (cls, delta, tuple([row[cls] for row in self.class_matrix]))
+                for cls, delta in classes.items()
+                if delta
+            ])
         if not guarded or any(dr for _, dr in prods.values()):
-            return tuple(refresh), None, None
+            return tuple(refresh), None, None, moves
         transfer = None
         if len(ops) == 2 and len(same) == 2:
             src, dst = same if same[0][1] < 0 else same[::-1]
@@ -1174,6 +1220,7 @@ class FusedIndex:
             tuple(refresh),
             tuple([(slot, di) for slot, (di, _) in prods.items()]),
             transfer,
+            moves,
         )
 
 
@@ -1194,8 +1241,7 @@ class WeightedFusedIndex(FusedIndex):
     ``total / total_mass()``, both exact integers.
     """
 
-    __slots__ = ("class_of", "class_matrix", "class_counts", "_row_dot",
-                 "_class_array")
+    __slots__ = ("class_counts", "_row_dot", "_class_array")
 
     def __init__(
         self,
@@ -1206,8 +1252,6 @@ class WeightedFusedIndex(FusedIndex):
         class_matrix: Sequence[Sequence[int]],
     ) -> None:
         super().__init__(families, num_states, counts, class_of, class_matrix)
-        self.class_of = list(class_of)
-        self.class_matrix = [[int(w) for w in row] for row in class_matrix]
         self._class_array = np.asarray(class_of, dtype=np.intp)
         self.class_counts = [0] * len(self.class_matrix)
         self._row_dot = [0] * len(self.class_matrix)

@@ -16,11 +16,17 @@ Hot-path layout
 
 The engine compiles the protocol's weight families into one
 :class:`~repro.core.fused.FusedIndex` — a single flat integer weight
-index over all productive pair slots — so the general loop samples a
-productive ordered pair with one Fenwick ``find`` (the residual target
-decodes within-slot draws; no per-family dispatch) and updates weights
-through precompiled per-state plans with O(1)-amortised slot deltas.
-The index is *hybrid*: same-state slots whose counts sit in the
+index over all productive pair slots — and runs it through the fused
+jump loop, :func:`_run_fused`, which samples a productive ordered pair
+with one Fenwick ``find`` (the residual target decodes within-slot
+draws; no per-family dispatch) and updates weights through precompiled
+per-state plans with O(1)-amortised slot deltas.  The same loop runs
+every recorder-free segment of the biased
+:class:`~repro.core.scheduler.WeightedScheduledEngine`, on that
+engine's class-scaled index: its few biased-only branches (two-raw
+targets, the scaled slot codes, the step-mass update after a class
+move, the interactions cap) are ones the uniform index never enters.
+The uniform index is *hybrid*: same-state slots whose counts sit in the
 classifier's window pool their mass into a proposal pseudo-slot served
 by O(1) agent-proposal rejection (and O(1) member moves on update),
 while the rest keep the Fenwick walk.  When the pool holds every
@@ -36,13 +42,14 @@ of update programs otherwise) so the inner loop never re-sums family
 weights or re-enters ``delta()``; ``delta`` must therefore be a pure
 function.  A compiled program is plain integer data — the transition's
 ``(state, delta)`` ops, the composite slot ids to refresh, the sprint
-guard's ``(slot, initiator delta)`` pairs and the transfer shortcut —
-and the loop reaches the payload objects through the index's per-state
-plans (``state_steps``, a plain list filled when a transition touching
-the state compiles) and its ``slot_kind``/``slot_payload`` lists.  The
-cache of programs, tens of thousands during a §5 reset storm, then
-holds nothing the cyclic garbage collector must traverse on every
-pass.
+guard's ``(slot, initiator delta)`` pairs, the transfer shortcut and the
+class moves — and the loop reaches the payload objects through the
+index's per-state plans (``state_steps``, a plain list filled when a
+transition touching the state compiles) and its
+``slot_kind``/``slot_payload`` lists.  Each index has its own program
+cache, a pair dict plus a dense same-state list, which during a §5
+reset storm holds tens of thousands of programs and nothing the cyclic
+garbage collector must traverse on every pass.
 
 For protocols whose productive pairs are all same-state (every
 state-optimal protocol in the paper), the recorder-free ``run()``
@@ -80,7 +87,16 @@ from .draws import BATCH, RAW_SPAN, DrawStream
 from .engine import Event, Recorder, checked_counts
 from .families import SameStatePairs
 from .fenwick import FenwickTree
-from .fused import PRODUCT, PROPOSAL, SAME, TRIANGULAR, FusedIndex
+from .fused import (
+    PRODUCT,
+    PROPOSAL,
+    SAME,
+    SCALED,
+    SCALED_SAME,
+    TRIANGULAR,
+    FusedIndex,
+    _ProductSlot,
+)
 from .protocol import PopulationProtocol
 from .snapshot import EngineSnapshot, check_snapshot
 
@@ -109,6 +125,12 @@ _RECLASSIFY_EVENTS = 8192
 _RECLASSIFY_PROPOSALS = 32
 _RECLASSIFY_COOLDOWN = 64
 
+# Exclusive bound of a target spliced from two raws (class-scaled
+# weights carry the 2⁵³ dyadic scale).
+_WIDE_SPAN = RAW_SPAN * RAW_SPAN
+# The interactions cap of a run without one: no clock reaches it.
+_NO_CAP = 1 << 128
+
 # A same-state transition's net effect: ((state, count_delta, weight
 # coefficient), ...) — the coefficient is count_delta for states whose
 # (s, s) pair is a rule and 0 otherwise, so the productive-weight change
@@ -135,6 +157,31 @@ def _transition_ops(si: int, sj: int, ti: int, tj: int):
     net[ti] += 1
     net[tj] += 1
     return tuple([(s, d) for s, d in net.items() if d])
+
+
+def _compile_program(
+    protocol: PopulationProtocol, fused: FusedIndex, si: int, sj: int
+) -> tuple:
+    """``(ti, tj, ops, refresh, prods, transfer, moves)`` — one
+    transition, compiled for ``fused``.
+
+    ``ops`` is the program body, ``((state, delta), …)``, which the
+    fused loop applies through each state's plan in the index's
+    ``state_steps``; the last four fields are the composite slots to
+    refresh, the sprint guard, the transfer shortcut and the class moves
+    (see :meth:`~repro.core.fused.FusedIndex.compile_transition`).
+    Every field is an int, ``None`` or a tuple of those, so a cached
+    entry holds no reference the cyclic garbage collector has to follow.
+    """
+    out = protocol.delta(si, sj)
+    if out is None:
+        raise SimulationError(
+            f"families sampled null pair ({si}, {sj}) — "
+            "family coverage does not match delta"
+        )
+    ti, tj = out
+    ops = _transition_ops(si, sj, ti, tj)
+    return (ti, tj, ops) + fused.compile_transition(ops)
 
 
 class JumpEngine:
@@ -354,34 +401,12 @@ class JumpEngine:
     # ------------------------------------------------------------------
     # Simulation
     # ------------------------------------------------------------------
-    def _compile_pair(self, si: int, sj: int) -> tuple:
-        """``(ti, tj, ops, refresh, prods, transfer)`` — one transition,
-        compiled.
-
-        ``ops`` is the program body, ``((state, delta), …)``, which the
-        fast loop applies through each state's plan in the index's
-        ``state_steps``; the last three fields are the composite slots
-        to refresh, the sprint guard and the transfer shortcut (see
-        :meth:`~repro.core.fused.FusedIndex.compile_transition`).  Every
-        field is an int, ``None`` or a tuple of those, so a cached entry
-        holds no reference the cyclic garbage collector has to follow.
-        """
-        out = self._protocol.delta(si, sj)
-        if out is None:
-            raise SimulationError(
-                f"families sampled null pair ({si}, {sj}) — "
-                "family coverage does not match delta"
-            )
-        ti, tj = out
-        ops = _transition_ops(si, sj, ti, tj)
-        return (ti, tj, ops) + self._fused.compile_transition(ops)
-
     def _transition(self, si: int, sj: int) -> tuple:
         """``(ti, tj, ops, ...)`` for a productive pair, via the table."""
         table = self._pair_table
         entry = table.get(si * self._num_states + sj)
         if entry is None:
-            entry = self._compile_pair(si, sj)
+            entry = _compile_program(self._protocol, self._fused, si, sj)
             table[si * self._num_states + sj] = entry
         return entry
 
@@ -498,622 +523,17 @@ class JumpEngine:
     # Fast loops — no recorder, no interaction budget, no Event objects
     # ------------------------------------------------------------------
     def _run_fast_general(self, max_events: Optional[int]) -> bool:
-        """Hybrid fused-index loop for protocols with cross-state families.
-
-        One exact weighted draw per event resolves to a slot of the
-        fused index (inlined Fenwick ``find``); the residual target
-        decodes the within-slot pair, so same-state and product slots
-        need no further randomness.  Draws landing in the proposal-pool
-        pseudo-slot switch to O(1) agent-proposal rejection — the fast
-        regime for same-state-heavy protocols like the §4 line, whose
-        mass the Fenwick walk used to re-search on every event.  While
-        the pool holds every remaining unit of weight the routed draw
-        is skipped (the *sprint*) and the loop proposes directly.
-        Transitions execute as precompiled plain-integer programs: each
-        op runs its state's plan from ``fused.state_steps`` (O(1) count
-        moments for the reset line, one-sided Fenwick writes for
-        products, O(1) member moves for pooled slots), followed by one
-        deduplicated weight refresh per composite slot, read through
-        ``slot_kind``/``slot_payload`` — no per-event family dispatch
-        anywhere.  Cache misses count as ``programs_compiled``.  A
-        transition whose product slots all weigh zero skips the refresh,
-        and a −1/+1 move between two pool members is a single re-label.
-        The pool partition is re-evaluated every ``_RECLASSIFY_EVENTS``
-        so it tracks the drifting count profile.
-        """
-        draws = self._draws
-        counts = self.counts
+        """The shared fused loop on the uniform index (see
+        :func:`_run_fused`), then the run-boundary canonicalisation."""
+        events0 = self.events
+        interactions0 = self.interactions
         fused = self._fused
-        tree = fused.tree
-        values = fused.values
-        num_composite = fused.num_composite
-        fensize = fused.fenwick_size
-        highbit = 1 << (fensize.bit_length() - 1) if fensize else 0
-        slot_kind = fused.slot_kind
-        slot_payload = fused.slot_payload
-        plans = fused.state_steps
-        num_states = self._num_states
-        total_pairs = self._total_pairs
-        pair_table = self._pair_table
-        ss_progs = self._ss_progs
-        log1p, ceil = math.log1p, math.ceil
-
-        pool = fused.pool
-        if pool is not None:
-            pagents = pool.agents
-            pwhere = pool.where
-            ppositions = pool.positions
-            pslot = pool.slot
-        else:
-            pagents = pwhere = ppositions = None
-            pslot = -1
-
-        weight = self._weight
-        interactions = self.interactions
-        events = self.events
-        # max(0, ...): an already-exhausted budget must stop immediately,
-        # not underflow past the -1 "unlimited" sentinel.
-        remaining = -1 if max_events is None else max(0, max_events - events)
-        reclassify_left = _RECLASSIFY_EVENTS
-        reclassify_cooldown = 0
-        # Telemetry: draw totals derive from batch-refill tallies at
-        # loop exit (the `nub`/`nrb` increments below run once per
-        # 8192 draws); the per-branch counters only tick when
-        # instrumentation is attached (`instr_on`), so the off path pays
-        # one local bool test per event at most.
-        ins = self._instr
-        instr_on = ins is not None
-        events0 = events
-        interactions0 = interactions
-        nub = nrb = 0
-        c_sprint = c_pool = c_prop = 0
-        c_fen = c_comp = c_reclass = c_compiled = 0
-        # Monotone upper bound on every state count (reset at each
-        # reclassification) — the acceptance bound for decoding stale
-        # product sides by rejection instead of rebuilding their trees.
-        gmax = max(counts)
-        pmhat = pool.mhat if pool is not None else 1
-        # The pool pseudo-slot value is mirrored in a local and written
-        # back only at sync points (routing through the general find,
-        # reclassification, loop exit) — pooled same-state updates then
-        # touch a single local instead of three shared structures.
-        pool_w = values[pslot] if pool is not None else -1
-
-        # Batched draws, as in the same-state loop: log(1-u) skip
-        # numerators through numpy, raw 64-bit integers for exact
-        # weighted targets and pool proposals.
-        lus: List[float] = []
-        upos = BATCH
-        raws: List[int] = []
-        raw_len = 0
-        rpos = 0
-        # log1p(-W/T) cached on W: the drain's dominant transfer events
-        # leave the total weight unchanged, so the skip denominator is
-        # usually reusable.
-        lp = 0.0
-        lp_weight = -1
-
-        while remaining != 0 and weight:
-            # Geometric skip.
-            if weight >= total_pairs:
-                interactions += 1
-            else:
-                if upos == BATCH:
-                    lus = draws.log_uniform_batch()
-                    upos = 0
-                    nub += 1
-                lu = lus[upos]
-                upos += 1
-                if weight != lp_weight:
-                    lp = log1p(-weight / total_pairs)
-                    lp_weight = weight
-                if lu >= lp:
-                    interactions += 1
-                else:
-                    interactions += ceil(lu / lp)
-            if weight == pool_w:
-                # Sprint: every remaining unit of weight is pooled (the
-                # steady state of a same-state-heavy drain), so the
-                # routed target draw is a foregone conclusion — propose
-                # directly.
-                kind = PROPOSAL
-                if instr_on:
-                    c_sprint += 1
-            else:
-                if pslot >= 0:
-                    values[pslot] = pool_w
-                # Exact uniform target in [0, weight).
-                while True:
-                    if rpos == raw_len:
-                        raws = draws.raw_batch()
-                        raw_len = BATCH
-                        rpos = 0
-                        nrb += 1
-                    raw = raws[rpos]
-                    rpos += 1
-                    target = raw % weight
-                    if raw - target <= RAW_SPAN - weight:
-                        break
-                # Fused-index find: the few composite slots (the pool
-                # pseudo-slot included) short-circuit with a linear
-                # scan; only draws landing in the tree-mode same-state
-                # block walk the Fenwick tree.
-                pos = -1
-                for ci in range(num_composite):
-                    v = values[ci]
-                    if target < v:
-                        pos = ci
-                        break
-                    target -= v
-                if pos < 0:
-                    pos = 0
-                    bit = highbit
-                    while bit:
-                        nxt = pos + bit
-                        if nxt <= fensize:
-                            below = tree[nxt]
-                            if below <= target:
-                                target -= below
-                                pos = nxt
-                        bit >>= 1
-                    pos += num_composite
-                    if instr_on:
-                        c_fen += 1
-                elif instr_on:
-                    c_comp += 1
-                kind = slot_kind[pos]
-            if kind == PROPOSAL:
-                # Inlined _ProposalPool.sample_state: one raw draw fuses
-                # the uniform pool-agent proposal with its acceptance
-                # threshold; a routed residual target is discarded (it
-                # is independent of the fresh proposal draws).
-                mh = pmhat
-                pbound = len(pagents) * mh
-                plimit = RAW_SPAN - pbound
-                proposals = 0
-                while True:
-                    if rpos == raw_len:
-                        raws = draws.raw_batch()
-                        raw_len = BATCH
-                        rpos = 0
-                        nrb += 1
-                    raw = raws[rpos]
-                    rpos += 1
-                    v = raw % pbound
-                    if raw - v > plimit:
-                        continue
-                    proposals += 1
-                    s = pagents[v // mh]
-                    # Member invariant: len(positions[s]) == counts[s],
-                    # so the threshold test reads the counts directly.
-                    if v % mh < counts[s] - 1:
-                        si = sj = s
-                        break
-                if (
-                    proposals > _RECLASSIFY_PROPOSALS
-                    and reclassify_cooldown <= 0
-                ):
-                    # Acceptance degraded since the last partition (a
-                    # member count drifted far from m̂) — re-partition
-                    # now instead of waiting out the periodic counter.
-                    reclassify_left = 0
-                if instr_on:
-                    c_pool += 1
-                    c_prop += proposals
-            elif kind == TRIANGULAR:
-                # Inlined _TriangularSlot.pair_from_target (factor 1).
-                tri = slot_payload[pos]
-                tcounts = tri.counts
-                line = tri.line
-                suffix = tri.s
-                tlen = len(tcounts)
-                si = -1
-                for i in range(tlen):
-                    c = tcounts[i]
-                    if c == 0:
-                        continue
-                    suffix -= c
-                    block = c * (c - 1 + suffix)
-                    if target < block:
-                        same = c * (c - 1)
-                        if target < same:
-                            si = sj = line[i]
-                            break
-                        si = line[i]
-                        sj = -1
-                        j_target = (target - same) // c
-                        for j in range(i + 1, tlen):
-                            cj = tcounts[j]
-                            if j_target < cj:
-                                sj = line[j]
-                                break
-                            j_target -= cj
-                        break
-                    target -= block
-                if si < 0 or sj < 0:
-                    raise SimulationError(
-                        "fused triangular sample out of range"
-                    )
-            elif kind == SAME:
-                si = sj = slot_payload[pos]
-            elif kind == PRODUCT:
-                prod = slot_payload[pos]
-                if prod.stale:
-                    # Decode around the stale side trees: rejection
-                    # against the global count bound, rebuilding only
-                    # if the profile is too skewed for it.
-                    si, sj = prod.sample_stale(gmax, draws.rand_below)
-                else:
-                    rtree = prod.resp_tree
-                    rsize = prod.resp_size
-                    # Both side draws decode from the one residual target.
-                    t1 = target // rtree[rsize]
-                    t2 = target - t1 * rtree[rsize]
-                    p1 = 0
-                    bit = prod.init_size
-                    itree = prod.init_tree
-                    while bit:
-                        nxt = p1 + bit
-                        if nxt <= prod.init_size:
-                            below = itree[nxt]
-                            if below <= t1:
-                                t1 -= below
-                                p1 = nxt
-                        bit >>= 1
-                    si = prod.initiators[p1]
-                    p2 = 0
-                    bit = rsize
-                    while bit:
-                        nxt = p2 + bit
-                        if nxt <= rsize:
-                            below = rtree[nxt]
-                            if below <= t2:
-                                t2 -= below
-                                p2 = nxt
-                        bit >>= 1
-                    sj = prod.responders[p2]
-            else:
-                si, sj = slot_payload[pos].sample(draws.rand_below)
-            # Transition: the precompiled program.
-            if si == sj:
-                # Same-state draws dominate the hybrid loop: a
-                # dense per-state list beats hashing the pair key.
-                entry = ss_progs[si]
-                if entry is None:
-                    entry = self._compile_pair(si, si)
-                    ss_progs[si] = entry
-                    c_compiled += 1
-            else:
-                key = si * num_states + sj
-                entry = pair_table.get(key)
-                if entry is None:
-                    entry = self._compile_pair(si, sj)
-                    pair_table[key] = entry
-                    c_compiled += 1
-            ops = entry[2]
-            prods = entry[4]
-            if prods is not None:
-                # Sprint guard: while every product slot the
-                # transition touches has an empty responder side (it
-                # has no responder-side ops, or prods would be None)
-                # the slots weigh zero before and after — the product
-                # steps only stale-mark and add to the initiator
-                # total, and no refresh pass is needed.
-                for slot, _ in prods:
-                    if slot_payload[slot].resp_total:
-                        prods = None
-                        break
-            if prods is None:
-                refresh = entry[3]
-            else:
-                refresh = ()
-                transfer = entry[5]
-                if transfer is not None:
-                    # One agent moves src → dst; when both states
-                    # are pool members this is a single flat
-                    # re-label (no swap-removal, no insertion).
-                    # An applied re-label empties the ops and does
-                    # their product part here.
-                    src = transfer[0]
-                    dst = transfer[1]
-                    pls = ppositions[src]
-                    pld = ppositions[dst]
-                    if pls is not None and pld is not None:
-                        old_s = counts[src]
-                        old_d = counts[dst]
-                        counts[src] = old_s - 1
-                        counts[dst] = old_d + 1
-                        if old_d + 1 > gmax:
-                            gmax = old_d + 1
-                        p = pls.pop()
-                        pagents[p] = dst
-                        pwhere[p] = len(pld)
-                        pld.append(p)
-                        if old_s == 2:
-                            # src drained below a pair: expel its
-                            # last agent.
-                            p = pls.pop()
-                            last = len(pagents) - 1
-                            if p != last:
-                                moved = pagents[last]
-                                mw = pwhere[last]
-                                pagents[p] = moved
-                                pwhere[p] = mw
-                                ppositions[moved][mw] = p
-                            pagents.pop()
-                            pwhere.pop()
-                            ppositions[src] = None
-                        if old_d + 1 > pool.hi:
-                            # Expel dst above the window.
-                            pld = ppositions[dst]
-                            w = (old_d + 1) * old_d
-                            for _ in range(old_d + 1):
-                                p = pld.pop()
-                                last = len(pagents) - 1
-                                if p != last:
-                                    moved = pagents[last]
-                                    mw = pwhere[last]
-                                    pagents[p] = moved
-                                    pwhere[p] = mw
-                                    ppositions[moved][mw] = p
-                                pagents.pop()
-                                pwhere.pop()
-                            ppositions[dst] = None
-                            # src keeps its pool delta; dst mass
-                            # moves from the pool to the tree.
-                            pool_w -= old_d * (old_d - 1)
-                            values[transfer[2]] = w
-                            node = transfer[3]
-                            while node <= fensize:
-                                tree[node] += w
-                                node += node & -node
-                            weight += w - old_d * (old_d - 1)
-                            dw = -(old_s + old_s - 2)
-                            pool_w += dw
-                            weight += dw
-                        else:
-                            dw = (old_d - old_s + 1) * 2
-                            if dw:
-                                pool_w += dw
-                                weight += dw
-                        ops = ()
-                    elif (
-                        pls is not None
-                        and counts[dst] == 1
-                        and pool.lo <= 2 <= pool.hi
-                    ):
-                        # dst migrates in: its lone agent plus the
-                        # moved one form a fresh two-member list.
-                        old_s = counts[src]
-                        counts[src] = old_s - 1
-                        counts[dst] = 2
-                        if 2 > gmax:
-                            gmax = 2
-                        p = pls.pop()
-                        pagents[p] = dst
-                        pwhere[p] = 0
-                        ppositions[dst] = [p, len(pagents)]
-                        pwhere.append(1)
-                        pagents.append(dst)
-                        if old_s == 2:
-                            p = pls.pop()
-                            last = len(pagents) - 1
-                            if p != last:
-                                moved = pagents[last]
-                                mw = pwhere[last]
-                                pagents[p] = moved
-                                pwhere[p] = mw
-                                ppositions[moved][mw] = p
-                            pagents.pop()
-                            pwhere.pop()
-                            ppositions[src] = None
-                        dw = (2 - old_s) * 2
-                        if dw:
-                            pool_w += dw
-                            weight += dw
-                        ops = ()
-                    if not ops:
-                        for slot, dinit in prods:
-                            prod = slot_payload[slot]
-                            prod.stale |= 1
-                            prod.init_total += dinit
-            for state, delta in ops:
-                old = counts[state]
-                new = old + delta
-                if new < 0:
-                    raise SimulationError(
-                        f"state {state} count went negative applying "
-                        "transition"
-                    )
-                counts[state] = new
-                if new > gmax:
-                    gmax = new
-                for step in plans[state]:
-                    code = step[0]
-                    if code == TRIANGULAR:
-                        tri = step[1]
-                        tri.counts[step[2]] = new
-                        tri.s += delta
-                        tri.q += new * new - old * old
-                    elif code == PRODUCT:
-                        # Scalar side totals always; the padded-tree
-                        # walk only while the slot can be sampled
-                        # (the other side occupied) — a gated side
-                        # goes stale and rebuilds on next decode.
-                        prod = step[5]
-                        if step[6]:
-                            prod.init_total += delta
-                            if prod.stale & 1 or prod.resp_total == 0:
-                                prod.stale |= 1
-                                continue
-                        else:
-                            prod.resp_total += delta
-                            if prod.stale & 2 or prod.init_total == 0:
-                                prod.stale |= 2
-                                continue
-                        ptree = step[1]
-                        node = step[2]
-                        psize = step[3]
-                        while node <= psize:
-                            ptree[node] += delta
-                            node += node & -node
-                    elif code == SAME:
-                        # Hybrid dispatch: the state's current pool
-                        # membership picks an O(1) member move or
-                        # the Fenwick walk (SAME steps only exist
-                        # when the pool does).
-                        plist = ppositions[state]
-                        if plist is None:
-                            slot = step[1]
-                            if pool.lo <= new <= pool.hi:
-                                # Migrate into the pool window: zero
-                                # the Fenwick slot once, O(1) moves
-                                # from here on.
-                                w = new * (new - 1)
-                                old_w = values[slot]
-                                if old_w:
-                                    values[slot] = 0
-                                    node = step[2]
-                                    while node <= fensize:
-                                        tree[node] -= old_w
-                                        node += node & -node
-                                base = len(pagents)
-                                ppositions[state] = list(
-                                    range(base, base + new)
-                                )
-                                pagents.extend([state] * new)
-                                pwhere.extend(range(new))
-                                if new > pmhat:
-                                    pmhat = new
-                                pool_w += w
-                                weight += w - old_w
-                            else:
-                                w = new * (new - 1)
-                                dw = w - values[slot]
-                                if dw:
-                                    values[slot] = w
-                                    weight += dw
-                                    node = step[2]
-                                    while node <= fensize:
-                                        tree[node] += dw
-                                        node += node & -node
-                        else:
-                            if delta > 0:
-                                for _ in range(delta):
-                                    pwhere.append(len(plist))
-                                    plist.append(len(pagents))
-                                    pagents.append(state)
-                                if new > pool.hi:
-                                    # Expel above the window: keeping
-                                    # the member would stretch m̂ (and
-                                    # the acceptance of every small
-                                    # member) — the Fenwick serves
-                                    # outgrown slots better.
-                                    for _ in range(new):
-                                        p = plist.pop()
-                                        last = len(pagents) - 1
-                                        if p != last:
-                                            moved = pagents[last]
-                                            mw = pwhere[last]
-                                            pagents[p] = moved
-                                            pwhere[p] = mw
-                                            ppositions[moved][mw] = p
-                                        pagents.pop()
-                                        pwhere.pop()
-                                    ppositions[state] = None
-                                    w = new * (new - 1)
-                                    pool_w -= old * (old - 1)
-                                    weight -= old * (old - 1)
-                                    slot = step[1]
-                                    values[slot] = w
-                                    node = step[2]
-                                    while node <= fensize:
-                                        tree[node] += w
-                                        node += node & -node
-                                    weight += w
-                                    continue
-                            else:
-                                removals = -delta if new >= 2 else old
-                                for _ in range(removals):
-                                    p = plist.pop()
-                                    last = len(pagents) - 1
-                                    if p != last:
-                                        moved = pagents[last]
-                                        mw = pwhere[last]
-                                        pagents[p] = moved
-                                        pwhere[p] = mw
-                                        ppositions[moved][mw] = p
-                                    pagents.pop()
-                                    pwhere.pop()
-                                if new < 2:
-                                    # Expel: weightless members only
-                                    # dilute proposal acceptance.
-                                    ppositions[state] = None
-                            dw = new * (new - 1) - old * (old - 1)
-                            if dw:
-                                pool_w += dw
-                                weight += dw
-                    else:
-                        step[1].on_count_change(state, old, new)
-            # One deferred weight refresh per touched composite
-            # slot — a plain values[] write, composite slots live
-            # outside the Fenwick tree.
-            for slot in refresh:
-                rkind = slot_kind[slot]
-                if rkind == TRIANGULAR:
-                    tri = slot_payload[slot]
-                    s_ = tri.s
-                    q_ = tri.q
-                    w = (q_ - s_) + (s_ * s_ - q_) // 2
-                elif rkind == PRODUCT:
-                    prod = slot_payload[slot]
-                    w = prod.init_total * prod.resp_total
-                else:
-                    w = slot_payload[slot].weight
-                weight += w - values[slot]
-                values[slot] = w
-            events += 1
-            remaining -= 1
-            reclassify_left -= 1
-            reclassify_cooldown -= 1
-            if reclassify_left <= 0:
-                reclassify_left = _RECLASSIFY_EVENTS
-                reclassify_cooldown = _RECLASSIFY_COOLDOWN
-                gmax = max(counts)
-                if pool is not None:
-                    # Re-partition pool vs Fenwick from the live counts.
-                    # All pool arrays mutate in place, so every local
-                    # alias above stays valid; the total is unchanged.
-                    fused.reclassify(counts)
-                    pool_w = pool.weight
-                    pmhat = pool.mhat
-                    if instr_on:
-                        c_reclass += 1
-        if pool is not None:
-            values[pslot] = pool_w
-            pool.weight = pool_w
-            pool.mhat = pmhat
-        self._weight = weight
-        fused.total = weight
-        self.interactions = interactions
-        self.events = events
-        if ins is not None:
-            # Draw totals by batch-consumption arithmetic: full batches
-            # refilled minus whatever is left unconsumed in the tail.
-            cu = nub * BATCH - (BATCH - upos) if nub else 0
-            cr = nrb * BATCH - (raw_len - rpos) if nrb else 0
-            ins.add_counters(
-                events=events - events0,
-                interactions=interactions - interactions0,
-                skip_draws=cu,
-                raw_draws=cr,
-                proposal_draws=c_prop,
-                pool_draws=c_pool,
-                sprint_events=c_sprint,
-                fenwick_finds=c_fen,
-                composite_finds=c_comp,
-                reclassifications=c_reclass,
-                programs_compiled=c_compiled,
+        silent = _run_fused(self, fused, self._total_pairs, None, max_events)
+        self._weight = fused.total
+        if self._instr is not None:
+            self._instr.add_counters(
+                events=self.events - events0,
+                interactions=self.interactions - interactions0,
             )
         # Canonicalise the sampler at the run boundary: the pool
         # partition and any stale product sides drift with the loop's
@@ -1122,14 +542,12 @@ class JumpEngine:
         # loop performs every ``_RECLASSIFY_EVENTS``, and the contract
         # the checkpoint seam (``snapshot``/``restore``) relies on for
         # bit-identical resumption.
-        if not fused.resync(counts):
-            self._rebuild_fused(counts)
+        if not fused.resync(self.counts):
+            self._rebuild_fused(self.counts)
         # Discard any shared buffered draws so later step() calls start
         # from fresh batches of the (advanced) generator stream.
-        draws.discard()
-        if self._debug:
-            self._assert_weight_sync()
-        return weight == 0
+        self._draws.discard()
+        return silent
 
     def _run_fast_same_state(self, max_events: Optional[int]) -> bool:
         """Adaptive dual-sampler loop for same-state-only protocols.
@@ -1381,3 +799,711 @@ class JumpEngine:
         if self._debug:
             self._assert_weight_sync()
         return weight == 0
+
+
+def _run_fused(
+    engine,
+    fused: FusedIndex,
+    mass: int,
+    max_interactions: Optional[int],
+    max_events: Optional[int],
+) -> bool:
+    """The fused jump loop, shared by the uniform and the biased engines.
+
+    Runs ``engine`` (a :class:`JumpEngine` on its unscaled index, or a
+    :class:`~repro.core.scheduler.WeightedScheduledEngine` on the active
+    segment's class-scaled index) until silence, ``max_events`` or
+    ``max_interactions``; ``mass`` is the scheduler's step mass over all
+    ordered agent pairs (``n(n−1)`` for the uniform scheduler), so the
+    geometric skip succeeds with probability ``W / mass``.  A skip
+    overshooting ``max_interactions`` clamps the clock there and drops
+    the pending event.  Returns True iff the configuration is silent.
+    From ``engine`` the loop reads the protocol, counts, draw stream,
+    counters and telemetry bag, and the program caches of ``fused``
+    (``_pair_table`` and ``_ss_progs``).
+
+    One exact weighted draw per event resolves to a slot of the fused
+    index (inlined Fenwick ``find``); the residual target decodes the
+    within-slot pair, so same-state and product slots need no further
+    randomness.  Draws landing in the proposal-pool pseudo-slot switch
+    to O(1) agent-proposal rejection — the fast regime for
+    same-state-heavy protocols like the §4 line, whose mass the Fenwick
+    walk used to re-search on every event.  While the pool holds every
+    remaining unit of weight the routed draw is skipped (the *sprint*)
+    and the loop proposes directly.  Transitions execute as precompiled
+    plain-integer programs ``(ti, tj, ops, refresh, prods, transfer,
+    moves)``: each op runs its state's plan from ``fused.state_steps``
+    (O(1) count moments for the reset line, one-sided Fenwick writes for
+    products, O(1) member moves for pooled slots), followed by one
+    deduplicated weight refresh per composite slot, read through
+    ``slot_kind``/``slot_payload`` — no per-event family dispatch
+    anywhere.  Cache misses count as ``programs_compiled``.  A
+    transition whose product slots all weigh zero skips the refresh,
+    and a −1/+1 move between two pool members is a single re-label.
+    The pool partition is re-evaluated every ``_RECLASSIFY_EVENTS`` so
+    it tracks the drifting count profile.
+
+    A class-scaled index has no pool, so it never sprints.  Its weights
+    carry the 2⁵³ dyadic scale, so each target splices two raws; its
+    :data:`~repro.core.fused.SCALED` composite slots decode through
+    their payloads and weigh with their factor, and its same-state steps
+    carry their class factor.  A program whose ``moves`` shift agents
+    between classes updates the class sums and recomputes the step
+    mass.  The unscaled index meets none of these branches and
+    multiplies no factor.
+
+    The loop writes back the counters and ``fused.total``; the pool
+    partition, stale product sides and buffered draws it leaves behind
+    are for the caller to canonicalise or keep.
+    """
+    draws = engine._draws
+    counts = engine.counts
+    protocol = engine._protocol
+    tree = fused.tree
+    values = fused.values
+    num_composite = fused.num_composite
+    fensize = fused.fenwick_size
+    highbit = 1 << (fensize.bit_length() - 1) if fensize else 0
+    slot_kind = fused.slot_kind
+    slot_payload = fused.slot_payload
+    plans = fused.state_steps
+    num_states = engine._num_states
+    pair_table = engine._pair_table
+    ss_progs = engine._ss_progs
+    log1p, ceil = math.log1p, math.ceil
+    # A class-scaled index: two spliced raws per target, and class sums
+    # for the step mass.
+    wide = fused.class_of is not None
+    span = _WIDE_SPAN if wide else RAW_SPAN
+    if wide:
+        class_counts = fused.class_counts
+        row_dot = fused._row_dot
+    else:
+        class_counts = row_dot = None
+
+    pool = fused.pool
+    if pool is not None:
+        pagents = pool.agents
+        pwhere = pool.where
+        ppositions = pool.positions
+        pslot = pool.slot
+    else:
+        pagents = pwhere = ppositions = None
+        pslot = -1
+
+    weight = fused.total
+    interactions = engine.interactions
+    events = engine.events
+    # Event-count schedules instead of per-event countdowns: the loop
+    # stops at `stop` events (-1: no budget; an exhausted budget stops
+    # at once), re-partitions at `reclassify_at`, and the acceptance
+    # trigger below may force an early pass once `events` reaches
+    # `cooldown_end`.
+    stop = -1 if max_events is None else max(events, max_events)
+    icap = _NO_CAP if max_interactions is None else max_interactions
+    reclassify_at = events + _RECLASSIFY_EVENTS
+    cooldown_end = events
+    # Telemetry: draw totals derive from batch-refill tallies at loop
+    # exit (the `nub`/`nrb` increments below run once per 8192 draws);
+    # the per-branch counters only tick when instrumentation is
+    # attached (`instr_on`), so the off path pays one local bool test
+    # per event at most.
+    ins = engine._instr
+    instr_on = ins is not None
+    nub = nrb = 0
+    c_sprint = c_pool = c_prop = 0
+    c_fen = c_comp = c_reclass = c_compiled = 0
+    # Monotone upper bound on every state count (reset at each
+    # reclassification) — the acceptance bound for decoding stale
+    # product sides by rejection instead of rebuilding their trees.
+    gmax = max(counts)
+    pmhat = pool.mhat if pool is not None else 1
+    # The pool pseudo-slot value is mirrored in a local and written
+    # back only at sync points (routing through the general find,
+    # reclassification, loop exit) — pooled same-state updates then
+    # touch a single local instead of three shared structures.
+    pool_w = values[pslot] if pool is not None else -1
+
+    # Batched draws: log(1-u) skip numerators through numpy, raw 64-bit
+    # integers for exact weighted targets and pool proposals.
+    lus: List[float] = []
+    upos = BATCH
+    raws: List[int] = []
+    raw_len = 0
+    rpos = 0
+    # log1p(-W/M) cached on W (reset when the mass M moves): the drain's
+    # dominant transfer events leave the total weight unchanged, so the
+    # skip denominator is usually reusable.  `sure`: every step is
+    # productive, so the skip is 1 and draws nothing.
+    lp = 0.0
+    lp_weight = -1
+    sure = False
+
+    while events != stop and weight:
+        # Geometric skip.
+        if weight != lp_weight:
+            lp_weight = weight
+            ratio = weight / mass
+            sure = ratio >= 1.0
+            if not sure:
+                lp = log1p(-ratio)
+        if sure:
+            interactions += 1
+        else:
+            if upos == BATCH:
+                lus = draws.log_uniform_batch()
+                upos = 0
+                nub += 1
+            lu = lus[upos]
+            upos += 1
+            if lu >= lp:
+                interactions += 1
+            else:
+                interactions += ceil(lu / lp)
+        if interactions > icap:
+            # The skip overshoots the cap: clamp there and drop the
+            # pending event (the skip is memoryless, so this is exact).
+            interactions = icap
+            break
+        if weight == pool_w:
+            # Sprint: every remaining unit of weight is pooled (the
+            # steady state of a same-state-heavy drain), so the routed
+            # target draw is a foregone conclusion — propose directly.
+            kind = PROPOSAL
+            if instr_on:
+                c_sprint += 1
+        else:
+            if pslot >= 0:
+                values[pslot] = pool_w
+            # Exact uniform target in [0, weight).  A class-scaled
+            # weight takes two spliced raws; the batch is even, so a
+            # pair never straddles a refill.
+            while True:
+                if rpos == raw_len:
+                    raws = draws.raw_batch()
+                    raw_len = BATCH
+                    rpos = 0
+                    nrb += 1
+                raw = raws[rpos]
+                rpos += 1
+                if wide:
+                    raw = (raw << 64) | raws[rpos]
+                    rpos += 1
+                target = raw % weight
+                if raw - target <= span - weight:
+                    break
+            # Fused-index find: the few composite slots (the pool
+            # pseudo-slot included) short-circuit with a linear scan;
+            # only draws landing in the tree-mode same-state block walk
+            # the Fenwick tree.
+            pos = -1
+            for ci in range(num_composite):
+                v = values[ci]
+                if target < v:
+                    pos = ci
+                    break
+                target -= v
+            if pos < 0:
+                pos = 0
+                bit = highbit
+                while bit:
+                    nxt = pos + bit
+                    if nxt <= fensize:
+                        below = tree[nxt]
+                        if below <= target:
+                            target -= below
+                            pos = nxt
+                    bit >>= 1
+                pos += num_composite
+                if instr_on:
+                    c_fen += 1
+            elif instr_on:
+                c_comp += 1
+            kind = slot_kind[pos]
+        if kind == PROPOSAL:
+            # Inlined _ProposalPool.sample_state: one raw draw fuses
+            # the uniform pool-agent proposal with its acceptance
+            # threshold; a routed residual target is discarded (it
+            # is independent of the fresh proposal draws).
+            mh = pmhat
+            pbound = len(pagents) * mh
+            plimit = RAW_SPAN - pbound
+            proposals = 0
+            while True:
+                if rpos == raw_len:
+                    raws = draws.raw_batch()
+                    raw_len = BATCH
+                    rpos = 0
+                    nrb += 1
+                raw = raws[rpos]
+                rpos += 1
+                v = raw % pbound
+                if raw - v > plimit:
+                    continue
+                proposals += 1
+                s = pagents[v // mh]
+                # Member invariant: len(positions[s]) == counts[s],
+                # so the threshold test reads the counts directly.
+                if v % mh < counts[s] - 1:
+                    si = sj = s
+                    break
+            if (
+                proposals > _RECLASSIFY_PROPOSALS
+                and events >= cooldown_end
+            ):
+                # Acceptance degraded since the last partition (a
+                # member count drifted far from m̂) — re-partition at
+                # the end of this event instead of waiting out the
+                # periodic schedule.
+                reclassify_at = events
+            if instr_on:
+                c_pool += 1
+                c_prop += proposals
+        elif kind == SCALED:
+            # A class-scaled product or line run: its payload divides
+            # the class factor out of the residual target.
+            si, sj = slot_payload[pos].pair_from_target(target)
+        elif kind == TRIANGULAR:
+            # Inlined _TriangularSlot.pair_from_target (factor 1).
+            tri = slot_payload[pos]
+            tcounts = tri.counts
+            line = tri.line
+            suffix = tri.s
+            tlen = len(tcounts)
+            si = -1
+            for i in range(tlen):
+                c = tcounts[i]
+                if c == 0:
+                    continue
+                suffix -= c
+                block = c * (c - 1 + suffix)
+                if target < block:
+                    same = c * (c - 1)
+                    if target < same:
+                        si = sj = line[i]
+                        break
+                    si = line[i]
+                    sj = -1
+                    j_target = (target - same) // c
+                    for j in range(i + 1, tlen):
+                        cj = tcounts[j]
+                        if j_target < cj:
+                            sj = line[j]
+                            break
+                        j_target -= cj
+                    break
+                target -= block
+            if si < 0 or sj < 0:
+                raise SimulationError(
+                    "fused triangular sample out of range"
+                )
+        elif kind == SAME:
+            si = sj = slot_payload[pos]
+        elif kind == PRODUCT:
+            prod = slot_payload[pos]
+            if prod.stale:
+                # Decode around the stale side trees: rejection
+                # against the global count bound, rebuilding only
+                # if the profile is too skewed for it.
+                si, sj = prod.sample_stale(gmax, draws.rand_below)
+            else:
+                rtree = prod.resp_tree
+                rsize = prod.resp_size
+                # Both side draws decode from the one residual target.
+                t1 = target // rtree[rsize]
+                t2 = target - t1 * rtree[rsize]
+                p1 = 0
+                bit = prod.init_size
+                itree = prod.init_tree
+                while bit:
+                    nxt = p1 + bit
+                    if nxt <= prod.init_size:
+                        below = itree[nxt]
+                        if below <= t1:
+                            t1 -= below
+                            p1 = nxt
+                    bit >>= 1
+                si = prod.initiators[p1]
+                p2 = 0
+                bit = rsize
+                while bit:
+                    nxt = p2 + bit
+                    if nxt <= rsize:
+                        below = rtree[nxt]
+                        if below <= t2:
+                            t2 -= below
+                            p2 = nxt
+                    bit >>= 1
+                sj = prod.responders[p2]
+        else:
+            si, sj = slot_payload[pos].sample(draws.rand_below)
+        # Transition: the precompiled program.
+        if si == sj:
+            # Same-state draws dominate the hybrid loop: a
+            # dense per-state list beats hashing the pair key.
+            entry = ss_progs[si]
+            if entry is None:
+                entry = _compile_program(protocol, fused, si, si)
+                ss_progs[si] = entry
+                c_compiled += 1
+        else:
+            key = si * num_states + sj
+            entry = pair_table.get(key)
+            if entry is None:
+                entry = _compile_program(protocol, fused, si, sj)
+                pair_table[key] = entry
+                c_compiled += 1
+        ops = entry[2]
+        prods = entry[4]
+        if prods is not None:
+            # Sprint guard: while every product slot the
+            # transition touches has an empty responder side (it
+            # has no responder-side ops, or prods would be None)
+            # the slots weigh zero before and after — the product
+            # steps only stale-mark and add to the initiator
+            # total, and no refresh pass is needed.
+            for slot, _ in prods:
+                if slot_payload[slot].resp_total:
+                    prods = None
+                    break
+        if prods is None:
+            refresh = entry[3]
+        else:
+            refresh = ()
+            transfer = entry[5]
+            if transfer is not None:
+                # One agent moves src → dst; when both states
+                # are pool members this is a single flat
+                # re-label (no swap-removal, no insertion).
+                # An applied re-label empties the ops and does
+                # their product part here.
+                src = transfer[0]
+                dst = transfer[1]
+                pls = ppositions[src]
+                pld = ppositions[dst]
+                if pls is not None and pld is not None:
+                    old_s = counts[src]
+                    old_d = counts[dst]
+                    counts[src] = old_s - 1
+                    counts[dst] = old_d + 1
+                    if old_d + 1 > gmax:
+                        gmax = old_d + 1
+                    p = pls.pop()
+                    pagents[p] = dst
+                    pwhere[p] = len(pld)
+                    pld.append(p)
+                    if old_s == 2:
+                        # src drained below a pair: expel its
+                        # last agent.
+                        p = pls.pop()
+                        last = len(pagents) - 1
+                        if p != last:
+                            moved = pagents[last]
+                            mw = pwhere[last]
+                            pagents[p] = moved
+                            pwhere[p] = mw
+                            ppositions[moved][mw] = p
+                        pagents.pop()
+                        pwhere.pop()
+                        ppositions[src] = None
+                    if old_d + 1 > pool.hi:
+                        # Expel dst above the window.
+                        pld = ppositions[dst]
+                        w = (old_d + 1) * old_d
+                        for _ in range(old_d + 1):
+                            p = pld.pop()
+                            last = len(pagents) - 1
+                            if p != last:
+                                moved = pagents[last]
+                                mw = pwhere[last]
+                                pagents[p] = moved
+                                pwhere[p] = mw
+                                ppositions[moved][mw] = p
+                            pagents.pop()
+                            pwhere.pop()
+                        ppositions[dst] = None
+                        # src keeps its pool delta; dst mass
+                        # moves from the pool to the tree.
+                        pool_w -= old_d * (old_d - 1)
+                        values[transfer[2]] = w
+                        node = transfer[3]
+                        while node <= fensize:
+                            tree[node] += w
+                            node += node & -node
+                        weight += w - old_d * (old_d - 1)
+                        dw = -(old_s + old_s - 2)
+                        pool_w += dw
+                        weight += dw
+                    else:
+                        dw = (old_d - old_s + 1) * 2
+                        if dw:
+                            pool_w += dw
+                            weight += dw
+                    ops = ()
+                elif (
+                    pls is not None
+                    and counts[dst] == 1
+                    and pool.lo <= 2 <= pool.hi
+                ):
+                    # dst migrates in: its lone agent plus the
+                    # moved one form a fresh two-member list.
+                    old_s = counts[src]
+                    counts[src] = old_s - 1
+                    counts[dst] = 2
+                    if 2 > gmax:
+                        gmax = 2
+                    p = pls.pop()
+                    pagents[p] = dst
+                    pwhere[p] = 0
+                    ppositions[dst] = [p, len(pagents)]
+                    pwhere.append(1)
+                    pagents.append(dst)
+                    if old_s == 2:
+                        p = pls.pop()
+                        last = len(pagents) - 1
+                        if p != last:
+                            moved = pagents[last]
+                            mw = pwhere[last]
+                            pagents[p] = moved
+                            pwhere[p] = mw
+                            ppositions[moved][mw] = p
+                        pagents.pop()
+                        pwhere.pop()
+                        ppositions[src] = None
+                    dw = (2 - old_s) * 2
+                    if dw:
+                        pool_w += dw
+                        weight += dw
+                    ops = ()
+                if not ops:
+                    for slot, dinit in prods:
+                        prod = slot_payload[slot]
+                        prod.stale |= 1
+                        prod.init_total += dinit
+        for state, delta in ops:
+            old = counts[state]
+            new = old + delta
+            if new < 0:
+                raise SimulationError(
+                    f"state {state} count went negative applying "
+                    "transition"
+                )
+            counts[state] = new
+            if new > gmax:
+                gmax = new
+            for step in plans[state]:
+                code = step[0]
+                if code == TRIANGULAR:
+                    tri = step[1]
+                    tri.counts[step[2]] = new
+                    tri.s += delta
+                    tri.q += new * new - old * old
+                elif code == PRODUCT:
+                    # Scalar side totals always; the padded-tree
+                    # walk only while the slot can be sampled
+                    # (the other side occupied) — a gated side
+                    # goes stale and rebuilds on next decode.
+                    prod = step[5]
+                    if step[6]:
+                        prod.init_total += delta
+                        if prod.stale & 1 or prod.resp_total == 0:
+                            prod.stale |= 1
+                            continue
+                    else:
+                        prod.resp_total += delta
+                        if prod.stale & 2 or prod.init_total == 0:
+                            prod.stale |= 2
+                            continue
+                    ptree = step[1]
+                    node = step[2]
+                    psize = step[3]
+                    while node <= psize:
+                        ptree[node] += delta
+                        node += node & -node
+                elif code == SAME:
+                    # Hybrid dispatch: the state's current pool
+                    # membership picks an O(1) member move or
+                    # the Fenwick walk (SAME steps only exist
+                    # when the pool does).
+                    plist = ppositions[state]
+                    if plist is None:
+                        slot = step[1]
+                        if pool.lo <= new <= pool.hi:
+                            # Migrate into the pool window: zero
+                            # the Fenwick slot once, O(1) moves
+                            # from here on.
+                            w = new * (new - 1)
+                            old_w = values[slot]
+                            if old_w:
+                                values[slot] = 0
+                                node = step[2]
+                                while node <= fensize:
+                                    tree[node] -= old_w
+                                    node += node & -node
+                            base = len(pagents)
+                            ppositions[state] = list(
+                                range(base, base + new)
+                            )
+                            pagents.extend([state] * new)
+                            pwhere.extend(range(new))
+                            if new > pmhat:
+                                pmhat = new
+                            pool_w += w
+                            weight += w - old_w
+                        else:
+                            w = new * (new - 1)
+                            dw = w - values[slot]
+                            if dw:
+                                values[slot] = w
+                                weight += dw
+                                node = step[2]
+                                while node <= fensize:
+                                    tree[node] += dw
+                                    node += node & -node
+                    else:
+                        if delta > 0:
+                            for _ in range(delta):
+                                pwhere.append(len(plist))
+                                plist.append(len(pagents))
+                                pagents.append(state)
+                            if new > pool.hi:
+                                # Expel above the window: keeping
+                                # the member would stretch m̂ (and
+                                # the acceptance of every small
+                                # member) — the Fenwick serves
+                                # outgrown slots better.
+                                for _ in range(new):
+                                    p = plist.pop()
+                                    last = len(pagents) - 1
+                                    if p != last:
+                                        moved = pagents[last]
+                                        mw = pwhere[last]
+                                        pagents[p] = moved
+                                        pwhere[p] = mw
+                                        ppositions[moved][mw] = p
+                                    pagents.pop()
+                                    pwhere.pop()
+                                ppositions[state] = None
+                                w = new * (new - 1)
+                                pool_w -= old * (old - 1)
+                                weight -= old * (old - 1)
+                                slot = step[1]
+                                values[slot] = w
+                                node = step[2]
+                                while node <= fensize:
+                                    tree[node] += w
+                                    node += node & -node
+                                weight += w
+                                continue
+                        else:
+                            removals = -delta if new >= 2 else old
+                            for _ in range(removals):
+                                p = plist.pop()
+                                last = len(pagents) - 1
+                                if p != last:
+                                    moved = pagents[last]
+                                    mw = pwhere[last]
+                                    pagents[p] = moved
+                                    pwhere[p] = mw
+                                    ppositions[moved][mw] = p
+                                pagents.pop()
+                                pwhere.pop()
+                            if new < 2:
+                                # Expel: weightless members only
+                                # dilute proposal acceptance.
+                                ppositions[state] = None
+                        dw = new * (new - 1) - old * (old - 1)
+                        if dw:
+                            pool_w += dw
+                            weight += dw
+                elif code == SCALED_SAME:
+                    # A class-scaled same-state slot: no pool, and the
+                    # step's factor scales c(c−1).
+                    slot = step[1]
+                    dw = step[3] * new * (new - 1) - values[slot]
+                    if dw:
+                        values[slot] += dw
+                        weight += dw
+                        node = step[2]
+                        while node <= fensize:
+                            tree[node] += dw
+                            node += node & -node
+                else:
+                    step[1].on_count_change(state, old, new)
+        # One deferred weight refresh per touched composite
+        # slot — a plain values[] write, composite slots live
+        # outside the Fenwick tree.
+        for slot in refresh:
+            rkind = slot_kind[slot]
+            if rkind == SCALED:
+                # A class-scaled payload's weight(), inlined: the method
+                # call would cost a biased run several percent.
+                pay = slot_payload[slot]
+                if type(pay) is _ProductSlot:
+                    w = pay.factor * pay.init_total * pay.resp_total
+                else:
+                    s_ = pay.s
+                    q_ = pay.q
+                    w = pay.factor * ((q_ - s_) + (s_ * s_ - q_) // 2)
+            elif rkind == TRIANGULAR:
+                tri = slot_payload[slot]
+                s_ = tri.s
+                q_ = tri.q
+                w = (q_ - s_) + (s_ * s_ - q_) // 2
+            elif rkind == PRODUCT:
+                prod = slot_payload[slot]
+                w = prod.init_total * prod.resp_total
+            else:
+                w = slot_payload[slot].weight
+            weight += w - values[slot]
+            values[slot] = w
+        moves = entry[6]
+        if moves:
+            # Agents changed class: update the class sums, then the
+            # step mass (and with it the skip denominator).
+            for cls, delta, column in moves:
+                class_counts[cls] += delta
+                p = 0
+                for u_pc in column:
+                    row_dot[p] += u_pc * delta
+                    p += 1
+            mass = fused.total_mass()
+            lp_weight = -1
+        events += 1
+        if events >= reclassify_at:
+            reclassify_at = events + _RECLASSIFY_EVENTS
+            cooldown_end = events + _RECLASSIFY_COOLDOWN
+            gmax = max(counts)
+            if pool is not None:
+                # Re-partition pool vs Fenwick from the live counts.
+                # All pool arrays mutate in place, so every local
+                # alias above stays valid; the total is unchanged.
+                fused.reclassify(counts)
+                pool_w = pool.weight
+                pmhat = pool.mhat
+                if instr_on:
+                    c_reclass += 1
+    if pool is not None:
+        values[pslot] = pool_w
+        pool.weight = pool_w
+        pool.mhat = pmhat
+    fused.total = weight
+    engine.interactions = interactions
+    engine.events = events
+    if ins is not None:
+        # Draw totals by batch-consumption arithmetic: full batches
+        # refilled minus whatever is left unconsumed in the tail.
+        cu = nub * BATCH - (BATCH - upos) if nub else 0
+        cr = nrb * BATCH - (raw_len - rpos) if nrb else 0
+        ins.add_counters(
+            skip_draws=cu,
+            raw_draws=cr,
+            proposal_draws=c_prop,
+            pool_draws=c_pool,
+            sprint_events=c_sprint,
+            fenwick_finds=c_fen,
+            composite_finds=c_comp,
+            reclassifications=c_reclass,
+            programs_compiled=c_compiled,
+        )
+    return weight == 0

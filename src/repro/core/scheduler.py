@@ -18,8 +18,9 @@ links, starved states).  This module is the engine-side seam:
   :class:`~repro.core.fused.WeightedFusedIndex` — the uniform engine's
   composite-first fused layout with every slot scaled by its class
   factor (exact dyadic rationals), plus the scheduler's total step
-  mass — so biased runs sample productive steps directly instead of
-  rejecting draw after draw;
+  mass — run by the uniform engine's own fused jump loop, so biased
+  runs sample productive steps directly instead of rejecting draw after
+  draw;
 * :class:`ScheduledEngine` — the rejection reference: a
   sequential-style engine that realises an arbitrary scheduler exactly
   by accepting uniform draws with probability ``pair_weight(si, sj)``.
@@ -46,8 +47,9 @@ One rule picks the engine, applied by
 scheduler or timeline runs on the weighted engine whenever every
 segment compiles into its index, and on the rejection engine otherwise
 or when ``engine="sequential"`` asks for it.  Inside the weighted
-engine a segment has one realisation: the inlined jump loop, or the
-per-event loop while a recorder watches.
+engine a segment has one realisation: the fused jump loop shared with
+:class:`~repro.core.jump.JumpEngine`, or the per-event loop while a
+recorder watches.
 
 The biased engines realise the identical step distribution: the
 weighted index's slot weights use the dyadic numerators
@@ -66,7 +68,6 @@ implementing the ABCs plugs in through the same
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -75,17 +76,15 @@ import numpy as np
 
 from ..exceptions import SimulationError
 from .configuration import Configuration
-from .draws import BATCH, DrawStream
+from .draws import DrawStream
 from .engine import Event, Recorder, checked_counts
 from .fused import (
-    PRODUCT,
-    SAME,
     WEIGHT_DENOMINATOR,
     WeightedFusedIndex,
     WeightedIndexUnsupported,
     dyadic_weight_numerator,
 )
-from .jump import _transition_ops
+from .jump import _compile_program, _run_fused
 from .protocol import PopulationProtocol
 from .sequential import SequentialEngine
 from .snapshot import EngineSnapshot, check_snapshot
@@ -108,6 +107,9 @@ _MAX_CLASSES = 64
 # Without declared classes they are derived from the dense weight
 # matrix, which is O(num_states²) — only worth it for modest spaces.
 _DENSE_CLASS_LIMIT = 2048
+# Targets splice two 64-bit raws, which keeps rejection efficient while
+# the step mass (at most 2⁵³·n²) stays below this bound.
+_MAX_WEIGHTED_MASS = 1 << 126
 
 
 class PairScheduler(ABC):
@@ -520,9 +522,13 @@ class WeightedScheduledEngine:
     uniform jump chain, and the productive pair itself is drawn from
     the weighted index in one ``find``.  That index is the uniform
     engine's fused layout with every slot scaled by its class factor
-    (:class:`~repro.core.fused.WeightedFusedIndex`), so the inlined
-    loop runs the same compiled transition programs and resolves most
-    draws in the composite pre-scan; it has no proposal pool.
+    (:class:`~repro.core.fused.WeightedFusedIndex`), and recorder-free
+    segments run the uniform engine's fused jump loop on it
+    (``repro.core.jump._run_fused``): the same draw, find, decode and
+    update path, and the same compiled transition programs, cached per
+    index as a pair dict plus a dense same-state list.  The index has
+    no proposal pool, so the loop never sprints on it.  ``step()`` and
+    the recorder loop read their transitions from the same cache.
 
     Accepts an :class:`EpochScheduler` natively: one
     :class:`~repro.core.fused.WeightedFusedIndex` is precompiled per
@@ -537,7 +543,10 @@ class WeightedScheduledEngine:
     Raises :class:`~repro.core.fused.WeightedIndexUnsupported` when any
     scheduler/protocol combination cannot be compiled exactly;
     :func:`~repro.core.engine.build_engine` then falls back to the
-    rejection engine.
+    rejection engine.  A population whose step mass ``2⁵³·n²`` reaches
+    ``2¹²⁶`` raises :class:`~repro.exceptions.SimulationError`, as
+    :class:`~repro.core.jump.JumpEngine` does past ``n(n−1) = 2⁶²``:
+    the loop's two-raw targets stay efficient only below it.
     """
 
     def __init__(
@@ -550,6 +559,11 @@ class WeightedScheduledEngine:
         instrumentation=None,
     ) -> None:
         protocol.validate_configuration(configuration)
+        n = protocol.num_agents
+        if WEIGHT_DENOMINATOR * n * n >= _MAX_WEIGHTED_MASS:
+            raise SimulationError(
+                f"population {n} too large for exact weighted pair sampling"
+            )
         self._protocol = protocol
         self._scheduler = scheduler
         # Optional telemetry bag (see repro.obs); the segment loops
@@ -565,10 +579,10 @@ class WeightedScheduledEngine:
         # scenario layer builds a fresh scheduler object per timeline
         # segment, so value-equal segments (the common "flip back"
         # pattern) must still share one compiled index.  Each index
-        # comes with its own cache of compiled transition programs
-        # (slot ids and classes are per index).
-        compiled: Dict[tuple, Tuple[WeightedFusedIndex, dict]] = {}
-        self._segments: List[Tuple[WeightedFusedIndex, dict]] = []
+        # comes with its own program caches, a pair dict plus a dense
+        # same-state list (slot ids and classes are per index).
+        compiled: Dict[tuple, Tuple[WeightedFusedIndex, dict, list]] = {}
+        self._segments: List[Tuple[WeightedFusedIndex, dict, list]] = []
         for _, segment_scheduler in self._cursor.segments:
             class_of, reps = _derive_classes(
                 segment_scheduler, self._num_states
@@ -596,11 +610,13 @@ class WeightedScheduledEngine:
                         matrix,
                     ),
                     {},
+                    [None] * self._num_states,
                 )
             self._segments.append(compiled[key])
-        self._index, self._programs = self._segments[self._cursor.epoch]
+        self._index, self._pair_table, self._ss_progs = (
+            self._segments[self._cursor.epoch]
+        )
         self._draws = DrawStream(rng, uniforms=True)
-        self._pair_table: Dict[int, tuple] = {}
 
     @property
     def scheduler(self) -> Union[PairScheduler, EpochScheduler]:
@@ -620,14 +636,13 @@ class WeightedScheduledEngine:
     def _advance_epoch(self) -> None:
         """Enter the next segment, hot-swapping its precompiled index."""
         self._cursor.advance(self.events, self.interactions)
-        index, programs = self._segments[self._cursor.epoch]
-        swapped = index is not self._index
+        segment = self._segments[self._cursor.epoch]
+        swapped = segment[0] is not self._index
         if swapped:
             # The incoming index went stale while another segment ran;
             # one in-place resync from the live counts revalidates it.
-            index.resync(self.counts)
-            self._index = index
-            self._programs = programs
+            segment[0].resync(self.counts)
+            self._index, self._pair_table, self._ss_progs = segment
         if self._instr is not None:
             self._instr.add("epoch_switches")
             if swapped:
@@ -662,49 +677,14 @@ class WeightedScheduledEngine:
     # Simulation
     # ------------------------------------------------------------------
     def _transition(self, si: int, sj: int) -> tuple:
-        """``(ti, tj, ops)`` for a productive pair, via the table."""
+        """``(ti, tj, ops, ...)`` for a productive pair, from the active
+        index's program cache."""
         table = self._pair_table
         entry = table.get(si * self._num_states + sj)
-        if entry is not None:
-            return entry
-        out = self._protocol.delta(si, sj)
-        if out is None:
-            raise SimulationError(
-                f"weighted index sampled null pair ({si}, {sj}) — "
-                "family coverage does not match delta"
-            )
-        ti, tj = out
-        entry = (ti, tj, _transition_ops(si, sj, ti, tj))
-        table[si * self._num_states + sj] = entry
+        if entry is None:
+            entry = _compile_program(self._protocol, self._index, si, sj)
+            table[si * self._num_states + sj] = entry
         return entry
-
-    def _program(self, si: int, sj: int) -> tuple:
-        """``(ops, refresh, moves)``: one transition compiled for the
-        active index, as plain integer data.
-
-        ``ops`` (``((state, delta), …)``, the program body) and the
-        composite slot ids in ``refresh`` come from
-        :meth:`~repro.core.fused.FusedIndex.compile_transition`, which
-        also builds each op state's plan in the index's
-        ``state_steps``; ``moves`` lists the transition's net
-        class-count changes as ``(class, delta, column)`` with the
-        matrix column ``u(·, class)`` pre-resolved for the ``row_dot``
-        update.  A transition inside one class has no moves and leaves
-        the total step mass alone.
-        """
-        index = self._index
-        ops = self._transition(si, sj)[2]
-        refresh = index.compile_transition(ops)[0]
-        net: Dict[int, int] = {}
-        for state, delta in ops:
-            cls = index.class_of[state]
-            net[cls] = net.get(cls, 0) + delta
-        moves = tuple(
-            (cls, delta, tuple(row[cls] for row in index.class_matrix))
-            for cls, delta in net.items()
-            if delta
-        )
-        return ops, refresh, moves
 
     def _apply_ops(self, ops) -> None:
         counts = self.counts
@@ -726,7 +706,7 @@ class WeightedScheduledEngine:
         Fault-injection seam mirroring the other engines: the *active*
         weighted index is resynced in place from the new counts (slot
         layouts are count-independent); counters, the epoch cursor, the
-        compiled pair table, and the generator stream are preserved.
+        program caches, and the generator stream are preserved.
         Inactive segment indexes stay stale — the epoch swap resyncs the
         incoming index anyway.
         """
@@ -792,7 +772,9 @@ class WeightedScheduledEngine:
         cursor.start_events = snapshot.start_events
         cursor.start_interactions = snapshot.start_interactions
         cursor.next_predicate_check = snapshot.next_predicate_check
-        self._index, self._programs = self._segments[snapshot.epoch]
+        self._index, self._pair_table, self._ss_progs = (
+            self._segments[snapshot.epoch]
+        )
         self._index.resync(self.counts)
         self.interactions = snapshot.interactions
         self.events = snapshot.events
@@ -833,7 +815,7 @@ class WeightedScheduledEngine:
                 return self.step()
         self.interactions += skip
         si, sj = index.sample(self._draws.rand_below)
-        ti, tj, ops = self._transition(si, sj)
+        ti, tj, ops = self._transition(si, sj)[:3]
         self._apply_ops(ops)
         self.events += 1
         return Event(self.interactions, si, sj, ti, tj)
@@ -844,13 +826,16 @@ class WeightedScheduledEngine:
         recorder: Optional[Recorder],
         max_events: Optional[int],
     ) -> bool:
-        """One epoch-segment chunk: the inlined weighted jump loop, or
-        the per-event loop when a recorder watches."""
+        """One epoch-segment chunk: the shared fused jump loop on the
+        active index, or the per-event loop when a recorder watches."""
         events0 = self.events
         interactions0 = self.interactions
         if recorder is None:
             name = "weighted_events"
-            silent = self._run_segment_weighted(max_interactions, max_events)
+            index = self._index
+            silent = _run_fused(
+                self, index, index.total_mass(), max_interactions, max_events
+            )
         else:
             name = "slow_events"
             silent = self._run_segment_slow(
@@ -890,226 +875,13 @@ class WeightedScheduledEngine:
                 return False
             self.interactions += skip
             si, sj = index.sample(draws.rand_below)
-            ti, tj, ops = self._transition(si, sj)
+            ti, tj, ops = self._transition(si, sj)[:3]
             self._apply_ops(ops)
             self.events += 1
             if recorder is not None:
                 recorder.on_event(
                     Event(self.interactions, si, sj, ti, tj), self.counts
                 )
-
-    def _run_segment_weighted(
-        self,
-        max_interactions: Optional[int],
-        max_events: Optional[int],
-    ) -> bool:
-        """The inlined weighted jump loop (recorder-free chunks).
-
-        The method-dispatch loop is unrolled over the index's
-        composite-first layout: batched skip draws, a spliced two-raw
-        exact target, the composite pre-scan with the Fenwick walk over
-        the same-state block as fallback, and the shared
-        :meth:`~repro.core.fused.FusedIndex.compile_transition`
-        programs, cached per index as plain integers (:meth:`_program`).
-        Each op runs its state's plan from the index's ``state_steps``
-        list, and each refreshed slot reads its kind and payload from
-        ``slot_kind``/``slot_payload``, its weight scaled by the
-        payload's class factor.  The total step mass is recomputed only
-        after a transition that moves agents between classes.
-        """
-        index = self._index
-        cap = WEIGHT_DENOMINATOR * self._protocol.num_agents ** 2
-        if cap >= (1 << 126):  # pragma: no cover — absurd populations
-            return self._run_segment_slow(max_interactions, None, max_events)
-        counts = self.counts
-        tree = index.tree
-        values = index.values
-        num_composite = index.num_composite
-        fensize = index.fenwick_size
-        highbit = 1 << (fensize.bit_length() - 1) if fensize else 0
-        slot_kind = index.slot_kind
-        slot_payload = index.slot_payload
-        plans = index.state_steps
-        same_factors = index.same_factors
-        class_counts = index.class_counts
-        row_dot = index._row_dot
-        programs = self._programs
-        num_states = self._num_states
-        draws = self._draws
-        log1p, ceil = math.log1p, math.ceil
-        span = 1 << 128
-        total = index.total
-        mass = index.total_mass()
-        interactions = self.interactions
-        events = self.events
-        remaining = -1 if max_events is None else max(0, max_events - events)
-        # Telemetry as in the uniform fused loop: draw totals from
-        # batch-refill tallies, find counters only while `instr_on`.
-        ins = self._instr
-        instr_on = ins is not None
-        nub = nrb = 0
-        c_fen = c_comp = c_compiled = 0
-        lus: List[float] = []
-        upos = BATCH
-        raws: List[int] = []
-        raw_len = 0
-        rpos = 0
-        silent = False
-        while remaining != 0:
-            if total == 0:
-                silent = True
-                break
-            # Geometric skip over accepted scheduler steps.
-            ratio = total / mass
-            if ratio >= 1.0:
-                skip = 1
-            else:
-                if upos == BATCH:
-                    lus = draws.log_uniform_batch()
-                    upos = 0
-                    nub += 1
-                lu = lus[upos]
-                upos += 1
-                lp = log1p(-ratio)
-                skip = 1 if lu >= lp else ceil(lu / lp)
-            if (
-                max_interactions is not None
-                and interactions + skip > max_interactions
-            ):
-                interactions = max_interactions
-                break
-            interactions += skip
-            # Exact uniform target in [0, total): two spliced raws cover
-            # any mass the dyadic scale can reach at sane populations.
-            while True:
-                if rpos >= raw_len - 1:
-                    raws = draws.raw_batch()
-                    raw_len = BATCH
-                    rpos = 0
-                    nrb += 1
-                draw = (raws[rpos] << 64) | raws[rpos + 1]
-                rpos += 2
-                target = draw % total
-                if draw - target <= span - total:
-                    break
-            # Composite slots first, then the same-state Fenwick block.
-            pos = -1
-            for ci in range(num_composite):
-                v = values[ci]
-                if target < v:
-                    pos = ci
-                    break
-                target -= v
-            if pos < 0:
-                pos = 0
-                bit = highbit
-                while bit:
-                    nxt = pos + bit
-                    if nxt <= fensize:
-                        below = tree[nxt]
-                        if below <= target:
-                            target -= below
-                            pos = nxt
-                    bit >>= 1
-                pos += num_composite
-                if instr_on:
-                    c_fen += 1
-            elif instr_on:
-                c_comp += 1
-            if slot_kind[pos] == SAME:
-                si = sj = slot_payload[pos]
-            else:
-                si, sj = slot_payload[pos].pair_from_target(target)
-            key = si * num_states + sj
-            entry = programs.get(key)
-            if entry is None:
-                entry = self._program(si, sj)
-                programs[key] = entry
-                c_compiled += 1
-            ops, refresh, moves = entry
-            dtotal = 0
-            for state, delta in ops:
-                old = counts[state]
-                new = old + delta
-                if new < 0:
-                    raise SimulationError(
-                        f"state {state} count went negative applying "
-                        "transition"
-                    )
-                counts[state] = new
-                for step in plans[state]:
-                    code = step[0]
-                    if code == SAME:
-                        slot = step[1]
-                        w = (
-                            same_factors[slot - num_composite]
-                            * new * (new - 1)
-                        )
-                        dv = w - values[slot]
-                        if dv:
-                            values[slot] = w
-                            dtotal += dv
-                            node = step[2]
-                            while node <= fensize:
-                                tree[node] += dv
-                                node += node & -node
-                    elif code == PRODUCT:
-                        # Gated side walks, as in the uniform loop.
-                        prod = step[5]
-                        if step[6]:
-                            prod.init_total += delta
-                            if prod.stale & 1 or prod.resp_total == 0:
-                                prod.stale |= 1
-                                continue
-                        else:
-                            prod.resp_total += delta
-                            if prod.stale & 2 or prod.init_total == 0:
-                                prod.stale |= 2
-                                continue
-                        ptree = step[1]
-                        node = step[2]
-                        psize = step[3]
-                        while node <= psize:
-                            ptree[node] += delta
-                            node += node & -node
-                    else:  # TRIANGULAR
-                        tri = step[1]
-                        tri.counts[step[2]] = new
-                        tri.s += delta
-                        tri.q += new * new - old * old
-            for slot in refresh:
-                pay = slot_payload[slot]
-                if slot_kind[slot] == PRODUCT:
-                    w = pay.factor * pay.init_total * pay.resp_total
-                else:
-                    s_ = pay.s
-                    q_ = pay.q
-                    w = pay.factor * ((q_ - s_) + (s_ * s_ - q_) // 2)
-                dtotal += w - values[slot]
-                values[slot] = w
-            total += dtotal
-            if moves:
-                for cls, delta, column in moves:
-                    class_counts[cls] += delta
-                    p = 0
-                    for u_pc in column:
-                        row_dot[p] += u_pc * delta
-                        p += 1
-                mass = index.total_mass()
-            events += 1
-            remaining -= 1
-        self.interactions = interactions
-        self.events = events
-        index.total = total
-        if instr_on:
-            ins.add_counters(
-                skip_draws=nub * BATCH - (BATCH - upos) if nub else 0,
-                raw_draws=nrb * BATCH - (raw_len - rpos) if nrb else 0,
-                fenwick_finds=c_fen,
-                composite_finds=c_comp,
-                programs_compiled=c_compiled,
-            )
-        return silent
 
     def run(
         self,

@@ -20,8 +20,8 @@ Counter vocabulary (engines only touch the ones their loop has):
     Productive events and scheduler steps covered by the run.
 ``skip_draws``, ``raw_draws``
     Uniforms consumed for geometric skips and 64-bit raws consumed for
-    routing targets (two per weighted-loop target), pool proposals and
-    rejection, from batch arithmetic.
+    routing targets (two per target on a class-scaled index), pool
+    proposals and rejection, from batch arithmetic.
 ``pool_draws``, ``sprint_events``, ``proposal_draws``
     Events served by the proposal pool, the subset taken on the sprint
     shortcut (no routing draw), and agent proposals consumed including
@@ -29,10 +29,10 @@ Counter vocabulary (engines only touch the ones their loop has):
     "proposals per draw" residual-cost number.
 ``fenwick_finds``, ``composite_finds``
     Routed target draws resolved by a Fenwick walk vs the composite
-    linear scan, in the fused loop and the weighted loop alike.
+    linear scan, in the fused loop (uniform or biased index).
 ``programs_compiled``
     Transition programs compiled on a program-cache miss in the fused
-    loop and the weighted loop — ``programs_compiled / events`` is the
+    loop, on either engine — ``programs_compiled / events`` is the
     share of events that paid a compile (a §5 reset storm's new
     (red line state, rank) pairs).
 ``proposal_mode_events``, ``fenwick_mode_events``, ``mode_switches``
@@ -42,7 +42,7 @@ Counter vocabulary (engines only touch the ones their loop has):
     (``ScheduledEngine``, ``AgentScheduledEngine``); the weighted
     engine draws productive pairs directly and never emits them.
 ``weighted_events``, ``slow_events``
-    Weighted-engine events on the inlined jump loop vs the per-event
+    Weighted-engine events on the fused jump loop vs the per-event
     loop that serves recorders.
 ``pair_draws``
     Ordered agent pairs drawn by the sequential reference engine (from

@@ -302,8 +302,19 @@ def _weighted_timeline_engine(instrumentation=None):
 
 
 def _program_caches(engine):
-    """The weighted engine's distinct per-index program caches."""
-    return list({id(cache): cache for _, cache in engine._segments}.values())
+    """The weighted engine's compiled programs, one dict per distinct
+    index: its pair dict plus the filled entries of its dense
+    same-state list."""
+    caches = {}
+    for _, pairs, same in engine._segments:
+        cache = dict(pairs)
+        cache.update(
+            (("same", state), entry)
+            for state, entry in enumerate(same)
+            if entry is not None
+        )
+        caches[id(pairs)] = cache
+    return list(caches.values())
 
 
 def _plain(value):

@@ -103,6 +103,16 @@ def _timeline(protocol):
     ])
 
 
+def _interactions_timeline(protocol):
+    # Boundaries on scheduler steps: the weighted loop clamps mid-chunk.
+    return EpochScheduler([
+        (EpochBoundary(kind="interactions", value=700), _biased(protocol)),
+        (EpochBoundary(kind="interactions", value=2000),
+         _many_class(protocol)),
+        (None, _biased(protocol)),
+    ])
+
+
 def _targeted(protocol):
     return TargetedSuppressionScheduler([0, 1, 2], weight=0.2)
 
@@ -121,6 +131,8 @@ CASES = {
               False),
     "weighted-timeline": (_small_tree, WeightedScheduledEngine, _timeline,
                           8000, 1237, False),
+    "weighted-interactions-tree": (_small_tree, WeightedScheduledEngine,
+                                   _interactions_timeline, 8000, 1237, False),
     "batch": (_tree, BatchEngine, None, 20000, 3001, False),
 }
 
@@ -209,6 +221,12 @@ def test_cases_reach_their_loops():
     assert instr.get("weighted_events") == engine.events
     assert instr.get("composite_finds") > 0
     assert instr.get("fenwick_finds") > 0
+    # Both interactions boundaries clamp a skip inside a loop chunk.
+    instr = Instrumentation()
+    engine = _build("weighted-interactions-tree", instrumentation=instr)[2]
+    engine.run(max_events=CASES["weighted-interactions-tree"][3])
+    assert engine.epoch == 2
+    assert instr.get("weighted_events") == engine.events
 
 
 if __name__ == "__main__":

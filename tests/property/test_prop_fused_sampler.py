@@ -18,10 +18,12 @@ Three invariant groups:
   segment pair by pair, before and after the switch;
 * sampling consistency: every pair the fused index produces is
   productive under ``delta`` and covered by exactly one family;
-* compiled transitions: every program the fused loop can run refreshes
-  exactly the composite slots its states feed, has a sprint guard only
-  when it touches product slots alone and changes no responder side in
-  net, and a transfer re-label moves exactly the transition's one agent;
+* compiled transitions: every program the fused loop can run, on the
+  uniform and on a class-scaled index, refreshes exactly the composite
+  slots its states feed, has a sprint guard only when it touches
+  product slots alone and changes no responder side in net, a transfer
+  re-label moves exactly the transition's one agent, and the class
+  moves list each class's net count change once;
 * the fused loop's first event follows the exact one-step law, whether
   the pool proposal is entered on the sprint or from a routed draw, and
   so does the weighted loop's under biased, clustered and many-class
@@ -54,9 +56,11 @@ from repro.core.fused import (
     PRODUCT,
     PROPOSAL,
     SAME,
+    SCALED,
     TRIANGULAR,
     WEIGHT_DENOMINATOR,
     FusedIndex,
+    _ProductSlot,
     dyadic_weight_numerator,
 )
 from repro.core.jump import _transition_ops
@@ -278,6 +282,8 @@ def _reconstruct_pair_masses(index, counts):
         payload = index.slot_payload[slot]
         if index.values[slot] == 0:
             continue
+        if kind == SCALED:
+            kind = PRODUCT if type(payload) is _ProductSlot else TRIANGULAR
         if kind == 0:  # same-state
             state = payload
             factor = index.same_factors[slot - index.num_composite]
@@ -514,6 +520,8 @@ def _composite_feeds(fused):
     for slot in range(fused.num_composite):
         kind = fused.slot_kind[slot]
         payload = fused.slot_payload[slot]
+        if kind == SCALED:
+            kind = PRODUCT if type(payload) is _ProductSlot else TRIANGULAR
         if kind == PRODUCT:
             members = [(s, "initiator") for s in payload.initiators]
             members += [(s, "responder") for s in payload.responders]
@@ -552,41 +560,67 @@ class TestFusedLoopPrograms:
         states of the reset product, net zero).  A ``transfer``
         re-label moves exactly the transition's one agent — a state
         with no same-state slot (an absorbing exit, a leaf) must still
-        move."""
+        move.  Every check also runs on the index scaled by a two-class
+        partition, which has no pool and so no transfer; its ``moves``
+        list each class's net count change once, in first-touch order,
+        with the class's matrix column, and the unscaled index has
+        none."""
         counts = Configuration.all_in_state(
             0, protocol.num_agents, protocol.num_states
         ).counts_list()
         families = protocol.build_families(counts)
-        fused = FusedIndex(families, protocol.num_states, counts)
-        feeds = _composite_feeds(fused)
-        for family in families:
-            for si, sj in family.pairs():
-                ops = _transition_ops(si, sj, *protocol.delta(si, sj))
-                refresh, prods, transfer = fused.compile_transition(ops)
-                touched = [
-                    (slot, side, delta)
-                    for state, delta in ops
-                    for slot, side in feeds.get(state, ())
-                ]
-                first_touch = list(dict.fromkeys(s for s, _, _ in touched))
-                assert list(refresh) == first_touch, (si, sj)
-                if prods is not None:
-                    net = {
-                        side: dict.fromkeys(first_touch, 0)
-                        for side in ("initiator", "responder")
-                    }
-                    for slot, side, delta in touched:
-                        assert side in net, (si, sj)  # a product slot
-                        net[side][slot] += delta
-                    assert not any(net["responder"].values()), (si, sj)
-                    assert list(prods) == list(net["initiator"].items()), (
-                        si, sj
+        class_of = [state % 2 for state in range(protocol.num_states)]
+        matrix = [[2, 3], [5, 7]]
+        for fused in (
+            FusedIndex(families, protocol.num_states, counts),
+            FusedIndex(
+                families, protocol.num_states, counts, class_of, matrix
+            ),
+        ):
+            scaled = fused.class_of is not None
+            feeds = _composite_feeds(fused)
+            for family in families:
+                for si, sj in family.pairs():
+                    ops = _transition_ops(si, sj, *protocol.delta(si, sj))
+                    refresh, prods, transfer, moves = (
+                        fused.compile_transition(ops)
                     )
-                if transfer is not None:
-                    src, dst = transfer[:2]
-                    assert sorted(ops) == sorted([(src, -1), (dst, 1)]), (
-                        si, sj
+                    touched = [
+                        (slot, side, delta)
+                        for state, delta in ops
+                        for slot, side in feeds.get(state, ())
+                    ]
+                    first_touch = list(
+                        dict.fromkeys(s for s, _, _ in touched)
                     )
+                    assert list(refresh) == first_touch, (si, sj)
+                    if prods is not None:
+                        net = {
+                            side: dict.fromkeys(first_touch, 0)
+                            for side in ("initiator", "responder")
+                        }
+                        for slot, side, delta in touched:
+                            assert side in net, (si, sj)  # a product slot
+                            net[side][slot] += delta
+                        assert not any(net["responder"].values()), (si, sj)
+                        assert list(prods) == list(
+                            net["initiator"].items()
+                        ), (si, sj)
+                    if transfer is not None:
+                        assert not scaled, (si, sj)
+                        src, dst = transfer[:2]
+                        assert sorted(ops) == sorted(
+                            [(src, -1), (dst, 1)]
+                        ), (si, sj)
+                    classes = {}
+                    for state, delta in ops if scaled else ():
+                        cls = class_of[state]
+                        classes[cls] = classes.get(cls, 0) + delta
+                    assert list(moves) == [
+                        (cls, delta, tuple(row[cls] for row in matrix))
+                        for cls, delta in classes.items()
+                        if delta
+                    ], (si, sj)
 
     @pytest.mark.parametrize(
         "extras, entry",
@@ -869,6 +903,26 @@ class TestWeightedEngineBehaviour:
         ]
         assert runs[0].final_configuration == runs[1].final_configuration
         assert runs[0].interactions == runs[1].interactions
+
+    def test_silence_on_the_last_budgeted_event_is_reported(self):
+        """A run that goes silent on its last budgeted event returns
+        True, as the uniform jump engine does, and so does the result."""
+        protocol = TreeRankingProtocol(9, k=2)
+        start = random_configuration(protocol, seed=3, include_extras=True)
+        scheduler = StateBiasedScheduler(
+            [1.0] * protocol.num_ranks + [0.3] * protocol.num_extra_states
+        )
+        engine = WeightedScheduledEngine(
+            protocol, start, np.random.default_rng(5), scheduler
+        )
+        assert engine.run(max_events=42) is True
+        assert engine.events == 42
+        assert engine.is_silent()
+        result = run_protocol(
+            protocol, start, seed=5, scheduler=scheduler, max_events=42
+        )
+        assert result.events == 42
+        assert result.silent
 
     def test_many_class_scalar_scheduler_runs_weighted(self):
         """Twenty weight classes at high acceptance compile, so the
