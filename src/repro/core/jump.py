@@ -60,8 +60,13 @@ additionally dispatches between two exact samplers:
   upper bound on the maximum count, yielding state ``s`` with
   probability exactly ``c_s(c_s − 1)/W``.  O(1) per proposal, efficient
   while the configuration is far from silent;
-* a *Fenwick* sampler — the classic ``O(log N)`` weighted draw, which
-  stays cheap as ``W`` drains toward silence.
+* a *count-bucket* sampler for the low-acceptance drain toward
+  silence — bucket ``c`` lists the rule states holding exactly ``c ≥ 2``
+  agents, and a Fenwick tree over the count axis weighs it by
+  ``|B_c|·c(c−1)``.  One exact target in ``[0, W)`` walks the axis to a
+  bucket and its residual divided by ``c(c−1)`` picks the state, so a
+  draw costs ``O(log max count)`` rather than ``O(log N)``: near
+  silence few states hold two agents or more, and none holds many.
 
 Both are exact, so the engine switches between them adaptively (with
 hysteresis) based on the acceptance rate ``W/(n·M̂)``.
@@ -86,7 +91,7 @@ from .configuration import Configuration
 from .draws import BATCH, RAW_SPAN, DrawStream
 from .engine import Event, Recorder, checked_counts
 from .families import SameStatePairs
-from .fenwick import FenwickTree
+from .fenwick import fill_tree
 from .fused import (
     PRODUCT,
     PROPOSAL,
@@ -184,6 +189,32 @@ def _compile_program(
     return (ti, tj, ops) + fused.compile_transition(ops)
 
 
+def _fill_count_axis(axis: List[int], buckets: List[List[int]]) -> None:
+    """(Re)fill the same-state loop's count-axis Fenwick tree in place.
+
+    ``buckets[c]`` lists the rule states holding exactly ``c`` agents,
+    and node ``c`` of ``axis`` weighs that bucket by ``|B_c|·c(c−1)``.
+    ``len(buckets)`` is a power of two above every count.
+    """
+    fill_tree(axis, len(buckets), [
+        len(bucket) * c * (c - 1) for c, bucket in enumerate(buckets)
+    ][1:])
+
+
+def _grow_count_axis(
+    axis: List[int], buckets: List[List[int]], count: int
+) -> int:
+    """Double the count axis until it holds ``count``; returns its size.
+
+    The bucket list and the tree are both rebuilt in place, so the
+    loop's references to them stay valid.
+    """
+    while len(buckets) <= count:
+        buckets.extend([[] for _ in buckets])
+    _fill_count_axis(axis, buckets)
+    return len(buckets)
+
+
 class JumpEngine:
     """Drives one protocol run; create a new engine per run.
 
@@ -231,7 +262,8 @@ class JumpEngine:
         self._ss_progs: List[Optional[tuple]] = [None] * self._num_states
         self._ss_table = self._compile_same_state_table(families)
         # Mask of the states without a same-state rule (they carry no
-        # weight), built on the same-state loop's first Fenwick entry.
+        # weight and never enter a count bucket), built on the
+        # same-state loop's first count-bucket entry.
         self._ss_idle: Optional[np.ndarray] = None
 
     def _compile_same_state_table(self, families):
@@ -553,13 +585,16 @@ class JumpEngine:
         """Adaptive dual-sampler loop for same-state-only protocols.
 
         Alternates between the O(1) proposal sampler (efficient while
-        the acceptance rate ``W/(n·M̂)`` is high) and an inlined Fenwick
-        sampler (efficient in the low-weight drain toward silence), with
-        a 2× hysteresis band so mode switches — each O(n) to rebuild the
-        active sampler's structure — stay rare.  Both samplers draw from
-        the exact jump-chain distribution; only the constant factor
-        differs.  The fused index is left stale inside the loop and
-        rebuilt from the final counts on exit.
+        the acceptance rate ``W/(n·M̂)`` is high) and the count-bucket
+        sampler (efficient in the low-weight drain toward silence: a
+        Fenwick walk over the count axis, then an O(1) pick within the
+        bucket), with a 2× hysteresis band so mode switches — each O(n)
+        to rebuild the active sampler's structure — stay rare.  The
+        count axis doubles in place when a count outgrows it; that is
+        not a mode switch.  Both samplers draw from the exact jump-chain
+        distribution; only the constant factor differs.  The fused
+        index is left stale inside the loop and rebuilt from the final
+        counts on exit.
         """
         protocol = self._protocol
         draws = self._draws
@@ -625,7 +660,7 @@ class JumpEngine:
                 seg0 = events
                 while remaining != 0 and weight:
                     if weight < demote_bound:
-                        break  # acceptance too low — switch to Fenwick
+                        break  # acceptance too low — switch to the buckets
                     if refresh == 0:
                         refresh = _REFRESH_EVENTS
                         exact_max = max(counts)
@@ -692,18 +727,29 @@ class JumpEngine:
                     c_prop_events += events - seg0
                     c_pdisc += len(props) - ppos
             else:
-                # ---- Fenwick sampler -------------------------------------
+                # ---- count-bucket sampler --------------------------------
+                # Bucket c lists the rule states holding exactly c ≥ 2
+                # agents; ``where[s]`` is s's slot in its bucket, so a
+                # removal is one swap with the last entry.
                 if self._ss_idle is None:
                     self._ss_idle = np.array(
                         [entry is None for entry in table]
                     )
-                ss_weights = np.asarray(counts, dtype=np.int64)
-                ss_weights *= ss_weights - 1
-                ss_weights[self._ss_idle] = 0
-                fenwick = FenwickTree.from_values(ss_weights)
-                tree = fenwick._tree
-                values = fenwick._values
-                highbit = 1 << (num_states.bit_length() - 1)
+                live = np.flatnonzero(
+                    (np.asarray(counts) >= 2) & ~self._ss_idle
+                ).tolist()
+                top = max([counts[s] for s in live])
+                buckets: List[List[int]] = [
+                    [] for _ in range(1 << top.bit_length())
+                ]
+                where = [0] * num_states
+                for s in live:
+                    bucket = buckets[counts[s]]
+                    where[s] = len(bucket)
+                    bucket.append(s)
+                axis: List[int] = []
+                _fill_count_axis(axis, buckets)
+                size = len(buckets)
                 refresh = _REFRESH_EVENTS
                 c_modes += 1
                 seg0 = events
@@ -739,30 +785,50 @@ class JumpEngine:
                         target = raw % weight
                         if raw - target <= RAW_SPAN - weight:
                             break
-                    # Inlined FenwickTree.find.
+                    # The axis walk picks bucket c; the residual, in
+                    # [0, |B_c|·c(c−1)), divided by c(c−1) picks the
+                    # state.  Counts stay below ``size``, so the walk
+                    # never reaches the root node (nor do the updates).
                     pos = 0
-                    bit = highbit
+                    bit = size >> 1
                     while bit:
                         nxt = pos + bit
-                        if nxt <= num_states:
-                            below = tree[nxt]
-                            if below <= target:
-                                target -= below
-                                pos = nxt
+                        below = axis[nxt]
+                        if below <= target:
+                            target -= below
+                            pos = nxt
                         bit >>= 1
-                    ti, tj, ops = table[pos]
+                    pos += 1
+                    s = buckets[pos][target // (pos * (pos - 1))]
+                    ti, tj, ops = table[s]
                     for st, d, w in ops:
                         c0 = counts[st]
                         c1 = c0 + d
                         counts[st] = c1
                         if w:
-                            dw = w * (c0 + c1 - 1)
-                            if dw:
-                                values[st] += dw
-                                weight += dw
-                                node = st + 1
-                                while node <= num_states:
-                                    tree[node] += dw
+                            weight += w * (c0 + c1 - 1)
+                            if c0 > 1:
+                                bucket = buckets[c0]
+                                last = bucket.pop()
+                                if last != st:
+                                    slot = where[st]
+                                    bucket[slot] = last
+                                    where[last] = slot
+                                dw = c0 * (1 - c0)
+                                node = c0
+                                while node < size:
+                                    axis[node] += dw
+                                    node += node & -node
+                            if c1 > 1:
+                                if c1 >= size:
+                                    size = _grow_count_axis(axis, buckets, c1)
+                                bucket = buckets[c1]
+                                where[st] = len(bucket)
+                                bucket.append(st)
+                                dw = c1 * (c1 - 1)
+                                node = c1
+                                while node < size:
+                                    axis[node] += dw
                                     node += node & -node
                     events += 1
                     remaining -= 1

@@ -29,14 +29,18 @@ Counter vocabulary (engines only touch the ones their loop has):
     "proposals per draw" residual-cost number.
 ``fenwick_finds``, ``composite_finds``
     Routed target draws resolved by a Fenwick walk vs the composite
-    linear scan, in the fused loop (uniform or biased index).
+    linear scan, in the fused loop (uniform or biased index); the
+    same-state loop's count-bucket draws count as Fenwick finds too
+    (one walk over the count axis each).
 ``programs_compiled``
     Transition programs compiled on a program-cache miss in the fused
     loop, on either engine — ``programs_compiled / events`` is the
     share of events that paid a compile (a §5 reset storm's new
     (red line state, rank) pairs).
 ``proposal_mode_events``, ``fenwick_mode_events``, ``mode_switches``
-    The same-state dual sampler's adaptive split.
+    The same-state dual sampler's adaptive split: events served by the
+    proposal mode and by the low-acceptance count-bucket mode, and the
+    switches between them (a count-axis growth is not a switch).
 ``accept_tests``, ``accept_rejects``
     Acceptance tests and rejections of the rejection engines
     (``ScheduledEngine``, ``AgentScheduledEngine``); the weighted

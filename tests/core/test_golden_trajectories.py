@@ -42,6 +42,7 @@ from repro import (
     RingOfTrapsProtocol,
     ScheduledEngine,
     SequentialEngine,
+    SingleTrapProtocol,
     StateBiasedScheduler,
     TargetedSuppressionScheduler,
     TreeRankingProtocol,
@@ -59,6 +60,15 @@ GOLDEN = Path(__file__).with_name("golden_trajectories.json")
 def _ring():
     protocol = RingOfTrapsProtocol(m=20)
     start = Configuration.all_in_state(0, protocol.num_agents, protocol.num_states)
+    return protocol, start
+
+
+def _trap():
+    # Opens in the proposal mode and drains into the count-bucket mode.
+    protocol = SingleTrapProtocol(16, 512)
+    start = Configuration.all_in_state(
+        protocol.trap.top, protocol.num_agents, protocol.num_states
+    )
     return protocol, start
 
 
@@ -122,6 +132,7 @@ def _targeted(protocol):
 # fast paths.
 CASES = {
     "jump-same-state-ring": (_ring, JumpEngine, None, 20000, 3001, False),
+    "jump-same-state-trap": (_trap, JumpEngine, None, 20000, 3001, False),
     "jump-fused-tree": (_tree, JumpEngine, None, 20000, 3001, False),
     "jump-fused-line-m2": (_line, JumpEngine, None, 20000, 3001, False),
     "jump-general-recorder": (_tree, JumpEngine, None, 12000, 2501, True),
@@ -200,9 +211,16 @@ def test_trajectory_matches_golden(name):
 
 def test_cases_reach_their_loops():
     """Each case exercises the realisation its name claims."""
-    assert _build("jump-same-state-ring")[2]._ss_table is not None
+    for name in ("jump-same-state-ring", "jump-same-state-trap"):
+        assert _build(name)[2]._ss_table is not None
     for name in ("jump-fused-tree", "jump-fused-line-m2"):
         assert _build(name)[2]._ss_table is None
+    # The trap drain leaves the proposal mode for the count buckets.
+    instr = Instrumentation()
+    engine = _build("jump-same-state-trap", instrumentation=instr)[2]
+    engine.run(max_events=CASES["jump-same-state-trap"][3])
+    assert instr.get("proposal_mode_events") > 0
+    assert instr.get("fenwick_mode_events") > 0
     instr = Instrumentation()
     engine = _build("jump-fused-line-m2", instrumentation=instr)[2]
     engine.run(max_events=CASES["jump-fused-line-m2"][3])

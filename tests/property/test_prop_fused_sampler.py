@@ -27,7 +27,11 @@ Three invariant groups:
 * the fused loop's first event follows the exact one-step law, whether
   the pool proposal is entered on the sprint or from a routed draw, and
   so does the weighted loop's under biased, clustered and many-class
-  schedulers.
+  schedulers;
+* the same-state loop's count-bucket mode maps every target in
+  ``[0, W)`` to its state exactly ``c(c − 1)`` times, on the first
+  event and after a maintained one, and keeps its weight synced across
+  mode switches and count-axis growths.
 """
 
 import math
@@ -49,9 +53,12 @@ from repro import (
     TreeDispersalProtocol,
     TreeRankingProtocol,
     WeightedScheduledEngine,
+    k_distant_configuration,
     random_configuration,
     run_protocol,
 )
+from repro.core import jump as jump_module
+from repro.core.draws import BATCH, DrawStream
 from repro.core.fused import (
     PRODUCT,
     PROPOSAL,
@@ -655,6 +662,174 @@ class TestFusedLoopPrograms:
         stat, cells = _chi2_cells(seen, law, draws)
         assert cells > 1
         assert _chi2_sf(stat, cells - 1) > 1e-3, (stat, cells)
+
+
+def _near_silent_ring():
+    # Counts 3, 2, 2 on states 2, 3, 7 (W = 10): state 3's rule moves
+    # an agent onto state 2, whose count 4 outgrows the 4-slot axis.
+    protocol = RingOfTrapsProtocol(m=4)
+    counts = [1] * protocol.num_states
+    counts[2], counts[3], counts[7] = 3, 2, 2
+    for state in (10, 11, 16, 17):
+        counts[state] = 0
+    return protocol, counts
+
+
+def _ag_start():
+    # Two events of state 1 take state 2 from 2 to 4 agents.
+    protocol = AGProtocol(12)
+    return protocol, [0, 3, 2, 1, 1, 1, 1, 1, 0, 1, 1, 0]
+
+
+def _count_four_start():
+    # Maximum count 4, the smallest count that needs an 8-slot axis.
+    protocol = AGProtocol(16)
+    return protocol, [4, 0, 2] + [1] * 10 + [0] * 3
+
+
+def _trap_pile_up(inner, n):
+    protocol = SingleTrapProtocol(inner, n)
+    return protocol, Configuration.all_in_state(
+        protocol.trap.top, n, protocol.num_states
+    )
+
+
+def _pile_up(protocol):
+    return protocol, Configuration.all_in_state(
+        0, protocol.num_agents, protocol.num_states
+    )
+
+
+def _k_distant(protocol, k):
+    return protocol, k_distant_configuration(protocol, k, seed=3)
+
+
+def _fired_state(before, after):
+    """The one state a same-state event took agents from."""
+    (state,) = [s for s, (b, a) in enumerate(zip(before, after)) if a < b]
+    return state
+
+
+def _count_growths(monkeypatch):
+    """Record each count-axis growth of the same-state loop."""
+    growths = []
+    grow = jump_module._grow_count_axis
+
+    def spy(axis, buckets, count):
+        growths.append(count)
+        return grow(axis, buckets, count)
+
+    monkeypatch.setattr(jump_module, "_grow_count_axis", spy)
+    return growths
+
+
+class TestCountBucketSampler:
+    """The same-state loop's low-acceptance mode, target by target.
+
+    Every raw of the loop's batch is patched to one target ``t``, so
+    each run is a deterministic function of ``t``: walking every
+    ``t ∈ [0, W)`` must hit each rule state ``s`` exactly
+    ``c_s(c_s − 1)`` times — the exact law, with no rejection.
+    """
+
+    @staticmethod
+    def _map(engine, raws, start, prefix, targets):
+        """The counts after one run per target ``t``, each from ``start``
+        with the raw batch ``prefix + [t, t, …]`` (served through
+        ``raws``), one event past the prefix."""
+        events = len(prefix) + 1
+        outcomes = []
+        for target in targets:
+            engine.reset_configuration(start)
+            raws[:] = prefix + [target] * (BATCH - len(prefix))
+            engine.run(max_events=engine.events + events)
+            outcomes.append(list(engine.counts))
+        return outcomes
+
+    @staticmethod
+    def _exact(protocol, before, outcomes):
+        fired = Counter(_fired_state(before, after) for after in outcomes)
+        assert fired == {
+            s: c * (c - 1)
+            for s, c in enumerate(before)
+            if c > 1 and protocol.delta(s, s) is not None
+        }
+        assert Counter(tuple(after) for after in outcomes) == _one_step_law(
+            protocol, before
+        )
+
+    @pytest.mark.parametrize(
+        "setup, grows",
+        [(_near_silent_ring, True), (_ag_start, True),
+         (_count_four_start, False)],
+        ids=["ring-m4", "ag-n12", "max-count-4"],
+    )
+    def test_every_target_picks_its_state_exactly(
+        self, setup, grows, monkeypatch
+    ):
+        """The map of the first event checks the bucket build; the map
+        of the second, after each distinct first event, checks the
+        bucket moves.  The ring's first event and the AG start's second
+        can outgrow the 4-slot axis; the last start opens on 8 slots."""
+        protocol, start = setup()
+        growths = _count_growths(monkeypatch)
+        raws = []
+        monkeypatch.setattr(DrawStream, "raw_batch", lambda self: raws)
+        instr = Instrumentation()
+        engine = JumpEngine(
+            protocol, Configuration(start), np.random.default_rng(0),
+            instrumentation=instr,
+        )
+        weight = engine.productive_weight
+        first = self._map(engine, raws, start, [], range(weight))
+        self._exact(protocol, start, first)
+        assert instr.get("fenwick_mode_events") == weight
+        runs = weight
+        representatives = {}
+        for t1, after in enumerate(first):
+            representatives.setdefault(_fired_state(start, after), t1)
+        for t1 in representatives.values():
+            after = first[t1]
+            weight1 = _fresh_weight(protocol, after)
+            second = self._map(engine, raws, start, [t1], range(weight1))
+            self._exact(protocol, after, second)
+            runs += 2 * weight1
+        assert instr.get("fenwick_mode_events") == runs
+        assert instr.get("proposal_mode_events") == 0
+        assert bool(growths) == grows
+
+    @pytest.mark.parametrize(
+        "setup, total, switches",
+        [
+            (lambda: _trap_pile_up(16, 512), 20000, True),
+            (lambda: _pile_up(AGProtocol(64)), 3000, True),
+            (lambda: _pile_up(RingOfTrapsProtocol(m=8)), 3000, True),
+            (lambda: _k_distant(RingOfTrapsProtocol(m=20), 30), 4000, False),
+            (lambda: _k_distant(AGProtocol(300), 60), 2000, False),
+        ],
+        ids=["trap-pile-up", "ag-pile-up", "ring-pile-up",
+             "ring-k-distant", "ag-k-distant"],
+    )
+    def test_weight_stays_synced_across_switches_and_growth(
+        self, setup, total, switches, monkeypatch
+    ):
+        """Chunked runs through mode switches and axis growths keep the
+        loop's weight equal to the re-summed family weight."""
+        protocol, start = setup()
+        growths = _count_growths(monkeypatch)
+        instr = Instrumentation()
+        engine = JumpEngine(
+            protocol, start, np.random.default_rng(11), instrumentation=instr
+        )
+        while engine.events < total and not engine.is_silent():
+            engine.run(max_events=min(total, engine.events + 3001))
+            assert engine.productive_weight == _fresh_weight(
+                protocol, engine.counts
+            )
+            assert min(engine.counts) >= 0
+        assert instr.get("fenwick_mode_events") > 0
+        assert (instr.get("mode_switches") > 0) == switches
+        assert growths
 
 
 def _many_class_scheduler(protocol):
