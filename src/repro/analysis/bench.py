@@ -220,10 +220,11 @@ class _LegacyTriangularLine:
 def _legacy_families(protocol: PopulationProtocol, counts: List[int]):
     """The protocol's families, rebuilt from the frozen seed classes.
 
-    The live family classes evolve with the fast path (this PR already
-    made ``on_count_change`` return deltas); reconstructing their seed
-    equivalents keeps the baseline measurement from drifting when they
-    do.  Unknown custom family types are used as-is.
+    The live family classes evolve with the fast path (they do not
+    sample, and ``on_count_change`` returns deltas); reconstructing
+    their seed equivalents keeps the baseline measurement from drifting
+    when they do.  A family of any other type raises
+    :class:`SimulationError`.
     """
     from ..core.families import OrderedProduct, SameStatePairs, TriangularLine
 
@@ -243,7 +244,9 @@ def _legacy_families(protocol: PopulationProtocol, counts: List[int]):
         elif type(family) is TriangularLine:
             frozen.append(_LegacyTriangularLine(counts, family._line))
         else:
-            frozen.append(family)
+            raise SimulationError(
+                f"no seed equivalent of family {type(family).__name__}"
+            )
     return frozen
 
 

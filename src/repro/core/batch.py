@@ -44,10 +44,10 @@ a candidate confirm, and a handful of integer aggregate updates.
 The slot structure is **compiled from the fused index's layout export**
 (:meth:`~repro.core.fused.FusedIndex.layout`) — one source of truth for
 how productive pairs decompose — and cached across runs keyed by
-protocol shape (:data:`_PROGRAM_CACHE`).  Protocols whose families fall
-outside the supported kinds (opaque adapters) are reported by
-:func:`batch_supported` and routed to the scalar engines by
-:func:`~repro.core.engine.build_engine`.
+protocol shape (:data:`_PROGRAM_CACHE`).  A protocol with a custom
+family type has no fused layout; :func:`batch_supported` reports it and
+:func:`~repro.core.engine.build_engine` routes it to the scalar
+engines.
 
 Equivalence contract: **step-distribution-identical** to the scalar
 engines (every draw is exact — integer rejection sampling, the scalar
@@ -134,12 +134,8 @@ class _BatchProgram:
             elif kind == "triangular":
                 _, line = slot
                 self.tris.append(line)
-            elif kind == "proposal-pool":
-                continue  # sampling detail of the scalar hot loop
-            else:
-                raise SimulationError(
-                    f"batch kernel cannot compile {kind!r} slots"
-                )
+            # A "proposal-pool" slot is a sampling detail of the scalar
+            # hot loop.
         # Static decode-index arrays (counts are gathered per epoch).
         self.same_idx = np.asarray(self.same_states, dtype=np.int64)
         self.prod_idx = [
@@ -245,9 +241,8 @@ def batch_supported(protocol: PopulationProtocol) -> bool:
     """True iff the batch kernel can compile this protocol's families.
 
     Supported slot kinds: same-state rules, ordered products, and
-    triangular lines — everything the paper's protocols use.  Opaque
-    family adapters (custom :class:`~repro.core.families.Family`
-    subclasses) fall back to the scalar engines.
+    triangular lines — the only families the fused index compiles, and
+    everything the paper's protocols use.
     """
     return _program_for(protocol) is not None
 
@@ -912,6 +907,8 @@ class BatchEngine:
             if w == 0:
                 return True
             if max_events is not None and self.events >= max_events:
+                return False
+            if max_interactions is not None and self.interactions >= max_interactions:
                 return False
             w1 = self._w1
             if self._modified and (

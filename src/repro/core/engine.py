@@ -208,8 +208,11 @@ def build_engine(
     jump runs through the vectorised batch kernel
     (:class:`~repro.core.batch.BatchEngine`, engine name ``"batch"``)
     when the protocol's families compile for it, and falls back to the
-    scalar reference otherwise (non-uniform schedulers, the sequential
-    engine, opaque families).
+    scalar engines otherwise (non-uniform schedulers, the sequential
+    engine).
+
+    A uniform ``"jump"`` run of a protocol with a custom family type
+    raises :class:`SimulationError`; run it with ``engine="sequential"``.
     """
     if backend not in ("python", "numpy"):
         raise SimulationError(
@@ -360,8 +363,13 @@ def run_protocol(
         metadata=metadata,
     )
     if require_silence and not silent:
+        # A non-silent run stopped on one of its two budgets.
+        if max_events is not None and result.events >= max_events:
+            budget = f"max_events={max_events}"
+        else:
+            budget = f"max_interactions={max_interactions}"
         raise SimulationLimitReached(
-            f"{protocol.name} not silent after {driver.interactions} "
-            f"interactions (budget {max_interactions})"
+            f"{protocol.name} not silent after {result.events} events and "
+            f"{result.interactions} interactions ({budget} reached)"
         )
     return result

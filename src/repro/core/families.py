@@ -1,14 +1,12 @@
-"""Weight families: incremental bookkeeping of productive ordered pairs.
+"""Weight families: the structure of a protocol's productive ordered pairs.
 
 In the probabilistic population protocol model a scheduler draws, at
 every step, one *ordered* pair of distinct agents uniformly at random.
 Most draws are null (the transition function leaves both agents
 unchanged); the expensive protocols of the paper perform `Θ(n²)` such
 draws.  The jump engine therefore never enumerates null interactions —
-it only needs, at any moment,
-
-* ``W`` — the exact number of *productive* ordered agent pairs, and
-* a way to sample one productive pair with probability ``1/W`` each.
+it only needs, at any moment, ``W``, the exact number of *productive*
+ordered agent pairs, and a way to sample one of them uniformly.
 
 Every protocol in the paper induces productive pairs of exactly three
 structural shapes, captured by the three :class:`Family` subclasses
@@ -16,14 +14,18 @@ below.  Families hold *disjoint* sets of ordered state pairs, and the
 union over a protocol's families must equal the productive support of
 its transition function (verified by :func:`check_family_coverage`).
 
-All weights are exact Python integers (pair counts), updated
-incrementally on every agent count change.
+A family describes its pair set and keeps the counts it needs for its
+weight: exact Python integers (pair counts), updated incrementally on
+every agent count change.  Families do not sample.  The jump engines
+compile them into one :class:`~repro.core.fused.FusedIndex`, which
+accepts exactly these three types and does all the sampling; the
+sequential and rejection engines read only their weights.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from ..exceptions import SimulationError
 from .fenwick import FenwickTree
@@ -35,10 +37,6 @@ __all__ = [
     "TriangularLine",
     "check_family_coverage",
 ]
-
-# A callable that returns a uniform integer in [0, bound).
-RandBelow = Callable[[int], int]
-
 
 class Family(ABC):
     """A set of ordered state pairs, weighted by current agent counts."""
@@ -73,10 +71,6 @@ class Family(ABC):
         maintain the total productive weight ``W`` incrementally instead
         of re-summing every family after every event.
         """
-
-    @abstractmethod
-    def sample(self, rand_below: RandBelow) -> Tuple[int, int]:
-        """Draw a productive (initiator, responder) state pair uniformly."""
 
     @abstractmethod
     def covers(self, initiator: int, responder: int) -> bool:
@@ -131,10 +125,6 @@ class SameStatePairs(Family):
         fenwick.set(state, new_weight)
         return delta
 
-    def sample(self, rand_below: RandBelow) -> Tuple[int, int]:
-        state = self._fenwick.find(rand_below(self._fenwick.total))
-        return state, state
-
     def covers(self, initiator: int, responder: int) -> bool:
         """True iff the pair is a same-state pair with a rule."""
         return initiator == responder and self._has_rule[initiator]
@@ -155,8 +145,8 @@ class SameStatePairs(Family):
 class OrderedProduct(Family):
     """All pairs (initiator ∈ A, responder ∈ B) with A, B disjoint.
 
-    Weight is ``(Σ_{a∈A} c_a) · (Σ_{b∈B} c_b)``; each side is sampled
-    independently, proportionally to its counts, via a Fenwick tree.
+    Weight is ``(Σ_{a∈A} c_a) · (Σ_{b∈B} c_b)``; each side keeps its
+    counts in a Fenwick tree, whose total is the side sum.
 
     Used for the §4 routing rule ``(rank state, X) → (rank state, gate)``
     (A = rank states, B = {X}) and the §5 rule R4 ``(X_i, rank)``
@@ -225,15 +215,6 @@ class OrderedProduct(Family):
         self._resp_fenwick.set(self._pos_of[state], new)
         return self._init_fenwick.total * (new - old)
 
-    def sample(self, rand_below: RandBelow) -> Tuple[int, int]:
-        initiator_pos = self._init_fenwick.find(
-            rand_below(self._init_fenwick.total)
-        )
-        responder_pos = self._resp_fenwick.find(
-            rand_below(self._resp_fenwick.total)
-        )
-        return self._initiators[initiator_pos], self._responders[responder_pos]
-
     def covers(self, initiator: int, responder: int) -> bool:
         return (
             self._side[initiator] == self.INITIATOR
@@ -263,20 +244,19 @@ class TriangularLine(Family):
         ``W = Σ c_i(c_i−1) + Σ_{i<j} c_i c_j = (Q − S) + (S² − Q)/2``
 
     so a count change updates ``W`` in O(1) from running ``S``/``Q``
-    bookkeeping — no per-change recompute over the line.  Sampling still
-    scans the ``O(log n)`` line, but only when a draw lands here.
+    bookkeeping — no per-change recompute over the line.
     """
 
-    __slots__ = ("_line", "_pos", "_counts", "_sum", "_sumsq")
+    __slots__ = ("_line", "_pos", "_sum", "_sumsq")
 
     def __init__(self, counts: Sequence[int], line_states: Sequence[int]) -> None:
         self._line = list(line_states)
         self._pos = {state: i for i, state in enumerate(self._line)}
         if len(self._pos) != len(self._line):
             raise SimulationError("TriangularLine states must be distinct")
-        self._counts = [counts[s] for s in self._line]
-        self._sum = sum(self._counts)
-        self._sumsq = sum(c * c for c in self._counts)
+        line_counts = [counts[s] for s in self._line]
+        self._sum = sum(line_counts)
+        self._sumsq = sum(c * c for c in line_counts)
 
     @property
     def weight(self) -> int:
@@ -293,35 +273,9 @@ class TriangularLine(Family):
         if pos is None:
             return 0
         before = self.weight
-        self._counts[pos] = new
         self._sum += new - old
         self._sumsq += new * new - old * old
         return self.weight - before
-
-    def sample(self, rand_below: RandBelow) -> Tuple[int, int]:
-        target = rand_below(self.weight)
-        counts = self._counts
-        length = len(counts)
-        suffix = self._sum
-        for i in range(length):
-            c = counts[i]
-            suffix -= c
-            same = c * (c - 1)
-            if target < same:
-                return self._line[i], self._line[i]
-            target -= same
-            cross = c * suffix
-            if target < cross:
-                # responder drawn among states strictly above i,
-                # proportionally to their counts
-                j_target = target // c
-                for j in range(i + 1, length):
-                    if j_target < counts[j]:
-                        return self._line[i], self._line[j]
-                    j_target -= counts[j]
-                raise SimulationError("TriangularLine sample overflow")
-            target -= cross
-        raise SimulationError("TriangularLine sample out of range")
 
     def covers(self, initiator: int, responder: int) -> bool:
         pos_i = self._pos.get(initiator)

@@ -17,11 +17,12 @@ integer weight index:
   draws decoded from the *residual* find target — no extra randomness;
 * each :class:`~repro.core.families.TriangularLine` family collapses to
   **one slot** whose weight follows from the count moments ``S``/``Q``
-  in O(1) per change;
-* unknown :class:`~repro.core.families.Family` subclasses keep working
-  through an opaque one-slot adapter.
+  in O(1) per change.
 
-Composite slots (product / triangular / opaque) are laid out *first*,
+These three shapes cover every protocol of the paper; a family of any
+other type fails at construction.
+
+Composite slots (product / triangular) are laid out *first*,
 so the engine's hot loop resolves the overwhelmingly common draws (the
 reset line during a §5 reset storm) with a couple of comparisons before
 falling back to the Fenwick walk over the same-state block.  Side
@@ -104,17 +105,17 @@ class WeightedIndexUnsupported(SimulationError):
     """
 
 # Slot kinds, which double as the codes of the per-state plan steps.
-SAME, PRODUCT, TRIANGULAR, OPAQUE = 0, 1, 2, 3
+SAME, PRODUCT, TRIANGULAR = 0, 1, 2
 # Slot kind of a class-scaled composite slot: a product or triangular
 # payload that carries its class factor, decoded through the payload's
 # ``pair_from_target`` and weighed with the factor.  Its plan steps keep
 # the PRODUCT/TRIANGULAR codes (the payload updates are the same).
-SCALED = 4
+SCALED = 3
 # Slot kind of a proposal-pool pseudo-slot (hybrid same-state sampling).
-PROPOSAL = 5
+PROPOSAL = 4
 # Plan-step code of a class-scaled same-state slot; the step carries the
 # slot's class factor.
-SCALED_SAME = 6
+SCALED_SAME = 5
 
 #: Relative cost of serving one unit of same-state mass through the
 #: Fenwick walk versus one O(1) proposal — the constant in the window
@@ -661,7 +662,7 @@ class FusedIndex:
     mutable sampling state afterwards (the engine may let the family
     objects go stale).
 
-    Layout: composite slots (product / triangular / opaque) occupy
+    Layout: composite slots (product / triangular / proposal pool) occupy
     ``0..num_composite-1`` and live *outside* the Fenwick tree — their
     weights change on almost every event, the linear ``find`` pre-scan
     resolves them anyway, and keeping them out makes their per-event
@@ -684,9 +685,9 @@ class FusedIndex:
     factor); ``same_factors`` lists the same-state block's factors in
     slot order (``None`` without a partition).  Only the unscaled index
     builds the proposal pool, whose rejection draw realises ``c(c−1)``
-    and nothing else.  Opaque families cannot be scaled, so a
-    partitioned index raises :class:`WeightedIndexUnsupported` for
-    them.
+    and nothing else.  A family whose type is not exactly one of the
+    three raises :class:`~repro.exceptions.SimulationError` naming it
+    (:class:`WeightedIndexUnsupported` on a partitioned index).
     """
 
     __slots__ = ("num_slots", "num_composite", "fenwick_size", "tree",
@@ -790,22 +791,15 @@ class FusedIndex:
                 for r, (p, initiators) in enumerate(runs):
                     for q, responders in runs[r + 1:]:
                         add_product(initiators, responders, u[p][q])
-            elif scaled:
-                raise WeightedIndexUnsupported(
-                    f"weighted fused index cannot scale custom family "
-                    f"{type(family).__name__} exactly; use the rejection "
-                    "engine for this protocol"
-                )
             else:
-                # Opaque adapter: the family keeps maintaining its own
-                # weight; the index mirrors it in one slot.
-                slot = len(kinds)
-                kinds.append(OPAQUE)
-                payloads.append(family)
-                weights.append(family.weight)
-                plans.add(
-                    list(family.states()),
-                    lambda pos, f=family, slot=slot: (OPAQUE, f, slot),
+                # A biased run falls back to the rejection engine.
+                error = WeightedIndexUnsupported if scaled else SimulationError
+                raise error(
+                    f"fused index cannot compile custom family "
+                    f"{type(family).__name__} (only SameStatePairs, "
+                    "OrderedProduct and TriangularLine); run this protocol "
+                    + ("on the rejection engine" if scaled
+                       else 'with engine="sequential"')
                 )
         composite_mass = sum(weights)
         # Hybrid same-state sampling: one proposal-pool pseudo-slot at
@@ -881,8 +875,7 @@ class FusedIndex:
         * ``("triangular", line)`` — a triangular line family slot (the
           line in position order);
         * ``("proposal-pool", states)`` — the hybrid same-state pool
-          pseudo-slot (candidate states);
-        * ``("opaque", states)`` — an opaque family adapter.
+          pseudo-slot (candidate states).
         """
         slots = []
         for slot in range(self.num_slots):
@@ -890,6 +883,8 @@ class FusedIndex:
             payload = self.slot_payload[slot]
             if kind == SAME:
                 slots.append(("same", payload))
+            elif kind == PROPOSAL:
+                slots.append(("proposal-pool", tuple(payload.states)))
             elif type(payload) is _ProductSlot:
                 slots.append(
                     (
@@ -898,12 +893,8 @@ class FusedIndex:
                         tuple(payload.responders),
                     )
                 )
-            elif type(payload) is _TriangularSlot:
-                slots.append(("triangular", tuple(payload.line)))
-            elif kind == PROPOSAL:
-                slots.append(("proposal-pool", tuple(payload.states)))
             else:
-                slots.append(("opaque", tuple(sorted(payload.states()))))
+                slots.append(("triangular", tuple(payload.line)))
         return tuple(slots)
 
     # ------------------------------------------------------------------
@@ -969,8 +960,6 @@ class FusedIndex:
         if kind == PROPOSAL:
             state = payload.sample_state(rand_below)
             return state, state
-        if kind == OPAQUE:
-            return payload.sample(rand_below)
         return payload.pair_from_target(residual)
 
     def sample(self, rand_below) -> Tuple[int, int]:
@@ -981,7 +970,7 @@ class FusedIndex:
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
-    def resync(self, counts: Sequence[int]) -> bool:
+    def resync(self, counts: Sequence[int]) -> None:
         """Reload every slot weight from a counts list, in place.
 
         The slot layout, payload objects, and any compiled transition
@@ -992,10 +981,8 @@ class FusedIndex:
         with numpy: a gather plus a :func:`fill_tree` per side tree, the
         pool classification, and the same-state block.  The only
         per-state Python work left is building each pool member's
-        position list.
-        Returns ``False`` when the index contains opaque family slots
-        (their internal state cannot be resynced from counts — the
-        caller must rebuild the index from fresh families instead).
+        position list.  Every slot is a pure function of the counts, so
+        the pass cannot fail.
 
         Resync is also the **canonicalisation seam** the checkpoint
         layer relies on: the proposal/Fenwick partition and product
@@ -1007,10 +994,7 @@ class FusedIndex:
         snapshots stay compiled-index-free while restores stay
         bit-exact.
         """
-        if OPAQUE in self.slot_kind[:self.num_composite]:
-            return False
         self._reload(counts, np.asarray(counts, dtype=np.int64))
-        return True
 
     def _reload(self, counts: Sequence[int], count_array: np.ndarray) -> None:
         """Reload every slot weight (the body of :meth:`resync`)."""
@@ -1123,16 +1107,12 @@ class FusedIndex:
                     tree[node] += delta
                     node += node & -node
                 delta_w += self._set(slot, payload.weight())
-            elif kind == TRIANGULAR:
+            else:  # TRIANGULAR
                 payload, pos, slot = step[1], step[2], step[3]
                 payload.counts[pos] = new
                 payload.s += delta
                 payload.q += new * new - old * old
                 delta_w += self._set(slot, payload.weight())
-            else:
-                family, slot = step[1], step[2]
-                family.on_count_change(state, old, new)
-                delta_w += self._set(slot, family.weight)
         return delta_w
 
     def compile_transition(
@@ -1158,7 +1138,7 @@ class FusedIndex:
 
         ``prods`` is the transition's *sprint guard*, ``((slot,
         net_init_delta), …)`` over the product slots it touches, or
-        ``None`` when it touches a triangular or opaque slot or changes
+        ``None`` when it touches a triangular slot or changes
         a product's responder side.  While every listed slot has
         ``resp_total == 0`` it weighs zero before and after the event:
         the product steps then only stale-mark and add to the initiator
@@ -1193,9 +1173,9 @@ class FusedIndex:
                     slot = step[4]
                     net = prods.setdefault(slot, [0, 0])
                     net[0 if step[6] else 1] += delta
-                else:
+                else:  # TRIANGULAR
                     guarded = False
-                    slot = step[3] if kind == TRIANGULAR else step[2]
+                    slot = step[3]
                 if slot not in refresh:
                     refresh.append(slot)
         moves = ()
@@ -1276,7 +1256,7 @@ class WeightedFusedIndex(FusedIndex):
         for p, row in enumerate(self.class_matrix):
             row_dot[p] += row[cls] * delta
 
-    def resync(self, counts: Sequence[int]) -> bool:
+    def resync(self, counts: Sequence[int]) -> None:
         """Reload every slot weight and class sum from a counts list, in place.
 
         The slot layout and payload objects stay valid — only the
@@ -1284,13 +1264,11 @@ class WeightedFusedIndex(FusedIndex):
         externally mutated configuration (fault injection) and **epoch
         hot-swap** — an engine switching scheduler segments resyncs the
         incoming precompiled index from the live counts instead of
-        recompiling it.  A weighted index has no opaque slots, so this
-        always succeeds.
+        recompiling it.
         """
         count_array = np.asarray(counts, dtype=np.int64)
         self._reload(counts, count_array)
         self._load_class_sums(count_array)
-        return True
 
     def total_mass(self) -> int:
         """Scheduler mass of *all* ordered agent pairs (incl. null ones).

@@ -16,12 +16,17 @@ Hot-path layout
 
 The engine compiles the protocol's weight families into one
 :class:`~repro.core.fused.FusedIndex` — a single flat integer weight
-index over all productive pair slots — and runs it through the fused
-jump loop, :func:`_run_fused`, which samples a productive ordered pair
-with one Fenwick ``find`` (the residual target decodes within-slot
-draws; no per-family dispatch) and updates weights through precompiled
-per-state plans with O(1)-amortised slot deltas.  The same loop runs
-every recorder-free segment of the biased
+index over all productive pair slots.  The index accepts exactly the
+three family shapes of :mod:`~repro.core.families`, so a protocol with
+any other family type fails at construction (it runs with
+``engine="sequential"``), and the engine never rebuilds its index:
+faults, snapshots, restores and the exit of each fast loop
+canonicalise it with one in-place resync.  The engine runs the index
+through the fused jump loop, :func:`_run_fused`, which samples a
+productive ordered pair with one Fenwick ``find`` (the residual target
+decodes within-slot draws; no per-family dispatch) and updates weights
+through precompiled per-state plans with O(1)-amortised slot deltas.
+The same loop runs every recorder-free segment of the biased
 :class:`~repro.core.scheduler.WeightedScheduledEngine`, on that
 engine's class-scaled index: its few biased-only branches (two-raw
 targets, the scaled slot codes, the step-mass update after a class
@@ -97,7 +102,6 @@ from .fused import (
     PROPOSAL,
     SAME,
     SCALED,
-    SCALED_SAME,
     TRIANGULAR,
     FusedIndex,
     _ProductSlot,
@@ -339,50 +343,29 @@ class JumpEngine:
         continues exactly where it left off.  The population size and
         state space must not change — churn rebuilds the engine instead.
         """
-        counts = checked_counts(
+        self.counts = checked_counts(
             configuration, self._num_states, self._protocol.num_agents
         )
-        self.counts = counts
-        # In-place index resync keeps the compiled transition programs
-        # valid; only indexes with opaque family slots need a rebuild.
-        if self._fused.resync(counts):
-            self._weight = self._fused.total
-        else:
-            self._rebuild_fused(counts)
+        # The in-place resync keeps the compiled transition programs
+        # valid.
+        self._canonicalise_index()
         if self._instr is not None:
             self._instr.add("resyncs")
             self._instr.mark(
                 "resync", events=self.events, interactions=self.interactions
             )
 
-    def _rebuild_fused(self, counts: List[int]) -> None:
-        """Recompile the fused index (and weight) from a counts list.
-
-        The compiled programs name the *old* index's slots and rely on
-        its per-state plans having been built when they compiled, so
-        the program caches are invalidated whenever the index is
-        rebuilt — entries recompile lazily.
-        """
-        self._fused = FusedIndex(
-            self._protocol.build_families(counts), self._num_states, counts
-        )
-        self._weight = self._fused.total
-        self._pair_table = {}
-        self._ss_progs = [None] * self._num_states
-
     def _canonicalise_index(self) -> None:
-        """Make the fused index a pure function of the live counts.
+        """Make the fused index (and ``W``) a pure function of the live
+        counts.
 
-        One in-place resync (index rebuild for opaque slots) — exactly
-        the re-partition the fast loops run periodically, so the step
-        distribution is unchanged.  At recorder-free ``run()``
-        boundaries the index is already canonical and this is a no-op
-        state-wise.
+        One in-place resync — exactly the re-partition the fast loops
+        run periodically, so the step distribution is unchanged.  At
+        recorder-free ``run()`` boundaries the index is already
+        canonical and this is a no-op state-wise.
         """
-        if self._fused.resync(self.counts):
-            self._weight = self._fused.total
-        else:
-            self._rebuild_fused(self.counts)
+        self._fused.resync(self.counts)
+        self._weight = self._fused.total
 
     def snapshot(self) -> EngineSnapshot:
         """Plain-data checkpoint for bit-exact resumption.
@@ -486,8 +469,9 @@ class JumpEngine:
 
         When the geometric skip would overshoot ``max_interactions`` the
         clock is clamped to the budget and the pending productive event
-        is *not* applied (no interaction beyond the budget happened).
-        ``max_events`` additionally bounds the number of *productive*
+        is *not* applied (no interaction beyond the budget happened); a
+        budget the clock has already reached draws nothing, so the clock
+        never moves back.  ``max_events`` additionally bounds the number of *productive*
         events — the engine's actual work — which is the effective guard
         for runs that churn without converging.
 
@@ -524,6 +508,8 @@ class JumpEngine:
                 break
             if max_events is not None and self.events >= max_events:
                 break
+            if max_interactions is not None and self.interactions >= max_interactions:
+                break
             skip = draws.geometric_skip(weight / total_pairs)
             if (
                 max_interactions is not None
@@ -559,9 +545,9 @@ class JumpEngine:
         :func:`_run_fused`), then the run-boundary canonicalisation."""
         events0 = self.events
         interactions0 = self.interactions
-        fused = self._fused
-        silent = _run_fused(self, fused, self._total_pairs, None, max_events)
-        self._weight = fused.total
+        silent = _run_fused(
+            self, self._fused, self._total_pairs, None, max_events
+        )
         if self._instr is not None:
             self._instr.add_counters(
                 events=self.events - events0,
@@ -574,8 +560,7 @@ class JumpEngine:
         # loop performs every ``_RECLASSIFY_EVENTS``, and the contract
         # the checkpoint seam (``snapshot``/``restore``) relies on for
         # bit-identical resumption.
-        if not fused.resync(self.counts):
-            self._rebuild_fused(self.counts)
+        self._canonicalise_index()
         # Discard any shared buffered draws so later step() calls start
         # from fresh batches of the (advanced) generator stream.
         self._draws.discard()
@@ -856,9 +841,7 @@ class JumpEngine:
             )
         # The loop mutated counts without notifying the fused index;
         # resync it so step()/recorders stay usable after a fast run.
-        if not self._fused.resync(counts):
-            self._rebuild_fused(counts)
-        self._weight = weight
+        self._canonicalise_index()
         # Discard any shared buffered draws so later step() calls start
         # from fresh batches of the (advanced) generator stream.
         draws.discard()
@@ -883,7 +866,8 @@ def _run_fused(
     ordered agent pairs (``n(n−1)`` for the uniform scheduler), so the
     geometric skip succeeds with probability ``W / mass``.  A skip
     overshooting ``max_interactions`` clamps the clock there and drops
-    the pending event.  Returns True iff the configuration is silent.
+    the pending event; a cap at or behind the clock on entry draws
+    nothing.  Returns True iff the configuration is silent.
     From ``engine`` the loop reads the protocol, counts, draw stream,
     counters and telemetry bag, and the program caches of ``fused``
     (``_pair_table`` and ``_ss_progs``).
@@ -967,6 +951,9 @@ def _run_fused(
     # `cooldown_end`.
     stop = -1 if max_events is None else max(events, max_events)
     icap = _NO_CAP if max_interactions is None else max_interactions
+    if interactions >= icap:
+        # An interactions cap at or behind the clock: draw nothing.
+        stop = events
     reclassify_at = events + _RECLASSIFY_EVENTS
     cooldown_end = events
     # Telemetry: draw totals derive from batch-refill tallies at loop
@@ -1165,7 +1152,7 @@ def _run_fused(
                 )
         elif kind == SAME:
             si = sj = slot_payload[pos]
-        elif kind == PRODUCT:
+        else:  # PRODUCT
             prod = slot_payload[pos]
             if prod.stale:
                 # Decode around the stale side trees: rejection
@@ -1201,8 +1188,6 @@ def _run_fused(
                             p2 = nxt
                     bit >>= 1
                 sj = prod.responders[p2]
-        else:
-            si, sj = slot_payload[pos].sample(draws.rand_below)
         # Transition: the precompiled program.
         if si == sj:
             # Same-state draws dominate the hybrid loop: a
@@ -1482,9 +1467,9 @@ def _run_fused(
                         if dw:
                             pool_w += dw
                             weight += dw
-                elif code == SCALED_SAME:
-                    # A class-scaled same-state slot: no pool, and the
-                    # step's factor scales c(c−1).
+                else:
+                    # SCALED_SAME, a class-scaled same-state slot: no
+                    # pool, and the step's factor scales c(c−1).
                     slot = step[1]
                     dw = step[3] * new * (new - 1) - values[slot]
                     if dw:
@@ -1494,8 +1479,6 @@ def _run_fused(
                         while node <= fensize:
                             tree[node] += dw
                             node += node & -node
-                else:
-                    step[1].on_count_change(state, old, new)
         # One deferred weight refresh per touched composite
         # slot — a plain values[] write, composite slots live
         # outside the Fenwick tree.
@@ -1516,11 +1499,9 @@ def _run_fused(
                 s_ = tri.s
                 q_ = tri.q
                 w = (q_ - s_) + (s_ * s_ - q_) // 2
-            elif rkind == PRODUCT:
+            else:  # PRODUCT
                 prod = slot_payload[slot]
                 w = prod.init_total * prod.resp_total
-            else:
-                w = slot_payload[slot].weight
             weight += w - values[slot]
             values[slot] = w
         moves = entry[6]

@@ -84,7 +84,12 @@ class PopulationProtocol(ABC):
         The default covers same-state rules only; override when the
         protocol has cross-state rules (and keep the families' pair sets
         disjoint — validated by
-        :func:`repro.core.families.check_family_coverage`).
+        :func:`repro.core.families.check_family_coverage`).  To run on
+        the jump engines, cross-state rules must use the shapes the
+        fused index compiles, :class:`~repro.core.families.OrderedProduct`
+        and :class:`~repro.core.families.TriangularLine` (exactly those
+        types); other family types run only on the sequential and
+        rejection engines.
         """
         return [SameStatePairs(counts, self.same_state_rule_states())]
 

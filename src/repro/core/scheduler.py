@@ -866,6 +866,8 @@ class WeightedScheduledEngine:
                 return True
             if max_events is not None and self.events >= max_events:
                 return False
+            if max_interactions is not None and self.interactions >= max_interactions:
+                return False
             skip = draws.geometric_skip(weight / index.total_mass())
             if (
                 max_interactions is not None

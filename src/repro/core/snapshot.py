@@ -51,9 +51,37 @@ _KINDS = ("jump", "sequential", "scheduled", "agent", "weighted", "batch")
 _REQUIRED = (
     "kind", "num_states", "num_agents", "counts", "interactions", "events",
 )
-#: Fields stored as tuples (``agent_states`` may also be ``None``).
-_TUPLES = ("counts", "uniforms", "raws", "pair_buffer", "accepts",
-           "agent_states")
+_INT = ((int, np.integer), "an int")
+_NUMBER = ((int, float, np.integer, np.floating), "a number")
+#: Scalar fields and the type each holds.
+_SCALARS = {
+    "version": _INT,
+    "kind": ((str,), "a string"),
+    "rng_state": ((dict,), "a dict"),
+    **dict.fromkeys(
+        ("num_states", "num_agents", "interactions", "events",
+         "uniform_pos", "epoch", "start_events", "start_interactions",
+         "next_predicate_check"),
+        _INT,
+    ),
+}
+#: Fields stored as tuples, and the type of their elements
+#: (``agent_states`` may also be ``None``).
+_TUPLES = {
+    "counts": _INT, "uniforms": _NUMBER, "raws": _INT,
+    "pair_buffer": _INT, "accepts": _NUMBER, "agent_states": _INT,
+}
+
+
+def _check_type(key: str, value, expected, what: str = "") -> None:
+    """Raise :class:`SimulationError` naming ``key`` unless ``value`` has
+    the ``(types, description)`` type ``expected`` (never a bool)."""
+    types, name = expected
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise SimulationError(
+            f"snapshot field {key!r} {what}must be {name}, got "
+            f"{type(value).__name__}"
+        )
 
 
 @dataclass(frozen=True)
@@ -101,11 +129,14 @@ class EngineSnapshot:
         """Inverse of :meth:`to_dict`; coerces sequences back to tuples.
 
         A damaged dict fails with :class:`SimulationError` naming the
-        field: an unknown key, a missing required field, or a
-        non-sequence where a tuple is stored.
+        field: an unknown key, a missing required field, a scalar of
+        the wrong type (``kind`` is a string, ``rng_state`` a dict,
+        every other scalar an int), or a tuple field that is not a
+        sequence or holds an element of the wrong type.
         """
         data = dict(data)
-        version = int(data.get("version", SNAPSHOT_VERSION))
+        version = data.get("version", SNAPSHOT_VERSION)
+        _check_type("version", version, _INT)
         if version != SNAPSHOT_VERSION:
             raise SimulationError(
                 f"snapshot version {version} is not supported "
@@ -121,15 +152,14 @@ class EngineSnapshot:
         for key in _REQUIRED:
             if key not in data:
                 raise SimulationError(f"snapshot is missing field {key!r}")
-        for key in _TUPLES:
-            if key not in data or (key == "agent_states" and data[key] is None):
-                continue
-            if not isinstance(data[key], (list, tuple)):
-                raise SimulationError(
-                    f"snapshot field {key!r} must be a sequence, got "
-                    f"{type(data[key]).__name__}"
-                )
-            data[key] = tuple(data[key])
+        for key, value in data.items():
+            if key in _SCALARS:
+                _check_type(key, value, _SCALARS[key])
+            elif not (key == "agent_states" and value is None):
+                _check_type(key, value, ((list, tuple), "a sequence"))
+                for item in value:
+                    _check_type(key, item, _TUPLES[key], "element ")
+                data[key] = tuple(value)
         return cls(**data)
 
 

@@ -18,6 +18,7 @@ from repro import (
     TrajectoryRecorder,
     TreeRankingProtocol,
     WeightedScheduledEngine,
+    build_engine,
     random_configuration,
     run_protocol,
     solved_configuration,
@@ -29,6 +30,7 @@ from repro.exceptions import (
     SimulationLimitReached,
 )
 from repro.obs import Instrumentation
+from repro.scenarios.schedulers import DegreeSkewedScheduler
 
 
 def _engine(protocol, config, seed=0, cls=JumpEngine):
@@ -207,8 +209,20 @@ class TestRunProtocol:
     def test_require_silence_raises_on_budget(self):
         protocol = AGProtocol(32)
         config = Configuration.all_in_state(0, 32, 32)
-        with pytest.raises(SimulationLimitReached):
+        with pytest.raises(
+            SimulationLimitReached, match=r"\(max_interactions=10 reached\)"
+        ):
             run_protocol(protocol, config, seed=0, max_interactions=10,
+                         require_silence=True)
+
+    def test_require_silence_names_the_events_budget(self):
+        protocol = AGProtocol(200)
+        config = Configuration.all_in_state(0, 200, 200)
+        with pytest.raises(
+            SimulationLimitReached,
+            match=r"not silent after 10 events .*\(max_events=10 reached\)",
+        ):
+            run_protocol(protocol, config, seed=1, max_events=10,
                          require_silence=True)
 
     def test_budget_returns_non_silent(self):
@@ -230,6 +244,57 @@ class TestRunProtocol:
             protocol, Configuration.all_in_state(0, 6, 6), seed=0
         )
         assert "silent" in repr(result)
+
+
+def _cap_engine(kind):
+    """One engine of ``kind`` through ``build_engine``, 50 events in."""
+    protocol = AGProtocol(60) if kind == "jump-ag" else TreeRankingProtocol(64)
+    start = random_configuration(protocol, seed=5)
+    biased = StateBiasedScheduler(
+        [1.0 if s % 2 else 0.5 for s in range(protocol.num_states)]
+    )
+    options = {
+        "jump-ag": {},
+        "jump-tree": {},
+        "sequential": {"engine": "sequential"},
+        "scheduled": {"engine": "sequential", "scheduler": biased},
+        "weighted": {"scheduler": biased},
+        "agent": {"scheduler": DegreeSkewedScheduler(exponent=1.5)},
+        "batch": {"backend": "numpy"},
+    }[kind]
+    engine, name = build_engine(protocol, start, seed=3, **options)
+    assert name.split(":")[0] == kind.split("-")[0]
+    engine.run(max_events=50)
+    return engine
+
+
+class TestInteractionsCap:
+    """An interactions cap at or behind the clock draws nothing."""
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["jump-ag", "jump-tree", "sequential", "scheduled", "weighted",
+         "agent", "batch"],
+    )
+    def test_exhausted_cap_keeps_the_clock_and_the_stream(self, kind):
+        plain = _cap_engine(kind)
+        capped = _cap_engine(kind)
+        clock = capped.interactions
+        assert clock > 1
+        for cap in (1, clock - 1, clock):
+            assert capped.run(max_interactions=cap) is False
+            assert (capped.events, capped.interactions) == (50, clock)
+        plain.run(max_events=150)
+        capped.run(max_events=150)
+        assert capped.events == plain.events == 150
+        assert capped.interactions == plain.interactions
+        assert list(capped.counts) == list(plain.counts)
+        # The clock never decreases, whatever cap a call brings.
+        for step in (7, -20, 0, 40, -1000, 3):
+            before = capped.interactions
+            cap = before + step
+            capped.run(max_interactions=cap)
+            assert before <= capped.interactions <= max(before, cap)
 
 
 class TestRecorders:

@@ -5,30 +5,28 @@ import pytest
 
 from repro import (
     AGProtocol,
+    Configuration,
+    JumpEngine,
     LineOfTrapsProtocol,
+    ModifiedTreeProtocol,
     RingOfTrapsProtocol,
     SingleTrapProtocol,
+    StateBiasedScheduler,
+    TreeDispersalProtocol,
     TreeRankingProtocol,
+    build_engine,
+    random_configuration,
+    run_protocol,
 )
 from repro.core.families import (
+    Family,
     OrderedProduct,
     SameStatePairs,
     TriangularLine,
     check_family_coverage,
 )
 from repro.exceptions import SimulationError
-
-
-def _draws(seq):
-    """A rand_below stub that replays a scripted sequence of draws."""
-    iterator = iter(seq)
-
-    def rand_below(bound):
-        value = next(iterator)
-        assert 0 <= value < bound
-        return value
-
-    return rand_below
+from repro.protocols.line import IsolatedLineProtocol
 
 
 class TestSameStatePairs:
@@ -47,17 +45,6 @@ class TestSameStatePairs:
         family = SameStatePairs(counts, rule_states=[0, 1])
         family.on_count_change(0, 2, 4)
         assert family.weight == 4 * 3 + 2 * 1
-
-    def test_sample_returns_same_state_pair(self):
-        family = SameStatePairs([0, 3, 0], rule_states=[0, 1, 2])
-        si, sj = family.sample(_draws([4]))
-        assert (si, sj) == (1, 1)
-
-    def test_sample_proportional_split(self):
-        family = SameStatePairs([2, 0, 2], rule_states=[0, 1, 2])
-        # weight 2 per state; targets 0,1 → state 0; 2,3 → state 2
-        assert family.sample(_draws([1])) == (0, 0)
-        assert family.sample(_draws([2])) == (2, 2)
 
     def test_covers(self):
         family = SameStatePairs([1, 1], rule_states=[0])
@@ -97,12 +84,6 @@ class TestOrderedProduct:
         assert family.weight == 5
         family.on_count_change(1, 1, 3)
         assert family.weight == 15
-
-    def test_sample(self):
-        counts = [2, 0, 3]
-        family = OrderedProduct(counts, initiators=[0, 1], responders=[2])
-        si, sj = family.sample(_draws([1, 2]))
-        assert (si, sj) == (0, 2)
 
     def test_covers(self):
         family = OrderedProduct([1, 1, 1], initiators=[0], responders=[2])
@@ -155,14 +136,6 @@ class TestTriangularLine:
         family.on_count_change(2, 5, 50)
         assert family.weight == w
 
-    def test_sample_same_and_cross(self):
-        full = [2, 1]
-        family = TriangularLine(full, line_states=[0, 1])
-        # weight: same(0)=2, cross(0→1)=2, same(1)=0 → total 4
-        assert family.sample(_draws([0])) == (0, 0)
-        assert family.sample(_draws([2])) == (0, 1)
-        assert family.sample(_draws([3])) == (0, 1)
-
     def test_covers_triangular(self):
         family = TriangularLine([0] * 8, line_states=[5, 6, 7])
         assert family.covers(5, 7)
@@ -192,11 +165,27 @@ class TestCoverage:
             SingleTrapProtocol(inner_size=2, num_agents=5),
             TreeRankingProtocol(7, k=2),
             LineOfTrapsProtocol(m=2),
+            IsolatedLineProtocol(num_traps=3, inner_cap=2, num_agents=12),
+            ModifiedTreeProtocol(7, k=2),
+            TreeDispersalProtocol(7),
         ],
         ids=lambda p: p.name,
     )
     def test_families_exactly_cover_delta(self, protocol):
-        check_family_coverage(protocol, [2] * protocol.num_states)
+        """Every shipped protocol's families cover ``delta`` exactly and
+        are of the three types the fused index compiles, so the jump
+        engine builds for it."""
+        counts = [2] * protocol.num_states
+        check_family_coverage(protocol, counts)
+        for family in protocol.build_families(counts):
+            assert type(family) in (
+                SameStatePairs, OrderedProduct, TriangularLine
+            )
+        JumpEngine(
+            protocol,
+            random_configuration(protocol, seed=0),
+            np.random.default_rng(0),
+        )
 
     def test_coverage_detects_overlap(self):
         class Broken(AGProtocol):
@@ -247,3 +236,66 @@ class TestWeightsMatchBruteForce:
                 else:
                     brute += counts[si] * counts[sj]
         assert total == brute
+
+
+class _SameStateList(Family):
+    """Same-state pairs over a plain count list: a family type the fused
+    index does not compile."""
+
+    def __init__(self, counts, rule_states):
+        self._rules = sorted(rule_states)
+        self._counts = list(counts)
+
+    @property
+    def weight(self):
+        return sum(self._counts[s] * (self._counts[s] - 1) for s in self._rules)
+
+    def on_count_change(self, state, old, new):
+        before = self.weight
+        self._counts[state] = new
+        return self.weight - before
+
+    def covers(self, initiator, responder):
+        return initiator == responder and initiator in self._rules
+
+    def pairs(self):
+        return ((s, s) for s in self._rules)
+
+
+class _ListAGProtocol(AGProtocol):
+    def build_families(self, counts):
+        return [_SameStateList(counts, self.same_state_rule_states())]
+
+
+class TestCustomFamilies:
+    """A custom family type runs on the sequential and rejection engines
+    only; the jump engine refuses it by name."""
+
+    def test_jump_engine_names_the_type(self):
+        protocol = _ListAGProtocol(8)
+        start = Configuration.all_in_state(0, 8, 8)
+        with pytest.raises(SimulationError, match="_SameStateList") as info:
+            JumpEngine(protocol, start, np.random.default_rng(0))
+        assert 'engine="sequential"' in str(info.value)
+
+    def test_sequential_engine_runs_to_silence(self):
+        protocol = _ListAGProtocol(8)
+        check_family_coverage(protocol)
+        result = run_protocol(
+            protocol, Configuration.all_in_state(0, 8, 8), seed=1,
+            engine="sequential",
+        )
+        assert result.silent
+        assert sorted(result.final_configuration.counts_list()) == [1] * 8
+
+    def test_biased_scheduler_falls_back_to_rejection(self):
+        protocol = _ListAGProtocol(8)
+        scheduler = StateBiasedScheduler(
+            [1.0 if s % 2 else 0.5 for s in range(protocol.num_states)]
+        )
+        engine, name = build_engine(
+            protocol, Configuration.all_in_state(0, 8, 8), seed=1,
+            scheduler=scheduler,
+        )
+        assert name == f"scheduled:{scheduler.name}"
+        assert engine.run(max_events=10_000)

@@ -27,11 +27,10 @@ from repro import (
     TreeRankingProtocol,
     random_configuration,
 )
-from repro.core.families import OrderedProduct, SameStatePairs, TriangularLine
+from repro.core.families import OrderedProduct, SameStatePairs
 from repro.core.fused import (
     _POOL_MAX_PROPOSALS,
     _POOL_TREE_COST_RATIO,
-    OPAQUE,
     PRODUCT,
     SAME,
     TRIANGULAR,
@@ -225,17 +224,6 @@ class TestClassifierMatchesDictHistogram:
             assert array_mask.tolist() == mask.tolist()
 
 
-class _Wrapped(SameStatePairs):
-    """A family type the index does not know: compiled as an opaque slot."""
-
-
-class _OpaqueTreeProtocol(TreeRankingProtocol):
-    def build_families(self, counts):
-        return [
-            _Wrapped(counts, list(range(self.num_ranks)))
-        ] + super().build_families(counts)[1:]
-
-
 def eager_state_steps(index, families, num_states):
     """The per-state plans as the index used to build them, eagerly."""
     steps = [[] for _ in range(num_states)]
@@ -257,12 +245,9 @@ def eager_state_steps(index, families, num_states):
                     (PRODUCT, payload.resp_tree, pos + 1,
                      payload.resp_size, slot, payload, False)
                 )
-        elif type(family) is TriangularLine:
+        else:
             for pos, state in enumerate(payload.line):
                 steps[state].append((TRIANGULAR, payload, pos, slot))
-        else:
-            for state in family.states():
-                steps[state].append((OPAQUE, family, slot))
         slot += 1
     num_composite = index.num_composite
     slot = num_composite
@@ -290,7 +275,6 @@ class TestLazyPlansMatchEagerBuild:
             LineOfTrapsProtocol(m=2),
             RingOfTrapsProtocol(m=4),
             AGProtocol(12),
-            _OpaqueTreeProtocol(13, k=2),
         ],
         ids=lambda p: type(p).__name__,
     )

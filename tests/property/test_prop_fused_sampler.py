@@ -534,10 +534,8 @@ def _composite_feeds(fused):
             members += [(s, "responder") for s in payload.responders]
         elif kind == TRIANGULAR:
             members = [(s, "triangular") for s in payload.line]
-        elif kind == PROPOSAL:
-            continue  # fed through the same-state steps, never refreshed
         else:
-            members = [(s, "opaque") for s in payload.states()]
+            continue  # the pool: fed through the same-state steps
         for state, side in members:
             feeds.setdefault(state, []).append((slot, side))
     return feeds
@@ -561,8 +559,8 @@ class TestFusedLoopPrograms:
         """``refresh`` is every composite slot the transition's states
         feed, each once, in first-touch order.  A sprint guard lists
         each touched product slot once with its net initiator delta,
-        and only a transition touching no triangular or opaque slot and
-        leaving every product's responder side unchanged in net has one
+        and only a transition touching no triangular slot and leaving
+        every product's responder side unchanged in net has one
         (a tree rank moving to another rank touches two responder
         states of the reset product, net zero).  A ``transfer``
         re-label moves exactly the transition's one agent — a state

@@ -354,6 +354,35 @@ class TestSnapshotValidation:
         with pytest.raises(SimulationError, match="'counts' must be a sequence"):
             EngineSnapshot.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "field, value, expected",
+        [
+            ("version", "x", "an int"),
+            ("events", "3", "an int"),
+            ("num_agents", True, "an int"),
+            ("kind", 5, "a string"),
+            ("rng_state", [1, 2], "a dict"),
+        ],
+    )
+    def test_scalar_of_wrong_type_named(self, field, value, expected):
+        data = self._snapshot_dict()
+        data[field] = value
+        with pytest.raises(
+            SimulationError, match=f"'{field}' must be {expected}"
+        ):
+            EngineSnapshot.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "field, element", [("counts", "3"), ("raws", 2.5), ("uniforms", "u")]
+    )
+    def test_tuple_element_of_wrong_type_named(self, field, element):
+        data = self._snapshot_dict()
+        data[field] = [element] + list(data[field])[1:]
+        with pytest.raises(
+            SimulationError, match=f"'{field}' element must be"
+        ):
+            EngineSnapshot.from_dict(data)
+
     def test_tampered_counts_rejected(self):
         protocol = AGProtocol(12)
         start = random_configuration(protocol, seed=0)
