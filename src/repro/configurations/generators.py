@@ -59,15 +59,14 @@ def k_distant_configuration(
             f"k-distant configurations need 0 <= k <= n-1, got k={k}, n={n}"
         )
     rng = make_rng(seed)
-    counts = [0] * protocol.num_states
-    missing = set(rng.choice(n, size=k, replace=False).tolist()) if k else set()
-    occupied = [r for r in range(n) if r not in missing]
-    for rank in occupied:
-        counts[rank] = 1
+    occupied = np.zeros(protocol.num_states, dtype=np.int64)
+    occupied[:n] = 1
+    if k:
+        occupied[rng.choice(n, size=k, replace=False)] = 0
     # The k displaced agents land uniformly on occupied ranks.
-    for rank in rng.choice(occupied, size=k, replace=True):
-        counts[int(rank)] += 1
-    return Configuration(counts)
+    displaced = rng.choice(np.flatnonzero(occupied), size=k, replace=True)
+    counts = occupied + np.bincount(displaced, minlength=protocol.num_states)
+    return Configuration(counts.tolist())
 
 
 def random_configuration(
@@ -79,9 +78,8 @@ def random_configuration(
     rng = make_rng(seed)
     limit = protocol.num_states if include_extras else protocol.num_ranks
     states = rng.integers(0, limit, size=protocol.num_agents)
-    return Configuration.from_agents(
-        (int(s) for s in states), protocol.num_states
-    )
+    counts = np.bincount(states, minlength=protocol.num_states)
+    return Configuration(counts.tolist())
 
 
 def all_in_state_configuration(
@@ -106,11 +104,11 @@ def all_in_extras_configuration(
             f"{protocol.name} has no extra states to occupy"
         )
     rng = make_rng(seed)
-    counts = [0] * protocol.num_states
-    extras = list(protocol.extra_states)
-    for state in rng.choice(extras, size=protocol.num_agents, replace=True):
-        counts[int(state)] += 1
-    return Configuration(counts)
+    states = rng.choice(
+        list(protocol.extra_states), size=protocol.num_agents, replace=True
+    )
+    counts = np.bincount(states, minlength=protocol.num_states)
+    return Configuration(counts.tolist())
 
 
 def doubled_prefix_configuration(protocol: RankingProtocol) -> Configuration:

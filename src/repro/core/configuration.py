@@ -10,6 +10,7 @@ plain list of counts internally and wrap it back into a
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -32,12 +33,25 @@ class Configuration:
     __slots__ = ("_counts",)
 
     def __init__(self, counts: Sequence[int]) -> None:
-        values = [int(c) for c in counts]
-        for state, count in enumerate(values):
-            if count < 0:
-                raise ConfigurationError(
-                    f"state {state} has negative count {count}"
-                )
+        # ``operator.index`` takes Python and numpy integers and refuses
+        # floats and strings, which ``int`` would silently truncate or
+        # parse into a population of another size.
+        try:
+            values = list(map(operator.index, counts))
+        except TypeError:
+            for state, count in enumerate(counts):
+                try:
+                    operator.index(count)
+                except TypeError:
+                    raise ConfigurationError(
+                        f"state {state} has non-integral count {count!r}"
+                    ) from None
+            raise
+        if values and min(values) < 0:
+            state = next(s for s, c in enumerate(values) if c < 0)
+            raise ConfigurationError(
+                f"state {state} has negative count {values[state]}"
+            )
         self._counts = values
 
     # ------------------------------------------------------------------

@@ -82,6 +82,7 @@ from .fused import (
     WEIGHT_DENOMINATOR,
     WeightedFusedIndex,
     WeightedIndexUnsupported,
+    collector_paused,
     dyadic_weight_numerator,
 )
 from .jump import _compile_program, _run_fused
@@ -574,45 +575,48 @@ class WeightedScheduledEngine:
         self.interactions = 0
         self.events = 0
         self._cursor = _EpochCursor(scheduler, start_epoch=start_epoch)
-        families = protocol.build_families(self.counts)
-        # Deduplicate on the *derived* (classes, dyadic matrix): the
-        # scenario layer builds a fresh scheduler object per timeline
-        # segment, so value-equal segments (the common "flip back"
-        # pattern) must still share one compiled index.  Each index
-        # comes with its own program caches, a pair dict plus a dense
-        # same-state list (slot ids and classes are per index).
-        compiled: Dict[tuple, Tuple[WeightedFusedIndex, dict, list]] = {}
-        self._segments: List[Tuple[WeightedFusedIndex, dict, list]] = []
-        for _, segment_scheduler in self._cursor.segments:
-            class_of, reps = _derive_classes(
-                segment_scheduler, self._num_states
-            )
-            matrix = [
-                [
-                    dyadic_weight_numerator(
-                        segment_scheduler.pair_weight(ri, rj)
-                    )
-                    for rj in reps
-                ]
-                for ri in reps
-            ]
-            key = (
-                tuple(class_of),
-                tuple(tuple(row) for row in matrix),
-            )
-            if key not in compiled:
-                compiled[key] = (
-                    WeightedFusedIndex(
-                        families,
-                        self._num_states,
-                        self.counts,
-                        class_of,
-                        matrix,
-                    ),
-                    {},
-                    [None] * self._num_states,
+        # Each index compile allocates per state; the collector waits
+        # until the last one is built.
+        with collector_paused():
+            families = protocol.build_families(self.counts)
+            # Deduplicate on the *derived* (classes, dyadic matrix): the
+            # scenario layer builds a fresh scheduler object per timeline
+            # segment, so value-equal segments (the common "flip back"
+            # pattern) must still share one compiled index.  Each index
+            # comes with its own program caches, a pair dict plus a dense
+            # same-state list (slot ids and classes are per index).
+            compiled: Dict[tuple, Tuple[WeightedFusedIndex, dict, list]] = {}
+            self._segments: List[Tuple[WeightedFusedIndex, dict, list]] = []
+            for _, segment_scheduler in self._cursor.segments:
+                class_of, reps = _derive_classes(
+                    segment_scheduler, self._num_states
                 )
-            self._segments.append(compiled[key])
+                matrix = [
+                    [
+                        dyadic_weight_numerator(
+                            segment_scheduler.pair_weight(ri, rj)
+                        )
+                        for rj in reps
+                    ]
+                    for ri in reps
+                ]
+                key = (
+                    tuple(class_of),
+                    tuple(tuple(row) for row in matrix),
+                )
+                if key not in compiled:
+                    compiled[key] = (
+                        WeightedFusedIndex(
+                            families,
+                            self._num_states,
+                            self.counts,
+                            class_of,
+                            matrix,
+                        ),
+                        {},
+                        [None] * self._num_states,
+                    )
+                self._segments.append(compiled[key])
         self._index, self._pair_table, self._ss_progs = (
             self._segments[self._cursor.epoch]
         )

@@ -4,6 +4,7 @@ import pytest
 
 from repro import (
     AGProtocol,
+    Configuration,
     LineOfTrapsProtocol,
     RingOfTrapsProtocol,
     TreeRankingProtocol,
@@ -12,6 +13,7 @@ from repro import (
     distance_from_solved,
     doubled_prefix_configuration,
     k_distant_configuration,
+    make_rng,
     random_configuration,
     solved_configuration,
 )
@@ -121,3 +123,93 @@ class TestAdversarial:
         config = doubled_prefix_configuration(protocol)
         assert config.num_agents == 7
         assert config.as_tuple() == (2, 2, 2, 1, 0, 0, 0)
+
+
+# The per-agent loops the numpy generators replaced, kept verbatim as
+# oracles: the generators must draw the same numbers and count them
+# into the same configurations.
+def _oracle_k_distant(protocol, k, seed):
+    n = protocol.num_ranks
+    rng = make_rng(seed)
+    counts = [0] * protocol.num_states
+    missing = set(rng.choice(n, size=k, replace=False).tolist()) if k else set()
+    occupied = [r for r in range(n) if r not in missing]
+    for rank in occupied:
+        counts[rank] = 1
+    for rank in rng.choice(occupied, size=k, replace=True):
+        counts[int(rank)] += 1
+    return counts
+
+
+def _oracle_random(protocol, seed, include_extras):
+    rng = make_rng(seed)
+    limit = protocol.num_states if include_extras else protocol.num_ranks
+    states = rng.integers(0, limit, size=protocol.num_agents)
+    return Configuration.from_agents(
+        (int(s) for s in states), protocol.num_states
+    ).counts_list()
+
+
+def _oracle_all_in_extras(protocol, seed):
+    rng = make_rng(seed)
+    counts = [0] * protocol.num_states
+    extras = list(protocol.extra_states)
+    for state in rng.choice(extras, size=protocol.num_agents, replace=True):
+        counts[int(state)] += 1
+    return counts
+
+
+_ORACLE_PROTOCOLS = [
+    pytest.param(TreeRankingProtocol(50, k=3), id="tree-n50"),
+    pytest.param(TreeRankingProtocol(4099, k=2), id="tree-n4099"),
+    pytest.param(RingOfTrapsProtocol(m=20), id="ring-m20"),
+    pytest.param(AGProtocol(3000), id="ag-n3000"),
+]
+
+
+def _assert_plain_counts(config, expected):
+    counts = config.counts_list()
+    assert counts == expected
+    assert all(type(c) is int for c in counts)
+
+
+class TestGeneratorsMatchLoopOracles:
+    @pytest.mark.parametrize("protocol", _ORACLE_PROTOCOLS)
+    @pytest.mark.parametrize("include_extras", [True, False])
+    def test_random(self, protocol, include_extras):
+        for seed in (0, 5, 2**40 + 3):
+            _assert_plain_counts(
+                random_configuration(protocol, seed, include_extras),
+                _oracle_random(protocol, seed, include_extras),
+            )
+
+    @pytest.mark.parametrize("protocol", _ORACLE_PROTOCOLS)
+    def test_k_distant(self, protocol):
+        n = protocol.num_ranks
+        for k in (0, 1, n // 3, n - 1):
+            for seed in (0, 5, 2**40 + 3):
+                _assert_plain_counts(
+                    k_distant_configuration(protocol, k, seed),
+                    _oracle_k_distant(protocol, k, seed),
+                )
+
+    @pytest.mark.parametrize("protocol", _ORACLE_PROTOCOLS[:2])
+    def test_all_in_extras(self, protocol):
+        for seed in (0, 5, 2**40 + 3):
+            _assert_plain_counts(
+                all_in_extras_configuration(protocol, seed),
+                _oracle_all_in_extras(protocol, seed),
+            )
+
+    def test_shared_generator_advances_alike(self):
+        protocol = TreeRankingProtocol(50, k=3)
+        ours, theirs = make_rng(9), make_rng(9)
+        for _ in range(3):
+            _assert_plain_counts(
+                k_distant_configuration(protocol, 7, ours),
+                _oracle_k_distant(protocol, 7, theirs),
+            )
+            _assert_plain_counts(
+                random_configuration(protocol, ours),
+                _oracle_random(protocol, theirs, True),
+            )

@@ -16,6 +16,42 @@ class TestConstructors:
         with pytest.raises(ConfigurationError):
             Configuration([1, -1])
 
+    def test_negative_count_names_first_state(self):
+        with pytest.raises(
+            ConfigurationError, match="state 2 has negative count -3"
+        ):
+            Configuration([1, 0, -3, -1])
+
+    @pytest.mark.parametrize(
+        "counts, state, shown",
+        [
+            ([1.5, 0.5], 0, "1.5"),
+            (["3", 1], 0, "'3'"),
+            ([2, np.float64(2.7)], 1, "2.7"),
+            ([4, 2.0], 1, "2.0"),
+            (np.array([1.0, 2.0]), 0, "1.0"),
+        ],
+        ids=["float", "string", "numpy-float", "integral-float",
+             "float-array"],
+    )
+    def test_non_integral_count_rejected(self, counts, state, shown):
+        # int() would truncate or parse these into another population.
+        with pytest.raises(ConfigurationError) as info:
+            Configuration(counts)
+        message = str(info.value)
+        assert message.startswith(f"state {state} has non-integral count")
+        assert shown in message
+
+    def test_numpy_integers_become_python_ints(self):
+        config = Configuration(
+            [np.int64(2), np.int32(1), np.uint8(3), True, 0]
+        )
+        assert config.as_tuple() == (2, 1, 3, 1, 0)
+        assert all(type(c) is int for c in config)
+        from_array = Configuration(np.array([0, 4, 1], dtype=np.int64))
+        assert from_array.as_tuple() == (0, 4, 1)
+        assert all(type(c) is int for c in from_array)
+
     def test_from_agents(self):
         config = Configuration.from_agents([0, 2, 2, 1], num_states=4)
         assert config.as_tuple() == (1, 1, 2, 0)

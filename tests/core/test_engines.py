@@ -14,8 +14,10 @@ from repro import (
     Recorder,
     RingOfTrapsProtocol,
     SequentialEngine,
+    SingleTrapProtocol,
     StateBiasedScheduler,
     TrajectoryRecorder,
+    TreeDispersalProtocol,
     TreeRankingProtocol,
     WeightedScheduledEngine,
     build_engine,
@@ -24,6 +26,7 @@ from repro import (
     solved_configuration,
 )
 from repro.core.families import OrderedProduct, SameStatePairs
+from repro.core.jump import _transition_ops
 from repro.exceptions import (
     ConfigurationError,
     SimulationError,
@@ -390,6 +393,13 @@ def _plain(value):
     return value is None or type(value) in (int, bool)
 
 
+class _NullDeltaAG(AGProtocol):
+    """AG's families with a ``delta`` that reports every pair null."""
+
+    def delta(self, initiator, responder):
+        return None
+
+
 class TestCompiledTransitionTables:
     def test_compiled_programs_are_plain_data(self):
         """Cached programs hold no object the cyclic garbage collector
@@ -445,15 +455,101 @@ class TestCompiledTransitionTables:
     def test_broken_coverage_still_raises_lazily(self):
         """A protocol whose delta contradicts its families must raise at
         sampling time (not construction), with tables enabled."""
-
-        class Broken(AGProtocol):
-            def delta(self, initiator, responder):
-                return None
-
-        engine = _engine(Broken(4), Configuration([4, 0, 0, 0]))
+        engine = _engine(_NullDeltaAG(4), Configuration([4, 0, 0, 0]))
         assert engine._ss_table is None  # compilation detected the mismatch
         with pytest.raises(SimulationError):
             engine.run()
+
+
+class _SameStateShapes(PopulationProtocol):
+    """One same-state rule per outcome shape: a no-op, a doubled target,
+    a kept initiator, a kept responder and two new states.  States 5–7
+    carry no rule, so some targets weigh with coefficient 0."""
+
+    _RULES = {0: (0, 0), 1: (5, 5), 2: (2, 3), 3: (6, 3), 4: (1, 7)}
+
+    def __init__(self):
+        super().__init__(num_states=8, num_agents=16)
+
+    def delta(self, initiator, responder):
+        if initiator != responder:
+            return None
+        return self._RULES.get(initiator)
+
+
+def _oracle_same_state_table(protocol, families):
+    """The set-and-generator table build, kept verbatim as the oracle."""
+    if len(families) != 1:
+        return None
+    family = families[0]
+    if type(family) is not SameStatePairs:
+        return None
+    rule_states = {s for s, _ in family.pairs()}
+    table = [None] * protocol.num_states
+    for s in rule_states:
+        out = protocol.delta(s, s)
+        if out is None:
+            return None
+        ti, tj = out
+        ops = tuple(
+            (st, d, d if st in rule_states else 0)
+            for st, d in _transition_ops(s, s, ti, tj)
+        )
+        table[s] = (ti, tj, ops)
+    return table
+
+
+class TestSameStateTableMatchesOracle:
+    @pytest.mark.parametrize(
+        "protocol",
+        [
+            pytest.param(AGProtocol(7), id="ag-n7"),
+            pytest.param(AGProtocol(300), id="ag-n300"),
+            pytest.param(SingleTrapProtocol(5, 12), id="trap-m5"),
+            pytest.param(SingleTrapProtocol(16, 40), id="trap-m16"),
+            pytest.param(RingOfTrapsProtocol(6), id="ring-n6"),
+            pytest.param(RingOfTrapsProtocol(20), id="ring-n20"),
+            pytest.param(TreeDispersalProtocol(7), id="dispersal-n7"),
+            pytest.param(TreeDispersalProtocol(300), id="dispersal-n300"),
+            pytest.param(_SameStateShapes(), id="all-shapes"),
+            pytest.param(_NullDeltaAG(4), id="null-delta"),
+        ],
+    )
+    def test_table_equals_oracle(self, protocol):
+        start = Configuration.all_in_state(
+            0, protocol.num_agents, protocol.num_states
+        )
+        engine = _engine(protocol, start)
+        expected = _oracle_same_state_table(
+            protocol, protocol.build_families(start.counts_list())
+        )
+        assert engine._ss_table == expected
+        for entry in engine._ss_table or ():
+            if entry is not None:
+                assert all(
+                    type(field) is int for op in entry[2] for field in op
+                )
+
+    @pytest.mark.parametrize(
+        "protocol",
+        [SingleTrapProtocol(5, 12), TreeDispersalProtocol(7),
+         _SameStateShapes()],
+        ids=["trap", "dispersal", "all-shapes"],
+    )
+    def test_targets_without_a_rule_weigh_zero(self, protocol):
+        start = Configuration.all_in_state(
+            0, protocol.num_agents, protocol.num_states
+        )
+        table = _engine(protocol, start)._ss_table
+        rules = set(protocol.same_state_rule_states())
+        coefficients = {
+            (state, coefficient)
+            for entry in table if entry is not None
+            for state, _, coefficient in entry[2]
+        }
+        assert any(state not in rules for state, _ in coefficients)
+        for state, coefficient in coefficients:
+            assert (coefficient == 0) == (state not in rules)
 
 
 class TestDebugMode:

@@ -1,5 +1,7 @@
 """Unit tests for the productive-pair weight families."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro import (
     StateBiasedScheduler,
     TreeDispersalProtocol,
     TreeRankingProtocol,
+    WeightedScheduledEngine,
     build_engine,
     random_configuration,
     run_protocol,
@@ -25,6 +28,7 @@ from repro.core.families import (
     TriangularLine,
     check_family_coverage,
 )
+from repro.core.fused import WeightedIndexUnsupported, collector_paused
 from repro.exceptions import SimulationError
 from repro.protocols.line import IsolatedLineProtocol
 
@@ -299,3 +303,89 @@ class TestCustomFamilies:
         )
         assert name == f"scheduled:{scheduler.name}"
         assert engine.run(max_events=10_000)
+
+
+class TestCollectorPause:
+    """Engine construction pauses the cyclic garbage collector and hands
+    it back as it found it, also when a family fails to compile."""
+
+    def test_construction_runs_no_collector_passes(self):
+        # Every compile pass allocates per state.  With the collector on
+        # throughout, this build started over a hundred young passes.
+        protocol = AGProtocol(20_000)
+        start = random_configuration(protocol, seed=5)
+        passes = []
+
+        def count(phase, info):
+            if phase == "start":
+                passes.append(info["generation"])
+
+        was_on = gc.isenabled()
+        gc.enable()
+        gc.callbacks.append(count)
+        try:
+            JumpEngine(protocol, start, np.random.default_rng(0))
+        finally:
+            gc.callbacks.remove(count)
+            (gc.enable if was_on else gc.disable)()
+        # What the pause built meets one young pass after it.
+        assert len(passes) <= 2
+
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def collecting(self, request):
+        was_on = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was_on else gc.disable)()
+
+    @staticmethod
+    def _scheduler(protocol):
+        return StateBiasedScheduler(
+            [1.0 if s % 2 else 0.5 for s in range(protocol.num_states)]
+        )
+
+    def test_jump_engine(self, collecting):
+        JumpEngine(
+            AGProtocol(8), Configuration.all_in_state(0, 8, 8),
+            np.random.default_rng(0),
+        )
+        assert gc.isenabled() is collecting
+
+    def test_weighted_engine(self, collecting):
+        protocol = TreeRankingProtocol(9, k=2)
+        WeightedScheduledEngine(
+            protocol, random_configuration(protocol, seed=1),
+            np.random.default_rng(0), self._scheduler(protocol),
+        )
+        assert gc.isenabled() is collecting
+
+    def test_pause_ends_when_the_block_raises(self, collecting):
+        with pytest.raises(RuntimeError):
+            with collector_paused():
+                assert not gc.isenabled()
+                raise RuntimeError("compile failed")
+        assert gc.isenabled() is collecting
+
+    def test_failed_jump_build(self, collecting):
+        with pytest.raises(SimulationError, match="_SameStateList"):
+            JumpEngine(
+                _ListAGProtocol(8), Configuration.all_in_state(0, 8, 8),
+                np.random.default_rng(0),
+            )
+        assert gc.isenabled() is collecting
+
+    def test_failed_weighted_build_falls_back(self, collecting):
+        protocol = _ListAGProtocol(8)
+        scheduler = self._scheduler(protocol)
+        with pytest.raises(WeightedIndexUnsupported):
+            WeightedScheduledEngine(
+                protocol, Configuration.all_in_state(0, 8, 8),
+                np.random.default_rng(0), scheduler,
+            )
+        assert gc.isenabled() is collecting
+        _, name = build_engine(
+            protocol, Configuration.all_in_state(0, 8, 8), seed=1,
+            scheduler=scheduler,
+        )
+        assert name == f"scheduled:{scheduler.name}"
+        assert gc.isenabled() is collecting
