@@ -47,11 +47,7 @@ from ..core.configuration import Configuration
 from ..core.engine import Recorder
 from ..core.jump import JumpEngine
 from ..core.protocol import PopulationProtocol
-from ..core.scheduler import (
-    PairScheduler,
-    ScheduledEngine,
-    WeightedScheduledEngine,
-)
+from ..core.scheduler import PairScheduler, ScheduledEngine
 from ..exceptions import SimulationError
 from ..configurations.generators import random_configuration
 from ..protocols.ag import AGProtocol
@@ -621,7 +617,7 @@ def _measure_scheduler_case(
         )
     )
     weighted = best_of(
-        lambda: WeightedScheduledEngine(
+        lambda: JumpEngine(
             protocol, start, np.random.default_rng(seed), scheduler
         )
     )

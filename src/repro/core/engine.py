@@ -185,13 +185,16 @@ def build_engine(
     The one engine-routing rule, shared by :func:`run_protocol`, the
     scenario engine and ``repro serve``: uniform scheduling picks the
     named engine class; a biased state-level scheduler (or epoch
-    timeline) runs ``"jump"`` on the weighted fast path whenever its
-    index compiles, and on the rejection engine otherwise or under
-    ``"sequential"``; agent-identity schedulers always run on the
-    explicit-agent engine.  ``name`` is the qualified engine name
-    recorded in results (``weighted:<scheduler>`` etc.).
-    ``start_epoch`` starts a biased engine's timeline at a later
-    segment (the scenario engine's churn rebuild).
+    timeline) runs ``"jump"`` on the weighted fast path — the same
+    :class:`~repro.core.jump.JumpEngine` class, given the scheduler —
+    whenever its class-scaled indexes compile, and on the rejection
+    engine otherwise or under ``"sequential"``; agent-identity
+    schedulers always run on the explicit-agent engine.  ``name`` is the
+    qualified engine name recorded in results (``jump``,
+    ``weighted:<scheduler>`` etc.); it, not the engine's class, tells a
+    uniform jump run from a biased one.  ``start_epoch`` starts a
+    biased engine's timeline at a later segment (the scenario engine's
+    churn rebuild).
 
     ``seed`` is normalised per constructed engine (an int seed hands
     every candidate constructor a fresh generator, so a discarded
@@ -315,8 +318,8 @@ def run_protocol(
         paper's model and the allocation-free fast path.  A non-uniform
         state-level scheduler (epoch timelines included) routes a
         ``"jump"`` run through the **weighted jump fast path**
-        (:class:`~repro.core.scheduler.WeightedScheduledEngine`
-        — geometric skips over a scheduler-scaled fused index; engine
+        (:class:`~repro.core.jump.JumpEngine` given the scheduler —
+        geometric skips over a scheduler-scaled fused index; engine
         name ``weighted:<scheduler>``) whenever the scheduler compiles
         exactly; otherwise — and always for ``engine="sequential"`` —
         the run uses the per-interaction rejection

@@ -27,6 +27,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
+import numpy as np
+
 from ..exceptions import SimulationError
 from .fenwick import FenwickTree
 
@@ -99,18 +101,20 @@ class SameStatePairs(Family):
     ring of traps) as well as the same-state rules of the richer ones.
     """
 
-    __slots__ = ("_has_rule", "_fenwick")
+    __slots__ = ("_has_rule", "_rule_states", "_fenwick")
 
     def __init__(self, counts: Sequence[int], rule_states: Iterable[int]) -> None:
-        num_states = len(counts)
-        self._has_rule = [False] * num_states
-        for state in rule_states:
-            self._has_rule[state] = True
-        weights = [
-            counts[s] * (counts[s] - 1) if self._has_rule[s] else 0
-            for s in range(num_states)
-        ]
-        self._fenwick = FenwickTree.from_values(weights)
+        # One numpy mask gives the rule test, the ascending rule states
+        # and the weight vector; at n = 10⁶ a per-state Python pass for
+        # each cost a few hundred milliseconds.
+        mask = np.zeros(len(counts), dtype=bool)
+        mask[np.fromiter(rule_states, dtype=np.intp)] = True
+        self._has_rule: List[bool] = mask.tolist()
+        self._rule_states: List[int] = np.flatnonzero(mask).tolist()
+        count_array = np.asarray(counts, dtype=np.int64)
+        self._fenwick = FenwickTree.from_values(
+            np.where(mask, count_array * (count_array - 1), 0)
+        )
 
     @property
     def weight(self) -> int:
@@ -130,16 +134,16 @@ class SameStatePairs(Family):
         return initiator == responder and self._has_rule[initiator]
 
     def pairs(self) -> Iterator[Tuple[int, int]]:
-        for state, has_rule in enumerate(self._has_rule):
-            if has_rule:
-                yield state, state
+        return ((state, state) for state in self._rule_states)
 
     def states(self) -> Iterator[int]:
-        return (s for s, has_rule in enumerate(self._has_rule) if has_rule)
+        return iter(self._rule_states)
 
     def rule_states(self) -> List[int]:
-        """The states carrying a same-state rule (fused-index compilation)."""
-        return [s for s, has_rule in enumerate(self._has_rule) if has_rule]
+        """The states carrying a same-state rule, ascending (fused-index
+        compilation).  The stored list itself: callers must not mutate
+        it."""
+        return self._rule_states
 
 
 class OrderedProduct(Family):

@@ -9,7 +9,10 @@ itself is uniform over the ``W`` possibilities.  The jump engine samples
 exactly that: a geometric skip via inverse-CDF from a uniform, then a
 weighted pair draw.  The resulting joint distribution of (trajectory,
 interaction counts) is identical to the naive process — there is no
-approximation.
+approximation.  Under a biased scheduler (see
+:mod:`~repro.core.scheduler`) ``W`` and ``T`` become the scheduler's
+class-scaled masses of the productive and of all ordered pairs, and
+the same engine samples the same two steps.
 
 Hot-path layout
 ---------------
@@ -26,11 +29,14 @@ through the fused jump loop, :func:`_run_fused`, which samples a
 productive ordered pair with one Fenwick ``find`` (the residual target
 decodes within-slot draws; no per-family dispatch) and updates weights
 through precompiled per-state plans with O(1)-amortised slot deltas.
-The same loop runs every recorder-free segment of the biased
-:class:`~repro.core.scheduler.WeightedScheduledEngine`, on that
-engine's class-scaled index: its few biased-only branches (two-raw
-targets, the scaled slot codes, the step-mass update after a class
-move, the interactions cap) are ones the uniform index never enters.
+Given a scheduler, the engine compiles one class-scaled
+:class:`~repro.core.fused.WeightedFusedIndex` per distinct timeline
+segment instead (``WeightedScheduledEngine`` names the same class),
+and the same loop runs every recorder-free segment on the active one:
+its few biased-only branches (two-raw targets, the scaled slot codes,
+the step-mass update after a class move, the interactions cap) are
+ones the uniform index never enters.  Recorders, ``debug`` mode and a
+uniform run's interactions cap take one per-event loop in both modes.
 The uniform index is *hybrid*: same-state slots whose counts sit in the
 classifier's window pool their mass into a proposal pseudo-slot served
 by O(1) agent-proposal rejection (and O(1) member moves on update),
@@ -87,7 +93,7 @@ how many null interactions are skipped, which is what makes the paper's
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -103,18 +109,27 @@ from .fused import (
     SAME,
     SCALED,
     TRIANGULAR,
+    WEIGHT_DENOMINATOR,
     FusedIndex,
+    WeightedFusedIndex,
     _ProductSlot,
     collector_paused,
+    dyadic_weight_numerator,
 )
 from .protocol import PopulationProtocol
 from .snapshot import EngineSnapshot, check_snapshot
+
+if TYPE_CHECKING:  # the scheduler module imports this one
+    from .scheduler import EpochScheduler, PairScheduler
 
 __all__ = ["JumpEngine"]
 
 # Above this bound rejection sampling from 64-bit draws gets inefficient
 # (and the float64 geometric-skip probability loses resolution).
 _MAX_EXACT = 1 << 62
+# Class-scaled targets splice two 64-bit raws, which keeps rejection
+# efficient while the step mass (at most 2⁵³·n²) stays below this bound.
+_MAX_WEIGHTED_MASS = 1 << 126
 
 # How often (in productive events) the fast loop recomputes the exact
 # maximum count and re-evaluates its sampler choice.
@@ -223,9 +238,31 @@ def _grow_count_axis(
 class JumpEngine:
     """Drives one protocol run; create a new engine per run.
 
+    Without a ``scheduler`` the engine realises the paper's uniform
+    scheduler: an unscaled fused index with its proposal pool, plus the
+    same-state table for protocols whose productive pairs are all
+    same-state.  A :class:`~repro.core.scheduler.PairScheduler` or an
+    :class:`~repro.core.scheduler.EpochScheduler` timeline makes it the
+    *weighted* jump engine (``WeightedScheduledEngine`` is this class):
+    a scheduler step is productive with probability ``W_w / T_w``,
+    where ``W_w`` is the class-scaled productive mass (the index total)
+    and ``T_w`` the scheduler's mass of all ordered agent pairs, both
+    exact integers kept incrementally.  One class-scaled
+    :class:`~repro.core.fused.WeightedFusedIndex` is compiled per
+    *distinct* segment scheduler, with its own program caches, and an
+    epoch boundary hot-swaps the active one through its in-place
+    ``resync(counts)``.  ``start_epoch`` starts a timeline at a later
+    segment (the scenario engine carries the epoch across churn
+    rebuilds; the segment's elapsed duration restarts with the new
+    engine's counters).  A scheduler whose classes the index cannot
+    compile exactly raises
+    :class:`~repro.core.fused.WeightedIndexUnsupported`, and
+    :func:`~repro.core.engine.build_engine` then falls back to the
+    rejection engine.
+
     ``debug=True`` re-verifies after every productive event that the
-    cached total weight matches the weights re-summed from the families
-    (and routes ``run()`` through the instrumented general loop).
+    index total matches :meth:`recomputed_weight` (and routes ``run()``
+    through the per-event loop).
     """
 
     def __init__(
@@ -233,41 +270,94 @@ class JumpEngine:
         protocol: PopulationProtocol,
         configuration: Configuration,
         rng: np.random.Generator,
-        debug: bool = False,
+        scheduler: Optional[Union[PairScheduler, EpochScheduler]] = None,
+        start_epoch: int = 0,
         instrumentation=None,
+        debug: bool = False,
     ) -> None:
         protocol.validate_configuration(configuration)
+        n = protocol.num_agents
+        if scheduler is None:
+            if n * (n - 1) >= _MAX_EXACT:
+                raise SimulationError(
+                    f"population {n} too large for exact pair sampling"
+                )
+        elif WEIGHT_DENOMINATOR * n * n >= _MAX_WEIGHTED_MASS:
+            raise SimulationError(
+                f"population {n} too large for exact weighted pair sampling"
+            )
         # Opt-in telemetry (repro.obs.Instrumentation).  The fast loops
         # account for it per chunk via batch-consumption arithmetic and
         # locals flushed at loop exit; counters never consume
         # randomness, so instrumented runs stay bit-identical.
         self._instr = instrumentation
-        n = protocol.num_agents
-        if n * (n - 1) >= _MAX_EXACT:
-            raise SimulationError(
-                f"population {n} too large for exact pair sampling"
-            )
         self._protocol = protocol
-        self._draws = DrawStream(rng, uniforms=True)
+        self._scheduler = scheduler
         self._debug = bool(debug)
         self.counts: List[int] = configuration.counts_list()
-        self._num_states = protocol.num_states
+        self._num_states = num_states = protocol.num_states
         self._total_pairs = n * (n - 1)
         self.interactions = 0
         self.events = 0
-        # The families are compiled into the fused index and then only
+        self._cursor = None
+        self._ss_table = None
+        if scheduler is not None:
+            # Deferred: the scheduler module imports this one.
+            from .scheduler import _derive_classes, _EpochCursor
+
+            self._cursor = _EpochCursor(scheduler, start_epoch)
+        # The families are compiled into the fused indexes and then only
         # serve as the structural description; all mutable sampling
-        # state lives in the index.  Every compile pass allocates per
-        # state, so the collector waits until construction ends.
+        # state lives in the indexes.  Every compile pass allocates per
+        # state, so the collector waits until construction ends.  Each
+        # index comes with its own program caches, a pair dict plus a
+        # dense same-state list (same-state draws dominate the hybrid
+        # loop, and a list index beats hashing the pair key).
         with collector_paused():
             families = protocol.build_families(self.counts)
-            self._fused = FusedIndex(families, self._num_states, self.counts)
-            self._ss_table = self._compile_same_state_table(families)
-        self._weight = self._fused.total
-        self._pair_table: Dict[int, tuple] = {}
-        # Dense same-state program cache: same-state draws dominate the
-        # hybrid loop, and a list index beats hashing the pair key.
-        self._ss_progs: List[Optional[tuple]] = [None] * self._num_states
+            if scheduler is None:
+                self._segments = [(
+                    FusedIndex(families, num_states, self.counts),
+                    {}, [None] * num_states,
+                )]
+                self._ss_table = self._compile_same_state_table(families)
+            else:
+                # Deduplicate on the *derived* (classes, dyadic matrix):
+                # the scenario layer builds a fresh scheduler object per
+                # timeline segment, so value-equal segments (the common
+                # "flip back" pattern) must still share one index.
+                compiled: Dict[tuple, tuple] = {}
+                self._segments = []
+                for _, segment_scheduler in self._cursor.segments:
+                    class_of, reps = _derive_classes(
+                        segment_scheduler, num_states
+                    )
+                    matrix = tuple(
+                        tuple(
+                            dyadic_weight_numerator(
+                                segment_scheduler.pair_weight(ri, rj)
+                            )
+                            for rj in reps
+                        )
+                        for ri in reps
+                    )
+                    key = (tuple(class_of), matrix)
+                    if key not in compiled:
+                        compiled[key] = (
+                            WeightedFusedIndex(
+                                families, num_states, self.counts,
+                                class_of, matrix,
+                            ),
+                            {}, [None] * num_states,
+                        )
+                    self._segments.append(compiled[key])
+        self._index, self._pair_table, self._ss_progs = (
+            self._segments[self.epoch]
+        )
+        # Drawn only once every index compiled: a biased build that
+        # raises WeightedIndexUnsupported leaves a shared generator
+        # untouched for the rejection fallback.
+        self._draws = DrawStream(rng, uniforms=True)
         # Mask of the states without a same-state rule (they carry no
         # weight and never enter a count bucket), built on the
         # same-state loop's first count-bucket entry.
@@ -327,108 +417,174 @@ class JumpEngine:
         return table
 
     # ------------------------------------------------------------------
-    # Weight bookkeeping
+    # Scheduler, epochs and weight bookkeeping
     # ------------------------------------------------------------------
     @property
+    def scheduler(self) -> Optional[Union[PairScheduler, EpochScheduler]]:
+        """The scheduler (or epoch timeline) this engine realises;
+        ``None`` for the uniform scheduler."""
+        return self._scheduler
+
+    @property
+    def epoch(self) -> int:
+        """Index of the active timeline segment (0 for plain schedulers)."""
+        return 0 if self._cursor is None else self._cursor.epoch
+
+    @property
+    def current_scheduler(self) -> Optional[PairScheduler]:
+        """The segment scheduler currently driving pair selection
+        (``None`` under the uniform scheduler)."""
+        return None if self._cursor is None else self._cursor.scheduler
+
+    def _advance_epoch(self) -> None:
+        """Enter the next segment, hot-swapping its precompiled index."""
+        self._cursor.advance(self.events, self.interactions)
+        segment = self._segments[self._cursor.epoch]
+        swapped = segment[0] is not self._index
+        if swapped:
+            # The incoming index went stale while another segment ran;
+            # one in-place resync from the live counts revalidates it.
+            segment[0].resync(self.counts)
+            self._index, self._pair_table, self._ss_progs = segment
+        if self._instr is not None:
+            self._instr.add("epoch_switches")
+            if swapped:
+                self._instr.add("resyncs")
+            self._instr.mark(
+                "epoch_switch",
+                epoch=self._cursor.epoch,
+                events=self.events,
+                interactions=self.interactions,
+            )
+
+    def _boundary_met(self) -> bool:
+        return self._cursor.met(
+            self.events, self.interactions, self.counts,
+            self._index.total == 0,
+        )
+
+    @property
     def productive_weight(self) -> int:
-        """Current number of productive ordered pairs ``W`` (cached)."""
-        return self._weight
+        """Productive mass of the active index (cached): the number of
+        productive ordered pairs ``W``, or under a scheduler their
+        class-scaled mass (scaled by 2⁵³)."""
+        return self._index.total
+
+    def total_mass(self) -> int:
+        """Step mass of all ordered agent pairs: ``n(n−1)``, or under a
+        scheduler its class-scaled mass (scaled by 2⁵³)."""
+        if self._cursor is None:
+            return self._total_pairs
+        return self._index.total_mass()
 
     def recomputed_weight(self) -> int:
-        """``W`` re-summed from fresh families (debug / test cross-check).
+        """:attr:`productive_weight` recomputed independently (debug /
+        test cross-check).
 
         Rebuilds the families from the live counts, so it checks the
-        fused index against an independent from-scratch computation.
+        active index against an independent computation: the families'
+        summed weights, or under a scheduler the total of a fresh
+        class-scaled index for the active segment.
         """
-        return sum(
-            family.weight
-            for family in self._protocol.build_families(self.counts)
-        )
+        families = self._protocol.build_families(self.counts)
+        if self._cursor is None:
+            return sum(family.weight for family in families)
+        index = self._index
+        return WeightedFusedIndex(
+            families, self._num_states, self.counts,
+            index.class_of, index.class_matrix,
+        ).total
 
     def _assert_weight_sync(self) -> None:
         recomputed = self.recomputed_weight()
-        if not (self._weight == self._fused.total == recomputed):
+        if self._index.total != recomputed:
             raise AssertionError(
-                f"cached weight {self._weight} (fused {self._fused.total}) "
-                f"!= recomputed {recomputed} after {self.events} events"
+                f"cached weight {self._index.total} != recomputed "
+                f"{recomputed} after {self.events} events"
             )
 
     def is_silent(self) -> bool:
         """True iff no productive interaction exists."""
-        return self._weight == 0
+        return self._index.total == 0
+
+    def configuration(self) -> Configuration:
+        """Snapshot of the current configuration."""
+        return Configuration(self.counts)
 
     def reset_configuration(self, configuration) -> None:
         """Adopt an externally mutated configuration mid-run.
 
         This is the fault-injection seam used by the scenario engine:
         the population is corrupted *outside* the protocol's own
-        dynamics, so the fused index and the cached weight ``W`` are
-        rebuilt from the new counts.  The compiled transition tables are
-        count-independent and stay valid; the interaction/event counters
+        dynamics, so the active index (and with it ``W``) is resynced in
+        place from the new counts.  The compiled transition programs are
+        count-independent and stay valid; the counters, the epoch cursor
         and the generator stream are deliberately preserved, so a run
-        continues exactly where it left off.  The population size and
-        state space must not change — churn rebuilds the engine instead.
+        continues exactly where it left off.  Inactive segment indexes
+        stay stale: the epoch swap resyncs the incoming one anyway.  The
+        population size and state space must not change — churn
+        rebuilds the engine instead.
         """
         self.counts = checked_counts(
             configuration, self._num_states, self._protocol.num_agents
         )
-        # The in-place resync keeps the compiled transition programs
-        # valid.
-        self._canonicalise_index()
+        self._index.resync(self.counts)
         if self._instr is not None:
             self._instr.add("resyncs")
             self._instr.mark(
                 "resync", events=self.events, interactions=self.interactions
             )
 
-    def _canonicalise_index(self) -> None:
-        """Make the fused index (and ``W``) a pure function of the live
-        counts.
-
-        One in-place resync — exactly the re-partition the fast loops
-        run periodically, so the step distribution is unchanged.  At
-        recorder-free ``run()`` boundaries the index is already
-        canonical and this is a no-op state-wise.
-        """
-        self._fused.resync(self.counts)
-        self._weight = self._fused.total
-
     def snapshot(self) -> EngineSnapshot:
         """Plain-data checkpoint for bit-exact resumption.
 
-        Canonicalises the hybrid sampler first (see
-        :mod:`repro.core.snapshot` for the exactness contract), then
-        captures counts, counters, the exact bit-generator state, and
-        the unconsumed buffered draws.
+        Canonicalises the active index first with one in-place resync
+        (see :mod:`repro.core.snapshot` for the exactness contract),
+        then captures counts, counters, the epoch cursor of a biased
+        engine, the exact bit-generator state and the unconsumed
+        buffered draws.  A uniform engine writes a ``jump`` snapshot, a
+        biased one a ``weighted`` snapshot.
         """
-        self._canonicalise_index()
+        self._index.resync(self.counts)
         if self._instr is not None:
             self._instr.add("snapshots")
             self._instr.mark(
                 "snapshot", events=self.events,
                 interactions=self.interactions,
             )
+        cursor = self._cursor
         return EngineSnapshot(
-            kind="jump",
+            kind="jump" if cursor is None else "weighted",
             num_states=self._num_states,
             num_agents=self._protocol.num_agents,
             counts=tuple(self.counts),
             interactions=self.interactions,
             events=self.events,
             **self._draws.capture(),
+            **({} if cursor is None else cursor.capture()),
         )
 
     def restore(self, snapshot: EngineSnapshot) -> None:
         """Adopt a snapshot in place; continues bit-for-bit.
 
         Reuses the ``resync`` fault seam, so nothing recompiles — the
-        transition tables are count-independent and stay valid.
+        transition tables are count-independent and stay valid.  A
+        biased engine adopts the snapshot's epoch and resyncs only that
+        segment's index; the rest resync at their swap, as in an
+        uninterrupted run.
         """
+        cursor = self._cursor
         check_snapshot(
-            snapshot, "jump", self._num_states, self._protocol.num_agents
+            snapshot, "jump" if cursor is None else "weighted",
+            self._num_states, self._protocol.num_agents,
         )
+        if cursor is not None:
+            cursor.restore(snapshot)
+            self._index, self._pair_table, self._ss_progs = (
+                self._segments[cursor.epoch]
+            )
         self.counts = [int(c) for c in snapshot.counts]
-        self._canonicalise_index()
+        self._index.resync(self.counts)
         self.interactions = snapshot.interactions
         self.events = snapshot.events
         self._draws.restore(snapshot)
@@ -443,19 +599,21 @@ class JumpEngine:
     # Simulation
     # ------------------------------------------------------------------
     def _transition(self, si: int, sj: int) -> tuple:
-        """``(ti, tj, ops, ...)`` for a productive pair, via the table."""
+        """``(ti, tj, ops, ...)`` for a productive pair, from the active
+        index's program cache."""
         table = self._pair_table
         entry = table.get(si * self._num_states + sj)
         if entry is None:
-            entry = _compile_program(self._protocol, self._fused, si, sj)
+            entry = _compile_program(self._protocol, self._index, si, sj)
             table[si * self._num_states + sj] = entry
         return entry
 
     def _apply_ops(self, ops) -> None:
-        """Apply precomputed count deltas, keeping the index and ``W`` synced."""
+        """Apply precomputed count deltas, keeping the index (its total
+        and, under a scheduler, its class sums) synced."""
         counts = self.counts
-        fused = self._fused
-        delta_w = 0
+        index = self._index
+        scaled = self._cursor is not None
         for state, delta in ops:
             old = counts[state]
             new = old + delta
@@ -464,26 +622,59 @@ class JumpEngine:
                     f"state {state} count went negative applying transition"
                 )
             counts[state] = new
-            delta_w += fused.apply_count_change(state, old, new)
-        self._weight += delta_w
+            index.apply_count_change(state, old, new)
+            if scaled:
+                index.add_class_count(state, delta)
 
-    def step(self) -> Optional[Event]:
-        """Advance to (and apply) the next productive interaction.
+    def _event(self, max_interactions: Optional[int]) -> Optional[tuple]:
+        """Draw and apply the next productive event under the active
+        index; returns ``(si, sj, ti, tj)``.
 
-        Returns ``None`` when the configuration is silent.
+        A geometric skip overshooting ``max_interactions`` clamps the
+        clock there and returns ``None`` without applying the pending
+        event (exact: the skip is memoryless).
         """
-        weight = self._weight
-        if weight == 0:
-            return None
+        index = self._index
         draws = self._draws
-        self.interactions += draws.geometric_skip(weight / self._total_pairs)
-        si, sj = self._fused.sample(draws.rand_below)
+        skip = draws.geometric_skip(index.total / self.total_mass())
+        if (
+            max_interactions is not None
+            and self.interactions + skip > max_interactions
+        ):
+            self.interactions = max_interactions
+            return None
+        self.interactions += skip
+        si, sj = index.sample(draws.rand_below)
         ti, tj, ops = self._transition(si, sj)[:3]
         self._apply_ops(ops)
         self.events += 1
         if self._debug:
             self._assert_weight_sync()
-        return Event(self.interactions, si, sj, ti, tj)
+        return si, sj, ti, tj
+
+    def step(self) -> Optional[Event]:
+        """Advance to (and apply) the next productive interaction.
+
+        Returns ``None`` when the configuration is silent.  Epoch
+        boundaries already met are crossed first; a geometric skip
+        overshooting an ``interactions`` boundary clamps there and
+        redraws under the next segment.  Predicate boundaries are
+        evaluated every ``check_every`` productive events — the window
+        lives in the cursor, so run- and step-driven execution (and the
+        rejection engine) fire them identically.
+        """
+        cursor = self._cursor
+        while cursor is not None and self._boundary_met():
+            self._advance_epoch()
+        if self._index.total == 0:
+            return None
+        cap = None
+        if cursor is not None:
+            cap = cursor.caps(self.events, self.interactions, None, None)[0]
+        pair = self._event(cap)
+        if pair is None:
+            return self.step()
+        return Event(self.interactions, *pair)
 
     def run(
         self,
@@ -493,78 +684,103 @@ class JumpEngine:
     ) -> bool:
         """Run until silence or budget exhaustion; True iff silent.
 
-        When the geometric skip would overshoot ``max_interactions`` the
-        clock is clamped to the budget and the pending productive event
-        is *not* applied (no interaction beyond the budget happened); a
-        budget the clock has already reached draws nothing, so the clock
-        never moves back.  ``max_events`` additionally bounds the number of *productive*
-        events — the engine's actual work — which is the effective guard
-        for runs that churn without converging.
+        ``interactions`` counts the scheduler's steps, null ones
+        included.  When the geometric skip would overshoot
+        ``max_interactions`` (or an epoch boundary on interactions) the
+        clock is clamped there and the pending productive event is
+        *not* applied; at an epoch boundary the next draw happens under
+        the new segment's weights, which is exact because the skip is
+        memoryless.  A budget the clock has already reached draws
+        nothing, so the clock never moves back.  ``max_events``
+        additionally bounds the number of *productive* events — the
+        engine's actual work — which is the effective guard for runs
+        that churn without converging.
 
-        The common recorder-free, unbounded-interaction case dispatches
-        to allocation-free specialised loops; a recorder, an interaction
-        budget, or ``debug`` mode selects the instrumented general loop.
+        A uniform recorder-free run without an interaction budget
+        dispatches to the same-state loop or the fused loop, which
+        canonicalise the index on exit.  A biased run crosses its
+        timeline segment by segment, each recorder-free segment on the
+        fused loop.  A recorder, ``debug`` mode or a uniform run's
+        interaction budget selects the per-event loop.
         """
-        if recorder is None and max_interactions is None and not self._debug:
+        cursor = self._cursor
+        if (
+            cursor is None and recorder is None
+            and max_interactions is None and not self._debug
+        ):
             if self._ss_table is not None:
                 return self._run_fast_same_state(max_events)
             return self._run_fast_general(max_events)
-        return self._run_general(max_interactions, recorder, max_events)
+        if recorder is not None:
+            recorder.on_start(self.counts)
+        if cursor is None:
+            silent = self._run_segment(max_interactions, recorder, max_events)
+        else:
+            silent = cursor.drive(
+                self, self._run_segment, max_interactions, recorder,
+                max_events,
+            )
+        if recorder is not None:
+            recorder.on_finish(silent, self.interactions, self.counts)
+        return silent
 
-    # ------------------------------------------------------------------
-    # General (instrumented) loop — recorders, budgets, debug
-    # ------------------------------------------------------------------
-    def _run_general(
+    def _run_segment(
         self,
         max_interactions: Optional[int],
         recorder: Optional[Recorder],
         max_events: Optional[int],
     ) -> bool:
-        if recorder is not None:
-            recorder.on_start(self.counts)
-        draws = self._draws
-        total_pairs = self._total_pairs
+        """One chunk under the active index: the fused loop for a
+        recorder-free biased segment, else the per-event loop."""
         events0 = self.events
         interactions0 = self.interactions
-        silent = False
-        while True:
-            weight = self._weight
-            if weight == 0:
-                silent = True
-                break
-            if max_events is not None and self.events >= max_events:
-                break
-            if max_interactions is not None and self.interactions >= max_interactions:
-                break
-            skip = draws.geometric_skip(weight / total_pairs)
-            if (
-                max_interactions is not None
-                and self.interactions + skip > max_interactions
-            ):
-                self.interactions = max_interactions
-                break
-            self.interactions += skip
-            si, sj = self._fused.sample(draws.rand_below)
-            ti, tj, ops = self._transition(si, sj)[:3]
-            self._apply_ops(ops)
-            self.events += 1
-            if self._debug:
-                self._assert_weight_sync()
-            if recorder is not None:
-                recorder.on_event(
-                    Event(self.interactions, si, sj, ti, tj), self.counts
-                )
-        if recorder is not None:
-            recorder.on_finish(silent, self.interactions, self.counts)
+        if recorder is None and not self._debug and self._cursor is not None:
+            name = "weighted_events"
+            index = self._index
+            silent = _run_fused(
+                self, index, index.total_mass(), max_interactions, max_events
+            )
+        else:
+            name = "slow_events"
+            silent = self._run_events(max_interactions, recorder, max_events)
         if self._instr is not None:
+            # Flush this chunk's event delta under the loop that ran it.
+            events = self.events - events0
             self._instr.add_counters(
-                events=self.events - events0,
+                events=events,
                 interactions=self.interactions - interactions0,
+                **{name: events},
             )
         return silent
 
+    def _run_events(
+        self,
+        max_interactions: Optional[int],
+        recorder: Optional[Recorder],
+        max_events: Optional[int],
+    ) -> bool:
+        """The per-event loop: recorders, debug mode and a uniform
+        run's interaction budget."""
+        while True:
+            if self._index.total == 0:
+                return True
+            if max_events is not None and self.events >= max_events:
+                return False
+            if (
+                max_interactions is not None
+                and self.interactions >= max_interactions
+            ):
+                return False
+            pair = self._event(max_interactions)
+            if pair is None:
+                return False
+            if recorder is not None:
+                recorder.on_event(
+                    Event(self.interactions, *pair), self.counts
+                )
+
     # ------------------------------------------------------------------
-    # Fast loops — no recorder, no interaction budget, no Event objects
+    # Uniform fast loops — no recorder, no interaction budget, no Events
     # ------------------------------------------------------------------
     def _run_fast_general(self, max_events: Optional[int]) -> bool:
         """The shared fused loop on the uniform index (see
@@ -572,7 +788,7 @@ class JumpEngine:
         events0 = self.events
         interactions0 = self.interactions
         silent = _run_fused(
-            self, self._fused, self._total_pairs, None, max_events
+            self, self._index, self._total_pairs, None, max_events
         )
         if self._instr is not None:
             self._instr.add_counters(
@@ -586,7 +802,7 @@ class JumpEngine:
         # loop performs every ``_RECLASSIFY_EVENTS``, and the contract
         # the checkpoint seam (``snapshot``/``restore``) relies on for
         # bit-identical resumption.
-        self._canonicalise_index()
+        self._index.resync(self.counts)
         # Discard any shared buffered draws so later step() calls start
         # from fresh batches of the (advanced) generator stream.
         self._draws.discard()
@@ -616,7 +832,7 @@ class JumpEngine:
         total_pairs = self._total_pairs
         log1p, ceil = math.log1p, math.ceil
 
-        weight = self._weight
+        weight = self._index.total
         interactions = self.interactions
         events = self.events
         # max(0, ...): an already-exhausted budget must stop immediately,
@@ -867,12 +1083,10 @@ class JumpEngine:
             )
         # The loop mutated counts without notifying the fused index;
         # resync it so step()/recorders stay usable after a fast run.
-        self._canonicalise_index()
+        self._index.resync(counts)
         # Discard any shared buffered draws so later step() calls start
         # from fresh batches of the (advanced) generator stream.
         draws.discard()
-        if self._debug:
-            self._assert_weight_sync()
         return weight == 0
 
 
@@ -883,20 +1097,20 @@ def _run_fused(
     max_interactions: Optional[int],
     max_events: Optional[int],
 ) -> bool:
-    """The fused jump loop, shared by the uniform and the biased engines.
+    """The fused jump loop, shared by uniform and biased runs.
 
-    Runs ``engine`` (a :class:`JumpEngine` on its unscaled index, or a
-    :class:`~repro.core.scheduler.WeightedScheduledEngine` on the active
-    segment's class-scaled index) until silence, ``max_events`` or
-    ``max_interactions``; ``mass`` is the scheduler's step mass over all
-    ordered agent pairs (``n(n−1)`` for the uniform scheduler), so the
-    geometric skip succeeds with probability ``W / mass``.  A skip
-    overshooting ``max_interactions`` clamps the clock there and drops
-    the pending event; a cap at or behind the clock on entry draws
-    nothing.  Returns True iff the configuration is silent.
-    From ``engine`` the loop reads the protocol, counts, draw stream,
-    counters and telemetry bag, and the program caches of ``fused``
-    (``_pair_table`` and ``_ss_progs``).
+    Runs ``engine`` (a :class:`JumpEngine`) on ``fused``, its unscaled
+    index or, under a scheduler, the active segment's class-scaled index,
+    until silence, ``max_events`` or ``max_interactions``; ``mass`` is
+    the scheduler's step mass over all ordered agent pairs (``n(n−1)``
+    for the uniform scheduler), so the geometric skip succeeds with
+    probability ``W / mass``.  A skip overshooting ``max_interactions``
+    clamps the clock there and drops the pending event; a cap at or
+    behind the clock on entry draws nothing.  Returns True iff the
+    configuration is silent.  From ``engine`` the loop reads the
+    protocol, counts, draw stream, counters and telemetry bag, and the
+    program caches of ``fused`` (the engine's ``_pair_table`` and
+    ``_ss_progs``, swapped with the index).
 
     One exact weighted draw per event resolves to a slot of the fused
     index (inlined Fenwick ``find``); the residual target decodes the

@@ -13,14 +13,16 @@ links, starved states).  This module is the engine-side seam:
 * :class:`UniformScheduler` — the identity scheduler.  It is a pure
   sentinel: :func:`repro.core.engine.run_protocol` routes uniform runs
   to the allocation-free jump fast path, so selecting it costs nothing;
-* :class:`WeightedScheduledEngine` — the **weighted jump fast path**: a
-  geometric-jump engine over a
-  :class:`~repro.core.fused.WeightedFusedIndex` — the uniform engine's
-  composite-first fused layout with every slot scaled by its class
-  factor (exact dyadic rationals), plus the scheduler's total step
-  mass — run by the uniform engine's own fused jump loop, so biased
-  runs sample productive steps directly instead of rejecting draw after
-  draw;
+* the **weighted jump fast path** is
+  :class:`~repro.core.jump.JumpEngine` given a scheduler
+  (:data:`WeightedScheduledEngine` is the same class): a geometric-jump
+  engine over a :class:`~repro.core.fused.WeightedFusedIndex` — the
+  uniform composite-first fused layout with every slot scaled by its
+  class factor (exact dyadic rationals), plus the scheduler's total
+  step mass — run by the same fused jump loop as uniform runs, so
+  biased runs sample productive steps directly instead of rejecting
+  draw after draw; :func:`try_weighted_engine` builds it, or returns
+  ``None`` when its indexes cannot compile;
 * :class:`ScheduledEngine` — the rejection reference: a
   sequential-style engine that realises an arbitrary scheduler exactly
   by accepting uniform draws with probability ``pair_weight(si, sj)``.
@@ -31,10 +33,11 @@ links, starved states).  This module is the engine-side seam:
   timeline of ``(boundary, PairScheduler)`` segments whose bias
   switches at boundaries on productive-event count, scheduler steps
   (simulated time), silence, or a configuration predicate.  Both biased
-  engines accept it natively: the weighted engine precompiles one
-  :class:`~repro.core.fused.WeightedFusedIndex` per distinct segment
-  scheduler and hot-swaps via the in-place ``resync(counts)`` seam at
-  each boundary, so every segment still runs at full jump speed;
+  engines accept it natively, through one epoch cursor: the jump engine
+  precompiles one :class:`~repro.core.fused.WeightedFusedIndex` per
+  distinct segment scheduler and hot-swaps via the in-place
+  ``resync(counts)`` seam at each boundary, so every segment still runs
+  at full jump speed;
 * :class:`AgentScheduler` / :class:`AgentScheduledEngine` — adversaries
   biasing *agent identities* rather than states (targeted suppression,
   skewed contact rates).  Count-based engines cannot express these, so
@@ -44,12 +47,11 @@ links, starved states).  This module is the engine-side seam:
 One rule picks the engine, applied by
 :func:`repro.core.engine.build_engine` for every surface
 (``run_protocol``, the scenario engine, ``repro serve``): a state-level
-scheduler or timeline runs on the weighted engine whenever every
-segment compiles into its index, and on the rejection engine otherwise
-or when ``engine="sequential"`` asks for it.  Inside the weighted
-engine a segment has one realisation: the fused jump loop shared with
-:class:`~repro.core.jump.JumpEngine`, or the per-event loop while a
-recorder watches.
+scheduler or timeline runs on the jump engine whenever every segment
+compiles into its class-scaled index, and on the rejection engine
+otherwise or when ``engine="sequential"`` asks for it.  There a segment
+has one realisation: the fused jump loop, or the per-event loop while a
+recorder watches (or in debug mode) — the loops uniform runs use.
 
 The biased engines realise the identical step distribution: the
 weighted index's slot weights use the dyadic numerators
@@ -76,19 +78,12 @@ import numpy as np
 
 from ..exceptions import SimulationError
 from .configuration import Configuration
-from .draws import DrawStream
-from .engine import Event, Recorder, checked_counts
-from .fused import (
-    WEIGHT_DENOMINATOR,
-    WeightedFusedIndex,
-    WeightedIndexUnsupported,
-    collector_paused,
-    dyadic_weight_numerator,
-)
-from .jump import _compile_program, _run_fused
+from .engine import Event, Recorder
+from .fused import WeightedIndexUnsupported
+from .jump import JumpEngine
 from .protocol import PopulationProtocol
 from .sequential import SequentialEngine
-from .snapshot import EngineSnapshot, check_snapshot
+from .snapshot import EngineSnapshot
 
 __all__ = [
     "AgentScheduledEngine",
@@ -108,9 +103,6 @@ _MAX_CLASSES = 64
 # Without declared classes they are derived from the dense weight
 # matrix, which is O(num_states²) — only worth it for modest spaces.
 _DENSE_CLASS_LIMIT = 2048
-# Targets splice two 64-bit raws, which keeps rejection efficient while
-# the step mass (at most 2⁵³·n²) stays below this bound.
-_MAX_WEIGHTED_MASS = 1 << 126
 
 
 class PairScheduler(ABC):
@@ -303,7 +295,9 @@ class _EpochCursor:
     entry, so boundary durations are relative to the segment.  Keeping
     the logic in one place is what makes the rejection engine an exact
     reference for the weighted one: both consult the same cursor
-    semantics (``met`` / ``caps`` / ``advance``).
+    semantics (``met`` / ``caps`` / ``advance``), run the same
+    :meth:`drive` loop and snapshot it through :meth:`capture` /
+    :meth:`restore`.
     """
 
     __slots__ = ("segments", "epoch", "start_events", "start_interactions",
@@ -331,10 +325,6 @@ class _EpochCursor:
     @property
     def last(self) -> bool:
         return self.epoch == len(self.segments) - 1
-
-    @property
-    def boundary(self) -> Optional[EpochBoundary]:
-        return self.segments[self.epoch][0]
 
     @property
     def scheduler(self) -> PairScheduler:
@@ -407,50 +397,75 @@ class _EpochCursor:
         self.next_predicate_check = events
         return self.segments[self.epoch][1]
 
+    def capture(self) -> Dict[str, int]:
+        """The cursor's snapshot fields."""
+        return {
+            "epoch": self.epoch,
+            "start_events": self.start_events,
+            "start_interactions": self.start_interactions,
+            "next_predicate_check": self.next_predicate_check,
+        }
 
-def _drive_epoch_timeline(
-    engine,
-    run_segment: Callable[[Optional[int], Optional[Recorder], Optional[int]], bool],
-    max_interactions: Optional[int],
-    recorder: Optional[Recorder],
-    max_events: Optional[int],
-) -> bool:
-    """The epoch-driver loop shared by both biased engines.
+    def restore(self, snapshot: EngineSnapshot) -> None:
+        """Adopt a snapshot's cursor fields; an epoch outside the
+        timeline raises before anything changes."""
+        if not 0 <= snapshot.epoch < len(self.segments):
+            raise SimulationError(
+                f"snapshot epoch {snapshot.epoch} outside timeline of "
+                f"{len(self.segments)} segment(s)"
+            )
+        self.epoch = snapshot.epoch
+        self.start_events = snapshot.start_events
+        self.start_interactions = snapshot.start_interactions
+        self.next_predicate_check = snapshot.next_predicate_check
 
-    Alternates boundary checks / epoch advances with budget-clamped
-    chunks of ``run_segment`` (the engine's single-scheduler loop).
-    Living in one place is what keeps the rejection engine an *exact*
-    reference for the weighted one: any change to the boundary
-    semantics applies to both by construction.
-    """
-    cursor = engine._cursor
-    silent = False
-    while True:
-        if engine._boundary_met():
-            engine._advance_epoch()
-            continue
-        cap_interactions, cap_events = cursor.caps(
-            engine.events, engine.interactions, max_interactions, max_events
-        )
-        silent = run_segment(cap_interactions, recorder, cap_events)
-        if silent:
+    def drive(
+        self,
+        engine,
+        run_segment: Callable[
+            [Optional[int], Optional[Recorder], Optional[int]], bool
+        ],
+        max_interactions: Optional[int],
+        recorder: Optional[Recorder],
+        max_events: Optional[int],
+    ) -> bool:
+        """The epoch loop of both biased engines.
+
+        Alternates boundary checks / epoch advances (``engine``'s
+        ``_boundary_met`` and ``_advance_epoch``) with budget-clamped
+        chunks of ``run_segment`` (the engine's single-scheduler loop).
+        Living in one place is what keeps the rejection engine an
+        *exact* reference for the weighted one: any change to the
+        boundary semantics applies to both by construction.
+        """
+        silent = False
+        while True:
             if engine._boundary_met():
-                # A silence (or satisfied-predicate) boundary fires on
-                # the way out; the remaining timeline segments matter
-                # to callers injecting faults afterwards.
                 engine._advance_epoch()
                 continue
-            break
-        if max_events is not None and engine.events >= max_events:
-            break
-        if (
-            max_interactions is not None
-            and engine.interactions >= max_interactions
-        ):
-            break
-        # Otherwise only a segment cap was hit; loop to re-check the
-        # boundary and advance.
-    return silent
+            cap_interactions, cap_events = self.caps(
+                engine.events, engine.interactions, max_interactions,
+                max_events,
+            )
+            silent = run_segment(cap_interactions, recorder, cap_events)
+            if silent:
+                if engine._boundary_met():
+                    # A silence (or satisfied-predicate) boundary fires
+                    # on the way out; the remaining timeline segments
+                    # matter to callers injecting faults afterwards.
+                    engine._advance_epoch()
+                    continue
+                break
+            if max_events is not None and engine.events >= max_events:
+                break
+            if (
+                max_interactions is not None
+                and engine.interactions >= max_interactions
+            ):
+                break
+            # Otherwise only a segment cap was hit; loop to re-check the
+            # boundary and advance.
+        return silent
 
 
 def _normalise_classes(raw: Sequence[int]) -> Tuple[List[int], List[int]]:
@@ -511,412 +526,9 @@ def _derive_classes(
     return class_of, reps
 
 
-class WeightedScheduledEngine:
-    """Geometric-jump engine for biased schedulers (no rejection loop).
-
-    Same run/step/recorder interface as the other engines.  Conditioned
-    on the configuration, a scheduler step is *productive* with
-    probability ``W_w / T_w`` where ``W_w`` is the weighted productive
-    mass (the fused index total) and ``T_w`` the weighted mass of all
-    ordered agent pairs — both exact integers maintained incrementally —
-    so null steps collapse into a geometric skip exactly as in the
-    uniform jump chain, and the productive pair itself is drawn from
-    the weighted index in one ``find``.  That index is the uniform
-    engine's fused layout with every slot scaled by its class factor
-    (:class:`~repro.core.fused.WeightedFusedIndex`), and recorder-free
-    segments run the uniform engine's fused jump loop on it
-    (``repro.core.jump._run_fused``): the same draw, find, decode and
-    update path, and the same compiled transition programs, cached per
-    index as a pair dict plus a dense same-state list.  The index has
-    no proposal pool, so the loop never sprints on it.  ``step()`` and
-    the recorder loop read their transitions from the same cache.
-
-    Accepts an :class:`EpochScheduler` natively: one
-    :class:`~repro.core.fused.WeightedFusedIndex` is precompiled per
-    *distinct* segment scheduler, and epoch boundaries hot-swap the
-    active index via the in-place ``resync(counts)`` seam — no
-    recompilation, every segment runs the full-speed jump loop.
-    ``start_epoch`` resumes a timeline mid-way (the scenario engine uses
-    it to carry the epoch across churn-induced engine rebuilds; the
-    current segment's elapsed duration restarts with the new engine's
-    counters).
-
-    Raises :class:`~repro.core.fused.WeightedIndexUnsupported` when any
-    scheduler/protocol combination cannot be compiled exactly;
-    :func:`~repro.core.engine.build_engine` then falls back to the
-    rejection engine.  A population whose step mass ``2⁵³·n²`` reaches
-    ``2¹²⁶`` raises :class:`~repro.exceptions.SimulationError`, as
-    :class:`~repro.core.jump.JumpEngine` does past ``n(n−1) = 2⁶²``:
-    the loop's two-raw targets stay efficient only below it.
-    """
-
-    def __init__(
-        self,
-        protocol: PopulationProtocol,
-        configuration: Configuration,
-        rng: np.random.Generator,
-        scheduler: Union[PairScheduler, EpochScheduler],
-        start_epoch: int = 0,
-        instrumentation=None,
-    ) -> None:
-        protocol.validate_configuration(configuration)
-        n = protocol.num_agents
-        if WEIGHT_DENOMINATOR * n * n >= _MAX_WEIGHTED_MASS:
-            raise SimulationError(
-                f"population {n} too large for exact weighted pair sampling"
-            )
-        self._protocol = protocol
-        self._scheduler = scheduler
-        # Optional telemetry bag (see repro.obs); the segment loops
-        # flush chunk-level deltas, never per-event increments.
-        self._instr = instrumentation
-        self.counts: List[int] = configuration.counts_list()
-        self._num_states = protocol.num_states
-        self.interactions = 0
-        self.events = 0
-        self._cursor = _EpochCursor(scheduler, start_epoch=start_epoch)
-        # Each index compile allocates per state; the collector waits
-        # until the last one is built.
-        with collector_paused():
-            families = protocol.build_families(self.counts)
-            # Deduplicate on the *derived* (classes, dyadic matrix): the
-            # scenario layer builds a fresh scheduler object per timeline
-            # segment, so value-equal segments (the common "flip back"
-            # pattern) must still share one compiled index.  Each index
-            # comes with its own program caches, a pair dict plus a dense
-            # same-state list (slot ids and classes are per index).
-            compiled: Dict[tuple, Tuple[WeightedFusedIndex, dict, list]] = {}
-            self._segments: List[Tuple[WeightedFusedIndex, dict, list]] = []
-            for _, segment_scheduler in self._cursor.segments:
-                class_of, reps = _derive_classes(
-                    segment_scheduler, self._num_states
-                )
-                matrix = [
-                    [
-                        dyadic_weight_numerator(
-                            segment_scheduler.pair_weight(ri, rj)
-                        )
-                        for rj in reps
-                    ]
-                    for ri in reps
-                ]
-                key = (
-                    tuple(class_of),
-                    tuple(tuple(row) for row in matrix),
-                )
-                if key not in compiled:
-                    compiled[key] = (
-                        WeightedFusedIndex(
-                            families,
-                            self._num_states,
-                            self.counts,
-                            class_of,
-                            matrix,
-                        ),
-                        {},
-                        [None] * self._num_states,
-                    )
-                self._segments.append(compiled[key])
-        self._index, self._pair_table, self._ss_progs = (
-            self._segments[self._cursor.epoch]
-        )
-        self._draws = DrawStream(rng, uniforms=True)
-
-    @property
-    def scheduler(self) -> Union[PairScheduler, EpochScheduler]:
-        """The scheduler (or epoch timeline) this engine realises."""
-        return self._scheduler
-
-    @property
-    def epoch(self) -> int:
-        """Index of the active timeline segment (0 for plain schedulers)."""
-        return self._cursor.epoch
-
-    @property
-    def current_scheduler(self) -> PairScheduler:
-        """The segment scheduler currently driving pair selection."""
-        return self._cursor.scheduler
-
-    def _advance_epoch(self) -> None:
-        """Enter the next segment, hot-swapping its precompiled index."""
-        self._cursor.advance(self.events, self.interactions)
-        segment = self._segments[self._cursor.epoch]
-        swapped = segment[0] is not self._index
-        if swapped:
-            # The incoming index went stale while another segment ran;
-            # one in-place resync from the live counts revalidates it.
-            segment[0].resync(self.counts)
-            self._index, self._pair_table, self._ss_progs = segment
-        if self._instr is not None:
-            self._instr.add("epoch_switches")
-            if swapped:
-                self._instr.add("resyncs")
-            self._instr.mark(
-                "epoch_switch",
-                epoch=self._cursor.epoch,
-                events=self.events,
-                interactions=self.interactions,
-            )
-
-    def _boundary_met(self) -> bool:
-        return self._cursor.met(
-            self.events, self.interactions, self.counts,
-            self._index.total == 0,
-        )
-
-    @property
-    def productive_weight(self) -> int:
-        """Weighted mass of productive ordered pairs (scaled by 2⁵³)."""
-        return self._index.total
-
-    def total_mass(self) -> int:
-        """Weighted mass of all ordered pairs (scaled by 2⁵³)."""
-        return self._index.total_mass()
-
-    def is_silent(self) -> bool:
-        """True iff no productive interaction exists."""
-        return self._index.total == 0
-
-    # ------------------------------------------------------------------
-    # Simulation
-    # ------------------------------------------------------------------
-    def _transition(self, si: int, sj: int) -> tuple:
-        """``(ti, tj, ops, ...)`` for a productive pair, from the active
-        index's program cache."""
-        table = self._pair_table
-        entry = table.get(si * self._num_states + sj)
-        if entry is None:
-            entry = _compile_program(self._protocol, self._index, si, sj)
-            table[si * self._num_states + sj] = entry
-        return entry
-
-    def _apply_ops(self, ops) -> None:
-        counts = self.counts
-        index = self._index
-        for state, delta in ops:
-            old = counts[state]
-            new = old + delta
-            if new < 0:
-                raise SimulationError(
-                    f"state {state} count went negative applying transition"
-                )
-            counts[state] = new
-            index.apply_count_change(state, old, new)
-            index.add_class_count(state, delta)
-
-    def reset_configuration(self, configuration) -> None:
-        """Adopt an externally mutated configuration mid-run.
-
-        Fault-injection seam mirroring the other engines: the *active*
-        weighted index is resynced in place from the new counts (slot
-        layouts are count-independent); counters, the epoch cursor, the
-        program caches, and the generator stream are preserved.
-        Inactive segment indexes stay stale — the epoch swap resyncs the
-        incoming index anyway.
-        """
-        counts = checked_counts(
-            configuration, self._num_states, self._protocol.num_agents
-        )
-        self.counts = counts
-        self._index.resync(counts)
-        if self._instr is not None:
-            self._instr.add("resyncs")
-            self._instr.mark(
-                "resync", events=self.events, interactions=self.interactions
-            )
-
-    def snapshot(self) -> EngineSnapshot:
-        """Plain-data checkpoint for bit-exact resumption.
-
-        Resyncs the active weighted index first (deterministic — no
-        randomness is consumed), then captures counts, counters, the
-        epoch cursor, and the exact generator state.
-        """
-        self._index.resync(self.counts)
-        if self._instr is not None:
-            self._instr.add("snapshots")
-            self._instr.mark(
-                "snapshot", events=self.events, interactions=self.interactions
-            )
-        cursor = self._cursor
-        return EngineSnapshot(
-            kind="weighted",
-            num_states=self._num_states,
-            num_agents=self._protocol.num_agents,
-            counts=tuple(self.counts),
-            interactions=self.interactions,
-            events=self.events,
-            **self._draws.capture(),
-            epoch=cursor.epoch,
-            start_events=cursor.start_events,
-            start_interactions=cursor.start_interactions,
-            next_predicate_check=cursor.next_predicate_check,
-        )
-
-    def restore(self, snapshot: EngineSnapshot) -> None:
-        """Adopt a snapshot in place; continues bit-for-bit.
-
-        The segment indices stay as compiled at construction — only the
-        incoming epoch's index is resynced from the restored counts
-        (the epoch hot-swap seam); the rest resync at their swap, like
-        in an uninterrupted run.
-        """
-        check_snapshot(
-            snapshot, "weighted", self._num_states,
-            self._protocol.num_agents,
-        )
-        cursor = self._cursor
-        if not 0 <= snapshot.epoch < len(cursor.segments):
-            raise SimulationError(
-                f"snapshot epoch {snapshot.epoch} outside timeline of "
-                f"{len(cursor.segments)} segment(s)"
-            )
-        self.counts = [int(c) for c in snapshot.counts]
-        cursor.epoch = snapshot.epoch
-        cursor.start_events = snapshot.start_events
-        cursor.start_interactions = snapshot.start_interactions
-        cursor.next_predicate_check = snapshot.next_predicate_check
-        self._index, self._pair_table, self._ss_progs = (
-            self._segments[snapshot.epoch]
-        )
-        self._index.resync(self.counts)
-        self.interactions = snapshot.interactions
-        self.events = snapshot.events
-        self._draws.restore(snapshot)
-        if self._instr is not None:
-            self._instr.add("restores")
-            self._instr.mark(
-                "restore", events=self.events, interactions=self.interactions
-            )
-
-    def step(self) -> Optional[Event]:
-        """Advance to (and apply) the next productive interaction.
-
-        Epoch boundaries already met are crossed first; a geometric
-        skip overshooting an ``interactions`` boundary clamps there and
-        redraws under the next segment (exact, by memorylessness).
-        Predicate boundaries are evaluated every ``check_every``
-        productive events — the window lives in the cursor, so run- and
-        step-driven execution (and both engines) fire them identically.
-        """
-        while self._boundary_met():
-            self._advance_epoch()
-        index = self._index
-        weight = index.total
-        if weight == 0:
-            return None
-        skip = self._draws.geometric_skip(weight / index.total_mass())
-        boundary = self._cursor.boundary
-        if (
-            not self._cursor.last
-            and boundary is not None
-            and boundary.kind == "interactions"
-        ):
-            limit = self._cursor.start_interactions + boundary.value
-            if self.interactions + skip > limit:
-                self.interactions = limit
-                self._advance_epoch()
-                return self.step()
-        self.interactions += skip
-        si, sj = index.sample(self._draws.rand_below)
-        ti, tj, ops = self._transition(si, sj)[:3]
-        self._apply_ops(ops)
-        self.events += 1
-        return Event(self.interactions, si, sj, ti, tj)
-
-    def _run_segment(
-        self,
-        max_interactions: Optional[int],
-        recorder: Optional[Recorder],
-        max_events: Optional[int],
-    ) -> bool:
-        """One epoch-segment chunk: the shared fused jump loop on the
-        active index, or the per-event loop when a recorder watches."""
-        events0 = self.events
-        interactions0 = self.interactions
-        if recorder is None:
-            name = "weighted_events"
-            index = self._index
-            silent = _run_fused(
-                self, index, index.total_mass(), max_interactions, max_events
-            )
-        else:
-            name = "slow_events"
-            silent = self._run_segment_slow(
-                max_interactions, recorder, max_events
-            )
-        if self._instr is not None:
-            # Flush this chunk's event delta under the loop that ran it.
-            events = self.events - events0
-            self._instr.add_counters(
-                events=events,
-                interactions=self.interactions - interactions0,
-                **{name: events},
-            )
-        return silent
-
-    def _run_segment_slow(
-        self,
-        max_interactions: Optional[int],
-        recorder: Optional[Recorder],
-        max_events: Optional[int],
-    ) -> bool:
-        """The per-event single-scheduler jump loop (recorders)."""
-        index = self._index
-        draws = self._draws
-        while True:
-            weight = index.total
-            if weight == 0:
-                return True
-            if max_events is not None and self.events >= max_events:
-                return False
-            if max_interactions is not None and self.interactions >= max_interactions:
-                return False
-            skip = draws.geometric_skip(weight / index.total_mass())
-            if (
-                max_interactions is not None
-                and self.interactions + skip > max_interactions
-            ):
-                self.interactions = max_interactions
-                return False
-            self.interactions += skip
-            si, sj = index.sample(draws.rand_below)
-            ti, tj, ops = self._transition(si, sj)[:3]
-            self._apply_ops(ops)
-            self.events += 1
-            if recorder is not None:
-                recorder.on_event(
-                    Event(self.interactions, si, sj, ti, tj), self.counts
-                )
-
-    def run(
-        self,
-        max_interactions: Optional[int] = None,
-        recorder: Optional[Recorder] = None,
-        max_events: Optional[int] = None,
-    ) -> bool:
-        """Run until silence or budget exhaustion; True iff silent.
-
-        ``interactions`` counts the scheduler's accepted steps (null
-        ones included) — the same clock the rejection engine reports.
-        A skip overshooting ``max_interactions`` (or an epoch boundary
-        on interactions) clamps there without applying the pending
-        event; at an epoch boundary the next draw then happens under
-        the new segment's weights, which is exact because the geometric
-        skip is memoryless.
-        """
-        if recorder is not None:
-            recorder.on_start(self.counts)
-        silent = _drive_epoch_timeline(
-            self, self._run_segment, max_interactions, recorder, max_events
-        )
-        if recorder is not None:
-            recorder.on_finish(silent, self.interactions, self.counts)
-        return silent
-
-    def configuration(self) -> Configuration:
-        """Snapshot of the current configuration."""
-        return Configuration(self.counts)
+#: The weighted jump engine is :class:`~repro.core.jump.JumpEngine`
+#: given a scheduler; the name stays for callers that build it directly.
+WeightedScheduledEngine = JumpEngine
 
 
 def try_weighted_engine(
@@ -926,8 +538,9 @@ def try_weighted_engine(
     scheduler: Union[PairScheduler, EpochScheduler],
     start_epoch: int = 0,
     instrumentation=None,
-) -> Optional[WeightedScheduledEngine]:
-    """Weighted jump engine, or ``None`` when its index cannot compile.
+) -> Optional[JumpEngine]:
+    """Jump engine under ``scheduler``, or ``None`` when its class-scaled
+    indexes cannot compile.
 
     Callers fall back to the rejection :class:`ScheduledEngine`, which
     handles any scheduler/protocol combination.  For an epoch timeline,
@@ -936,7 +549,7 @@ def try_weighted_engine(
     step distribution never changes mid-run for engine reasons.
     """
     try:
-        return WeightedScheduledEngine(
+        return JumpEngine(
             protocol, configuration, rng, scheduler, start_epoch=start_epoch,
             instrumentation=instrumentation,
         )
@@ -954,9 +567,9 @@ class ScheduledEngine(SequentialEngine):
     draws — the steps this engine counts — follow the scheduler's
     distribution exactly.  Cost per step is ``O(1/acceptance-rate)``;
     budgets (``max_interactions`` / ``max_events``) remain the guard
-    against schedulers that slow convergence arbitrarily.  The weighted
-    jump engine above is the fast path; this engine is the obviously
-    correct reference and the fallback for exotic schedulers.
+    against schedulers that slow convergence arbitrarily.  The jump
+    engine under a scheduler is the fast path; this engine is the
+    obviously correct reference and the fallback for exotic schedulers.
 
     Accepts an :class:`EpochScheduler` through the same seam as the
     weighted engine: one dense weight matrix is precomputed per
@@ -1036,25 +649,10 @@ class ScheduledEngine(SequentialEngine):
                 return a, b
 
     def _snapshot_fields(self) -> dict:
-        cursor = self._cursor
-        return {
-            "epoch": cursor.epoch,
-            "start_events": cursor.start_events,
-            "start_interactions": cursor.start_interactions,
-            "next_predicate_check": cursor.next_predicate_check,
-        }
+        return self._cursor.capture()
 
     def _restore_fields(self, snapshot: EngineSnapshot) -> None:
-        cursor = self._cursor
-        if not 0 <= snapshot.epoch < len(cursor.segments):
-            raise SimulationError(
-                f"snapshot epoch {snapshot.epoch} outside timeline of "
-                f"{len(cursor.segments)} segment(s)"
-            )
-        cursor.epoch = snapshot.epoch
-        cursor.start_events = snapshot.start_events
-        cursor.start_interactions = snapshot.start_interactions
-        cursor.next_predicate_check = snapshot.next_predicate_check
+        self._cursor.restore(snapshot)
         self._weights = self._matrices[snapshot.epoch]
 
     def step(self) -> Optional[Event]:
@@ -1075,7 +673,7 @@ class ScheduledEngine(SequentialEngine):
         events0 = self.events
         interactions0 = self.interactions
         accepts0 = self._draws.accepts_consumed()
-        silent = _drive_epoch_timeline(
+        silent = self._cursor.drive(
             self, self._run_loop, max_interactions, recorder, max_events
         )
         if self._instr is not None:

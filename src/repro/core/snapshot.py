@@ -201,22 +201,21 @@ def check_snapshot(
 def resume_engine(protocol, snapshot: EngineSnapshot, scheduler=None):
     """Build a fresh engine of ``snapshot.kind`` and restore it.
 
-    The engine class is chosen by the snapshot's ``kind`` tag directly,
-    not re-routed through :func:`~repro.core.engine.build_engine`, so a
-    run resumes on the engine that took the snapshot (a rejection run
-    started with ``engine="sequential"`` included).  Scheduled,
-    agent, and weighted kinds need the original ``scheduler`` (or epoch
-    timeline) object back; it is deliberately not serialised in the
-    snapshot, which stays plain data.
+    The engine is chosen by the snapshot's ``kind`` tag directly, not
+    re-routed through :func:`~repro.core.engine.build_engine`, so a run
+    resumes on the engine that took the snapshot (a rejection run
+    started with ``engine="sequential"`` included).  A ``jump`` snapshot
+    resumes a uniform :class:`~repro.core.jump.JumpEngine`, a
+    ``weighted`` one a ``JumpEngine`` under ``scheduler`` at the
+    snapshot's epoch.  Scheduled, agent, and weighted kinds need the
+    original ``scheduler`` (or epoch timeline) object back; it is
+    deliberately not serialised in the snapshot, which stays plain
+    data.
     """
     # Local imports: snapshot.py sits below the engine modules.
     from .configuration import Configuration
     from .jump import JumpEngine
-    from .scheduler import (
-        AgentScheduledEngine,
-        ScheduledEngine,
-        WeightedScheduledEngine,
-    )
+    from .scheduler import AgentScheduledEngine, ScheduledEngine
     from .sequential import SequentialEngine
 
     if snapshot.kind not in _KINDS:
@@ -260,8 +259,8 @@ def resume_engine(protocol, snapshot: EngineSnapshot, scheduler=None):
             engine = AgentScheduledEngine(
                 protocol, configuration, rng, scheduler
             )
-        else:  # weighted
-            engine = WeightedScheduledEngine(
+        else:  # weighted: the jump engine under the scheduler
+            engine = JumpEngine(
                 protocol, configuration, rng, scheduler,
                 start_epoch=snapshot.epoch,
             )

@@ -46,8 +46,9 @@ Counter vocabulary (engines only touch the ones their loop has):
     (``ScheduledEngine``, ``AgentScheduledEngine``); the weighted
     engine draws productive pairs directly and never emits them.
 ``weighted_events``, ``slow_events``
-    Weighted-engine events on the fused jump loop vs the per-event
-    loop that serves recorders.
+    Events of a biased jump run on the fused jump loop, and jump-engine
+    events on the per-event loop that serves recorders, ``debug`` mode
+    and a uniform run's interactions budget.
 ``pair_draws``
     Ordered agent pairs drawn by the sequential reference engine (from
     batch arithmetic, the rejection engines' rejected draws included).

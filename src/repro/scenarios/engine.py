@@ -2,8 +2,8 @@
 
 :func:`run_scenario` interprets a :class:`~repro.scenarios.spec.Scenario`
 against the simulation engines: run phases drive the engine (the jump
-fast path under the uniform scheduler, the weighted jump fast path
-(:class:`~repro.core.scheduler.WeightedScheduledEngine`) for biased
+fast path under the uniform scheduler, the weighted jump fast path —
+:class:`~repro.core.jump.JumpEngine` given the scheduler — for biased
 schedulers it compiles exactly, and the rejection
 :class:`~repro.core.scheduler.ScheduledEngine` otherwise), fault phases
 mutate the live configuration through the fault-injection seam

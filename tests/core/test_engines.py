@@ -569,7 +569,7 @@ class TestDebugMode:
             np.random.default_rng(0),
             debug=True,
         )
-        engine._weight += 1  # corrupt the cache
+        engine._index.total += 1  # corrupt the cache
         with pytest.raises(AssertionError):
             engine.step()
 

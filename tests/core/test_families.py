@@ -70,6 +70,47 @@ class TestSameStatePairs:
         family = SameStatePairs([1, 1, 1], rule_states=[0, 2])
         assert list(family.pairs()) == [(0, 0), (2, 2)]
 
+    @pytest.mark.parametrize(
+        "counts, rule_states",
+        [
+            ([3, 0, 7, 1, 2, 5], [4, 0, 2, 0]),  # unsorted, repeated
+            ([4, 1], []),
+            (
+                random_configuration(AGProtocol(300), seed=2).counts_list(),
+                list(range(300)),
+            ),
+            (
+                random_configuration(
+                    TreeRankingProtocol(40), seed=3, include_extras=True
+                ).counts_list(),
+                list(range(0, 40, 3)),
+            ),
+        ],
+        ids=["unsorted-repeated", "no-rule", "ag-300", "tree-40-sparse"],
+    )
+    @pytest.mark.parametrize("as_iterator", [False, True])
+    def test_mask_build_matches_loop_oracle(
+        self, counts, rule_states, as_iterator
+    ):
+        """The numpy-mask build equals the per-state loops it replaced."""
+        has_rule = [False] * len(counts)
+        for state in rule_states:
+            has_rule[state] = True
+        rules = [s for s, rule in enumerate(has_rule) if rule]
+        family = SameStatePairs(
+            counts, iter(rule_states) if as_iterator else rule_states
+        )
+        assert family.rule_states() == rules
+        assert list(family.states()) == rules
+        assert list(family.pairs()) == [(s, s) for s in rules]
+        assert [family.covers(s, s) for s in range(len(counts))] == has_rule
+        assert family.weight == sum(counts[s] * (counts[s] - 1) for s in rules)
+        # Each stored per-state weight is c(c−1): re-setting it moves
+        # nothing.
+        assert all(
+            family.on_count_change(s, c, c) == 0 for s, c in enumerate(counts)
+        )
+
 
 class TestOrderedProduct:
     def test_weight_is_product(self):

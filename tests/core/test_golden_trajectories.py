@@ -209,6 +209,31 @@ def test_trajectory_matches_golden(name):
     assert _arms(name) == _golden()[name]
 
 
+# Version-2 snapshots written by an earlier engine (a ``jump`` snapshot
+# at 10 000 events, a ``weighted`` one mid-timeline at 4 000), with the
+# record that engine finished the resumed run with.
+SNAPSHOT_FIXTURES = {
+    "jump-fused-tree": ("snapshot_jump_v2.json", "jump"),
+    "weighted-timeline": ("snapshot_weighted_v2.json", "weighted"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SNAPSHOT_FIXTURES))
+def test_stored_snapshot_resumes(name):
+    filename, kind = SNAPSHOT_FIXTURES[name]
+    fixture = json.loads(GOLDEN.with_name(filename).read_text())
+    snapshot = EngineSnapshot.from_dict(fixture["snapshot"])
+    assert (snapshot.kind, snapshot.version) == (kind, 2)
+    protocol, scheduler, _ = _build(name)
+    engine = resume_engine(protocol, snapshot, scheduler=scheduler)
+    # The restored engine holds every field it was given, epoch cursor
+    # included.
+    resnapshot = json.loads(json.dumps(engine.snapshot().to_dict()))
+    assert resnapshot == fixture["snapshot"]
+    _run(engine, fixture["max_events"], False)
+    assert _record(engine) == fixture["final"]
+
+
 def test_cases_reach_their_loops():
     """Each case exercises the realisation its name claims."""
     for name in ("jump-same-state-ring", "jump-same-state-trap"):

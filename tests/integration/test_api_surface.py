@@ -6,7 +6,11 @@ make that a checked invariant rather than a hope.
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +44,28 @@ class TestExports:
 
     def test_version(self):
         assert repro.__version__.count(".") == 2
+
+    @pytest.mark.parametrize(
+        "first", ["repro.core.jump", "repro.core.scheduler"]
+    )
+    def test_engine_modules_import_in_either_order(self, first):
+        """Importing either engine module first in a fresh interpreter
+        works: ``scheduler`` imports ``jump`` at load time and ``jump``
+        imports ``scheduler`` only lazily, so no import cycle forms."""
+        code = (
+            f"import {first}\n"
+            "from repro.core.jump import JumpEngine\n"
+            "from repro.core.scheduler import WeightedScheduledEngine\n"
+            "assert WeightedScheduledEngine is JumpEngine\n"
+        )
+        env = dict(
+            os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1])
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=env, timeout=120, check=False,
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_submodules_have_all(self):
         for module_name in PUBLIC_MODULES:

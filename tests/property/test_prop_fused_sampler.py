@@ -111,7 +111,7 @@ class TestFusedIndexWeightInvariant:
                 assert engine.productive_weight == _fresh_weight(
                     protocol, engine.counts
                 )
-                assert engine._fused.total == engine.productive_weight
+                assert engine._index.total == engine.productive_weight
                 if engine.is_silent():
                     break
 
@@ -178,7 +178,7 @@ class TestFusedIndexWeightInvariant:
             weight = engine.productive_weight
             if weight == 0:
                 break
-            si, sj = engine._fused.sample(engine._draws.rand_below)
+            si, sj = engine._index.sample(engine._draws.rand_below)
             assert protocol.delta(si, sj) is not None
             assert engine.counts[si] >= (2 if si == sj else 1)
             if si != sj:
@@ -383,7 +383,7 @@ class TestHybridSamplerExactness:
         for _ in range(8):
             engine.run(max_events=engine.events + 400)
             expected = _uniform_pair_masses(protocol, engine.counts)
-            fused = engine._fused
+            fused = engine._index
             assert _reconstruct_hybrid_masses(fused, engine.counts) == expected
             assert engine.productive_weight == sum(expected.values())
             # Reclassification moves mass between the pool and the tree
@@ -415,14 +415,14 @@ class TestHybridSamplerExactness:
         engine.reset_configuration(scrambled)
         expected = _uniform_pair_masses(protocol, scrambled)
         assert (
-            _reconstruct_hybrid_masses(engine._fused, scrambled) == expected
+            _reconstruct_hybrid_masses(engine._index, scrambled) == expected
         )
         assert engine.productive_weight == sum(expected.values())
         # The engine must keep running exactly on the resynced hybrid.
         engine.run(max_events=engine.events + 500)
         expected = _uniform_pair_masses(protocol, engine.counts)
         assert (
-            _reconstruct_hybrid_masses(engine._fused, engine.counts)
+            _reconstruct_hybrid_masses(engine._index, engine.counts)
             == expected
         )
 
@@ -452,7 +452,7 @@ class TestHybridSamplerExactness:
         protocol = LineOfTrapsProtocol(m=2)
         start = random_configuration(protocol, seed=1, include_extras=True)
         engine = JumpEngine(protocol, start, np.random.default_rng(1))
-        fused = engine._fused
+        fused = engine._index
         for _ in range(300):
             if engine.is_silent():
                 break

@@ -15,12 +15,15 @@ from hypothesis import strategies as st
 from repro import (
     AGProtocol,
     Configuration,
+    EpochBoundary,
+    EpochScheduler,
     JumpEngine,
     LineOfTrapsProtocol,
     ModifiedTreeProtocol,
     RingOfTrapsProtocol,
     SequentialEngine,
     SingleTrapProtocol,
+    StateBiasedScheduler,
     TreeDispersalProtocol,
     TreeRankingProtocol,
     random_configuration,
@@ -38,6 +41,32 @@ def _shipped_protocols():
         TreeDispersalProtocol(13),
         SingleTrapProtocol(inner_size=4, num_agents=12),
         IsolatedLineProtocol(num_traps=3, inner_cap=2, num_agents=12),
+    ]
+
+
+def _weight_cases():
+    """``(protocol, scheduler)``: every shipped protocol under the
+    uniform scheduler, then the tree with n=33, k=2 under a state-biased
+    scheduler and under an epoch timeline crossing two boundaries within
+    the runs below (its scaled weight is the active segment's)."""
+    tree = TreeRankingProtocol(33, k=2)
+    biased = StateBiasedScheduler(
+        [1.0] * tree.num_ranks + [0.2] * tree.num_extra_states
+    )
+    many_class = StateBiasedScheduler(
+        [0.80 + 0.02 * (s % 9) for s in range(tree.num_states)]
+    )
+    timeline = EpochScheduler([
+        (EpochBoundary(kind="events", value=100), biased),
+        (EpochBoundary(kind="events", value=100), many_class),
+        (None, biased),
+    ])
+    return [
+        pytest.param(protocol, None, id=protocol.name)
+        for protocol in _shipped_protocols()
+    ] + [
+        pytest.param(tree, biased, id="tree-state-biased"),
+        pytest.param(tree, timeline, id="tree-epoch-timeline"),
     ]
 
 
@@ -70,29 +99,31 @@ class TestCachedWeightInvariant:
                     engine.productive_weight == engine.recomputed_weight()
                 ), f"desync after {engine.events} events on {protocol.name}"
 
-    @pytest.mark.parametrize(
-        "protocol", _shipped_protocols(), ids=lambda p: p.name
-    )
-    def test_debug_mode_run_asserts_weight_sync(self, protocol):
+    @pytest.mark.parametrize("protocol, scheduler", _weight_cases())
+    def test_debug_mode_run_asserts_weight_sync(self, protocol, scheduler):
         """debug=True re-checks the invariant inside run() itself."""
         engine = JumpEngine(
             protocol,
             _start(protocol, 7),
             np.random.default_rng(7),
+            scheduler,
             debug=True,
         )
         engine.run(max_events=500)
+        if isinstance(scheduler, EpochScheduler):
+            assert engine.epoch == 2
         assert engine.productive_weight == engine.recomputed_weight()
 
-    @pytest.mark.parametrize(
-        "protocol", _shipped_protocols(), ids=lambda p: p.name
-    )
-    def test_fast_run_leaves_weight_synced(self, protocol):
+    @pytest.mark.parametrize("protocol, scheduler", _weight_cases())
+    def test_fast_run_leaves_weight_synced(self, protocol, scheduler):
         """The specialised loops must hand back a consistent engine."""
         engine = JumpEngine(
-            protocol, _start(protocol, 11), np.random.default_rng(11)
+            protocol, _start(protocol, 11), np.random.default_rng(11),
+            scheduler,
         )
         engine.run(max_events=300)
+        if isinstance(scheduler, EpochScheduler):
+            assert engine.epoch == 2
         assert engine.productive_weight == engine.recomputed_weight()
         # And the engine must still be steppable afterwards.
         event = engine.step()

@@ -352,26 +352,45 @@ class TestEngineRouting:
     @pytest.mark.parametrize(
         "campaign_id", [c.campaign_id for c in list_campaigns()]
     )
-    def test_canned_campaigns_pick_their_engine(self, campaign_id, scale):
-        from repro.core.engine import make_rng
+    def test_canned_campaigns_pick_their_engine(
+        self, campaign_id, scale, monkeypatch
+    ):
+        from repro.core.engine import build_engine, make_rng
         from repro.core.jump import JumpEngine
-        from repro.core.scheduler import WeightedScheduledEngine
+        from repro.scenarios import engine as scenario_engine
         from repro.scenarios.engine import _make_engine, _start_configuration
 
-        expected = {
-            "ag_corrupt_recover": JumpEngine,
-            "tree_corrupt_recover": JumpEngine,
-            "line_churn_storm": JumpEngine,
-            "ag_clustered_adversary": WeightedScheduledEngine,
-            "ag_epoch_cluster_flip": WeightedScheduledEngine,
-            "tree_epoch_bias_flip": WeightedScheduledEngine,
+        # Uniform and biased runs share the engine class, so the name
+        # build_engine returns is what tells them apart.
+        biased = {
+            "ag_corrupt_recover": False,
+            "tree_corrupt_recover": False,
+            "line_churn_storm": False,
+            "ag_clustered_adversary": True,
+            "ag_epoch_cluster_flip": True,
+            "tree_epoch_bias_flip": True,
         }[campaign_id]
+        names = []
+
+        def recording_build_engine(*args, **kwargs):
+            engine, name = build_engine(*args, **kwargs)
+            names.append(name)
+            return engine, name
+
+        monkeypatch.setattr(
+            scenario_engine, "build_engine", recording_build_engine
+        )
         scenario = get_campaign(campaign_id).build(scale)
         protocol = scenario.protocol.build()
         rng = make_rng(0)
         start = _start_configuration(scenario, protocol, rng)
         engine = _make_engine(scenario, protocol, start, rng)
-        assert type(engine) is expected
+        assert type(engine) is JumpEngine
+        if biased:
+            assert names == [f"weighted:{engine.scheduler.name}"]
+        else:
+            assert engine.scheduler is None
+            assert names == ["jump"]
 
 
 class TestEpochTimelines:
