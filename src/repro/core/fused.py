@@ -29,11 +29,12 @@ falling back to the Fenwick walk over the same-state block.  Side
 Fenwick trees are padded to powers of two so their top node *is* the
 side total — updates become bare add-delta walks with no bookkeeping.
 
-Per-state **update plans** are compiled from the families' membership
-(:meth:`~repro.core.families.Family.states`) the first time a state is
-touched, and whole transitions compile to plain-integer programs
-(:meth:`FusedIndex.compile_transition`) that the engine's fast loop
-executes through those plans without any per-event family dispatch.
+Per-state **update plans** are compiled from the index's structures
+the first time a state is touched, and whole transitions compile to
+programs (:meth:`FusedIndex.compile_transition`, memoised on the
+transition's shape) that the engine's fast loop executes through those
+plans without any per-event family dispatch.  Plans and programs are
+plain integers; a plan step names its payload by slot.
 All weights stay exact Python integers; the passes over the whole state
 space (construction, :meth:`FusedIndex.resync`,
 :meth:`FusedIndex.reclassify`) compute them with numpy from one int64
@@ -80,7 +81,7 @@ from __future__ import annotations
 import contextlib
 import gc
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -164,6 +165,15 @@ def collector_paused():
     objects are traversed once, by the first young collection after the
     block.
 
+    The jump engine's fused loop runs under it too.  A §5 reset storm
+    compiles a program per new (line state, rank) pair and a plan per
+    new rank, all plain-integer tuples: one ``serve-tree-large`` job
+    (tree n = 65 536, 200 000 events in 49 ``run()`` calls) built about
+    52 000 programs and 41 000 plans, and its ``run()`` calls started
+    523 young, 47 middle and 4 full collections with the collector on in
+    the loop, against 65, 6 and 1 paused (the rest of each call, the
+    exit resync, still allocates with it on).
+
     The collector is restored to the state it was found in, also when
     the block raises; a caller that had already disabled it keeps it
     disabled.  The switch is process-wide: a block that found the
@@ -225,7 +235,7 @@ class _ProposalPool:
     the bound ``m̂ >= c_s`` can never be violated mid-run.
     """
 
-    __slots__ = ("slot", "states", "positions", "agents",
+    __slots__ = ("slot", "positions", "agents",
                  "where", "weight", "mhat", "lo", "hi", "_candidates")
 
     def __init__(
@@ -234,8 +244,9 @@ class _ProposalPool:
         candidate_states: Sequence[int],
     ) -> None:
         self.slot = -1  # pseudo-slot id, assigned by the owning index
-        self.states = list(candidate_states)
-        self._candidates = np.asarray(self.states, dtype=np.intp)
+        # The owning index hands down its intp array of the rule states,
+        # which this adopts without a copy.
+        self._candidates = np.asarray(candidate_states, dtype=np.intp)
         self.positions: List[Optional[List[int]]] = [None] * num_states
         self.agents: List[int] = []
         self.where: List[int] = []
@@ -243,6 +254,11 @@ class _ProposalPool:
         self.mhat = 1
         self.lo = 2
         self.hi = 0
+
+    @property
+    def states(self) -> List[int]:
+        """The candidate states, in candidate order."""
+        return self._candidates.tolist()
 
     def classify(self, counts: Sequence[int]) -> np.ndarray:
         """(Re)partition candidate states by count, in place.
@@ -450,6 +466,7 @@ class _ProductSlot:
     def __init__(
         self,
         counts: Sequence[int],
+        count_array: np.ndarray,
         initiators: Sequence[int],
         responders: Sequence[int],
         factor: int = 1,
@@ -463,7 +480,7 @@ class _ProductSlot:
         self.init_tree = [0] * (self.init_size + 1)
         self.resp_tree = [0] * (self.resp_size + 1)
         self.factor = factor
-        self.resync(counts, np.asarray(counts, dtype=np.int64))
+        self.resync(counts, count_array)
 
     def weight(self) -> int:
         return self.factor * self.init_total * self.resp_total
@@ -638,45 +655,117 @@ class _StatePlans:
     tuple of update steps one count change of ``state`` must apply — one
     per structure the state feeds, in the order the structures were
     registered (composite families in family order, then the same-state
-    slot) — or ``None`` until :meth:`plan` first builds it.  Index
+    slot) — or ``None`` until :meth:`build` first builds it.  Index
     construction therefore runs no per-state Python loop, and the
     engines only ever build the states their runs reach.
 
-    The step tuples hold the payload objects and side trees they update,
-    so a plan is built once per state and shared by every compiled
-    transition that touches the state; the compiled programs themselves
-    stay plain integers.  :meth:`FusedIndex.compile_transition` builds
-    the plans of its states, which is what lets the inlined loops read
-    ``steps[state]`` with a bare list subscript (CPython specialises
-    subscripts on exact lists, not on a dict subclass with
-    ``__missing__``).
+    A step is a tuple of plain integers that names its structure by
+    slot; the loops reach the payload and its side trees through the
+    index's ``slot_payload``:
+
+    * ``(PRODUCT, slot, node, initiator)`` — the state's first node in
+      one side tree of a product slot, and whether that side is the
+      initiator side;
+    * ``(TRIANGULAR, slot, pos)`` — the state's position on a line;
+    * ``(SAME, slot, node)`` — the state's same-state slot and its first
+      Fenwick node (the tree spans only the same-state block);
+    * ``(SCALED_SAME, slot, node, factor)`` — the same on a class-scaled
+      index, with the slot's class factor.
+
+    Plans, like the compiled programs, therefore hold nothing the
+    cyclic garbage collector keeps tracking once it has seen them.  A
+    plan is built once per state and shared by every compiled
+    transition that touches the state.
+    :meth:`FusedIndex.compile_transition` builds the plans of its states,
+    which is what lets the inlined loops read ``steps[state]`` with a
+    bare list subscript (CPython specialises subscripts on exact lists,
+    not on a dict subclass with ``__missing__``).
+
+    The first build lays out one ``(state, structure)`` matrix of
+    in-structure positions (-1: not a member), so a build reads its
+    state's row once and makes its steps from the registered templates.
+    The same build allocates :attr:`sigs`, where each built state keeps
+    its *signature*: one bit per registered structure it feeds, plus its
+    class above those bits on a class-scaled index.  Two states with one
+    signature feed the same composite slots on the same product sides,
+    both have a same-state slot or neither has, and share a class — all
+    that a compiled transition's count-independent part depends on
+    besides the deltas.
     """
 
-    __slots__ = ("steps", "_sources")
+    __slots__ = ("steps", "sigs", "_members", "_templates", "_classes",
+                 "_positions")
 
-    def __init__(self, num_states: int) -> None:
+    def __init__(
+        self, num_states: int, classes: Optional[List[int]] = None
+    ) -> None:
         self.steps: List[Optional[tuple]] = [None] * num_states
-        self._sources: List[Tuple[np.ndarray, Callable[[int], tuple]]] = []
+        self.sigs: Optional[List[Optional[int]]] = None
+        self._members: List[np.ndarray] = []
+        self._templates: List[tuple] = []
+        self._classes = classes
+        self._positions: Optional[np.ndarray] = None
 
     def add(
-        self, states: Sequence[int], make_step: Callable[[int], tuple]
+        self, states: np.ndarray, code: int, slot: int, extra=None
     ) -> None:
-        """Register a structure: ``make_step(pos)`` steps ``states[pos]``."""
-        position = np.full(len(self.steps), -1, dtype=np.int64)
-        position[np.asarray(states, dtype=np.intp)] = np.arange(len(states))
-        self._sources.append((position, make_step))
+        """Register a structure over ``states`` (an intp array).
+
+        ``code`` is its step code and ``slot`` its composite slot, or
+        for the same-state block (``SAME``/``SCALED_SAME``) the block's
+        first slot.  ``extra`` is a product side's ``initiator`` flag or
+        the same-state block's class factors.
+        """
+        self._members.append(states)
+        self._templates.append((code, slot, extra))
 
     def plan(self, state: int) -> tuple:
         """``state``'s plan, built and stored on first use."""
         plan = self.steps[state]
         if plan is None:
-            built = []
-            for position, make_step in self._sources:
-                pos = position.item(state)
-                if pos >= 0:
-                    built.append(make_step(pos))
-            plan = self.steps[state] = tuple(built)
+            plan = self.build(state)
         return plan
+
+    def build(self, state: int) -> tuple:
+        """Build and store ``state``'s plan and signature."""
+        positions = self._positions
+        if positions is None:
+            positions = self._lay_out()
+        built = []
+        sig = 0
+        bit = 1
+        for pos, (code, slot, extra) in zip(
+            positions[state].tolist(), self._templates
+        ):
+            if pos >= 0:
+                sig |= bit
+                if code == PRODUCT:
+                    built.append((PRODUCT, slot, pos + 1, extra))
+                elif code == TRIANGULAR:
+                    built.append((TRIANGULAR, slot, pos))
+                elif code == SAME:
+                    built.append((SAME, slot + pos, pos + 1))
+                else:  # SCALED_SAME
+                    built.append(
+                        (SCALED_SAME, slot + pos, pos + 1, extra[pos])
+                    )
+            bit <<= 1
+        if self._classes is not None:
+            sig += self._classes[state] * bit
+        self.sigs[state] = sig
+        plan = self.steps[state] = tuple(built)
+        return plan
+
+    def _lay_out(self) -> np.ndarray:
+        """The position matrix and the signature list (first build)."""
+        positions = np.full(
+            (len(self.steps), len(self._members)), -1, dtype=np.int32
+        )
+        for column, states in enumerate(self._members):
+            positions[states, column] = np.arange(len(states))
+        self._positions = positions
+        self.sigs = [None] * len(self.steps)
+        return positions
 
 
 class FusedIndex:
@@ -718,7 +807,8 @@ class FusedIndex:
     __slots__ = ("num_slots", "num_composite", "fenwick_size", "tree",
                  "values", "total", "slot_kind", "slot_payload",
                  "state_steps", "pool", "same_factors", "class_of",
-                 "class_matrix", "_num_states", "_same_states", "_plans")
+                 "class_matrix", "_num_states", "_same_states", "_plans",
+                 "_shapes")
 
     def __init__(
         self,
@@ -746,7 +836,10 @@ class FusedIndex:
         kinds: List[int] = []
         payloads: List[object] = []
         weights: List[int] = []
-        plans = _StatePlans(num_states)
+        plans = _StatePlans(num_states, self.class_of)
+        # Each list the build reads with numpy is converted once and
+        # handed down: the counts here, the rule states below.
+        count_array = np.asarray(counts, dtype=np.int64)
 
         def class_blocks(states, runs=False):
             """``(class, states)`` groups of ``states``: its maximal runs
@@ -767,24 +860,14 @@ class FusedIndex:
 
         def add_product(initiators, responders, factor):
             slot = len(kinds)
-            payload = _ProductSlot(counts, initiators, responders, factor)
+            payload = _ProductSlot(
+                counts, count_array, initiators, responders, factor
+            )
             kinds.append(SCALED if scaled else PRODUCT)
             payloads.append(payload)
             weights.append(payload.weight())
-            plans.add(
-                payload.initiators,
-                lambda pos, p=payload, slot=slot: (
-                    PRODUCT, p.init_tree, pos + 1, p.init_size, slot, p,
-                    True,
-                ),
-            )
-            plans.add(
-                payload.responders,
-                lambda pos, p=payload, slot=slot: (
-                    PRODUCT, p.resp_tree, pos + 1, p.resp_size, slot, p,
-                    False,
-                ),
-            )
+            plans.add(payload._init_states, PRODUCT, slot, True)
+            plans.add(payload._resp_states, PRODUCT, slot, False)
 
         # Composite slots first: the hot loop short-circuits the find
         # for them, and a handful of comparisons resolves the draws that
@@ -808,10 +891,7 @@ class FusedIndex:
                     payloads.append(payload)
                     weights.append(payload.weight())
                     plans.add(
-                        payload.line,
-                        lambda pos, p=payload, slot=slot: (
-                            TRIANGULAR, p, pos, slot,
-                        ),
+                        np.asarray(line, dtype=np.intp), TRIANGULAR, slot
                     )
                 for r, (p, initiators) in enumerate(runs):
                     for q, responders in runs[r + 1:]:
@@ -836,6 +916,7 @@ class FusedIndex:
             for family in same_state
             for state in family.rule_states()
         ]
+        rule_array = np.asarray(rule_states, dtype=np.intp)
         self.same_factors: Optional[List[int]] = None
         if scaled:
             self.same_factors = [
@@ -843,7 +924,7 @@ class FusedIndex:
             ]
         pool: Optional[_ProposalPool] = None
         if rule_states and not scaled:
-            pool = _ProposalPool(num_states, rule_states)
+            pool = _ProposalPool(num_states, rule_array)
             pool.slot = len(kinds)
             kinds.append(PROPOSAL)
             payloads.append(pool)
@@ -852,24 +933,16 @@ class FusedIndex:
         num_composite = len(kinds)
         self.num_composite = num_composite
         # One same-state slot per rule state, in rule-state order (which
-        # is also the pool's candidate order).  A plan step's third
-        # field is the slot's first Fenwick node (the tree only spans
-        # the same-state block); a class-scaled step's fourth is the
-        # slot's factor.
+        # is also the pool's candidate order).
         kinds.extend([SAME] * len(rule_states))
         payloads.extend(rule_states)
         weights.extend([0] * len(rule_states))
         if scaled:
             plans.add(
-                rule_states,
-                lambda pos, factors=self.same_factors: (
-                    SCALED_SAME, num_composite + pos, pos + 1, factors[pos],
-                ),
+                rule_array, SCALED_SAME, num_composite, self.same_factors
             )
         else:
-            plans.add(
-                rule_states, lambda pos: (SAME, num_composite + pos, pos + 1)
-            )
+            plans.add(rule_array, SAME, num_composite)
 
         self.num_slots = len(kinds)
         self.fenwick_size = self.num_slots - num_composite
@@ -879,10 +952,10 @@ class FusedIndex:
         self.tree = [0] * (self.fenwick_size + 1)
         self._plans = plans
         self.state_steps = plans.steps
-        self._same_states = np.asarray(rule_states, dtype=np.intp)
-        self.total = composite_mass + self._fill_same_state(
-            np.asarray(counts, dtype=np.int64)
-        )
+        # Compiled transitions by shape (see compile_transition).
+        self._shapes: Dict[tuple, tuple] = {}
+        self._same_states = rule_array
+        self.total = composite_mass + self._fill_same_state(count_array)
 
     def layout(self) -> tuple:
         """Plain structural description of the slot layout.
@@ -1115,16 +1188,17 @@ class FusedIndex:
             elif kind == SCALED_SAME:
                 delta_w += self._set(step[1], step[3] * new * (new - 1))
             elif kind == PRODUCT:
-                tree, node, size, slot, payload = (
-                    step[1], step[2], step[3], step[4], step[5]
-                )
-                if step[6]:
+                slot, node = step[1], step[2]
+                payload = self.slot_payload[slot]
+                if step[3]:
                     payload.init_total += delta
+                    tree, size = payload.init_tree, payload.init_size
                     if payload.stale & 1 or payload.resp_total == 0:
                         payload.stale |= 1
                         node = size + 1  # gated: skip the walk
                 else:
                     payload.resp_total += delta
+                    tree, size = payload.resp_tree, payload.resp_size
                     if payload.stale & 2 or payload.init_total == 0:
                         payload.stale |= 2
                         node = size + 1  # gated: skip the walk
@@ -1133,8 +1207,9 @@ class FusedIndex:
                     node += node & -node
                 delta_w += self._set(slot, payload.weight())
             else:  # TRIANGULAR
-                payload, pos, slot = step[1], step[2], step[3]
-                payload.counts[pos] = new
+                slot = step[1]
+                payload = self.slot_payload[slot]
+                payload.counts[step[2]] = new
                 payload.s += delta
                 payload.q += new * new - old * old
                 delta_w += self._set(slot, payload.weight())
@@ -1180,27 +1255,67 @@ class FusedIndex:
         once, in first-touch order, with the matrix column ``u(·, class)``
         for the step-mass update.  A transition inside one class has no
         moves, and neither has any transition of the unscaled index.
+
+        All of this but ``transfer``'s state ids, slot and node depends
+        only on the transition's *shape*: each op's delta and its state's
+        signature (see :class:`_StatePlans`).  The index compiles each
+        shape once and memoises it, with ``transfer`` reduced to the
+        positions of its two ops; a new transition of a known shape then
+        costs its plans (if new), one dict lookup and, for a transfer,
+        one tuple.  During a §5 reset storm the red R4 events pair line
+        states with tens of thousands of ranks, yet share a handful of
+        shapes.  The memoised parts are shared by every program of the
+        shape.
         """
-        plan = self._plans.plan
+        plans = self._plans
+        steps = plans.steps
+        sigs = plans.sigs
+        key = []
+        for state, delta in ops:
+            if steps[state] is None:
+                plans.build(state)
+                sigs = plans.sigs
+            key.append(delta)
+            key.append(sigs[state])
+        key = tuple(key)
+        shape = self._shapes.get(key)
+        if shape is None:
+            shape = self._shapes[key] = self._compile_shape(ops)
+        transfer = shape[2]
+        if transfer is None:
+            return shape
+        dst = ops[transfer[1]][0]
+        same = steps[dst][-1]  # the same-state step comes last
+        return (
+            shape[0], shape[1], (ops[transfer[0]][0], dst, same[1], same[2]),
+            shape[3],
+        )
+
+    def _compile_shape(
+        self, ops: Sequence[Tuple[int, int]]
+    ) -> Tuple[tuple, Optional[tuple], Optional[tuple], tuple]:
+        """:meth:`compile_transition`'s result for ``ops``, with
+        ``transfer`` given as the positions ``(src, dst)`` of its ops in
+        ``ops``.  The plans of the states in ``ops`` must exist."""
+        steps = self._plans.steps
         refresh: List[int] = []
         prods: Dict[int, List[int]] = {}
         guarded = True
-        same: List[Tuple[int, int, int, int]] = []
-        for state, delta in ops:
-            for step in plan(state):
+        same: List[Tuple[int, int]] = []
+        for index, (state, delta) in enumerate(ops):
+            for step in steps[state]:
                 kind = step[0]
                 if kind == SAME:
-                    same.append((state, delta, step[1], step[2]))
+                    same.append((index, delta))
                     continue
                 if kind == SCALED_SAME:
                     continue
+                slot = step[1]
                 if kind == PRODUCT:
-                    slot = step[4]
                     net = prods.setdefault(slot, [0, 0])
-                    net[0 if step[6] else 1] += delta
+                    net[0 if step[3] else 1] += delta
                 else:  # TRIANGULAR
                     guarded = False
-                    slot = step[3]
                 if slot not in refresh:
                     refresh.append(slot)
         moves = ()
@@ -1220,7 +1335,7 @@ class FusedIndex:
         if len(ops) == 2 and len(same) == 2:
             src, dst = same if same[0][1] < 0 else same[::-1]
             if (src[1], dst[1]) == (-1, 1):
-                transfer = (src[0], dst[0], dst[2], dst[3])
+                transfer = (src[0], dst[0])
         return (
             tuple(refresh),
             tuple([(slot, di) for slot, (di, _) in prods.items()]),

@@ -54,13 +54,21 @@ weights or re-enters ``delta()``; ``delta`` must therefore be a pure
 function.  A compiled program is plain integer data — the transition's
 ``(state, delta)`` ops, the composite slot ids to refresh, the sprint
 guard's ``(slot, initiator delta)`` pairs, the transfer shortcut and the
-class moves — and the loop reaches the payload objects through the
-index's per-state plans (``state_steps``, a plain list filled when a
-transition touching the state compiles) and its
+class moves — and so are the index's per-state plans it runs through
+(``state_steps``, a plain list filled when a transition touching the
+state compiles): each plan step names its structure by slot, and the
+loop reaches payloads and side trees through the index's
 ``slot_kind``/``slot_payload`` lists.  Each index has its own program
 cache, a pair dict plus a dense same-state list, which during a §5
-reset storm holds tens of thousands of programs and nothing the cyclic
-garbage collector must traverse on every pass.
+reset storm holds tens of thousands of programs.  A cache miss costs
+the ``delta`` call, the branch-wise net ops (:func:`_transition_ops`),
+the plans of states no program touched before, and one lookup in the
+index's memo of compiled *shapes*
+(:meth:`~repro.core.fused.FusedIndex.compile_transition`): the storm's
+(red line state, rank) programs share a handful of shapes.  The loop
+runs with the cyclic garbage collector paused
+(:func:`~repro.core.fused.collector_paused`), so what a storm compiles
+meets one young pass after the loop instead of hundreds during it.
 
 For protocols whose productive pairs are all same-state (every
 state-optimal protocol in the paper), the recorder-free ``run()``
@@ -164,10 +172,14 @@ _Ops = Tuple[Tuple[int, int, int], ...]
 
 
 def _transition_ops(si: int, sj: int, ti: int, tj: int):
-    """Net per-state count changes of one transition, deduplicated."""
+    """Net per-state count changes of one transition, deduplicated.
+
+    Nonzero changes only, each state once, in the order its state first
+    appears among ``si, sj, ti, tj``.  The few overlap shapes resolve
+    branch-wise: a miss of the fused loop's program cache pays for this
+    call, and a dict over the four states cost several times as much.
+    """
     if si == sj:
-        # Same-state rules dominate compilation; resolve their few
-        # overlap shapes branch-wise instead of through a dict.
         if ti == tj:
             return () if ti == si else ((si, -2), (ti, 2))
         if ti == si:
@@ -175,13 +187,25 @@ def _transition_ops(si: int, sj: int, ti: int, tj: int):
         if tj == si:
             return ((si, -1), (ti, 1))
         return ((si, -2), (ti, 1), (tj, 1))
-    # Keys in first-appearance order: si, sj, ti, tj.
-    net = {si: 0, sj: 0, ti: 0, tj: 0}
-    net[si] -= 1
-    net[sj] -= 1
-    net[ti] += 1
-    net[tj] += 1
-    return tuple([(s, d) for s, d in net.items() if d])
+    if ti == si:
+        if tj == sj:
+            return ()
+        if tj == si:
+            return ((si, 1), (sj, -1))
+        return ((sj, -1), (tj, 1))
+    if ti == sj:
+        if tj == si:
+            return ()
+        if tj == sj:
+            return ((si, -1), (sj, 1))
+        return ((si, -1), (tj, 1))
+    if tj == si:
+        return ((sj, -1), (ti, 1))
+    if tj == sj:
+        return ((si, -1), (ti, 1))
+    if tj == ti:
+        return ((si, -1), (sj, -1), (ti, 2))
+    return ((si, -1), (sj, -1), (ti, 1), (tj, 1))
 
 
 def _compile_program(
@@ -194,9 +218,12 @@ def _compile_program(
     fused loop applies through each state's plan in the index's
     ``state_steps``; the last four fields are the composite slots to
     refresh, the sprint guard, the transfer shortcut and the class moves
-    (see :meth:`~repro.core.fused.FusedIndex.compile_transition`).
+    (see :meth:`~repro.core.fused.FusedIndex.compile_transition`, which
+    builds the plans of new states and memoises these four fields on
+    the transition's shape, so programs of one shape share them).
     Every field is an int, ``None`` or a tuple of those, so a cached
     entry holds no reference the cyclic garbage collector has to follow.
+    This runs once per miss of the fused loop's program cache.
     """
     out = protocol.delta(si, sj)
     if out is None:
@@ -737,9 +764,11 @@ class JumpEngine:
         if recorder is None and not self._debug and self._cursor is not None:
             name = "weighted_events"
             index = self._index
-            silent = _run_fused(
-                self, index, index.total_mass(), max_interactions, max_events
-            )
+            with collector_paused():
+                silent = _run_fused(
+                    self, index, index.total_mass(), max_interactions,
+                    max_events,
+                )
         else:
             name = "slow_events"
             silent = self._run_events(max_interactions, recorder, max_events)
@@ -787,9 +816,10 @@ class JumpEngine:
         :func:`_run_fused`), then the run-boundary canonicalisation."""
         events0 = self.events
         interactions0 = self.interactions
-        silent = _run_fused(
-            self, self._index, self._total_pairs, None, max_events
-        )
+        with collector_paused():
+            silent = _run_fused(
+                self, self._index, self._total_pairs, None, max_events
+            )
         if self._instr is not None:
             self._instr.add_counters(
                 events=self.events - events0,
@@ -1125,13 +1155,20 @@ def _run_fused(
     moves)``: each op runs its state's plan from ``fused.state_steps``
     (O(1) count moments for the reset line, one-sided Fenwick writes for
     products, O(1) member moves for pooled slots), followed by one
-    deduplicated weight refresh per composite slot, read through
-    ``slot_kind``/``slot_payload`` — no per-event family dispatch
-    anywhere.  Cache misses count as ``programs_compiled``.  A
+    deduplicated weight refresh per composite slot.  Plan steps are
+    plain integers too; the loop reaches each step's payload (and a
+    product step's side tree) through ``slot_payload[slot]``, and each
+    refreshed slot through ``slot_kind``/``slot_payload`` — no
+    per-event family dispatch anywhere.  Cache misses count as
+    ``programs_compiled`` (see :func:`_compile_program`).  A
     transition whose product slots all weigh zero skips the refresh,
     and a −1/+1 move between two pool members is a single re-label.
     The pool partition is re-evaluated every ``_RECLASSIFY_EVENTS`` so
-    it tracks the drifting count profile.
+    it tracks the drifting count profile.  Both callers run the loop
+    under :func:`~repro.core.fused.collector_paused`: the programs and
+    plans a reset storm compiles are plain-integer tuples, which the
+    cyclic garbage collector would otherwise traverse in hundreds of
+    young passes (and some older ones) per job.
 
     A class-scaled index has no pool, so it never sprints.  Its weights
     carry the 2⁵³ dyadic scale, so each target splices two raws; its
@@ -1585,7 +1622,7 @@ def _run_fused(
             for step in plans[state]:
                 code = step[0]
                 if code == TRIANGULAR:
-                    tri = step[1]
+                    tri = slot_payload[step[1]]
                     tri.counts[step[2]] = new
                     tri.s += delta
                     tri.q += new * new - old * old
@@ -1594,20 +1631,22 @@ def _run_fused(
                     # walk only while the slot can be sampled
                     # (the other side occupied) — a gated side
                     # goes stale and rebuilds on next decode.
-                    prod = step[5]
-                    if step[6]:
+                    prod = slot_payload[step[1]]
+                    if step[3]:
                         prod.init_total += delta
                         if prod.stale & 1 or prod.resp_total == 0:
                             prod.stale |= 1
                             continue
+                        ptree = prod.init_tree
+                        psize = prod.init_size
                     else:
                         prod.resp_total += delta
                         if prod.stale & 2 or prod.init_total == 0:
                             prod.stale |= 2
                             continue
-                    ptree = step[1]
+                        ptree = prod.resp_tree
+                        psize = prod.resp_size
                     node = step[2]
-                    psize = step[3]
                     while node <= psize:
                         ptree[node] += delta
                         node += node & -node

@@ -23,7 +23,9 @@ and the height satisfies ``h <= 2·log2(n)``.
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Iterator, List, Tuple
+from typing import Iterator, List
+
+import numpy as np
 
 from ..exceptions import ProtocolError
 
@@ -49,42 +51,57 @@ class PerfectlyBalancedTree:
         if size < 1:
             raise ProtocolError(f"tree size must be >= 1, got {size}")
         self._size = size
-        kind = [NodeKind.LEAF] * size
-        left = [-1] * size
-        right = [-1] * size
-        parent = [-1] * size
-        level = [0] * size
-        subtree = [0] * size
+        kind = np.zeros(size, dtype=np.int8)  # NodeKind values
+        left = np.full(size, -1, dtype=np.int64)
+        right = np.full(size, -1, dtype=np.int64)
+        parent = np.full(size, -1, dtype=np.int64)
+        level = np.zeros(size, dtype=np.int64)
+        subtree = np.zeros(size, dtype=np.int64)
 
-        # Iterative pre-order construction.
-        stack: List[Tuple[int, int, int, int]] = [(0, size, 0, -1)]
-        while stack:
-            node, k, depth, par = stack.pop()
-            subtree[node] = k
-            level[node] = depth
-            parent[node] = par
+        # Every level is uniform (one kind, one subtree size ``k``), so
+        # the pre-order ids of each level follow from the level above
+        # with array arithmetic, and the per-node fields fill by fancy
+        # indexing: O(height) numpy passes instead of one Python stack
+        # entry per node.  Each level's ids stay ascending: a node's
+        # subtree spans the ids ``[p, p + k)``, so interleaving the two
+        # children of every branching node keeps their order.
+        ids = np.zeros(1, dtype=np.int64)
+        k = size
+        depth = 0
+        while True:
+            subtree[ids] = k
+            level[ids] = depth
             if k == 1:
-                kind[node] = NodeKind.LEAF
-            elif k % 2 == 1:
+                break  # a level of leaves (kind 0) ends the tree
+            first = ids + 1
+            left[ids] = first
+            parent[first] = ids
+            if k % 2 == 1:
                 half = (k - 1) // 2
-                kind[node] = NodeKind.BRANCHING
-                left[node] = node + 1
-                right[node] = node + half + 1
-                stack.append((node + 1, half, depth + 1, node))
-                stack.append((node + half + 1, half, depth + 1, node))
+                second = first + half
+                kind[ids] = NodeKind.BRANCHING
+                right[ids] = second
+                parent[second] = ids
+                children = np.empty(2 * len(ids), dtype=np.int64)
+                children[0::2] = first
+                children[1::2] = second
+                k = half
             else:
-                kind[node] = NodeKind.NON_BRANCHING
-                left[node] = node + 1
-                stack.append((node + 1, k - 1, depth + 1, node))
+                kind[ids] = NodeKind.NON_BRANCHING
+                children = first
+                k -= 1
+            ids = children
+            depth += 1
 
-        self._kind = kind
-        self._left = left
-        self._right = right
-        self._parent = parent
-        self._level = level
-        self._subtree = subtree
-        self._height = max(level)
-        self._leaves = [p for p in range(size) if kind[p] == NodeKind.LEAF]
+        kinds = list(NodeKind)  # indexed by value
+        self._kind = [kinds[code] for code in kind.tolist()]
+        self._left = left.tolist()
+        self._right = right.tolist()
+        self._parent = parent.tolist()
+        self._level = level.tolist()
+        self._subtree = subtree.tolist()
+        self._height = depth
+        self._leaves = ids.tolist()
 
     # ------------------------------------------------------------------
     # Node queries (all O(1))

@@ -1,5 +1,7 @@
 """Unit tests for the jump and sequential engines and the runner API."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -402,8 +404,12 @@ class _NullDeltaAG(AGProtocol):
 
 class TestCompiledTransitionTables:
     def test_compiled_programs_are_plain_data(self):
-        """Cached programs hold no object the cyclic garbage collector
-        must keep tracking: the per-state plans carry the references."""
+        """Cached programs and the per-state plans they run through hold
+        no object the cyclic garbage collector must keep tracking: plan
+        steps name their payloads by slot.  The reset-storm run ends in
+        a young pass (the fused loop runs with the collector paused, and
+        the exit resync starts the pass), which untracks the steps, so
+        one more collection untracks every plan."""
         engine = _reset_storm_engine()
         engine.run(max_events=20_000)
         entries = list(engine._pair_table.values()) + [
@@ -411,6 +417,14 @@ class TestCompiledTransitionTables:
         ]
         assert len(entries) >= 1000
         assert all(_plain(entry) for entry in entries)
+        gc.collect()
+        plans = [plan for plan in engine._index.state_steps if plan]
+        assert len(plans) >= 1000
+        assert all(_plain(plan) for plan in plans)
+        assert not any(gc.is_tracked(plan) for plan in plans)
+        assert not any(
+            gc.is_tracked(step) for plan in plans for step in plan
+        )
 
         engine = _weighted_timeline_engine()
         engine.run(max_events=8000)
@@ -422,6 +436,20 @@ class TestCompiledTransitionTables:
         ]
         assert entries
         assert all(_plain(entry) for entry in entries)
+        # Plans built after the run's last collection take two: the
+        # first untracks their steps, the second the plans.
+        gc.collect()
+        gc.collect()
+        plans = [
+            plan
+            for index in {id(seg[0]): seg[0] for seg in engine._segments}
+            .values()
+            for plan in index.state_steps
+            if plan
+        ]
+        assert plans
+        assert all(_plain(plan) for plan in plans)
+        assert not any(gc.is_tracked(plan) for plan in plans)
 
     def test_compile_counter_counts_cache_misses(self):
         instr = Instrumentation()

@@ -346,9 +346,18 @@ class TestCustomFamilies:
         assert engine.run(max_events=10_000)
 
 
+class _FailingDeltaTree(TreeRankingProtocol):
+    """The tree's families with a ``delta`` that raises: the first
+    program the fused loop compiles fails."""
+
+    def delta(self, initiator, responder):
+        raise RuntimeError("delta failed")
+
+
 class TestCollectorPause:
-    """Engine construction pauses the cyclic garbage collector and hands
-    it back as it found it, also when a family fails to compile."""
+    """Engine construction and the fused loop pause the cyclic garbage
+    collector and hand it back as they found it, also when a family
+    fails to compile or a ``delta`` raises inside the loop."""
 
     def test_construction_runs_no_collector_passes(self):
         # Every compile pass allocates per state.  With the collector on
@@ -370,6 +379,34 @@ class TestCollectorPause:
             gc.callbacks.remove(count)
             (gc.enable if was_on else gc.disable)()
         # What the pause built meets one young pass after it.
+        assert len(passes) <= 2
+
+    def test_fused_loop_runs_no_collector_passes(self):
+        # Tree n = 4096 from a random start: the reset storm compiles
+        # thousands of programs and plans in 20 000 events.  With the
+        # collector on inside the loop, this run started 36 passes.
+        protocol = TreeRankingProtocol(4096)
+        engine = JumpEngine(
+            protocol, random_configuration(protocol, seed=11),
+            np.random.default_rng(11),
+        )
+        passes = []
+
+        def count(phase, info):
+            if phase == "start":
+                passes.append(info["generation"])
+
+        was_on = gc.isenabled()
+        gc.enable()
+        gc.callbacks.append(count)
+        try:
+            engine.run(max_events=20_000)
+        finally:
+            gc.callbacks.remove(count)
+            (gc.enable if was_on else gc.disable)()
+        assert engine.events == 20_000
+        assert len(engine._pair_table) >= 1000
+        # What the loop built meets one young pass after it.
         assert len(passes) <= 2
 
     @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
@@ -398,6 +435,33 @@ class TestCollectorPause:
             protocol, random_configuration(protocol, seed=1),
             np.random.default_rng(0), self._scheduler(protocol),
         )
+        assert gc.isenabled() is collecting
+
+    @pytest.mark.parametrize("biased", [False, True],
+                             ids=["uniform", "biased"])
+    def test_fused_run(self, collecting, biased):
+        protocol = TreeRankingProtocol(33, k=2)
+        scheduler = self._scheduler(protocol) if biased else None
+        engine = JumpEngine(
+            protocol, random_configuration(protocol, seed=1),
+            np.random.default_rng(0), scheduler,
+        )
+        engine.run(max_events=2000)
+        assert engine.events > 0
+        assert engine._pair_table  # the fused loop compiled programs
+        assert gc.isenabled() is collecting
+
+    @pytest.mark.parametrize("biased", [False, True],
+                             ids=["uniform", "biased"])
+    def test_fused_run_whose_delta_raises(self, collecting, biased):
+        protocol = _FailingDeltaTree(33, k=2)
+        scheduler = self._scheduler(protocol) if biased else None
+        engine = JumpEngine(
+            protocol, random_configuration(protocol, seed=1),
+            np.random.default_rng(0), scheduler,
+        )
+        with pytest.raises(RuntimeError, match="delta failed"):
+            engine.run(max_events=2000)
         assert gc.isenabled() is collecting
 
     def test_pause_ends_when_the_block_raises(self, collecting):

@@ -225,7 +225,9 @@ class TestClassifierMatchesDictHistogram:
 
 
 def eager_state_steps(index, families, num_states):
-    """The per-state plans as the index used to build them, eagerly."""
+    """The per-state plans built eagerly, structure by structure, in the
+    plain-integer layout: ``(PRODUCT, slot, node, initiator)``,
+    ``(TRIANGULAR, slot, pos)`` and ``(SAME, slot, node)``."""
     steps = [[] for _ in range(num_states)]
     slot = 0
     same_state = []
@@ -236,18 +238,12 @@ def eager_state_steps(index, families, num_states):
         payload = index.slot_payload[slot]
         if type(family) is OrderedProduct:
             for pos, state in enumerate(payload.initiators):
-                steps[state].append(
-                    (PRODUCT, payload.init_tree, pos + 1,
-                     payload.init_size, slot, payload, True)
-                )
+                steps[state].append((PRODUCT, slot, pos + 1, True))
             for pos, state in enumerate(payload.responders):
-                steps[state].append(
-                    (PRODUCT, payload.resp_tree, pos + 1,
-                     payload.resp_size, slot, payload, False)
-                )
+                steps[state].append((PRODUCT, slot, pos + 1, False))
         else:
             for pos, state in enumerate(payload.line):
-                steps[state].append((TRIANGULAR, payload, pos, slot))
+                steps[state].append((TRIANGULAR, slot, pos))
         slot += 1
     num_composite = index.num_composite
     slot = num_composite
@@ -258,12 +254,9 @@ def eager_state_steps(index, families, num_states):
     return [tuple(entries) for entries in steps]
 
 
-def _identities(plan):
-    """A plan with every non-integer field replaced by its identity."""
-    return tuple(
-        tuple(x if type(x) in (int, bool) else ("id", id(x)) for x in step)
-        for step in plan
-    )
+def _plain(plan):
+    """True iff every field of every step is an int or a bool."""
+    return all(type(x) in (int, bool) for step in plan for x in step)
 
 
 class TestLazyPlansMatchEagerBuild:
@@ -290,5 +283,6 @@ class TestLazyPlansMatchEagerBuild:
         order = np.random.default_rng(5).permutation(protocol.num_states)
         for state in order.tolist():
             plan = index._plans.plan(state)
-            assert _identities(plan) == _identities(expected[state])
+            assert plan == expected[state]
+            assert _plain(plan)
             assert index.state_steps[state] is plan
