@@ -5,13 +5,18 @@ engine's ``numpy.random.Generator`` and serves the handful of draw
 kinds the engines consume, each from its own buffer that refills in
 one vectorised batch when it runs dry:
 
-* **uniform** — float64 in ``[0, 1)``, the geometric skip's
-  inverse-CDF input (:meth:`~DrawStream.next_uniform`);
+* **uniform** — one float64 batch in ``[0, 1)`` that the jump engine
+  draws at construction.  No loop reads it: the jump loops take their
+  skips from log-uniform batches.  The batch stays because the
+  generator state after it starts every jump trajectory, and the
+  stored version-2 snapshots carry it (a biased engine never
+  discards it, so its snapshots hold all 8 192 floats);
 * **raw** — 64-bit integers, the source of every exact integer draw
   (:meth:`~DrawStream.next_raw`, :meth:`~DrawStream.rand_below`), the
   fused loop's routed targets and pool proposals included;
-* **log-uniform** — precomputed ``log(1 − u)``, the fast loops' skip
-  numerators (:meth:`~DrawStream.next_log_uniform`);
+* **log-uniform** — precomputed ``log(1 − u)``, the skip numerators of
+  the jump loops and the batch kernel
+  (:meth:`~DrawStream.next_log_uniform`);
 * **accept** — float64 thresholds for rejection acceptance tests
   (:meth:`~DrawStream.next_accept`);
 * **pair** — uniform ordered pairs of distinct agents for the
@@ -20,7 +25,7 @@ one vectorised batch when it runs dry:
 Which channel an engine reads, and in what order, fixes its generator
 consumption — and with it every trajectory — so the refill batch sizes
 and the exact numpy calls here are part of the engines' bit-exactness
-contract.  The hand-inlined hot loops keep loop-local cursors over
+contract.  The hand-inlined hot loops keep their own cursors over
 batches from the ``*_batch`` producers, which advance the generator
 and nothing else.
 
@@ -28,16 +33,16 @@ Checkpoints: :meth:`~DrawStream.capture` returns the
 :class:`~repro.core.snapshot.EngineSnapshot` fields for the exact
 generator state and the unconsumed tails of the uniform, raw, pair and
 accept channels; :meth:`~DrawStream.restore` adopts them.  The
-log-uniform tail never travels: the one engine that keeps it across
-calls (the batch kernel) :meth:`~DrawStream.discard`\\ s it before
-capturing, which is exact because unconsumed i.i.d. draws at a
-stopping time can be dropped.
+log-uniform tail never travels: the batch kernel, which keeps it in
+the stream across calls, :meth:`~DrawStream.discard`\\ s it before
+capturing, and the jump engine's fused loop, which carries its own
+log-uniform and raw batches between calls, drops them.  Both are exact
+because unconsumed i.i.d. draws at a stopping time can be dropped.
 """
 
 from __future__ import annotations
 
 import copy
-import math
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -61,8 +66,8 @@ _SINGLE_RAW_MAX = 1 << 62
 class DrawStream:
     """A generator plus the batched draw channels one engine reads.
 
-    ``uniforms=True`` draws the first uniform batch at construction, as
-    the jump-chain engines' trajectories require.  ``agents`` is the
+    ``uniforms=True`` draws the uniform batch at construction, as the
+    jump engine's trajectories require.  ``agents`` is the
     population size, needed only by the pair channel.
     """
 
@@ -124,14 +129,6 @@ class DrawStream:
     # ------------------------------------------------------------------
     # Buffered channels
     # ------------------------------------------------------------------
-    def next_uniform(self) -> float:
-        pos = self.uniform_pos
-        if pos >= len(self.uniforms):
-            self.uniforms = self.uniform_batch()
-            pos = 0
-        self.uniform_pos = pos + 1
-        return self.uniforms[pos]
-
     def refill_raws(self) -> List[int]:
         """Replace the raw buffer with a fresh batch and return it."""
         self.raws = raws = self.raw_batch()
@@ -176,20 +173,6 @@ class DrawStream:
                 value = (value << 64) | self.next_raw()
             if value < limit:
                 return value % bound
-
-    def geometric_skip(self, p: float) -> int:
-        """Steps until the next success (>= 1) at success rate ``p``.
-
-        Exact inverse-CDF from one uniform; a certain success consumes
-        no draw.
-        """
-        if p >= 1.0:
-            return 1
-        u = self.next_uniform()
-        if u <= p:
-            return 1  # ceil(log(1-u)/log(1-p)) == 1 iff u <= p
-        skip = math.ceil(math.log(1.0 - u) / math.log1p(-p))
-        return skip if skip >= 1 else 1
 
     def refill_log_uniforms(self) -> List[float]:
         """Replace the log-uniform buffer with a fresh batch; return it."""

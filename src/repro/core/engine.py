@@ -18,7 +18,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..exceptions import SimulationError, SimulationLimitReached
+from ..exceptions import (
+    ConfigurationError,
+    SimulationError,
+    SimulationLimitReached,
+)
 from .configuration import Configuration
 from .protocol import PopulationProtocol
 
@@ -147,21 +151,23 @@ def checked_counts(
     """Counts of a ``reset_configuration`` target, validated.
 
     The shared check behind every engine's fault seam: the state space
-    and the population size must not change, and no count may be
-    negative.
+    and the population size must not change, and a plain sequence must
+    hold non-negative integers.  It is read as a
+    :class:`~repro.core.configuration.Configuration`, through
+    ``operator.index``, so Python and numpy integers pass while a float
+    or a string raises instead of being truncated or parsed by ``int``.
     """
-    counts = (
-        configuration.counts_list()
-        if isinstance(configuration, Configuration)
-        else [int(c) for c in configuration]
-    )
+    if not isinstance(configuration, Configuration):
+        try:
+            configuration = Configuration(configuration)
+        except ConfigurationError as error:
+            raise SimulationError(f"reset configuration: {error}") from None
+    counts = configuration.counts_list()
     if len(counts) != num_states:
         raise SimulationError(
             f"reset configuration has {len(counts)} states, "
             f"engine has {num_states}"
         )
-    if any(c < 0 for c in counts):
-        raise SimulationError("reset configuration has negative counts")
     if sum(counts) != num_agents:
         raise SimulationError(
             f"reset configuration has {sum(counts)} agents, "

@@ -232,7 +232,9 @@ class _ProposalPool:
     ``s`` is returned with probability exactly ``c_s(c_s−1)/(N·m̂)``
     per attempt — proportional to its slot weight.  ``m̂`` only ever
     grows between reclassifications (set on every count increase), so
-    the bound ``m̂ >= c_s`` can never be violated mid-run.
+    the bound ``m̂ >= c_s`` can never be violated mid-run.  The jump
+    engine's fused loop (``repro.core.jump._run_fused``) draws and moves
+    members inline; this class builds the partition it works on.
     """
 
     __slots__ = ("slot", "positions", "agents",
@@ -273,7 +275,7 @@ class _ProposalPool:
         outlier would otherwise inflate ``m̂`` for every small member,
         while the Fenwick walk serves a lone fat slot perfectly well.
         Counts drifting *into* the window after classification are
-        migrated eagerly by the update paths (see ``lo``/``hi``);
+        migrated eagerly by the fused loop (see ``lo``/``hi``);
         drifting out is harmless (drained members are expelled on the
         spot and overgrown ones only stretch ``m̂``) until the next
         reclassification re-balances.
@@ -291,7 +293,7 @@ class _ProposalPool:
 
         Returns the membership mask over the candidate states, in
         candidate order.  It describes the partition as classified: the
-        update paths migrate members in and out afterwards without
+        fused loop migrates members in and out afterwards without
         touching it.
         """
         positions = self.positions
@@ -370,76 +372,6 @@ class _ProposalPool:
         self.weight = int((member_counts * (member_counts - 1)).sum())
         return member
 
-    def count_change(self, state: int, old: int, new: int) -> Optional[int]:
-        """Adopt a member state's new count; returns the raw weight delta.
-
-        Returns ``None`` when ``state`` is tree-mode (caller falls back
-        to the Fenwick update).  Members draining below a pair are
-        expelled on the spot — a weightless member only dilutes the
-        proposal acceptance, and with eager expulsion the pool never
-        accumulates drag between reclassifications.
-        """
-        plist = self.positions[state]
-        if plist is None:
-            return None
-        agents = self.agents
-        where = self.where
-        if new > old:
-            for _ in range(new - old):
-                pos = len(agents)
-                where.append(len(plist))
-                plist.append(pos)
-                agents.append(state)
-            if new > self.mhat:
-                self.mhat = new
-        else:
-            removals = old - new if new >= 2 else old
-            for _ in range(removals):
-                pos = plist.pop()
-                last = len(agents) - 1
-                if pos != last:
-                    moved = agents[last]
-                    moved_where = where[last]
-                    agents[pos] = moved
-                    where[pos] = moved_where
-                    self.positions[moved][moved_where] = pos
-                agents.pop()
-                where.pop()
-            if new < 2:
-                self.positions[state] = None
-        delta = new * (new - 1) - old * (old - 1)
-        self.weight += delta
-        return delta
-
-    def migrate_in(self, state: int, count: int) -> int:
-        """Adopt a tree-mode state whose count drifted into the window.
-
-        Returns the raw weight gained by the pool; the caller zeroes the
-        state's Fenwick slot, so subsequent updates to this state are
-        O(1) member moves instead of tree walks.
-        """
-        agents = self.agents
-        base = len(agents)
-        self.positions[state] = list(range(base, base + count))
-        agents.extend([state] * count)
-        self.where.extend(range(count))
-        if count > self.mhat:
-            self.mhat = count
-        gained = count * (count - 1)
-        self.weight += gained
-        return gained
-
-    def sample_state(self, rand_below) -> int:
-        """One member state, drawn ∝ ``c(c−1)`` (callers ensure weight > 0)."""
-        agents = self.agents
-        positions = self.positions
-        mhat = self.mhat
-        bound = len(agents) * mhat
-        while True:
-            draw = rand_below(bound)
-            state = agents[draw // mhat]
-            if draw % mhat < len(positions[state]) - 1:
-                return state
 
 
 class _ProductSlot:
@@ -719,13 +651,6 @@ class _StatePlans:
         self._members.append(states)
         self._templates.append((code, slot, extra))
 
-    def plan(self, state: int) -> tuple:
-        """``state``'s plan, built and stored on first use."""
-        plan = self.steps[state]
-        if plan is None:
-            plan = self.build(state)
-        return plan
-
     def build(self, state: int) -> tuple:
         """Build and store ``state``'s plan and signature."""
         positions = self._positions
@@ -996,76 +921,6 @@ class FusedIndex:
         return tuple(slots)
 
     # ------------------------------------------------------------------
-    # Slot-level primitives
-    # ------------------------------------------------------------------
-    def _set(self, slot: int, weight: int) -> int:
-        """Set one slot's weight; returns the delta applied."""
-        values = self.values
-        delta = weight - values[slot]
-        if delta == 0:
-            return 0
-        values[slot] = weight
-        self.total += delta
-        num_composite = self.num_composite
-        if slot >= num_composite:
-            tree = self.tree
-            node = slot - num_composite + 1
-            size = self.fenwick_size
-            while node <= size:
-                tree[node] += delta
-                node += node & -node
-        return delta
-
-    def find(self, target: int) -> Tuple[int, int]:
-        """Slot hit by a weighted draw, plus the residual target.
-
-        The handful of composite slots resolve with a linear scan; only
-        draws landing in the same-state block walk the Fenwick tree.
-        """
-        if not 0 <= target < self.total:
-            raise SimulationError(
-                f"fused find target {target} outside [0, {self.total})"
-            )
-        values = self.values
-        residual = target
-        for slot in range(self.num_composite):
-            value = values[slot]
-            if residual < value:
-                return slot, residual
-            residual -= value
-        tree = self.tree
-        size = self.fenwick_size
-        pos = 0
-        bit = 1 << (size.bit_length() - 1) if size else 0
-        while bit:
-            nxt = pos + bit
-            if nxt <= size:
-                below = tree[nxt]
-                if below <= residual:
-                    residual -= below
-                    pos = nxt
-            bit >>= 1
-        return pos + self.num_composite, residual
-
-    def pair_from_slot(
-        self, slot: int, residual: int, rand_below
-    ) -> Tuple[int, int]:
-        """Decode the sampled ordered state pair of one slot."""
-        kind = self.slot_kind[slot]
-        payload = self.slot_payload[slot]
-        if kind == SAME:
-            return payload, payload
-        if kind == PROPOSAL:
-            state = payload.sample_state(rand_below)
-            return state, state
-        return payload.pair_from_target(residual)
-
-    def sample(self, rand_below) -> Tuple[int, int]:
-        """Draw a productive ordered state pair ∝ its slot weight."""
-        slot, residual = self.find(rand_below(self.total))
-        return self.pair_from_slot(slot, residual, rand_below)
-
-    # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
     def resync(self, counts: Sequence[int]) -> None:
@@ -1152,68 +1007,6 @@ class FusedIndex:
             ]
         self.values[self.num_composite:] = weights
         return pooled + fill_tree(self.tree, self.fenwick_size, block)
-
-    def apply_count_change(self, state: int, old: int, new: int) -> int:
-        """Route one count change to every structure touching ``state``.
-
-        Returns the total-weight delta (also applied to :attr:`total`).
-        This is the generic path used by ``step()`` and by protocols
-        that opt out of transition compilation; hot loops execute the
-        precompiled programs from :meth:`compile_transition` instead.
-        """
-        delta = new - old
-        delta_w = 0
-        pool = self.pool
-        for step in self._plans.plan(state):
-            kind = step[0]
-            if kind == SAME:
-                pooled = (
-                    pool.count_change(state, old, new)
-                    if pool is not None else None
-                )
-                if pooled is not None:
-                    if pooled:
-                        self.values[pool.slot] += pooled
-                        self.total += pooled
-                        delta_w += pooled
-                elif pool is not None and pool.lo <= new <= pool.hi:
-                    # Count drifted into the pool window: migrate now so
-                    # further updates are O(1) member moves.
-                    gained = pool.migrate_in(state, new)
-                    self.values[pool.slot] += gained
-                    self.total += gained
-                    delta_w += gained + self._set(step[1], 0)
-                else:
-                    delta_w += self._set(step[1], new * (new - 1))
-            elif kind == SCALED_SAME:
-                delta_w += self._set(step[1], step[3] * new * (new - 1))
-            elif kind == PRODUCT:
-                slot, node = step[1], step[2]
-                payload = self.slot_payload[slot]
-                if step[3]:
-                    payload.init_total += delta
-                    tree, size = payload.init_tree, payload.init_size
-                    if payload.stale & 1 or payload.resp_total == 0:
-                        payload.stale |= 1
-                        node = size + 1  # gated: skip the walk
-                else:
-                    payload.resp_total += delta
-                    tree, size = payload.resp_tree, payload.resp_size
-                    if payload.stale & 2 or payload.init_total == 0:
-                        payload.stale |= 2
-                        node = size + 1  # gated: skip the walk
-                while node <= size:
-                    tree[node] += delta
-                    node += node & -node
-                delta_w += self._set(slot, payload.weight())
-            else:  # TRIANGULAR
-                slot = step[1]
-                payload = self.slot_payload[slot]
-                payload.counts[step[2]] = new
-                payload.s += delta
-                payload.q += new * new - old * old
-                delta_w += self._set(slot, payload.weight())
-        return delta_w
 
     def compile_transition(
         self, ops: Sequence[Tuple[int, int]]
@@ -1387,14 +1180,6 @@ class WeightedFusedIndex(FusedIndex):
             sum(w * count for w, count in zip(row, class_counts))
             for row in self.class_matrix
         ]
-
-    def add_class_count(self, state: int, delta: int) -> None:
-        """Adopt one state's count change in the class sums."""
-        cls = self.class_of[state]
-        self.class_counts[cls] += delta
-        row_dot = self._row_dot
-        for p, row in enumerate(self.class_matrix):
-            row_dot[p] += row[cls] * delta
 
     def resync(self, counts: Sequence[int]) -> None:
         """Reload every slot weight and class sum from a counts list, in place.

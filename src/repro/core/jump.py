@@ -23,7 +23,7 @@ index over all productive pair slots.  The index accepts exactly the
 three family shapes of :mod:`~repro.core.families`, so a protocol with
 any other family type fails at construction (it runs with
 ``engine="sequential"``), and the engine never rebuilds its index:
-faults, snapshots, restores and the exit of each fast loop
+faults, snapshots, restores and the exit of each uniform ``run()``
 canonicalise it with one in-place resync.  The engine runs the index
 through the fused jump loop, :func:`_run_fused`, which samples a
 productive ordered pair with one Fenwick ``find`` (the residual target
@@ -32,11 +32,13 @@ through precompiled per-state plans with O(1)-amortised slot deltas.
 Given a scheduler, the engine compiles one class-scaled
 :class:`~repro.core.fused.WeightedFusedIndex` per distinct timeline
 segment instead (``WeightedScheduledEngine`` names the same class),
-and the same loop runs every recorder-free segment on the active one:
-its few biased-only branches (two-raw targets, the scaled slot codes,
-the step-mass update after a class move, the interactions cap) are
-ones the uniform index never enters.  Recorders, ``debug`` mode and a
-uniform run's interactions cap take one per-event loop in both modes.
+and the same loop runs every segment on the active one: its few
+biased-only branches (two-raw targets, the scaled slot codes, the
+step-mass update after a class move) are ones the uniform index never
+enters.  The fused loop is the index's one realisation: ``step()`` is
+one call of it for one event, and a recorder or ``debug`` mode runs it
+one event per call.  The loop keeps its state on the engine between
+calls, so those runs follow the recorder-free trajectory.
 The uniform index is *hybrid*: same-state slots whose counts sit in the
 classifier's window pool their mass into a proposal pseudo-slot served
 by O(1) agent-proposal rejection (and O(1) member moves on update),
@@ -65,8 +67,8 @@ the ``delta`` call, the branch-wise net ops (:func:`_transition_ops`),
 the plans of states no program touched before, and one lookup in the
 index's memo of compiled *shapes*
 (:meth:`~repro.core.fused.FusedIndex.compile_transition`): the storm's
-(red line state, rank) programs share a handful of shapes.  The loop
-runs with the cyclic garbage collector paused
+(red line state, rank) programs share a handful of shapes.  ``run()``
+calls the loop with the cyclic garbage collector paused
 (:func:`~repro.core.fused.collector_paused`), so what a storm compiles
 meets one young pass after the loop instead of hundreds during it.
 
@@ -287,9 +289,10 @@ class JumpEngine:
     :func:`~repro.core.engine.build_engine` then falls back to the
     rejection engine.
 
-    ``debug=True`` re-verifies after every productive event that the
-    index total matches :meth:`recomputed_weight` (and routes ``run()``
-    through the per-event loop).
+    ``debug=True`` runs ``run()`` on the fused loop one event per call,
+    as a recorder does, and re-verifies after every productive event,
+    of ``run()`` and of ``step()``, that the index total the loop keeps
+    matches :meth:`recomputed_weight`.
     """
 
     def __init__(
@@ -326,6 +329,10 @@ class JumpEngine:
         self._total_pairs = n * (n - 1)
         self.interactions = 0
         self.events = 0
+        # The fused loop's state between calls, and its last event (see
+        # _run_fused); None drops the state.
+        self._loop_state: Optional[tuple] = None
+        self._last_event: Optional[tuple] = None
         self._cursor = None
         self._ss_table = None
         if scheduler is not None:
@@ -471,6 +478,8 @@ class JumpEngine:
         if swapped:
             # The incoming index went stale while another segment ran;
             # one in-place resync from the live counts revalidates it.
+            # The loop state belongs to the outgoing index.
+            self._loop_state = None
             segment[0].resync(self.counts)
             self._index, self._pair_table, self._ss_progs = segment
         if self._instr is not None:
@@ -555,6 +564,7 @@ class JumpEngine:
         self.counts = checked_counts(
             configuration, self._num_states, self._protocol.num_agents
         )
+        self._loop_state = None
         self._index.resync(self.counts)
         if self._instr is not None:
             self._instr.add("resyncs")
@@ -565,13 +575,14 @@ class JumpEngine:
     def snapshot(self) -> EngineSnapshot:
         """Plain-data checkpoint for bit-exact resumption.
 
-        Canonicalises the active index first with one in-place resync
-        (see :mod:`repro.core.snapshot` for the exactness contract),
-        then captures counts, counters, the epoch cursor of a biased
+        Drops the fused loop's state and canonicalises the active index
+        first with one in-place resync (see :mod:`repro.core.snapshot`
+        for the exactness contract), then captures counts, counters, the epoch cursor of a biased
         engine, the exact bit-generator state and the unconsumed
         buffered draws.  A uniform engine writes a ``jump`` snapshot, a
         biased one a ``weighted`` snapshot.
         """
+        self._loop_state = None
         self._index.resync(self.counts)
         if self._instr is not None:
             self._instr.add("snapshots")
@@ -611,6 +622,7 @@ class JumpEngine:
                 self._segments[cursor.epoch]
             )
         self.counts = [int(c) for c in snapshot.counts]
+        self._loop_state = None
         self._index.resync(self.counts)
         self.interactions = snapshot.interactions
         self.events = snapshot.events
@@ -625,65 +637,16 @@ class JumpEngine:
     # ------------------------------------------------------------------
     # Simulation
     # ------------------------------------------------------------------
-    def _transition(self, si: int, sj: int) -> tuple:
-        """``(ti, tj, ops, ...)`` for a productive pair, from the active
-        index's program cache."""
-        table = self._pair_table
-        entry = table.get(si * self._num_states + sj)
-        if entry is None:
-            entry = _compile_program(self._protocol, self._index, si, sj)
-            table[si * self._num_states + sj] = entry
-        return entry
-
-    def _apply_ops(self, ops) -> None:
-        """Apply precomputed count deltas, keeping the index (its total
-        and, under a scheduler, its class sums) synced."""
-        counts = self.counts
-        index = self._index
-        scaled = self._cursor is not None
-        for state, delta in ops:
-            old = counts[state]
-            new = old + delta
-            if new < 0:
-                raise SimulationError(
-                    f"state {state} count went negative applying transition"
-                )
-            counts[state] = new
-            index.apply_count_change(state, old, new)
-            if scaled:
-                index.add_class_count(state, delta)
-
-    def _event(self, max_interactions: Optional[int]) -> Optional[tuple]:
-        """Draw and apply the next productive event under the active
-        index; returns ``(si, sj, ti, tj)``.
-
-        A geometric skip overshooting ``max_interactions`` clamps the
-        clock there and returns ``None`` without applying the pending
-        event (exact: the skip is memoryless).
-        """
-        index = self._index
-        draws = self._draws
-        skip = draws.geometric_skip(index.total / self.total_mass())
-        if (
-            max_interactions is not None
-            and self.interactions + skip > max_interactions
-        ):
-            self.interactions = max_interactions
-            return None
-        self.interactions += skip
-        si, sj = index.sample(draws.rand_below)
-        ti, tj, ops = self._transition(si, sj)[:3]
-        self._apply_ops(ops)
-        self.events += 1
-        if self._debug:
-            self._assert_weight_sync()
-        return si, sj, ti, tj
-
     def step(self) -> Optional[Event]:
         """Advance to (and apply) the next productive interaction.
 
-        Returns ``None`` when the configuration is silent.  Epoch
-        boundaries already met are crossed first; a geometric skip
+        Returns ``None`` when the configuration is silent.  The event is
+        one :func:`_run_fused` call of one event, which continues from
+        the loop state the previous call left on the engine, so ``k``
+        calls replay one ``k``-event call of the loop bit for bit.  The
+        call runs with the cyclic collector on: a pause per event would
+        cost the step-driven experiments more than the loop's compiles.
+        Epoch boundaries already met are crossed first; a geometric skip
         overshooting an ``interactions`` boundary clamps there and
         redraws under the next segment.  Predicate boundaries are
         evaluated every ``check_every`` productive events — the window
@@ -691,17 +654,27 @@ class JumpEngine:
         rejection engine) fire them identically.
         """
         cursor = self._cursor
-        while cursor is not None and self._boundary_met():
-            self._advance_epoch()
-        if self._index.total == 0:
-            return None
-        cap = None
-        if cursor is not None:
-            cap = cursor.caps(self.events, self.interactions, None, None)[0]
-        pair = self._event(cap)
-        if pair is None:
-            return self.step()
-        return Event(self.interactions, *pair)
+        while True:
+            while cursor is not None and self._boundary_met():
+                self._advance_epoch()
+            if self._index.total == 0:
+                return None
+            cap = None
+            if cursor is not None:
+                cap = cursor.caps(self.events, self.interactions, None, None)[0]
+            events = self.events
+            interactions = self.interactions
+            _run_fused(self, cap, events + 1)
+            if self._instr is not None:
+                self._instr.add_counters(
+                    events=self.events - events,
+                    interactions=self.interactions - interactions,
+                    slow_events=self.events - events,
+                )
+            if self.events != events:
+                if self._debug:
+                    self._assert_weight_sync()
+                return Event(self.interactions, *self._last_event)
 
     def run(
         self,
@@ -723,30 +696,46 @@ class JumpEngine:
         engine's actual work — which is the effective guard for runs
         that churn without converging.
 
-        A uniform recorder-free run without an interaction budget
-        dispatches to the same-state loop or the fused loop, which
-        canonicalise the index on exit.  A biased run crosses its
-        timeline segment by segment, each recorder-free segment on the
-        fused loop.  A recorder, ``debug`` mode or a uniform run's
-        interaction budget selects the per-event loop.
+        A uniform run without a recorder, an interaction budget or
+        ``debug`` mode on a same-state-only protocol takes the
+        same-state loop; every other run takes the fused loop
+        (:func:`_run_fused`), a biased one segment by segment.  A
+        recorder or ``debug`` mode runs that loop one event per call,
+        which continues the previous call's loop state, so the
+        trajectory is the recorder-free one.  On exit the loop state is
+        dropped, and a uniform run then canonicalises the index with
+        one in-place resync and discards the buffered draws.
         """
         cursor = self._cursor
-        if (
-            cursor is None and recorder is None
-            and max_interactions is None and not self._debug
-        ):
-            if self._ss_table is not None:
-                return self._run_fast_same_state(max_events)
-            return self._run_fast_general(max_events)
         if recorder is not None:
             recorder.on_start(self.counts)
-        if cursor is None:
-            silent = self._run_segment(max_interactions, recorder, max_events)
-        else:
+        if cursor is not None:
             silent = cursor.drive(
                 self, self._run_segment, max_interactions, recorder,
                 max_events,
             )
+        elif (
+            self._ss_table is not None and recorder is None
+            and max_interactions is None and not self._debug
+        ):
+            silent = self._run_fast_same_state(max_events)
+        else:
+            silent = self._run_segment(max_interactions, recorder, max_events)
+        self._loop_state = None
+        if cursor is None:
+            # Canonicalise the sampler at the run boundary: the pool
+            # partition and any stale product sides drift with the
+            # loop's history, so one in-place resync makes the post-run
+            # state a pure function of the final counts — the same
+            # re-partition the loop performs every
+            # ``_RECLASSIFY_EVENTS``, and the contract the checkpoint
+            # seam (``snapshot``/``restore``) relies on for
+            # bit-identical resumption.  The same-state loop leaves the
+            # index stale, which the resync also repairs.
+            self._index.resync(self.counts)
+            # Discard any shared buffered draws so the next run starts
+            # from fresh batches of the (advanced) generator stream.
+            self._draws.discard()
         if recorder is not None:
             recorder.on_finish(silent, self.interactions, self.counts)
         return silent
@@ -757,29 +746,25 @@ class JumpEngine:
         recorder: Optional[Recorder],
         max_events: Optional[int],
     ) -> bool:
-        """One chunk under the active index: the fused loop for a
-        recorder-free biased segment, else the per-event loop."""
+        """One chunk under the active index: one fused-loop call, or one
+        call per event with a recorder or in ``debug`` mode."""
         events0 = self.events
         interactions0 = self.interactions
-        if recorder is None and not self._debug and self._cursor is not None:
-            name = "weighted_events"
-            index = self._index
+        if recorder is None and not self._debug:
             with collector_paused():
-                silent = _run_fused(
-                    self, index, index.total_mass(), max_interactions,
-                    max_events,
-                )
+                silent = _run_fused(self, max_interactions, max_events)
+            name = None if self._cursor is None else "weighted_events"
         else:
-            name = "slow_events"
             silent = self._run_events(max_interactions, recorder, max_events)
+            name = "slow_events"
         if self._instr is not None:
             # Flush this chunk's event delta under the loop that ran it.
             events = self.events - events0
             self._instr.add_counters(
-                events=events,
-                interactions=self.interactions - interactions0,
-                **{name: events},
+                events=events, interactions=self.interactions - interactions0
             )
+            if name is not None:
+                self._instr.add(name, events)
         return silent
 
     def _run_events(
@@ -788,56 +773,24 @@ class JumpEngine:
         recorder: Optional[Recorder],
         max_events: Optional[int],
     ) -> bool:
-        """The per-event loop: recorders, debug mode and a uniform
-        run's interaction budget."""
-        while True:
-            if self._index.total == 0:
-                return True
-            if max_events is not None and self.events >= max_events:
-                return False
-            if (
-                max_interactions is not None
-                and self.interactions >= max_interactions
-            ):
-                return False
-            pair = self._event(max_interactions)
-            if pair is None:
-                return False
+        """The fused loop one event per call: recorders and debug mode."""
+        while max_events is None or self.events < max_events:
+            events = self.events
+            silent = _run_fused(self, max_interactions, events + 1)
+            if self.events == events:
+                # Silent, or the interactions budget stopped the call.
+                return silent
+            if self._debug:
+                self._assert_weight_sync()
             if recorder is not None:
                 recorder.on_event(
-                    Event(self.interactions, *pair), self.counts
+                    Event(self.interactions, *self._last_event), self.counts
                 )
+        return self._index.total == 0
 
     # ------------------------------------------------------------------
-    # Uniform fast loops — no recorder, no interaction budget, no Events
+    # The uniform same-state loop — no recorder, no interaction budget
     # ------------------------------------------------------------------
-    def _run_fast_general(self, max_events: Optional[int]) -> bool:
-        """The shared fused loop on the uniform index (see
-        :func:`_run_fused`), then the run-boundary canonicalisation."""
-        events0 = self.events
-        interactions0 = self.interactions
-        with collector_paused():
-            silent = _run_fused(
-                self, self._index, self._total_pairs, None, max_events
-            )
-        if self._instr is not None:
-            self._instr.add_counters(
-                events=self.events - events0,
-                interactions=self.interactions - interactions0,
-            )
-        # Canonicalise the sampler at the run boundary: the pool
-        # partition and any stale product sides drift with the loop's
-        # history, so one in-place resync makes the post-run state a
-        # pure function of the final counts — the same re-partition the
-        # loop performs every ``_RECLASSIFY_EVENTS``, and the contract
-        # the checkpoint seam (``snapshot``/``restore``) relies on for
-        # bit-identical resumption.
-        self._index.resync(self.counts)
-        # Discard any shared buffered draws so later step() calls start
-        # from fresh batches of the (advanced) generator stream.
-        self._draws.discard()
-        return silent
-
     def _run_fast_same_state(self, max_events: Optional[int]) -> bool:
         """Adaptive dual-sampler loop for same-state-only protocols.
 
@@ -849,9 +802,8 @@ class JumpEngine:
         to rebuild the active sampler's structure — stay rare.  The
         count axis doubles in place when a count outgrows it; that is
         not a mode switch.  Both samplers draw from the exact jump-chain
-        distribution; only the constant factor differs.  The fused
-        index is left stale inside the loop and rebuilt from the final
-        counts on exit.
+        distribution; only the constant factor differs.  The loop
+        leaves the fused index stale, for ``run()``'s exit resync.
         """
         protocol = self._protocol
         draws = self._draws
@@ -1111,36 +1063,28 @@ class JumpEngine:
                 fenwick_finds=c_fen_events,
                 mode_switches=c_modes - 1 if c_modes else 0,
             )
-        # The loop mutated counts without notifying the fused index;
-        # resync it so step()/recorders stay usable after a fast run.
-        self._index.resync(counts)
-        # Discard any shared buffered draws so later step() calls start
-        # from fresh batches of the (advanced) generator stream.
-        draws.discard()
         return weight == 0
 
 
 def _run_fused(
     engine,
-    fused: FusedIndex,
-    mass: int,
     max_interactions: Optional[int],
     max_events: Optional[int],
 ) -> bool:
     """The fused jump loop, shared by uniform and biased runs.
 
-    Runs ``engine`` (a :class:`JumpEngine`) on ``fused``, its unscaled
-    index or, under a scheduler, the active segment's class-scaled index,
-    until silence, ``max_events`` or ``max_interactions``; ``mass`` is
-    the scheduler's step mass over all ordered agent pairs (``n(n−1)``
-    for the uniform scheduler), so the geometric skip succeeds with
-    probability ``W / mass``.  A skip overshooting ``max_interactions``
-    clamps the clock there and drops the pending event; a cap at or
-    behind the clock on entry draws nothing.  Returns True iff the
-    configuration is silent.  From ``engine`` the loop reads the
-    protocol, counts, draw stream, counters and telemetry bag, and the
-    program caches of ``fused`` (the engine's ``_pair_table`` and
-    ``_ss_progs``, swapped with the index).
+    Runs ``engine`` (a :class:`JumpEngine`) on its active index — the
+    unscaled one or, under a scheduler, the active segment's
+    class-scaled one — until silence, ``max_events`` or
+    ``max_interactions``.  The geometric skip succeeds with probability
+    ``W / M``, where ``M`` is the scheduler's step mass over all ordered
+    agent pairs (``n(n−1)`` for the uniform scheduler).  A skip
+    overshooting ``max_interactions`` clamps the clock there and drops
+    the pending event; a cap at or behind the clock on entry draws
+    nothing.  Returns True iff the configuration is silent.  From
+    ``engine`` the loop reads the protocol, counts, draw stream,
+    counters and telemetry bag, and the program caches of the index
+    (the engine's ``_pair_table`` and ``_ss_progs``, swapped with it).
 
     One exact weighted draw per event resolves to a slot of the fused
     index (inlined Fenwick ``find``); the residual target decodes the
@@ -1164,7 +1108,7 @@ def _run_fused(
     transition whose product slots all weigh zero skips the refresh,
     and a −1/+1 move between two pool members is a single re-label.
     The pool partition is re-evaluated every ``_RECLASSIFY_EVENTS`` so
-    it tracks the drifting count profile.  Both callers run the loop
+    it tracks the drifting count profile.  ``run()`` makes its calls
     under :func:`~repro.core.fused.collector_paused`: the programs and
     plans a reset storm compiles are plain-integer tuples, which the
     cyclic garbage collector would otherwise traverse in hundreds of
@@ -1179,10 +1123,22 @@ def _run_fused(
     mass.  The unscaled index meets none of these branches and
     multiplies no factor.
 
-    The loop writes back the counters and ``fused.total``; the pool
-    partition, stale product sides and buffered draws it leaves behind
-    are for the caller to canonicalise or keep.
+    The loop writes back the counters, the index total and its loop
+    state, ``engine._loop_state``: the log-uniform and raw batches with
+    their positions, the count bound ``gmax``, and the event counts of
+    the next periodic re-partition and of the end of the acceptance
+    trigger's cooldown.  The next call continues from that state, so
+    ``k`` calls of one event each replay one call of ``k`` events bit
+    for bit; the last event's ``(si, sj, ti, tj)`` is left in
+    ``engine._last_event``.  Whatever else changes the counts or swaps
+    the index drops the state (``None``), and the next call starts
+    afresh: empty batches, a full period to the re-partition, and
+    ``gmax`` from the counts — which keeps ``gmax`` an upper bound on
+    every count, as decoding a stale product side needs.  The pool
+    partition and stale product sides the loop leaves behind are for
+    the caller to canonicalise or keep.
     """
+    fused = engine._index
     draws = engine._draws
     counts = engine.counts
     protocol = engine._protocol
@@ -1205,8 +1161,10 @@ def _run_fused(
     if wide:
         class_counts = fused.class_counts
         row_dot = fused._row_dot
+        mass = fused.total_mass()
     else:
         class_counts = row_dot = None
+        mass = engine._total_pairs
 
     pool = fused.pool
     if pool is not None:
@@ -1221,6 +1179,7 @@ def _run_fused(
     weight = fused.total
     interactions = engine.interactions
     events = engine.events
+    events0 = events
     # Event-count schedules instead of per-event countdowns: the loop
     # stops at `stop` events (-1: no budget; an exhausted budget stops
     # at once), re-partitions at `reclassify_at`, and the acceptance
@@ -1231,22 +1190,34 @@ def _run_fused(
     if interactions >= icap:
         # An interactions cap at or behind the clock: draw nothing.
         stop = events
-    reclassify_at = events + _RECLASSIFY_EVENTS
-    cooldown_end = events
-    # Telemetry: draw totals derive from batch-refill tallies at loop
-    # exit (the `nub`/`nrb` increments below run once per 8192 draws);
-    # the per-branch counters only tick when instrumentation is
-    # attached (`instr_on`), so the off path pays one local bool test
-    # per event at most.
+    # Batched draws: log(1-u) skip numerators through numpy, raw 64-bit
+    # integers for exact weighted targets and pool proposals; a batch
+    # position of BATCH refills before the next read.  `gmax` is a
+    # monotone upper bound on every state count (reset at each
+    # reclassification) — the acceptance bound for decoding stale
+    # product sides by rejection instead of rebuilding their trees.
+    carried = engine._loop_state
+    if carried is None:
+        lus: List[float] = []
+        raws: List[int] = []
+        upos = rpos = BATCH
+        gmax = max(counts)
+        reclassify_at = events + _RECLASSIFY_EVENTS
+        cooldown_end = events
+    else:
+        lus, upos, raws, rpos, gmax, reclassify_at, cooldown_end = carried
+    upos0 = upos
+    rpos0 = rpos
+    # Telemetry: draw totals derive from batch-refill tallies and batch
+    # positions at loop exit (the `nub`/`nrb` increments below run once
+    # per 8192 draws); the per-branch counters only tick when
+    # instrumentation is attached (`instr_on`), so the off path pays
+    # one local bool test per event at most.
     ins = engine._instr
     instr_on = ins is not None
     nub = nrb = 0
     c_sprint = c_pool = c_prop = 0
     c_fen = c_comp = c_reclass = c_compiled = 0
-    # Monotone upper bound on every state count (reset at each
-    # reclassification) — the acceptance bound for decoding stale
-    # product sides by rejection instead of rebuilding their trees.
-    gmax = max(counts)
     pmhat = pool.mhat if pool is not None else 1
     # The pool pseudo-slot value is mirrored in a local and written
     # back only at sync points (routing through the general find,
@@ -1254,13 +1225,6 @@ def _run_fused(
     # touch a single local instead of three shared structures.
     pool_w = values[pslot] if pool is not None else -1
 
-    # Batched draws: log(1-u) skip numerators through numpy, raw 64-bit
-    # integers for exact weighted targets and pool proposals.
-    lus: List[float] = []
-    upos = BATCH
-    raws: List[int] = []
-    raw_len = 0
-    rpos = 0
     # log1p(-W/M) cached on W (reset when the mass M moves): the drain's
     # dominant transfer events leave the total weight unchanged, so the
     # skip denominator is usually reusable.  `sure`: every step is
@@ -1309,9 +1273,8 @@ def _run_fused(
             # weight takes two spliced raws; the batch is even, so a
             # pair never straddles a refill.
             while True:
-                if rpos == raw_len:
+                if rpos == BATCH:
                     raws = draws.raw_batch()
-                    raw_len = BATCH
                     rpos = 0
                     nrb += 1
                 raw = raws[rpos]
@@ -1351,18 +1314,17 @@ def _run_fused(
                 c_comp += 1
             kind = slot_kind[pos]
         if kind == PROPOSAL:
-            # Inlined _ProposalPool.sample_state: one raw draw fuses
-            # the uniform pool-agent proposal with its acceptance
-            # threshold; a routed residual target is discarded (it
-            # is independent of the fresh proposal draws).
+            # The pool proposal: one raw draw fuses the uniform
+            # pool-agent proposal with its acceptance threshold; a
+            # routed residual target is discarded (it is independent
+            # of the fresh proposal draws).
             mh = pmhat
             pbound = len(pagents) * mh
             plimit = RAW_SPAN - pbound
             proposals = 0
             while True:
-                if rpos == raw_len:
+                if rpos == BATCH:
                     raws = draws.raw_batch()
-                    raw_len = BATCH
                     rpos = 0
                     nrb += 1
                 raw = raws[rpos]
@@ -1816,14 +1778,18 @@ def _run_fused(
     fused.total = weight
     engine.interactions = interactions
     engine.events = events
+    engine._loop_state = (
+        lus, upos, raws, rpos, gmax, reclassify_at, cooldown_end
+    )
+    if events != events0:
+        engine._last_event = (si, sj, entry[0], entry[1])
     if ins is not None:
-        # Draw totals by batch-consumption arithmetic: full batches
-        # refilled minus whatever is left unconsumed in the tail.
-        cu = nub * BATCH - (BATCH - upos) if nub else 0
-        cr = nrb * BATCH - (raw_len - rpos) if nrb else 0
+        # Draw totals by batch-consumption arithmetic: the batches
+        # refilled here plus the positions moved, which counts the
+        # draws taken from a carried batch too.
         ins.add_counters(
-            skip_draws=cu,
-            raw_draws=cr,
+            skip_draws=nub * BATCH + upos - upos0,
+            raw_draws=nrb * BATCH + rpos - rpos0,
             proposal_draws=c_prop,
             pool_draws=c_pool,
             sprint_events=c_sprint,

@@ -50,8 +50,9 @@ One rule picks the engine, applied by
 scheduler or timeline runs on the jump engine whenever every segment
 compiles into its class-scaled index, and on the rejection engine
 otherwise or when ``engine="sequential"`` asks for it.  There a segment
-has one realisation: the fused jump loop, or the per-event loop while a
-recorder watches (or in debug mode) — the loops uniform runs use.
+has one realisation, the fused jump loop uniform runs use: ``step()``,
+a recorder and debug mode run it one event per call, continuing its
+state, so they follow the recorder-free trajectory.
 
 The biased engines realise the identical step distribution: the
 weighted index's slot weights use the dyadic numerators

@@ -19,10 +19,12 @@ The exactness contract (property-tested in
   engine is already canonical, making ``snapshot()`` state-preserving
   there: ``run → continue`` and ``run → snapshot → restore → continue``
   produce identical trajectories and final counts.
-* After manual ``step()`` driving the sampler may hold a drifted
-  (history-dependent) partition; ``snapshot()`` canonicalises it, so
-  the engine that took the snapshot and any engine restored from it
-  still continue identically to *each other*.
+* Between ``step()`` calls a jump engine keeps the fused loop's state
+  (its draw batches, count bound and re-partition schedule) and a
+  drifted, history-dependent pool partition.  ``snapshot()`` drops the
+  one and canonicalises the other, so the engine that took the
+  snapshot and any engine restored from it continue identically to
+  *each other*, though not like an engine that kept stepping.
 
 Snapshots are picklable and JSON-serialisable (:meth:`~EngineSnapshot.to_dict`
 / :meth:`~EngineSnapshot.from_dict` — numpy bit-generator states are
@@ -71,6 +73,11 @@ _TUPLES = {
     "counts": _INT, "uniforms": _NUMBER, "raws": _INT,
     "pair_buffer": _INT, "accepts": _NUMBER, "agent_states": _INT,
 }
+#: Exclusive bound of a stored raw draw (64-bit integers).
+_RAW_SPAN = 1 << 64
+#: Size of the uniform batch a jump engine draws at construction
+#: (``repro.core.draws.BATCH``): the furthest its cursor can stand.
+_UNIFORM_BATCH = 8192
 
 
 def _check_type(key: str, value, expected, what: str = "") -> None:
@@ -166,7 +173,13 @@ class EngineSnapshot:
 def check_snapshot(
     snapshot: EngineSnapshot, kind: str, num_states: int, num_agents: int
 ) -> None:
-    """Validate a snapshot against the engine about to adopt it."""
+    """Validate a snapshot against the engine about to adopt it.
+
+    Checks its kind, shape and counts, then the ranges of its buffered
+    draws and agent states; every engine calls this before it changes
+    anything, so a damaged snapshot fails with a
+    :class:`SimulationError` naming the field.
+    """
     if snapshot.kind != kind:
         raise SimulationError(
             f"snapshot of a {snapshot.kind!r} engine cannot restore a "
@@ -196,6 +209,43 @@ def check_snapshot(
         )
     if not snapshot.rng_state:
         raise SimulationError("snapshot carries no generator state")
+    _check_draws(snapshot)
+
+
+def _check_range(key: str, values, low, high) -> None:
+    """Raise naming ``key`` and the first of ``values`` outside
+    ``[low, high)``, a NaN included."""
+    for value in values:
+        if not low <= value < high:
+            raise SimulationError(
+                f"snapshot field {key!r} holds {value!r}, outside "
+                f"[{low}, {high})"
+            )
+
+
+def _check_draws(snapshot: EngineSnapshot) -> None:
+    """Reject buffered draws and agent states no engine could have
+    written: each would index out of range or be adopted as a draw of
+    another law."""
+    _check_range("raws", snapshot.raws, 0, _RAW_SPAN)
+    _check_range("uniforms", snapshot.uniforms, 0, 1)
+    _check_range("accepts", snapshot.accepts, 0, 1)
+    if len(snapshot.pair_buffer) % 2:
+        raise SimulationError(
+            f"snapshot field 'pair_buffer' has odd length "
+            f"{len(snapshot.pair_buffer)}; it stores agent pairs"
+        )
+    _check_range("pair_buffer", snapshot.pair_buffer, 0, snapshot.num_agents)
+    if snapshot.agent_states is not None:
+        _check_range(
+            "agent_states", snapshot.agent_states, 0, snapshot.num_states
+        )
+    limit = len(snapshot.uniforms) if snapshot.uniforms else _UNIFORM_BATCH
+    if not 0 <= snapshot.uniform_pos <= limit:
+        raise SimulationError(
+            f"snapshot field 'uniform_pos' is {snapshot.uniform_pos}, "
+            f"outside [0, {limit}]"
+        )
 
 
 def resume_engine(protocol, snapshot: EngineSnapshot, scheduler=None):

@@ -4,11 +4,13 @@
 ``build_engine``/``run_protocol`` (or any engine constructor).  The
 engines treat it as *chunk-level* telemetry: fast loops keep their
 counts in locals or derive them from batch-consumption arithmetic
-(``batches * BATCH - unconsumed - discarded``) and flush once per chunk
-or at loop exit, never per event.  When no instrumentation is attached
-the only residue on the hot path is a single ``is not None`` test per
-chunk, so throughput is unchanged — the committed bench floors gate
-that.
+(``batches * BATCH - unconsumed - discarded``) and flush once per call
+of the loop, never per event inside one.  A call is a ``run()`` chunk,
+or a single event when ``step()``, a recorder or ``debug`` mode drives
+the jump engine, so step-driven runs flush their counters once per
+call.  When no instrumentation is attached the only residue on the hot
+path is a single ``is not None`` test per call, so throughput is
+unchanged — the committed bench floors gate that.
 
 Counters never consume randomness, so a run with instrumentation
 attached is bit-identical to the same seed without it (the
@@ -21,7 +23,9 @@ Counter vocabulary (engines only touch the ones their loop has):
 ``skip_draws``, ``raw_draws``
     Uniforms consumed for geometric skips and 64-bit raws consumed for
     routing targets (two per target on a class-scaled index), pool
-    proposals and rejection, from batch arithmetic.
+    proposals and rejection, from batch arithmetic.  The jump engine's
+    fused loop carries its batches from one call to the next, and each
+    call counts the draws it took, from carried batches too.
 ``pool_draws``, ``sprint_events``, ``proposal_draws``
     Events served by the proposal pool, the subset taken on the sprint
     shortcut (no routing draw), and agent proposals consumed including
@@ -46,9 +50,12 @@ Counter vocabulary (engines only touch the ones their loop has):
     (``ScheduledEngine``, ``AgentScheduledEngine``); the weighted
     engine draws productive pairs directly and never emits them.
 ``weighted_events``, ``slow_events``
-    Events of a biased jump run on the fused jump loop, and jump-engine
-    events on the per-event loop that serves recorders, ``debug`` mode
-    and a uniform run's interactions budget.
+    Events of a recorder-free biased jump ``run()``, one fused-loop
+    call per segment, and jump-engine events run one fused-loop call
+    at a time: by ``step()``, and by ``run()`` with a recorder or in
+    ``debug`` mode.  A uniform run's
+    interactions budget runs on the fused loop in one call, and counts
+    as neither.
 ``pair_draws``
     Ordered agent pairs drawn by the sequential reference engine (from
     batch arithmetic, the rejection engines' rejected draws included).

@@ -196,6 +196,20 @@ class TestExactnessHooks:
             engine.reset_configuration([-1, 3] + [1] * 18)
         with pytest.raises(SimulationError, match="21 agents"):
             engine.reset_configuration([21] + [0] * 19)  # wrong population
+        # Non-integral counts raise rather than being truncated or
+        # parsed into a valid population; numpy integers still pass.
+        for bad, value in (
+            ([1.5] + [1] * 19, "1.5"),
+            (["2"] + [1] * 18 + [0], "'2'"),
+            (np.ones(20), "1.0"),
+        ):
+            with pytest.raises(
+                SimulationError,
+                match=rf"state 0 has non-integral count .*{value}",
+            ):
+                engine.reset_configuration(bad)
+        assert engine.counts == start.counts_list()
+        engine.reset_configuration(np.asarray(start.counts_list()))
         assert engine.counts == start.counts_list()
 
 

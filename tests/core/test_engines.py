@@ -477,8 +477,12 @@ class TestCompiledTransitionTables:
         engine = _engine(protocol, Configuration.all_in_state(8, 9, protocol.num_states))
         assert engine._ss_table is None  # cross-state families
         assert engine._pair_table == {}
+        assert engine._ss_progs == [None] * protocol.num_states
+        # The first event pairs two agents of the pile-up, so it fills
+        # the same-state cache; either cache fills on demand.
         engine.step()
-        assert len(engine._pair_table) >= 1  # filled on demand
+        filled = [prog for prog in engine._ss_progs if prog is not None]
+        assert len(engine._pair_table) + len(filled) == 1
 
     def test_broken_coverage_still_raises_lazily(self):
         """A protocol whose delta contradicts its families must raise at
@@ -696,7 +700,7 @@ class TestFastLoop:
             return float(np.median(times))
 
         fast = median(0)
-        # max_interactions forces the instrumented general loop.
+        # max_interactions runs the fused loop, not the same-state one.
         general = median(5000, max_interactions=1 << 40)
         assert abs(fast / general - 1) < 0.15
 

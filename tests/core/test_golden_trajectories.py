@@ -10,10 +10,11 @@ Each case runs one engine three ways from the same seed and records
 
 The expected records live in ``golden_trajectories.json``.  They pin
 the exact draw consumption of every realisation (the same-state and
-fused jump loops, the general loop behind a recorder, sequential,
-rejection, agent, weighted across an epoch timeline, batch), so a
-refactor of the randomness layer that changes any trajectory fails
-here.  Regenerate deliberately with::
+fused jump loops, sequential, rejection, agent, weighted across an
+epoch timeline, batch), so a refactor of the randomness layer that
+changes any trajectory fails here.  A recorder or ``debug`` mode runs
+the fused loop one event per call, and must keep the recorder-free
+record.  Regenerate deliberately with::
 
     PYTHONPATH=src python tests/core/test_golden_trajectories.py [CASE...]
 
@@ -150,7 +151,7 @@ CASES = {
 SEED = 11
 
 
-def _build(name, instrumentation=None):
+def _build(name, instrumentation=None, debug=False):
     setup, cls, make_scheduler, _, _, _ = CASES[name]
     protocol, start = setup()
     scheduler = make_scheduler(protocol) if make_scheduler else None
@@ -160,6 +161,8 @@ def _build(name, instrumentation=None):
     kwargs = {}
     if instrumentation is not None:
         kwargs["instrumentation"] = instrumentation
+    if debug:
+        kwargs["debug"] = True
     return protocol, scheduler, cls(*args, **kwargs)
 
 
@@ -171,33 +174,50 @@ def _record(engine):
 
 
 def _run(engine, events, recorder):
-    # Any recorder routes the jump engine through its general loop.
+    # A recorder runs the jump engine's fused loop one event per call.
     engine.run(max_events=events, recorder=Recorder() if recorder else None)
 
 
-def _arms(name):
-    _, _, _, total, chunk, recorder = CASES[name]
+def _full(name, recorder, debug):
+    _, _, engine = _build(name, debug=debug)
+    _run(engine, CASES[name][3], recorder)
+    return _record(engine)
 
-    _, _, engine = _build(name)
-    _run(engine, total, recorder)
-    full = _record(engine)
 
-    _, _, engine = _build(name)
+def _chunked(name, recorder, debug):
+    _, _, _, total, chunk, _ = CASES[name]
+    _, _, engine = _build(name, debug=debug)
     target = 0
     while engine.events < total and not engine.is_silent():
         target = min(total, target + chunk)
         _run(engine, target, recorder)
-    chunked = _record(engine)
+    return _record(engine)
 
-    protocol, scheduler, engine = _build(name)
+
+def _resumed(name, recorder, debug):
+    total = CASES[name][3]
+    protocol, scheduler, engine = _build(name, debug=debug)
     _run(engine, total // 2, recorder)
     data = json.loads(json.dumps(engine.snapshot().to_dict()))
     engine = resume_engine(
         protocol, EngineSnapshot.from_dict(data), scheduler=scheduler
     )
+    engine._debug = debug
     _run(engine, total, recorder)
-    resumed = _record(engine)
-    return {"full": full, "chunked": chunked, "resumed": resumed}
+    return _record(engine)
+
+
+def _arms(name, recorder=None, debug=False):
+    """The case's three arms; ``recorder`` (default: the case's own
+    flag) and ``debug`` choose how each ``run()`` is made."""
+    if recorder is None:
+        recorder = CASES[name][5]
+    return {
+        arm: run(name, recorder, debug)
+        for arm, run in (
+            ("full", _full), ("chunked", _chunked), ("resumed", _resumed)
+        )
+    }
 
 
 def _golden():
@@ -207,6 +227,29 @@ def _golden():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_trajectory_matches_golden(name):
     assert _arms(name) == _golden()[name]
+
+
+def test_recorder_case_keeps_the_recorder_free_arms():
+    """The recorder case's arms are those of its setup without one."""
+    assert _golden()["jump-general-recorder"] == _arms(
+        "jump-general-recorder", recorder=False
+    )
+
+
+@pytest.mark.parametrize(
+    "name", ["jump-fused-tree", "jump-fused-line-m2", "weighted-timeline"]
+)
+def test_recorder_runs_keep_the_golden_record(name):
+    """Chunked, resumed or whole, a run with ``Recorder()`` ends where
+    the recorder-free run does."""
+    assert _arms(name, recorder=True) == _golden()[name]
+
+
+@pytest.mark.parametrize("name", ["jump-fused-tree", "jump-fused-line-m2"])
+def test_debug_runs_keep_the_golden_record(name):
+    """So does a chunked run in ``debug`` mode, which re-sums the weight
+    after every event (the chunked arm only: that check is slow)."""
+    assert _chunked(name, False, True) == _golden()[name]["chunked"]
 
 
 # Version-2 snapshots written by an earlier engine (a ``jump`` snapshot

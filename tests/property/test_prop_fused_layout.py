@@ -282,7 +282,7 @@ class TestLazyPlansMatchEagerBuild:
         # which states were compiled before it.
         order = np.random.default_rng(5).permutation(protocol.num_states)
         for state in order.tolist():
-            plan = index._plans.plan(state)
+            plan = index._plans.build(state)
             assert plan == expected[state]
             assert _plain(plan)
             assert index.state_steps[state] is plan

@@ -4,7 +4,8 @@ Three invariant groups:
 
 * the fused index's total weight equals the sum of the per-family
   weights recomputed from scratch — after arbitrary count mutations
-  (driven through the engine seam) and after ``reset_configuration``;
+  (adopted through ``reset_configuration``) and the ``step()`` after
+  each;
 * the weighted index realises *exactly* the rejection engine's step
   distribution: on small populations the per-pair masses enumerated
   agent-by-agent (with the 53-bit dyadic acceptance probabilities the
@@ -16,8 +17,8 @@ Three invariant groups:
   boundary, hot-swapping precompiled indexes via ``resync`` — the
   swapped-in index must match the rejection model of the *active*
   segment pair by pair, before and after the switch;
-* sampling consistency: every pair the fused index produces is
-  productive under ``delta`` and covered by exactly one family;
+* sampling consistency: every pair a ``step()`` event of the fused
+  loop takes is productive under ``delta`` and held in the counts;
 * compiled transitions: every program the fused loop can run, on the
   uniform and on a class-scaled index, refreshes exactly the composite
   slots its states feed, has a sprint guard only when it touches
@@ -25,8 +26,9 @@ Three invariant groups:
   re-label moves exactly the transition's one agent, and the class
   moves list each class's net count change once;
 * the fused loop's first event follows the exact one-step law, whether
-  the pool proposal is entered on the sprint or from a routed draw, and
-  so does the weighted loop's under biased, clustered and many-class
+  the pool proposal is entered on the sprint or from a routed draw, or
+  is a ``step()`` after a reset dropped the loop's state, and so does
+  the weighted loop's under biased, clustered and many-class
   schedulers;
 * the same-state loop's count-bucket mode maps every target in
   ``[0, W)`` to its state exactly ``c(c − 1)`` times, on the first
@@ -125,24 +127,27 @@ class TestFusedIndexWeightInvariant:
     )
     @settings(max_examples=40, deadline=None)
     def test_fused_total_tracks_arbitrary_count_mutations(self, moves, seed):
-        """Moving agents between arbitrary states keeps the index exact."""
+        """Moving agents between arbitrary states keeps the index exact:
+        each move is adopted through ``reset_configuration``, and the
+        ``step()`` after it updates the index from that configuration."""
         protocol = TreeRankingProtocol(13, k=3)
-        counts = random_configuration(
-            protocol, seed=seed, include_extras=True
-        ).counts_list()
-        fused = FusedIndex(
-            protocol.build_families(counts), protocol.num_states, counts
+        engine = JumpEngine(
+            protocol,
+            random_configuration(protocol, seed=seed, include_extras=True),
+            np.random.default_rng(seed),
         )
         for source, destination in moves:
+            counts = list(engine.counts)
             if counts[source] == 0 or source == destination:
                 continue
-            fused.apply_count_change(source, counts[source], counts[source] - 1)
             counts[source] -= 1
-            fused.apply_count_change(
-                destination, counts[destination], counts[destination] + 1
-            )
             counts[destination] += 1
-            assert fused.total == _fresh_weight(protocol, counts)
+            engine.reset_configuration(counts)
+            assert engine.productive_weight == _fresh_weight(protocol, counts)
+            engine.step()
+            assert engine.productive_weight == _fresh_weight(
+                protocol, engine.counts
+            )
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -171,19 +176,30 @@ class TestFusedIndexWeightInvariant:
         "protocol", _multi_family_protocols(), ids=lambda p: p.name
     )
     def test_sampled_pairs_are_productive(self, protocol):
-        """Every fused draw must be a productive pair under delta."""
+        """Every fused-loop event's pre-event pair is productive under
+        delta and held in the counts before the event."""
         start = random_configuration(protocol, seed=5, include_extras=True)
         engine = JumpEngine(protocol, start, np.random.default_rng(5))
         for _ in range(300):
-            weight = engine.productive_weight
-            if weight == 0:
+            if engine.is_silent():
                 break
-            si, sj = engine._index.sample(engine._draws.rand_below)
-            assert protocol.delta(si, sj) is not None
-            assert engine.counts[si] >= (2 if si == sj else 1)
-            if si != sj:
-                assert engine.counts[sj] >= 1
-            engine.step()
+            _assert_event_held(protocol, engine)
+
+
+def _assert_event_held(protocol, engine):
+    """Run one ``step()``: its pre-event pair is productive, maps to the
+    event's post-event pair under delta, was held in the counts, and
+    the counts moved by that one transition."""
+    before = list(engine.counts)
+    event = engine.step()
+    si, sj = event.initiator_before, event.responder_before
+    ti, tj = protocol.delta(si, sj)
+    assert (ti, tj) == (event.initiator_after, event.responder_after)
+    assert before[si] >= (2 if si == sj else 1)
+    assert before[sj] >= 1
+    for state, delta in _transition_ops(si, sj, ti, tj):
+        before[state] += delta
+    assert engine.counts == before
 
 
 def _uniform_pair_masses(protocol, counts):
@@ -429,8 +445,9 @@ class TestHybridSamplerExactness:
     def test_fast_loop_trajectory_matches_step_driven(self):
         """The sprint/transfer fast paths apply exactly one transition
         per geometric skip — regression test for a fall-through that
-        double-applied pool-to-pool transfers (interactions would halve
-        relative to the step-driven generic path)."""
+        double-applied pool-to-pool transfers (interactions would
+        halve).  ``step()`` runs the same loop, so the per-event check
+        is ``_assert_event_held``'s count change."""
         protocol = LineOfTrapsProtocol(m=2)
         start = random_configuration(protocol, seed=2, include_extras=True)
         fast_interactions, step_interactions = [], []
@@ -448,18 +465,19 @@ class TestHybridSamplerExactness:
         assert 0.7 < ratio < 1.45, f"median interactions ratio {ratio}"
 
     def test_sampled_pairs_follow_slot_weights(self):
-        """Pool draws land on weighted members only, ∝ c(c−1) support."""
+        """Pool draws land on weighted members only, ∝ c(c−1) support:
+        every event's pre-event pair was held in the counts."""
         protocol = LineOfTrapsProtocol(m=2)
         start = random_configuration(protocol, seed=1, include_extras=True)
-        engine = JumpEngine(protocol, start, np.random.default_rng(1))
-        fused = engine._index
+        instr = Instrumentation()
+        engine = JumpEngine(
+            protocol, start, np.random.default_rng(1), instrumentation=instr
+        )
         for _ in range(300):
             if engine.is_silent():
                 break
-            si, sj = fused.sample(engine._draws.rand_below)
-            assert protocol.delta(si, sj) is not None
-            assert engine.counts[si] >= (2 if si == sj else 1)
-            engine.step()
+            _assert_event_held(protocol, engine)
+        assert instr.get("pool_draws") > 0
 
 
 def _chi2_sf(stat, dof):
@@ -659,6 +677,35 @@ class TestFusedLoopPrograms:
             assert instr.get("pool_draws") > 0
         stat, cells = _chi2_cells(seen, law, draws)
         assert cells > 1
+        assert _chi2_sf(stat, cells - 1) > 1e-3, (stat, cells)
+
+    def test_first_step_after_a_reset_to_a_pile_up_follows_the_law(self):
+        """``reset_configuration`` drops the loop state the previous
+        ``step()`` calls left (batches, count bound, schedule), and the
+        first ``step()`` from a three-pile configuration then follows
+        the exact one-step law (chi-square at α = 10⁻³)."""
+        protocol = TreeRankingProtocol(33, k=2)
+        pile = [0] * protocol.num_states
+        for state in (0, 5, protocol.num_ranks):
+            pile[state] = 11
+        law = _one_step_law(protocol, pile)
+        engine = JumpEngine(
+            protocol,
+            random_configuration(protocol, seed=1, include_extras=True),
+            np.random.default_rng(8),
+        )
+        draws = 1000
+        seen = Counter()
+        for _ in range(draws):
+            engine.step()
+            engine.step()
+            engine.reset_configuration(pile)
+            assert engine._loop_state is None
+            engine.step()
+            seen[tuple(engine.counts)] += 1
+        assert set(seen) <= set(law)
+        stat, cells = _chi2_cells(seen, law, draws)
+        assert cells == len(law) == 5
         assert _chi2_sf(stat, cells - 1) > 1e-3, (stat, cells)
 
 

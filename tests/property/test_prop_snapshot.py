@@ -258,9 +258,42 @@ class TestSnapshotExactness:
 
 
 class TestStepDrivenSnapshots:
-    """step()-driven engines may hold drifted sampler state; the
-    snapshot canonicalises, so snapshot-taker and restoree still agree
-    with each other (two-way, not versus an untouched arm)."""
+    """step()-driven engines may hold drifted sampler state, and a jump
+    engine also the fused loop's state between calls; the snapshot
+    drops the one and canonicalises the other, so snapshot-taker and
+    restoree still agree with each other (two-way, not versus an
+    untouched arm)."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        protocol_index=st.integers(0, 2),
+        scheduler_kind=st.sampled_from(["uniform", "biased", "epoch"]),
+        warm_events=st.integers(1, 80),
+        tail_events=st.integers(1, 120),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_jump_step_two_way(self, protocol_index, scheduler_kind,
+                               warm_events, tail_events, seed):
+        protocol = _protocol(protocol_index)
+        scheduler = _scheduler(scheduler_kind, protocol)
+        start = random_configuration(protocol, seed=seed)
+        live, name = build_engine(protocol, start, seed, scheduler=scheduler)
+        assert name.split(":")[0] == (
+            "jump" if scheduler is None else "weighted"
+        )
+        while live.events < warm_events and live.step() is not None:
+            pass
+        assert live._loop_state is not None or live.is_silent()
+        snapshot = live.snapshot()
+        assert live._loop_state is None
+        restored = resume_engine(protocol, snapshot, scheduler=scheduler)
+        _assert_same_state(live, restored)
+        for _ in range(tail_events // 2):
+            assert (live.step() is None) == (restored.step() is None)
+        _assert_same_state(live, restored)
+        live.run(max_events=live.events + tail_events)
+        restored.run(max_events=restored.events + tail_events)
+        _assert_same_state(live, restored)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -382,6 +415,60 @@ class TestSnapshotValidation:
             SimulationError, match=f"'{field}' element must be"
         ):
             EngineSnapshot.from_dict(data)
+
+    @staticmethod
+    def _live_engine(engine):
+        protocol = AGProtocol(6)
+        scheduler = (
+            _scheduler("biased", protocol) if engine == "weighted" else None
+        )
+        live, name = build_engine(
+            protocol, random_configuration(protocol, seed=0), 1,
+            engine="sequential" if engine == "sequential" else "jump",
+            scheduler=scheduler,
+        )
+        assert name.split(":")[0] == engine
+        live.run(max_events=10)
+        return live
+
+    @pytest.mark.parametrize(
+        "engine, field, damage",
+        [
+            ("sequential", "agent_states", lambda v: [-1, *v[1:]]),
+            ("sequential", "agent_states", lambda v: [9, *v[1:]]),
+            ("sequential", "pair_buffer", lambda v: [-1, 2]),
+            ("sequential", "pair_buffer", lambda v: [0, 99]),
+            ("sequential", "pair_buffer", lambda v: [0, 1, 2]),
+            ("sequential", "raws", lambda v: [-3]),
+            ("sequential", "raws", lambda v: [2**70]),
+            ("sequential", "accepts", lambda v: [1.5]),
+            ("sequential", "accepts", lambda v: [-2.0]),
+            ("weighted", "uniforms", lambda v: [float("nan"), *v[1:]]),
+            ("weighted", "uniform_pos", lambda v: -1),
+            ("weighted", "uniform_pos", lambda v: 8193),
+            ("jump", "uniform_pos", lambda v: 8193),
+        ],
+        ids=[
+            "state-minus-one", "state-nine", "pair-minus-one", "pair-99",
+            "odd-pairs", "raw-minus-three", "raw-2**70", "accept-1.5",
+            "accept-minus-two", "uniform-nan", "weighted-pos-minus-one",
+            "weighted-pos-past-batch", "jump-pos-past-batch",
+        ],
+    )
+    def test_out_of_range_draws_named_before_restore(
+        self, engine, field, damage
+    ):
+        """Each damaged value restored and ran (or failed later with a
+        bare ``IndexError``); now the restore fails first, naming the
+        field, and leaves the engine as it was."""
+        live = self._live_engine(engine)
+        data = live.snapshot().to_dict()
+        before = json.dumps(data, sort_keys=True)
+        data[field] = damage(data[field])
+        snapshot = EngineSnapshot.from_dict(data)
+        with pytest.raises(SimulationError, match=f"'{field}'"):
+            live.restore(snapshot)
+        assert json.dumps(live.snapshot().to_dict(), sort_keys=True) == before
 
     def test_tampered_counts_rejected(self):
         protocol = AGProtocol(12)
