@@ -1088,7 +1088,8 @@ class BatchEngine:
     def restore(self, snapshot: EngineSnapshot) -> None:
         """Adopt a snapshot in place; continues identically to the taker."""
         check_snapshot(
-            snapshot, self.snapshot_kind, self._protocol.num_states, self._n
+            snapshot, self.snapshot_kind, self._protocol.num_states, self._n,
+            self._draws.rng.bit_generator,
         )
         self.counts = [int(c) for c in snapshot.counts]
         self._counts_np = np.asarray(self.counts, dtype=np.int64)

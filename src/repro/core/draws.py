@@ -7,10 +7,11 @@ one vectorised batch when it runs dry:
 
 * **uniform** — one float64 batch in ``[0, 1)`` that the jump engine
   draws at construction.  No loop reads it: the jump loops take their
-  skips from log-uniform batches.  The batch stays because the
-  generator state after it starts every jump trajectory, and the
-  stored version-2 snapshots carry it (a biased engine never
-  discards it, so its snapshots hold all 8 192 floats);
+  skips from log-uniform batches.  The draw stays because the
+  generator state after it starts every jump trajectory, but the batch
+  is marked consumed as soon as it is drawn, so a snapshot carries
+  none of it.  A stored version-2 snapshot that holds a batch (a
+  biased engine's did: 8 192 floats) restores it as given;
 * **raw** — 64-bit integers, the source of every exact integer draw
   (:meth:`~DrawStream.next_raw`, :meth:`~DrawStream.rand_below`), the
   fused loop's routed targets and pool proposals included;
@@ -47,7 +48,6 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..exceptions import SimulationError
 from .snapshot import EngineSnapshot
 
 __all__ = ["DrawStream", "BATCH", "RAW_SPAN"]
@@ -67,8 +67,8 @@ class DrawStream:
     """A generator plus the batched draw channels one engine reads.
 
     ``uniforms=True`` draws the uniform batch at construction, as the
-    jump engine's trajectories require.  ``agents`` is the
-    population size, needed only by the pair channel.
+    jump engine's trajectories require, and marks it consumed.
+    ``agents`` is the population size, needed only by the pair channel.
     """
 
     __slots__ = (
@@ -88,7 +88,7 @@ class DrawStream:
         self.uniforms: np.ndarray = (
             self.uniform_batch() if uniforms else np.empty(0)
         )
-        self.uniform_pos = 0
+        self.uniform_pos = len(self.uniforms)
         self.raws: List[int] = []
         self.raw_pos = 0
         self.lus: List[float] = []
@@ -255,15 +255,12 @@ class DrawStream:
         return fields
 
     def restore(self, snapshot: EngineSnapshot) -> None:
-        """Adopt a captured generator state and buffered tails."""
-        state = snapshot.rng_state
-        expected = type(self.rng.bit_generator).__name__
-        name = state.get("bit_generator")
-        if name != expected:
-            raise SimulationError(
-                f"snapshot generator is {name!r}, engine uses {expected!r}"
-            )
-        self.rng.bit_generator.state = copy.deepcopy(state)
+        """Adopt a captured generator state and buffered tails.
+
+        The engine has checked the snapshot first, its generator state
+        included (:func:`~repro.core.snapshot.check_snapshot`).
+        """
+        self.rng.bit_generator.state = copy.deepcopy(snapshot.rng_state)
         if snapshot.uniforms:
             self.uniforms = np.asarray(snapshot.uniforms, dtype=np.float64)
             self.uniform_pos = snapshot.uniform_pos

@@ -52,8 +52,35 @@ in the composite block, so the index's one residual draw routes to the
 right regime with a single comparison.  Any partition is exact (the
 rejection draw realises ``c(c−1)/W_pool`` within the pool, and the
 top-level split weights the pools exactly); classification only moves
-constants, and is re-evaluated cheaply on :meth:`FusedIndex.resync` and
-by the engines' periodic :meth:`FusedIndex.reclassify` calls.
+constants, and is re-evaluated on :meth:`FusedIndex.resync` and by the
+engines' periodic :meth:`FusedIndex.reclassify` calls.
+
+**The idle pool.**  A pool is worth laying out only if it serves draws.
+When fewer than one same-state draw is expected before the next
+periodic re-partition — ``_RECLASSIFY_EVENTS · T < W`` for the
+same-state mass ``T`` (pooled plus tree-mode) and the index total ``W``
+— the pool stays empty and every same-state slot stays on the Fenwick
+walk.  The test reads two totals the counts determine, so the partition
+stays a pure function of the counts.  A §5 reset storm spends its
+events on the reset line and the ``(line × rank)`` product: in a served
+tree job at n = 65 536 (200 000 events in 4 096-event ``run()`` calls)
+the same-state mass stays below ``1.1·10⁻⁴`` of the total from the
+second call on, so a laid-out pool would serve almost no draws.
+
+**Live canonicalisation.**  An index that only the fused loop has
+changed since its last full reload is *live*
+(:attr:`FusedIndex.live`): its composite weights, side totals, clean
+side trees, same-state block and total already equal what a reload from
+the counts would compute.  Only two things drift with the loop's
+history — product sides the loop left stale, and the pool partition —
+so :meth:`FusedIndex.resync` on a live index rebuilds the stale sides
+and re-partitions.  The re-partition costs nothing while the pool is
+idle and empty, and one O(n) pass over the same-state block otherwise.
+The fused loop clears :attr:`live` while it runs, so a fault that
+escapes it leaves the index not live; engines clear it too whenever
+the counts change behind the index's back (a reset, a restore, the
+same-state loop, a segment swap), and the next resync reloads
+everything.
 
 **Class factors.**  Given a partition of the states into scheduler
 weight classes and a class matrix ``u`` of dyadic numerators
@@ -128,6 +155,14 @@ _POOL_TREE_COST_RATIO = 4
 #: selected, so the classifier cannot install a partition that the
 #: engines' acceptance trigger would immediately tear down.
 _POOL_MAX_PROPOSALS = 16
+#: Productive events between the fused loop's periodic re-partitions
+#: (``repro.core.jump._run_fused``), and the horizon of the idle rule:
+#: the pool stays empty while fewer than one same-state draw is expected
+#: before the next re-partition.  Any partition is exact, so the pass is
+#: purely a constant-factor tracker: eager migration and expulsion keep
+#: membership tight in between, and the loop's acceptance trigger forces
+#: an early pass when the bound m̂ degrades, so the period can be long.
+_RECLASSIFY_EVENTS = 8192
 
 #: Acceptance thresholds in the rejection engine are 53-bit uniforms
 #: (``k·2⁻⁵³``), so every float pair weight acts with effective
@@ -171,8 +206,9 @@ def collector_paused():
     (tree n = 65 536, 200 000 events in 49 ``run()`` calls) built about
     52 000 programs and 41 000 plans, and its ``run()`` calls started
     523 young, 47 middle and 4 full collections with the collector on in
-    the loop, against 65, 6 and 1 paused (the rest of each call, the
-    exit resync, still allocates with it on).
+    the loop, against 65, 6 and 1 paused.  The exit resync runs with the
+    collector on; on a live index with an idle, empty pool it allocates
+    almost nothing.
 
     The collector is restored to the state it was found in, also when
     the block raises; a caller that had already disabled it keeps it
@@ -295,6 +331,11 @@ class _ProposalPool:
         candidate order.  It describes the partition as classified: the
         fused loop migrates members in and out afterwards without
         touching it.
+
+        This is the busy pool's partition.  The owning index skips the
+        pass while its idle rule holds (see :meth:`FusedIndex.reclassify`)
+        and empties the pool instead, so the O(n) histogram and the
+        member layout are paid only while the pool serves draws.
         """
         positions = self.positions
         candidate_counts = np.asarray(counts, dtype=np.int64)[self._candidates]
@@ -330,15 +371,11 @@ class _ProposalPool:
                     if cost < best:
                         best = cost
                         window = (lo_idx, hi_idx)
+        if window is None:
+            self.release()
+            return np.zeros(len(candidate_counts), dtype=bool)
         positions[:] = [None] * len(positions)
         member = np.zeros(len(candidate_counts), dtype=bool)
-        if window is None:
-            self.agents[:] = []
-            self.where[:] = []
-            self.lo, self.hi = 2, 0  # empty window: nothing migrates in
-            self.mhat = 1
-            self.weight = 0
-            return member
         lo_idx, hi_idx = window
         chosen = (bucket >= lo_idx) & (bucket <= hi_idx)
         # Sorting by the index of each count's first appearance orders
@@ -371,6 +408,21 @@ class _ProposalPool:
         self.mhat = self.hi
         self.weight = int((member_counts * (member_counts - 1)).sum())
         return member
+
+    def release(self) -> None:
+        """Empty the pool in place: the partition of an idle pool.
+
+        O(pool agents): a state has a position list exactly while it
+        holds pool agents, so only the members' lists are dropped.
+        """
+        positions = self.positions
+        for state in self.agents:
+            positions[state] = None
+        self.agents[:] = []
+        self.where[:] = []
+        self.lo, self.hi = 2, 0  # empty window: nothing migrates in
+        self.mhat = 1
+        self.weight = 0
 
 
 
@@ -727,13 +779,22 @@ class FusedIndex:
     and nothing else.  A family whose type is not exactly one of the
     three raises :class:`~repro.exceptions.SimulationError` naming it
     (:class:`WeightedIndexUnsupported` on a partitioned index).
+
+    ``live`` is True while everything that changed the index since its
+    last full reload (or its construction) is the fused loop, applying
+    transitions to the counts list the index was loaded from.  The loop
+    clears it while it runs and restores it when it returns, so a fault
+    that escapes the loop leaves it cleared; the engine that owns the
+    index clears it whenever the counts change another way.
+    :meth:`resync` then reloads everything, and otherwise canonicalises
+    only what the loop's history left behind.
     """
 
     __slots__ = ("num_slots", "num_composite", "fenwick_size", "tree",
                  "values", "total", "slot_kind", "slot_payload",
                  "state_steps", "pool", "same_factors", "class_of",
-                 "class_matrix", "_num_states", "_same_states", "_plans",
-                 "_shapes")
+                 "class_matrix", "live", "_num_states", "_same_states",
+                 "_plans", "_shapes")
 
     def __init__(
         self,
@@ -880,7 +941,10 @@ class FusedIndex:
         # Compiled transitions by shape (see compile_transition).
         self._shapes: Dict[tuple, tuple] = {}
         self._same_states = rule_array
-        self.total = composite_mass + self._fill_same_state(count_array)
+        self.total = composite_mass + self._fill_same_state(
+            count_array, composite_mass
+        )
+        self.live = True
 
     def layout(self) -> tuple:
         """Plain structural description of the slot layout.
@@ -924,33 +988,47 @@ class FusedIndex:
     # Updates
     # ------------------------------------------------------------------
     def resync(self, counts: Sequence[int]) -> None:
-        """Reload every slot weight from a counts list, in place.
+        """Make every slot weight a pure function of ``counts``, in place.
 
         The slot layout, payload objects, and any compiled transition
         programs stay valid — only the weights move.  This is the
-        fault-injection seam: adopting an externally mutated
-        configuration costs one pass, with no program recompilation.
-        The pass reads ``counts`` into one int64 array and works on it
-        with numpy: a gather plus a :func:`fill_tree` per side tree, the
-        pool classification, and the same-state block.  The only
-        per-state Python work left is building each pool member's
-        position list.  Every slot is a pure function of the counts, so
-        the pass cannot fail.
+        fault-injection seam (an engine adopting an externally mutated
+        configuration clears :attr:`live` first), and the
+        **canonicalisation seam** the checkpoint layer relies on: the
+        proposal/Fenwick partition and product stale-flags it leaves are
+        a pure function of ``counts`` (history-independent), so an engine
+        that resyncs at a run boundary holds exactly the state a fresh
+        engine (or one restored from an
+        :class:`~repro.core.snapshot.EngineSnapshot`) would compile from
+        the same counts.  That is what lets snapshots stay
+        compiled-index-free while restores stay bit-exact.
 
-        Resync is also the **canonicalisation seam** the checkpoint
-        layer relies on: the proposal/Fenwick partition and product
-        stale-flags it produces are a pure function of ``counts``
-        (history-independent), so an engine that resyncs at a run
-        boundary holds exactly the state a fresh engine (or one
-        restored from an :class:`~repro.core.snapshot.EngineSnapshot`)
-        would compile from the same counts.  That is what lets
-        snapshots stay compiled-index-free while restores stay
-        bit-exact.
+        A :attr:`live` index already holds the reload's weights, so only
+        the loop's history is undone: stale product sides are rebuilt
+        from the counts, and the pool is re-partitioned by
+        :meth:`reclassify`, which costs nothing while the pool is idle
+        and empty.  Any other index takes the full reload: it reads
+        ``counts`` into one int64 array and works on it with numpy (a
+        gather plus a :func:`fill_tree` per side tree, the pool
+        classification and the same-state block), which leaves it live.
+        The only per-state Python work left is building each pool
+        member's position list.  Every slot is a pure function of the
+        counts, so neither path can fail.
         """
-        self._reload(counts, np.asarray(counts, dtype=np.int64))
+        if self.live:
+            self._canonicalise(counts)
+        else:
+            self._reload(counts, np.asarray(counts, dtype=np.int64))
+
+    def _canonicalise(self, counts: Sequence[int]) -> None:
+        """Undo a live index's history: stale sides and the partition."""
+        for payload in self.slot_payload[:self.num_composite]:
+            if type(payload) is _ProductSlot and payload.stale:
+                payload.rebuild_stale()
+        self.reclassify(counts)
 
     def _reload(self, counts: Sequence[int], count_array: np.ndarray) -> None:
-        """Reload every slot weight (the body of :meth:`resync`)."""
+        """Reload every slot weight (the full :meth:`resync`)."""
         kinds = self.slot_kind
         payloads = self.slot_payload
         values = self.values
@@ -968,35 +1046,64 @@ class FusedIndex:
             total += weight
         # Resync doubles as reclassification: the new counts decide
         # which same-state slots are proposal-mode.
-        self.total = total + self._fill_same_state(count_array)
+        self.total = total + self._fill_same_state(count_array, total)
+        self.live = True
 
     def reclassify(self, counts: Sequence[int]) -> None:
         """Re-partition same-state slots between the pools, in place.
 
-        Periodically called by the engines' fast loops so the proposal
-        pool tracks the drifting count profile (its members drain, new
-        mass grows in tree-mode slots).  Moves weight between the pool
-        pseudo-slot and the per-state Fenwick slots without changing
-        :attr:`total` — classification is a constant-factor choice, the
-        sampled distribution is identical for any partition.
-        """
-        if self.pool is not None:
-            self._fill_same_state(np.asarray(counts, dtype=np.int64))
+        Called on a live index whose :attr:`total` is current: by
+        :meth:`resync`, and periodically by the engines' fused loop so
+        the proposal pool tracks the drifting count profile (its members
+        drain, new mass grows in tree-mode slots).  Moves weight between
+        the pool pseudo-slot and the per-state Fenwick slots without
+        changing :attr:`total` — classification is a constant-factor
+        choice, the sampled distribution is identical for any partition.
 
-    def _fill_same_state(self, count_array: np.ndarray) -> int:
-        """Classify the pool and refill the same-state block; returns its mass.
+        The idle rule comes first, an O(1) test on totals: while
+        ``_RECLASSIFY_EVENTS · T < W`` (``T`` the same-state mass,
+        ``W`` the total) the pool is left empty.  A pool that is already
+        empty then costs nothing: only its window and bound are reset,
+        so no state migrates in before the next re-partition.  Any other
+        pool takes the O(n) pass over the whole block, which empties an
+        idle pool (a busy-to-idle switch, after a busy pass) and
+        classifies a busy one.  Either way the partition is the one a
+        fresh compile from ``counts`` lays out.
+        """
+        pool = self.pool
+        if pool is None:
+            return
+        values = self.values
+        outside = sum(values[:self.num_composite]) - values[pool.slot]
+        if not pool.agents and (
+            _RECLASSIFY_EVENTS * (self.total - outside) < self.total
+        ):
+            pool.release()
+            values[pool.slot] = 0
+            return
+        self._fill_same_state(np.asarray(counts, dtype=np.int64), outside)
+
+    def _fill_same_state(self, count_array: np.ndarray, outside: int) -> int:
+        """Partition the pool and refill the same-state block; returns its
+        mass.
 
         Each same-state slot weighs ``f·c(c−1)`` for its class factor
         ``f``, or 0 while its state is a pool member (the pool
-        pseudo-slot carries that mass).  The return value is the pooled
-        plus the tree-mode mass.
+        pseudo-slot carries that mass).  ``outside`` is the index's mass
+        outside the same-state block, which with the block's mass decides
+        the idle rule (see :meth:`reclassify`).  The return value is the
+        pooled plus the tree-mode mass.
         """
         block = count_array[self._same_states]
         block *= block - 1
         pooled = 0
         pool = self.pool
         if pool is not None:
-            block[pool.classify(count_array)] = 0
+            mass = int(block.sum())
+            if _RECLASSIFY_EVENTS * mass < outside + mass:
+                pool.release()
+            else:
+                block[pool.classify(count_array)] = 0
             pooled = pool.weight
             self.values[pool.slot] = pooled
         weights = block.tolist()
@@ -1007,6 +1114,44 @@ class FusedIndex:
             ]
         self.values[self.num_composite:] = weights
         return pooled + fill_tree(self.tree, self.fenwick_size, block)
+
+    def sampling_state(self) -> Dict[str, object]:
+        """Every count-dependent field of the index, as plain data.
+
+        Slot values, the same-state Fenwick tree and the total; the
+        pool's agent array, positions, window, bound and weight; each
+        product slot's side trees, side totals and stale bits; and each
+        triangular slot's line counts and moments
+        (:class:`WeightedFusedIndex` adds its class sums).  Two indexes
+        of one layout sample alike exactly when these agree, so an index
+        at a canonical point must equal a fresh compile from the same
+        counts (the engines' debug mode checks this, and so do the
+        tests).  Compiled programs and plans are count-independent and
+        not included.
+        """
+        state: Dict[str, object] = {
+            "values": list(self.values),
+            "tree": list(self.tree),
+            "total": self.total,
+        }
+        pool = self.pool
+        if pool is not None:
+            state["pool"] = (
+                list(pool.agents), list(pool.where),
+                [None if p is None else list(p) for p in pool.positions],
+                pool.lo, pool.hi, pool.mhat, pool.weight,
+            )
+        payloads = []
+        for payload in self.slot_payload[:self.num_composite]:
+            if type(payload) is _ProductSlot:
+                payloads.append((
+                    list(payload.init_tree), list(payload.resp_tree),
+                    payload.init_total, payload.resp_total, payload.stale,
+                ))
+            elif type(payload) is _TriangularSlot:
+                payloads.append((list(payload.counts), payload.s, payload.q))
+        state["payloads"] = payloads
+        return state
 
     def compile_transition(
         self, ops: Sequence[Tuple[int, int]]
@@ -1194,6 +1339,12 @@ class WeightedFusedIndex(FusedIndex):
         count_array = np.asarray(counts, dtype=np.int64)
         self._reload(counts, count_array)
         self._load_class_sums(count_array)
+
+    def sampling_state(self) -> Dict[str, object]:
+        """:meth:`FusedIndex.sampling_state` plus the class sums."""
+        state = super().sampling_state()
+        state["classes"] = (list(self.class_counts), list(self._row_dot))
+        return state
 
     def total_mass(self) -> int:
         """Scheduler mass of *all* ordered agent pairs (incl. null ones).

@@ -120,6 +120,7 @@ from .fused import (
     SCALED,
     TRIANGULAR,
     WEIGHT_DENOMINATOR,
+    _RECLASSIFY_EVENTS,
     FusedIndex,
     WeightedFusedIndex,
     _ProductSlot,
@@ -144,14 +145,6 @@ _MAX_WEIGHTED_MASS = 1 << 126
 # How often (in productive events) the fast loop recomputes the exact
 # maximum count and re-evaluates its sampler choice.
 _REFRESH_EVENTS = 8192
-
-# How often (in productive events) the fused general loop re-partitions
-# same-state slots between the proposal pool and the Fenwick block.
-# Any partition is exact, so this is purely a constant-factor tracker:
-# eager migration/expulsion keeps membership tight in between, and the
-# acceptance trigger below forces an early pass when the bound m̂
-# degrades, so the periodic pass can be long.
-_RECLASSIFY_EVENTS = 8192
 
 # A pool draw burning more proposals than this signals a degraded
 # acceptance bound (a member count drifted far from m̂ since the last
@@ -292,7 +285,10 @@ class JumpEngine:
     ``debug=True`` runs ``run()`` on the fused loop one event per call,
     as a recorder does, and re-verifies after every productive event,
     of ``run()`` and of ``step()``, that the index total the loop keeps
-    matches :meth:`recomputed_weight`.
+    matches :meth:`recomputed_weight`.  At each canonical point (a
+    uniform ``run()``'s exit, :meth:`snapshot` and an epoch swap) it
+    also checks that the active index equals a fresh compile from the
+    counts, field by field.
     """
 
     def __init__(
@@ -477,11 +473,14 @@ class JumpEngine:
         swapped = segment[0] is not self._index
         if swapped:
             # The incoming index went stale while another segment ran;
-            # one in-place resync from the live counts revalidates it.
-            # The loop state belongs to the outgoing index.
+            # one full in-place resync from the live counts revalidates
+            # it.  The loop state belongs to the outgoing index.
             self._loop_state = None
+            segment[0].live = False
             segment[0].resync(self.counts)
             self._index, self._pair_table, self._ss_progs = segment
+            if self._debug:
+                self._assert_canonical()
         if self._instr is not None:
             self._instr.add("epoch_switches")
             if swapped:
@@ -525,11 +524,17 @@ class JumpEngine:
         families = self._protocol.build_families(self.counts)
         if self._cursor is None:
             return sum(family.weight for family in families)
+        return self._fresh_index(families).total
+
+    def _fresh_index(self, families) -> FusedIndex:
+        """The active index's layout compiled afresh from the counts."""
         index = self._index
+        if self._cursor is None:
+            return FusedIndex(families, self._num_states, self.counts)
         return WeightedFusedIndex(
             families, self._num_states, self.counts,
             index.class_of, index.class_matrix,
-        ).total
+        )
 
     def _assert_weight_sync(self) -> None:
         recomputed = self.recomputed_weight()
@@ -537,6 +542,16 @@ class JumpEngine:
             raise AssertionError(
                 f"cached weight {self._index.total} != recomputed "
                 f"{recomputed} after {self.events} events"
+            )
+
+    def _assert_canonical(self) -> None:
+        """Debug check at a canonical point: the active index equals a
+        fresh compile from the live counts, field by field."""
+        fresh = self._fresh_index(self._protocol.build_families(self.counts))
+        if self._index.sampling_state() != fresh.sampling_state():
+            raise AssertionError(
+                f"index differs from a fresh compile after {self.events} "
+                "events"
             )
 
     def is_silent(self) -> bool:
@@ -565,6 +580,7 @@ class JumpEngine:
             configuration, self._num_states, self._protocol.num_agents
         )
         self._loop_state = None
+        self._index.live = False
         self._index.resync(self.counts)
         if self._instr is not None:
             self._instr.add("resyncs")
@@ -577,13 +593,15 @@ class JumpEngine:
 
         Drops the fused loop's state and canonicalises the active index
         first with one in-place resync (see :mod:`repro.core.snapshot`
-        for the exactness contract), then captures counts, counters, the epoch cursor of a biased
-        engine, the exact bit-generator state and the unconsumed
-        buffered draws.  A uniform engine writes a ``jump`` snapshot, a
-        biased one a ``weighted`` snapshot.
+        for the exactness contract), then captures counts, counters, the
+        epoch cursor of a biased engine, the exact bit-generator state
+        and the unconsumed buffered draws.  A uniform engine writes a
+        ``jump`` snapshot, a biased one a ``weighted`` snapshot.
         """
         self._loop_state = None
         self._index.resync(self.counts)
+        if self._debug:
+            self._assert_canonical()
         if self._instr is not None:
             self._instr.add("snapshots")
             self._instr.mark(
@@ -609,18 +627,23 @@ class JumpEngine:
         transition tables are count-independent and stay valid.  A
         biased engine adopts the snapshot's epoch and resyncs only that
         segment's index; the rest resync at their swap, as in an
-        uninterrupted run.
+        uninterrupted run.  Every field is checked before anything
+        changes, so a refused snapshot leaves the engine as it was.
         """
         cursor = self._cursor
         check_snapshot(
             snapshot, "jump" if cursor is None else "weighted",
             self._num_states, self._protocol.num_agents,
+            self._draws.rng.bit_generator,
         )
         if cursor is not None:
+            # Checks the epoch before it changes anything.
             cursor.restore(snapshot)
             self._index, self._pair_table, self._ss_progs = (
                 self._segments[cursor.epoch]
             )
+        # The adopted counts are not the ones the index followed.
+        self._index.live = False
         self.counts = [int(c) for c in snapshot.counts]
         self._loop_state = None
         self._index.resync(self.counts)
@@ -704,7 +727,11 @@ class JumpEngine:
         which continues the previous call's loop state, so the
         trajectory is the recorder-free one.  On exit the loop state is
         dropped, and a uniform run then canonicalises the index with
-        one in-place resync and discards the buffered draws.
+        one in-place resync and discards the buffered draws.  After the
+        fused loop the index is live, so the resync rebuilds only the
+        product sides the loop left stale and re-partitions the pool
+        (nothing to do for an idle, empty pool); after the same-state
+        loop it reloads in full.
         """
         cursor = self._cursor
         if recorder is not None:
@@ -731,8 +758,10 @@ class JumpEngine:
             # ``_RECLASSIFY_EVENTS``, and the contract the checkpoint
             # seam (``snapshot``/``restore``) relies on for
             # bit-identical resumption.  The same-state loop leaves the
-            # index stale, which the resync also repairs.
+            # index stale (not live), which the resync also repairs.
             self._index.resync(self.counts)
+            if self._debug:
+                self._assert_canonical()
             # Discard any shared buffered draws so the next run starts
             # from fresh batches of the (advanced) generator stream.
             self._draws.discard()
@@ -803,8 +832,10 @@ class JumpEngine:
         count axis doubles in place when a count outgrows it; that is
         not a mode switch.  Both samplers draw from the exact jump-chain
         distribution; only the constant factor differs.  The loop
-        leaves the fused index stale, for ``run()``'s exit resync.
+        leaves the fused index stale, so it marks it not live for
+        ``run()``'s exit resync to reload in full.
         """
+        self._index.live = False
         protocol = self._protocol
         draws = self._draws
         counts = self.counts
@@ -1136,9 +1167,14 @@ def _run_fused(
     ``gmax`` from the counts — which keeps ``gmax`` an upper bound on
     every count, as decoding a stale product side needs.  The pool
     partition and stale product sides the loop leaves behind are for
-    the caller to canonicalise or keep.
+    the caller to canonicalise or keep.  The index's ``live`` flag is
+    cleared while the loop runs and restored when it returns: a fault
+    that escapes it leaves the counts, slot values and tree ahead of the
+    total and the pool fields, which only a full reload repairs.
     """
     fused = engine._index
+    live = fused.live
+    fused.live = False
     draws = engine._draws
     counts = engine.counts
     protocol = engine._protocol
@@ -1763,9 +1799,11 @@ def _run_fused(
             cooldown_end = events + _RECLASSIFY_COOLDOWN
             gmax = max(counts)
             if pool is not None:
-                # Re-partition pool vs Fenwick from the live counts.
-                # All pool arrays mutate in place, so every local
-                # alias above stays valid; the total is unchanged.
+                # Re-partition pool vs Fenwick from the live counts; the
+                # idle rule reads the index total, written back first.
+                # All pool arrays mutate in place, so every local alias
+                # above stays valid; the total is unchanged.
+                fused.total = weight
                 fused.reclassify(counts)
                 pool_w = pool.weight
                 pmhat = pool.mhat
@@ -1776,6 +1814,7 @@ def _run_fused(
         pool.weight = pool_w
         pool.mhat = pmhat
     fused.total = weight
+    fused.live = live
     engine.interactions = interactions
     engine.events = events
     engine._loop_state = (

@@ -132,7 +132,12 @@ class SequentialEngine:
         return {}
 
     def _restore_fields(self, snapshot: EngineSnapshot) -> None:
-        """Subclass hook: adopt the extra fields captured above."""
+        """Subclass hook: adopt the extra fields captured above.
+
+        Runs after the base checks and before the base fields change,
+        so a hook that checks its fields before adopting them keeps a
+        refused restore from changing the engine.
+        """
 
     def snapshot(self) -> EngineSnapshot:
         """Plain-data checkpoint for bit-exact resumption.
@@ -165,10 +170,12 @@ class SequentialEngine:
 
         Families are rebuilt from the restored counts (a deterministic,
         count-pure construction — the ``reset_configuration`` seam),
-        never serialised.
+        never serialised.  Every field is checked before anything
+        changes, so a refused snapshot leaves the engine as it was.
         """
         check_snapshot(
-            snapshot, self.snapshot_kind, self._protocol.num_states, self._n
+            snapshot, self.snapshot_kind, self._protocol.num_states, self._n,
+            self._draws.rng.bit_generator,
         )
         if snapshot.agent_states is None:
             raise SimulationError(
@@ -183,6 +190,9 @@ class SequentialEngine:
             raise SimulationError(
                 "snapshot agent states disagree with its counts"
             )
+        # Subclass fields first: their own checks (a timeline's epoch)
+        # run before anything below changes.
+        self._restore_fields(snapshot)
         self.counts = counts
         self.agent_states = agent_states
         self._families = self._protocol.build_families(counts)
@@ -191,7 +201,6 @@ class SequentialEngine:
         self.interactions = snapshot.interactions
         self.events = snapshot.events
         self._draws.restore(snapshot)
-        self._restore_fields(snapshot)
         if self._instr is not None:
             self._instr.add("restores")
             self._instr.mark(

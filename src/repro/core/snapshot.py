@@ -35,6 +35,7 @@ held in memory until the job resumes.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, Optional, Tuple
 
@@ -171,14 +172,21 @@ class EngineSnapshot:
 
 
 def check_snapshot(
-    snapshot: EngineSnapshot, kind: str, num_states: int, num_agents: int
+    snapshot: EngineSnapshot,
+    kind: str,
+    num_states: int,
+    num_agents: int,
+    bit_generator: np.random.BitGenerator,
 ) -> None:
     """Validate a snapshot against the engine about to adopt it.
 
-    Checks its kind, shape and counts, then the ranges of its buffered
-    draws and agent states; every engine calls this before it changes
-    anything, so a damaged snapshot fails with a
-    :class:`SimulationError` naming the field.
+    Checks its kind, shape and counts, its generator state against the
+    engine's ``bit_generator`` (the name, and that a fresh generator of
+    that class adopts the state), then the ranges of its buffered draws
+    and agent states; every engine calls this before it changes
+    anything, so a damaged or foreign snapshot fails with a
+    :class:`SimulationError` naming the field and leaves the engine as
+    it was.
     """
     if snapshot.kind != kind:
         raise SimulationError(
@@ -209,7 +217,29 @@ def check_snapshot(
         )
     if not snapshot.rng_state:
         raise SimulationError("snapshot carries no generator state")
+    _check_generator(snapshot.rng_state, bit_generator)
     _check_draws(snapshot)
+
+
+def _check_generator(
+    state: Dict, bit_generator: np.random.BitGenerator
+) -> None:
+    """Reject a generator state the engine's bit generator cannot adopt:
+    another generator's, or one numpy's state setter refuses."""
+    expected = type(bit_generator).__name__
+    name = state.get("bit_generator")
+    if name != expected:
+        raise SimulationError(
+            f"snapshot generator is {name!r}, engine uses {expected!r}"
+        )
+    probe = type(bit_generator)(0)
+    try:
+        probe.state = copy.deepcopy(state)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise SimulationError(
+            f"snapshot generator state is damaged: "
+            f"{type(exc).__name__}: {exc}"
+        ) from None
 
 
 def _check_range(key: str, values, low, high) -> None:

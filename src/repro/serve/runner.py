@@ -43,11 +43,14 @@ __all__ = ["JobControl", "execute_jobspec", "spawn_seeds"]
 
 #: Productive events between pause checks / progress records on a
 #: simulate job.  Not just an observation granularity: every ``run()``
-#: call ends in an exit resync that re-partitions the fused sampler (and
-#: drops buffered draws), so a served result depends on this chunk size
-#: and can differ from one uninterrupted ``run()`` of the same JobSpec —
-#: see the chunk-invariant engines item in ROADMAP.md ("One result per
-#: (JobSpec, seed)").
+#: call ends in an exit resync that canonicalises the fused sampler
+#: (and drops buffered draws and the loop's state), so a served result
+#: depends on this chunk size and can differ from one uninterrupted
+#: ``run()`` of the same JobSpec — see the chunk-invariant engines item
+#: in ROADMAP.md ("One result per (JobSpec, seed)").  The index
+#: the loop leaves is live, so the resync is cheap while the proposal
+#: pool is idle and empty, as it is on a tree job from the second chunk
+#: on.
 SIMULATE_CHUNK_EVENTS = 4096
 
 

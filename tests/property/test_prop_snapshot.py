@@ -479,3 +479,141 @@ class TestSnapshotValidation:
         data["counts"] = [c + 1 for c in data["counts"]]
         with pytest.raises(ReproError):
             resume_engine(protocol, EngineSnapshot.from_dict(data))
+
+
+class TestRestoreLeavesARefusedEngineAlone:
+    """A snapshot from another bit generator, or with a generator state
+    numpy refuses, is refused with the other checks, before the engine
+    adopts any field."""
+
+    KINDS = {
+        # kind: (scheduler kind, engine, backend)
+        "jump": ("uniform", "jump", "python"),
+        "weighted": ("epoch", "jump", "python"),
+        "sequential": ("uniform", "sequential", "python"),
+        "scheduled": ("epoch", "sequential", "python"),
+        "agent": ("agent", "jump", "python"),
+        "batch": ("uniform", "jump", "numpy"),
+    }
+
+    @classmethod
+    def _engine(cls, kind, protocol):
+        scheduler_kind, engine, backend = cls.KINDS[kind]
+        scheduler = _scheduler(scheduler_kind, protocol)
+        built, name = build_engine(
+            protocol, random_configuration(protocol, seed=0), 1,
+            engine=engine, scheduler=scheduler, backend=backend,
+        )
+        assert name.split(":")[0] == kind
+        return built
+
+    @staticmethod
+    def _fields(engine):
+        return (
+            list(engine.counts), engine.events, engine.interactions,
+            getattr(engine, "epoch", None),
+        )
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_foreign_generator_refused_before_any_change(self, kind):
+        protocol = TreeRankingProtocol(40)
+        source = self._engine(kind, protocol)
+        source.run(max_events=100)
+        data = source.snapshot().to_dict()
+        data["rng_state"]["bit_generator"] = "MT19937"
+        snapshot = EngineSnapshot.from_dict(data)
+        target = self._engine(kind, protocol)
+        before = self._fields(target)
+        # The snapshot differs from the target in every checked field.
+        assert before[:3] != (list(snapshot.counts), 100, snapshot.interactions)
+        if kind in ("weighted", "scheduled"):
+            assert (before[3], snapshot.epoch) == (0, 1)
+        with pytest.raises(SimulationError, match="'MT19937'.*'PCG64'"):
+            target.restore(snapshot)
+        assert self._fields(target) == before
+
+    #: Damage to a PCG64 state, and what numpy's state setter raises.
+    DAMAGED = {
+        "missing-inc": (lambda state: state["state"].pop("inc"), "KeyError"),
+        "negative": (
+            lambda state: state["state"].__setitem__("state", -1),
+            "OverflowError",
+        ),
+        "not-an-int": (
+            lambda state: state.__setitem__("has_uint32", "x"), "TypeError"
+        ),
+    }
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGED))
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_damaged_generator_state_refused_before_any_change(
+        self, kind, damage
+    ):
+        protocol = TreeRankingProtocol(40)
+        source = self._engine(kind, protocol)
+        source.run(max_events=100)
+        data = source.snapshot().to_dict()
+        change, raised = self.DAMAGED[damage]
+        change(data["rng_state"])
+        target = self._engine(kind, protocol)
+        before = self._fields(target)
+        with pytest.raises(
+            SimulationError, match=f"generator state is damaged: {raised}"
+        ):
+            target.restore(EngineSnapshot.from_dict(data))
+        assert self._fields(target) == before
+
+    @pytest.mark.parametrize("kind", ["weighted", "scheduled"])
+    def test_epoch_outside_the_timeline_refused_before_any_change(
+        self, kind
+    ):
+        protocol = TreeRankingProtocol(40)
+        source = self._engine(kind, protocol)
+        source.run(max_events=100)
+        data = source.snapshot().to_dict()
+        data["epoch"] = 5
+        target = self._engine(kind, protocol)
+        before = self._fields(target)
+        with pytest.raises(SimulationError, match="epoch 5"):
+            target.restore(EngineSnapshot.from_dict(data))
+        assert self._fields(target) == before
+
+
+class TestWeightedSnapshotsCarryNoUniforms:
+    """The jump engine's construction-time uniform batch is drawn (it
+    fixes the generator state every trajectory starts from) and marked
+    consumed at once, so no snapshot carries it."""
+
+    @pytest.mark.parametrize("scheduler_kind", ["biased", "epoch"])
+    def test_biased_snapshot_is_uniform_free_and_resumes(
+        self, scheduler_kind
+    ):
+        protocol = TreeRankingProtocol(13, k=3)
+        scheduler = _scheduler(scheduler_kind, protocol)
+        start = random_configuration(protocol, seed=2)
+
+        def fresh():
+            engine, name = build_engine(
+                protocol, start, 3, scheduler=scheduler
+            )
+            assert name.split(":")[0] == "weighted"
+            return engine
+
+        untouched = fresh()
+        untouched.run(max_events=40)
+        checkpointed = fresh()
+        assert checkpointed.snapshot().uniforms == ()
+        checkpointed.run(max_events=40)
+        snapshot = checkpointed.snapshot()
+        assert snapshot.uniforms == ()
+        restored = resume_engine(
+            protocol,
+            EngineSnapshot.from_dict(
+                json.loads(json.dumps(snapshot.to_dict()))
+            ),
+            scheduler=scheduler,
+        )
+        arms = (untouched, checkpointed, restored)
+        for arm in arms:
+            arm.run(max_events=200)
+        _assert_same_state(*arms)
