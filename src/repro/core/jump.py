@@ -88,6 +88,13 @@ additionally dispatches between two exact samplers:
   bucket and its residual divided by ``c(c−1)`` picks the state, so a
   draw costs ``O(log max count)`` rather than ``O(log N)``: near
   silence few states hold two agents or more, and none holds many.
+  An event that moves one agent from the drawn state (count ``c``) to
+  a rule state holding ``c − 1`` is a *count swap*: the two counts
+  trade places, ``W`` and the axis stay, and the loop edits the two
+  buckets in place with no axis update — nearly every event of a ring
+  of traps' k-distant drain.  Its periodic acceptance re-test scans the
+  counts for their maximum only when the switch could pass with the top
+  non-empty bucket, a lower bound on that maximum, in its place.
 
 Both are exact, so the engine switches between them adaptively (with
 hysteresis) based on the acceptance rate ``W/(n·M̂)``.
@@ -243,6 +250,26 @@ def _fill_count_axis(axis: List[int], buckets: List[List[int]]) -> None:
     ][1:])
 
 
+def _top_count(axis: List[int], weight: int) -> int:
+    """The count of the top non-empty bucket on the count axis.
+
+    The walk for the last unit of weight, target ``W − 1``, ends at the
+    highest count whose bucket weighs anything; counts 0 and 1 weigh
+    nothing.  ``O(log size)``.
+    """
+    pos = 0
+    bit = (len(axis) - 1) >> 1
+    target = weight - 1
+    while bit:
+        nxt = pos + bit
+        below = axis[nxt]
+        if below <= target:
+            target -= below
+            pos = nxt
+        bit >>= 1
+    return pos + 1
+
+
 def _grow_count_axis(
     axis: List[int], buckets: List[List[int]], count: int
 ) -> int:
@@ -330,7 +357,7 @@ class JumpEngine:
         self._loop_state: Optional[tuple] = None
         self._last_event: Optional[tuple] = None
         self._cursor = None
-        self._ss_table = None
+        self._ss_table = self._ss_transfer = None
         if scheduler is not None:
             # Deferred: the scheduler module imports this one.
             from .scheduler import _derive_classes, _EpochCursor
@@ -350,7 +377,9 @@ class JumpEngine:
                     FusedIndex(families, num_states, self.counts),
                     {}, [None] * num_states,
                 )]
-                self._ss_table = self._compile_same_state_table(families)
+                self._ss_table, self._ss_transfer = (
+                    self._compile_same_state_table(families)
+                )
             else:
                 # Deduplicate on the *derived* (classes, dyadic matrix):
                 # the scenario layer builds a fresh scheduler object per
@@ -394,7 +423,8 @@ class JumpEngine:
         self._ss_idle: Optional[np.ndarray] = None
 
     def _compile_same_state_table(self, families):
-        """Per-state transition table for same-state-only protocols.
+        """Per-state transition table for same-state-only protocols,
+        and its transfer list: ``(table, transfer)``.
 
         ``table[s]`` is ``(ti, tj, ops)`` for each state ``s`` with a
         same-state rule, where ``ops`` lists ``(state, count delta,
@@ -404,47 +434,62 @@ class JumpEngine:
         ``c0 → c1 = c0 + d`` changes ``c(c−1)`` by ``d·(c0 + c1 − 1)``.
         States without a rule keep ``None``.
 
+        ``transfer[s]`` is the other state ``b`` of a rule
+        ``(s, s) → (s, b)`` or ``(b, s)`` whose ``b`` has a rule too,
+        and ``s`` itself for every other rule state.  Such a rule moves
+        one agent from ``s`` to ``b``; when ``b`` holds one agent fewer
+        than ``s``, the two counts trade places (a *count swap*), which
+        the count-bucket loop serves without its op loop.  A state's
+        own count never equals itself minus one, so ``s`` needs no
+        separate "no transfer" test.  States without a rule hold -1;
+        the loop never draws them.
+
         One pass over the rule states, with a byte mask for the rule
         test and the four same-state shapes of ``_transition_ops``
-        inlined.  A per-state generator over ``_transition_ops`` and a
-        set of the rule states cost several times the ``delta`` calls:
-        for the ring of traps at n = 90 300 (collector paused) that
-        build took 217 ms and this one takes 87 ms, 35 ms of it in
-        ``delta``.
+        inlined; the transfer target is one list write in that pass.
+        A per-state generator over ``_transition_ops`` and a set of the
+        rule states cost several times the ``delta`` calls: for the
+        ring of traps at n = 90 300 (collector paused) that build took
+        217 ms and this one takes 87 ms, 35 ms of it in ``delta``.
 
-        Returns ``None`` when the protocol has cross-state families or
-        (defensively) claims a same-state pair its ``delta`` reports as
-        null — the general sampler then raises the coverage error
-        lazily.
+        Returns ``(None, None)`` when the protocol has cross-state
+        families or (defensively) claims a same-state pair its
+        ``delta`` reports as null — the general sampler then raises the
+        coverage error lazily.
         """
         if len(families) != 1 or type(families[0]) is not SameStatePairs:
-            return None
+            return None, None
         rule_states = families[0].rule_states()
         is_rule = bytearray(self._num_states)
         for s in rule_states:
             is_rule[s] = 1
         delta = self._protocol.delta
         table: List[Optional[tuple]] = [None] * self._num_states
+        transfer = [-1] * self._num_states
         for s in rule_states:
             out = delta(s, s)
             if out is None:
-                return None
+                return None, None
             ti, tj = out
             ops: _Ops
             if ti == tj:
                 ops = () if ti == s else (
                     (s, -2, -2), (ti, 2, 2 * is_rule[ti])
                 )
+                transfer[s] = s
             elif ti == s:
                 ops = ((s, -1, -1), (tj, 1, is_rule[tj]))
+                transfer[s] = tj if is_rule[tj] else s
             elif tj == s:
                 ops = ((s, -1, -1), (ti, 1, is_rule[ti]))
+                transfer[s] = ti if is_rule[ti] else s
             else:
                 ops = (
                     (s, -2, -2), (ti, 1, is_rule[ti]), (tj, 1, is_rule[tj])
                 )
+                transfer[s] = s
             table[s] = (ti, tj, ops)
-        return table
+        return table, transfer
 
     # ------------------------------------------------------------------
     # Scheduler, epochs and weight bookkeeping
@@ -834,12 +879,27 @@ class JumpEngine:
         distribution; only the constant factor differs.  The loop
         leaves the fused index stale, so it marks it not live for
         ``run()``'s exit resync to reload in full.
+
+        In the bucket mode a *count swap* — the drawn state ``s`` (count
+        ``c``) moves one agent to its transfer target ``b`` (see
+        :meth:`_compile_same_state_table`) while ``b`` holds ``c − 1`` —
+        trades the two counts, so ``W`` and the axis stay, and skips the
+        op loop: in bucket ``c``, ``s``'s slot takes the last entry and
+        ``b`` the last slot; for ``c > 2``, ``s`` takes ``b``'s slot in
+        bucket ``c − 1``.  The buckets and ``where`` end exactly as the
+        op loop's remove/append sequence leaves them, so every
+        trajectory is the same.  Every ``_REFRESH_EVENTS`` events the
+        bucket mode re-tests acceptance, ``4·W ≥ n·max(counts)``; the
+        top non-empty bucket (one axis walk) bounds that maximum from
+        below, so the O(n) ``max`` pass runs only when the test could
+        pass with it.
         """
         self._index.live = False
         protocol = self._protocol
         draws = self._draws
         counts = self.counts
         table = self._ss_table
+        transfer = self._ss_transfer
         num_states = self._num_states
         n = protocol.num_agents
         total_pairs = self._total_pairs
@@ -859,7 +919,7 @@ class JumpEngine:
         events0 = events
         interactions0 = interactions
         nub = nrb = npb = 0
-        c_pdisc = c_prop_events = c_fen_events = c_modes = 0
+        c_pdisc = c_prop_events = c_fen_events = c_modes = c_swaps = 0
 
         # Skip draws are consumed as precomputed log(1-u): the geometric
         # inverse-CDF needs only ceil(log(1-u)/log(1-p)), and batching
@@ -996,9 +1056,13 @@ class JumpEngine:
                 while remaining != 0 and weight:
                     if refresh == 0:
                         refresh = _REFRESH_EVENTS
-                        mhat = max(counts)
-                        if 4 * weight >= n * mhat:
-                            break  # acceptance recovered — switch back
+                        # The top non-empty bucket bounds the maximum
+                        # count from below, so the O(n) max pass runs
+                        # only when the switch test can still pass.
+                        if 4 * weight >= n * _top_count(axis, weight):
+                            mhat = max(counts)
+                            if 4 * weight >= n * mhat:
+                                break  # acceptance recovered — switch back
                     # Geometric skip.
                     if weight >= total_pairs:
                         interactions += 1
@@ -1039,7 +1103,35 @@ class JumpEngine:
                             pos = nxt
                         bit >>= 1
                     pos += 1
-                    s = buckets[pos][target // (pos * (pos - 1))]
+                    bucket = buckets[pos]
+                    s = bucket[target // (pos * (pos - 1))]
+                    b = transfer[s]
+                    if counts[b] == pos - 1:
+                        # Count swap: s and b trade counts, so W, the
+                        # axis and the multiset of counts stay.  The
+                        # buckets end as the op loop's remove/append
+                        # sequence leaves them: s's slot in bucket c
+                        # takes the last entry, b the last slot, and s
+                        # takes b's slot in bucket c − 1.
+                        counts[s] = pos - 1
+                        counts[b] = pos
+                        slot = where[s]
+                        end = len(bucket) - 1
+                        last = bucket[end]
+                        bucket[slot] = last
+                        where[last] = slot
+                        bucket[end] = b
+                        if pos > 2:
+                            slot = where[b]
+                            buckets[pos - 1][slot] = s
+                            where[s] = slot
+                        where[b] = end
+                        if instr_on:
+                            c_swaps += 1
+                        events += 1
+                        remaining -= 1
+                        refresh -= 1
+                        continue
                     ti, tj, ops = table[s]
                     for st, d, w in ops:
                         c0 = counts[st]
@@ -1092,6 +1184,7 @@ class JumpEngine:
                 proposal_mode_events=c_prop_events,
                 fenwick_mode_events=c_fen_events,
                 fenwick_finds=c_fen_events,
+                swap_events=c_swaps,
                 mode_switches=c_modes - 1 if c_modes else 0,
             )
         return weight == 0

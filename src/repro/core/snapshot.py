@@ -181,8 +181,9 @@ def check_snapshot(
     """Validate a snapshot against the engine about to adopt it.
 
     Checks its kind, shape and counts, its generator state against the
-    engine's ``bit_generator`` (the name, and that a fresh generator of
-    that class adopts the state), then the ranges of its buffered draws
+    engine's ``bit_generator`` (the name, that every state word is an
+    exact int, and that a fresh generator of that class adopts the
+    state), then the ranges of its buffered draws
     and agent states; every engine calls this before it changes
     anything, so a damaged or foreign snapshot fails with a
     :class:`SimulationError` naming the field and leaves the engine as
@@ -225,13 +226,15 @@ def _check_generator(
     state: Dict, bit_generator: np.random.BitGenerator
 ) -> None:
     """Reject a generator state the engine's bit generator cannot adopt:
-    another generator's, or one numpy's state setter refuses."""
+    another generator's, one holding a word that is not an exact int,
+    or one numpy's state setter refuses."""
     expected = type(bit_generator).__name__
     name = state.get("bit_generator")
     if name != expected:
         raise SimulationError(
             f"snapshot generator is {name!r}, engine uses {expected!r}"
         )
+    _check_generator_words(state)
     probe = type(bit_generator)(0)
     try:
         probe.state = copy.deepcopy(state)
@@ -240,6 +243,34 @@ def _check_generator(
             f"snapshot generator state is damaged: "
             f"{type(exc).__name__}: {exc}"
         ) from None
+
+
+def _check_generator_words(state: Dict, prefix: str = "") -> None:
+    """Refuse a generator state word that is not an exact ``int``.
+
+    numpy's state setters truncate a float, so a PCG64 state whose
+    128-bit words passed through a JSON parser as doubles would restore
+    another random stream without an error, and a read-back comparison
+    cannot tell: an integer-valued float equals its int.  Every value
+    but the generator's name must be an ``int`` (not a ``bool``), or an
+    array or list of them (other generators keep arrays of words).
+    """
+    for key, value in state.items():
+        field_name = prefix + key
+        if isinstance(value, dict):
+            _check_generator_words(value, field_name + ".")
+            continue
+        if field_name == "bit_generator":
+            continue
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        for word in value if isinstance(value, list) else (value,):
+            if type(word) is not int:
+                raise SimulationError(
+                    f"snapshot generator state is damaged: TypeError: "
+                    f"field {field_name!r} holds {type(word).__name__}, "
+                    f"not an exact int"
+                )
 
 
 def _check_range(key: str, values, low, high) -> None:

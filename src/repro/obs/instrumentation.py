@@ -45,6 +45,14 @@ Counter vocabulary (engines only touch the ones their loop has):
     The same-state dual sampler's adaptive split: events served by the
     proposal mode and by the low-acceptance count-bucket mode, and the
     switches between them (a count-axis growth is not a switch).
+``swap_events``
+    Count-bucket events that were *count swaps* — one agent moved from
+    a state holding ``c`` agents to a rule state holding ``c − 1``, so
+    the two counts traded places and the loop served the event with an
+    in-place bucket edit, no count-axis walk.  A subset of
+    ``fenwick_mode_events``; ``swap_events / fenwick_mode_events`` is
+    the swap share (about 0.96–0.99 on the ring of traps' k-distant
+    drain).
 ``accept_tests``, ``accept_rejects``
     Acceptance tests and rejections of the rejection engines
     (``ScheduledEngine``, ``AgentScheduledEngine``); the weighted

@@ -531,6 +531,21 @@ def _oracle_same_state_table(protocol, families):
     return table
 
 
+def _oracle_transfer(table):
+    """Each rule state's count-swap target: the other state of an
+    ``(s, s) → (s, b)`` or ``(b, s)`` rule whose ``b`` has a rule, else
+    ``s``; -1 for a state without a rule."""
+    transfer = []
+    for s, entry in enumerate(table):
+        if entry is None:
+            transfer.append(-1)
+            continue
+        ti, tj, _ = entry
+        b = tj if ti == s else ti if tj == s else s
+        transfer.append(b if table[b] is not None else s)
+    return transfer
+
+
 class TestSameStateTableMatchesOracle:
     @pytest.mark.parametrize(
         "protocol",
@@ -556,6 +571,9 @@ class TestSameStateTableMatchesOracle:
             protocol, protocol.build_families(start.counts_list())
         )
         assert engine._ss_table == expected
+        assert engine._ss_transfer == (
+            None if expected is None else _oracle_transfer(expected)
+        )
         for entry in engine._ss_table or ():
             if entry is not None:
                 assert all(

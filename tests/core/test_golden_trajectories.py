@@ -48,6 +48,7 @@ from repro import (
     TargetedSuppressionScheduler,
     TreeRankingProtocol,
     WeightedScheduledEngine,
+    k_distant_configuration,
     random_configuration,
     resume_engine,
 )
@@ -62,6 +63,13 @@ def _ring():
     protocol = RingOfTrapsProtocol(m=20)
     start = Configuration.all_in_state(0, protocol.num_agents, protocol.num_states)
     return protocol, start
+
+
+def _ring_drain():
+    # A k-distant drain: nearly every event a count swap in the
+    # count-bucket mode.
+    protocol = RingOfTrapsProtocol(m=20)
+    return protocol, k_distant_configuration(protocol, 30, seed=3)
 
 
 def _trap():
@@ -134,6 +142,8 @@ def _targeted(protocol):
 CASES = {
     "jump-same-state-ring": (_ring, JumpEngine, None, 20000, 3001, False),
     "jump-same-state-trap": (_trap, JumpEngine, None, 20000, 3001, False),
+    "jump-same-state-ring-drain": (_ring_drain, JumpEngine, None, 20000,
+                                   3001, False),
     "jump-fused-tree": (_tree, JumpEngine, None, 20000, 3001, False),
     "jump-fused-line-m2": (_line, JumpEngine, None, 20000, 3001, False),
     "jump-general-recorder": (_tree, JumpEngine, None, 12000, 2501, True),
@@ -279,7 +289,8 @@ def test_stored_snapshot_resumes(name):
 
 def test_cases_reach_their_loops():
     """Each case exercises the realisation its name claims."""
-    for name in ("jump-same-state-ring", "jump-same-state-trap"):
+    for name in ("jump-same-state-ring", "jump-same-state-trap",
+                 "jump-same-state-ring-drain"):
         assert _build(name)[2]._ss_table is not None
     for name in ("jump-fused-tree", "jump-fused-line-m2"):
         assert _build(name)[2]._ss_table is None
@@ -289,6 +300,14 @@ def test_cases_reach_their_loops():
     engine.run(max_events=CASES["jump-same-state-trap"][3])
     assert instr.get("proposal_mode_events") > 0
     assert instr.get("fenwick_mode_events") > 0
+    # The k-distant ring drain runs only in the count-bucket mode, and
+    # serves count swaps there.
+    instr = Instrumentation()
+    engine = _build("jump-same-state-ring-drain", instrumentation=instr)[2]
+    engine.run(max_events=CASES["jump-same-state-ring-drain"][3])
+    assert instr.get("fenwick_mode_events") == engine.events > 0
+    assert instr.get("proposal_mode_events") == 0
+    assert instr.get("swap_events") > 0
     instr = Instrumentation()
     engine = _build("jump-fused-line-m2", instrumentation=instr)[2]
     engine.run(max_events=CASES["jump-fused-line-m2"][3])

@@ -32,8 +32,10 @@ Three invariant groups:
   schedulers;
 * the same-state loop's count-bucket mode maps every target in
   ``[0, W)`` to its state exactly ``c(c − 1)`` times, on the first
-  event and after a maintained one, and keeps its weight synced across
-  mode switches and count-axis growths.
+  event and after one and two maintained ones (count swaps' in-place
+  bucket edits included), switches back to the proposal mode at the
+  first refresh that finds acceptance recovered, and keeps its weight
+  synced across mode switches and count-axis growths.
 """
 
 import math
@@ -50,6 +52,7 @@ from repro import (
     JumpEngine,
     LineOfTrapsProtocol,
     ModifiedTreeProtocol,
+    PopulationProtocol,
     RingOfTrapsProtocol,
     SingleTrapProtocol,
     TreeDispersalProtocol,
@@ -732,6 +735,66 @@ def _count_four_start():
     return protocol, [4, 0, 2] + [1] * 10 + [0] * 3
 
 
+def _swap_pair_start():
+    # Bucket 2 holds states 0 and 2, each one agent above its successor:
+    # every first event is a count swap with c = 2, from the first slot
+    # and from the last.
+    protocol = AGProtocol(12)
+    return protocol, [2, 1, 2, 1, 1, 1, 1, 1, 1, 1, 0, 0]
+
+
+def _swap_trade_start():
+    # States 1 and 3 hold 3 agents and their successors 2: a count swap
+    # with c = 3 trades members between buckets 3 and 2, each into a
+    # slot other than the one it left.  State 4's event is a c = 2 swap;
+    # states 0 and 2 move an agent onto a count of 3, no swap.
+    protocol = AGProtocol(28)
+    return protocol, [2, 3, 2, 3, 2] + [1] * 16 + [0] * 7
+
+
+def _swap_mass(protocol, counts):
+    """How many targets of ``[0, W)`` draw a count swap: a rule state
+    ``s`` moving one agent to a rule state ``b`` that holds one agent
+    fewer."""
+    mass = 0
+    for s, c in enumerate(counts):
+        out = protocol.delta(s, s) if c > 1 else None
+        if out is None or s not in out or out[0] == out[1]:
+            continue
+        b = out[1] if out[0] == s else out[0]
+        if protocol.delta(b, b) is not None and counts[b] == c - 1:
+            mass += c * (c - 1)
+    return mass
+
+
+class _PileBesideNoOps(PopulationProtocol):
+    """A pile that spreads out beside rule states that never change.
+
+    States 0–9 form a chain, ``(i, i) → (i, i + 1)``, so a pile of ten
+    agents on state 0 spreads to one agent per chain state.  States
+    10–53 hold a no-op rule ``(s, s) → (s, s)`` and keep their counts;
+    states 54–132 have no rule.  From the start below the loop opens in
+    the count-bucket mode (4·354 < 300·10).  Once the pile has spread,
+    ``4W = 4·264 = 1056`` lies between ``n·3 = 900`` (three, the maximum
+    count, is the top bucket) and ``n·4``, so the first refresh must
+    find the exact maximum and switch back to the proposal mode.
+    """
+
+    def __init__(self):
+        super().__init__(num_states=133, num_agents=300)
+
+    def delta(self, initiator, responder):
+        if initiator != responder or initiator > 53:
+            return None
+        if initiator < 9:
+            return initiator, initiator + 1
+        return None if initiator == 9 else (initiator, initiator)
+
+    @staticmethod
+    def start():
+        return [10] + [0] * 9 + [3] * 44 + [2] * 79
+
+
 def _trap_pile_up(inner, n):
     protocol = SingleTrapProtocol(inner, n)
     return protocol, Configuration.all_in_state(
@@ -803,19 +866,34 @@ class TestCountBucketSampler:
             protocol, before
         )
 
+    @staticmethod
+    def _representatives(before, outcomes):
+        """One target per distinct state the event fired."""
+        representatives = {}
+        for target, after in enumerate(outcomes):
+            representatives.setdefault(_fired_state(before, after), target)
+        return representatives.values()
+
     @pytest.mark.parametrize(
         "setup, grows",
         [(_near_silent_ring, True), (_ag_start, True),
-         (_count_four_start, False)],
-        ids=["ring-m4", "ag-n12", "max-count-4"],
+         (_count_four_start, False), (_swap_pair_start, False),
+         (_swap_trade_start, True)],
+        ids=["ring-m4", "ag-n12", "max-count-4", "swap-c2", "swap-c3"],
     )
     def test_every_target_picks_its_state_exactly(
         self, setup, grows, monkeypatch
     ):
         """The map of the first event checks the bucket build; the map
         of the second, after each distinct first event, checks the
-        bucket moves.  The ring's first event and the AG start's second
-        can outgrow the 4-slot axis; the last start opens on 8 slots."""
+        bucket moves and count swaps' in-place bucket edits; the map of
+        the third, after each distinct pair, checks the ``where`` slots
+        those moves left, which the third event's removals read.  The
+        ring's first event, the AG start's second and the c = 3 swap
+        start's third can outgrow the 4-slot axis; the max-count-4
+        start opens on 8 slots.  The swap starts open on count swaps:
+        with c = 2, and with c = 3, where buckets 3 and 2 trade
+        members."""
         protocol, start = setup()
         growths = _count_growths(monkeypatch)
         raws = []
@@ -829,19 +907,44 @@ class TestCountBucketSampler:
         first = self._map(engine, raws, start, [], range(weight))
         self._exact(protocol, start, first)
         assert instr.get("fenwick_mode_events") == weight
+        assert instr.get("swap_events") == _swap_mass(protocol, start)
         runs = weight
-        representatives = {}
-        for t1, after in enumerate(first):
-            representatives.setdefault(_fired_state(start, after), t1)
-        for t1 in representatives.values():
+        for t1 in self._representatives(start, first):
             after = first[t1]
             weight1 = _fresh_weight(protocol, after)
             second = self._map(engine, raws, start, [t1], range(weight1))
             self._exact(protocol, after, second)
             runs += 2 * weight1
+            for t2 in self._representatives(after, second):
+                weight2 = _fresh_weight(protocol, second[t2])
+                third = self._map(
+                    engine, raws, start, [t1, t2], range(weight2)
+                )
+                self._exact(protocol, second[t2], third)
+                runs += 3 * weight2
         assert instr.get("fenwick_mode_events") == runs
         assert instr.get("proposal_mode_events") == 0
         assert bool(growths) == grows
+
+    def test_switch_back_waits_for_the_refresh(self):
+        """The bucket mode re-tests acceptance every ``_REFRESH_EVENTS``
+        events, and switches back at the first refresh where
+        ``4W ≥ n·max(counts)``, not before and not later."""
+        protocol = _PileBesideNoOps()
+        instr = Instrumentation()
+        engine = JumpEngine(
+            protocol, Configuration(protocol.start()),
+            np.random.default_rng(5), instrumentation=instr,
+        )
+        refresh = jump_module._REFRESH_EVENTS
+        engine.run(max_events=refresh + 100)
+        assert engine.counts[:10] == [1] * 10
+        assert instr.get("fenwick_mode_events") == refresh
+        assert instr.get("proposal_mode_events") == 100
+        assert instr.get("mode_switches") == 1
+        assert engine.productive_weight == _fresh_weight(
+            protocol, engine.counts
+        ) == 264
 
     @pytest.mark.parametrize(
         "setup, total, switches",

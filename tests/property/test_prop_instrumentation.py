@@ -56,6 +56,8 @@ class TestTrajectoryEquality:
         assert instr.get("events") == instr.get(
             "proposal_mode_events"
         ) + instr.get("fenwick_mode_events")
+        # Count swaps are count-bucket events served without the op loop.
+        assert instr.get("swap_events") <= instr.get("fenwick_mode_events")
 
     @given(st.integers(0, 2**31))
     @settings(max_examples=15, deadline=None)

@@ -11,6 +11,7 @@ without weakening that.
 import json
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from repro import (
     EngineSnapshot,
     EpochBoundary,
     EpochScheduler,
+    JumpEngine,
     RingOfTrapsProtocol,
     StateBiasedScheduler,
     TreeRankingProtocol,
@@ -482,9 +484,10 @@ class TestSnapshotValidation:
 
 
 class TestRestoreLeavesARefusedEngineAlone:
-    """A snapshot from another bit generator, or with a generator state
-    numpy refuses, is refused with the other checks, before the engine
-    adopts any field."""
+    """A snapshot from another bit generator, with a generator state
+    numpy refuses, or with a generator word that is not an exact int,
+    is refused with the other checks, before the engine adopts any
+    field."""
 
     KINDS = {
         # kind: (scheduler kind, engine, backend)
@@ -562,6 +565,97 @@ class TestRestoreLeavesARefusedEngineAlone:
         ):
             target.restore(EngineSnapshot.from_dict(data))
         assert self._fields(target) == before
+
+    #: A PCG64 state word passed through a JSON parser that reads
+    #: integers as doubles (or mistyped as a bool), by field.
+    NOT_AN_INT = {
+        "state.state": lambda state: state["state"].__setitem__(
+            "state", float(state["state"]["state"])
+        ),
+        "state.inc": lambda state: state["state"].__setitem__(
+            "inc", float(state["state"]["inc"])
+        ),
+        "has_uint32": lambda state: state.__setitem__(
+            "has_uint32", float(state["has_uint32"])
+        ),
+        "uinteger": lambda state: state.__setitem__(
+            "uinteger", float(state["uinteger"])
+        ),
+        "has_uint32-bool": lambda state: state.__setitem__(
+            "has_uint32", bool(state["has_uint32"])
+        ),
+    }
+
+    @pytest.mark.parametrize("word", sorted(NOT_AN_INT))
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_generator_word_not_an_int_refused_before_any_change(
+        self, kind, word
+    ):
+        """numpy's setter truncates a float word, so it would restore
+        another stream silently; the check refuses it by field."""
+        protocol = TreeRankingProtocol(40)
+        source = self._engine(kind, protocol)
+        source.run(max_events=100)
+        data = source.snapshot().to_dict()
+        self.NOT_AN_INT[word](data["rng_state"])
+        target = self._engine(kind, protocol)
+        before = self._fields(target)
+        field_name = word.split("-")[0]
+        with pytest.raises(
+            SimulationError, match=f"damaged: TypeError: field '{field_name}'"
+        ):
+            target.restore(EngineSnapshot.from_dict(data))
+        assert self._fields(target) == before
+
+    @pytest.mark.parametrize(
+        "generator, words",
+        [(np.random.MT19937, "state.key"), (np.random.Philox, "state.counter")],
+        ids=["mt19937", "philox"],
+    )
+    def test_array_words_of_other_generators(self, generator, words):
+        """Other generators keep arrays of words: an integer array
+        restores, and the same words as floats are refused by field."""
+        protocol = AGProtocol(30)
+        start = random_configuration(protocol, seed=1)
+        source = JumpEngine(
+            protocol, start, np.random.Generator(generator(3))
+        )
+        source.run(max_events=20)
+        snapshot = source.snapshot()
+        target = JumpEngine(
+            protocol, start, np.random.Generator(generator(4))
+        )
+        before = self._fields(target)
+        data = snapshot.to_dict()
+        outer, inner = words.split(".")
+        state = data["rng_state"][outer]
+        state[inner] = state[inner].astype(float)
+        with pytest.raises(
+            SimulationError, match=f"damaged: TypeError: field '{words}'"
+        ):
+            target.restore(EngineSnapshot.from_dict(data))
+        assert self._fields(target) == before
+        target.restore(snapshot)
+        source.run(max_events=60)
+        target.run(max_events=60)
+        assert self._fields(target) == self._fields(source)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_json_round_trip_keeps_the_words_exact(self, kind):
+        """Python's JSON keeps 128-bit ints exact: such a snapshot
+        restores, and the restored engine continues as the source."""
+        protocol = TreeRankingProtocol(40)
+        source = self._engine(kind, protocol)
+        source.run(max_events=100)
+        snapshot = source.snapshot()
+        data = json.loads(json.dumps(snapshot.to_dict()))
+        assert data["rng_state"] == snapshot.rng_state
+        target = self._engine(kind, protocol)
+        target.restore(EngineSnapshot.from_dict(data))
+        assert self._fields(target) == self._fields(source)
+        source.run(max_events=300)
+        target.run(max_events=300)
+        assert self._fields(target) == self._fields(source)
 
     @pytest.mark.parametrize("kind", ["weighted", "scheduled"])
     def test_epoch_outside_the_timeline_refused_before_any_change(
