@@ -1,6 +1,6 @@
 """Measurement toolkit: potentials, fits, statistics, sweeps, tables."""
 
-from .bench import BenchCase, LegacyJumpEngine, bench_suite, run_bench
+from .bench import BenchCase, bench_suite, run_bench
 from .fitting import PowerLawFit, bootstrap_exponent_interval, fit_power_law
 from .potentials import (
     LineVectors,
@@ -45,7 +45,6 @@ from .trajectories import (
 
 __all__ = [
     "BenchCase",
-    "LegacyJumpEngine",
     "JobFailure",
     "LineVectors",
     "PhaseCensus",

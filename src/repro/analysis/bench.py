@@ -1,13 +1,16 @@
 """Hot-path throughput benchmark harness (``repro bench``).
 
 Measures productive-event throughput (events/sec) of the current
-:class:`~repro.core.jump.JumpEngine` against :class:`LegacyJumpEngine`
-— a frozen copy of the engine as it shipped in the seed commit — over a
-fixed suite of protocols and population sizes, and writes the numbers
-to ``BENCH_<timestamp>.json``.  Keeping the legacy engine in-tree means
-every benchmark run measures the baseline on the *same* hardware, so
-the recorded speedups are honest and future PRs inherit a perf
-trajectory instead of a stale absolute number.
+:class:`~repro.core.jump.JumpEngine` over a fixed suite of protocols
+and population sizes, and writes the numbers to
+``BENCH_<timestamp>.json``.  Each engine case's ``speedup`` divides its
+throughput by the seed engine's (the jump engine as it shipped before
+the fast-path rewrite) on the same case, recorded once as a constant
+table (:data:`_SEED_EVENTS_PER_SEC`).  Every throughput, recorded or
+measured, is taken at a *reference speed*: each ``run()`` is timed
+between two passes of a fixed pure-Python kernel, whose time tells how
+fast the shared host's core ran, and the median of several repeats is
+kept (see :func:`_measure`).
 
 The suite covers both engine fast paths: same-state-only protocols
 (AG, single trap, ring of traps — the adaptive dual-sampler loop) and
@@ -20,13 +23,11 @@ on the record.
 
 :func:`check_speedup_floors` turns a benchmark record into a pass/fail
 gate (used by CI smoke): a case regressing below its committed floor
-over the frozen seed baseline fails the run.  :func:`compare_bench`
-gates the whole *trend*: it diffs a fresh record against the committed
-baseline record case by case and fails on any >15% regression of the
-machine-relative throughput ratios (speedup over the frozen seed engine
-for engine cases, weighted-over-rejection for scheduler cases — both
-numerator and denominator of every ratio run in the same process, so
-the comparison transfers across machines).  :func:`append_bench_history`
+fails the run.  :func:`compare_bench` gates the whole *trend*: it diffs
+a fresh record against the committed baseline record of the same tier
+case by case and fails on any >15% regression of the machine-relative
+throughput ratios (speedup over the seed engine for engine cases,
+weighted-over-rejection for scheduler cases).  :func:`append_bench_history`
 accumulates per-case events/s into a CSV that the nightly workflow
 uploads and renders as an ASCII trend table.
 """
@@ -34,17 +35,17 @@ uploads and renders as an ASCII trend table.
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
 from ..core.configuration import Configuration
-from ..core.engine import Recorder
 from ..core.jump import JumpEngine
 from ..core.protocol import PopulationProtocol
 from ..core.scheduler import PairScheduler, ScheduledEngine
@@ -58,12 +59,12 @@ from ..protocols.tree_protocol import TreeRankingProtocol
 
 __all__ = [
     "BenchCase",
-    "LegacyJumpEngine",
     "SchedulerBenchCase",
     "append_bench_history",
     "backend_bench_suite",
     "bench_ratios",
     "bench_suite",
+    "check_same_tier",
     "check_speedup_floors",
     "compare_bench",
     "instrument_bench",
@@ -75,304 +76,116 @@ __all__ = [
     "write_bench_json",
 ]
 
-# Fidelity bound of the seed engine's float-indexed sampling.
-_LEGACY_MAX_EXACT = 1 << 53
+#: Median pass of :func:`_reference_kernel`, in seconds, on the machine
+#: the seed engine's numbers were recorded on (a 2-vCPU Intel Xeon
+#: virtual machine, Python 3.11).  It only fixes the scale reference-speed
+#: timings are reported at.
+_REFERENCE_S = 0.0010
 
-_LEGACY_UNIFORM_BATCH = 8192
+#: The kernel's 64k-entry table, filled on the first pass: about 2 MB
+#: that only a bench run needs, and ``import repro`` imports this module.
+_KERNEL_TABLE: List[int] = []
 
 
-class _LegacySameStatePairs:
-    """Seed-commit ``SameStatePairs`` (``on_count_change`` returns None)."""
+def _reference_kernel() -> int:
+    """About a millisecond of interpreter work: integer mixing, random
+    reads of a 64k-entry list, dict updates and ``math.log``, as the
+    engines' event loops do.  The same kernel as ``perfbench/calibrate.py``
+    (which ``src/`` must not import); nothing in the program changes its
+    time."""
+    table = _KERNEL_TABLE
+    counts = {}
+    state = 1
+    acc = 0.0
+    for step in range(1500):
+        state = (state * 1103515245 + 12345) & 0xFFFF
+        value = table[state] & 255
+        counts[value] = counts.get(value, 0) + 1
+        acc += math.log(step + 1.0)
+    return state + len(counts) + int(acc)
 
-    __slots__ = ("_has_rule", "_fenwick")
 
-    def __init__(self, counts, rule_states) -> None:
-        num_states = len(counts)
-        self._has_rule = [False] * num_states
-        for state in rule_states:
-            self._has_rule[state] = True
-        weights = [
-            counts[s] * (counts[s] - 1) if self._has_rule[s] else 0
-            for s in range(num_states)
+def _kernel_pass() -> float:
+    if not _KERNEL_TABLE:
+        _KERNEL_TABLE.extend(range(1 << 16))
+    begin = time.perf_counter()
+    _reference_kernel()
+    return time.perf_counter() - begin
+
+
+#: Reference-speed events/s of the seed engine (the jump engine as it
+#: shipped before the fast-path rewrite, with per-event family
+#: re-summation, dict count deltas and float-multiply draws) on each
+#: engine case, keyed by ``(case id, max_events)``.  Each is the median
+#: of 35 runs at seed 7, timed as :func:`_measure` times, recorded with
+#: Python 3.11.7 at commit ``adda89b``, the last that carried the seed
+#: engine.
+_SEED_EVENTS_PER_SEC: Dict[Tuple[str, int], int] = {
+    ("ag-n256", 5_000): 141_464,
+    ("ag-n1000", 5_000): 136_612,
+    ("trap-m16-n512", 5_000): 167_301,
+    ("ring-m15", 5_000): 151_540,
+    ("tree-n256", 5_000): 66_643,
+    ("line-m2", 5_000): 120_397,
+    ("line-m4", 20_000): 107_699,
+    ("ag-n1000", 200_000): 142_386,
+    ("ag-n10000", 200_000): 121_044,
+    ("trap-m64-n4096", 100_000): 154_389,
+    ("ring-m99", 100_000): 122_195,
+    ("tree-n4096", 100_000): 54_516,
+    ("line-m4", 100_000): 108_062,
+}
+
+
+def _timed_run(engine, max_events: int) -> Dict[str, object]:
+    """One ``run()``, its throughput taken at the reference speed.
+
+    The run sits between two passes of :func:`_reference_kernel`, and
+    its wall time is scaled by the mean over the two passes of
+    ``_REFERENCE_S`` ÷ pass time: the host's core speed changes by up to
+    half for seconds at a time, and the passes tell how fast it ran.
+    A full collection first takes the young pass that a build under
+    ``collector_paused`` leaves pending, which would otherwise land in
+    the first pass or in ``run()``.
+    """
+    gc.collect()
+    before = _kernel_pass()
+    begin = time.perf_counter()
+    silent = engine.run(max_events=max_events)
+    wall = time.perf_counter() - begin
+    after = _kernel_pass()
+    reference = wall * (_REFERENCE_S / before + _REFERENCE_S / after) / 2
+    return {
+        "events": engine.events,
+        "interactions": engine.interactions,
+        "silent": silent,
+        "wall_time_s": wall,
+        "events_per_sec": engine.events / reference,
+    }
+
+
+def _measure(
+    jobs: Dict[object, Tuple[Callable[[], object], int]], repeats: int
+) -> Dict[object, Dict[str, object]]:
+    """Median reference-speed throughput of each job over ``repeats`` runs.
+
+    ``jobs`` maps a key to ``(make_engine, max_events)``; every run
+    builds a fresh engine, so the repeats of a job do identical work
+    (same seed).  The runs go round-robin over the jobs, so that each
+    job's repeats, and the two sides of every ratio, spread over the
+    same stretch of the host's speed changes.  A job's record is its
+    median run.
+    """
+    runs = {key: [] for key in jobs}
+    for _ in range(max(1, repeats)):
+        for key, (make_engine, max_events) in jobs.items():
+            runs[key].append(_timed_run(make_engine(), max_events))
+    return {
+        key: sorted(timed, key=lambda run: run["events_per_sec"])[
+            len(timed) // 2
         ]
-        from ..core.fenwick import FenwickTree
-
-        self._fenwick = FenwickTree.from_values(weights)
-
-    @property
-    def weight(self) -> int:
-        return self._fenwick.total
-
-    def on_count_change(self, state, old, new) -> None:
-        if self._has_rule[state]:
-            self._fenwick.set(state, new * (new - 1))
-
-    def sample(self, rand_below):
-        state = self._fenwick.find(rand_below(self._fenwick.total))
-        return state, state
-
-
-class _LegacyOrderedProduct:
-    """Seed-commit ``OrderedProduct`` (unconditional two-sided update)."""
-
-    __slots__ = ("_initiators", "_responders", "_init_pos", "_resp_pos",
-                 "_init_fenwick", "_resp_fenwick")
-
-    def __init__(self, counts, initiators, responders) -> None:
-        from ..core.fenwick import FenwickTree
-
-        self._initiators = list(initiators)
-        self._responders = list(responders)
-        num_states = len(counts)
-        self._init_pos = [-1] * num_states
-        self._resp_pos = [-1] * num_states
-        for pos, state in enumerate(self._initiators):
-            self._init_pos[state] = pos
-        for pos, state in enumerate(self._responders):
-            self._resp_pos[state] = pos
-        self._init_fenwick = FenwickTree.from_values(
-            counts[s] for s in self._initiators
-        )
-        self._resp_fenwick = FenwickTree.from_values(
-            counts[s] for s in self._responders
-        )
-
-    @property
-    def weight(self) -> int:
-        return self._init_fenwick.total * self._resp_fenwick.total
-
-    def on_count_change(self, state, old, new) -> None:
-        pos = self._init_pos[state]
-        if pos >= 0:
-            self._init_fenwick.set(pos, new)
-        pos = self._resp_pos[state]
-        if pos >= 0:
-            self._resp_fenwick.set(pos, new)
-
-    def sample(self, rand_below):
-        initiator_pos = self._init_fenwick.find(
-            rand_below(self._init_fenwick.total)
-        )
-        responder_pos = self._resp_fenwick.find(
-            rand_below(self._resp_fenwick.total)
-        )
-        return self._initiators[initiator_pos], self._responders[responder_pos]
-
-
-class _LegacyTriangularLine:
-    """Seed-commit ``TriangularLine`` (full recompute, no delta return)."""
-
-    __slots__ = ("_line", "_pos", "_counts", "_weight")
-
-    def __init__(self, counts, line_states) -> None:
-        self._line = list(line_states)
-        self._pos = {state: i for i, state in enumerate(self._line)}
-        self._counts = [counts[s] for s in self._line]
-        self._weight = self._recompute()
-
-    def _recompute(self) -> int:
-        total = 0
-        suffix = 0
-        for c in reversed(self._counts):
-            total += c * (c - 1) + c * suffix
-            suffix += c
-        return total
-
-    @property
-    def weight(self) -> int:
-        return self._weight
-
-    def on_count_change(self, state, old, new) -> None:
-        pos = self._pos.get(state)
-        if pos is None:
-            return
-        self._counts[pos] = new
-        self._weight = self._recompute()
-
-    def sample(self, rand_below):
-        target = rand_below(self._weight)
-        counts = self._counts
-        length = len(counts)
-        suffix = sum(counts)
-        for i in range(length):
-            c = counts[i]
-            suffix -= c
-            same = c * (c - 1)
-            if target < same:
-                return self._line[i], self._line[i]
-            target -= same
-            cross = c * suffix
-            if target < cross:
-                j_target = target // c
-                for j in range(i + 1, length):
-                    if j_target < counts[j]:
-                        return self._line[i], self._line[j]
-                    j_target -= counts[j]
-                raise SimulationError("TriangularLine sample overflow")
-            target -= cross
-        raise SimulationError("TriangularLine sample out of range")
-
-
-def _legacy_families(protocol: PopulationProtocol, counts: List[int]):
-    """The protocol's families, rebuilt from the frozen seed classes.
-
-    The live family classes evolve with the fast path (they do not
-    sample, and ``on_count_change`` returns deltas); reconstructing
-    their seed equivalents keeps the baseline measurement from drifting
-    when they do.  A family of any other type raises
-    :class:`SimulationError`.
-    """
-    from ..core.families import OrderedProduct, SameStatePairs, TriangularLine
-
-    frozen = []
-    for family in protocol.build_families(counts):
-        if type(family) is SameStatePairs:
-            rule_states = [
-                s for s, has in enumerate(family._has_rule) if has
-            ]
-            frozen.append(_LegacySameStatePairs(counts, rule_states))
-        elif type(family) is OrderedProduct:
-            frozen.append(
-                _LegacyOrderedProduct(
-                    counts, family._initiators, family._responders
-                )
-            )
-        elif type(family) is TriangularLine:
-            frozen.append(_LegacyTriangularLine(counts, family._line))
-        else:
-            raise SimulationError(
-                f"no seed equivalent of family {type(family).__name__}"
-            )
-    return frozen
-
-
-class LegacyJumpEngine:
-    """The seed-commit jump engine, frozen as the benchmark baseline.
-
-    Verbatim hot path of the pre-optimisation engine: per-event family
-    weight re-summation, dynamic ``delta()`` dispatch, per-event count
-    delta dicts, and float-multiply pair indexing — running on frozen
-    copies of the seed weight families.  Do not optimise any of it —
-    its whole purpose is to stay slow the way the seed was.
-    """
-
-    def __init__(
-        self,
-        protocol: PopulationProtocol,
-        configuration: Configuration,
-        rng: np.random.Generator,
-    ) -> None:
-        protocol.validate_configuration(configuration)
-        n = protocol.num_agents
-        if n * (n - 1) >= _LEGACY_MAX_EXACT:
-            raise SimulationError(
-                f"population {n} too large for exact float-indexed sampling"
-            )
-        self._protocol = protocol
-        self._rng = rng
-        self.counts: List[int] = configuration.counts_list()
-        self._families = _legacy_families(protocol, self.counts)
-        self._total_pairs = n * (n - 1)
-        self.interactions = 0
-        self.events = 0
-        self._uniforms = rng.random(_LEGACY_UNIFORM_BATCH)
-        self._uniform_pos = 0
-
-    def _next_uniform(self) -> float:
-        pos = self._uniform_pos
-        if pos == _LEGACY_UNIFORM_BATCH:
-            self._uniforms = self._rng.random(_LEGACY_UNIFORM_BATCH)
-            pos = 0
-        self._uniform_pos = pos + 1
-        return self._uniforms[pos]
-
-    def rand_below(self, bound: int) -> int:
-        """Seed-era float-multiply draw in ``[0, bound)`` (biased near 2⁵³)."""
-        value = int(self._next_uniform() * bound)
-        return bound - 1 if value >= bound else value
-
-    def _geometric_skip(self, weight: int) -> int:
-        p = weight / self._total_pairs
-        if p >= 1.0:
-            return 1
-        u = 1.0 - self._next_uniform()
-        skip = math.ceil(math.log(u) / math.log1p(-p))
-        return skip if skip >= 1 else 1
-
-    def _sample_pair(self, weight: int) -> tuple:
-        target = self.rand_below(weight)
-        for family in self._families:
-            fw = family.weight
-            if target < fw:
-                return family.sample(self.rand_below)
-            target -= fw
-        raise SimulationError("family weights changed during sampling")
-
-    def _apply(self, si: int, sj: int, ti: int, tj: int) -> None:
-        counts = self._counts_delta(si, sj, ti, tj)
-        for state, delta in counts:
-            old = self.counts[state]
-            new = old + delta
-            if new < 0:
-                raise SimulationError(
-                    f"state {state} count went negative applying "
-                    f"({si},{sj})→({ti},{tj})"
-                )
-            self.counts[state] = new
-            for family in self._families:
-                family.on_count_change(state, old, new)
-
-    @staticmethod
-    def _counts_delta(si: int, sj: int, ti: int, tj: int):
-        delta: dict = {}
-        delta[si] = delta.get(si, 0) - 1
-        delta[sj] = delta.get(sj, 0) - 1
-        delta[ti] = delta.get(ti, 0) + 1
-        delta[tj] = delta.get(tj, 0) + 1
-        return [(s, d) for s, d in delta.items() if d != 0]
-
-    def run(
-        self,
-        max_interactions: Optional[int] = None,
-        recorder: Optional[Recorder] = None,
-        max_events: Optional[int] = None,
-    ) -> bool:
-        """Run until silence or budget exhaustion; True iff silent."""
-        if recorder is not None:
-            recorder.on_start(self.counts)
-        protocol = self._protocol
-        families = self._families
-        silent = False
-        while True:
-            if max_events is not None and self.events >= max_events:
-                break
-            weight = 0
-            for family in families:
-                weight += family.weight
-            if weight == 0:
-                silent = True
-                break
-            skip = self._geometric_skip(weight)
-            if (
-                max_interactions is not None
-                and self.interactions + skip > max_interactions
-            ):
-                self.interactions = max_interactions
-                break
-            self.interactions += skip
-            si, sj = self._sample_pair(weight)
-            out = protocol.delta(si, sj)
-            if out is None:
-                raise SimulationError(
-                    f"families sampled null pair ({si}, {sj}) — "
-                    "family coverage does not match delta"
-                )
-            ti, tj = out
-            self._apply(si, sj, ti, tj)
-            self.events += 1
-        if recorder is not None:
-            recorder.on_finish(silent, self.interactions, self.counts)
-        return silent
+        for key, timed in runs.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -577,147 +390,119 @@ def backend_bench_suite(quick: bool = False) -> List[BenchCase]:
     ]
 
 
-def _measure_scheduler_case(
-    case: SchedulerBenchCase, seed: int, repeats: int = 2
-) -> Dict[str, object]:
-    """Throughput of one biased case under all three realisations.
+def _engine_factory(engine_cls, case: BenchCase, seed: int):
+    def make_engine():
+        protocol, start = case.build()
+        return engine_cls(protocol, start, np.random.default_rng(seed))
 
-    ``uniform`` (the unbiased jump baseline, for context), ``rejection``
-    (the exact :class:`ScheduledEngine`), and ``weighted`` (the fused
-    weighted jump path).  Rejection and weighted realise the same step
-    distribution, so their events/sec are directly comparable.
-    """
+    return make_engine
 
-    def best_of(make_engine) -> Dict[str, object]:
-        best = None
-        for _ in range(max(1, repeats)):
-            engine = make_engine()
-            begin = time.perf_counter()
-            engine.run(max_events=case.max_events)
-            wall = time.perf_counter() - begin
-            if best is None or wall < best["wall_time_s"]:
-                best = {
-                    "events": engine.events,
-                    "interactions": engine.interactions,
-                    "wall_time_s": wall,
-                    "events_per_sec": (
-                        engine.events / wall if wall > 0 else float("inf")
-                    ),
-                }
-        return best
 
+def _scheduler_factories(case: SchedulerBenchCase, seed: int):
+    """``uniform`` (the unbiased jump baseline, for context),
+    ``rejection`` (the exact :class:`ScheduledEngine`) and ``weighted``
+    (the fused weighted jump path) on one biased case.  Rejection and
+    weighted realise the same step distribution, so their events/sec
+    are directly comparable."""
     protocol, start = case.build()
     scheduler = case.build_scheduler(protocol)
-    uniform = best_of(
-        lambda: JumpEngine(protocol, start, np.random.default_rng(seed))
-    )
-    rejection = best_of(
-        lambda: ScheduledEngine(
-            protocol, start, np.random.default_rng(seed), scheduler
-        )
-    )
-    weighted = best_of(
-        lambda: JumpEngine(
-            protocol, start, np.random.default_rng(seed), scheduler
-        )
-    )
     return {
-        "case": case.case_id,
-        "protocol": case.protocol_name,
-        "scheduler": case.scheduler_name,
-        "n": case.num_agents,
-        "max_events": case.max_events,
-        "seed": seed,
-        "uniform": uniform,
-        "rejection": rejection,
-        "weighted": weighted,
-        "weighted_vs_rejection": (
-            weighted["events_per_sec"] / rejection["events_per_sec"]
+        "uniform": lambda: JumpEngine(
+            protocol, start, np.random.default_rng(seed)
+        ),
+        "rejection": lambda: ScheduledEngine(
+            protocol, start, np.random.default_rng(seed), scheduler
+        ),
+        "weighted": lambda: JumpEngine(
+            protocol, start, np.random.default_rng(seed), scheduler
         ),
     }
 
 
-def _measure(
-    engine_cls, case: BenchCase, seed: int, repeats: int = 2
-) -> Dict[str, object]:
-    """Best-of-``repeats`` timing (fresh engine per repeat, same seed).
-
-    Each repeat performs identical work, so taking the fastest one
-    filters out scheduler noise without flattering either engine.
-    """
-    best = None
-    for _ in range(max(1, repeats)):
-        protocol, start = case.build()
-        engine = engine_cls(protocol, start, np.random.default_rng(seed))
-        begin = time.perf_counter()
-        silent = engine.run(max_events=case.max_events)
-        wall = time.perf_counter() - begin
-        if best is None or wall < best["wall_time_s"]:
-            best = {
-                "events": engine.events,
-                "interactions": engine.interactions,
-                "silent": silent,
-                "wall_time_s": wall,
-                "events_per_sec": (
-                    engine.events / wall if wall > 0 else float("inf")
-                ),
-            }
-    return best
-
-
 def run_bench(
-    quick: bool = False, seed: int = 7, repeats: int = 3
+    quick: bool = False, seed: int = 7, repeats: int = 7
 ) -> Dict[str, object]:
-    """Run the suite with both engines; return the comparison record.
+    """Run the suite; return the record.
 
-    The legacy (seed) engine is measured first for every case, then the
-    current engine, so both numbers come from the same process on the
-    same hardware and the recorded speedup is apples-to-apples.
+    Every throughput is the median over ``repeats`` runs at the
+    reference speed (see :func:`_measure`).  An engine case divides the
+    current engine's by the seed engine's recorded number
+    (:data:`_SEED_EVENTS_PER_SEC`); scheduler and backend cases divide
+    two engines measured in the same run.
     """
-    cases = []
-    for case in bench_suite(quick=quick):
-        legacy = _measure(LegacyJumpEngine, case, seed, repeats=repeats)
-        current = _measure(JumpEngine, case, seed, repeats=repeats)
-        cases.append(
-            {
-                "case": case.case_id,
-                "protocol": case.protocol_name,
-                "n": case.num_agents,
-                "max_events": case.max_events,
-                "seed": seed,
-                "legacy": legacy,
-                "current": current,
-                "speedup": (
-                    current["events_per_sec"] / legacy["events_per_sec"]
-                ),
-            }
-        )
-    scheduler_cases = [
-        _measure_scheduler_case(case, seed, repeats=repeats)
-        for case in scheduler_bench_suite(quick=quick)
-    ]
     # Imported here: the batch kernel is optional machinery the scalar
     # bench must not pay for at import time.
     from ..core.batch import BatchEngine
 
-    backend_cases = []
-    for case in backend_bench_suite(quick=quick):
-        scalar = _measure(JumpEngine, case, seed, repeats=repeats)
-        batch = _measure(BatchEngine, case, seed, repeats=repeats)
-        backend_cases.append(
-            {
-                "case": case.case_id,
-                "protocol": case.protocol_name,
-                "n": case.num_agents,
-                "max_events": case.max_events,
-                "seed": seed,
-                "scalar": scalar,
-                "batch": batch,
-                "batch_vs_scalar": (
-                    batch["events_per_sec"] / scalar["events_per_sec"]
-                ),
-            }
+    engine_suite = bench_suite(quick=quick)
+    scheduler_suite = scheduler_bench_suite(quick=quick)
+    backend_suite = backend_bench_suite(quick=quick)
+    jobs = {}
+    seed_engine = {}
+    for case in engine_suite:
+        key = (case.case_id, case.max_events)
+        if key not in _SEED_EVENTS_PER_SEC:
+            raise SimulationError(
+                f"no recorded seed-engine throughput for {case.case_id!r} "
+                f"at {case.max_events} events"
+            )
+        seed_engine[case.case_id] = {
+            "events_per_sec": _SEED_EVENTS_PER_SEC[key]
+        }
+        jobs[case.case_id, "current"] = (
+            _engine_factory(JumpEngine, case, seed), case.max_events
         )
+    for case in scheduler_suite:
+        for side, make_engine in _scheduler_factories(case, seed).items():
+            jobs[case.case_id, side] = (make_engine, case.max_events)
+    for case in backend_suite:
+        for side, engine_cls in (("scalar", JumpEngine), ("batch", BatchEngine)):
+            jobs[case.case_id, side] = (
+                _engine_factory(engine_cls, case, seed), case.max_events
+            )
+    measured = _measure(jobs, repeats)
+
+    def entry(case, **fields):
+        return {
+            "case": case.case_id,
+            "protocol": case.protocol_name,
+            "n": case.num_agents,
+            "max_events": case.max_events,
+            "seed": seed,
+            **fields,
+        }
+
+    cases = []
+    for case in engine_suite:
+        legacy = seed_engine[case.case_id]
+        current = measured[case.case_id, "current"]
+        cases.append(entry(
+            case, legacy=legacy, current=current,
+            speedup=current["events_per_sec"] / legacy["events_per_sec"],
+        ))
+    scheduler_cases = []
+    for case in scheduler_suite:
+        sides = {
+            side: measured[case.case_id, side]
+            for side in ("uniform", "rejection", "weighted")
+        }
+        scheduler_cases.append(entry(
+            case, scheduler=case.scheduler_name, **sides,
+            weighted_vs_rejection=(
+                sides["weighted"]["events_per_sec"]
+                / sides["rejection"]["events_per_sec"]
+            ),
+        ))
+    backend_cases = []
+    for case in backend_suite:
+        scalar = measured[case.case_id, "scalar"]
+        batch = measured[case.case_id, "batch"]
+        backend_cases.append(entry(
+            case, scalar=scalar, batch=batch,
+            batch_vs_scalar=(
+                batch["events_per_sec"] / scalar["events_per_sec"]
+            ),
+        ))
     headline = next(
         (c for c in cases if c["case"] == "ag-n10000"), cases[0]
     )
@@ -743,7 +528,7 @@ def check_speedup_floors(
     """Fail if any case's speedup regressed below its committed floor.
 
     ``floors`` maps case ids to minimum acceptable speedups.  Engine
-    cases gate ``speedup`` (current vs the frozen seed engine);
+    cases gate ``speedup`` (current vs the recorded seed engine);
     scheduler cases (``tree-biased-*``, ``tree-epoch-*``) gate
     ``weighted_vs_rejection`` — the weighted fast path against the
     rejection reference running the identical step distribution, which
@@ -755,7 +540,7 @@ def check_speedup_floors(
     a floor violation — the CI gate.
     """
     by_id: Dict[str, Tuple[str, float]] = {
-        case["case"]: ("speedup vs frozen seed engine", case["speedup"])
+        case["case"]: ("speedup vs seed engine", case["speedup"])
         for case in record["cases"]
     }
     for case in record.get("scheduler_cases", ()):
@@ -784,10 +569,11 @@ def check_speedup_floors(
 def bench_ratios(record: Dict[str, object]) -> Dict[str, Tuple[str, float, float]]:
     """Per-case ``(metric name, ratio, current events/s)`` of one record.
 
-    Engine cases report their speedup over the frozen seed engine,
-    scheduler cases the weighted-over-rejection ratio.  Both are
-    measured within one process, which is what makes them comparable
-    across machines and CI runners.
+    Engine cases report their speedup over the seed engine, scheduler
+    cases the weighted-over-rejection ratio, backend cases the
+    batch-over-scalar ratio.  Every throughput behind them is taken at
+    the reference speed, which is what makes them comparable across
+    runs on a shared host.
     """
     ratios: Dict[str, Tuple[str, float, float]] = {}
     for case in record["cases"]:
@@ -817,6 +603,22 @@ def load_bench(path: str) -> Dict[str, object]:
         return json.load(handle)
 
 
+def check_same_tier(quick: bool, baseline: Dict[str, object]) -> None:
+    """Refuse a baseline of the other tier.
+
+    The quick and full suites share case ids (``ag-n1000``, ``line-m4``,
+    ``line-m4-np``) at different event budgets, so their ratios do not
+    compare.  Raises :class:`~repro.exceptions.SimulationError`.
+    """
+    if bool(baseline.get("quick")) != quick:
+        tiers = {True: "quick", False: "full"}
+        raise SimulationError(
+            f"baseline {baseline.get('timestamp', '?')} is a "
+            f"{tiers[bool(baseline.get('quick'))]}-suite record; this run "
+            f"is {tiers[quick]}"
+        )
+
+
 def compare_bench(
     record: Dict[str, object],
     baseline: Dict[str, object],
@@ -827,12 +629,13 @@ def compare_bench(
     Returns the human-readable comparison lines and raises
     :class:`~repro.exceptions.SimulationError` when any case's
     machine-relative ratio regressed more than ``tolerance`` below the
-    baseline's — the CI trend gate.  Raw events/s are reported for
-    context only: they do not transfer between machines, whereas each
-    ratio's numerator and denominator were measured in one process.
-    Cases present in only one record are reported but never fail the
-    gate (the suite may grow).
+    baseline's — the CI trend gate — or when the baseline is of the
+    other tier (:func:`check_same_tier`).  Events/s are reported for
+    context only: they do not transfer between machines, whereas the
+    ratios do.  Cases present in only one record are reported but never
+    fail the gate (the suite may grow).
     """
+    check_same_tier(bool(record.get("quick")), baseline)
     current = bench_ratios(record)
     base = bench_ratios(baseline)
     lines: List[str] = []
@@ -852,7 +655,7 @@ def compare_bench(
         drift = ratio / base_ratio - 1.0
         lines.append(
             f"{case_id:<18} {metric} {base_ratio:6.2f}x -> {ratio:6.2f}x "
-            f"({drift:+.1%}; {base_eps:,.0f} -> {eps:,.0f} ev/s raw)"
+            f"({drift:+.1%}; {base_eps:,.0f} -> {eps:,.0f} ev/s)"
         )
         if ratio < (1.0 - tolerance) * base_ratio:
             failures.append(

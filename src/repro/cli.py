@@ -11,9 +11,10 @@ Subcommands:
   recovery-time tables;
 * ``render`` — print the paper's structures (Figure 1 graph, Figure 2
   tree, ring/line occupancy);
-* ``bench`` — measure hot-path events/sec against the frozen seed
-  engine and write ``BENCH_<timestamp>.json`` (``--instrument`` reports
-  engine counters instead of wall-clock);
+* ``bench`` — measure hot-path events/sec at a reference speed against
+  the seed engine's recorded numbers and write
+  ``BENCH_<timestamp>.json`` (``--instrument`` reports engine counters
+  instead of wall-clock);
 * ``ensemble`` — run, resume, join, and inspect resumable sharded
   ensembles (10⁵+ seeded scenario runs with crash recovery; ``join``
   adds cooperative multi-process/multi-machine draining via
@@ -170,7 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ben = sub.add_parser(
         "bench",
-        help="measure hot-path throughput vs the frozen seed engine",
+        help="measure hot-path throughput vs the seed engine's recorded "
+        "numbers",
     )
     ben.add_argument(
         "--quick", action="store_true",
@@ -184,15 +186,16 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument(
         "--require-speedup", action="append", default=[],
         metavar="CASE:FLOOR",
-        help="fail unless CASE's speedup over the frozen seed baseline "
-        "is >= FLOOR (repeatable; the CI regression gate, e.g. "
-        "tree-n256:2.0)",
+        help="fail unless CASE's ratio is >= FLOOR: speedup over the "
+        "seed engine for engine cases, weighted over rejection for "
+        "tree-biased/tree-epoch cases, batch over scalar for -np cases "
+        "(repeatable; the CI regression gate, e.g. tree-n256:2.0)",
     )
     ben.add_argument(
         "--compare", default=None, metavar="BASELINE_JSON",
-        help="diff this run against a committed BENCH_*.json and fail "
-        "on any >15%% regression of the machine-relative throughput "
-        "ratios (the CI trend gate)",
+        help="diff this run against a committed BENCH_*.json of the "
+        "same tier (--quick or full) and fail on any >15%% regression of "
+        "the machine-relative throughput ratios (the CI trend gate)",
     )
     ben.add_argument(
         "--compare-tolerance", type=float, default=0.15,
@@ -568,6 +571,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     from .analysis.bench import (
         append_bench_history,
+        check_same_tier,
         check_speedup_floors,
         compare_bench,
         load_bench,
@@ -586,6 +590,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if not os.path.isfile(args.compare):
             raise ReproError(f"baseline record {args.compare!r} does not exist")
         baseline = load_bench(args.compare)
+        check_same_tier(args.quick, baseline)
     floors = {}
     for spec in args.require_speedup:
         case_id, sep, floor = spec.rpartition(":")

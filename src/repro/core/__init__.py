@@ -35,7 +35,6 @@ from .faults import (
     crash_and_replace,
     depart_agents,
 )
-from .fenwick import FenwickTree
 from .fused import FusedIndex, WeightedFusedIndex
 from .jump import JumpEngine
 from .protocol import PopulationProtocol, RankingProtocol, Transition
@@ -62,7 +61,6 @@ __all__ = [
     "EpochScheduler",
     "Event",
     "Family",
-    "FenwickTree",
     "FusedIndex",
     "JumpEngine",
     "MetricRecorder",

@@ -30,7 +30,6 @@ from typing import Iterable, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from ..exceptions import SimulationError
-from .fenwick import FenwickTree
 
 __all__ = [
     "Family",
@@ -101,32 +100,28 @@ class SameStatePairs(Family):
     ring of traps) as well as the same-state rules of the richer ones.
     """
 
-    __slots__ = ("_has_rule", "_rule_states", "_fenwick")
+    __slots__ = ("_has_rule", "_rule_states", "_weight")
 
     def __init__(self, counts: Sequence[int], rule_states: Iterable[int]) -> None:
         # One numpy mask gives the rule test, the ascending rule states
-        # and the weight vector; at n = 10⁶ a per-state Python pass for
-        # each cost a few hundred milliseconds.
+        # and the weight; at n = 10⁶ a per-state Python pass for each
+        # cost a few hundred milliseconds.
         mask = np.zeros(len(counts), dtype=bool)
         mask[np.fromiter(rule_states, dtype=np.intp)] = True
         self._has_rule: List[bool] = mask.tolist()
         self._rule_states: List[int] = np.flatnonzero(mask).tolist()
-        count_array = np.asarray(counts, dtype=np.int64)
-        self._fenwick = FenwickTree.from_values(
-            np.where(mask, count_array * (count_array - 1), 0)
-        )
+        rule_counts = np.asarray(counts, dtype=np.int64)[mask]
+        self._weight = int((rule_counts * (rule_counts - 1)).sum())
 
     @property
     def weight(self) -> int:
-        return self._fenwick.total
+        return self._weight
 
     def on_count_change(self, state: int, old: int, new: int) -> int:
         if not self._has_rule[state]:
             return 0
-        fenwick = self._fenwick
-        new_weight = new * (new - 1)
-        delta = new_weight - fenwick.get(state)
-        fenwick.set(state, new_weight)
+        delta = new * (new - 1) - old * (old - 1)
+        self._weight += delta
         return delta
 
     def covers(self, initiator: int, responder: int) -> bool:
@@ -150,15 +145,15 @@ class OrderedProduct(Family):
     """All pairs (initiator ∈ A, responder ∈ B) with A, B disjoint.
 
     Weight is ``(Σ_{a∈A} c_a) · (Σ_{b∈B} c_b)``; each side keeps its
-    counts in a Fenwick tree, whose total is the side sum.
+    count total.
 
     Used for the §4 routing rule ``(rank state, X) → (rank state, gate)``
     (A = rank states, B = {X}) and the §5 rule R4 ``(X_i, rank)``
     (A = reset-line states, B = rank states).
     """
 
-    __slots__ = ("_initiators", "_responders", "_side", "_pos_of",
-                 "_init_fenwick", "_resp_fenwick")
+    __slots__ = ("_initiators", "_responders", "_side", "_init_total",
+                 "_resp_total")
 
     #: ``_side`` codes: a state is on one side at most.
     NONE, INITIATOR, RESPONDER = 0, 1, 2
@@ -177,36 +172,28 @@ class OrderedProduct(Family):
         self._initiators = list(initiators)
         self._responders = list(responders)
         num_states = len(counts)
-        # One fused membership map (side code + in-side position) so a
-        # count change resolves its side with a single lookup and states
-        # on neither side skip all Fenwick work.
+        # One side map, so a count change resolves its side with a
+        # single lookup.
         self._side = [self.NONE] * num_states
-        self._pos_of = [-1] * num_states
-        for pos, state in enumerate(self._initiators):
+        for state in self._initiators:
             self._side[state] = self.INITIATOR
-            self._pos_of[state] = pos
-        for pos, state in enumerate(self._responders):
+        for state in self._responders:
             self._side[state] = self.RESPONDER
-            self._pos_of[state] = pos
-        self._init_fenwick = FenwickTree.from_values(
-            counts[s] for s in self._initiators
-        )
-        self._resp_fenwick = FenwickTree.from_values(
-            counts[s] for s in self._responders
-        )
+        self._init_total = sum(counts[s] for s in self._initiators)
+        self._resp_total = sum(counts[s] for s in self._responders)
 
     @property
     def weight(self) -> int:
-        return self._init_fenwick.total * self._resp_fenwick.total
+        return self._init_total * self._resp_total
 
     @property
     def initiators(self) -> List[int]:
-        """Initiator-side states, in Fenwick slot order."""
+        """Initiator-side states, in construction order."""
         return list(self._initiators)
 
     @property
     def responders(self) -> List[int]:
-        """Responder-side states, in Fenwick slot order."""
+        """Responder-side states, in construction order."""
         return list(self._responders)
 
     def on_count_change(self, state: int, old: int, new: int) -> int:
@@ -214,10 +201,10 @@ class OrderedProduct(Family):
         if side == self.NONE:
             return 0
         if side == self.INITIATOR:
-            self._init_fenwick.set(self._pos_of[state], new)
-            return (new - old) * self._resp_fenwick.total
-        self._resp_fenwick.set(self._pos_of[state], new)
-        return self._init_fenwick.total * (new - old)
+            self._init_total += new - old
+            return (new - old) * self._resp_total
+        self._resp_total += new - old
+        return self._init_total * (new - old)
 
     def covers(self, initiator: int, responder: int) -> bool:
         return (

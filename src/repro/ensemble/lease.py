@@ -145,10 +145,6 @@ class LeaseManager:
             "ttl": self.ttl,
         }
 
-    def peek(self, index: int) -> Optional[Dict]:
-        """The shard's current lease payload, unvalidated."""
-        return _read_lease(lease_path(self.out_dir, index))
-
     def claim(self, index: int) -> Optional[Lease]:
         """Try to claim one shard; ``None`` on live contention.
 

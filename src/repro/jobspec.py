@@ -412,29 +412,7 @@ class JobSpec:
         a fresh generator from the integer seed (independent of the run
         stream, which ``run_protocol`` seeds separately).
         """
-        from .configurations.generators import (
-            all_in_extras_configuration,
-            all_in_state_configuration,
-            k_distant_configuration,
-            random_configuration,
-            solved_configuration,
-        )
-
-        start = self.scenario.start
-        if start.kind == "random":
-            return random_configuration(protocol, seed=self.seed)
-        if start.kind == "k_distant":
-            return k_distant_configuration(protocol, start.k, seed=self.seed)
-        if start.kind == "pileup":
-            state = (
-                start.state
-                if start.state is not None
-                else protocol.num_ranks - 1
-            )
-            return all_in_state_configuration(protocol, state)
-        if start.kind == "all_in_extras":
-            return all_in_extras_configuration(protocol, seed=self.seed)
-        return solved_configuration(protocol)
+        return self.scenario.start.build(protocol, self.seed)
 
     @classmethod
     def from_campaign(

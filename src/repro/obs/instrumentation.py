@@ -132,10 +132,6 @@ class Instrumentation:
         if self.trace:
             self.marks.extend(other.marks)
 
-    def merge_counts(self, counters: Dict[str, int]) -> None:
-        """Fold a plain counter dict (e.g. from a worker record)."""
-        self.add_counters(**counters)
-
     def derived(self) -> Dict[str, float]:
         """Ratios answering the residual-cost questions.
 

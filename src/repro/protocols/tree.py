@@ -129,10 +129,6 @@ class PerfectlyBalancedTree:
         """True iff ``node`` is a leaf."""
         return self._kind[node] == NodeKind.LEAF
 
-    def is_branching(self, node: int) -> bool:
-        """True iff ``node`` spawns two children."""
-        return self._kind[node] == NodeKind.BRANCHING
-
     def left_child(self, node: int) -> int:
         """Left (or only) child, or -1 for leaves."""
         return self._left[node]

@@ -36,14 +36,7 @@ from ..core.faults import (
 )
 from ..core.protocol import PopulationProtocol, RankingProtocol
 from ..core.scheduler import EpochScheduler
-from ..configurations.generators import (
-    all_in_extras_configuration,
-    all_in_state_configuration,
-    distance_from_solved,
-    k_distant_configuration,
-    random_configuration,
-    solved_configuration,
-)
+from ..configurations.generators import distance_from_solved
 from ..exceptions import ExperimentError, ProtocolError
 from ..protocols.leader import count_leaders
 from .schedulers import build_epoch_scheduler, build_scheduler
@@ -146,28 +139,8 @@ class ScenarioResult:
 
 
 # ----------------------------------------------------------------------
-# Start configurations and predicates
+# Predicates
 # ----------------------------------------------------------------------
-def _start_configuration(scenario, protocol, rng) -> Configuration:
-    start = scenario.start
-    if start.kind == "solved":
-        return solved_configuration(protocol)
-    if start.kind == "random":
-        return random_configuration(protocol, seed=rng)
-    if start.kind == "k_distant":
-        return k_distant_configuration(protocol, start.k, seed=rng)
-    if start.kind == "pileup":
-        state = (
-            start.state
-            if start.state is not None
-            else protocol.num_ranks - 1
-        )
-        return all_in_state_configuration(protocol, state)
-    if start.kind == "all_in_extras":
-        return all_in_extras_configuration(protocol, seed=rng)
-    raise ExperimentError(f"unknown start kind {start.kind!r}")
-
-
 def _predicate(
     name: str, protocol: PopulationProtocol
 ) -> Callable[[Configuration], bool]:
@@ -464,7 +437,7 @@ def run_scenario(
     )
     seed_value = seed if isinstance(seed, int) else None
     protocol = scenario.protocol.build()
-    configuration = _start_configuration(scenario, protocol, rng)
+    configuration = scenario.start.build(protocol, rng)
     instr = None
     trace: List[Dict] = []
     tracing = collect_trace or trace_observer is not None

@@ -26,6 +26,13 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, Optional, Tuple, Union
 
+from ..configurations.generators import (
+    all_in_extras_configuration,
+    all_in_state_configuration,
+    k_distant_configuration,
+    random_configuration,
+    solved_configuration,
+)
 from ..exceptions import ExperimentError, ProtocolError
 from ..protocols.ag import AGProtocol
 from ..protocols.line import LineOfTrapsProtocol
@@ -131,6 +138,27 @@ class StartSpec:
             )
         if self.kind == "k_distant" and (self.k is None or self.k < 0):
             raise ExperimentError("k_distant start needs a k >= 0")
+
+    def build(self, protocol, seed):
+        """The start configuration against a built protocol.
+
+        ``seed`` (an int or a numpy generator) feeds the kinds that draw
+        randomness (``random``, ``k_distant``, ``all_in_extras``); a
+        pile-up with no ``state`` lands on the highest rank.
+        """
+        if self.kind == "random":
+            return random_configuration(protocol, seed=seed)
+        if self.kind == "k_distant":
+            return k_distant_configuration(protocol, self.k, seed=seed)
+        if self.kind == "pileup":
+            state = (
+                self.state if self.state is not None
+                else protocol.num_ranks - 1
+            )
+            return all_in_state_configuration(protocol, state)
+        if self.kind == "all_in_extras":
+            return all_in_extras_configuration(protocol, seed=seed)
+        return solved_configuration(protocol)
 
 
 @dataclass(frozen=True)

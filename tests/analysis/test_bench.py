@@ -1,16 +1,26 @@
 """Unit tests for the hot-path benchmark harness (``repro bench``)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
-from repro import AGProtocol, Configuration
+import repro
+from repro.analysis import bench
 from repro.analysis.bench import (
-    LegacyJumpEngine,
+    _REFERENCE_S,
+    _SEED_EVENTS_PER_SEC,
+    _measure,
+    _reference_kernel,
+    _timed_run,
     append_bench_history,
     bench_ratios,
     bench_suite,
+    check_speedup_floors,
     compare_bench,
     load_bench,
     read_bench_history,
@@ -51,26 +61,6 @@ def _fake_record(timestamp="20260101T000000", speedup=3.0, wvr=2.0):
     }
 
 
-class TestLegacyJumpEngine:
-    def test_frozen_baseline_still_correct(self):
-        """The baseline must stay a *correct* engine, just a slow one."""
-        protocol = AGProtocol(12)
-        engine = LegacyJumpEngine(
-            protocol,
-            Configuration.all_in_state(0, 12, 12),
-            np.random.default_rng(3),
-        )
-        assert engine.run() is True
-        assert engine.counts == [1] * 12
-
-    def test_budget_semantics_match_current_engine(self):
-        protocol = AGProtocol(32)
-        start = Configuration.all_in_state(0, 32, 32)
-        engine = LegacyJumpEngine(protocol, start, np.random.default_rng(0))
-        assert engine.run(max_events=7) is False
-        assert engine.events == 7
-
-
 class TestBenchSuite:
     def test_quick_suite_cases(self):
         cases = bench_suite(quick=True)
@@ -87,6 +77,117 @@ class TestBenchSuite:
         protocols = {case.protocol_name.split("(")[0] for case in cases}
         assert {"AG", "SingleTrap", "RingOfTraps", "TreeRanking"} <= protocols
 
+    def test_every_engine_case_has_a_recorded_seed_number(self):
+        cases = bench_suite(quick=True) + bench_suite(quick=False)
+        assert {
+            (case.case_id, case.max_events) for case in cases
+        } == set(_SEED_EVENTS_PER_SEC)
+
+
+class _CountingEngine:
+    """A stand-in engine: ``run`` takes ``max_events`` events."""
+
+    def __init__(self, label, order):
+        order.append(label)
+        self.events = self.interactions = 0
+
+    def run(self, max_events):
+        self.events = max_events
+        self.interactions = 3 * max_events
+        return False
+
+
+class TestMeasure:
+    def test_round_robin_medians(self):
+        order = []
+        jobs = {
+            label: (lambda label=label: _CountingEngine(label, order), events)
+            for label, events in (("a", 10), ("b", 20))
+        }
+        measured = _measure(jobs, repeats=3)
+        # One run of every job per round, so both sides of a ratio
+        # spread over the same stretch of the host's speed changes.
+        assert order == ["a", "b"] * 3
+        assert measured["b"]["events"] == 20
+        assert measured["b"]["interactions"] == 60
+        assert measured["b"]["silent"] is False
+        assert measured["a"]["events_per_sec"] > 0
+        assert measured["a"]["wall_time_s"] > 0
+
+    def test_keeps_the_median_run(self, monkeypatch):
+        speeds = iter([5.0, 1.0, 4.0, 2.0, 3.0])
+        monkeypatch.setattr(
+            bench, "_timed_run",
+            lambda engine, max_events: {"events_per_sec": next(speeds)},
+        )
+        measured = _measure({"a": (object, 10)}, repeats=5)
+        assert measured["a"]["events_per_sec"] == 3.0
+
+    def test_runs_every_job_once_at_least(self):
+        order = []
+        jobs = {"a": (lambda: _CountingEngine("a", order), 10)}
+        assert _measure(jobs, repeats=0)["a"]["events"] == 10
+        assert order == ["a"]
+
+
+class TestReferenceTiming:
+    def test_kernel_result_is_pinned(self):
+        """``_REFERENCE_S`` and the recorded seed numbers hold for this
+        kernel only; an edit to what it computes shows here."""
+        bench._kernel_pass()  # fills the kernel's table
+        assert _reference_kernel() == 15271
+
+    def test_import_leaves_the_kernel_table_empty(self):
+        # ``import repro`` imports the bench module; only a bench run
+        # pays for the kernel's 2 MB table.
+        code = (
+            "import repro\n"
+            "from repro.analysis import bench\n"
+            "assert not bench._KERNEL_TABLE\n"
+        )
+        env = dict(
+            os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1])
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=env, timeout=120, check=False,
+        )
+        assert result.returncode == 0, result.stderr
+
+    def test_run_sits_between_two_kernel_passes(self, monkeypatch):
+        order = []
+
+        def kernel_pass():
+            order.append("pass")
+            return _REFERENCE_S
+
+        class Engine:
+            events = interactions = 0
+
+            def run(self, max_events):
+                order.append("run")
+                self.events = max_events
+                return True
+
+        monkeypatch.setattr(bench, "_kernel_pass", kernel_pass)
+        monkeypatch.setattr(
+            bench, "gc", SimpleNamespace(collect=lambda: order.append("gc"))
+        )
+        timed = _timed_run(Engine(), 50)
+        assert order == ["gc", "pass", "run", "pass"]
+        assert timed["events"] == 50
+        assert timed["silent"] is True
+
+    def test_wall_time_is_scaled_by_the_mean_pass_speed(self, monkeypatch):
+        # The core ran at the reference speed before the run and twice
+        # as fast after it: the mean speed factor is (1 + 2) / 2.
+        passes = iter([_REFERENCE_S, _REFERENCE_S / 2])
+        monkeypatch.setattr(bench, "_kernel_pass", lambda: next(passes))
+        timed = _timed_run(_CountingEngine("a", []), 1000)
+        assert timed["events_per_sec"] == pytest.approx(
+            1000 / (timed["wall_time_s"] * 1.5)
+        )
+
 
 class TestRunBench:
     def test_record_shape_and_json_roundtrip(self, tmp_path):
@@ -94,10 +195,14 @@ class TestRunBench:
         assert record["quick"] is True
         assert len(record["cases"]) == len(bench_suite(quick=True))
         for case in record["cases"]:
-            for side in ("legacy", "current"):
-                assert case[side]["events"] > 0
-                assert case[side]["events_per_sec"] > 0
-            assert case["speedup"] > 0
+            assert case["current"]["events"] > 0
+            assert case["legacy"]["events_per_sec"] == _SEED_EVENTS_PER_SEC[
+                (case["case"], case["max_events"])
+            ]
+            assert case["speedup"] == pytest.approx(
+                case["current"]["events_per_sec"]
+                / case["legacy"]["events_per_sec"]
+            )
         assert record["headline"]["speedup"] > 0
 
         path = write_bench_json(record, output_dir=str(tmp_path))
@@ -112,6 +217,61 @@ class TestRunBench:
         for case in record["cases"]:
             assert case["case"] in text
         assert "headline" in text
+
+    def test_case_without_a_seed_number_is_refused_before_measuring(
+        self, monkeypatch
+    ):
+        unrecorded = bench._tree_case(256, 6_000)
+        monkeypatch.setattr(bench, "bench_suite", lambda quick: [unrecorded])
+
+        def no_measure(jobs, repeats):
+            raise AssertionError("measured before refusing the case")
+
+        monkeypatch.setattr(bench, "_measure", no_measure)
+        with pytest.raises(SimulationError, match="'tree-n256' at 6000 events"):
+            run_bench(quick=True)
+
+
+def _gated_record():
+    """A synthetic record with an engine, a scheduler and a backend case."""
+    record = _fake_record(speedup=3.0, wvr=2.0)
+    record["backend_cases"] = [{
+        "case": "line-m4-np",
+        "scalar": {"events_per_sec": 100_000.0},
+        "batch": {"events_per_sec": 50_000.0},
+        "batch_vs_scalar": 0.5,
+    }]
+    return record
+
+
+class TestSpeedupFloors:
+    def test_ratios_at_or_above_their_floors_pass(self):
+        check_speedup_floors(_gated_record(), {
+            "tree-n256": 3.0,
+            "line-m4": 2.0,
+            "tree-epoch-n128": 2.0,
+            "line-m4-np": 0.5,
+        })
+
+    @pytest.mark.parametrize(
+        "case_id, metric",
+        [
+            ("tree-n256", "speedup vs seed engine"),
+            ("tree-epoch-n128", "weighted vs rejection"),
+            ("line-m4-np", "batch vs scalar"),
+        ],
+        ids=["engine", "scheduler", "backend"],
+    )
+    def test_each_case_kind_gates_its_own_ratio(self, case_id, metric):
+        record = _gated_record()
+        ratio = bench_ratios(record)[case_id][1]
+        check_speedup_floors(record, {case_id: ratio})
+        with pytest.raises(SimulationError, match=f"{case_id}: {metric} "):
+            check_speedup_floors(record, {case_id: ratio + 0.01})
+
+    def test_floor_naming_an_unknown_case_is_refused(self):
+        with pytest.raises(SimulationError, match="unknown case 'tree-n512'"):
+            check_speedup_floors(_gated_record(), {"tree-n512": 1.0})
 
 
 class TestBenchTrendGating:
@@ -156,6 +316,19 @@ class TestBenchTrendGating:
         del current["cases"][0]
         lines = compare_bench(current, baseline)
         assert any("baseline only" in line for line in lines)
+
+    def test_compare_refuses_a_baseline_of_the_other_tier(self):
+        # The tiers share case ids (ag-n1000, line-m4, line-m4-np) at
+        # different event budgets, so their ratios do not compare.
+        import pathlib
+
+        root = pathlib.Path(__file__).resolve().parents[2]
+        quick = load_bench(str(root / "BENCH_BASELINE.json"))
+        full = load_bench(str(root / "BENCH_BASELINE_FULL.json"))
+        with pytest.raises(SimulationError, match="full-suite record"):
+            compare_bench(quick, full)
+        with pytest.raises(SimulationError, match="quick-suite record"):
+            compare_bench(full, quick)
 
     def test_committed_baselines_load_and_self_compare(self):
         import pathlib

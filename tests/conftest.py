@@ -55,6 +55,39 @@ def line_small():
     return LineOfTrapsProtocol(m=2)  # n = 72
 
 
+def _push_up_fill(tree, size, values):
+    """Reference Fenwick build: the classic O(N) pure-Python push-up.
+
+    Every node forwards its accumulated partial sum to its parent, in
+    index order.  Kept verbatim as the oracle the vectorised
+    :func:`repro.core.fenwick.fill_tree` kernel must reproduce node for
+    node.
+    """
+    for i in range(size + 1):
+        tree[i] = 0
+    total = 0
+    num_values = len(values)
+    for i in range(size):
+        pos = i + 1
+        if i < num_values:
+            value = values[i]
+            total += value
+            tree[pos] += value
+        acc = tree[pos]
+        if acc:
+            parent = pos + (pos & -pos)
+            if parent <= size:
+                tree[parent] += acc
+    return total
+
+
+@pytest.fixture(scope="session")
+def push_up_fill():
+    """The push-up oracle for ``fill_tree`` (session-scoped, so that
+    hypothesis tests may take it)."""
+    return _push_up_fill
+
+
 def pytest_addoption(parser):
     parser.addoption(
         "--run-slow",

@@ -150,6 +150,23 @@ class TestOrderedProduct:
         family = OrderedProduct([1] * 4, initiators=[0, 1], responders=[3])
         assert sorted(family.pairs()) == [(0, 3), (1, 3)]
 
+    def test_sides_keep_construction_order(self):
+        family = OrderedProduct(
+            [1] * 6, initiators=[4, 0, 2], responders=[5, 1]
+        )
+        assert family.initiators == [4, 0, 2]
+        assert family.responders == [5, 1]
+        family.initiators.append(3)  # a copy: the family is unchanged
+        assert family.initiators == [4, 0, 2]
+
+    def test_empty_side_weighs_nothing(self):
+        family = OrderedProduct([3, 0, 2], initiators=[0], responders=[1])
+        assert family.weight == 0
+        assert family.on_count_change(0, 3, 8) == 0
+        assert family.weight == 0
+        assert family.on_count_change(1, 0, 2) == 8 * 2
+        assert family.weight == 16
+
 
 class TestTriangularLine:
     def test_weight_formula(self):

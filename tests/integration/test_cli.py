@@ -94,6 +94,67 @@ class TestCommands:
         assert code == 2
         assert "does not exist" in err
 
+    def test_bench_other_tier_baseline_fails_fast(self, capsys, monkeypatch):
+        import pathlib
+
+        from repro.analysis import bench
+
+        def no_run(**kwargs):
+            raise AssertionError("measured before refusing the baseline")
+
+        monkeypatch.setattr(bench, "run_bench", no_run)
+        full = pathlib.Path(__file__).resolve().parents[2] / (
+            "BENCH_BASELINE_FULL.json"
+        )
+        code = main([
+            "bench", "--quick", "--output-dir", "-", "--compare", str(full),
+        ])
+        assert code == 2
+        assert "full-suite record" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("tree-n256", "expects CASE:FLOOR"),
+            (":2.0", "expects CASE:FLOOR"),
+            ("tree-n256:fast", "floor 'fast' is not a number"),
+        ],
+        ids=["no-floor", "no-case", "not-a-number"],
+    )
+    def test_bench_malformed_floor_fails_fast(
+        self, capsys, monkeypatch, spec, message
+    ):
+        from repro.analysis import bench
+
+        def no_run(**kwargs):
+            raise AssertionError("measured before refusing the floor")
+
+        monkeypatch.setattr(bench, "run_bench", no_run)
+        code = main([
+            "bench", "--quick", "--output-dir", "-",
+            "--require-speedup", spec,
+        ])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_bench_floors_gate_the_run(self, capsys, monkeypatch):
+        # The committed quick baseline stands in for a fresh run.
+        import pathlib
+
+        from repro.analysis import bench
+
+        baseline = bench.load_bench(str(
+            pathlib.Path(__file__).resolve().parents[2]
+            / "BENCH_BASELINE.json"
+        ))
+        monkeypatch.setattr(bench, "run_bench", lambda **kwargs: baseline)
+        ratio = bench.bench_ratios(baseline)["tree-n256"][1]
+        argv = ["bench", "--quick", "--output-dir", "-", "--require-speedup"]
+        assert main(argv + [f"tree-n256:{ratio * 0.99}"]) == 0
+        assert "speedup floors ok" in capsys.readouterr().out
+        assert main(argv + [f"tree-n256:{ratio * 1.01}"]) == 2
+        assert "below the committed floor" in capsys.readouterr().err
+
     def test_bench_quick_no_output(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code = main(["bench", "--quick", "--output-dir", "-"])

@@ -103,7 +103,7 @@ class TestWeightCacheAfterMutation:
         )
         engine.reset_configuration(corrupted)
         assert engine.productive_weight == sum(
-            family.weight for family in engine._families
+            family.weight for family in protocol.build_families(engine.counts)
         )
         assert sorted(engine.agent_states) == [
             s

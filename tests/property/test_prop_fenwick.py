@@ -1,38 +1,10 @@
-"""Property-based tests for the Fenwick tree."""
+"""Property-based tests for the bulk Fenwick build, ``fill_tree``."""
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.fenwick import FenwickTree, fill_tree
-
-weights = st.lists(st.integers(min_value=0, max_value=100), min_size=1,
-                   max_size=50)
-
-
-def push_up_fill(tree, size, values):
-    """Reference build: the classic O(N) pure-Python push-up.
-
-    Every node forwards its accumulated partial sum to its parent, in
-    index order.  Kept verbatim as the oracle the vectorised
-    :func:`fill_tree` kernel must reproduce node for node.
-    """
-    for i in range(size + 1):
-        tree[i] = 0
-    total = 0
-    num_values = len(values)
-    for i in range(size):
-        pos = i + 1
-        if i < num_values:
-            value = values[i]
-            total += value
-            tree[pos] += value
-        acc = tree[pos]
-        if acc:
-            parent = pos + (pos & -pos)
-            if parent <= size:
-                tree[parent] += acc
-    return total
+from repro.core.fenwick import fill_tree
 
 
 @st.composite
@@ -63,7 +35,7 @@ _DYADIC = st.builds(
 
 
 class TestFillTreeMatchesPushUp:
-    def _check(self, size, values):
+    def _check(self, push_up_fill, size, values):
         expected = [7] * (size + 1)
         expected_total = push_up_fill(expected, size, values)
         tree = [7] * (size + 1)  # stale garbage must be cleared
@@ -81,8 +53,8 @@ class TestFillTreeMatchesPushUp:
     @example((1, [5]))
     @example((256, [1] * 256))
     @example((300, [3] * 300))
-    def test_small_weights(self, case):
-        self._check(*case)
+    def test_small_weights(self, push_up_fill, case):
+        self._check(push_up_fill, *case)
 
     @given(fill_cases(_NEAR_SWITCH))
     @settings(max_examples=200)
@@ -92,19 +64,19 @@ class TestFillTreeMatchesPushUp:
     @example((2, [(1 << 62) - 1]))
     @example((2, [1 << 62]))
     @example((8, [(1 << 63) - 1, 1]))
-    def test_weights_around_the_int64_switch(self, case):
-        self._check(*case)
+    def test_weights_around_the_int64_switch(self, push_up_fill, case):
+        self._check(push_up_fill, *case)
 
     @given(fill_cases(_DYADIC))
     @settings(max_examples=100)
     @example((2, [1 << 64, 1 << 64]))
     @example((4, [1 << 100, 0, 3]))
-    def test_dyadic_weights_beyond_int64(self, case):
-        self._check(*case)
+    def test_dyadic_weights_beyond_int64(self, push_up_fill, case):
+        self._check(push_up_fill, *case)
 
     @given(fill_cases(st.integers(min_value=0, max_value=1 << 40)))
     @settings(max_examples=100)
-    def test_int64_array_input(self, case):
+    def test_int64_array_input(self, push_up_fill, case):
         size, values = case
         expected = [0] * (size + 1)
         expected_total = push_up_fill(expected, size, values)
@@ -112,52 +84,3 @@ class TestFillTreeMatchesPushUp:
         total = fill_tree(tree, size, np.asarray(values, dtype=np.int64))
         assert tree == expected
         assert total == expected_total
-
-
-class TestFenwickProperties:
-    @given(weights)
-    def test_total_is_sum(self, values):
-        tree = FenwickTree.from_values(values)
-        assert tree.total == sum(values)
-
-    @given(weights)
-    def test_prefix_sums_match_naive(self, values):
-        tree = FenwickTree.from_values(values)
-        for i in range(len(values) + 1):
-            assert tree.prefix_sum(i) == sum(values[:i])
-
-    @given(weights)
-    def test_find_inverts_prefix_sum(self, values):
-        tree = FenwickTree.from_values(values)
-        for target in range(tree.total):
-            slot = tree.find(target)
-            assert values[slot] > 0
-            assert tree.prefix_sum(slot) <= target < tree.prefix_sum(slot + 1)
-
-    @given(
-        weights,
-        st.lists(
-            st.tuples(st.integers(0, 49), st.integers(0, 100)), max_size=30
-        ),
-    )
-    @settings(max_examples=50)
-    def test_updates_keep_invariants(self, values, updates):
-        tree = FenwickTree.from_values(values)
-        reference = list(values)
-        for index, new_value in updates:
-            if index >= len(reference):
-                continue
-            tree.set(index, new_value)
-            reference[index] = new_value
-        assert tree.total == sum(reference)
-        for i in range(len(reference) + 1):
-            assert tree.prefix_sum(i) == sum(reference[:i])
-
-    @given(weights)
-    def test_find_distribution_weights(self, values):
-        """Each slot is selected by exactly `weight` many targets."""
-        tree = FenwickTree.from_values(values)
-        hits = [0] * len(values)
-        for target in range(tree.total):
-            hits[tree.find(target)] += 1
-        assert hits == values

@@ -28,6 +28,7 @@ from repro import (
     TreeRankingProtocol,
     random_configuration,
 )
+from repro.core.families import OrderedProduct, SameStatePairs, TriangularLine
 from repro.protocols.line import IsolatedLineProtocol
 
 
@@ -139,7 +140,9 @@ class TestCachedWeightInvariant:
         )
         for _ in range(2000):
             engine.step()
-            recomputed = sum(f.weight for f in engine._families)
+            recomputed = sum(
+                f.weight for f in protocol.build_families(engine.counts)
+            )
             assert engine.productive_weight == recomputed
             if engine.is_silent():
                 break
@@ -159,3 +162,50 @@ class TestCachedWeightInvariant:
         )
         assert engine.run() is True
         assert engine.productive_weight == engine.recomputed_weight() == 0
+
+
+@st.composite
+def _family_moves(draw):
+    """A family over up to 12 states, its start counts, and a run of
+    count moves ``(state, new count)``."""
+    num_states = draw(st.integers(1, 12))
+    counts = draw(
+        st.lists(st.integers(0, 40), min_size=num_states, max_size=num_states)
+    )
+    states = draw(st.permutations(range(num_states)))
+    kind = draw(st.sampled_from(["same_state", "product", "line"]))
+    if kind == "same_state":
+        members = draw(st.integers(0, num_states))
+        args = (states[:members],)
+        build = SameStatePairs
+    elif kind == "product":
+        split = draw(st.integers(0, num_states))
+        end = draw(st.integers(split, num_states))
+        args = (states[:split], states[split:end])
+        build = OrderedProduct
+    else:
+        args = (states[:draw(st.integers(0, num_states))],)
+        build = TriangularLine
+    moves = draw(st.lists(
+        st.tuples(st.integers(0, num_states - 1), st.integers(0, 40)),
+        max_size=30,
+    ))
+    return build, args, counts, moves
+
+
+class TestFamilyRunningTotals:
+    @given(_family_moves())
+    @settings(max_examples=300, deadline=None)
+    def test_count_moves_match_a_fresh_build(self, case):
+        """Every family's running weight, and each delta it returns,
+        equal what a family built afresh from the counts reports."""
+        build, args, counts, moves = case
+        family = build(counts, *args)
+        assert family.weight == build(counts, *args).weight
+        for state, new in moves:
+            before = family.weight
+            delta = family.on_count_change(state, counts[state], new)
+            counts[state] = new
+            fresh = build(counts, *args).weight
+            assert family.weight == fresh
+            assert delta == fresh - before

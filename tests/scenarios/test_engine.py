@@ -358,7 +358,7 @@ class TestEngineRouting:
         from repro.core.engine import build_engine, make_rng
         from repro.core.jump import JumpEngine
         from repro.scenarios import engine as scenario_engine
-        from repro.scenarios.engine import _make_engine, _start_configuration
+        from repro.scenarios.engine import _make_engine
 
         # Uniform and biased runs share the engine class, so the name
         # build_engine returns is what tells them apart.
@@ -383,7 +383,7 @@ class TestEngineRouting:
         scenario = get_campaign(campaign_id).build(scale)
         protocol = scenario.protocol.build()
         rng = make_rng(0)
-        start = _start_configuration(scenario, protocol, rng)
+        start = scenario.start.build(protocol, rng)
         engine = _make_engine(scenario, protocol, start, rng)
         assert type(engine) is JumpEngine
         if biased:

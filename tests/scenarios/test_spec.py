@@ -4,7 +4,16 @@ import json
 
 import pytest
 
+from repro.configurations.generators import (
+    all_in_extras_configuration,
+    all_in_state_configuration,
+    k_distant_configuration,
+    random_configuration,
+    solved_configuration,
+)
+from repro.core.engine import make_rng
 from repro.exceptions import ExperimentError
+from repro.jobspec import JobSpec
 from repro.scenarios import (
     FaultPhase,
     ProtocolSpec,
@@ -88,6 +97,65 @@ class TestPhaseValidation:
             StartSpec(kind="k_distant")
         with pytest.raises(ExperimentError):
             StartSpec(kind="nope")
+
+
+_STARTS = [
+    StartSpec(kind="random"),
+    StartSpec(kind="k_distant", k=3),
+    StartSpec(kind="pileup"),
+    StartSpec(kind="pileup", state=2),
+    StartSpec(kind="all_in_extras"),
+    StartSpec(kind="solved"),
+]
+
+
+def _generator_start(start, protocol, seed):
+    """The generator call each start kind stands for."""
+    if start.kind == "random":
+        return random_configuration(protocol, seed=seed)
+    if start.kind == "k_distant":
+        return k_distant_configuration(protocol, start.k, seed=seed)
+    if start.kind == "pileup":
+        state = protocol.num_ranks - 1 if start.state is None else start.state
+        return all_in_state_configuration(protocol, state)
+    if start.kind == "all_in_extras":
+        return all_in_extras_configuration(protocol, seed=seed)
+    return solved_configuration(protocol)
+
+
+class TestStartSpecBuild:
+    """Both surfaces build starts through ``StartSpec.build``: a JobSpec
+    from its integer seed, ``run_scenario`` from its run generator."""
+
+    _PROTOCOL = ProtocolSpec(kind="tree", num_agents=13, k=3)
+
+    @pytest.mark.parametrize(
+        "start", _STARTS, ids=[f"{s.kind}-{s.k}-{s.state}" for s in _STARTS]
+    )
+    def test_jobspec_surface(self, start):
+        spec = JobSpec(
+            scenario=Scenario(
+                name="t", protocol=self._PROTOCOL,
+                phases=(RunPhase(until="silence"),), start=start,
+            ),
+            mode="simulate",
+            seed=5,
+        )
+        protocol = self._PROTOCOL.build()
+        configuration = spec.start_configuration(protocol)
+        assert configuration == _generator_start(start, protocol, 5)
+        assert configuration == spec.start_configuration(protocol)
+
+    @pytest.mark.parametrize(
+        "start", _STARTS, ids=[f"{s.kind}-{s.k}-{s.state}" for s in _STARTS]
+    )
+    def test_scenario_surface(self, start):
+        protocol = self._PROTOCOL.build()
+        configuration = start.build(protocol, make_rng(5))
+        assert configuration == _generator_start(
+            start, protocol, make_rng(5)
+        )
+        assert configuration.num_agents == 13
 
 
 class TestScenarioSerialisation:
