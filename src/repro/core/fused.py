@@ -25,9 +25,16 @@ other type fails at construction.
 Composite slots (product / triangular) are laid out *first*,
 so the engine's hot loop resolves the overwhelmingly common draws (the
 reset line during a §5 reset storm) with a couple of comparisons before
-falling back to the Fenwick walk over the same-state block.  Side
-Fenwick trees are padded to powers of two so their top node *is* the
-side total — updates become bare add-delta walks with no bookkeeping.
+falling back to the Fenwick walk over the same-state block.  A product
+side of at most ``_SCAN_SIDE_STATES`` states keeps no tree at all: its
+decode scans the live counts in side order, and a count change moves
+only the side total.  That covers the §5 reset line (``2k = 4⌈log₂ n⌉``
+states, at most 128 for every ``n ≤ 2³²``), whose R4 draws land on its
+first state or two, and every side of the §4 line at ``m = 2``.  Longer
+sides (the tree's ``n`` ranks, the §4 line's rank side at ``m ≥ 4``)
+keep Fenwick trees padded to powers of two, so their top node *is* the
+side total: updates are bare add-delta walks with no bookkeeping, and
+a find starts one level below the top.
 
 Per-state **update plans** are compiled from the index's structures
 the first time a state is touched, and whole transitions compile to
@@ -138,13 +145,26 @@ SAME, PRODUCT, TRIANGULAR = 0, 1, 2
 # Slot kind of a class-scaled composite slot: a product or triangular
 # payload that carries its class factor, decoded through the payload's
 # ``pair_from_target`` and weighed with the factor.  Its plan steps keep
-# the PRODUCT/TRIANGULAR codes (the payload updates are the same).
+# the PRODUCT/SCANNED/TRIANGULAR codes (the payload updates are the
+# same).
 SCALED = 3
 # Slot kind of a proposal-pool pseudo-slot (hybrid same-state sampling).
 PROPOSAL = 4
 # Plan-step code of a class-scaled same-state slot; the step carries the
 # slot's class factor.
 SCALED_SAME = 5
+# Plan-step code of a state on a scanned product side (one that keeps no
+# tree, see ``_SCAN_SIDE_STATES``): the step moves only the side total.
+SCANNED = 6
+
+#: Product sides of at most this many states keep no Fenwick tree.  A
+#: decode scans the side's live counts in side order with the residual
+#: target, which picks the state a tree find would pick, and a count
+#: change moves only the side total instead of walking a padded tree.
+#: The §5 reset line (``2k = 4⌈log₂ n⌉`` states) stays within it for
+#: every ``n ≤ 2³²``, and a reset storm's R4 draws land on its first
+#: state or two, so the scan is short where the tree walks were not.
+_SCAN_SIDE_STATES = 128
 
 #: Relative cost of serving one unit of same-state mass through the
 #: Fenwick walk versus one O(1) proposal — the constant in the window
@@ -225,29 +245,53 @@ def collector_paused():
             gc.enable()
 
 
-def _padded_size(length: int) -> int:
-    """Smallest power of two ``>= length`` (1 for an empty side).
+def _side_tree(length: int) -> Tuple[Optional[List[int]], int]:
+    """``(tree, size)`` of a product side of ``length`` states: a Fenwick
+    array padded to the smallest power-of-two ``size >= length``, or
+    ``(None, 0)`` for a scanned side.
 
-    With a power-of-two size, a Fenwick array's top node ``tree[size]``
-    is the total weight, so callers need no separate total bookkeeping;
-    updates are bare add-delta walks.
+    With a power-of-two size the array's top node ``tree[size]`` is the
+    side total, which no find target reaches, so a find starts one level
+    below it; updates are bare add-delta walks.
     """
-    return 1 << max(length - 1, 0).bit_length()
+    if length <= _SCAN_SIDE_STATES:
+        return None, 0
+    size = 1 << (length - 1).bit_length()
+    return [0] * (size + 1), size
 
 
-def _tree_find(tree: List[int], size: int, target: int) -> int:
-    """Weighted-draw slot of a padded Fenwick array (``size`` = pow2)."""
+def _side_find(
+    states: List[int],
+    tree: Optional[List[int]],
+    size: int,
+    counts: Sequence[int],
+    target: int,
+) -> int:
+    """The state of a product side that ``target`` picks.
+
+    ``target`` lies in ``[0, side total)``; the pick is the first state
+    (in side order) whose running count sum exceeds it.  A scanned side
+    (``tree`` is ``None``) walks the live counts; a tree side descends
+    its padded Fenwick array from one level below the top node, which
+    holds the total that no target reaches, so every probe lies inside
+    the array.  Both pick the same state for every target.
+    """
+    if tree is None:
+        for state in states:
+            count = counts[state]
+            if target < count:
+                return state
+            target -= count
+        raise SimulationError("fused product side draw out of range")
     pos = 0
-    bit = size
+    bit = size >> 1
     while bit:
-        nxt = pos + bit
-        if nxt <= size:
-            below = tree[nxt]
-            if below <= target:
-                target -= below
-                pos = nxt
+        below = tree[pos + bit]
+        if below <= target:
+            target -= below
+            pos += bit
         bit >>= 1
-    return pos
+    return states[pos]
 
 
 class _ProposalPool:
@@ -432,14 +476,19 @@ class _ProductSlot:
 
     Weight is ``factor · A · B`` where ``A``/``B`` are the side totals,
     maintained as O(1) scalars.  ``factor`` is 1 for the uniform index
-    and the scheduler's dyadic numerator otherwise.  The two private
-    padded Fenwick arrays are needed only to *decode* a draw, so their
-    maintenance is **gated**: while the opposite side's total is zero
-    the slot cannot be sampled (weight 0), updates skip the tree walk
-    and mark the side stale, and the first decode after reactivation
-    rebuilds the stale side from the live counts — which turns the §4
-    line's per-event routing-tree writes into no-ops for the whole
-    X-empty drain toward silence.
+    and the scheduler's dyadic numerator otherwise.  A side only needs
+    more than its total to *decode* a draw.  A side of at most
+    ``_SCAN_SIDE_STATES`` states keeps nothing more (its tree is
+    ``None``, its size 0): a decode scans the live counts.  A longer
+    side keeps a private padded Fenwick array, whose maintenance is
+    **gated**: while the opposite side's total is zero the slot cannot
+    be sampled (weight 0), updates skip the tree walk and mark the side
+    stale, and a decode while a side is stale samples it by rejection
+    (:meth:`sample_stale`) — which turns the §4 line's per-event
+    routing-tree writes into no-ops for the whole X-empty drain toward
+    silence.  A scanned side keeps the same stale mark, set and cleared
+    at the same points, so its stale decodes take the same rejection
+    draws as a tree side would.
     """
 
     __slots__ = ("initiators", "responders", "init_tree", "init_size",
@@ -459,10 +508,8 @@ class _ProductSlot:
         self.responders = list(responders)
         self._init_states = np.asarray(self.initiators, dtype=np.intp)
         self._resp_states = np.asarray(self.responders, dtype=np.intp)
-        self.init_size = _padded_size(len(self.initiators))
-        self.resp_size = _padded_size(len(self.responders))
-        self.init_tree = [0] * (self.init_size + 1)
-        self.resp_tree = [0] * (self.resp_size + 1)
+        self.init_tree, self.init_size = _side_tree(len(self.initiators))
+        self.resp_tree, self.resp_size = _side_tree(len(self.responders))
         self.factor = factor
         self.resync(counts, count_array)
 
@@ -470,27 +517,29 @@ class _ProductSlot:
         return self.factor * self.init_total * self.resp_total
 
     def sample_stale(self, bound: int, rand_below) -> Tuple[int, int]:
-        """Decode a draw while some side tree is stale, without rebuilding.
+        """Decode a draw while some side is stale, without rebuilding.
 
         Each stale side is sampled by rejection against ``bound`` (any
         upper bound on every state count): propose a uniform side state,
         accept with probability ``count/bound`` — exactly proportional
-        to the counts, which is all the tree find realises.  In the
+        to the counts, which is all a side find realises.  In the
         steady gated cycle (a line drain whose X excursions reactivate
         the slot for one event at a time) this replaces an O(side)
         rebuild per excursion with a handful of O(1) proposals.  When
         the count profile is too skewed for rejection (a reset storm
         piling agents onto a few states) the escape hatch rebuilds the
-        trees once and the eager walks keep them live from then on.
-        A clean side keeps the ordinary tree find (fresh randomness is
-        fine: the two side draws just need to be independent and
-        count-proportional).
+        stale trees once and the eager walks keep them live from then
+        on.  A clean side keeps the ordinary side find with a fresh
+        draw (fresh randomness is fine: the two side draws just need to
+        be independent and count-proportional).
         """
         counts = self.counts
         pair = []
-        for states, stale_bit, tree, size in (
-            (self.initiators, 1, self.init_tree, self.init_size),
-            (self.responders, 2, self.resp_tree, self.resp_size),
+        for states, stale_bit, tree, size, total in (
+            (self.initiators, 1, self.init_tree, self.init_size,
+             self.init_total),
+            (self.responders, 2, self.resp_tree, self.resp_size,
+             self.resp_total),
         ):
             if len(states) == 1:
                 pair.append(states[0])
@@ -508,25 +557,27 @@ class _ProductSlot:
                     proposals += 1
                     if proposals > 64:
                         # Rejection sampling is memoryless: abandoning
-                        # it for an exact tree draw is still exact.
+                        # it for an exact side find is still exact.
                         self.rebuild_stale()
                         break
                 if choice >= 0:
                     pair.append(choice)
                     continue
-            total = tree[size]
-            pair.append(states[_tree_find(tree, size, rand_below(total))])
+            pair.append(
+                _side_find(states, tree, size, counts, rand_below(total))
+            )
         return pair[0], pair[1]
 
     def rebuild_stale(self) -> None:
-        """Refill stale side trees from the live counts (decode guard)."""
+        """Refill stale side trees from the live counts (decode guard);
+        a stale scanned side only drops its mark."""
         counts = self.counts
-        if self.stale & 1:
+        if self.stale & 1 and self.init_tree is not None:
             fill_tree(
                 self.init_tree, self.init_size,
                 [counts[s] for s in self.initiators],
             )
-        if self.stale & 2:
+        if self.stale & 2 and self.resp_tree is not None:
             fill_tree(
                 self.resp_tree, self.resp_size,
                 [counts[s] for s in self.responders],
@@ -534,23 +585,26 @@ class _ProductSlot:
         self.stale = 0
 
     def resync(self, counts: Sequence[int], count_array: np.ndarray) -> None:
-        """Reload both side trees from a counts list, in place.
+        """Reload both sides from a counts list, in place.
 
         ``count_array`` is ``counts`` as an int64 array, read once per
-        pass by the owning index; each side tree is one gather plus one
-        :func:`fill_tree`.  Per-state update plans hold direct
-        references to the tree lists, so a resync must refill rather
-        than replace them.  The ``counts`` list reference is
+        pass by the owning index; each side is one gather plus one
+        :func:`fill_tree` into the side tree, in place (a tree side),
+        or one sum (a scanned side).  The ``counts`` list reference is
         re-captured — this is the seam through which engines adopt an
-        externally supplied configuration (stale side trees are later
-        rebuilt from it).
+        externally supplied configuration (scanned sides and stale
+        side trees are later read from it).
         """
         self.counts = counts
-        self.init_total = fill_tree(
-            self.init_tree, self.init_size, count_array[self._init_states]
+        side = count_array[self._init_states]
+        self.init_total = (
+            int(side.sum()) if self.init_tree is None
+            else fill_tree(self.init_tree, self.init_size, side)
         )
-        self.resp_total = fill_tree(
-            self.resp_tree, self.resp_size, count_array[self._resp_states]
+        side = count_array[self._resp_states]
+        self.resp_total = (
+            int(side.sum()) if self.resp_tree is None
+            else fill_tree(self.resp_tree, self.resp_size, side)
         )
         self.stale = 0
 
@@ -564,15 +618,17 @@ class _ProductSlot:
         if self.stale:
             self.rebuild_stale()
         span = self.factor * self.resp_total
-        initiator = self.initiators[
-            _tree_find(self.init_tree, self.init_size, target // span)
-        ]
-        responder = self.responders[
-            _tree_find(
-                self.resp_tree, self.resp_size, (target % span) // self.factor
-            )
-        ]
-        return initiator, responder
+        counts = self.counts
+        return (
+            _side_find(
+                self.initiators, self.init_tree, self.init_size, counts,
+                target // span,
+            ),
+            _side_find(
+                self.responders, self.resp_tree, self.resp_size, counts,
+                (target % span) // self.factor,
+            ),
+        )
 
 
 class _TriangularSlot:
@@ -650,6 +706,9 @@ class _StatePlans:
     * ``(PRODUCT, slot, node, initiator)`` — the state's first node in
       one side tree of a product slot, and whether that side is the
       initiator side;
+    * ``(SCANNED, slot, initiator)`` — the same for a scanned product
+      side (at most ``_SCAN_SIDE_STATES`` states), which keeps no tree:
+      the step moves only the side total and its stale mark;
     * ``(TRIANGULAR, slot, pos)`` — the state's position on a line;
     * ``(SAME, slot, node)`` — the state's same-state slot and its first
       Fenwick node (the tree spans only the same-state block);
@@ -697,8 +756,9 @@ class _StatePlans:
 
         ``code`` is its step code and ``slot`` its composite slot, or
         for the same-state block (``SAME``/``SCALED_SAME``) the block's
-        first slot.  ``extra`` is a product side's ``initiator`` flag or
-        the same-state block's class factors.
+        first slot.  ``extra`` is a product side's ``initiator`` flag
+        (``PRODUCT``/``SCANNED``) or the same-state block's class
+        factors.
         """
         self._members.append(states)
         self._templates.append((code, slot, extra))
@@ -718,6 +778,8 @@ class _StatePlans:
                 sig |= bit
                 if code == PRODUCT:
                     built.append((PRODUCT, slot, pos + 1, extra))
+                elif code == SCANNED:
+                    built.append((SCANNED, slot, extra))
                 elif code == TRIANGULAR:
                     built.append((TRIANGULAR, slot, pos))
                 elif code == SAME:
@@ -852,8 +914,14 @@ class FusedIndex:
             kinds.append(SCALED if scaled else PRODUCT)
             payloads.append(payload)
             weights.append(payload.weight())
-            plans.add(payload._init_states, PRODUCT, slot, True)
-            plans.add(payload._resp_states, PRODUCT, slot, False)
+            plans.add(
+                payload._init_states,
+                SCANNED if payload.init_tree is None else PRODUCT, slot, True,
+            )
+            plans.add(
+                payload._resp_states,
+                SCANNED if payload.resp_tree is None else PRODUCT, slot, False,
+            )
 
         # Composite slots first: the hot loop short-circuits the find
         # for them, and a handful of comparisons resolves the draws that
@@ -1009,8 +1077,9 @@ class FusedIndex:
         :meth:`reclassify`, which costs nothing while the pool is idle
         and empty.  Any other index takes the full reload: it reads
         ``counts`` into one int64 array and works on it with numpy (a
-        gather plus a :func:`fill_tree` per side tree, the pool
-        classification and the same-state block), which leaves it live.
+        gather plus a :func:`fill_tree` or a sum per product side, the
+        pool classification and the same-state block), which leaves it
+        live.
         The only per-state Python work left is building each pool
         member's position list.  Every slot is a pure function of the
         counts, so neither path can fail.
@@ -1120,9 +1189,9 @@ class FusedIndex:
 
         Slot values, the same-state Fenwick tree and the total; the
         pool's agent array, positions, window, bound and weight; each
-        product slot's side trees, side totals and stale bits; and each
-        triangular slot's line counts and moments
-        (:class:`WeightedFusedIndex` adds its class sums).  Two indexes
+        product slot's side trees (``None`` for a scanned side), side
+        totals and stale bits; and each triangular slot's line counts
+        and moments (:class:`WeightedFusedIndex` adds its class sums).  Two indexes
         of one layout sample alike exactly when these agree, so an index
         at a canonical point must equal a fresh compile from the same
         counts (the engines' debug mode checks this, and so do the
@@ -1145,7 +1214,10 @@ class FusedIndex:
         for payload in self.slot_payload[:self.num_composite]:
             if type(payload) is _ProductSlot:
                 payloads.append((
-                    list(payload.init_tree), list(payload.resp_tree),
+                    None if payload.init_tree is None
+                    else list(payload.init_tree),
+                    None if payload.resp_tree is None
+                    else list(payload.resp_tree),
                     payload.init_total, payload.resp_total, payload.stale,
                 ))
             elif type(payload) is _TriangularSlot:
@@ -1249,9 +1321,10 @@ class FusedIndex:
                 if kind == SCALED_SAME:
                     continue
                 slot = step[1]
-                if kind == PRODUCT:
+                if kind == PRODUCT or kind == SCANNED:
+                    # The side flag ends both product step layouts.
                     net = prods.setdefault(slot, [0, 0])
-                    net[0 if step[3] else 1] += delta
+                    net[0 if step[-1] else 1] += delta
                 else:  # TRIANGULAR
                     guarded = False
                 if slot not in refresh:

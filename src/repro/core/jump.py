@@ -125,6 +125,7 @@ from .fused import (
     PROPOSAL,
     SAME,
     SCALED,
+    SCANNED,
     TRIANGULAR,
     WEIGHT_DENOMINATOR,
     _RECLASSIFY_EVENTS,
@@ -1221,13 +1222,14 @@ def _run_fused(
     and the loop proposes directly.  Transitions execute as precompiled
     plain-integer programs ``(ti, tj, ops, refresh, prods, transfer,
     moves)``: each op runs its state's plan from ``fused.state_steps``
-    (O(1) count moments for the reset line, one-sided Fenwick writes for
-    products, O(1) member moves for pooled slots), followed by one
-    deduplicated weight refresh per composite slot.  Plan steps are
-    plain integers too; the loop reaches each step's payload (and a
-    product step's side tree) through ``slot_payload[slot]``, and each
-    refreshed slot through ``slot_kind``/``slot_payload`` — no
-    per-event family dispatch anywhere.  Cache misses count as
+    (O(1) count moments for the reset line, a side-total move on a
+    scanned product side, one-sided Fenwick writes on a tree side, O(1)
+    member moves for pooled slots), followed by one deduplicated weight
+    refresh per composite slot.  Plan steps are plain integers too; the
+    loop reaches each step's payload (and a product step's side tree)
+    through ``slot_payload[slot]``, and each refreshed slot through
+    ``slot_kind``/``slot_payload`` — no per-event family dispatch
+    anywhere.  Cache misses count as
     ``programs_compiled`` (see :func:`_compile_program`).  A
     transition whose product slots all weigh zero skips the refresh,
     and a −1/+1 move between two pool members is a single re-label.
@@ -1249,18 +1251,19 @@ def _run_fused(
 
     The loop writes back the counters, the index total and its loop
     state, ``engine._loop_state``: the log-uniform and raw batches with
-    their positions, the count bound ``gmax``, and the event counts of
-    the next periodic re-partition and of the end of the acceptance
-    trigger's cooldown.  The next call continues from that state, so
-    ``k`` calls of one event each replay one call of ``k`` events bit
-    for bit; the last event's ``(si, sj, ti, tj)`` is left in
-    ``engine._last_event``.  Whatever else changes the counts or swaps
-    the index drops the state (``None``), and the next call starts
-    afresh: empty batches, a full period to the re-partition, and
-    ``gmax`` from the counts — which keeps ``gmax`` an upper bound on
-    every count, as decoding a stale product side needs.  The pool
-    partition and stale product sides the loop leaves behind are for
-    the caller to canonicalise or keep.  The index's ``live`` flag is
+    their positions, the count bound ``gmax`` with its pending base
+    ``gbase``, and the event counts of the next periodic re-partition
+    and of the end of the acceptance trigger's cooldown.  The next call
+    continues from that state, so ``k`` calls of one event each replay
+    one call of ``k`` events bit for bit; the last event's ``(si, sj,
+    ti, tj)`` is left in ``engine._last_event``.  Whatever else changes
+    the counts or swaps the index drops the state (``None``), and the
+    next call starts afresh: empty batches, a full period to the
+    re-partition, and the count bound reset to a copy of the counts
+    (``gbase``, whose maximum joins ``gmax`` at the first stale decode)
+    — which keeps the bound above every count, as decoding a stale
+    product side needs.  The pool partition and stale product sides the
+    loop leaves behind are for the caller to canonicalise or keep.  The index's ``live`` flag is
     cleared while the loop runs and restored when it returns: a fault
     that escapes it leaves the counts, slot values and tree ahead of the
     total and the pool fields, which only a full reload repairs.
@@ -1321,20 +1324,28 @@ def _run_fused(
         stop = events
     # Batched draws: log(1-u) skip numerators through numpy, raw 64-bit
     # integers for exact weighted targets and pool proposals; a batch
-    # position of BATCH refills before the next read.  `gmax` is a
-    # monotone upper bound on every state count (reset at each
-    # reclassification) — the acceptance bound for decoding stale
-    # product sides by rejection instead of rebuilding their trees.
+    # position of BATCH refills before the next read.  `gmax` bounds
+    # every state count — the acceptance bound for decoding stale
+    # product sides by rejection instead of rebuilding their trees.  It
+    # is reset at loop entry without carried state and at each periodic
+    # pass: `gbase` copies the counts there and `gmax` restarts from 0,
+    # tracking every count set since.  The O(n) max() of the copy joins
+    # `gmax` at the first stale decode after the reset (then `gbase` is
+    # None), so a run that decodes no stale side pays a list copy per
+    # reset instead of a max(); at every stale decode the bound is the
+    # one an eager max() at the reset would have grown to.
     carried = engine._loop_state
     if carried is None:
         lus: List[float] = []
         raws: List[int] = []
         upos = rpos = BATCH
-        gmax = max(counts)
+        gmax = 0
+        gbase = counts[:]
         reclassify_at = events + _RECLASSIFY_EVENTS
         cooldown_end = events
     else:
-        lus, upos, raws, rpos, gmax, reclassify_at, cooldown_end = carried
+        (lus, upos, raws, rpos, gmax, gbase, reclassify_at,
+         cooldown_end) = carried
     upos0 = upos
     rpos0 = rpos
     # Telemetry: draw totals derive from batch-refill tallies and batch
@@ -1523,39 +1534,65 @@ def _run_fused(
         else:  # PRODUCT
             prod = slot_payload[pos]
             if prod.stale:
-                # Decode around the stale side trees: rejection
-                # against the global count bound, rebuilding only
-                # if the profile is too skewed for it.
+                # Decode around the stale sides: rejection against the
+                # global count bound, rebuilding only if the profile is
+                # too skewed for it.  The bound's base pass runs here,
+                # at the first stale decode since the loop took it.
+                if gbase is not None:
+                    top = max(gbase)
+                    if top > gmax:
+                        gmax = top
+                    gbase = None
                 si, sj = prod.sample_stale(gmax, draws.rand_below)
             else:
-                rtree = prod.resp_tree
-                rsize = prod.resp_size
                 # Both side draws decode from the one residual target.
-                t1 = target // rtree[rsize]
-                t2 = target - t1 * rtree[rsize]
-                p1 = 0
-                bit = prod.init_size
+                # A scanned side walks the live counts; a tree side
+                # descends from below its top node (the side total).
+                rtotal = prod.resp_total
+                t1 = target // rtotal
+                t2 = target - t1 * rtotal
                 itree = prod.init_tree
-                while bit:
-                    nxt = p1 + bit
-                    if nxt <= prod.init_size:
-                        below = itree[nxt]
+                if itree is None:
+                    for si in prod.initiators:
+                        c = counts[si]
+                        if t1 < c:
+                            break
+                        t1 -= c
+                    else:
+                        raise SimulationError(
+                            "fused product sample out of range"
+                        )
+                else:
+                    p1 = 0
+                    bit = prod.init_size >> 1
+                    while bit:
+                        below = itree[p1 + bit]
                         if below <= t1:
                             t1 -= below
-                            p1 = nxt
-                    bit >>= 1
-                si = prod.initiators[p1]
-                p2 = 0
-                bit = rsize
-                while bit:
-                    nxt = p2 + bit
-                    if nxt <= rsize:
-                        below = rtree[nxt]
+                            p1 += bit
+                        bit >>= 1
+                    si = prod.initiators[p1]
+                rtree = prod.resp_tree
+                if rtree is None:
+                    for sj in prod.responders:
+                        c = counts[sj]
+                        if t2 < c:
+                            break
+                        t2 -= c
+                    else:
+                        raise SimulationError(
+                            "fused product sample out of range"
+                        )
+                else:
+                    p2 = 0
+                    bit = prod.resp_size >> 1
+                    while bit:
+                        below = rtree[p2 + bit]
                         if below <= t2:
                             t2 -= below
-                            p2 = nxt
-                    bit >>= 1
-                sj = prod.responders[p2]
+                            p2 += bit
+                        bit >>= 1
+                    sj = prod.responders[p2]
         # Transition: the precompiled program.
         if si == sj:
             # Same-state draws dominate the hybrid loop: a
@@ -1741,6 +1778,18 @@ def _run_fused(
                     while node <= psize:
                         ptree[node] += delta
                         node += node & -node
+                elif code == SCANNED:
+                    # A scanned side keeps no tree: its total moves,
+                    # and it takes the stale mark a tree side would.
+                    prod = slot_payload[step[1]]
+                    if step[2]:
+                        prod.init_total += delta
+                        if not prod.resp_total:
+                            prod.stale |= 1
+                    else:
+                        prod.resp_total += delta
+                        if not prod.init_total:
+                            prod.stale |= 2
                 elif code == SAME:
                     # Hybrid dispatch: the state's current pool
                     # membership picks an O(1) member move or
@@ -1890,7 +1939,8 @@ def _run_fused(
         if events >= reclassify_at:
             reclassify_at = events + _RECLASSIFY_EVENTS
             cooldown_end = events + _RECLASSIFY_COOLDOWN
-            gmax = max(counts)
+            gmax = 0
+            gbase = counts[:]
             if pool is not None:
                 # Re-partition pool vs Fenwick from the live counts; the
                 # idle rule reads the index total, written back first.
@@ -1911,7 +1961,7 @@ def _run_fused(
     engine.interactions = interactions
     engine.events = events
     engine._loop_state = (
-        lus, upos, raws, rpos, gmax, reclassify_at, cooldown_end
+        lus, upos, raws, rpos, gmax, gbase, reclassify_at, cooldown_end
     )
     if events != events0:
         engine._last_event = (si, sj, entry[0], entry[1])

@@ -439,8 +439,15 @@ FIELD_CHANGES = {
 @pytest.mark.parametrize("field", sorted(FIELD_CHANGES))
 def test_sampling_state_covers_every_field(field):
     """Each count-dependent field shows in ``sampling_state()``, which
-    the checks above (and debug mode) compare."""
-    protocol, start = _tree(150)()
+    the checks above (and debug mode) compare.  The reset line at
+    n = 150 (32 states) is a scanned product side, which keeps no tree,
+    so the initiator side's tree is bumped on a line of 2k = 130
+    states, above the scan bound."""
+    if field == "product.init_tree":
+        protocol = TreeRankingProtocol(150, k=65)
+        start = random_configuration(protocol, seed=5, include_extras=True)
+    else:
+        protocol, start = _tree(150)()
     counts = start.counts_list()
     families = protocol.build_families(counts)
     if field in ("class_counts", "row_dot"):

@@ -31,8 +31,10 @@ from repro.core.families import OrderedProduct, SameStatePairs
 from repro.core.fused import (
     _POOL_MAX_PROPOSALS,
     _POOL_TREE_COST_RATIO,
+    _SCAN_SIDE_STATES,
     PRODUCT,
     SAME,
+    SCANNED,
     TRIANGULAR,
     FusedIndex,
     _ProposalPool,
@@ -226,7 +228,9 @@ class TestClassifierMatchesDictHistogram:
 
 def eager_state_steps(index, families, num_states):
     """The per-state plans built eagerly, structure by structure, in the
-    plain-integer layout: ``(PRODUCT, slot, node, initiator)``,
+    plain-integer layout: ``(PRODUCT, slot, node, initiator)`` on a
+    product side of more than ``_SCAN_SIDE_STATES`` states,
+    ``(SCANNED, slot, initiator)`` on a shorter one,
     ``(TRIANGULAR, slot, pos)`` and ``(SAME, slot, node)``."""
     steps = [[] for _ in range(num_states)]
     slot = 0
@@ -237,10 +241,15 @@ def eager_state_steps(index, families, num_states):
             continue
         payload = index.slot_payload[slot]
         if type(family) is OrderedProduct:
-            for pos, state in enumerate(payload.initiators):
-                steps[state].append((PRODUCT, slot, pos + 1, True))
-            for pos, state in enumerate(payload.responders):
-                steps[state].append((PRODUCT, slot, pos + 1, False))
+            for side, initiator in (
+                (payload.initiators, True), (payload.responders, False)
+            ):
+                scanned = len(side) <= _SCAN_SIDE_STATES
+                for pos, state in enumerate(side):
+                    steps[state].append(
+                        (SCANNED, slot, initiator) if scanned
+                        else (PRODUCT, slot, pos + 1, initiator)
+                    )
         else:
             for pos, state in enumerate(payload.line):
                 steps[state].append((TRIANGULAR, slot, pos))
@@ -268,6 +277,10 @@ class TestLazyPlansMatchEagerBuild:
             LineOfTrapsProtocol(m=2),
             RingOfTrapsProtocol(m=4),
             AGProtocol(12),
+            # 200 ranks: a product side above the scan bound.
+            pytest.param(
+                TreeRankingProtocol(200, k=3), id="TreeRankingProtocol-n200"
+            ),
         ],
         ids=lambda p: type(p).__name__,
     )

@@ -30,6 +30,10 @@ Three invariant groups:
   is a ``step()`` after a reset dropped the loop's state, and so does
   the weighted loop's under biased, clustered and many-class
   schedulers;
+* the fused loop's product decode maps every target in ``[0, W)`` of
+  the first event to its pair exactly, on scanned product sides and on
+  tree sides, and so does every class-scaled product block's
+  ``pair_from_target``;
 * the same-state loop's count-bucket mode maps every target in
   ``[0, W)`` to its state exactly ``c(c − 1)`` times, on the first
   event and after one and two maintained ones (count swaps' in-place
@@ -978,6 +982,128 @@ class TestCountBucketSampler:
         assert instr.get("fenwick_mode_events") > 0
         assert (instr.get("mode_switches") > 0) == switches
         assert growths
+
+
+def _one_per_rank(protocol, line_counts, empty_ranks):
+    """Counts with one agent on every rank outside ``empty_ranks`` and
+    ``line_counts`` on the extra states, for a population of exactly
+    ``protocol.num_agents``: no rank holds a pair, so no same-state
+    draw exists and the proposal pool never serves one."""
+    counts = [0 if r in empty_ranks else 1 for r in range(protocol.num_ranks)]
+    counts += line_counts
+    assert sum(counts) == protocol.num_agents
+    return counts
+
+
+def _tree_n33():
+    protocol = TreeRankingProtocol(33, k=2)
+    # Four line states (one empty) beside 25 ranks.
+    return protocol, _one_per_rank(
+        protocol, [3, 0, 2, 3], {0, 4, 5, 11, 17, 23, 29, 32}
+    )
+
+
+def _tree_n130():
+    protocol = TreeRankingProtocol(130)
+    line = [0] * protocol.num_extra_states
+    for position, count in ((0, 5), (2, 2), (9, 1), (19, 3), (31, 1)):
+        line[position] = count
+    return protocol, _one_per_rank(protocol, line, set(range(3, 130, 11)))
+
+
+def _line_m2():
+    protocol = LineOfTrapsProtocol(m=2)
+    # One agent on X: the X + X rule weighs zero too.
+    return protocol, _one_per_rank(protocol, [1], {40})
+
+
+class TestProductDecode:
+    """The fused loop's product decode, target by target.
+
+    As in :class:`TestCountBucketSampler`, every raw of the loop's batch
+    is patched to one target ``t``, so the first event is a
+    deterministic function of ``t``: walking every ``t ∈ [0, W)`` must
+    give each ordered pair exactly its mass and each post-event count
+    vector exactly its one-step-law mass.  No rank holds a pair, so
+    every target decodes in a composite slot, on both kinds of product
+    side: tree n = 33 scans both sides of its R4 slot, tree n = 130
+    scans its 32-state reset line and keeps a tree over its 130 ranks,
+    and the §4 line at m = 2 scans its 72-state rank side and X.
+    """
+
+    @pytest.mark.parametrize(
+        "setup, trees",
+        [(_tree_n33, (False, False)), (_tree_n130, (False, True)),
+         (_line_m2, (False, False))],
+        ids=["tree-n33", "tree-n130", "line-m2"],
+    )
+    def test_every_target_decodes_its_pair_exactly(
+        self, setup, trees, monkeypatch
+    ):
+        protocol, start = setup()
+        raws = []
+        monkeypatch.setattr(DrawStream, "raw_batch", lambda self: raws)
+        instr = Instrumentation()
+        engine = JumpEngine(
+            protocol, Configuration(start), np.random.default_rng(0),
+            instrumentation=instr,
+        )
+        (product,) = [
+            p for p in engine._index.slot_payload if type(p) is _ProductSlot
+        ]
+        assert (
+            product.init_tree is not None, product.resp_tree is not None
+        ) == trees
+        weight = engine.productive_weight
+        pairs = Counter()
+        outcomes = Counter()
+        for target in range(weight):
+            engine.reset_configuration(start)
+            raws[:] = [target] * BATCH
+            engine.run(max_events=engine.events + 1)
+            pairs[engine._last_event[:2]] += 1
+            outcomes[tuple(engine.counts)] += 1
+        assert pairs == _uniform_pair_masses(protocol, start)
+        assert outcomes == _one_step_law(protocol, start)
+        assert instr.get("composite_finds") == weight
+        assert instr.get("pool_draws") == 0
+
+    def test_class_scaled_blocks_decode_every_target_exactly(self):
+        """On a two-class index with factors ``[[2, 3], [5, 7]]`` over
+        state parity at n = 300, each R4 block pairs an 18-state line
+        class (scanned) with a 150-rank class (a tree), and each pair of
+        the line's one-state runs is a scanned block too.  Walking every
+        target of a block's ``pair_from_target`` must hit each pair
+        exactly ``factor · c_i · c_j`` times."""
+        protocol = TreeRankingProtocol(300)
+        counts = random_configuration(
+            protocol, seed=4, include_extras=True
+        ).counts_list()
+        index = FusedIndex(
+            protocol.build_families(counts), protocol.num_states, counts,
+            [s % 2 for s in range(protocol.num_states)], [[2, 3], [5, 7]],
+        )
+        blocks = [
+            (slot, p) for slot, p in enumerate(index.slot_payload)
+            if type(p) is _ProductSlot
+        ]
+        sides = Counter(
+            (p.init_tree is not None, p.resp_tree is not None)
+            for _, p in blocks
+        )
+        assert sides[(False, True)] == 4  # the R4 blocks
+        assert sides[(False, False)] == len(blocks) - 4
+        for slot, block in blocks:
+            hits = Counter(
+                block.pair_from_target(target)
+                for target in range(index.values[slot])
+            )
+            assert hits == {
+                (i, j): block.factor * counts[i] * counts[j]
+                for i in block.initiators
+                for j in block.responders
+                if counts[i] and counts[j]
+            }, slot
 
 
 def _many_class_scheduler(protocol):
