@@ -16,183 +16,104 @@ Quickstart::
 
 See DESIGN.md for the architecture and EXPERIMENTS.md for the
 paper-versus-measured record.
+
+The package and its subpackages export lazily (``repro._lazy``):
+``import repro`` runs no submodule, and the first use of a name imports
+only the module that defines it.
 """
 
-from .core import (
-    AgentScheduledEngine,
-    AgentScheduler,
-    Configuration,
-    EngineSnapshot,
-    EpochBoundary,
-    EpochScheduler,
-    Event,
-    JumpEngine,
-    MetricRecorder,
-    PairScheduler,
-    PopulationProtocol,
-    RankingProtocol,
-    Recorder,
-    RunResult,
-    ScheduledEngine,
-    SequentialEngine,
-    TrajectoryRecorder,
-    UniformScheduler,
-    WeightedScheduledEngine,
-    arrive_agents,
-    build_engine,
-    corrupt_agents,
-    crash_and_replace,
-    depart_agents,
-    make_rng,
-    resume_engine,
-    run_protocol,
-)
-from .configurations import (
-    all_in_extras_configuration,
-    all_in_state_configuration,
-    distance_from_solved,
-    doubled_prefix_configuration,
-    k_distant_configuration,
-    random_configuration,
-    solved_configuration,
-)
-from .exceptions import (
-    ConfigurationError,
-    ExperimentError,
-    ProtocolError,
-    ReproError,
-    SimulationError,
-    SimulationLimitReached,
-)
-from .jobspec import (
-    JOBSPEC_VERSION,
-    JobSpec,
-    JobSpecError,
-)
-from .protocols import (
-    AGProtocol,
-    LeaderElectionResult,
-    LineOfTrapsProtocol,
-    ModifiedTreeProtocol,
-    NodeKind,
-    PerfectlyBalancedTree,
-    RingOfTrapsProtocol,
-    RoutingGraph,
-    SingleTrapProtocol,
-    TrapLayout,
-    TreeDispersalProtocol,
-    TreeRankingProtocol,
-    build_routing_graph,
-    count_leaders,
-    elect_leader,
-    line_lattice_size,
-    line_parameter_for,
-    ring_parameter_for,
-)
-from .scenarios import (
-    CampaignResult,
-    CampaignRunner,
-    ClusteredScheduler,
-    DegreeSkewedScheduler,
-    EpochSpec,
-    FaultPhase,
-    PhaseLog,
-    ProtocolSpec,
-    RunPhase,
-    Scenario,
-    ScenarioResult,
-    SchedulerSpec,
-    StartSpec,
-    StateBiasedScheduler,
-    TargetedSuppressionScheduler,
-    get_campaign,
-    list_campaigns,
-    run_campaign,
-    run_scenario,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "AGProtocol",
-    "AgentScheduledEngine",
-    "AgentScheduler",
-    "CampaignResult",
-    "CampaignRunner",
-    "ClusteredScheduler",
-    "Configuration",
-    "ConfigurationError",
-    "DegreeSkewedScheduler",
-    "EngineSnapshot",
-    "EpochBoundary",
-    "EpochScheduler",
-    "EpochSpec",
-    "Event",
-    "ExperimentError",
-    "FaultPhase",
-    "JOBSPEC_VERSION",
-    "JobSpec",
-    "JobSpecError",
-    "JumpEngine",
-    "LeaderElectionResult",
-    "LineOfTrapsProtocol",
-    "MetricRecorder",
-    "ModifiedTreeProtocol",
-    "NodeKind",
-    "PairScheduler",
-    "PerfectlyBalancedTree",
-    "PhaseLog",
-    "PopulationProtocol",
-    "ProtocolError",
-    "ProtocolSpec",
-    "RankingProtocol",
-    "Recorder",
-    "ReproError",
-    "RingOfTrapsProtocol",
-    "RoutingGraph",
-    "RunPhase",
-    "RunResult",
-    "Scenario",
-    "ScenarioResult",
-    "ScheduledEngine",
-    "SchedulerSpec",
-    "SequentialEngine",
-    "SimulationError",
-    "SimulationLimitReached",
-    "SingleTrapProtocol",
-    "StartSpec",
-    "StateBiasedScheduler",
-    "TargetedSuppressionScheduler",
-    "TrajectoryRecorder",
-    "TrapLayout",
-    "TreeDispersalProtocol",
-    "TreeRankingProtocol",
-    "UniformScheduler",
-    "WeightedScheduledEngine",
-    "__version__",
-    "all_in_extras_configuration",
-    "all_in_state_configuration",
-    "arrive_agents",
-    "build_engine",
-    "build_routing_graph",
-    "corrupt_agents",
-    "count_leaders",
-    "crash_and_replace",
-    "depart_agents",
-    "distance_from_solved",
-    "doubled_prefix_configuration",
-    "elect_leader",
-    "get_campaign",
-    "k_distant_configuration",
-    "line_lattice_size",
-    "line_parameter_for",
-    "list_campaigns",
-    "make_rng",
-    "random_configuration",
-    "resume_engine",
-    "ring_parameter_for",
-    "run_campaign",
-    "run_protocol",
-    "run_scenario",
-    "solved_configuration",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".configurations": (
+        "all_in_extras_configuration",
+        "all_in_state_configuration",
+        "distance_from_solved",
+        "doubled_prefix_configuration",
+        "k_distant_configuration",
+        "random_configuration",
+        "solved_configuration",
+    ),
+    ".core": (
+        "AgentScheduledEngine",
+        "AgentScheduler",
+        "Configuration",
+        "EngineSnapshot",
+        "EpochBoundary",
+        "EpochScheduler",
+        "Event",
+        "JumpEngine",
+        "MetricRecorder",
+        "PairScheduler",
+        "PopulationProtocol",
+        "RankingProtocol",
+        "Recorder",
+        "RunResult",
+        "ScheduledEngine",
+        "SequentialEngine",
+        "TrajectoryRecorder",
+        "UniformScheduler",
+        "WeightedScheduledEngine",
+        "arrive_agents",
+        "build_engine",
+        "corrupt_agents",
+        "crash_and_replace",
+        "depart_agents",
+        "make_rng",
+        "resume_engine",
+        "run_protocol",
+    ),
+    ".exceptions": (
+        "ConfigurationError",
+        "ExperimentError",
+        "ProtocolError",
+        "ReproError",
+        "SimulationError",
+        "SimulationLimitReached",
+    ),
+    ".jobspec": ("JOBSPEC_VERSION", "JobSpec", "JobSpecError"),
+    ".protocols": (
+        "AGProtocol",
+        "LeaderElectionResult",
+        "LineOfTrapsProtocol",
+        "ModifiedTreeProtocol",
+        "NodeKind",
+        "PerfectlyBalancedTree",
+        "RingOfTrapsProtocol",
+        "RoutingGraph",
+        "SingleTrapProtocol",
+        "TrapLayout",
+        "TreeDispersalProtocol",
+        "TreeRankingProtocol",
+        "build_routing_graph",
+        "count_leaders",
+        "elect_leader",
+        "line_lattice_size",
+        "line_parameter_for",
+        "ring_parameter_for",
+    ),
+    ".scenarios": (
+        "CampaignResult",
+        "CampaignRunner",
+        "ClusteredScheduler",
+        "DegreeSkewedScheduler",
+        "EpochSpec",
+        "FaultPhase",
+        "PhaseLog",
+        "ProtocolSpec",
+        "RunPhase",
+        "Scenario",
+        "ScenarioResult",
+        "SchedulerSpec",
+        "StartSpec",
+        "StateBiasedScheduler",
+        "TargetedSuppressionScheduler",
+        "get_campaign",
+        "list_campaigns",
+        "run_campaign",
+        "run_scenario",
+    ),
+})
+__all__ = sorted([*__all__, "__version__"])

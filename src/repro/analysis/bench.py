@@ -83,7 +83,7 @@ __all__ = [
 _REFERENCE_S = 0.0010
 
 #: The kernel's 64k-entry table, filled on the first pass: about 2 MB
-#: that only a bench run needs, and ``import repro`` imports this module.
+#: that only a timed bench run needs, not every importer of this module.
 _KERNEL_TABLE: List[int] = []
 
 

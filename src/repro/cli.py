@@ -39,27 +39,14 @@ import sys
 from typing import Optional, Sequence
 
 from . import __version__
-from .configurations.generators import solved_configuration
-from .core.engine import run_protocol
 from .exceptions import ReproError
-from .experiments import SCALES, list_experiments, run_experiment
-from .protocols.ag import AGProtocol
-from .protocols.leader import count_leaders
-from .protocols.line import LineOfTrapsProtocol
-from .protocols.ring import RingOfTrapsProtocol
-from .protocols.routing import build_routing_graph
-from .protocols.tree import PerfectlyBalancedTree
-from .protocols.tree_protocol import TreeRankingProtocol
-from .viz.ascii import render_ring, render_routing_graph, render_tree
+from .experiments.base import SCALES
 
 __all__ = ["main", "build_parser"]
 
-_PROTOCOLS = {
-    "ag": AGProtocol,
-    "ring": RingOfTrapsProtocol,
-    "line": LineOfTrapsProtocol,
-    "tree": TreeRankingProtocol,
-}
+# Module level holds only what the parser needs; each ``_cmd_*`` imports
+# the machinery it runs, so a command loads only its own modules.
+_PROTOCOLS = ("ag", "line", "ring", "tree")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sim = sub.add_parser("simulate", help="run one protocol to silence")
-    sim.add_argument("--protocol", choices=sorted(_PROTOCOLS), default="tree")
+    sim.add_argument("--protocol", choices=_PROTOCOLS, default="tree")
     sim.add_argument("--n", type=int, default=100, help="population size")
     sim.add_argument(
         "--start", choices=["random", "k-distant", "pileup", "solved"],
@@ -409,6 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_list() -> int:
+    from .experiments.registry import list_experiments
+
     for experiment in list_experiments():
         print(f"{experiment.experiment_id:20s} {experiment.description}")
         print(f"{'':20s}   [{experiment.paper_reference}]")
@@ -416,6 +405,8 @@ def _cmd_list() -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from .experiments.registry import run_experiment
+
     result = run_experiment(
         args.experiment_id,
         scale=args.scale,
@@ -517,7 +508,9 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .core.engine import run_protocol
     from .jobspec import JobSpec
+    from .protocols.leader import count_leaders
 
     legacy = dict(
         protocol=args.protocol,
@@ -898,6 +891,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
+    # The server module imports the engine stack (jobspec, scenarios,
+    # engines), so the server pays for its imports before it prints its
+    # `listening` line, not in its first job.
     from .serve import serve_forever
 
     # SIGTERM → graceful wind-down → exit 143 (the `ensemble join`
@@ -915,6 +911,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    from .configurations.generators import solved_configuration
+    from .protocols.ring import RingOfTrapsProtocol
+    from .protocols.routing import build_routing_graph
+    from .protocols.tree import PerfectlyBalancedTree
+    from .viz.ascii import render_ring, render_routing_graph, render_tree
+
     if args.structure == "figure1":
         print(render_routing_graph(build_routing_graph(16)))
     elif args.structure == "figure2":

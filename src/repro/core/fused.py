@@ -1244,7 +1244,12 @@ class FusedIndex:
         transition's states feed, in first-touch order: each fused
         weight is recomputed once after all payload updates, so a
         transition touching three line states costs one slot refresh,
-        not three.
+        not three.  A product slot whose net initiator and net responder
+        deltas are both zero is left out: its weight ``f·A·B`` cannot
+        change.  Every R3 line event of the §5 tree is such a transition
+        (its three line ops sum to zero on the R4 product's initiator
+        side), and so is a tree rank moving to another rank (two
+        responder ops of the reset product).
 
         ``prods`` is the transition's *sprint guard*, ``((slot,
         net_init_delta), …)`` over the product slots it touches, or
@@ -1329,6 +1334,10 @@ class FusedIndex:
                     guarded = False
                 if slot not in refresh:
                     refresh.append(slot)
+        # A product slot whose sides both net zero keeps its weight.
+        refresh = [
+            slot for slot in refresh if slot not in prods or any(prods[slot])
+        ]
         moves = ()
         if self.class_of is not None:
             classes: Dict[int, int] = {}

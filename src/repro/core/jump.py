@@ -930,6 +930,10 @@ class JumpEngine:
         upos = BATCH  # empty buffer — filled on first use
         raws: List[int] = []
         rpos = 0
+        # log1p(-W/M) cached on W, as in `_run_fused`: a count swap
+        # leaves W unchanged, so the drain mostly reuses it.
+        lp = 0.0
+        lp_weight = -1
 
         mhat = max(counts)  # upper bound on the maximum count
         while remaining != 0 and weight:
@@ -982,7 +986,9 @@ class JumpEngine:
                             nub += 1
                         lu = lus[upos]
                         upos += 1
-                        lp = log1p(-weight / total_pairs)
+                        if weight != lp_weight:
+                            lp_weight = weight
+                            lp = log1p(-weight / total_pairs)
                         if lu >= lp:
                             interactions += 1
                         else:
@@ -1074,7 +1080,9 @@ class JumpEngine:
                             nub += 1
                         lu = lus[upos]
                         upos += 1
-                        lp = log1p(-weight / total_pairs)
+                        if weight != lp_weight:
+                            lp_weight = weight
+                            lp = log1p(-weight / total_pairs)
                         if lu >= lp:
                             interactions += 1
                         else:

@@ -12,70 +12,43 @@ manifest concurrently through crash-tolerant shard leases
 the mechanics.
 """
 
-from .lease import (
-    Lease,
-    LeaseHeartbeat,
-    LeaseManager,
-    lease_path,
-    list_leases,
-    worker_identity,
-)
-from .manifest import (
-    atomic_write_json,
-    commit_shard,
-    create_manifest,
-    create_manifest_exclusive,
-    done_marker_path,
-    file_sha256,
-    load_manifest,
-    read_done_marker,
-    reconcile_manifest,
-    save_manifest,
-    shard_path,
-    write_done_marker,
-)
-from .reducers import (
-    EnsembleAggregates,
-    P2Quantile,
-    RecoveryTable,
-    SurvivalCurve,
-    Welford,
-)
-from .runner import (
-    CooperativeWorker,
-    ensemble_status,
-    join_ensemble,
-    run_ensemble,
-    run_record,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CooperativeWorker",
-    "EnsembleAggregates",
-    "Lease",
-    "LeaseHeartbeat",
-    "LeaseManager",
-    "P2Quantile",
-    "RecoveryTable",
-    "SurvivalCurve",
-    "Welford",
-    "atomic_write_json",
-    "commit_shard",
-    "create_manifest",
-    "create_manifest_exclusive",
-    "done_marker_path",
-    "ensemble_status",
-    "file_sha256",
-    "join_ensemble",
-    "lease_path",
-    "list_leases",
-    "load_manifest",
-    "read_done_marker",
-    "reconcile_manifest",
-    "run_ensemble",
-    "run_record",
-    "save_manifest",
-    "shard_path",
-    "worker_identity",
-    "write_done_marker",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".lease": (
+        "Lease",
+        "LeaseHeartbeat",
+        "LeaseManager",
+        "lease_path",
+        "list_leases",
+        "worker_identity",
+    ),
+    ".manifest": (
+        "atomic_write_json",
+        "commit_shard",
+        "create_manifest",
+        "create_manifest_exclusive",
+        "done_marker_path",
+        "file_sha256",
+        "load_manifest",
+        "read_done_marker",
+        "reconcile_manifest",
+        "save_manifest",
+        "shard_path",
+        "write_done_marker",
+    ),
+    ".reducers": (
+        "EnsembleAggregates",
+        "P2Quantile",
+        "RecoveryTable",
+        "SurvivalCurve",
+        "Welford",
+    ),
+    ".runner": (
+        "CooperativeWorker",
+        "ensemble_status",
+        "join_ensemble",
+        "run_ensemble",
+        "run_record",
+    ),
+})

@@ -1,22 +1,14 @@
 """Reproduction experiments, one per paper artefact (see DESIGN.md §5)."""
 
-from .base import SCALES, ExperimentResult, bench_scale_from_env, pick
-from .registry import (
-    REGISTRY,
-    Experiment,
-    get_experiment,
-    list_experiments,
-    run_experiment,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "REGISTRY",
-    "SCALES",
-    "Experiment",
-    "ExperimentResult",
-    "bench_scale_from_env",
-    "get_experiment",
-    "list_experiments",
-    "pick",
-    "run_experiment",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".base": ("SCALES", "ExperimentResult", "bench_scale_from_env", "pick"),
+    ".registry": (
+        "REGISTRY",
+        "Experiment",
+        "get_experiment",
+        "list_experiments",
+        "run_experiment",
+    ),
+})

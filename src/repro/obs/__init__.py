@@ -12,25 +12,20 @@ Zero-cost-when-off instrumentation for the simulation stack:
   traces taken at any worker count merge to identical histories.
 """
 
-from .instrumentation import Instrumentation, check_instrumentation_off_overhead
-from .trace import (
-    TRACE_VERSION,
-    TraceReader,
-    TraceWriter,
-    diff_traces,
-    merge_trace_events,
-    summarize_trace,
-    validate_trace,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Instrumentation",
-    "TRACE_VERSION",
-    "TraceReader",
-    "TraceWriter",
-    "check_instrumentation_off_overhead",
-    "diff_traces",
-    "merge_trace_events",
-    "summarize_trace",
-    "validate_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".instrumentation": (
+        "Instrumentation",
+        "check_instrumentation_off_overhead",
+    ),
+    ".trace": (
+        "TRACE_VERSION",
+        "TraceReader",
+        "TraceWriter",
+        "diff_traces",
+        "merge_trace_events",
+        "summarize_trace",
+        "validate_trace",
+    ),
+})

@@ -8,53 +8,33 @@
   perfectly balanced binary trees (Figure 2).
 """
 
-from .ag import AGProtocol
-from .leader import LeaderElectionResult, count_leaders, elect_leader
-from .line import LineOfTrapsProtocol, line_lattice_size, line_parameter_for
-from .modified_tree import ModifiedTreeProtocol
-from .ring import RingOfTrapsProtocol, ring_parameter_for
-from .routing import RoutingGraph, build_routing_graph
-from .trap import (
-    SingleTrapProtocol,
-    TrapLayout,
-    trap_gaps,
-    trap_is_flat,
-    trap_is_full,
-    trap_is_saturated,
-    trap_is_tidy,
-    trap_surplus,
-)
-from .tree import NodeKind, PerfectlyBalancedTree
-from .tree_protocol import (
-    TreeDispersalProtocol,
-    TreeRankingProtocol,
-    default_line_half_length,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AGProtocol",
-    "LeaderElectionResult",
-    "LineOfTrapsProtocol",
-    "ModifiedTreeProtocol",
-    "NodeKind",
-    "PerfectlyBalancedTree",
-    "RingOfTrapsProtocol",
-    "RoutingGraph",
-    "SingleTrapProtocol",
-    "TrapLayout",
-    "TreeDispersalProtocol",
-    "TreeRankingProtocol",
-    "build_routing_graph",
-    "count_leaders",
-    "default_line_half_length",
-    "elect_leader",
-    "line_lattice_size",
-    "line_parameter_for",
-    "ring_parameter_for",
-    "trap_gaps",
-    "trap_is_flat",
-    "trap_is_full",
-    "trap_is_saturated",
-    "trap_is_tidy",
-    "trap_surplus",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".ag": ("AGProtocol",),
+    ".leader": ("LeaderElectionResult", "count_leaders", "elect_leader"),
+    ".line": (
+        "LineOfTrapsProtocol",
+        "line_lattice_size",
+        "line_parameter_for",
+    ),
+    ".modified_tree": ("ModifiedTreeProtocol",),
+    ".ring": ("RingOfTrapsProtocol", "ring_parameter_for"),
+    ".routing": ("RoutingGraph", "build_routing_graph"),
+    ".trap": (
+        "SingleTrapProtocol",
+        "TrapLayout",
+        "trap_gaps",
+        "trap_is_flat",
+        "trap_is_full",
+        "trap_is_saturated",
+        "trap_is_tidy",
+        "trap_surplus",
+    ),
+    ".tree": ("NodeKind", "PerfectlyBalancedTree"),
+    ".tree_protocol": (
+        "TreeDispersalProtocol",
+        "TreeRankingProtocol",
+        "default_line_half_length",
+    ),
+})

@@ -21,49 +21,27 @@ Quickstart::
     print(recovery_table(result).render())
 """
 
-from .campaign import CampaignResult, CampaignRunner, run_campaign
-from .catalog import CAMPAIGNS, Campaign, get_campaign, list_campaigns
-from .engine import PhaseLog, ScenarioResult, run_scenario
-from .schedulers import (
-    ClusteredScheduler,
-    DegreeSkewedScheduler,
-    StateBiasedScheduler,
-    TargetedSuppressionScheduler,
-    build_epoch_scheduler,
-    build_scheduler,
-)
-from .spec import (
-    EpochSpec,
-    FaultPhase,
-    ProtocolSpec,
-    RunPhase,
-    Scenario,
-    SchedulerSpec,
-    StartSpec,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CAMPAIGNS",
-    "Campaign",
-    "CampaignResult",
-    "CampaignRunner",
-    "ClusteredScheduler",
-    "DegreeSkewedScheduler",
-    "EpochSpec",
-    "FaultPhase",
-    "PhaseLog",
-    "ProtocolSpec",
-    "RunPhase",
-    "Scenario",
-    "ScenarioResult",
-    "SchedulerSpec",
-    "StartSpec",
-    "StateBiasedScheduler",
-    "TargetedSuppressionScheduler",
-    "build_epoch_scheduler",
-    "build_scheduler",
-    "get_campaign",
-    "list_campaigns",
-    "run_campaign",
-    "run_scenario",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".campaign": ("CampaignResult", "CampaignRunner", "run_campaign"),
+    ".catalog": ("CAMPAIGNS", "Campaign", "get_campaign", "list_campaigns"),
+    ".engine": ("PhaseLog", "ScenarioResult", "run_scenario"),
+    ".schedulers": (
+        "ClusteredScheduler",
+        "DegreeSkewedScheduler",
+        "StateBiasedScheduler",
+        "TargetedSuppressionScheduler",
+        "build_epoch_scheduler",
+        "build_scheduler",
+    ),
+    ".spec": (
+        "EpochSpec",
+        "FaultPhase",
+        "ProtocolSpec",
+        "RunPhase",
+        "Scenario",
+        "SchedulerSpec",
+        "StartSpec",
+    ),
+})

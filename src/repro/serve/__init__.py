@@ -7,16 +7,10 @@ versioned :class:`~repro.jobspec.JobSpec`; see
 :mod:`repro.serve.server` for the endpoint contract.
 """
 
-from .client import ServeClient
-from .runner import JobControl, execute_jobspec, spawn_seeds
-from .server import Job, ReproServer, serve_forever
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Job",
-    "JobControl",
-    "ReproServer",
-    "ServeClient",
-    "execute_jobspec",
-    "serve_forever",
-    "spawn_seeds",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".client": ("ServeClient",),
+    ".runner": ("JobControl", "execute_jobspec", "spawn_seeds"),
+    ".server": ("Job", "ReproServer", "serve_forever"),
+})

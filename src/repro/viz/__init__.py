@@ -1,17 +1,13 @@
 """Plain-text renderers for traps, rings, lines, trees, and graph G."""
 
-from .ascii import (
-    render_line,
-    render_ring,
-    render_routing_graph,
-    render_trap,
-    render_tree,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "render_line",
-    "render_ring",
-    "render_routing_graph",
-    "render_trap",
-    "render_tree",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".ascii": (
+        "render_line",
+        "render_ring",
+        "render_routing_graph",
+        "render_trap",
+        "render_tree",
+    ),
+})

@@ -138,7 +138,7 @@ class TestReferenceTiming:
         assert _reference_kernel() == 15271
 
     def test_import_leaves_the_kernel_table_empty(self):
-        # ``import repro`` imports the bench module; only a bench run
+        # Importing the bench module leaves it empty; only a bench run
         # pays for the kernel's 2 MB table.
         code = (
             "import repro\n"

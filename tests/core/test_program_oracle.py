@@ -7,7 +7,9 @@ branch-wise.  The oracle below keeps the earlier bodies verbatim: the
 dict-based ``_transition_ops`` and the per-pair ``compile_transition``,
 which read the plans in their earlier layout (payload references in the
 steps, rebuilt here from the index's slots).  Every program must equal
-the oracle's field by field.
+the oracle's field by field.  The oracle carries one later rule: a
+product slot whose net initiator and net responder deltas are both zero
+is left out of ``refresh``, since its weight cannot change.
 """
 
 from typing import Dict, List, Tuple
@@ -120,6 +122,10 @@ def oracle_compile_transition(index, plans, ops):
                 slot = step[3]
             if slot not in refresh:
                 refresh.append(slot)
+    # A product slot whose sides both net zero keeps its weight.
+    refresh = [
+        slot for slot in refresh if slot not in prods or any(prods[slot])
+    ]
     moves = ()
     if index.class_of is not None:
         classes: Dict[int, int] = {}
