@@ -36,6 +36,7 @@ identically.  They re-raise immediately under ``policy.fail_fast``
 
 from __future__ import annotations
 
+import os
 import pickle
 import random
 import signal
@@ -214,6 +215,37 @@ def _notify(observer, kind: str, **fields) -> None:
         pass
 
 
+#: Seconds between a pool worker's checks that its parent still lives.
+_PARENT_POLL_S = 1.0
+
+
+def _exit_with_parent() -> None:
+    """Pool initializer: exit the worker once the process that started
+    its pool is gone.
+
+    A forked worker holds the write end of the call-queue pipe it
+    blocks reading, so when its parent dies without shutting the pool
+    down (a SIGKILL) it never sees EOF, and would wait for good under
+    another parent.  A daemon thread compares the parent pid about once
+    a second and exits the worker when it changes.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
+def _new_pool(workers: int) -> ProcessPoolExecutor:
+    """A process pool whose workers exit when this process dies."""
+    return ProcessPoolExecutor(
+        max_workers=workers, initializer=_exit_with_parent
+    )
+
+
 def _terminate_pool(executor: ProcessPoolExecutor) -> None:
     """Kill a pool's workers and reap it without waiting on stuck jobs."""
     processes = getattr(executor, "_processes", None) or {}
@@ -274,7 +306,7 @@ def _solo_isolation(
     its result — a bit-identical replay, since jobs are pure.
     """
     for index in suspects:
-        solo = ProcessPoolExecutor(max_workers=1)
+        solo = _new_pool(1)
         try:
             future = solo.submit(worker, jobs[index])
             done, _ = wait([future], timeout=policy.timeout)
@@ -391,9 +423,7 @@ def supervised_map(
     pending: deque = deque(range(len(jobs)))
     retry_queue: deque = deque()  # (index, not-before-delay) pairs
     rebuilds = 0
-    executor: Optional[ProcessPoolExecutor] = ProcessPoolExecutor(
-        max_workers=workers
-    )
+    executor: Optional[ProcessPoolExecutor] = _new_pool(workers)
     in_flight: Dict = {}  # future -> (index, deadline | None)
 
     def submit(index: int) -> bool:
@@ -462,7 +492,7 @@ def supervised_map(
                                   results, failures, attempts, observer,
                                   shutdown)
                     continue
-                executor = ProcessPoolExecutor(max_workers=workers)
+                executor = _new_pool(workers)
             while pending and len(in_flight) < workers:
                 if not submit(pending.popleft()):
                     break_pool(suspects=list(

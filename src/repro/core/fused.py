@@ -36,12 +36,16 @@ keep Fenwick trees padded to powers of two, so their top node *is* the
 side total: updates are bare add-delta walks with no bookkeeping, and
 a find starts one level below the top.
 
-Per-state **update plans** are compiled from the index's structures
-the first time a state is touched, and whole transitions compile to
-programs (:meth:`FusedIndex.compile_transition`, memoised on the
-transition's shape) that the engine's fast loop executes through those
-plans without any per-event family dispatch.  Plans and programs are
-plain integers; a plan step names its payload by slot.
+Per-state **update plans** are laid out from the index's structures at
+the first compiled transition, all states at once, and whole
+transitions compile to programs (:meth:`FusedIndex.compile_transition`)
+that the engine's fast loop executes through those plans without any
+per-event family dispatch.  Plans and programs are plain integers; a
+plan step names its payload by slot and its position in the structure
+as an offset from its state, so every state of one run of consecutive
+members shares one plan (the §5 tree has two: the ranks and the reset
+line), and a cross-state program that names its pair by codes is
+shared by every pair of the same plans.
 All weights stay exact Python integers; the passes over the whole state
 space (construction, :meth:`FusedIndex.resync`,
 :meth:`FusedIndex.reclassify`) compute them with numpy from one int64
@@ -220,15 +224,18 @@ def collector_paused():
     objects are traversed once, by the first young collection after the
     block.
 
-    The jump engine's fused loop runs under it too.  A §5 reset storm
-    compiles a program per new (line state, rank) pair and a plan per
-    new rank, all plain-integer tuples: one ``serve-tree-large`` job
-    (tree n = 65 536, 200 000 events in 49 ``run()`` calls) built about
-    52 000 programs and 41 000 plans, and its ``run()`` calls started
-    523 young, 47 middle and 4 full collections with the collector on in
-    the loop, against 65, 6 and 1 paused.  The exit resync runs with the
-    collector on; on a live index with an idle, empty pool it allocates
-    almost nothing.
+    The jump engine's fused loop runs under it too, for what the loop
+    allocates (pool member lists, draw batches).  A §5 reset storm no
+    longer allocates per new pair: one ``serve-tree-large`` job (tree
+    n = 65 536, 200 000 events in 49 ``run()`` calls) fills about
+    52 000 pair-table entries with references to 8 shared
+    plain-integer programs and lays out two plans, and its ``run()``
+    calls start one young collection, paused or not.  When each pair
+    compiled its own program and each rank built its own plan, the
+    same calls started 523 young, 47 middle and 4 full collections
+    with the collector on in the loop, against 65, 6 and 1 paused.  The
+    exit resync runs with the collector on; on a live index with an
+    idle, empty pool it allocates almost nothing.
 
     The collector is restored to the state it was found in, also when
     the block raises; a caller that had already disabled it keeps it
@@ -689,65 +696,60 @@ class _TriangularSlot:
 
 
 class _StatePlans:
-    """Per-state update plans (``FusedIndex.state_steps``), built lazily.
+    """Per-state update plans (``FusedIndex.state_steps``), relative to
+    their state.
 
     ``steps`` is a plain list indexed by state: ``steps[state]`` is the
     tuple of update steps one count change of ``state`` must apply — one
     per structure the state feeds, in the order the structures were
     registered (composite families in family order, then the same-state
-    slot) — or ``None`` until :meth:`build` first builds it.  Index
-    construction therefore runs no per-state Python loop, and the
-    engines only ever build the states their runs reach.
+    block).  It stays empty until the first compiled transition calls
+    :meth:`lay_out`, which fills it for every state in place, so an
+    engine that never runs the fused loop (a same-state-only protocol
+    on the same-state loop) lays out nothing.  The loops read
+    ``steps[state]`` with a bare list subscript.
 
-    A step is a tuple of plain integers that names its structure by
-    slot; the loops reach the payload and its side trees through the
-    index's ``slot_payload``:
+    A step is a tuple of plain integers that names its structure by slot
+    and its position in the structure as an offset from the state; the
+    loops reach the payload and its side trees through the index's
+    ``slot_payload``:
 
-    * ``(PRODUCT, slot, node, initiator)`` — the state's first node in
-      one side tree of a product slot, and whether that side is the
-      initiator side;
+    * ``(PRODUCT, slot, off, initiator)`` — the state's first node
+      ``state + off`` in one side tree of a product slot, and whether
+      that side is the initiator side;
     * ``(SCANNED, slot, initiator)`` — the same for a scanned product
       side (at most ``_SCAN_SIDE_STATES`` states), which keeps no tree:
       the step moves only the side total and its stale mark;
-    * ``(TRIANGULAR, slot, pos)`` — the state's position on a line;
-    * ``(SAME, slot, node)`` — the state's same-state slot and its first
-      Fenwick node (the tree spans only the same-state block);
-    * ``(SCALED_SAME, slot, node, factor)`` — the same on a class-scaled
-      index, with the slot's class factor.
+    * ``(TRIANGULAR, slot, off)`` — the state's position ``state + off``
+      on a line;
+    * ``(SAME, slot_off, node_off)`` — the state's same-state slot
+      ``state + slot_off`` and its first Fenwick node
+      ``state + node_off`` (the tree spans only the same-state block);
+    * ``(SCALED_SAME, slot_off, node_off, factor)`` — the same on a
+      class-scaled index, with the slot's class factor.
 
-    Plans, like the compiled programs, therefore hold nothing the
-    cyclic garbage collector keeps tracking once it has seen them.  A
-    plan is built once per state and shared by every compiled
-    transition that touches the state.
-    :meth:`FusedIndex.compile_transition` builds the plans of its states,
-    which is what lets the inlined loops read ``steps[state]`` with a
-    bare list subscript (CPython specialises subscripts on exact lists,
-    not on a dict subclass with ``__missing__``).
-
-    The first build lays out one ``(state, structure)`` matrix of
-    in-structure positions (-1: not a member), so a build reads its
-    state's row once and makes its steps from the registered templates.
-    The same build allocates :attr:`sigs`, where each built state keeps
-    its *signature*: one bit per registered structure it feeds, plus its
-    class above those bits on a class-scaled index.  Two states with one
-    signature feed the same composite slots on the same product sides,
-    both have a same-state slot or neither has, and share a class — all
-    that a compiled transition's count-independent part depends on
-    besides the deltas.
+    Offsets make a plan a function of *runs*.  Each structure's member
+    list splits into runs where consecutive positions hold consecutive
+    states (a scanned side, whose steps name no position, into runs of
+    consecutive states), and the same-state block splits further where
+    its class factor changes, so every field of a structure's step is
+    constant along a run.  States that lie in the same run of every
+    structure they feed get equal steps, and :meth:`lay_out` gives them
+    one plan tuple, assigned to their range of ``steps`` by slice; any
+    states whose steps come out equal share a tuple as well.  The §5
+    tree has two plans at every ``n``, one for the ranks and one for
+    the reset line.  A structure whose members are scattered gives each
+    of them a run of its own, which is exact and costs only plan
+    objects.  Plans hold nothing the cyclic garbage collector keeps
+    tracking once it has seen them.
     """
 
-    __slots__ = ("steps", "sigs", "_members", "_templates", "_classes",
-                 "_positions")
+    __slots__ = ("steps", "_num_states", "_structures")
 
-    def __init__(
-        self, num_states: int, classes: Optional[List[int]] = None
-    ) -> None:
-        self.steps: List[Optional[tuple]] = [None] * num_states
-        self.sigs: Optional[List[Optional[int]]] = None
-        self._members: List[np.ndarray] = []
-        self._templates: List[tuple] = []
-        self._classes = classes
-        self._positions: Optional[np.ndarray] = None
+    def __init__(self, num_states: int) -> None:
+        self.steps: List[tuple] = []
+        self._num_states = num_states
+        self._structures: List[tuple] = []
 
     def add(
         self, states: np.ndarray, code: int, slot: int, extra=None
@@ -760,51 +762,76 @@ class _StatePlans:
         (``PRODUCT``/``SCANNED``) or the same-state block's class
         factors.
         """
-        self._members.append(states)
-        self._templates.append((code, slot, extra))
+        self._structures.append((states, code, slot, extra))
 
-    def build(self, state: int) -> tuple:
-        """Build and store ``state``'s plan and signature."""
-        positions = self._positions
-        if positions is None:
-            positions = self._lay_out()
-        built = []
-        sig = 0
-        bit = 1
-        for pos, (code, slot, extra) in zip(
-            positions[state].tolist(), self._templates
-        ):
-            if pos >= 0:
-                sig |= bit
+    def lay_out(self) -> List[tuple]:
+        """Fill :attr:`steps` for every state, in place; returns it.
+
+        The bounds of every structure's runs cut the state space into
+        ranges on which each structure's run is fixed, and each range
+        gets one plan, built from the steps of the runs that cover it.
+        """
+        runs: List[List[Tuple[int, int, tuple]]] = []
+        bounds = {0, self._num_states}
+        for states, code, slot, extra in self._structures:
+            split = None
+            if code == SCANNED:
+                states = np.sort(states)
+            elif code == SCALED_SAME:
+                split = np.asarray(extra)
+            first, lengths = _runs(states, split)
+            structure = []
+            for pos, state, length in zip(
+                first, states[first].tolist(), lengths
+            ):
+                off = pos - state
                 if code == PRODUCT:
-                    built.append((PRODUCT, slot, pos + 1, extra))
+                    step = (PRODUCT, slot, off + 1, extra)
                 elif code == SCANNED:
-                    built.append((SCANNED, slot, extra))
+                    step = (SCANNED, slot, extra)
                 elif code == TRIANGULAR:
-                    built.append((TRIANGULAR, slot, pos))
+                    step = (TRIANGULAR, slot, off)
                 elif code == SAME:
-                    built.append((SAME, slot + pos, pos + 1))
+                    step = (SAME, slot + off, off + 1)
                 else:  # SCALED_SAME
-                    built.append(
-                        (SCALED_SAME, slot + pos, pos + 1, extra[pos])
-                    )
-            bit <<= 1
-        if self._classes is not None:
-            sig += self._classes[state] * bit
-        self.sigs[state] = sig
-        plan = self.steps[state] = tuple(built)
-        return plan
+                    step = (SCALED_SAME, slot + off, off + 1, extra[pos])
+                structure.append((state, state + length, step))
+                bounds.add(state)
+                bounds.add(state + length)
+            structure.sort(key=lambda run: run[0])
+            runs.append(structure)
+        steps = self.steps
+        plans: Dict[tuple, tuple] = {}
+        cursors = [0] * len(runs)
+        cuts = sorted(bounds)
+        for lo, hi in zip(cuts, cuts[1:]):
+            built = []
+            for k, structure in enumerate(runs):
+                i = cursors[k]
+                while i < len(structure) and structure[i][1] <= lo:
+                    i += 1
+                cursors[k] = i
+                if i < len(structure) and structure[i][0] <= lo:
+                    built.append(structure[i][2])
+            plan = tuple(built)
+            steps[lo:hi] = [plans.setdefault(plan, plan)] * (hi - lo)
+        return steps
 
-    def _lay_out(self) -> np.ndarray:
-        """The position matrix and the signature list (first build)."""
-        positions = np.full(
-            (len(self.steps), len(self._members)), -1, dtype=np.int32
-        )
-        for column, states in enumerate(self._members):
-            positions[states, column] = np.arange(len(states))
-        self._positions = positions
-        self.sigs = [None] * len(self.steps)
-        return positions
+
+def _runs(
+    states: np.ndarray, split: Optional[np.ndarray] = None
+) -> Tuple[List[int], List[int]]:
+    """``(first positions, lengths)`` of the runs of ``states``: maximal
+    position ranges that hold consecutive states (and one value of
+    ``split``, when given)."""
+    if not len(states):
+        return [], []
+    breaks = np.diff(states) != 1
+    if split is not None:
+        breaks |= split[1:] != split[:-1]
+    first = np.flatnonzero(breaks) + 1
+    lengths = np.diff(first, prepend=0, append=len(states))
+    return [0] + first.tolist(), lengths.tolist()
 
 
 class FusedIndex:
@@ -827,7 +854,14 @@ class FusedIndex:
     Attributes exposed for the engine's inlined hot loop: ``tree`` /
     ``values``, ``num_slots``, ``num_composite``, ``fenwick_size``
     (``num_slots - num_composite``), ``slot_kind``, ``slot_payload``,
-    ``same_factors`` and ``total`` (the cached total weight ``W``).
+    ``same_factors``, ``total`` (the cached total weight ``W``), the
+    per-state plans ``state_steps`` (empty until :meth:`plans` lays
+    them out; described under :class:`_StatePlans`) and ``programs``,
+    the shared cross-state programs (see
+    ``repro.core.jump._compile_program``), keyed by ``(plan of si, plan
+    of sj, ti, tj)`` with the targets coded.  ``_shapes`` memoises the
+    count-independent part of every compiled transition (see
+    :meth:`compile_transition`).
 
     ``class_of`` (one class id per state) and ``class_matrix`` (the
     dyadic numerators ``u(p,q)`` per ordered class pair) scale every
@@ -854,9 +888,9 @@ class FusedIndex:
 
     __slots__ = ("num_slots", "num_composite", "fenwick_size", "tree",
                  "values", "total", "slot_kind", "slot_payload",
-                 "state_steps", "pool", "same_factors", "class_of",
-                 "class_matrix", "live", "_num_states", "_same_states",
-                 "_plans", "_shapes")
+                 "state_steps", "programs", "pool", "same_factors",
+                 "class_of", "class_matrix", "live", "_num_states",
+                 "_same_states", "_plans", "_shapes")
 
     def __init__(
         self,
@@ -884,7 +918,7 @@ class FusedIndex:
         kinds: List[int] = []
         payloads: List[object] = []
         weights: List[int] = []
-        plans = _StatePlans(num_states, self.class_of)
+        plans = _StatePlans(num_states)
         # Each list the build reads with numpy is converted once and
         # handed down: the counts here, the rule states below.
         count_array = np.asarray(counts, dtype=np.int64)
@@ -1006,7 +1040,7 @@ class FusedIndex:
         self.tree = [0] * (self.fenwick_size + 1)
         self._plans = plans
         self.state_steps = plans.steps
-        # Compiled transitions by shape (see compile_transition).
+        self.programs: Dict[tuple, tuple] = {}
         self._shapes: Dict[tuple, tuple] = {}
         self._same_states = rule_array
         self.total = composite_mass + self._fill_same_state(
@@ -1225,20 +1259,33 @@ class FusedIndex:
         state["payloads"] = payloads
         return state
 
+    def plans(self) -> List[tuple]:
+        """:attr:`state_steps`, laid out first if nothing has yet."""
+        steps = self.state_steps
+        if not steps:
+            self._plans.lay_out()
+        return steps
+
     def compile_transition(
-        self, ops: Sequence[Tuple[int, int]]
+        self,
+        ops: Sequence[Tuple[int, int]],
+        si: Optional[int] = None,
+        sj: Optional[int] = None,
     ) -> Tuple[tuple, Optional[tuple], Optional[tuple], tuple]:
         """Compile one transition into ``(refresh, prods, transfer, moves)``.
 
         The result is plain integer data: ints, ``None`` and tuples of
-        those, which the cyclic garbage collector stops tracking at its
-        first pass — engines cache one program per distinct pair, and a
-        §5 reset storm compiles tens of thousands of them.  The program
-        body is ``ops`` itself: the inlined loops apply each
-        ``(state, delta)`` through the state's plan in
-        :attr:`state_steps`, which this call builds for every state of
-        the transition, and read each refreshed slot's kind and payload
-        from :attr:`slot_kind` and :attr:`slot_payload`.
+        those, which the cyclic garbage collector stops tracking once it
+        has seen them.  The program body is ``ops`` itself: the inlined
+        loops apply each ``(state, delta)`` through the state's plan in
+        :attr:`state_steps`, which this call lays out if nothing has
+        yet, and read each refreshed slot's kind and payload from
+        :attr:`slot_kind` and :attr:`slot_payload`.  An op's state may be
+        the code -1 or -2, which stands for ``si`` or ``sj``: a
+        cross-state program names its pair that way, so that every pair
+        of the same two plans shares it (see
+        ``repro.core.jump._compile_program``).  A code whose state is
+        not given raises :class:`ValueError`.
 
         ``refresh`` lists the *deduplicated* composite slots the
         transition's states feed, in first-touch order: each fused
@@ -1260,10 +1307,12 @@ class FusedIndex:
         total, and the engine may skip the refresh pass — which is what
         lets the §4 line's drain run at the same-state loop's
         O(1)-per-event pace.  ``transfer`` additionally pre-resolves the
-        dominant −1/+1 shape between two same-state slots (``(src, dst,
-        dst_slot, dst_node)``): one agent moves between two states, so
-        when both are pool members their same-state update is a single
-        flat re-label instead of a removal plus an insertion.
+        dominant −1/+1 shape between two same-state slots, ``(src, dst,
+        slot_off, node_off)``: the two states as ``ops`` names them, and
+        the offsets of ``dst``'s same-state slot and first node from
+        ``dst`` (its plan step's).  One agent moves between two states,
+        so when both are pool members their same-state update is a
+        single flat re-label instead of a removal plus an insertion.
 
         ``moves`` lists the transition's net class-count changes on a
         class-scaled index, ``((class, delta, column), …)``: each class
@@ -1271,53 +1320,58 @@ class FusedIndex:
         for the step-mass update.  A transition inside one class has no
         moves, and neither has any transition of the unscaled index.
 
-        All of this but ``transfer``'s state ids, slot and node depends
-        only on the transition's *shape*: each op's delta and its state's
-        signature (see :class:`_StatePlans`).  The index compiles each
-        shape once and memoises it, with ``transfer`` reduced to the
-        positions of its two ops; a new transition of a known shape then
-        costs its plans (if new), one dict lookup and, for a transfer,
-        one tuple.  During a §5 reset storm the red R4 events pair line
-        states with tens of thousands of ranks, yet share a handful of
-        shapes.  The memoised parts are shared by every program of the
-        shape.
+        All of this but ``transfer``'s two states depends only on the
+        transition's *shape*: each op's delta and its state's plan, and
+        on a class-scaled index its class.  The index compiles each
+        shape once and memoises it in ``_shapes``, with ``transfer``'s
+        states given as positions in ``ops``; a transition of a known
+        shape then costs one lookup and, for a transfer, one tuple.  A
+        same-state program per rule state (the §4 line's drain reaches
+        hundreds) mostly meets known shapes.
         """
-        plans = self._plans
-        steps = plans.steps
-        sigs = plans.sigs
+        steps = self.plans()
+        class_of = self.class_of
+        states = []
         key = []
         for state, delta in ops:
-            if steps[state] is None:
-                plans.build(state)
-                sigs = plans.sigs
+            if state < 0:
+                code = state
+                state = si if code == -1 else sj
+                if state is None:
+                    raise ValueError(
+                        f"op state code {code} needs the pair it stands for"
+                    )
+            states.append(state)
             key.append(delta)
-            key.append(sigs[state])
+            key.append(steps[state])
+            if class_of is not None:
+                key.append(class_of[state])
         key = tuple(key)
         shape = self._shapes.get(key)
         if shape is None:
-            shape = self._shapes[key] = self._compile_shape(ops)
+            shape = self._shapes[key] = self._compile_shape(ops, states)
         transfer = shape[2]
         if transfer is None:
             return shape
-        dst = ops[transfer[1]][0]
-        same = steps[dst][-1]  # the same-state step comes last
         return (
-            shape[0], shape[1], (ops[transfer[0]][0], dst, same[1], same[2]),
+            shape[0], shape[1],
+            (ops[transfer[0]][0], ops[transfer[1]][0]) + transfer[2:],
             shape[3],
         )
 
     def _compile_shape(
-        self, ops: Sequence[Tuple[int, int]]
+        self, ops: Sequence[Tuple[int, int]], states: List[int]
     ) -> Tuple[tuple, Optional[tuple], Optional[tuple], tuple]:
-        """:meth:`compile_transition`'s result for ``ops``, with
-        ``transfer`` given as the positions ``(src, dst)`` of its ops in
-        ``ops``.  The plans of the states in ``ops`` must exist."""
-        steps = self._plans.steps
+        """:meth:`compile_transition`'s result for ``ops``, whose states
+        resolve to ``states``, with ``transfer``'s two states given as
+        their positions in ``ops``."""
+        steps = self.state_steps
         refresh: List[int] = []
         prods: Dict[int, List[int]] = {}
         guarded = True
         same: List[Tuple[int, int]] = []
-        for index, (state, delta) in enumerate(ops):
+        for index, state in enumerate(states):
+            delta = ops[index][1]
             for step in steps[state]:
                 kind = step[0]
                 if kind == SAME:
@@ -1341,7 +1395,7 @@ class FusedIndex:
         moves = ()
         if self.class_of is not None:
             classes: Dict[int, int] = {}
-            for state, delta in ops:
+            for state, (_, delta) in zip(states, ops):
                 cls = self.class_of[state]
                 classes[cls] = classes.get(cls, 0) + delta
             moves = tuple([
@@ -1355,7 +1409,9 @@ class FusedIndex:
         if len(ops) == 2 and len(same) == 2:
             src, dst = same if same[0][1] < 0 else same[::-1]
             if (src[1], dst[1]) == (-1, 1):
-                transfer = (src[0], dst[0])
+                # The same-state step comes last.
+                step = steps[states[dst[0]]][-1]
+                transfer = (src[0], dst[0], step[1], step[2])
         return (
             tuple(refresh),
             tuple([(slot, di) for slot, (di, _) in prods.items()]),

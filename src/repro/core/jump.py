@@ -57,20 +57,22 @@ function.  A compiled program is plain integer data — the transition's
 ``(state, delta)`` ops, the composite slot ids to refresh, the sprint
 guard's ``(slot, initiator delta)`` pairs, the transfer shortcut and the
 class moves — and so are the index's per-state plans it runs through
-(``state_steps``, a plain list filled when a transition touching the
-state compiles): each plan step names its structure by slot, and the
-loop reaches payloads and side trees through the index's
-``slot_kind``/``slot_payload`` lists.  Each index has its own program
-cache, a pair dict plus a dense same-state list, which during a §5
-reset storm holds tens of thousands of programs.  A cache miss costs
-the ``delta`` call, the branch-wise net ops (:func:`_transition_ops`),
-the plans of states no program touched before, and one lookup in the
-index's memo of compiled *shapes*
-(:meth:`~repro.core.fused.FusedIndex.compile_transition`): the storm's
-(red line state, rank) programs share a handful of shapes.  ``run()``
-calls the loop with the cyclic garbage collector paused
-(:func:`~repro.core.fused.collector_paused`), so what a storm compiles
-meets one young pass after the loop instead of hundreds during it.
+(``state_steps``, a plain list laid out for every state at the index's
+first compile): each plan step names its structure by slot and its
+position there as an offset from its state, and the loop reaches
+payloads and side trees through the index's ``slot_kind``/
+``slot_payload`` lists.  Every state of one run of consecutive members
+shares its plan, so the §5 tree has two.  Each index has its own
+program cache, a pair dict plus a dense same-state list.  A same-state
+program keeps absolute states.  A cross-state program names its pair by
+the codes -1 and -2, which the loop resolves against the pair it drew,
+so one program serves every pair with the same plans and coded targets
+(:func:`_compile_program`).  A §5 reset storm fills tens of thousands
+of pair keys with a few dozen such programs: a miss costs one ``delta``
+call and a lookup, and only a new key compiles.  ``run()`` calls the
+loop with the cyclic garbage collector paused
+(:func:`~repro.core.fused.collector_paused`), so what the loop
+allocates meets one young pass after it instead of many during it.
 
 For protocols whose productive pairs are all same-state (every
 state-optimal protocol in the paper), the recorder-free ``run()``
@@ -214,19 +216,32 @@ def _transition_ops(si: int, sj: int, ti: int, tj: int):
 def _compile_program(
     protocol: PopulationProtocol, fused: FusedIndex, si: int, sj: int
 ) -> tuple:
-    """``(ti, tj, ops, refresh, prods, transfer, moves)`` — one
-    transition, compiled for ``fused``.
+    """``(ti, tj, ops, refresh, prods, transfer, moves)`` — the program
+    of the pair ``(si, sj)`` on ``fused``.
 
     ``ops`` is the program body, ``((state, delta), …)``, which the
     fused loop applies through each state's plan in the index's
     ``state_steps``; the last four fields are the composite slots to
     refresh, the sprint guard, the transfer shortcut and the class moves
-    (see :meth:`~repro.core.fused.FusedIndex.compile_transition`, which
-    builds the plans of new states and memoises these four fields on
-    the transition's shape, so programs of one shape share them).
+    (see :meth:`~repro.core.fused.FusedIndex.compile_transition`).
     Every field is an int, ``None`` or a tuple of those, so a cached
     entry holds no reference the cyclic garbage collector has to follow.
-    This runs once per miss of the fused loop's program cache.
+    This runs once per miss of the fused loop's program cache, and
+    calls ``delta`` once.
+
+    A same-state pair compiles a program of its own, with absolute
+    states.  A cross-state program names the initiator and the responder
+    by the codes -1 and -2 wherever they appear, in ``ops``, in
+    ``transfer`` and as ``ti`` or ``tj``, and the fused loop resolves
+    them against the pair it drew.  Such a program is shared through
+    the index's ``programs`` by every pair with the same plans and the
+    same coded targets: it compiles only for a new key.  The key needs
+    no classes: on a class-scaled index every composite slot lies in
+    one class on each side, and a cross-state pair's two states feed
+    the slot it was drawn from, so their plans name their classes.
+    During a §5 reset storm the red R4 events pair line states with
+    tens of thousands of ranks, and all of them resolve to a few dozen
+    programs.
     """
     out = protocol.delta(si, sj)
     if out is None:
@@ -235,8 +250,20 @@ def _compile_program(
             "family coverage does not match delta"
         )
     ti, tj = out
-    ops = _transition_ops(si, sj, ti, tj)
-    return (ti, tj, ops) + fused.compile_transition(ops)
+    if si == sj:
+        ops = _transition_ops(si, si, ti, tj)
+        return (ti, tj, ops) + fused.compile_transition(ops)
+    ti = -1 if ti == si else -2 if ti == sj else ti
+    tj = -1 if tj == si else -2 if tj == sj else tj
+    steps = fused.plans()
+    key = (steps[si], steps[sj], ti, tj)
+    program = fused.programs.get(key)
+    if program is None:
+        ops = _transition_ops(-1, -2, ti, tj)
+        program = fused.programs[key] = (
+            (ti, tj, ops) + fused.compile_transition(ops, si, sj)
+        )
+    return program
 
 
 def _fill_count_axis(axis: List[int], buckets: List[List[int]]) -> None:
@@ -1237,16 +1264,25 @@ def _run_fused(
     loop reaches each step's payload (and a product step's side tree)
     through ``slot_payload[slot]``, and each refreshed slot through
     ``slot_kind``/``slot_payload`` — no per-event family dispatch
-    anywhere.  Cache misses count as
-    ``programs_compiled`` (see :func:`_compile_program`).  A
-    transition whose product slots all weigh zero skips the refresh,
-    and a −1/+1 move between two pool members is a single re-label.
-    The pool partition is re-evaluated every ``_RECLASSIFY_EVENTS`` so
-    it tracks the drifting count profile.  ``run()`` makes its calls
-    under :func:`~repro.core.fused.collector_paused`: the programs and
-    plans a reset storm compiles are plain-integer tuples, which the
-    cyclic garbage collector would otherwise traverse in hundreds of
-    young passes (and some older ones) per job.
+    anywhere.  A cross-state program names the drawn pair by the codes
+    -1 (``si``) and -2 (``sj``): the loop maps a negative op state and
+    ``ti``/``tj`` to ``si`` or ``sj``, and adds the resolved state to
+    each positional step's offset (and a transfer's ``dst`` to its slot
+    and node offsets).  It never takes a cross-state program's
+    transfer: the ops of a pair drawn from a product touch that slot
+    while its responder side is occupied, which fails the sprint
+    guard, and a line pair has no guard.  The transfers it takes name
+    absolute states.  Pair-table misses
+    count as ``pair_fills``, and the programs they and the same-state
+    misses compile as ``programs_compiled`` (see
+    :func:`_compile_program`).  A transition whose product slots all
+    weigh zero skips the refresh, and a −1/+1 move between two pool
+    members is a single re-label.  The pool partition is re-evaluated
+    every ``_RECLASSIFY_EVENTS`` so it tracks the drifting count
+    profile.  ``run()`` makes its calls under
+    :func:`~repro.core.fused.collector_paused`, so the containers the
+    loop allocates (pool member lists, draw batches) wait for one young
+    pass after it.
 
     A class-scaled index has no pool, so it never sprints.  Its weights
     carry the 2⁵³ dyadic scale, so each target splices two raws; its
@@ -1365,7 +1401,10 @@ def _run_fused(
     instr_on = ins is not None
     nub = nrb = 0
     c_sprint = c_pool = c_prop = 0
-    c_fen = c_comp = c_reclass = c_compiled = 0
+    c_fen = c_comp = c_reclass = c_compiled = c_fills = 0
+    # Shared cross-state programs compiled in this call: the growth of
+    # the index's program cache.
+    shared0 = len(fused.programs)
     pmhat = pool.mhat if pool is not None else 1
     # The pool pseudo-slot value is mirrored in a local and written
     # back only at sync points (routing through the general find,
@@ -1614,9 +1653,11 @@ def _run_fused(
             key = si * num_states + sj
             entry = pair_table.get(key)
             if entry is None:
+                # A fill costs one delta call and a shared-program
+                # lookup; a new key compiles too.
                 entry = _compile_program(protocol, fused, si, sj)
                 pair_table[key] = entry
-                c_compiled += 1
+                c_fills += 1
         ops = entry[2]
         prods = entry[4]
         if prods is not None:
@@ -1640,7 +1681,8 @@ def _run_fused(
                 # are pool members this is a single flat
                 # re-label (no swap-removal, no insertion).
                 # An applied re-label empties the ops and does
-                # their product part here.
+                # their product part here.  Only a same-state
+                # program gets here, so both states are absolute.
                 src = transfer[0]
                 dst = transfer[1]
                 pls = ppositions[src]
@@ -1689,8 +1731,8 @@ def _run_fused(
                         # src keeps its pool delta; dst mass
                         # moves from the pool to the tree.
                         pool_w -= old_d * (old_d - 1)
-                        values[transfer[2]] = w
-                        node = transfer[3]
+                        values[dst + transfer[2]] = w
+                        node = dst + transfer[3]
                         while node <= fensize:
                             tree[node] += w
                             node += node & -node
@@ -1745,6 +1787,9 @@ def _run_fused(
                         prod.stale |= 1
                         prod.init_total += dinit
         for state, delta in ops:
+            if state < 0:
+                # A cross-state program's code for si (-1) or sj (-2).
+                state = si if state == -1 else sj
             old = counts[state]
             new = old + delta
             if new < 0:
@@ -1759,7 +1804,7 @@ def _run_fused(
                 code = step[0]
                 if code == TRIANGULAR:
                     tri = slot_payload[step[1]]
-                    tri.counts[step[2]] = new
+                    tri.counts[state + step[2]] = new
                     tri.s += delta
                     tri.q += new * new - old * old
                 elif code == PRODUCT:
@@ -1782,7 +1827,7 @@ def _run_fused(
                             continue
                         ptree = prod.resp_tree
                         psize = prod.resp_size
-                    node = step[2]
+                    node = state + step[2]
                     while node <= psize:
                         ptree[node] += delta
                         node += node & -node
@@ -1805,7 +1850,7 @@ def _run_fused(
                     # when the pool does).
                     plist = ppositions[state]
                     if plist is None:
-                        slot = step[1]
+                        slot = state + step[1]
                         if pool.lo <= new <= pool.hi:
                             # Migrate into the pool window: zero
                             # the Fenwick slot once, O(1) moves
@@ -1814,7 +1859,7 @@ def _run_fused(
                             old_w = values[slot]
                             if old_w:
                                 values[slot] = 0
-                                node = step[2]
+                                node = state + step[2]
                                 while node <= fensize:
                                     tree[node] -= old_w
                                     node += node & -node
@@ -1834,7 +1879,7 @@ def _run_fused(
                             if dw:
                                 values[slot] = w
                                 weight += dw
-                                node = step[2]
+                                node = state + step[2]
                                 while node <= fensize:
                                     tree[node] += dw
                                     node += node & -node
@@ -1865,9 +1910,8 @@ def _run_fused(
                                 w = new * (new - 1)
                                 pool_w -= old * (old - 1)
                                 weight -= old * (old - 1)
-                                slot = step[1]
-                                values[slot] = w
-                                node = step[2]
+                                values[state + step[1]] = w
+                                node = state + step[2]
                                 while node <= fensize:
                                     tree[node] += w
                                     node += node & -node
@@ -1897,12 +1941,12 @@ def _run_fused(
                 else:
                     # SCALED_SAME, a class-scaled same-state slot: no
                     # pool, and the step's factor scales c(c−1).
-                    slot = step[1]
+                    slot = state + step[1]
                     dw = step[3] * new * (new - 1) - values[slot]
                     if dw:
                         values[slot] += dw
                         weight += dw
-                        node = step[2]
+                        node = state + step[2]
                         while node <= fensize:
                             tree[node] += dw
                             node += node & -node
@@ -1972,7 +2016,12 @@ def _run_fused(
         lus, upos, raws, rpos, gmax, gbase, reclassify_at, cooldown_end
     )
     if events != events0:
-        engine._last_event = (si, sj, entry[0], entry[1])
+        ti, tj = entry[0], entry[1]
+        if ti < 0:
+            ti = si if ti == -1 else sj
+        if tj < 0:
+            tj = si if tj == -1 else sj
+        engine._last_event = (si, sj, ti, tj)
     if ins is not None:
         # Draw totals by batch-consumption arithmetic: the batches
         # refilled here plus the positions moved, which counts the
@@ -1986,6 +2035,7 @@ def _run_fused(
             fenwick_finds=c_fen,
             composite_finds=c_comp,
             reclassifications=c_reclass,
-            programs_compiled=c_compiled,
+            programs_compiled=c_compiled + len(fused.programs) - shared0,
+            pair_fills=c_fills,
         )
     return weight == 0

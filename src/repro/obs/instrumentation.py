@@ -36,11 +36,15 @@ Counter vocabulary (engines only touch the ones their loop has):
     linear scan, in the fused loop (uniform or biased index); the
     same-state loop's count-bucket draws count as Fenwick finds too
     (one walk over the count axis each).
-``programs_compiled``
-    Transition programs compiled on a program-cache miss in the fused
-    loop, on either engine — ``programs_compiled / events`` is the
-    share of events that paid a compile (a §5 reset storm's new
-    (red line state, rank) pairs).
+``programs_compiled``, ``pair_fills``
+    Transition programs the fused loop compiled, on either engine, and
+    its pair-table misses.  A same-state miss compiles the state's own
+    program.  A cross-state miss is a *fill*: one ``delta`` call and a
+    lookup of the index's shared program for the pair's plans and coded
+    targets, which compiles only for a new key.  A §5 reset storm fills
+    a pair per new (red line state, rank) pair, but compiles a few
+    dozen programs in all; ``programs_compiled / events`` and
+    ``pair_fills / events`` are the shares of events that paid each.
 ``proposal_mode_events``, ``fenwick_mode_events``, ``mode_switches``
     The same-state dual sampler's adaptive split: events served by the
     proposal mode and by the low-acceptance count-bucket mode, and the
@@ -150,6 +154,7 @@ class Instrumentation:
             out["skip_draws_per_event"] = c("skip_draws", 0) / events
             out["raw_draws_per_event"] = c("raw_draws", 0) / events
             out["compiles_per_event"] = c("programs_compiled", 0) / events
+            out["pair_fills_per_event"] = c("pair_fills", 0) / events
         if pool or finds:
             out["fenwick_share"] = finds / (pool + finds)
         tests = c("accept_tests", 0)

@@ -34,11 +34,6 @@ from ..configurations.generators import (
     solved_configuration,
 )
 from ..exceptions import ExperimentError, ProtocolError
-from ..protocols.ag import AGProtocol
-from ..protocols.line import LineOfTrapsProtocol
-from ..protocols.modified_tree import ModifiedTreeProtocol
-from ..protocols.ring import RingOfTrapsProtocol
-from ..protocols.tree_protocol import TreeRankingProtocol
 
 __all__ = [
     "EpochSpec",
@@ -113,12 +108,44 @@ class ProtocolSpec:
             return _PROTOCOL_BUILDERS[self.kind](retiered, n)
 
 
+# Each builder imports its own protocol module, so a spec loads only the
+# protocol it builds.
+def _build_ag(spec, n):
+    from ..protocols.ag import AGProtocol
+
+    return AGProtocol(n)
+
+
+def _build_ring(spec, n):
+    from ..protocols.ring import RingOfTrapsProtocol
+
+    return RingOfTrapsProtocol(num_agents=n, m=spec.m)
+
+
+def _build_line(spec, n):
+    from ..protocols.line import LineOfTrapsProtocol
+
+    return LineOfTrapsProtocol(num_agents=n, m=spec.m)
+
+
+def _build_tree(spec, n):
+    from ..protocols.tree_protocol import TreeRankingProtocol
+
+    return TreeRankingProtocol(n, k=spec.k)
+
+
+def _build_modified_tree(spec, n):
+    from ..protocols.modified_tree import ModifiedTreeProtocol
+
+    return ModifiedTreeProtocol(n, k=spec.k)
+
+
 _PROTOCOL_BUILDERS = {
-    "ag": lambda spec, n: AGProtocol(n),
-    "ring": lambda spec, n: RingOfTrapsProtocol(num_agents=n, m=spec.m),
-    "line": lambda spec, n: LineOfTrapsProtocol(num_agents=n, m=spec.m),
-    "tree": lambda spec, n: TreeRankingProtocol(n, k=spec.k),
-    "modified_tree": lambda spec, n: ModifiedTreeProtocol(n, k=spec.k),
+    "ag": _build_ag,
+    "ring": _build_ring,
+    "line": _build_line,
+    "tree": _build_tree,
+    "modified_tree": _build_modified_tree,
 }
 
 

@@ -7,7 +7,12 @@ ensemble.
 """
 
 import os
+import signal
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +121,85 @@ class TestSupervisedMap:
     def test_workers_validation(self):
         with pytest.raises(ExperimentError):
             supervised_map(_double, [1], workers=0)
+
+
+#: A parent that maps two jobs over two pool workers; each job records
+#: its worker's pid and sleeps.
+_ORPHANING_PARENT = textwrap.dedent("""
+    import os
+    import sys
+    import time
+
+    from repro.analysis.supervision import supervised_map
+
+
+    def record_pid_and_sleep(path):
+        with open(path + ".tmp", "w") as handle:
+            handle.write(str(os.getpid()))
+        os.replace(path + ".tmp", path)
+        time.sleep(120.0)
+        return path
+
+
+    if __name__ == "__main__":
+        directory = sys.argv[1]
+        supervised_map(
+            record_pid_and_sleep,
+            [os.path.join(directory, f"worker{i}") for i in range(2)],
+            workers=2,
+        )
+""")
+
+
+def _running(pid):
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            stat = handle.read()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self"), reason="reads process states in /proc"
+)
+def test_pool_workers_exit_when_their_parent_is_killed(tmp_path):
+    """A SIGKILLed parent leaves no pool worker running: each worker
+    exits within seconds once its parent is gone."""
+    script = tmp_path / "parent.py"
+    script.write_text(_ORPHANING_PARENT)
+    env = dict(
+        os.environ, PYTHONPATH=str(Path(__file__).parents[2] / "src")
+    )
+    parent = subprocess.Popen(
+        [sys.executable, str(script), str(tmp_path)], env=env
+    )
+    pid_files = [tmp_path / f"worker{i}" for i in range(2)]
+    pids = []
+    try:
+        deadline = time.monotonic() + 60
+        while not all(path.exists() for path in pid_files):
+            assert parent.poll() is None, "the parent exited early"
+            assert time.monotonic() < deadline, "the jobs never started"
+            time.sleep(0.05)
+        pids = [int(path.read_text()) for path in pid_files]
+        assert all(_running(pid) for pid in pids)
+        parent.send_signal(signal.SIGKILL)
+        parent.wait()
+        deadline = time.monotonic() + 10
+        while any(_running(pid) for pid in pids):
+            assert time.monotonic() < deadline, "a pool worker outlived it"
+            time.sleep(0.1)
+    finally:
+        if parent.poll() is None:
+            parent.kill()
+            parent.wait()
+        for pid in pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
 
 class TestPickleChecks:

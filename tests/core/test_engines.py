@@ -28,7 +28,7 @@ from repro import (
     solved_configuration,
 )
 from repro.core.families import OrderedProduct, SameStatePairs
-from repro.core.jump import _transition_ops
+from repro.core.jump import _compile_program, _transition_ops
 from repro.exceptions import (
     ConfigurationError,
     SimulationError,
@@ -406,10 +406,10 @@ class TestCompiledTransitionTables:
     def test_compiled_programs_are_plain_data(self):
         """Cached programs and the per-state plans they run through hold
         no object the cyclic garbage collector must keep tracking: plan
-        steps name their payloads by slot.  The reset-storm run ends in
-        a young pass (the fused loop runs with the collector paused, and
-        the exit resync starts the pass), which untracks the steps, so
-        one more collection untracks every plan."""
+        steps name their payloads by slot.  A collection may meet a
+        tuple before the tuples inside it and untrack one level per
+        pass, so programs (three tuples deep) built after a run's last
+        collection take three more, and plans two."""
         engine = _reset_storm_engine()
         engine.run(max_events=20_000)
         entries = list(engine._pair_table.values()) + [
@@ -417,14 +417,16 @@ class TestCompiledTransitionTables:
         ]
         assert len(entries) >= 1000
         assert all(_plain(entry) for entry in entries)
-        gc.collect()
-        plans = [plan for plan in engine._index.state_steps if plan]
-        assert len(plans) >= 1000
+        for _ in range(3):
+            gc.collect()
+        plans = engine._index.state_steps
+        assert len(plans) == engine._index._num_states
         assert all(_plain(plan) for plan in plans)
         assert not any(gc.is_tracked(plan) for plan in plans)
         assert not any(
             gc.is_tracked(step) for plan in plans for step in plan
         )
+        assert not any(gc.is_tracked(entry) for entry in entries)
 
         engine = _weighted_timeline_engine()
         engine.run(max_events=8000)
@@ -436,39 +438,93 @@ class TestCompiledTransitionTables:
         ]
         assert entries
         assert all(_plain(entry) for entry in entries)
-        # Plans built after the run's last collection take two: the
-        # first untracks their steps, the second the plans.
-        gc.collect()
-        gc.collect()
+        for _ in range(3):
+            gc.collect()
         plans = [
             plan
             for index in {id(seg[0]): seg[0] for seg in engine._segments}
             .values()
             for plan in index.state_steps
-            if plan
         ]
         assert plans
         assert all(_plain(plan) for plan in plans)
         assert not any(gc.is_tracked(plan) for plan in plans)
+        assert not any(gc.is_tracked(entry) for entry in entries)
+
+    def test_first_touches_share_programs_and_plans(self):
+        """A reset storm's pair table grows by thousands of keys, but
+        they resolve to a few dozen shared programs run through a
+        handful of plans; a second engine whose caches are filled by
+        walking every family pair in the other order resolves each key
+        to an equal program."""
+        engine = _reset_storm_engine()
+        engine.run(max_events=20_000)
+        protocol = engine._protocol
+        # Every key of the tree's cross-state programs: R3 on each line
+        # state (one key more for a responder one step up), the red and
+        # the green R4, each also with targets that equal the pair.
+        keys = 2 * protocol.k + 3
+        table = engine._pair_table
+        assert len(table) >= 1000
+        programs = {id(entry) for entry in table.values()}
+        assert len(programs) <= keys
+        assert programs == {id(p) for p in engine._index.programs.values()}
+        assert len({id(plan) for plan in engine._index.state_steps}) == 2
+
+        other = _reset_storm_engine()
+        families = protocol.build_families(other.counts)
+        pairs = sorted(
+            {pair for family in families for pair in family.pairs()},
+            reverse=True,
+        )
+        for si, sj in pairs:
+            if si == sj:
+                other._ss_progs[si] = _compile_program(
+                    protocol, other._index, si, si
+                )
+            else:
+                other._pair_table[si * protocol.num_states + sj] = (
+                    _compile_program(protocol, other._index, si, sj)
+                )
+        for key, entry in table.items():
+            assert other._pair_table[key] == entry
+        for state, entry in enumerate(engine._ss_progs):
+            if entry is not None:
+                assert other._ss_progs[state] == entry
+        assert len(other._index.programs) <= keys
 
     def test_compile_counter_counts_cache_misses(self):
+        """``pair_fills`` counts pair-table misses, ``programs_compiled``
+        the programs compiled: the shared cross-state programs plus the
+        dense same-state ones."""
         instr = Instrumentation()
         engine = _reset_storm_engine(instr)
         engine.run(max_events=20_000)
-        compiled = len(engine._pair_table) + sum(
-            entry is not None for entry in engine._ss_progs
-        )
-        assert compiled >= 1000
+        filled = sum(entry is not None for entry in engine._ss_progs)
+        assert len(engine._pair_table) >= 1000
+        assert instr.get("pair_fills") == len(engine._pair_table)
+        compiled = len(engine._index.programs) + filled
         assert instr.get("programs_compiled") == compiled
-        assert instr.derived()["compiles_per_event"] == pytest.approx(
+        assert compiled < len(engine._pair_table)
+        derived = instr.derived()
+        assert derived["compiles_per_event"] == pytest.approx(
             compiled / engine.events
+        )
+        assert derived["pair_fills_per_event"] == pytest.approx(
+            len(engine._pair_table) / engine.events
         )
 
         instr = Instrumentation()
         engine = _weighted_timeline_engine(instr)
         engine.run(max_events=8000)
+        segments = {id(seg[0]): seg for seg in engine._segments}.values()
+        assert instr.get("pair_fills") == sum(
+            len(pairs) for _, pairs, _ in segments
+        )
         assert instr.get("programs_compiled") == sum(
-            len(cache) for cache in _program_caches(engine)
+            len(index.programs)
+            + sum(entry is not None for entry in same)
+            for index, _, same in segments
         )
         assert instr.get("programs_compiled") > 0
 

@@ -33,7 +33,7 @@ from repro.obs import Instrumentation
 LOOP_COUNTERS = (
     "skip_draws", "raw_draws", "proposal_draws", "pool_draws",
     "sprint_events", "fenwick_finds", "composite_finds",
-    "reclassifications", "programs_compiled",
+    "reclassifications", "programs_compiled", "pair_fills",
 )
 
 

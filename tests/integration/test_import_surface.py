@@ -78,6 +78,9 @@ class TestWhatCommandsLoad:
         )
         assert unneeded(loaded) == []
         assert "repro.core.jump" in loaded
+        # A JobSpec builds its protocol on demand: no protocol is loaded
+        # before one is built.
+        assert [m for m in loaded if m.startswith("repro.protocols")] == []
 
     def test_simulate_run(self):
         loaded = fresh(
@@ -89,7 +92,12 @@ class TestWhatCommandsLoad:
             "assert code == 0, code\n" + LOADED
         )
         assert unneeded(loaded) == []
-        assert "repro.protocols.leader" in loaded
+        # The tree and what it builds on, and no other protocol.
+        assert [m for m in loaded if m.startswith("repro.protocols.")] == [
+            "repro.protocols.leader",
+            "repro.protocols.tree",
+            "repro.protocols.tree_protocol",
+        ]
 
     def test_version_loads_no_engine(self):
         loaded = fresh(

@@ -7,8 +7,9 @@ replaced exactly, not just in distribution:
 * :meth:`_ProposalPool.classify` — the pool's member agent array
   (``agents``/``where``/``positions``), window and weight, checked
   against a verbatim copy of the dict-histogram classifier;
-* ``FusedIndex.state_steps`` — the per-state update plans, built on
-  first use, checked against the eager per-state build.
+* ``FusedIndex.state_steps`` — the per-state update plans, laid out
+  relative to their state on first use, resolved state by state and
+  checked against the eager absolute builds.
 """
 
 import gc
@@ -27,17 +28,20 @@ from repro import (
     TreeRankingProtocol,
     random_configuration,
 )
-from repro.core.families import OrderedProduct, SameStatePairs
+from repro.core.families import OrderedProduct, SameStatePairs, TriangularLine
 from repro.core.fused import (
     _POOL_MAX_PROPOSALS,
     _POOL_TREE_COST_RATIO,
     _SCAN_SIDE_STATES,
     PRODUCT,
     SAME,
+    SCALED_SAME,
     SCANNED,
     TRIANGULAR,
     FusedIndex,
+    _ProductSlot,
     _ProposalPool,
+    _TriangularSlot,
 )
 
 
@@ -268,34 +272,178 @@ def _plain(plan):
     return all(type(x) in (int, bool) for step in plan for x in step)
 
 
+@st.composite
+def scattered_structures(draw):
+    """``(num_states, families, classes)``: an ordered product, a line
+    and same-state rules over disjoint parts of a shuffled list of
+    consecutive-state blocks, optionally under a class partition."""
+    num_states = draw(st.integers(6, 420))
+    cuts = sorted(draw(st.sets(
+        st.integers(1, num_states - 1), max_size=40
+    )))
+    blocks = [
+        list(range(a, b))
+        for a, b in zip([0] + cuts, cuts + [num_states])
+    ]
+    order = draw(st.permutations(range(len(blocks))))
+    members = [state for k in order for state in blocks[k]]
+    a, b = sorted(draw(st.lists(
+        st.integers(1, num_states - 1), min_size=2, max_size=2
+    )))
+    initiators, responders, line = members[:a], members[a:b], members[b:]
+    rules = sorted(draw(st.sets(st.sampled_from(members), max_size=60)))
+
+    def families(counts):
+        built = [OrderedProduct(counts, initiators, responders)]
+        if line:
+            built.append(TriangularLine(counts, line))
+        if rules:
+            built.append(SameStatePairs(counts, rules))
+        return built
+
+    classes = ()
+    if draw(st.booleans()):
+        classes = (
+            [draw(st.integers(0, 1)) if s % 7 == 0 else (s // 7) % 2
+             for s in range(num_states)],
+            [[2, 3], [5, 7]],
+        )
+    return num_states, families, classes
+
+
+def absolute_plan(state, plan):
+    """``plan`` with each positional offset resolved against ``state``:
+    the absolute layout of the eager builds."""
+    resolved = []
+    for step in plan:
+        code = step[0]
+        if code == PRODUCT or code == TRIANGULAR:
+            resolved.append(step[:2] + (state + step[2],) + step[3:])
+        elif code == SAME or code == SCALED_SAME:
+            resolved.append(
+                (code, state + step[1], state + step[2]) + step[3:]
+            )
+        else:  # SCANNED names no position
+            resolved.append(step)
+    return tuple(resolved)
+
+
+def slot_state_steps(index):
+    """The per-state plans built eagerly from the index's slots, in the
+    absolute layout: structures in slot order (a product slot's
+    initiator side before its responder side), the same-state block
+    last, with its class factors on a class-scaled index."""
+    steps = [[] for _ in range(index._num_states)]
+    for slot in range(index.num_composite):
+        payload = index.slot_payload[slot]
+        if type(payload) is _ProductSlot:
+            for side, initiator in (
+                (payload.initiators, True), (payload.responders, False)
+            ):
+                scanned = len(side) <= _SCAN_SIDE_STATES
+                for pos, state in enumerate(side):
+                    steps[state].append(
+                        (SCANNED, slot, initiator) if scanned
+                        else (PRODUCT, slot, pos + 1, initiator)
+                    )
+        elif type(payload) is _TriangularSlot:
+            for pos, state in enumerate(payload.line):
+                steps[state].append((TRIANGULAR, slot, pos))
+    for slot in range(index.num_composite, index.num_slots):
+        pos = slot - index.num_composite
+        if index.same_factors is None:
+            step = (SAME, slot, pos + 1)
+        else:
+            step = (SCALED_SAME, slot, pos + 1, index.same_factors[pos])
+        steps[index.slot_payload[slot]].append(step)
+    return [tuple(entries) for entries in steps]
+
+
+def check_plans(index, expected):
+    """The index lays out nothing before its first use, then one plan
+    per state whose absolute form is ``expected``'s, plain integers
+    only, with equal plans shared as one tuple."""
+    assert index.state_steps == []
+    steps = index.plans()
+    assert steps is index.state_steps
+    assert len(steps) == len(expected)
+    for state, plan in enumerate(steps):
+        assert absolute_plan(state, plan) == expected[state], state
+        assert _plain(plan)
+    assert len({id(plan) for plan in steps}) == len(set(steps))
+    assert index.plans() is steps
+
+
+#: Five-state class blocks alternating between two classes, whose
+#: same-state factors differ: every product side and line splits into
+#: class blocks whose members form runs of up to five states.
+def _block_classes(num_states):
+    return ([(s // 5) % 2 for s in range(num_states)], [[2, 3], [5, 7]])
+
+
+PLAN_PROTOCOLS = [
+    TreeRankingProtocol(37, k=3),
+    ModifiedTreeProtocol(21, k=3),
+    LineOfTrapsProtocol(m=2),
+    RingOfTrapsProtocol(m=4),
+    AGProtocol(12),
+    # 200 ranks: a product side above the scan bound.
+    pytest.param(TreeRankingProtocol(200, k=3), id="TreeRankingProtocol-n200"),
+]
+
+
+def _families(protocol):
+    counts = random_configuration(
+        protocol, seed=3, include_extras=True
+    ).counts_list()
+    return protocol.build_families(counts), counts
+
+
 class TestLazyPlansMatchEagerBuild:
     @pytest.mark.parametrize(
-        "protocol",
-        [
-            TreeRankingProtocol(37, k=3),
-            ModifiedTreeProtocol(21, k=3),
-            LineOfTrapsProtocol(m=2),
-            RingOfTrapsProtocol(m=4),
-            AGProtocol(12),
-            # 200 ranks: a product side above the scan bound.
-            pytest.param(
-                TreeRankingProtocol(200, k=3), id="TreeRankingProtocol-n200"
-            ),
-        ],
-        ids=lambda p: type(p).__name__,
+        "protocol", PLAN_PROTOCOLS, ids=lambda p: type(p).__name__
     )
     def test_every_state_plan(self, protocol):
-        counts = random_configuration(
-            protocol, seed=3, include_extras=True
-        ).counts_list()
-        families = protocol.build_families(counts)
-        index = FusedIndex(families, protocol.num_states, counts)
-        expected = eager_state_steps(index, families, protocol.num_states)
-        # Look states up in a scrambled order: a plan must not depend on
-        # which states were compiled before it.
-        order = np.random.default_rng(5).permutation(protocol.num_states)
-        for state in order.tolist():
-            plan = index._plans.build(state)
-            assert plan == expected[state]
-            assert _plain(plan)
-            assert index.state_steps[state] is plan
+        """Against the family-by-family build."""
+        families, counts = _families(protocol)
+        num_states = protocol.num_states
+        index = FusedIndex(families, num_states, counts)
+        check_plans(index, eager_state_steps(index, families, num_states))
+
+    @pytest.mark.parametrize(
+        "protocol", PLAN_PROTOCOLS, ids=lambda p: type(p).__name__
+    )
+    def test_every_state_plan_scaled(self, protocol):
+        """Class-scaled (five-state class blocks), against the
+        slot-by-slot build."""
+        families, counts = _families(protocol)
+        num_states = protocol.num_states
+        index = FusedIndex(
+            families, num_states, counts, *_block_classes(num_states)
+        )
+        check_plans(index, slot_state_steps(index))
+
+    def test_tree_has_two_plans(self):
+        """Every rank shares one plan and every reset-line state another,
+        at any n."""
+        for n in (37, 200, 4096):
+            protocol = TreeRankingProtocol(n)
+            counts = random_configuration(protocol, seed=1).counts_list()
+            index = FusedIndex(
+                protocol.build_families(counts), protocol.num_states, counts
+            )
+            steps = index.plans()
+            assert len({id(plan) for plan in steps}) == 2
+            assert steps[0] is steps[n - 1]
+            assert steps[n] is steps[protocol.num_states - 1]
+
+    @given(scattered_structures())
+    @settings(max_examples=60, deadline=None)
+    def test_scattered_members(self, case):
+        """Product sides, lines and same-state rules whose members come
+        in shuffled blocks of consecutive states (long sides keep trees,
+        short ones are scanned), unscaled and class-scaled."""
+        num_states, families, classes = case
+        counts = [1] * num_states
+        index = FusedIndex(families(counts), num_states, counts, *classes)
+        check_plans(index, slot_state_steps(index))
