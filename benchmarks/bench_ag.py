@@ -1,9 +1,6 @@
 """Benchmark: the AG baseline's Θ(n²) stabilisation time (§1/§2)."""
 
-import pytest
 
-
-@pytest.mark.benchmark(group="scaling")
 def test_ag_quadratic_scaling(run_and_show, scale):
     """Growth exponent of the baseline must sit near 2."""
     result = run_and_show("ag_quadratic")

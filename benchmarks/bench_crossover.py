@@ -1,10 +1,7 @@
 """Benchmark: the Theorem 1 corollary — ring beats the n² barrier
 while k = O(√n)."""
 
-import pytest
 
-
-@pytest.mark.benchmark(group="theorem1")
 def test_ring_vs_barrier_crossover(run_and_show, scale):
     """Advantage over the barrier is big at small k and decays with k;
     any crossover sits at or beyond Θ(√n), never before."""

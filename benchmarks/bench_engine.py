@@ -1,13 +1,6 @@
-"""Benchmarks: methodology — engine equivalence and raw engine throughput."""
-
-import numpy as np
-import pytest
-
-from repro import AGProtocol, Configuration, JumpEngine, TreeRankingProtocol
-from repro.configurations.generators import random_configuration
+"""Benchmark: methodology — engine equivalence."""
 
 
-@pytest.mark.benchmark(group="methodology")
 def test_engine_equivalence(run_and_show, scale):
     """Jump and sequential engines agree distributionally."""
     result = run_and_show("engine_equivalence")
@@ -15,37 +8,3 @@ def test_engine_equivalence(run_and_show, scale):
     assert result.raw["max_median_deviation"] < tolerance, (
         "per-engine stabilisation-time medians diverged"
     )
-
-
-@pytest.mark.benchmark(group="methodology")
-def test_jump_engine_event_throughput(benchmark):
-    """Raw productive-event throughput of the jump engine (AG, n=256).
-
-    This is the quantity that bounds every experiment's wall time; a
-    regression here silently inflates all sweeps.
-    """
-    protocol = AGProtocol(256)
-    start = Configuration.all_in_state(0, 256, 256)
-
-    def run_once():
-        engine = JumpEngine(protocol, start, np.random.default_rng(7))
-        engine.run()
-        return engine.events
-
-    events = benchmark(run_once)
-    assert events > 0
-
-
-@pytest.mark.benchmark(group="methodology")
-def test_tree_engine_throughput(benchmark):
-    """Jump-engine throughput on the 3-family tree protocol (n=1024)."""
-    protocol = TreeRankingProtocol(1024)
-    start = random_configuration(protocol, seed=11)
-
-    def run_once():
-        engine = JumpEngine(protocol, start, np.random.default_rng(11))
-        engine.run()
-        return engine.events
-
-    events = benchmark(run_once)
-    assert events > 0

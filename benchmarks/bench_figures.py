@@ -1,9 +1,6 @@
 """Benchmarks regenerating the paper's figures (Figure 1 and Figure 2)."""
 
-import pytest
 
-
-@pytest.mark.benchmark(group="figures")
 def test_figure1_routing_graph(run_and_show):
     """Figure 1: cubic routing graph G; worked example must match."""
     result = run_and_show("figure1")
@@ -16,7 +13,6 @@ def test_figure1_routing_graph(run_and_show):
             assert diameter <= bound
 
 
-@pytest.mark.benchmark(group="figures")
 def test_figure2_tree_of_ranks(run_and_show):
     """Figure 2: the n=9 perfectly balanced tree, node for node."""
     result = run_and_show("figure2")

@@ -1,9 +1,6 @@
 """Benchmarks: Theorem 1 — ring-of-traps from k-distant configurations."""
 
-import pytest
 
-
-@pytest.mark.benchmark(group="theorem1")
 def test_time_vs_k(run_and_show, scale):
     """At fixed n, time grows with k but at most ~linearly (Lemma 3)."""
     result = run_and_show("kdistant_vs_k")
@@ -18,7 +15,6 @@ def test_time_vs_k(run_and_show, scale):
     assert medians[-1] > medians[0]
 
 
-@pytest.mark.benchmark(group="theorem1")
 def test_time_vs_n_fixed_k(run_and_show, scale):
     """At fixed k, growth ≈ n^1.5 — strictly below the baseline's n²."""
     result = run_and_show("kdistant_vs_n")
@@ -31,7 +27,6 @@ def test_time_vs_n_fixed_k(run_and_show, scale):
         )
 
 
-@pytest.mark.benchmark(group="theorem1")
 def test_arbitrary_starts_within_polylog_of_quadratic(run_and_show, scale):
     """Lemma 4: arbitrary starts stay within n²·log²n."""
     result = run_and_show("ring_arbitrary")

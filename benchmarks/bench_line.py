@@ -1,9 +1,6 @@
 """Benchmark: Theorem 2 — the one-extra-state protocol is o(n²)."""
 
-import pytest
 
-
-@pytest.mark.benchmark(group="theorem2")
 def test_line_protocol_scaling(run_and_show, scale):
     """time/n² must shrink with n (the o(n²) claim), and the protocol
     must not lose to AG by more than constants at comparable n."""

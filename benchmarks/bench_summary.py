@@ -1,9 +1,6 @@
 """Benchmark: the headline contribution table + Ω(n) lower-bound floor."""
 
-import pytest
 
-
-@pytest.mark.benchmark(group="headline")
 def test_summary_table(run_and_show):
     """All four protocols rank correctly; every time respects Ω(n)."""
     result = run_and_show("summary")

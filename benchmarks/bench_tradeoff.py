@@ -1,9 +1,6 @@
 """Benchmarks: the state-vs-time trade-off and the reset ablation."""
 
-import pytest
 
-
-@pytest.mark.benchmark(group="tradeoff")
 def test_state_time_tradeoff(run_and_show):
     """Cliff below ~(2/3)·log₂ n, knee at Θ(log n), plateau beyond."""
     result = run_and_show("state_time_tradeoff")
@@ -21,7 +18,6 @@ def test_state_time_tradeoff(run_and_show):
     assert max(converged) / min(converged) < 10  # knee→plateau variation
 
 
-@pytest.mark.benchmark(group="tradeoff")
 def test_reset_ablation(run_and_show):
     """Only the full red/green reset achieves stable+silent ranking."""
     result = run_and_show("reset_ablation")

@@ -1,9 +1,6 @@
 """Benchmarks: the trap machinery (Lemma 1 drain, Lemma 2 tidy time)."""
 
-import pytest
 
-
-@pytest.mark.benchmark(group="lemmas")
 def test_trap_drain_rates(run_and_show):
     """Lemma 1: release times normalised by m·n (and ·log l) stay flat."""
     result = run_and_show("trap_drain")
@@ -22,7 +19,6 @@ def test_trap_drain_rates(run_and_show):
         )
 
 
-@pytest.mark.benchmark(group="lemmas")
 def test_tidy_time(run_and_show):
     """Lemma 2: time-to-tidy normalised by m·n does not grow."""
     result = run_and_show("tidy_time")

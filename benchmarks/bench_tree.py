@@ -1,9 +1,6 @@
 """Benchmarks: Theorem 3 and its §5 support lemmas."""
 
-import pytest
 
-
-@pytest.mark.benchmark(group="theorem3")
 def test_tree_protocol_scaling(run_and_show, scale):
     """O(n log n): exponent ≈ 1 after dividing out one log factor."""
     result = run_and_show("tree_scaling")
@@ -15,7 +12,6 @@ def test_tree_protocol_scaling(run_and_show, scale):
         )
 
 
-@pytest.mark.benchmark(group="theorem3")
 def test_dispersal_from_root(run_and_show):
     """Lemmas 19–20: all-at-root disperses into a perfect ranking."""
     result = run_and_show("tree_paths")
@@ -31,7 +27,6 @@ def test_dispersal_from_root(run_and_show):
     assert max(normalised) / min(normalised) < 3
 
 
-@pytest.mark.benchmark(group="theorem3")
 def test_reset_epidemic_is_logarithmic(run_and_show, scale):
     """Lemma 21: epidemic duration grows like log n, not like n."""
     result = run_and_show("reset_line")

@@ -1,10 +1,11 @@
 """Shared benchmark plumbing.
 
 Every benchmark runs one registered experiment (the same code the CLI
-runs), times it with pytest-benchmark, prints the regenerated table,
-and asserts the paper's *shape* claims — who wins, how growth scales,
-where crossovers fall.  Absolute numbers are not asserted (our
-substrate is a simulator, not the authors' testbed).
+runs), prints the regenerated table, and asserts the paper's *shape*
+claims — who wins, how growth scales, where crossovers fall.  Absolute
+numbers are not asserted (our substrate is a simulator, not the
+authors' testbed), and nothing here is timed: `repro bench` gates
+engine throughput.
 
 Scale selection: benchmarks default to the ``small`` scale; export
 ``REPRO_BENCH_SCALE=paper`` for the EXPERIMENTS.md sweeps or
@@ -26,17 +27,11 @@ def scale() -> str:
 
 
 @pytest.fixture
-def run_and_show(benchmark, scale, capsys):
-    """Run an experiment under the benchmark timer and print its tables."""
+def run_and_show(scale, capsys):
+    """Run an experiment and print its tables."""
 
-    def runner(experiment_id: str, seed: int = 0):
-        result = benchmark.pedantic(
-            run_experiment,
-            args=(experiment_id,),
-            kwargs={"scale": scale, "seed": seed},
-            rounds=1,
-            iterations=1,
-        )
+    def runner(experiment_id: str):
+        result = run_experiment(experiment_id, scale=scale)
         with capsys.disabled():
             print(f"\n[{experiment_id} @ scale={scale}]")
             print(result.render())

@@ -96,7 +96,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ),
     ".scenarios": (
         "CampaignResult",
-        "CampaignRunner",
         "ClusteredScheduler",
         "DegreeSkewedScheduler",
         "EpochSpec",

@@ -64,6 +64,7 @@ __all__ = [
     "backend_bench_suite",
     "bench_ratios",
     "bench_suite",
+    "check_bench_history",
     "check_same_tier",
     "check_speedup_floors",
     "compare_bench",
@@ -113,13 +114,18 @@ def _kernel_pass() -> float:
     return time.perf_counter() - begin
 
 
+#: The seed every bench run builds its engines at.  It is the seed
+#: :data:`_SEED_EVENTS_PER_SEC` was recorded at, so an engine case's
+#: speedup divides two runs of the same case and seed.
+_RECORDING_SEED = 7
+
 #: Reference-speed events/s of the seed engine (the jump engine as it
 #: shipped before the fast-path rewrite, with per-event family
 #: re-summation, dict count deltas and float-multiply draws) on each
 #: engine case, keyed by ``(case id, max_events)``.  Each is the median
-#: of 35 runs at seed 7, timed as :func:`_measure` times, recorded with
-#: Python 3.11.7 at commit ``adda89b``, the last that carried the seed
-#: engine.
+#: of 35 runs at :data:`_RECORDING_SEED`, timed as :func:`_measure`
+#: times, recorded with Python 3.11.7 at commit ``adda89b``, the last
+#: that carried the seed engine.
 _SEED_EVENTS_PER_SEC: Dict[Tuple[str, int], int] = {
     ("ag-n256", 5_000): 141_464,
     ("ag-n1000", 5_000): 136_612,
@@ -390,15 +396,17 @@ def backend_bench_suite(quick: bool = False) -> List[BenchCase]:
     ]
 
 
-def _engine_factory(engine_cls, case: BenchCase, seed: int):
+def _engine_factory(engine_cls, case: BenchCase):
     def make_engine():
         protocol, start = case.build()
-        return engine_cls(protocol, start, np.random.default_rng(seed))
+        return engine_cls(
+            protocol, start, np.random.default_rng(_RECORDING_SEED)
+        )
 
     return make_engine
 
 
-def _scheduler_factories(case: SchedulerBenchCase, seed: int):
+def _scheduler_factories(case: SchedulerBenchCase):
     """``uniform`` (the unbiased jump baseline, for context),
     ``rejection`` (the exact :class:`ScheduledEngine`) and ``weighted``
     (the fused weighted jump path) on one biased case.  Rejection and
@@ -408,25 +416,26 @@ def _scheduler_factories(case: SchedulerBenchCase, seed: int):
     scheduler = case.build_scheduler(protocol)
     return {
         "uniform": lambda: JumpEngine(
-            protocol, start, np.random.default_rng(seed)
+            protocol, start, np.random.default_rng(_RECORDING_SEED)
         ),
         "rejection": lambda: ScheduledEngine(
-            protocol, start, np.random.default_rng(seed), scheduler
+            protocol, start, np.random.default_rng(_RECORDING_SEED),
+            scheduler,
         ),
         "weighted": lambda: JumpEngine(
-            protocol, start, np.random.default_rng(seed), scheduler
+            protocol, start, np.random.default_rng(_RECORDING_SEED),
+            scheduler,
         ),
     }
 
 
-def run_bench(
-    quick: bool = False, seed: int = 7, repeats: int = 7
-) -> Dict[str, object]:
+def run_bench(quick: bool = False, repeats: int = 7) -> Dict[str, object]:
     """Run the suite; return the record.
 
     Every throughput is the median over ``repeats`` runs at the
-    reference speed (see :func:`_measure`).  An engine case divides the
-    current engine's by the seed engine's recorded number
+    reference speed (see :func:`_measure`), with every engine built at
+    :data:`_RECORDING_SEED`.  An engine case divides the current
+    engine's by the seed engine's recorded number
     (:data:`_SEED_EVENTS_PER_SEC`); scheduler and backend cases divide
     two engines measured in the same run.
     """
@@ -450,15 +459,15 @@ def run_bench(
             "events_per_sec": _SEED_EVENTS_PER_SEC[key]
         }
         jobs[case.case_id, "current"] = (
-            _engine_factory(JumpEngine, case, seed), case.max_events
+            _engine_factory(JumpEngine, case), case.max_events
         )
     for case in scheduler_suite:
-        for side, make_engine in _scheduler_factories(case, seed).items():
+        for side, make_engine in _scheduler_factories(case).items():
             jobs[case.case_id, side] = (make_engine, case.max_events)
     for case in backend_suite:
         for side, engine_cls in (("scalar", JumpEngine), ("batch", BatchEngine)):
             jobs[case.case_id, side] = (
-                _engine_factory(engine_cls, case, seed), case.max_events
+                _engine_factory(engine_cls, case), case.max_events
             )
     measured = _measure(jobs, repeats)
 
@@ -468,7 +477,7 @@ def run_bench(
             "protocol": case.protocol_name,
             "n": case.num_agents,
             "max_events": case.max_events,
-            "seed": seed,
+            "seed": _RECORDING_SEED,
             **fields,
         }
 
@@ -503,9 +512,6 @@ def run_bench(
                 batch["events_per_sec"] / scalar["events_per_sec"]
             ),
         ))
-    headline = next(
-        (c for c in cases if c["case"] == "ag-n10000"), cases[0]
-    )
     return {
         "timestamp": time.strftime("%Y%m%dT%H%M%S"),
         "quick": quick,
@@ -513,12 +519,6 @@ def run_bench(
         "cases": cases,
         "scheduler_cases": scheduler_cases,
         "backend_cases": backend_cases,
-        "headline": {
-            "case": headline["case"],
-            "legacy_events_per_sec": headline["legacy"]["events_per_sec"],
-            "current_events_per_sec": headline["current"]["events_per_sec"],
-            "speedup": headline["speedup"],
-        },
     }
 
 
@@ -676,45 +676,38 @@ _HISTORY_FIELDS = (
 )
 
 
-def _migrate_bench_history(path: str) -> None:
-    """Upgrade a pre-backend-column history CSV in place.
+def check_bench_history(path: str) -> None:
+    """Refuse a history CSV whose header is not :data:`_HISTORY_FIELDS`.
 
-    Older CSVs lack the ``backend`` column; every row they hold was a
-    scalar-engine measurement, so migration rewrites them with
-    ``backend=python`` under the new header.  A current-header (or
-    missing/empty) file is left untouched.
+    A missing or empty file passes (the first append writes the
+    header).  Any other header raises
+    :class:`~repro.exceptions.SimulationError` and leaves the file as
+    it is: rows appended under it would land in the wrong columns.
     """
     if not (os.path.exists(path) and os.path.getsize(path) > 0):
         return
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(header) == _HISTORY_FIELDS:
-            return
-        old_rows = [dict(zip(header, row)) for row in reader]
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_HISTORY_FIELDS)
-        for row in old_rows:
-            writer.writerow([
-                row.get(field, "python" if field == "backend" else "")
-                for field in _HISTORY_FIELDS
-            ])
+        header = next(csv.reader(handle), [])
+    if tuple(header) != _HISTORY_FIELDS:
+        raise SimulationError(
+            f"bench history {path!r} has header {header}, expected "
+            f"{list(_HISTORY_FIELDS)}"
+        )
 
 
 def append_bench_history(record: Dict[str, object], path: str) -> int:
     """Append one record's per-case rows to a ``bench_history.csv``.
 
-    Creates the file (with a header) when missing and migrates an
-    old-header file first (see :func:`_migrate_bench_history`); returns
-    the number of rows appended.  Rows are labelled per backend:
+    Creates the file (with a header) when missing and refuses one with
+    another header (see :func:`check_bench_history`); returns the number
+    of rows appended.  Rows are labelled per backend:
     engine and scheduler cases are the scalar Python hot paths
     (``python``), backend cases the numpy batch kernel (``numpy``).
     The nightly workflow keeps this CSV in its cache so every run
     extends the same trend, uploads it as an artifact, and renders it
     via :func:`repro.viz.ascii.render_trend_table`.
     """
-    _migrate_bench_history(path)
+    check_bench_history(path)
     exists = os.path.exists(path) and os.path.getsize(path) > 0
     rows = 0
     with open(path, "a", encoding="utf-8", newline="") as handle:
@@ -770,12 +763,13 @@ def write_bench_json(record: Dict[str, object], output_dir: str = ".") -> str:
 
 
 def instrument_bench(
-    quick: bool = True, seed: int = 7, backend: str = "python"
+    quick: bool = True, backend: str = "python"
 ) -> Dict[str, object]:
     """Run the engine suite once per case with counters attached.
 
-    One instrumented run per :func:`bench_suite` case (no timing — the
-    counters, not the wall clock, are the measurement): each entry
+    One instrumented run per :func:`bench_suite` case at
+    :data:`_RECORDING_SEED` (no timing — the counters, not the wall
+    clock, are the measurement): each entry
     reports the raw counter bag plus the derived ratios from
     :meth:`repro.obs.Instrumentation.derived`.  With the default
     ``backend="python"`` the scalar :class:`JumpEngine` runs and
@@ -790,6 +784,7 @@ def instrument_bench(
     from ..core.engine import build_engine
     from ..obs import Instrumentation
 
+    seed = _RECORDING_SEED
     cases = []
     for case in bench_suite(quick=quick):
         protocol, start = case.build()
@@ -926,11 +921,4 @@ def render_bench(record: Dict[str, object]) -> str:
             f"{case['batch_vs_scalar']:>7.2f}x"
             "   [numpy batch vs tuned scalar]"
         )
-    head = record["headline"]
-    lines.append(
-        f"headline [{head['case']}]: "
-        f"{head['legacy_events_per_sec']:,.0f} -> "
-        f"{head['current_events_per_sec']:,.0f} events/s "
-        f"({head['speedup']:.2f}x)"
-    )
     return "\n".join(lines)

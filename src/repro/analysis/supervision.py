@@ -215,6 +215,27 @@ def _notify(observer, kind: str, **fields) -> None:
         pass
 
 
+def _quarantine_error(
+    index: int,
+    exc: Exception,
+    policy: SupervisionPolicy,
+    failures: Dict[int, JobFailure],
+    attempts: List[int],
+    observer=None,
+) -> None:
+    """A worker raised: re-raise under ``fail_fast``, else quarantine."""
+    if policy.fail_fast:
+        raise exc
+    failures[index] = JobFailure(
+        index=index,
+        kind="error",
+        error=type(exc).__name__,
+        message=str(exc),
+        attempts=attempts[index] + 1,
+    )
+    _notify(observer, "quarantine", job=index, failure="error")
+
+
 #: Seconds between a pool worker's checks that its parent still lives.
 _PARENT_POLL_S = 1.0
 
@@ -275,16 +296,9 @@ def _run_serially(
         try:
             results[index] = worker(jobs[index])
         except Exception as exc:
-            if policy.fail_fast:
-                raise
-            failures[index] = JobFailure(
-                index=index,
-                kind="error",
-                error=type(exc).__name__,
-                message=str(exc),
-                attempts=attempts[index] + 1,
+            _quarantine_error(
+                index, exc, policy, failures, attempts, observer
             )
-            _notify(observer, "quarantine", job=index, failure="error")
 
 
 def _solo_isolation(
@@ -323,16 +337,9 @@ def _solo_isolation(
                         "worker process died running this job alone",
                         policy, failures, attempts, retry_queue, observer)
             except Exception as exc:
-                if policy.fail_fast:
-                    raise
-                failures[index] = JobFailure(
-                    index=index,
-                    kind="error",
-                    error=type(exc).__name__,
-                    message=str(exc),
-                    attempts=attempts[index] + 1,
+                _quarantine_error(
+                    index, exc, policy, failures, attempts, observer
                 )
-                _notify(observer, "quarantine", job=index, failure="error")
         finally:
             _terminate_pool(solo)
 
@@ -520,17 +527,8 @@ def supervised_map(
                     else:
                         broken_suspects.append(index)
                 except Exception as exc:
-                    if policy.fail_fast:
-                        raise
-                    failures[index] = JobFailure(
-                        index=index,
-                        kind="error",
-                        error=type(exc).__name__,
-                        message=str(exc),
-                        attempts=attempts[index] + 1,
-                    )
-                    _notify(
-                        observer, "quarantine", job=index, failure="error"
+                    _quarantine_error(
+                        index, exc, policy, failures, attempts, observer
                     )
             if broken_suspects is not None:
                 # Every job in flight at the break is a suspect — the

@@ -165,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quick", action="store_true",
         help="small populations and budgets (seconds, for CI smoke)",
     )
-    ben.add_argument("--seed", type=int, default=7)
     ben.add_argument(
         "--output-dir", default=".",
         help="directory for BENCH_<timestamp>.json ('-' to skip writing)",
@@ -564,6 +563,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     from .analysis.bench import (
         append_bench_history,
+        check_bench_history,
         check_same_tier,
         check_speedup_floors,
         compare_bench,
@@ -584,6 +584,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             raise ReproError(f"baseline record {args.compare!r} does not exist")
         baseline = load_bench(args.compare)
         check_same_tier(args.quick, baseline)
+    if args.history is not None:
+        check_bench_history(args.history)
     floors = {}
     for spec in args.require_speedup:
         case_id, sep, floor = spec.rpartition(":")
@@ -601,12 +603,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         from .analysis.bench import instrument_bench, render_instrument
 
         print(render_instrument(
-            instrument_bench(
-                quick=args.quick, seed=args.seed, backend=args.backend
-            )
+            instrument_bench(quick=args.quick, backend=args.backend)
         ))
         return 0
-    record = run_bench(quick=args.quick, seed=args.seed)
+    record = run_bench(quick=args.quick)
     print(render_bench(record))
     if args.output_dir != "-":
         path = write_bench_json(record, output_dir=args.output_dir)

@@ -40,6 +40,7 @@ instant:
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 import time
@@ -178,17 +179,7 @@ def _default_policy(policy: Optional[SupervisionPolicy]) -> SupervisionPolicy:
     """Ensemble runs quarantine rather than die: force fail_fast off."""
     if policy is None:
         return SupervisionPolicy(fail_fast=False)
-    if policy.fail_fast:
-        return SupervisionPolicy(
-            timeout=policy.timeout,
-            max_attempts=policy.max_attempts,
-            backoff_base=policy.backoff_base,
-            backoff_cap=policy.backoff_cap,
-            jitter=policy.jitter,
-            max_pool_rebuilds=policy.max_pool_rebuilds,
-            fail_fast=False,
-        )
-    return policy
+    return dataclasses.replace(policy, fail_fast=False)
 
 
 class _EnsemblePlan:

@@ -259,8 +259,8 @@ def generate_report(
         "(interactions divided by n), as in the paper.  Absolute\n"
         "constants are ours; the asserted reproduction targets are the\n"
         "shapes — growth exponents, who wins, crossovers.  Regenerate any\n"
-        "row with `python -m repro experiment <id>`; benchmark-grade runs\n"
-        "via `pytest benchmarks/ --benchmark-only` (set\n"
+        "row with `python -m repro experiment <id>`, and check the\n"
+        "asserted shapes with `pytest benchmarks` (set\n"
         "`REPRO_BENCH_SCALE=paper` for the big sweeps).\n"
     )
     for experiment in REGISTRY.values():

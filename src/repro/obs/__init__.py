@@ -15,10 +15,7 @@ Zero-cost-when-off instrumentation for the simulation stack:
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
-    ".instrumentation": (
-        "Instrumentation",
-        "check_instrumentation_off_overhead",
-    ),
+    ".instrumentation": ("Instrumentation",),
     ".trace": (
         "TRACE_VERSION",
         "TraceReader",

@@ -88,7 +88,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-__all__ = ["Instrumentation", "check_instrumentation_off_overhead"]
+__all__ = ["Instrumentation"]
 
 
 class Instrumentation:
@@ -190,91 +190,3 @@ class Instrumentation:
             f"{k}={v}" for k, v in sorted(self.counters.items())
         )
         return f"Instrumentation({inner})"
-
-
-def check_instrumentation_off_overhead(
-    case_id: str = "line-m4",
-    tolerance: float = 0.02,
-    repeats: int = 5,
-    seed: int = 7,
-    attempts: int = 3,
-) -> Dict[str, object]:
-    """Assert the instrumentation-off path costs ≤ ``tolerance``.
-
-    Interleaves best-of-``repeats`` timings of one quick bench case run
-    two ways with the same seed: directly constructed ``JumpEngine``
-    (the uninstrumented baseline) and through ``build_engine`` with
-    ``instrumentation=None`` (the off path every caller gets).  Both
-    execute the identical fast loop, so the ratio sits at ~1.0 unless
-    the off path grows per-event work — which is exactly the regression
-    this guards (the committed speedup floors gate the absolute
-    throughput separately).  The overhead guarded against is structural
-    (per-event branches), so one clean measurement suffices: a failing
-    measurement is re-taken up to ``attempts`` times before it counts —
-    scheduler noise trips a single best-of-N comparison a few percent
-    either way, and only a real regression fails every attempt.  Raises
-    :class:`~repro.exceptions.SimulationError` if the off path stays
-    more than ``tolerance`` slower; returns the measurement dict.
-    """
-    import time
-
-    import numpy as np
-
-    from ..analysis.bench import bench_suite
-    from ..core.engine import build_engine
-    from ..core.jump import JumpEngine
-    from ..exceptions import SimulationError
-
-    case = next(
-        (c for c in bench_suite(quick=True) if c.case_id == case_id), None
-    )
-    if case is None:
-        raise SimulationError(
-            f"unknown quick bench case {case_id!r} for the overhead check"
-        )
-
-    def run_baseline() -> float:
-        protocol, start = case.build()
-        engine = JumpEngine(protocol, start, np.random.default_rng(seed))
-        begin = time.perf_counter()
-        engine.run(max_events=case.max_events)
-        wall = time.perf_counter() - begin
-        return engine.events / wall if wall > 0 else float("inf")
-
-    def run_off() -> float:
-        protocol, start = case.build()
-        driver, _ = build_engine(
-            protocol, start, seed=seed, engine="jump", instrumentation=None
-        )
-        begin = time.perf_counter()
-        driver.run(max_events=case.max_events)
-        wall = time.perf_counter() - begin
-        return driver.events / wall if wall > 0 else float("inf")
-
-    result: Dict[str, object] = {}
-    for attempt in range(max(1, attempts)):
-        baseline = 0.0
-        off = 0.0
-        # Interleaved so slow-start noise (page cache, turbo) hits both
-        # arms.
-        for _ in range(max(1, repeats)):
-            baseline = max(baseline, run_baseline())
-            off = max(off, run_off())
-        ratio = off / baseline if baseline > 0 else 1.0
-        result = {
-            "case": case_id,
-            "baseline_events_per_sec": baseline,
-            "off_events_per_sec": off,
-            "ratio": ratio,
-            "tolerance": tolerance,
-            "attempt": attempt + 1,
-        }
-        if ratio >= 1.0 - tolerance:
-            return result
-    raise SimulationError(
-        f"instrumentation-off overhead on {case_id}: "
-        f"{result['off_events_per_sec']:,.0f} ev/s vs baseline "
-        f"{result['baseline_events_per_sec']:,.0f} ev/s "
-        f"(ratio {result['ratio']:.3f} < {1.0 - tolerance:.3f} "
-        f"on every one of {max(1, attempts)} attempts)"
-    )

@@ -125,21 +125,18 @@ class TreeRankingProtocol(RankingProtocol):
             j = responder - n + 1
             if i > j:
                 return None
-            if i < 2 * self._k:  # R3
-                up = self.line_state(i + 1)
-                return up, up
+            if i < 2 * self._k:  # R3: both move to X_{i+1}
+                return initiator + 1, initiator + 1
             return 0, 0  # R5 (i == j == 2k)
         # R4: line initiator, rank responder.
-        if i <= self._k:  # red: propagate the reset
-            x1 = self.line_state(1)
-            return x1, x1
+        if i <= self._k:  # red: propagate the reset (X_1 is state n)
+            return n, n
         return 0, responder  # green: relocate to the root
 
     def _rank_pair_rule(self, p: int) -> Transition:
         kind = self._tree.kind(p)
-        if kind == NodeKind.LEAF:  # R2: reset trigger
-            x1 = self.line_state(1)
-            return x1, x1
+        if kind == NodeKind.LEAF:  # R2: reset trigger, both to X_1
+            return self.num_ranks, self.num_ranks
         if kind == NodeKind.BRANCHING:  # R1, branching: both vacate
             return self._tree.left_child(p), self._tree.right_child(p)
         return p, p + 1  # R1, non-branching: responder descends

@@ -24,7 +24,7 @@ Quickstart::
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
-    ".campaign": ("CampaignResult", "CampaignRunner", "run_campaign"),
+    ".campaign": ("CampaignResult", "run_campaign"),
     ".catalog": ("CAMPAIGNS", "Campaign", "get_campaign", "list_campaigns"),
     ".engine": ("PhaseLog", "ScenarioResult", "run_scenario"),
     ".schedulers": (

@@ -25,7 +25,7 @@ from ..exceptions import ExperimentError
 from .engine import ScenarioResult, run_scenario
 from .spec import Scenario
 
-__all__ = ["CampaignResult", "CampaignRunner", "run_campaign"]
+__all__ = ["CampaignResult", "run_campaign"]
 
 
 @dataclass
@@ -125,37 +125,3 @@ def run_campaign(
         results=[r for r in results if r is not None],
         failures=failures,
     )
-
-
-class CampaignRunner:
-    """Reusable campaign configuration (repetitions / seed / pool size).
-
-    Thin object wrapper over :func:`run_campaign` for callers that fire
-    several scenarios under one execution policy (the CLI and the
-    experiment registry do this).
-    """
-
-    def __init__(
-        self,
-        repetitions: int = 5,
-        seed: int = 0,
-        workers: Optional[int] = None,
-        default_max_events: Optional[int] = None,
-        policy: Optional[SupervisionPolicy] = None,
-    ) -> None:
-        self.repetitions = repetitions
-        self.seed = seed
-        self.workers = workers
-        self.default_max_events = default_max_events
-        self.policy = policy
-
-    def run(self, scenario: Scenario) -> CampaignResult:
-        """Execute one scenario under this runner's policy."""
-        return run_campaign(
-            scenario,
-            repetitions=self.repetitions,
-            seed=self.seed,
-            workers=self.workers,
-            default_max_events=self.default_max_events,
-            policy=self.policy,
-        )

@@ -1,10 +1,12 @@
 """Ensemble runner: manifests, atomic persistence, resume, bit-identity."""
 
+import dataclasses
 import json
 import os
 
 import pytest
 
+from repro.analysis.supervision import SupervisionPolicy
 from repro.ensemble import ensemble_status, run_ensemble
 from repro.ensemble.manifest import (
     atomic_write_json,
@@ -15,6 +17,7 @@ from repro.ensemble.manifest import (
     save_manifest,
     shard_path,
 )
+from repro.ensemble.runner import _default_policy
 from repro.exceptions import ExperimentError
 
 
@@ -153,6 +156,21 @@ class TestRunEnsemble:
         assert status["shards_done"] == 2
         assert status["runs_done"] == 10
         assert not status["complete"]
+
+
+def test_default_policy_turns_off_fail_fast_only():
+    # Every other field off its default, so one added later is checked.
+    others = [
+        f for f in dataclasses.fields(SupervisionPolicy) if f.name != "fail_fast"
+    ]
+    policy = SupervisionPolicy(**{
+        f.name: 1.5 if f.default is None else f.default * 2 + 1 for f in others
+    })
+    forced = _default_policy(policy)
+    assert forced.fail_fast is False
+    for f in others:
+        assert getattr(policy, f.name) != f.default, f.name
+        assert getattr(forced, f.name) == getattr(policy, f.name), f.name
 
 
 class TestStatusThroughput:

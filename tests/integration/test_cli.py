@@ -1,8 +1,13 @@
 """Integration tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parents[2]
+FULL = ROOT / "BENCH_BASELINE_FULL.json"
 
 
 class TestParser:
@@ -84,81 +89,52 @@ class TestCommands:
         code = main(["bench", "--quick", "--output-dir", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 0
-        assert "headline" in out and "speedup" in out
+        assert "speedup" in out and "line-m4" in out
         written = list(tmp_path.glob("BENCH_*.json"))
         assert len(written) == 1
 
-    def test_bench_missing_output_dir_fails_fast(self, capsys):
-        code = main(["bench", "--quick", "--output-dir", "/nonexistent/dir"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "does not exist" in err
-
-    def test_bench_other_tier_baseline_fails_fast(self, capsys, monkeypatch):
-        import pathlib
-
-        from repro.analysis import bench
-
-        def no_run(**kwargs):
-            raise AssertionError("measured before refusing the baseline")
-
-        monkeypatch.setattr(bench, "run_bench", no_run)
-        full = pathlib.Path(__file__).resolve().parents[2] / (
-            "BENCH_BASELINE_FULL.json"
-        )
-        code = main([
-            "bench", "--quick", "--output-dir", "-", "--compare", str(full),
-        ])
-        assert code == 2
-        assert "full-suite record" in capsys.readouterr().err
-
+    # A full-suite record is of the other tier, and has no CSV header.
     @pytest.mark.parametrize(
-        "spec, message",
+        "extra, message",
         [
-            ("tree-n256", "expects CASE:FLOOR"),
-            (":2.0", "expects CASE:FLOOR"),
-            ("tree-n256:fast", "floor 'fast' is not a number"),
+            (["--output-dir", "/nonexistent/dir"], "does not exist"),
+            (["--compare", str(FULL)], "full-suite record"),
+            (["--history", str(FULL)], "has header"),
+            (["--require-speedup", "tree-n256"], "expects CASE:FLOOR"),
+            (["--require-speedup", ":2.0"], "expects CASE:FLOOR"),
+            (["--require-speedup", "tree-n256:fast"], "'fast' is not a number"),
         ],
-        ids=["no-floor", "no-case", "not-a-number"],
+        ids=[
+            "no-output-dir", "other-tier", "history-header", "no-floor",
+            "no-case", "not-a-number",
+        ],
     )
-    def test_bench_malformed_floor_fails_fast(
-        self, capsys, monkeypatch, spec, message
+    def test_bench_refuses_bad_input_before_measuring(
+        self, capsys, monkeypatch, extra, message
     ):
         from repro.analysis import bench
 
         def no_run(**kwargs):
-            raise AssertionError("measured before refusing the floor")
+            raise AssertionError("measured before refusing the input")
 
         monkeypatch.setattr(bench, "run_bench", no_run)
-        code = main([
-            "bench", "--quick", "--output-dir", "-",
-            "--require-speedup", spec,
-        ])
-        assert code == 2
+        assert main(["bench", "--quick", "--output-dir", "-"] + extra) == 2
         assert message in capsys.readouterr().err
 
-    def test_bench_floors_gate_the_run(self, capsys, monkeypatch):
+    def test_bench_floors_gate_the_run(self, capsys, tmp_path, monkeypatch):
         # The committed quick baseline stands in for a fresh run.
-        import pathlib
-
         from repro.analysis import bench
 
-        baseline = bench.load_bench(str(
-            pathlib.Path(__file__).resolve().parents[2]
-            / "BENCH_BASELINE.json"
-        ))
+        baseline = bench.load_bench(str(ROOT / "BENCH_BASELINE.json"))
         monkeypatch.setattr(bench, "run_bench", lambda **kwargs: baseline)
+        monkeypatch.chdir(tmp_path)
         ratio = bench.bench_ratios(baseline)["tree-n256"][1]
         argv = ["bench", "--quick", "--output-dir", "-", "--require-speedup"]
         assert main(argv + [f"tree-n256:{ratio * 0.99}"]) == 0
         assert "speedup floors ok" in capsys.readouterr().out
         assert main(argv + [f"tree-n256:{ratio * 1.01}"]) == 2
         assert "below the committed floor" in capsys.readouterr().err
-
-    def test_bench_quick_no_output(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        code = main(["bench", "--quick", "--output-dir", "-"])
-        assert code == 0
+        # --output-dir - writes no record.
         assert not list(tmp_path.glob("BENCH_*.json"))
 
     def test_version(self, capsys):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.exceptions import ExperimentError
 from repro.scenarios import (
-    CampaignRunner,
     FaultPhase,
     ProtocolSpec,
     RunPhase,
@@ -73,24 +72,14 @@ class TestRunCampaign:
         assert _fingerprint(a) != _fingerprint(b)
 
 
-class TestCampaignRunner:
-    def test_runner_policy_applies(self):
-        runner = CampaignRunner(repetitions=2, seed=5, workers=1)
-        campaign = runner.run(_scenario())
-        assert campaign.repetitions == 2
-        assert campaign.seed == 5
-        direct = run_campaign(_scenario(), repetitions=2, seed=5)
-        assert _fingerprint(campaign) == _fingerprint(direct)
-
-    def test_default_max_events_policy(self):
+    def test_default_max_events_caps_unbudgeted_phases(self):
         scenario = Scenario(
             name="unbudgeted",
             protocol=ProtocolSpec(kind="ag", num_agents=12),
             start=StartSpec(kind="pileup"),
             phases=(RunPhase(until="silence"),),
         )
-        runner = CampaignRunner(repetitions=2, default_max_events=4)
-        campaign = runner.run(scenario)
+        campaign = run_campaign(scenario, repetitions=2, default_max_events=4)
         assert all(
             result.phase_logs[0].events == 4 for result in campaign.results
         )
