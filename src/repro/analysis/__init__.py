@@ -41,7 +41,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
         "check_picklable",
         "supervised_map",
     ),
-    ".sweep": ("SweepPoint", "fan_out", "measure_stabilisation", "run_sweep"),
+    ".sweep": ("SweepPoint", "measure_stabilisation", "run_sweep"),
     ".tables": ("Table", "format_value"),
     ".trajectories": (
         "PhaseCensus",

@@ -25,9 +25,10 @@ on the record.
 gate (used by CI smoke): a case regressing below its committed floor
 fails the run.  :func:`compare_bench` gates the whole *trend*: it diffs
 a fresh record against the committed baseline record of the same tier
-case by case and fails on any >15% regression of the machine-relative
-throughput ratios (speedup over the seed engine for engine cases,
-weighted-over-rejection for scheduler cases).  :func:`append_bench_history`
+case by case and fails on any >25% regression
+(:data:`COMPARE_TOLERANCE`) of the machine-relative throughput ratios
+(speedup over the seed engine for engine cases, weighted-over-rejection
+for scheduler cases).  :func:`append_bench_history`
 accumulates per-case events/s into a CSV that the nightly workflow
 uploads and renders as an ASCII trend table.
 """
@@ -58,6 +59,7 @@ from ..protocols.trap import SingleTrapProtocol
 from ..protocols.tree_protocol import TreeRankingProtocol
 
 __all__ = [
+    "COMPARE_TOLERANCE",
     "BenchCase",
     "SchedulerBenchCase",
     "append_bench_history",
@@ -619,17 +621,22 @@ def check_same_tier(quick: bool, baseline: Dict[str, object]) -> None:
         )
 
 
+#: The largest fractional drop of a case's ratio below the baseline's
+#: that :func:`compare_bench` lets pass.  25%: the quick and nightly
+#: gates both ran at this bound, which unchanged code can come close to
+#: on the noisiest ratios (the batch kernel's).
+COMPARE_TOLERANCE = 0.25
+
+
 def compare_bench(
-    record: Dict[str, object],
-    baseline: Dict[str, object],
-    tolerance: float = 0.15,
+    record: Dict[str, object], baseline: Dict[str, object]
 ) -> List[str]:
     """Diff a fresh record against the committed baseline record.
 
     Returns the human-readable comparison lines and raises
     :class:`~repro.exceptions.SimulationError` when any case's
-    machine-relative ratio regressed more than ``tolerance`` below the
-    baseline's — the CI trend gate — or when the baseline is of the
+    machine-relative ratio regressed more than :data:`COMPARE_TOLERANCE`
+    below the baseline's — the CI trend gate — or when the baseline is of the
     other tier (:func:`check_same_tier`).  Events/s are reported for
     context only: they do not transfer between machines, whereas the
     ratios do.  Cases present in only one record are reported but never
@@ -657,10 +664,10 @@ def compare_bench(
             f"{case_id:<18} {metric} {base_ratio:6.2f}x -> {ratio:6.2f}x "
             f"({drift:+.1%}; {base_eps:,.0f} -> {eps:,.0f} ev/s)"
         )
-        if ratio < (1.0 - tolerance) * base_ratio:
+        if ratio < (1.0 - COMPARE_TOLERANCE) * base_ratio:
             failures.append(
                 f"{case_id}: {metric} {ratio:.2f}x regressed more than "
-                f"{tolerance:.0%} below the baseline {base_ratio:.2f}x"
+                f"{COMPARE_TOLERANCE:.0%} below the baseline {base_ratio:.2f}x"
             )
     if failures:
         raise SimulationError(

@@ -1,7 +1,9 @@
 """Supervised process-pool execution: timeouts, retries, quarantine.
 
-:func:`supervised_map` is the fault-tolerant executor seam underneath
-:func:`repro.analysis.sweep.fan_out`.  Instead of ``executor.map`` —
+:func:`supervised_map` is the fault-tolerant executor that
+:func:`~repro.analysis.sweep.run_sweep`,
+:func:`~repro.scenarios.campaign.run_campaign` and the ensemble runner
+fan their jobs out through.  Instead of ``executor.map`` —
 where one crashed worker poisons the whole batch with
 ``BrokenProcessPool`` and one hung job stalls it forever — every job
 gets its own future, a deadline, and a bounded retry budget:
@@ -30,12 +32,13 @@ gets its own future, a deadline, and a bounded retry budget:
 Deterministic *exceptions* raised by the worker (as opposed to process
 deaths) are never retried — the jobs are pure, so a re-run would raise
 identically.  They re-raise immediately under ``policy.fail_fast``
-(the default, preserving classic ``fan_out`` semantics) or become
-:class:`JobFailure` records otherwise (the ensemble runner's choice).
+(the default) or become :class:`JobFailure` records otherwise (the
+ensemble runner's choice).
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import random
@@ -122,9 +125,9 @@ class SupervisionPolicy:
     jitter: float = 0.25
     #: Pool rebuilds tolerated before degrading to serial execution.
     max_pool_rebuilds: int = 3
-    #: ``True``: deterministic worker exceptions re-raise immediately
-    #: (classic ``fan_out`` semantics).  ``False``: they quarantine as
-    #: :class:`JobFailure` records like exhausted crash retries.
+    #: ``True``: deterministic worker exceptions re-raise immediately.
+    #: ``False``: they quarantine as :class:`JobFailure` records like
+    #: exhausted crash retries.
     fail_fast: bool = True
 
     def __post_init__(self) -> None:
@@ -240,17 +243,26 @@ def _quarantine_error(
 _PARENT_POLL_S = 1.0
 
 
-def _exit_with_parent() -> None:
-    """Pool initializer: exit the worker once the process that started
-    its pool is gone.
+def _exit_with_parent(parent: int) -> None:
+    """Pool initializer: exit the worker once ``parent``, the process
+    that started its pool, is gone, or when the pool terminates it.
 
     A forked worker holds the write end of the call-queue pipe it
     blocks reading, so when its parent dies without shutting the pool
     down (a SIGKILL) it never sees EOF, and would wait for good under
     another parent.  A daemon thread compares the parent pid about once
-    a second and exits the worker when it changes.
+    a second and exits the worker when it changes.  The pid comes from
+    the parent, not from ``os.getppid()`` here: a parent killed between
+    the fork and this call would otherwise leave the worker watching
+    its new parent for good.
+
+    A forked worker also inherits its parent's SIGTERM handler (the
+    :class:`ShutdownLatch` of ``repro ensemble run``), under which the
+    SIGTERM of :func:`_terminate_pool` would only trip a copy of the
+    latch and leave a hung job running; the worker takes the default
+    action back.
     """
-    parent = os.getppid()
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
     def watch() -> None:
         while os.getppid() == parent:
@@ -260,10 +272,39 @@ def _exit_with_parent() -> None:
     threading.Thread(target=watch, name="parent-watch", daemon=True).start()
 
 
+def _submit(executor: ProcessPoolExecutor, worker: Callable, job):
+    """``executor.submit`` with SIGINT held off in this thread.
+
+    A pool forks its workers inside a submit.  A Ctrl-C landing in a
+    fork is swallowed by the interpreter's at-fork hooks ("Exception
+    ignored in _releaseLock"), or kills a worker mid-start that the
+    pool then waits on for good.  Held off, it arrives once the submit
+    returns.  The workers and the pool's helper threads inherit the
+    mask and never see SIGINT: the process that owns the pool takes
+    the KeyboardInterrupt and terminates them.
+    """
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        return executor.submit(worker, job)
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
+
+
 def _new_pool(workers: int) -> ProcessPoolExecutor:
-    """A process pool whose workers exit when this process dies."""
+    """A pool of workers forked from this process, which exit when it
+    dies.
+
+    Forked whatever the interpreter's default start method (Python
+    3.14 made it forkserver on Linux): :func:`_exit_with_parent` and
+    :func:`_submit` rely on each worker being this process's child and
+    inheriting its signal mask and handlers.  Under forkserver every
+    worker's parent is the server, and each would exit at once.
+    """
     return ProcessPoolExecutor(
-        max_workers=workers, initializer=_exit_with_parent
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_exit_with_parent,
+        initargs=(os.getpid(),),
     )
 
 
@@ -322,7 +363,7 @@ def _solo_isolation(
     for index in suspects:
         solo = _new_pool(1)
         try:
-            future = solo.submit(worker, jobs[index])
+            future = _submit(solo, worker, jobs[index])
             done, _ = wait([future], timeout=policy.timeout)
             if not done:
                 _terminate_pool(solo)
@@ -441,7 +482,7 @@ def supervised_map(
             else None
         )
         try:
-            future = executor.submit(worker, jobs[index])
+            future = _submit(executor, worker, jobs[index])
         except BrokenProcessPool:
             pending.appendleft(index)
             return False
@@ -561,6 +602,13 @@ def supervised_map(
                     executor = None
                     rebuilds += 1
                     _notify(observer, "pool_rebuild", rebuilds=rebuilds)
+    except BaseException:
+        # A Ctrl-C, most of all: the workers never see SIGINT, so kill
+        # them rather than wait for the jobs they are running.
+        if executor is not None:
+            _terminate_pool(executor)
+            executor = None
+        raise
     finally:
         if executor is not None:
             executor.shutdown(wait=False, cancel_futures=True)

@@ -26,7 +26,6 @@ from .supervision import JobFailure, SupervisionPolicy, supervised_map
 
 __all__ = [
     "SweepPoint",
-    "fan_out",
     "run_sweep",
     "measure_stabilisation",
     "JobFailure",
@@ -80,45 +79,6 @@ class SweepPoint:
     def max_parallel_time(self) -> float:
         """Worst repetition — the relevant statistic for whp claims."""
         return self.time_summary().maximum
-
-
-def fan_out(
-    worker,
-    jobs: Sequence,
-    workers: Optional[int] = None,
-    policy: Optional[SupervisionPolicy] = None,
-    observer: Optional[Callable[[str, Dict], None]] = None,
-) -> List:
-    """Map ``worker`` over ``jobs``, optionally via a process pool.
-
-    The shared executor seam for every campaign/sweep in the repo:
-    ``workers`` of ``None`` or 1 runs serially in-process; more fans the
-    jobs out under :func:`~repro.analysis.supervision.supervised_map`
-    (future-per-job dispatch with deadlines, crash isolation, bounded
-    retries, and quarantine — see that module).  Results keep job
-    order, so any caller that derives each job's randomness *before*
-    dispatch (the ``SeedSequence.spawn`` pattern) is bit-identical at
-    every worker count.  ``worker`` and the jobs must then be
-    picklable — checked up front, with the offending object named —
-    i.e. module-level callables and plain data.
-
-    ``fan_out`` itself keeps the classic all-or-nothing contract: any
-    job quarantined by the supervisor raises :class:`ExperimentError`
-    here.  Callers that want quarantined jobs back as data use
-    :func:`supervised_map` directly.  ``observer`` forwards the
-    supervisor's retry/quarantine/pool-rebuild events (see
-    :func:`supervised_map`).
-    """
-    results, failures = supervised_map(
-        worker, jobs, workers=workers, policy=policy, observer=observer
-    )
-    if failures:
-        detail = "; ".join(repr(failure) for failure in failures[:5])
-        raise ExperimentError(
-            f"{len(failures)} of {len(results)} jobs failed under "
-            f"supervision: {detail}"
-        )
-    return results
 
 
 def _run_sweep_job(job: tuple) -> RunResult:

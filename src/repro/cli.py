@@ -15,10 +15,10 @@ Subcommands:
   the seed engine's recorded numbers and write
   ``BENCH_<timestamp>.json`` (``--instrument`` reports engine counters
   instead of wall-clock);
-* ``ensemble`` — run, resume, join, and inspect resumable sharded
-  ensembles (10⁵+ seeded scenario runs with crash recovery; ``join``
-  adds cooperative multi-process/multi-machine draining via
-  crash-tolerant shard leases; see README);
+* ``ensemble`` — run and inspect resumable sharded ensembles (10⁵+
+  seeded scenario runs with crash recovery; rerunning ``run`` continues
+  a directory, and several ``run`` processes drain one shared directory
+  together through crash-tolerant shard leases; see README);
 * ``trace`` — summarize, diff, and validate structured run traces
   (``repro scenario run ... --trace out.jsonl``);
 * ``serve`` — simulation-as-a-service: an HTTP + WebSocket server
@@ -180,13 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument(
         "--compare", default=None, metavar="BASELINE_JSON",
         help="diff this run against a committed BENCH_*.json of the "
-        "same tier (--quick or full) and fail on any >15%% regression of "
+        "same tier (--quick or full) and fail on any >25%% regression of "
         "the machine-relative throughput ratios (the CI trend gate)",
-    )
-    ben.add_argument(
-        "--compare-tolerance", type=float, default=0.15,
-        help="allowed fractional ratio regression for --compare "
-        "(default 0.15)",
     )
     ben.add_argument(
         "--history", default=None, metavar="CSV",
@@ -209,42 +204,45 @@ def build_parser() -> argparse.ArgumentParser:
 
     ens = sub.add_parser(
         "ensemble",
-        help="run / resume / inspect resumable sharded ensembles",
+        help="run / continue / inspect resumable sharded ensembles",
     )
     ens_sub = ens.add_subparsers(dest="ensemble_command", required=True)
     ens_run = ens_sub.add_parser(
         "run",
-        help="run one sharded ensemble (or resume an interrupted one)",
+        help="run one sharded ensemble; rerun to continue it, or start "
+        "several on one shared directory to drain it together",
     )
     ens_run.add_argument(
         "--campaign", default=None, metavar="ID",
-        help="campaign id (see `repro scenario list`); required unless "
-        "--resume reads it from the manifest",
+        help="campaign id (see `repro scenario list`); required when "
+        "--out holds no ensemble yet",
     )
-    ens_run.add_argument("--scale", choices=SCALES, default="smoke")
-    ens_run.add_argument("--seed", type=int, default=0)
+    ens_run.add_argument(
+        "--scale", choices=SCALES, default=None,
+        help="campaign scale (default: smoke)",
+    )
+    ens_run.add_argument(
+        "--seed", type=int, default=None, help="root seed (default 0)"
+    )
     ens_run.add_argument(
         "--runs", type=int, default=None,
         help="total seeded runs (default: the campaign's per-scale "
         "repetition count)",
     )
     ens_run.add_argument(
-        "--shard-size", type=int, default=1000,
+        "--shard-size", type=int, default=None,
         help="runs per shard file (bounds peak memory; default 1000)",
     )
     ens_run.add_argument(
         "--out", required=True, metavar="DIR",
-        help="ensemble directory (manifest, shards, aggregates)",
+        help="ensemble directory (manifest, shards, aggregates); one that "
+        "already holds an ensemble is continued, and any flag above "
+        "that contradicts its manifest is refused",
     )
     ens_run.add_argument(
         "--workers", type=int, default=None,
         help="supervised process-pool size (default: serial; results "
         "are bit-identical at any worker count)",
-    )
-    ens_run.add_argument(
-        "--resume", action="store_true",
-        help="continue an interrupted ensemble: verify finished shards "
-        "by checksum, quarantine corrupt ones, recompute only the gap",
     )
     ens_run.add_argument(
         "--max-events", type=int, default=None,
@@ -265,75 +263,22 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 0.25)",
     )
     ens_run.add_argument(
-        "--progress", action="store_true",
-        help="live ASCII progress dashboard on stderr (shards, runs, "
-        "throughput, ETA, supervision interventions)",
-    )
-    ens_join = ens_sub.add_parser(
-        "join",
-        help="join an ensemble directory as one cooperative worker "
-        "(crash-tolerant shard leases; run N of these against one "
-        "shared directory)",
-    )
-    ens_join.add_argument(
-        "out", metavar="OUT_DIR",
-        help="shared ensemble directory (the first joiner bootstraps "
-        "the manifest from the flags below; later joiners read it)",
-    )
-    ens_join.add_argument(
-        "--campaign", default=None, metavar="ID",
-        help="campaign id, used only if this joiner creates the "
-        "manifest (required then; later joiners may omit it or must "
-        "match)",
-    )
-    ens_join.add_argument("--scale", choices=SCALES, default="smoke")
-    ens_join.add_argument("--seed", type=int, default=0)
-    ens_join.add_argument(
-        "--runs", type=int, default=None,
-        help="total seeded runs, used only at manifest bootstrap",
-    )
-    ens_join.add_argument(
-        "--shard-size", type=int, default=1000,
-        help="runs per shard file, used only at manifest bootstrap",
-    )
-    ens_join.add_argument(
-        "--max-events", type=int, default=None,
-        help="default per-phase event budget, used only at bootstrap",
-    )
-    ens_join.add_argument(
-        "--workers", type=int, default=None,
-        help="this joiner's supervised process-pool size (default: "
-        "serial)",
-    )
-    ens_join.add_argument(
         "--ttl", type=float, default=30.0,
-        help="shard lease time-to-live in seconds; a worker dead "
-        "longer than this has its shard reclaimed (default 30)",
+        help="shard lease time-to-live in seconds; a worker silent "
+        "longer than this has its shard reclaimed, at once if it died "
+        "in this machine's pid namespace (default 30)",
     )
-    ens_join.add_argument(
+    ens_run.add_argument(
         "--worker-id", default=None, metavar="ID",
         help="override the worker identity in leases and traces "
         "(default: <host>-<pid>-<uuid>)",
     )
-    ens_join.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-run wall-clock deadline in seconds",
-    )
-    ens_join.add_argument(
-        "--max-attempts", type=int, default=3,
-        help="crash/hang attempts per run before quarantine (default 3)",
-    )
-    ens_join.add_argument(
-        "--backoff", type=float, default=0.25,
-        help="first retry delay in seconds, doubling per attempt "
-        "(default 0.25)",
-    )
-    ens_join.add_argument(
+    ens_run.add_argument(
         "--progress", action="store_true",
-        help="narrate claims, commits, steals, and reconciliation on "
-        "stderr",
+        help="live ASCII progress dashboard on stderr (shards, runs, "
+        "throughput, ETA, supervision interventions)",
     )
-    ens_join.add_argument(
+    ens_run.add_argument(
         "--trace", default=None, metavar="JSONL",
         help="write this worker's operational trace (lease claims/"
         "renews/steals, shard commits, supervision events) to this "
@@ -385,11 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-size", type=int, default=32,
         help="finished results kept for digest-identical replay "
         "(default 32)",
-    )
-    srv.add_argument(
-        "--workers", type=int, default=None,
-        help="supervised process-pool size for scenario repetitions "
-        "(default: serial, which streams records live per repetition)",
     )
     return parser
 
@@ -562,6 +502,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     import os
 
     from .analysis.bench import (
+        COMPARE_TOLERANCE,
         append_bench_history,
         check_bench_history,
         check_same_tier,
@@ -624,12 +565,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             + ", ".join(f"{c}>={f}" for c, f in sorted(floors.items()))
         )
     if baseline is not None:
-        lines = compare_bench(
-            record, baseline, tolerance=args.compare_tolerance
-        )
+        lines = compare_bench(record, baseline)
         print(
             f"trend vs baseline {baseline.get('timestamp', '?')} "
-            f"(tolerance {args.compare_tolerance:.0%}):"
+            f"(tolerance {COMPARE_TOLERANCE:.0%}):"
         )
         for line in lines:
             print(f"  {line}")
@@ -637,7 +576,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _print_ensemble_summary(aggregate: dict, out_dir: str) -> int:
-    """The shared end-of-run report for ``ensemble run`` and ``join``."""
+    """The end-of-run report of ``ensemble run``."""
     summary = aggregate["aggregates"]
     print(f"campaign      : {aggregate['campaign']} "
           f"(scale {aggregate['scale']}, seed {aggregate['seed']})")
@@ -655,9 +594,122 @@ def _print_ensemble_summary(aggregate: dict, out_dir: str) -> int:
     return 0 if summary["failed_jobs"] == 0 else 1
 
 
-def _cmd_ensemble_join(args: argparse.Namespace) -> int:
+def _ensemble_dashboard(out_dir: str):
+    """The ``--progress`` sink: one line per finished shard or fault.
+
+    Done shards are counted from one listing of the directory's
+    ``shard-<i>.done`` markers, so the line counts every cooperating
+    worker's commits at O(1) file operations an event.  The rate and
+    ETA cover the runs committed since this process began draining, not
+    those of an earlier run of the directory.
+    """
+    import os
+    import time
+
+    from .ensemble.manifest import done_marker_path, load_manifest
+    from .viz.ascii import render_ensemble_progress
+
+    tally = {"quarantine": 0, "retry": 0}
+    view = {}
+
+    def committed():
+        runs = [
+            view["runs"][name]
+            for name in os.listdir(out_dir) if name in view["runs"]
+        ]
+        return len(runs), sum(runs)
+
+    def sink(kind, fields):
+        if not view:
+            # The first event (a lease claim) follows the manifest's
+            # creation and precedes this process's first commit.
+            manifest = load_manifest(out_dir)
+            view["runs"] = {
+                os.path.basename(done_marker_path(out_dir, shard["index"])):
+                    shard["stop"] - shard["start"]
+                for shard in manifest["shards"]
+            }
+            view["totals"] = (manifest["total_runs"], len(manifest["shards"]))
+            view["begin"] = time.monotonic()
+            view["baseline"] = committed()[1]
+        if kind in tally:
+            tally[kind] += 1
+        elif kind != "shard_done":
+            return
+        shards_done, runs_done = committed()
+        total_runs, shards_total = view["totals"]
+        elapsed = time.monotonic() - view["begin"]
+        runs_new = runs_done - view["baseline"]
+        throughput = runs_new / elapsed if runs_new and elapsed > 0 else None
+        remaining = total_runs - runs_done
+        eta_s = remaining / throughput if throughput and remaining else None
+        print(
+            render_ensemble_progress(
+                runs_done=runs_done,
+                total_runs=total_runs,
+                shards_done=shards_done,
+                shards_total=shards_total,
+                throughput=throughput,
+                eta_s=eta_s,
+                quarantined=tally["quarantine"],
+                retries=tally["retry"],
+            ),
+            file=sys.stderr,
+        )
+
+    return sink
+
+
+def _cmd_ensemble_status(args: argparse.Namespace) -> int:
+    from .ensemble import ensemble_status
+
+    status = ensemble_status(args.out)
+    scalars = {
+        k: v for k, v in status.items()
+        if k not in ("shards", "throughput_runs_per_s", "eta_s", "workers")
+    }
+    width = max(len(key) for key in scalars)
+    for key, value in scalars.items():
+        print(f"{key:{width}s} : {value}")
+    if status["shards"]:
+        print(f"{'shards':{width}s} :")
+        print(f"  {'shard':>5} {'runs':>6} {'runs/s':>10}")
+        for row in status["shards"]:
+            rate = row["throughput_runs_per_s"]
+            rate_text = f"{rate:,.1f}" if rate is not None else "-"
+            print(f"  {row['index']:>5} {row['runs']:>6} {rate_text:>10}")
+    if status["workers"]:
+        print(f"{'workers':{width}s} :")
+        print(f"  {'shard':>5} {'token':>5} {'expires':>9}  owner")
+        for row in status["workers"]:
+            expiry = (
+                "EXPIRED"
+                if row["expired"]
+                else f"{row['expires_in_s']:.1f}s"
+            )
+            print(
+                f"  {row['shard']:>5} {row['token']:>5} "
+                f"{expiry:>9}  {row['owner']}"
+            )
+    from .viz.ascii import render_ensemble_progress
+
+    print(render_ensemble_progress(
+        runs_done=status["runs_done"],
+        total_runs=status["total_runs"],
+        shards_done=status["shards_done"],
+        shards_total=status["shards_total"],
+        throughput=status["throughput_runs_per_s"],
+        eta_s=status["eta_s"],
+    ))
+    return 0 if status["complete"] else 1
+
+
+def _cmd_ensemble(args: argparse.Namespace) -> int:
+    if args.ensemble_command == "status":
+        return _cmd_ensemble_status(args)
+
     from .analysis.supervision import ShutdownLatch, SupervisionPolicy
-    from .ensemble import join_ensemble, worker_identity
+    from .ensemble import run_ensemble, worker_identity
 
     policy = SupervisionPolicy(
         timeout=args.timeout,
@@ -666,42 +718,39 @@ def _cmd_ensemble_join(args: argparse.Namespace) -> int:
         fail_fast=False,
     )
     worker = args.worker_id or worker_identity()
+    sinks = []
     writer = None
-    observer = None
     if args.trace is not None:
         from .obs import TraceWriter
 
         writer = TraceWriter(
-            args.trace,
-            source="ensemble-join",
-            worker=worker,
-            out_dir=args.out,
+            args.trace, source="ensemble-run", worker=worker, out_dir=args.out,
         )
-
-        def observer(kind, fields):
-            writer.emit(kind, **fields)
-
-    progress = None
+        sinks.append(lambda kind, fields: writer.emit(kind, **fields))
     if args.progress:
-        def progress(line):
-            print(line, file=sys.stderr)
+        sinks.append(_ensemble_dashboard(args.out))
+
+    def observer(kind, fields):
+        for sink in sinks:
+            sink(kind, fields)
+
     with ShutdownLatch() as latch:
         try:
-            aggregate = join_ensemble(
+            aggregate = run_ensemble(
                 args.out,
                 campaign_id=args.campaign,
                 scale=args.scale,
                 total_runs=args.runs,
                 shard_size=args.shard_size,
                 seed=args.seed,
-                default_max_events=args.max_events,
                 workers=args.workers,
+                default_max_events=args.max_events,
                 policy=policy,
                 ttl=args.ttl,
                 worker=worker,
                 shutdown=latch,
-                progress=progress,
-                observer=observer,
+                progress=lambda line: print(line, file=sys.stderr),
+                observer=observer if sinks else None,
             )
         finally:
             if writer is not None:
@@ -709,147 +758,10 @@ def _cmd_ensemble_join(args: argparse.Namespace) -> int:
     if aggregate is None:
         print(
             f"worker {worker} stopped on request — finished shards are "
-            f"committed; rejoin with `repro ensemble join {args.out}`",
+            f"committed; continue with `repro ensemble run --out {args.out}`",
             file=sys.stderr,
         )
         return 143
-    return _print_ensemble_summary(aggregate, args.out)
-
-
-def _cmd_ensemble(args: argparse.Namespace) -> int:
-    from .analysis.supervision import SupervisionPolicy
-    from .ensemble import ensemble_status, run_ensemble
-
-    if args.ensemble_command == "join":
-        return _cmd_ensemble_join(args)
-
-    if args.ensemble_command == "status":
-        status = ensemble_status(args.out)
-        scalars = {
-            k: v for k, v in status.items()
-            if k not in ("shards", "throughput_runs_per_s", "eta_s",
-                         "workers")
-        }
-        width = max(len(key) for key in scalars)
-        for key, value in scalars.items():
-            print(f"{key:{width}s} : {value}")
-        if status["shards"]:
-            print(f"{'shards':{width}s} :")
-            print(f"  {'shard':>5} {'runs':>6} {'runs/s':>10}")
-            for row in status["shards"]:
-                rate = row["throughput_runs_per_s"]
-                rate_text = f"{rate:,.1f}" if rate is not None else "-"
-                print(f"  {row['index']:>5} {row['runs']:>6} {rate_text:>10}")
-        if status["workers"]:
-            print(f"{'workers':{width}s} :")
-            print(f"  {'shard':>5} {'token':>5} {'expires':>9}  owner")
-            for row in status["workers"]:
-                expiry = (
-                    "EXPIRED"
-                    if row["expired"]
-                    else f"{row['expires_in_s']:.1f}s"
-                )
-                print(
-                    f"  {row['shard']:>5} {row['token']:>5} "
-                    f"{expiry:>9}  {row['owner']}"
-                )
-        from .viz.ascii import render_ensemble_progress
-
-        print(render_ensemble_progress(
-            runs_done=status["runs_done"],
-            total_runs=status["total_runs"],
-            shards_done=status["shards_done"],
-            shards_total=status["shards_total"],
-            throughput=status["throughput_runs_per_s"],
-            eta_s=status["eta_s"],
-        ))
-        return 0 if status["complete"] else 1
-
-    policy = SupervisionPolicy(
-        timeout=args.timeout,
-        max_attempts=args.max_attempts,
-        backoff_base=args.backoff,
-        fail_fast=False,
-    )
-    observer = None
-    if args.progress:
-        import time
-
-        from .ensemble.manifest import load_manifest
-        from .viz.ascii import render_ensemble_progress
-
-        tally = {"runs": 0, "shards": 0, "retries": 0, "quarantined": 0}
-        totals = {}
-        begin = time.monotonic()
-
-        def observer(kind, fields):
-            if kind == "retry":
-                tally["retries"] += 1
-            elif kind == "quarantine":
-                tally["quarantined"] += 1
-            elif kind == "shard_done":
-                tally["shards"] += 1
-                tally["runs"] += fields["stop"] - fields["start"]
-            else:
-                return
-            if not totals:
-                # The manifest is durably on disk before any shard runs;
-                # it knows the true totals even on --resume.
-                manifest = load_manifest(args.out)
-                totals["runs"] = manifest["total_runs"]
-                totals["shards"] = len(manifest["shards"])
-                already = sum(
-                    s["stop"] - s["start"]
-                    for s in manifest["shards"]
-                    if s["status"] == "done"
-                )
-                totals["head_start"] = already - tally["runs"]
-                totals["shard_head_start"] = (
-                    sum(
-                        1 for s in manifest["shards"]
-                        if s["status"] == "done"
-                    )
-                    - tally["shards"]
-                )
-            elapsed = time.monotonic() - begin
-            throughput = tally["runs"] / elapsed if elapsed > 0 else None
-            runs_done = tally["runs"] + max(0, totals["head_start"])
-            remaining = totals["runs"] - runs_done
-            print(
-                render_ensemble_progress(
-                    runs_done=runs_done,
-                    total_runs=totals["runs"],
-                    shards_done=(
-                        tally["shards"]
-                        + max(0, totals["shard_head_start"])
-                    ),
-                    shards_total=totals["shards"],
-                    throughput=throughput,
-                    eta_s=(
-                        remaining / throughput
-                        if throughput and remaining > 0
-                        else None
-                    ),
-                    quarantined=tally["quarantined"],
-                    retries=tally["retries"],
-                ),
-                file=sys.stderr,
-            )
-
-    aggregate = run_ensemble(
-        args.out,
-        campaign_id=args.campaign,
-        scale=args.scale,
-        total_runs=args.runs,
-        shard_size=args.shard_size,
-        seed=args.seed,
-        workers=args.workers,
-        default_max_events=args.max_events,
-        policy=policy,
-        resume=args.resume,
-        progress=lambda line: print(line, file=sys.stderr),
-        observer=observer,
-    )
     return _print_ensemble_summary(aggregate, args.out)
 
 
@@ -896,7 +808,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # `listening` line, not in its first job.
     from .serve import serve_forever
 
-    # SIGTERM → graceful wind-down → exit 143 (the `ensemble join`
+    # SIGTERM → graceful wind-down → exit 143 (the `ensemble run`
     # contract); SIGINT → 130.  A running job is parked at its next
     # safe boundary before the process exits.
     return asyncio.run(
@@ -905,7 +817,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             port=args.port,
             queue_size=args.queue_size,
             cache_size=args.cache_size,
-            workers=args.workers,
         )
     )
 
@@ -963,17 +874,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # One clean line instead of a stack trace; long-running
         # commands are interrupted deliberately all the time.
         message = "interrupted"
-        ensemble_command = getattr(args, "ensemble_command", None)
-        if args.command == "ensemble" and ensemble_command == "run":
+        if getattr(args, "ensemble_command", None) == "run":
             message += (
-                f" — finished shards are safe; continue with "
-                f"`repro ensemble run --out {args.out} --resume`"
-            )
-        elif args.command == "ensemble" and ensemble_command == "join":
-            message += (
-                f" — committed shards are safe; any held lease expires "
-                f"after its TTL; continue with "
-                f"`repro ensemble join {args.out}`"
+                f" — committed shards are safe; continue with "
+                f"`repro ensemble run --out {args.out}`"
             )
         print(message, file=sys.stderr)
         return 130

@@ -3,13 +3,13 @@
 The orchestration layer for very large (10⁵+ run) fault-tolerance
 studies: shard the seeded runs, execute each shard under worker
 supervision, persist shards atomically with checksums and exclusive
-commit markers, stream the records through online reducers, and resume
-exactly the missing gap after any crash.  Cooperative mode
-(:func:`~repro.ensemble.runner.join_ensemble`) lets N processes — on
-any machines sharing the ensemble directory's filesystem — drain one
-manifest concurrently through crash-tolerant shard leases
-(:mod:`repro.ensemble.lease`).  See :mod:`repro.ensemble.runner` for
-the mechanics.
+commit markers, and stream the records through online reducers.  One
+entry point, :func:`~repro.ensemble.runner.run_ensemble` (CLI ``repro
+ensemble run``), drains a directory through crash-tolerant shard leases
+(:mod:`repro.ensemble.lease`): rerun it after any crash and it computes
+exactly the missing gap, or start N of them — on any machines sharing
+the directory's filesystem — and they drain one manifest concurrently.
+See :mod:`repro.ensemble.runner` for the mechanics.
 """
 
 from .._lazy import lazy_exports
@@ -47,7 +47,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".runner": (
         "CooperativeWorker",
         "ensemble_status",
-        "join_ensemble",
         "run_ensemble",
         "run_record",
     ),

@@ -1,6 +1,6 @@
 """Crash-tolerant shard leases for cooperative multi-worker ensembles.
 
-N independent ``repro ensemble join`` processes — different machines
+N independent ``repro ensemble run`` processes — different machines
 included, as long as they share the ensemble directory's filesystem —
 drain one manifest concurrently.  Coordination is a per-shard *lease
 file* (``shard-<index>.lease``):
@@ -8,16 +8,19 @@ file* (``shard-<index>.lease``):
 * **Claim.**  A pending shard is claimed by creating its lease file
   with ``O_CREAT|O_EXCL`` — the one filesystem primitive that is
   atomic-and-exclusive even on NFS-style shared mounts.  The lease
-  carries the claimant's identity (host/pid/uuid), a monotonic
-  *fencing token*, and a deadline ``now + ttl``.
+  carries the claimant's identity, its pid and pid namespace, a
+  monotonic *fencing token*, and a deadline ``now + ttl``.
 * **Heartbeat.**  The owner renews by atomically rewriting the lease
   with a fresh deadline (same token); :class:`LeaseHeartbeat` does
   this from a daemon thread at ``ttl/3`` while the shard computes.
 * **Expiry and steal.**  A lease whose deadline has passed is fair
-  game: a reclaimer rewrites it with ``token + 1`` and re-reads to
-  confirm it won (last-writer-wins with read-back).  The previous
-  owner's next renewal sees the foreign owner/token, returns ``False``,
-  and the worker abandons the shard gracefully.
+  game, and so is one whose owner process is gone from the claimant's
+  own pid namespace (a SIGKILLed or crashed worker next to it need not
+  be waited out).  A reclaimer rewrites it with ``token + 1`` and re-reads
+  to confirm it won (last-writer-wins with read-back).  The previous
+  owner's next renewal, or its :meth:`LeaseManager.holds` check before
+  committing, sees the foreign owner/token, and the worker abandons the
+  shard gracefully.
 * **Correctness does not depend on mutual exclusion.**  Shards are
   pure functions of ``(seed, index)``, so even if two workers briefly
   both believe they own a shard, both compute byte-identical files and
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import socket
 import threading
 import time
@@ -101,6 +105,57 @@ def _read_lease(path: str) -> Optional[Dict]:
     return payload
 
 
+def _pid_namespace() -> Optional[str]:
+    """This kernel boot's id and this process's pid namespace, or
+    ``None`` where ``/proc`` does not show them.
+
+    Two processes can test each other's pids only when both agree.  A
+    host name does not tell them apart: containers sharing one
+    (``--network host``) or cloned machines each have their own pid
+    table, in which every other one's pids look missing.
+    """
+    try:
+        with open(
+            "/proc/sys/kernel/random/boot_id", "r", encoding="ascii"
+        ) as handle:
+            boot = handle.read().strip()
+        namespace = os.stat("/proc/self/ns/pid")
+    except OSError:
+        return None
+    return f"{boot}:{namespace.st_dev}:{namespace.st_ino}"
+
+
+def _owner_gone(lease: Dict, namespace: Optional[str]) -> bool:
+    """Whether the lease's owner process has exited in this pid
+    namespace.
+
+    ``namespace`` is this process's :func:`_pid_namespace`: only a pid
+    recorded under the same one can be checked.  A killed process that
+    nobody has reaped yet (a zombie, as under a container's init that
+    does not reap) counts as gone where ``/proc`` shows its state.  A
+    lease from another namespace, one without namespace and pid, one
+    read where ``/proc`` is absent, or one whose pid is alive (a
+    recycled pid included) waits out its TTL.
+    """
+    pid = lease.get("pid")
+    if namespace is None or lease.get("pid_namespace") != namespace:
+        return False
+    if not isinstance(pid, int) or pid <= 0:
+        return False  # never signal a process group
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except OSError:
+        return False  # the pid exists under another user
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as handle:
+            state = handle.read().rsplit(b")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state == b"Z"
+
+
 class LeaseManager:
     """Claim / renew / release shard leases in one ensemble directory.
 
@@ -126,6 +181,7 @@ class LeaseManager:
         self.ttl = float(ttl)
         self.clock = clock
         self.observer = observer
+        self.namespace = _pid_namespace()
 
     def _emit(self, kind: str, **fields) -> None:
         if self.observer is None:
@@ -140,6 +196,8 @@ class LeaseManager:
             "version": LEASE_VERSION,
             "shard": index,
             "owner": self.owner,
+            "pid": os.getpid(),
+            "pid_namespace": self.namespace,
             "token": token,
             "deadline": deadline,
             "ttl": self.ttl,
@@ -148,9 +206,10 @@ class LeaseManager:
     def claim(self, index: int) -> Optional[Lease]:
         """Try to claim one shard; ``None`` on live contention.
 
-        A fresh claim starts at fencing token 1; reclaiming an expired
-        (or unreadable) lease increments the token it found, so tokens
-        are monotone along each shard's ownership history.
+        A fresh claim starts at fencing token 1; reclaiming an expired,
+        orphaned (its owner gone from this pid namespace) or unreadable
+        lease increments the token it found, so tokens are monotone
+        along each shard's ownership history.
         """
         path = lease_path(self.out_dir, index)
         now = self.clock()
@@ -169,7 +228,8 @@ class LeaseManager:
         return Lease(index, self.owner, 1, deadline, path)
 
     def _reclaim(self, path: str, index: int, now: float) -> Optional[Lease]:
-        """Steal an expired/corrupt lease; ``None`` if live or outraced."""
+        """Steal an expired, orphaned or corrupt lease; ``None`` if live
+        or outraced."""
         current = _read_lease(path)
         if current is None:
             if not os.path.exists(path):
@@ -180,7 +240,7 @@ class LeaseManager:
         held_by = str(current.get("owner", "?"))
         held_token = int(current.get("token", 0) or 0)
         held_deadline = float(current.get("deadline", 0.0) or 0.0)
-        expired = held_deadline <= now
+        expired = held_deadline <= now or _owner_gone(current, self.namespace)
         if not expired and held_by != self.owner:
             return None  # live contention — back off and try elsewhere
         if expired:
@@ -216,21 +276,25 @@ class LeaseManager:
             )
         return Lease(index, self.owner, token, deadline, path)
 
-    def renew(self, lease: Lease) -> bool:
-        """Extend the deadline; ``False`` means the lease was lost.
+    def holds(self, lease: Lease) -> bool:
+        """Whether the on-disk lease is still ``lease`` (owner and token).
 
-        A ``False`` return is the fencing signal: the on-disk lease now
-        carries a foreign owner or a higher token, so this worker must
-        abandon the shard (its eventual commit would be byte-identical
-        anyway, but abandoning avoids duplicate work and keeps the
-        ownership story in the trace truthful).
+        ``False`` is the fencing signal: the lease now carries a foreign
+        owner or a higher token, so this worker must abandon the shard
+        (its eventual commit would be byte-identical anyway, but
+        abandoning avoids duplicate work and keeps the ownership story
+        in the trace truthful).
         """
         current = _read_lease(lease.path)
-        if (
-            current is None
-            or current.get("owner") != lease.owner
-            or int(current.get("token", -1) or -1) != lease.token
-        ):
+        return (
+            current is not None
+            and current.get("owner") == lease.owner
+            and int(current.get("token", -1) or -1) == lease.token
+        )
+
+    def renew(self, lease: Lease) -> bool:
+        """Extend the deadline; ``False`` means the lease was lost."""
+        if not self.holds(lease):
             return False
         deadline = self.clock() + self.ttl
         atomic_write_text(
@@ -242,12 +306,7 @@ class LeaseManager:
             + "\n",
             suffix=".lease",
         )
-        readback = _read_lease(lease.path)
-        if (
-            readback is None
-            or readback.get("owner") != lease.owner
-            or int(readback.get("token", -1) or -1) != lease.token
-        ):
+        if not self.holds(lease):
             return False
         lease.deadline = deadline
         self._emit(
@@ -258,12 +317,7 @@ class LeaseManager:
 
     def release(self, lease: Lease) -> None:
         """Drop the lease if still ours; never raises."""
-        current = _read_lease(lease.path)
-        if (
-            current is not None
-            and current.get("owner") == lease.owner
-            and int(current.get("token", -1) or -1) == lease.token
-        ):
+        if self.holds(lease):
             try:
                 os.unlink(lease.path)
             except OSError:
@@ -277,9 +331,12 @@ def list_leases(
 
     Feeds ``repro ensemble status``: unexpired rows are the live
     workers (one heartbeat each), expired rows are claims whose owner
-    died and whose shards are about to be reclaimed.
+    died and whose shards are about to be reclaimed — past their
+    deadline, or at once when the owner was a process in this pid
+    namespace.
     """
     now = clock()
+    namespace = _pid_namespace()
     rows: List[Dict] = []
     try:
         names = sorted(os.listdir(out_dir))
@@ -298,7 +355,7 @@ def list_leases(
                 "owner": str(payload.get("owner", "?")),
                 "token": int(payload.get("token", 0) or 0),
                 "expires_in_s": deadline - now,
-                "expired": deadline <= now,
+                "expired": deadline <= now or _owner_gone(payload, namespace),
             }
         )
     return rows
@@ -336,6 +393,10 @@ class LeaseHeartbeat:
         return self
 
     def _run(self) -> None:
+        # SIGINT is the main thread's: taken here, the interpreter would
+        # raise it in the main thread wherever that happens to be, an
+        # at-fork hook that swallows it included.
+        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         while not self._stop.wait(self.interval):
             try:
                 renewed = self.manager.renew(self.lease)

@@ -270,10 +270,10 @@ def reconcile_manifest(
 def create_manifest_exclusive(out_dir: str, manifest: Dict) -> bool:
     """Create ``manifest.json`` only if absent; ``False`` when it exists.
 
-    The first of N concurrently launched joiners wins the creation race
+    The first of N concurrently launched workers wins the creation race
     atomically: the manifest is written to a temp file (full content,
     fsynced) and *linked* into place — ``os.link`` fails with
-    ``FileExistsError`` if any other joiner got there first, and a
+    ``FileExistsError`` if any other worker got there first, and a
     reader can never observe a torn manifest.  Filesystems without hard
     links fall back to an exclusive create of the complete bytes.
     """
@@ -324,10 +324,10 @@ def create_manifest(
 
     ``jobspec_digest`` pins the submitting request: the sha256 of the
     canonical :class:`~repro.jobspec.JobSpec` this ensemble computes.
-    ``ensemble status`` surfaces it, and resume/join recompute it from
-    the manifest parameters and refuse to continue when the campaign's
+    ``ensemble status`` surfaces it, and a rerun recomputes it from the
+    manifest parameters and refuses to continue when the campaign's
     current definition no longer hashes to the recorded value — a
-    silently drifted spec can then never masquerade as a resume.
+    silently drifted spec can then never masquerade as a continuation.
     """
     if total_runs < 1:
         raise ExperimentError(f"total_runs must be >= 1, got {total_runs}")
@@ -371,8 +371,8 @@ def load_manifest(out_dir: str) -> Dict:
     path = os.path.join(out_dir, MANIFEST_NAME)
     if not os.path.exists(path):
         raise ExperimentError(
-            f"no ensemble manifest at {path} — run without --resume to "
-            "start a fresh ensemble"
+            f"no ensemble manifest at {path} — start one with "
+            "`repro ensemble run --campaign ID`"
         )
     try:
         manifest = load_json(path)

@@ -1,4 +1,4 @@
-"""Resumable sharded ensemble runner, single-process and cooperative.
+"""Resumable sharded ensemble runner: one cooperative drain.
 
 Runs ``total_runs`` independently seeded instances of one catalogued
 campaign scenario, sharded so that arbitrarily large ensembles (10⁵+
@@ -8,8 +8,18 @@ instant:
 * Seeds follow the repo-wide discipline — one root ``SeedSequence``
   spawned into one child per run *before* any dispatch — so every run
   is a pure function of ``(seed, run_index)`` and the ensemble is
-  bit-identical at any worker count, across resumes, across shard
+  bit-identical at any worker count, across reruns, across shard
   boundaries, and across any number of cooperating processes.
+* One drain loop.  :func:`run_ensemble` creates the directory's manifest
+  (exclusively, so racing processes agree on one) or loads and checks
+  the one there, then drains it as one :class:`CooperativeWorker`:
+  claim a pending shard through a crash-tolerant lease
+  (:mod:`repro.ensemble.lease`), compute it while a heartbeat renews
+  the lease, commit idempotently.  A fresh run, a rerun after a crash
+  and N processes sharing one directory (across machines, on a shared
+  filesystem) are the same call; kill any subset of them at any
+  instant and the survivors, or a later rerun, converge to aggregates
+  byte-identical to an uninterrupted run.
 * Each shard's jobs go through the supervised executor
   (:func:`repro.analysis.supervision.supervised_map`) with
   ``fail_fast=False``: a crashed/hung/poison run becomes a quarantine
@@ -19,21 +29,13 @@ instant:
   checksum verification, then an exclusive ``shard-<i>.done`` marker.
   The manifest's statuses are a cached view rebuilt from the markers
   (:func:`~repro.ensemble.manifest.reconcile_manifest`), which is what
-  lets many writers share one directory without manifest races.
-* ``resume=True`` reconciles and checksum-verifies every committed
-  shard, renames corrupt files to ``*.corrupt`` and recomputes exactly
-  the gap.
-* **Cooperative mode** (:class:`CooperativeWorker` /
-  :func:`join_ensemble`, CLI ``repro ensemble join``): N processes on a
-  shared filesystem claim pending shards via crash-tolerant leases
-  (:mod:`repro.ensemble.lease`), heartbeat while computing, and commit
-  idempotently — kill any subset of workers at any instant and the
-  survivors (or a fresh join) converge to aggregates byte-identical to
-  an uninterrupted serial run.
+  lets many writers share one directory without manifest races.  Once
+  nothing is left to claim, every committed shard is checksum-verified;
+  a corrupt one is renamed to ``*.corrupt`` and recomputed.
 * Aggregates are **always** recomputed by streaming the shard files in
   index order through the online reducers
   (:mod:`repro.ensemble.reducers`) — never incrementally carried in
-  memory across shards — so a resumed or cooperatively computed
+  memory across shards — so a rerun or cooperatively computed
   ensemble's ``aggregates.json`` is byte-identical to an uninterrupted
   one's (records and aggregates carry no wall-clock fields).
 """
@@ -44,7 +46,7 @@ import dataclasses
 import os
 import random
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -72,7 +74,6 @@ __all__ = [
     "AGGREGATES_NAME",
     "CooperativeWorker",
     "ensemble_status",
-    "join_ensemble",
     "run_ensemble",
     "run_record",
 ]
@@ -145,7 +146,7 @@ def _ensemble_job(job: tuple) -> Dict:
 def _manifest_jobspec_digest(manifest: Dict) -> str:
     """Digest of the JobSpec the manifest's parameters resolve to *now*.
 
-    Recomputed — not read — so a resume can detect that the campaign's
+    Recomputed — not read — so a rerun can detect that the campaign's
     current definition (the scenario the catalog builds today) no
     longer matches the spec that created the ensemble.
     """
@@ -160,17 +161,29 @@ def _manifest_jobspec_digest(manifest: Dict) -> str:
     ).digest()
 
 
-def _check_manifest_digest(manifest: Dict, out_dir: str, verb: str) -> None:
-    """Refuse to continue an ensemble whose spec has drifted."""
+def _check_manifest(manifest: Dict, out_dir: str, **given) -> None:
+    """Refuse to continue an ensemble the arguments or the spec contradict.
+
+    ``given`` maps manifest fields to the caller's values; ``None``
+    means not given.  The recorded JobSpec digest is then recomputed
+    from the manifest against the campaign as currently defined.
+    """
+    for field, value in given.items():
+        if value is not None and value != manifest.get(field):
+            raise ExperimentError(
+                f"{out_dir} holds an ensemble with {field} "
+                f"{manifest.get(field)!r}, not {value!r}; rerun with "
+                "matching arguments or choose a fresh directory"
+            )
     recorded = manifest.get("jobspec_digest")
     if recorded is None:
         return  # pre-digest manifest: nothing to verify against
     expected = _manifest_jobspec_digest(manifest)
     if recorded != expected:
         raise ExperimentError(
-            f"{verb} found jobspec digest {recorded[:12]}… recorded in "
-            f"{out_dir}, but the campaign as currently defined resolves "
-            f"to {expected[:12]}… — the spec changed since this ensemble "
+            f"{out_dir} records jobspec digest {recorded[:12]}…, but "
+            f"the campaign as currently defined resolves to "
+            f"{expected[:12]}… — the spec changed since this ensemble "
             "was created; start a fresh directory instead"
         )
 
@@ -183,7 +196,7 @@ def _default_policy(policy: Optional[SupervisionPolicy]) -> SupervisionPolicy:
 
 
 class _EnsemblePlan:
-    """The shared compute context both execution modes run shards from.
+    """The compute context a worker runs shards from.
 
     Everything derived from the manifest alone: the built scenario, the
     full pre-spawned seed list, and the supervision policy — one shard
@@ -265,7 +278,7 @@ def _aggregate(out_dir: str, manifest: Dict) -> Dict:
             raise ExperimentError(
                 f"shard {shard['index']} ({path}) vanished or went "
                 f"corrupt between verification and aggregation: {exc} — "
-                "re-run with --resume (or rejoin) to verify checksums "
+                "rerun `repro ensemble run --out DIR` to verify checksums "
                 "and recompute the damaged shard"
             ) from exc
         for record in payload["records"]:
@@ -292,132 +305,19 @@ def _write_aggregates(out_dir: str, manifest: Dict, progress: Progress) -> Dict:
     return aggregate
 
 
-def run_ensemble(
-    out_dir: str,
-    campaign_id: Optional[str] = None,
-    scale: str = "smoke",
-    total_runs: Optional[int] = None,
-    shard_size: int = 1000,
-    seed: int = 0,
-    workers: Optional[int] = None,
-    default_max_events: Optional[int] = None,
-    policy: Optional[SupervisionPolicy] = None,
-    resume: bool = False,
-    progress: Progress = None,
-    observer: Observer = None,
-) -> Dict:
-    """Run (or resume) one sharded ensemble; returns the aggregate dict.
-
-    Fresh runs need ``campaign_id`` (and optionally ``total_runs``,
-    defaulting to the campaign's repetition count for ``scale``);
-    resumed runs read every parameter from the on-disk manifest and
-    reject contradicting arguments, so a resume can never silently
-    compute a different ensemble.
-
-    ``observer`` receives operational lifecycle events
-    (``shard_start``/``shard_commit``/``shard_done`` plus the
-    supervised executor's ``retry``/``quarantine``/``pool_rebuild``) —
-    the live ``--progress`` dashboard and operational traces hang off
-    this seam.  Observation never changes the records or aggregates,
-    which stay a pure function of the manifest.
-    """
-    if resume:
-        manifest = load_manifest(out_dir)
-        if campaign_id is not None and campaign_id != manifest["campaign"]:
-            raise ExperimentError(
-                f"--resume found campaign {manifest['campaign']!r} in "
-                f"{out_dir}, not {campaign_id!r}"
-            )
-        if total_runs is not None and total_runs != manifest["total_runs"]:
-            raise ExperimentError(
-                f"--resume found {manifest['total_runs']} runs in "
-                f"{out_dir}, not {total_runs}"
-            )
-        _check_manifest_digest(manifest, out_dir, "--resume")
-        reconcile_manifest(
-            out_dir, manifest, repair=True, verify=True, progress=progress
-        )
-        save_manifest(out_dir, manifest)
-    else:
-        if campaign_id is None:
-            raise ExperimentError(
-                "a fresh ensemble needs a campaign id"
-            )
-        if os.path.exists(os.path.join(out_dir, MANIFEST_NAME)):
-            raise ExperimentError(
-                f"{out_dir} already holds an ensemble manifest; pass "
-                "resume/--resume to continue it or choose a fresh "
-                "directory"
-            )
-        campaign = get_campaign(campaign_id)
-        if total_runs is None:
-            total_runs = campaign.repetitions_for(scale)
-        manifest = create_manifest(
-            campaign_id=campaign_id,
-            scale=scale,
-            seed=seed,
-            total_runs=total_runs,
-            shard_size=shard_size,
-            default_max_events=default_max_events,
-        )
-        manifest["jobspec_digest"] = _manifest_jobspec_digest(manifest)
-        os.makedirs(out_dir, exist_ok=True)
-        save_manifest(out_dir, manifest)
-
-    plan = _EnsemblePlan(manifest, workers, policy)
-
-    pending = [s for s in manifest["shards"] if s["status"] != "done"]
-    if progress:
-        done = len(manifest["shards"]) - len(pending)
-        progress(
-            f"ensemble {manifest['campaign']}@{manifest['scale']}: "
-            f"{manifest['total_runs']} runs in {len(manifest['shards'])} "
-            f"shards ({done} already done)"
-        )
-    for shard in pending:
-        _observe(
-            observer, "shard_start",
-            shard=shard["index"], start=shard["start"], stop=shard["stop"],
-        )
-        computed = plan.compute_shard(shard, observer)
-        digest, placed = commit_shard(
-            out_dir, shard["index"], _shard_payload(computed)
-        )
-        if placed:
-            _observe(
-                observer, "shard_commit",
-                shard=shard["index"], sha256=digest,
-            )
-        shard["status"] = "done"
-        shard["sha256"] = digest
-        save_manifest(out_dir, manifest)
-        _observe(
-            observer, "shard_done",
-            shard=shard["index"], start=shard["start"], stop=shard["stop"],
-            quarantined=computed["quarantined"],
-        )
-        if progress:
-            quarantined = computed["quarantined"]
-            note = f" ({quarantined} quarantined)" if quarantined else ""
-            progress(
-                f"shard {shard['index']} done "
-                f"[{shard['stop']}/{manifest['total_runs']} runs]{note}"
-            )
-
-    return _write_aggregates(out_dir, manifest, progress)
-
-
 class CooperativeWorker:
-    """One cooperative joiner draining a shared ensemble directory.
+    """One worker draining an ensemble directory, alone or with others.
 
-    The loop is claim → compute → commit → reconcile: pick the lowest
-    pending shard without a live lease, claim it through the
-    crash-tolerant lease protocol, compute it under supervision while a
-    heartbeat thread renews the lease, then commit idempotently.  A
-    worker that loses its lease (heartbeat stolen after TTL expiry)
-    abandons the shard gracefully — the thief commits byte-identical
-    content.  ``clock``/``sleep``/``heartbeat`` are injectable so tests
-    can drive two workers through a deterministic lease-steal schedule.
+    :func:`run_ensemble` drains every directory through this loop:
+    claim → compute → commit → reconcile.  Pick the lowest pending shard
+    without a live lease, claim it through the crash-tolerant lease
+    protocol, compute it under supervision while a heartbeat thread
+    renews the lease, then commit idempotently.  A computation that
+    raises releases its lease at once.  A worker that loses its lease
+    (stolen after TTL expiry) abandons the shard gracefully — the thief
+    commits byte-identical content.  ``clock``/``sleep``/``heartbeat``
+    are injectable so tests can drive two workers through a
+    deterministic lease-steal schedule.
 
     :meth:`step` performs exactly one such attempt and reports what
     happened (``"committed"``, ``"duplicate"``, ``"abandoned"``,
@@ -461,13 +361,22 @@ class CooperativeWorker:
     def owner(self) -> str:
         return self.manager.owner
 
-    def _pending(self) -> List[Dict]:
-        """Shards without a commit marker, in index order."""
-        return [
-            shard
-            for shard in self.manifest["shards"]
-            if read_done_marker(self.out_dir, shard["index"]) is None
-        ]
+    def _pending(self) -> Iterator[Dict]:
+        """Shards without a commit marker, in index order, read lazily.
+
+        A shard seen committed is marked ``done`` in this worker's copy
+        of the manifest and not read again, and a step stops reading at
+        the first shard it claims, so a drain reads each marker about
+        once rather than once per step; the verification at the end
+        (:func:`reconcile_manifest`) rebuilds every status.
+        """
+        for shard in self.manifest["shards"]:
+            if shard["status"] == "done":
+                continue
+            if read_done_marker(self.out_dir, shard["index"]) is None:
+                yield shard
+            else:
+                shard["status"] = "done"
 
     def step(self) -> str:
         """One claim → compute → commit attempt.
@@ -480,43 +389,47 @@ class CooperativeWorker:
         ``"abandoned"`` (the lease was lost mid-compute and the shard
         was dropped without committing).
         """
-        pending = self._pending()
-        if not pending:
-            return "complete"
         lease = None
-        for shard in pending:
+        outcome = "complete"
+        for shard in self._pending():
             lease = self.manager.claim(shard["index"])
             if lease is not None:
                 claimed = shard
                 break
+            outcome = "contended"
         if lease is None:
-            return "contended"
-        if self.progress:
-            self.progress(
-                f"worker {self.owner} claimed shard {claimed['index']} "
-                f"(token {lease.token})"
-            )
-        _observe(
-            self.observer, "shard_start",
-            shard=claimed["index"],
-            start=claimed["start"], stop=claimed["stop"],
-        )
-        beat = (
-            LeaseHeartbeat(self.manager, lease).start()
-            if self.heartbeat
-            else None
-        )
+            return outcome
+        beat = None
+        computed = None
         try:
+            if self.progress:
+                self.progress(
+                    f"worker {self.owner} claimed shard "
+                    f"{claimed['index']} (token {lease.token})"
+                )
+            _observe(
+                self.observer, "shard_start",
+                shard=claimed["index"],
+                start=claimed["start"], stop=claimed["stop"],
+            )
+            if self.heartbeat:
+                beat = LeaseHeartbeat(self.manager, lease).start()
             computed = self.plan.compute_shard(claimed, self.observer)
         finally:
             if beat is not None:
                 beat.stop()
+            if computed is None:
+                # The computation raised (a Ctrl-C, most of all): free
+                # the shard now, not after the TTL.
+                self.manager.release(lease)
         lost = beat is not None and beat.lost.is_set()
         if not lost:
             # Fencing check: commit only under a lease that is still
             # ours *now* (covers the no-heartbeat test mode and the
-            # window since the last renewal).
-            lost = not self.manager.renew(lease)
+            # window since the last renewal).  A read suffices: the
+            # commit is idempotent, so the lease need not be renewed
+            # (a durable write) for it.
+            lost = not self.manager.holds(lease)
         if lost:
             if self.progress:
                 self.progress(
@@ -572,8 +485,8 @@ class CooperativeWorker:
         worker should stop (e.g.
         :class:`repro.analysis.supervision.ShutdownLatch`): the current
         shard is finished and committed, leases are released, and the
-        method returns ``None`` — a later ``join`` continues exactly
-        where the fleet left off.
+        method returns ``None`` — a later :func:`run_ensemble` continues
+        exactly where the fleet left off.
         """
         contended = 0
         while True:
@@ -581,7 +494,7 @@ class CooperativeWorker:
                 if self.progress:
                     self.progress(
                         f"worker {self.owner} shutting down — leases "
-                        "released; rejoin to continue"
+                        "released; rerun to continue"
                     )
                 return None
             outcome = self.step()
@@ -590,7 +503,7 @@ class CooperativeWorker:
                     self.out_dir, self.manifest,
                     repair=True, verify=True, progress=self.progress,
                 )
-                if demoted == 0 and not self._pending():
+                if demoted == 0 and next(self._pending(), None) is None:
                     return self._finalize()
                 continue  # verification reopened work — keep draining
             if outcome == "contended":
@@ -604,15 +517,15 @@ class CooperativeWorker:
                 contended = 0
 
 
-def join_ensemble(
+def run_ensemble(
     out_dir: str,
     campaign_id: Optional[str] = None,
-    scale: str = "smoke",
+    scale: Optional[str] = None,
     total_runs: Optional[int] = None,
-    shard_size: int = 1000,
-    seed: int = 0,
-    default_max_events: Optional[int] = None,
+    shard_size: Optional[int] = None,
+    seed: Optional[int] = None,
     workers: Optional[int] = None,
+    default_max_events: Optional[int] = None,
     policy: Optional[SupervisionPolicy] = None,
     ttl: float = 30.0,
     worker: Optional[str] = None,
@@ -620,54 +533,57 @@ def join_ensemble(
     progress: Progress = None,
     observer: Observer = None,
 ) -> Optional[Dict]:
-    """Join (or bootstrap) a cooperative ensemble in ``out_dir``.
+    """Run, continue or join one sharded ensemble in ``out_dir``.
 
-    If the directory has no manifest yet, the first joiner to arrive
-    creates it atomically-and-exclusively from the campaign parameters;
-    every other joiner (racing or late) loads the winner's manifest and
-    — exactly like ``--resume`` — rejects contradicting arguments.
-    Returns the aggregate dict once the whole ensemble is complete, or
-    ``None`` if ``shutdown`` was requested first.
+    A directory without a manifest gets one, created atomically and
+    exclusively from the arguments: ``campaign_id`` is required then,
+    and the others default to scale ``"smoke"``, the campaign's
+    repetition count for that scale, 1000 runs a shard and seed 0.  A
+    directory with a manifest is continued from it: every argument
+    given must match it, and so must the recorded JobSpec digest, so a
+    rerun can never silently compute a different ensemble.  Either way
+    this process then drains the directory as one
+    :class:`CooperativeWorker` (lease ``ttl`` in seconds, ``worker``
+    its identity), alongside any others sharing it.
+
+    Returns the aggregate dict once every shard is committed and
+    verified (at once, for a finished directory), or ``None`` if
+    ``shutdown.requested`` turned true first.  ``observer`` receives
+    the operational events (``shard_start``/``shard_commit``/
+    ``shard_done``, the lease lifecycle, and the supervised executor's
+    ``retry``/``quarantine``/``pool_rebuild``); observation never
+    changes the records or aggregates, which stay a pure function of
+    the manifest.
     """
-    os.makedirs(out_dir, exist_ok=True)
+    created = False
     if not os.path.exists(os.path.join(out_dir, MANIFEST_NAME)):
         if campaign_id is None:
-            raise ExperimentError(
-                "joining an empty directory needs a campaign id to "
-                "bootstrap the manifest"
-            )
-        campaign = get_campaign(campaign_id)
-        runs = (
-            total_runs
-            if total_runs is not None
-            else campaign.repetitions_for(scale)
-        )
+            raise ExperimentError("a fresh ensemble needs a campaign id")
+        fresh_scale = scale or "smoke"
         manifest = create_manifest(
             campaign_id=campaign_id,
-            scale=scale,
-            seed=seed,
-            total_runs=runs,
-            shard_size=shard_size,
+            scale=fresh_scale,
+            seed=0 if seed is None else seed,
+            total_runs=(
+                get_campaign(campaign_id).repetitions_for(fresh_scale)
+                if total_runs is None
+                else total_runs
+            ),
+            shard_size=1000 if shard_size is None else shard_size,
             default_max_events=default_max_events,
         )
         manifest["jobspec_digest"] = _manifest_jobspec_digest(manifest)
-        if create_manifest_exclusive(out_dir, manifest) and progress:
-            progress(
-                f"bootstrapped ensemble {campaign_id}@{scale}: {runs} "
-                f"runs in {len(manifest['shards'])} shards"
-            )
-    manifest = load_manifest(out_dir)
-    if campaign_id is not None and campaign_id != manifest["campaign"]:
-        raise ExperimentError(
-            f"join found campaign {manifest['campaign']!r} in {out_dir}, "
-            f"not {campaign_id!r}"
+        os.makedirs(out_dir, exist_ok=True)
+        # A racing process may create it first; then this one joins.
+        created = create_manifest_exclusive(out_dir, manifest)
+    if not created:
+        # Before the worker builds its plan (a seed per run).
+        _check_manifest(
+            load_manifest(out_dir), out_dir,
+            campaign=campaign_id, scale=scale, seed=seed,
+            total_runs=total_runs, shard_size=shard_size,
+            default_max_events=default_max_events,
         )
-    if total_runs is not None and total_runs != manifest["total_runs"]:
-        raise ExperimentError(
-            f"join found {manifest['total_runs']} runs in {out_dir}, "
-            f"not {total_runs}"
-        )
-    _check_manifest_digest(manifest, out_dir, "join")
     joiner = CooperativeWorker(
         out_dir,
         worker=worker,
@@ -677,6 +593,14 @@ def join_ensemble(
         progress=progress,
         observer=observer,
     )
+    manifest = joiner.manifest
+    if progress:
+        shards = len(manifest["shards"])
+        progress(
+            f"ensemble {manifest['campaign']}@{manifest['scale']}: "
+            f"{manifest['total_runs']} runs in {shards} shards "
+            f"({shards - sum(1 for _ in joiner._pending())} already done)"
+        )
     return joiner.run(shutdown=shutdown)
 
 
@@ -685,7 +609,7 @@ def ensemble_status(out_dir: str) -> Dict:
 
     Completion is derived from the commit markers (reconciled in
     memory, nothing on disk is touched or checksummed — this is the
-    cheap live view cooperative workers and dashboards poll).  Beyond
+    live view ``repro ensemble status`` prints).  Beyond
     the completion counters this estimates progress rates from the
     ``done`` shard files' modification times (the only wall-clock
     signal the runner leaves behind — records themselves stay

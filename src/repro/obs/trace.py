@@ -39,6 +39,7 @@ __all__ = [
     "TraceWriter",
     "diff_traces",
     "merge_trace_events",
+    "stamp_run",
     "summarize_trace",
     "validate_trace",
 ]
@@ -116,24 +117,31 @@ _REQUIRED: Dict[str, Sequence[str]] = {
 }
 
 
+def stamp_run(record: Dict, run: int) -> Dict:
+    """A copy of one run's logical record stamped with its run index.
+
+    The stamp follows ``kind``, ahead of the record's own fields, in
+    both a merged trace and a served scenario job's live stream.
+    """
+    stamped = {"kind": record["kind"], "run": run}
+    stamped.update((k, v) for k, v in record.items() if k != "kind")
+    return stamped
+
+
 def merge_trace_events(per_run_events: Sequence[Sequence[Dict]]) -> List[Dict]:
     """Merge per-run event lists into one logical history.
 
     Entry ``i`` of ``per_run_events`` is run ``i``'s event list (as
     collected by ``run_scenario(..., collect_trace=True)``); the merge
-    annotates each record with its run index and concatenates in run
-    order — which is what makes the result independent of how many
-    workers produced the runs.
+    stamps each record with its run index (:func:`stamp_run`) and
+    concatenates in run order — which is what makes the result
+    independent of how many workers produced the runs.
     """
-    merged: List[Dict] = []
-    for run_index, events in enumerate(per_run_events):
-        for record in events:
-            annotated = {"kind": record["kind"], "run": run_index}
-            annotated.update(
-                (k, v) for k, v in record.items() if k != "kind"
-            )
-            merged.append(annotated)
-    return merged
+    return [
+        stamp_run(record, run_index)
+        for run_index, events in enumerate(per_run_events)
+        for record in events
+    ]
 
 
 class TraceWriter:

@@ -4,9 +4,10 @@ A *campaign* repeats a scenario with independent randomness, so the
 recovery-time measurements in :mod:`repro.analysis.recovery` are
 distributions rather than anecdotes.  Seeding follows the repo-wide
 sweep discipline: one root ``SeedSequence`` is spawned into one child
-per repetition *before* dispatch, and the jobs run through the shared
-:func:`repro.analysis.sweep.fan_out` process-pool seam — so a campaign
-is bit-identical at every worker count, including serial.
+per repetition *before* dispatch, and the jobs run through the
+supervised executor (:func:`repro.analysis.supervision.supervised_map`)
+— so a campaign is bit-identical at every worker count, including
+serial.
 """
 
 from __future__ import annotations

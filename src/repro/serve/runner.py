@@ -12,10 +12,11 @@ thread-safely onto the event loop by the server), and honours a
   a *park* blob — plain data the server holds until ``resume``, when
   :func:`~repro.core.snapshot.resume_engine` continues the trajectory
   bit-for-bit.
-* **scenario** jobs pause between repetitions (serial) or between
-  dispatch batches (pooled); the park blob is just the next run index
-  plus the records already finished — repetition seeds are re-spawned
-  deterministically from the spec on resume.
+* **scenario** jobs run their repetitions serially, streaming each
+  one's logical records live, and pause between repetitions; the park
+  blob is just the next run index plus the records already finished —
+  repetition seeds are re-spawned deterministically from the spec on
+  resume.
 
 Everything returned — results, park blobs, emitted records — is
 wall-clock-free plain data, which is what lets the server cache a
@@ -32,11 +33,9 @@ import numpy as np
 from ..core.configuration import Configuration
 from ..core.engine import build_engine
 from ..core.snapshot import EngineSnapshot, resume_engine
-from ..analysis.supervision import SupervisionPolicy, supervised_map
 from ..ensemble.runner import run_record
 from ..exceptions import ReproError
 from ..jobspec import JobSpec
-from ..scenarios.campaign import _campaign_job
 from ..scenarios.engine import run_scenario
 
 __all__ = ["JobControl", "execute_jobspec", "spawn_seeds"]
@@ -79,13 +78,6 @@ def spawn_seeds(seed: int, count: int) -> List:
     JobSpec reproduces ``repro scenario run`` bit for bit.
     """
     return list(np.random.SeedSequence(seed).spawn(count))
-
-
-def _annotate(record: Dict, run: int) -> Dict:
-    """Stamp a per-run logical record with its run index (merge order)."""
-    out = {"kind": record["kind"], "run": run}
-    out.update((k, v) for k, v in record.items() if k != "kind")
-    return out
 
 
 def _emit_safely(emit: Optional[Callable[[Dict], None]], record: Dict) -> None:
@@ -173,101 +165,58 @@ def _execute_simulate(
     }
 
 
-def _scenario_summary(
-    spec: JobSpec, run_records: List[Dict], failures: List[str]
+def _execute_scenario(
+    spec: JobSpec,
+    emit: Optional[Callable[[Dict], None]],
+    control: Optional[JobControl],
+    park: Optional[Dict],
 ) -> Dict:
+    # Only scenario jobs stream logical records, so only they load it.
+    from ..obs.trace import stamp_run
+
+    scenario = spec.scenario
+    seeds = spawn_seeds(spec.seed, spec.repetitions)
+    start = int(park["next_run"]) if park is not None else 0
+    run_records: List[Dict] = list(park["run_records"]) if park else []
+    for index in range(start, spec.repetitions):
+        if control is not None and control.pause_requested:
+            return {
+                "status": "paused",
+                "park": {
+                    "mode": "scenario",
+                    "next_run": index,
+                    "run_records": run_records,
+                },
+            }
+        result = run_scenario(
+            scenario,
+            seed=seeds[index],
+            default_max_events=spec.max_events,
+            trace_observer=lambda record, run=index: _emit_safely(
+                emit, stamp_run(record, run)
+            ),
+        )
+        run_records.append(run_record(result, index))
     recovered = sum(1 for record in run_records if record["recovered_all"])
     return {
         "status": "done",
         "result": {
             "mode": "scenario",
-            "scenario": spec.scenario.name,
-            "protocol": spec.scenario.protocol.kind,
+            "scenario": scenario.name,
+            "protocol": scenario.protocol.kind,
             "repetitions": len(run_records),
             "recovered_fraction": (
                 recovered / len(run_records) if run_records else 0.0
             ),
             "runs": run_records,
-            "failures": failures,
         },
     }
-
-
-def _execute_scenario(
-    spec: JobSpec,
-    emit: Optional[Callable[[Dict], None]],
-    control: Optional[JobControl],
-    workers: Optional[int],
-    park: Optional[Dict],
-) -> Dict:
-    scenario = spec.scenario
-    seeds = spawn_seeds(spec.seed, spec.repetitions)
-    start = int(park["next_run"]) if park is not None else 0
-    run_records: List[Dict] = list(park["run_records"]) if park else []
-    failures: List[str] = list(park["failures"]) if park else []
-
-    def parked(next_run: int) -> Dict:
-        return {
-            "status": "paused",
-            "park": {
-                "mode": "scenario",
-                "next_run": next_run,
-                "run_records": run_records,
-                "failures": failures,
-            },
-        }
-
-    if workers is None or workers <= 1:
-        # Serial: each repetition streams its logical records live
-        # through the run_scenario observer seam.
-        for index in range(start, spec.repetitions):
-            if control is not None and control.pause_requested:
-                return parked(index)
-            result = run_scenario(
-                scenario,
-                seed=seeds[index],
-                default_max_events=spec.max_events,
-                trace_observer=lambda record, run=index: _emit_safely(
-                    emit, _annotate(record, run)
-                ),
-            )
-            run_records.append(run_record(result, index))
-        return _scenario_summary(spec, run_records, failures)
-
-    # Pooled: repetitions fan out over the supervised process pool in
-    # bounded batches — observers do not pickle, so streaming happens at
-    # batch granularity from the traces the workers ship back.
-    batch = max(1, workers * 4)
-    index = start
-    policy = SupervisionPolicy(fail_fast=False)
-    while index < spec.repetitions:
-        if control is not None and control.pause_requested:
-            return parked(index)
-        stop = min(spec.repetitions, index + batch)
-        jobs = [
-            (scenario, seeds[run], spec.max_events, True)
-            for run in range(index, stop)
-        ]
-        results, batch_failures = supervised_map(
-            _campaign_job, jobs, workers=workers, policy=policy
-        )
-        failures.extend(repr(failure) for failure in batch_failures)
-        for offset, result in enumerate(results):
-            if result is None:
-                continue
-            run = index + offset
-            for record in result.trace_events:
-                _emit_safely(emit, _annotate(record, run))
-            run_records.append(run_record(result, run))
-        index = stop
-    return _scenario_summary(spec, run_records, failures)
 
 
 def execute_jobspec(
     spec: JobSpec,
     emit: Optional[Callable[[Dict], None]] = None,
     control: Optional[JobControl] = None,
-    workers: Optional[int] = None,
     park: Optional[Dict] = None,
 ) -> Dict:
     """Run one JobSpec to completion or a pause point.
@@ -275,8 +224,7 @@ def execute_jobspec(
     Returns ``{"status": "done", "result": ...}`` (wall-clock-free
     plain data) or ``{"status": "paused", "park": ...}`` — a blob to
     hand back as ``park`` on resume.  ``emit`` receives each streamed
-    record; ``workers`` sizes the supervised pool for scenario
-    repetitions (simulate jobs are single-trajectory and ignore it).
+    record.
     """
     if park is not None and park.get("mode") != spec.mode:
         raise ReproError(
@@ -285,4 +233,4 @@ def execute_jobspec(
         )
     if spec.mode == "simulate":
         return _execute_simulate(spec, emit, control, park)
-    return _execute_scenario(spec, emit, control, workers, park)
+    return _execute_scenario(spec, emit, control, park)

@@ -25,9 +25,7 @@ Concurrency model: one dispatcher task pulls jobs off a bounded
 fit are rejected, never buffered) and runs each on a single executor
 thread; the synchronous runner reports records back through
 ``loop.call_soon_threadsafe``, so all registry state is touched only on
-the event loop.  Scenario repetitions still fan out over the supervised
-*process* pool inside the runner, so one job saturates the machine
-while the front door stays responsive.
+the event loop, and the front door stays responsive while a job runs.
 
 Results are cached by ``JobSpec.digest()`` — the sha256 of the
 canonical spec, which already folds in the seed — and replays stream
@@ -104,9 +102,7 @@ class ReproServer:
 
     ``dispatch=False`` registers submissions without ever starting the
     dispatcher — jobs stay queued, which makes bounded-queue rejection
-    deterministic to test.  ``workers`` sizes the supervised process
-    pool scenario jobs fan out over (``None`` = serial, which streams
-    records live per repetition).
+    deterministic to test.
     """
 
     def __init__(
@@ -115,14 +111,12 @@ class ReproServer:
         port: int = 0,
         queue_size: int = 16,
         cache_size: int = 32,
-        workers: Optional[int] = None,
         dispatch: bool = True,
     ) -> None:
         self.host = host
         self.requested_port = port
         self.queue_size = queue_size
         self.cache_size = cache_size
-        self.workers = workers
         self._dispatch_enabled = dispatch
         self._jobs: "OrderedDict[str, Job]" = OrderedDict()
         self._active_by_digest: Dict[str, str] = {}
@@ -293,7 +287,6 @@ class ReproServer:
                     job.spec,
                     emit,
                     job.control,
-                    self.workers,
                     job.park,
                 )
             except Exception as exc:
@@ -488,11 +481,10 @@ async def serve_forever(
     port: int = 0,
     queue_size: int = 16,
     cache_size: int = 32,
-    workers: Optional[int] = None,
 ) -> int:
     """Run the server until SIGTERM/SIGINT; returns the CLI exit code.
 
-    Mirrors ``repro ensemble join``'s shutdown contract: SIGTERM winds
+    Mirrors ``repro ensemble run``'s shutdown contract: SIGTERM winds
     down gracefully (running job parked at a safe boundary) and maps to
     exit code 143, SIGINT to 130.
     """
@@ -501,7 +493,6 @@ async def serve_forever(
         port=port,
         queue_size=queue_size,
         cache_size=cache_size,
-        workers=workers,
     )
     bound = await server.start()
     print(f"repro serve listening on {host}:{bound}", flush=True)

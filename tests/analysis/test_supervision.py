@@ -6,6 +6,7 @@ an unsupervised serial run — and is reported as data, not as a dead
 ensemble.
 """
 
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -18,11 +19,13 @@ import pytest
 
 from repro.analysis.supervision import (
     JobFailure,
+    ShutdownLatch,
     SupervisionPolicy,
+    _submit,
     check_picklable,
     supervised_map,
 )
-from repro.analysis.sweep import fan_out, measure_stabilisation, run_sweep
+from repro.analysis.sweep import measure_stabilisation, run_sweep
 from repro.exceptions import ExperimentError
 
 
@@ -202,6 +205,91 @@ def test_pool_workers_exit_when_their_parent_is_killed(tmp_path):
                 pass
 
 
+def test_a_worker_whose_parent_died_before_it_started_exits():
+    """The watched pid comes from the parent, so one killed between the
+    fork and the initializer is noticed: here the worker is told of a
+    parent it does not have, and exits at once."""
+    code = (
+        "import time\n"
+        "from repro.analysis.supervision import _exit_with_parent\n"
+        "_exit_with_parent(-1)\n"
+        "time.sleep(30)\n"
+    )
+    env = dict(
+        os.environ, PYTHONPATH=str(Path(__file__).parents[2] / "src")
+    )
+    worker = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        timeout=10,
+    )
+    assert (worker.returncode, worker.stderr) == (1, b"")
+
+
+def test_a_terminated_pool_kills_workers_under_a_sigterm_handler():
+    """`repro ensemble run` installs a ShutdownLatch for SIGTERM, which
+    forked workers inherit; a hang must still kill its worker."""
+    before = {child.pid for child in multiprocessing.active_children()}
+    policy = SupervisionPolicy(timeout=1.0, max_attempts=1, fail_fast=False)
+    try:
+        with ShutdownLatch():
+            _, failures = supervised_map(
+                _hang_on, [(value, 2) for value in range(4)], workers=2,
+                policy=policy,
+            )
+        assert [failure.kind for failure in failures] == ["hang"]
+        deadline = time.monotonic() + 10
+        while [c for c in multiprocessing.active_children()
+               if c.pid not in before]:
+            assert time.monotonic() < deadline, "a hung worker outlived it"
+            time.sleep(0.05)
+    finally:
+        for child in multiprocessing.active_children():
+            if child.pid not in before:
+                child.kill()
+
+
+def _parent_pid(_job):
+    return os.getppid()
+
+
+@pytest.mark.skipif(
+    "forkserver" not in multiprocessing.get_all_start_methods(),
+    reason="needs the forkserver start method",
+)
+def test_pool_forks_whatever_the_default_start_method():
+    """Python 3.14 made forkserver the Linux default.  Under it each
+    worker's parent would be the server, not this process, and the
+    parent watch would exit every worker at once."""
+    default = multiprocessing.get_start_method(allow_none=True)
+    events = []
+    multiprocessing.set_start_method("forkserver", force=True)
+    try:
+        parents, failures = supervised_map(
+            _parent_pid, list(range(4)), workers=2,
+            policy=SupervisionPolicy(max_attempts=1, fail_fast=False),
+            observer=lambda kind, fields: events.append(kind),
+        )
+    finally:
+        multiprocessing.set_start_method(default, force=True)
+    assert (parents, failures, events) == ([os.getpid()] * 4, [], [])
+
+
+def test_submit_holds_off_sigint_until_the_fork_is_done():
+    """A Ctrl-C landing in a pool's fork arrives after the submit."""
+    done = []
+
+    class Pool:
+        def submit(self, worker, job):
+            os.kill(os.getpid(), signal.SIGINT)
+            done.append(worker(job))
+            return None
+
+    with pytest.raises(KeyboardInterrupt):
+        _submit(Pool(), _double, 21)
+    assert done == [42]
+    assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+
+
 class TestPickleChecks:
     def test_unpicklable_worker_named(self):
         with pytest.raises(ExperimentError, match="worker.*lambda"):
@@ -236,17 +324,6 @@ class TestPolicyValidation:
         assert policy.backoff_delay(1) == 1.0
         assert policy.backoff_delay(2) == 2.0
         assert policy.backoff_delay(3) == 3.0  # capped, not 4.0
-
-
-class TestFanOutContract:
-    def test_fan_out_raises_on_quarantine(self):
-        jobs = [(value, 3) for value in range(6)]
-        with pytest.raises(ExperimentError, match="failed under supervision"):
-            fan_out(_crash_on, jobs, workers=2, policy=QUARANTINE)
-
-    def test_fan_out_plain_results(self):
-        assert fan_out(_double, [1, 2, 3], workers=2) == [2, 4, 6]
-        assert fan_out(_double, [1, 2, 3]) == [2, 4, 6]
 
 
 def _tiny_build(params, rng):

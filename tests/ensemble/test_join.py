@@ -10,7 +10,6 @@ from repro.ensemble import (
     CooperativeWorker,
     create_manifest,
     create_manifest_exclusive,
-    join_ensemble,
     run_ensemble,
 )
 from repro.ensemble.manifest import (
@@ -19,7 +18,6 @@ from repro.ensemble.manifest import (
     save_manifest,
 )
 from repro.ensemble.runner import AGGREGATES_NAME
-from repro.exceptions import ExperimentError
 
 CAMPAIGN = "ag_corrupt_recover"
 RUNS = 20
@@ -131,43 +129,25 @@ class TestInterleavedWorkers:
             assert handle.read() == reference
 
 
-class TestJoinEnsemble:
-    def test_join_bootstraps_and_completes_alone(self, tmp_path):
-        reference = serial_reference(tmp_path)
-        out = str(tmp_path / "coop")
-        aggregate = join_ensemble(
-            out, campaign_id=CAMPAIGN, scale="smoke",
-            total_runs=RUNS, shard_size=SHARD, seed=SEED,
-        )
-        assert aggregate["total_runs"] == RUNS
-        with open(os.path.join(out, AGGREGATES_NAME), "rb") as handle:
-            assert handle.read() == reference
-
-    def test_join_empty_directory_needs_a_campaign(self, tmp_path):
-        with pytest.raises(ExperimentError, match="campaign id"):
-            join_ensemble(str(tmp_path / "empty"))
-
-    def test_join_rejects_contradicting_parameters(self, tmp_path):
-        out = str(tmp_path / "coop")
-        fresh_manifest(out)
-        with pytest.raises(ExperimentError, match="campaign"):
-            join_ensemble(out, campaign_id="tree_adversarial_mix")
-        with pytest.raises(ExperimentError, match="runs"):
-            join_ensemble(out, campaign_id=CAMPAIGN, total_runs=RUNS + 1)
-
-    def test_join_resumes_a_half_finished_run_ensemble(self, tmp_path):
-        # A dir half-drained by the classic runner is joinable: markers
-        # say what is done, the joiner computes exactly the gap.
+class TestRerun:
+    def test_rerun_finishes_a_directory_a_worker_left_half_done(
+        self, tmp_path
+    ):
+        # Markers say what is done; the rerun computes exactly the gap.
         out = str(tmp_path / "mixed")
         fresh_manifest(out)
-        manifest = load_manifest(out)
         now = [0.0]
+        w0 = make_worker(out, "w0", lambda: now[0], [])
+        assert w0.step() == "committed"
         events = []
-        w0 = make_worker(out, "w0", lambda: now[0], events)
-        assert w0.step() == "committed"  # shard 0 done the cooperative way
-        del manifest
-        aggregate = join_ensemble(out, worker="w1")
+        aggregate = run_ensemble(
+            out, worker="w1",
+            observer=lambda kind, fields: events.append((kind, fields)),
+        )
         assert aggregate is not None
+        assert [f["shard"] for k, f in events if k == "shard_start"] == [
+            1, 2, 3,
+        ]
         reference = serial_reference(tmp_path)
         with open(os.path.join(out, AGGREGATES_NAME), "rb") as handle:
             assert handle.read() == reference
@@ -177,11 +157,26 @@ class TestJoinEnsemble:
         fresh_manifest(out)
         latch = ShutdownLatch()
         latch.trip()
-        assert join_ensemble(out, shutdown=latch) is None
+        assert run_ensemble(out, shutdown=latch) is None
         # Nothing was computed, nothing committed, no leases left.
         assert not any(
             name.endswith((".done", ".lease")) for name in os.listdir(out)
         )
+
+    def test_interrupted_shard_leaves_no_lease(self, tmp_path):
+        out = str(tmp_path / "coop")
+        fresh_manifest(out)
+        worker = CooperativeWorker(out, worker="w1", ttl=30.0)
+
+        def interrupt(shard, observer):
+            raise KeyboardInterrupt
+
+        worker.plan.compute_shard = interrupt
+        with pytest.raises(KeyboardInterrupt):
+            worker.step()
+        # Released at once, so the next worker need not wait the TTL.
+        assert not any(name.endswith(".lease") for name in os.listdir(out))
+        assert make_worker(out, "w2", lambda: 0.0, []).step() == "committed"
 
 
 class TestManifestBootstrapRace:
@@ -211,7 +206,7 @@ class TestReconcileBackfill:
             assert marker["sha256"] == shard["sha256"]
             assert marker["owner"] == "w1"
 
-    def test_corrupt_shard_is_requeued_on_join(self, tmp_path):
+    def test_corrupt_shard_is_requeued_on_rerun(self, tmp_path):
         out = str(tmp_path / "coop")
         fresh_manifest(out)
         now = [0.0]
@@ -219,7 +214,7 @@ class TestReconcileBackfill:
         while w1.step() != "complete":
             pass
         assert w1.run() is not None
-        # Flip a byte in shard 2; a fresh join must detect and recompute.
+        # Flip a byte in shard 2; a rerun must detect and recompute.
         from repro.ensemble.manifest import shard_path
 
         path = shard_path(out, 2)
@@ -229,7 +224,7 @@ class TestReconcileBackfill:
             handle.seek(10)
             handle.write(b"X" if byte != b"X" else b"Y")
         messages = []
-        aggregate = join_ensemble(out, progress=messages.append)
+        aggregate = run_ensemble(out, progress=messages.append)
         assert aggregate is not None
         assert any("corrupt" in line for line in messages)
         assert os.path.exists(path + ".corrupt")

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from repro.ensemble.lease import (
     LeaseHeartbeat,
     LeaseManager,
+    _pid_namespace,
     lease_path,
     list_leases,
     worker_identity,
@@ -123,6 +126,110 @@ class TestRenewRelease:
         assert manager(tmp_path, "w2", clock).claim(0) is not None
         w1.release(lease)
         assert os.path.exists(lease_path(str(tmp_path), 0))
+
+
+def _exited_child(reaped):
+    """A child process that has exited, reaped or left a zombie."""
+    child = subprocess.Popen([sys.executable, "-c", ""])
+    if reaped:
+        child.wait()
+        return child
+    deadline = time.time() + 30.0
+    while time.time() < deadline:
+        with open(f"/proc/{child.pid}/stat", "rb") as handle:
+            if handle.read().rsplit(b")", 1)[1].split()[0] == b"Z":
+                return child
+        time.sleep(0.01)
+    raise AssertionError("the child never exited")
+
+
+def _dead_pid():
+    """The pid of a child process that has exited and been reaped."""
+    return _exited_child(reaped=True).pid
+
+
+def _rewrite(path, **changes):
+    """Edit a lease on disk; a ``None`` value drops the field."""
+    with open(path, "r", encoding="utf-8") as handle:
+        payload = json.load(handle)
+    for key, value in changes.items():
+        if value is None:
+            payload.pop(key, None)
+        else:
+            payload[key] = value
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle)
+
+
+#: The pid shortcut needs this process's pid namespace from ``/proc``.
+needs_namespace = pytest.mark.skipif(
+    _pid_namespace() is None, reason="reads /proc namespace ids"
+)
+
+
+class TestOrphanedLease:
+    def test_claim_records_pid_and_namespace(self, tmp_path, clock):
+        manager(tmp_path, "w1", clock).claim(0)
+        with open(lease_path(str(tmp_path), 0), encoding="utf-8") as handle:
+            payload = json.load(handle)
+        assert payload["pid"] == os.getpid()
+        assert payload["pid_namespace"] == _pid_namespace()
+
+    @needs_namespace
+    @pytest.mark.parametrize("reaped", [True, False])
+    def test_dead_owner_in_this_namespace_is_reclaimed_at_once(
+        self, tmp_path, clock, reaped
+    ):
+        child = _exited_child(reaped)
+        try:
+            manager(tmp_path, "w1", clock).claim(0)
+            _rewrite(lease_path(str(tmp_path), 0), pid=child.pid)
+            # `repro ensemble status` shows it reclaimable at once too.
+            [row] = list_leases(str(tmp_path), clock=clock)
+            assert row["expired"] and row["expires_in_s"] > 0
+            events = []
+            # Well inside the TTL: no clock advance.
+            stolen = manager(tmp_path, "w2", clock, events=events).claim(0)
+        finally:
+            child.wait()
+        assert stolen is not None
+        assert (stolen.owner, stolen.token) == ("w2", 2)
+        assert [kind for kind, _ in events] == ["lease_expire", "lease_steal"]
+        assert (events[0][1]["owner"], events[0][1]["token"]) == ("w1", 1)
+        assert events[1][1]["previous_owner"] == "w1"
+
+    def test_live_foreign_or_unknown_owner_waits_out_the_ttl(
+        self, tmp_path, clock
+    ):
+        path = lease_path(str(tmp_path), 0)
+        manager(tmp_path, "w1", clock).claim(0)  # owned by this live pid
+        w2 = manager(tmp_path, "w2", clock)
+        assert w2.claim(0) is None
+        # A container or cloned machine that shares this host's name
+        # but not its pid table: its pid is missing here, yet alive.
+        _rewrite(
+            path, owner=worker_identity(), pid=_dead_pid(),
+            pid_namespace="another-boot:4:4026531836",
+        )
+        assert w2.claim(0) is None
+        assert not list_leases(str(tmp_path), clock=clock)[0]["expired"]
+        _rewrite(path, pid=None, pid_namespace=None)  # neither recorded
+        assert w2.claim(0) is None
+        clock.advance(10.5)
+        assert w2.claim(0) is not None
+
+    @needs_namespace
+    def test_claimant_without_a_namespace_waits_out_the_ttl(
+        self, tmp_path, clock
+    ):
+        # Where /proc does not show the claimant's namespace, a dead pid
+        # recorded under this one cannot be tested.
+        manager(tmp_path, "w1", clock).claim(0)
+        _rewrite(lease_path(str(tmp_path), 0), pid=_dead_pid())
+        w2 = manager(tmp_path, "w2", clock)
+        w2.namespace = None
+        assert w2.claim(0) is None
+        assert manager(tmp_path, "w3", clock).claim(0) is not None
 
 
 class TestListLeases:

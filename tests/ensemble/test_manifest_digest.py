@@ -1,10 +1,10 @@
 """The ensemble manifest pins the submitting JobSpec by digest.
 
 ``repro ensemble run`` records ``JobSpec.digest()`` of the campaign it
-was asked to run; ``status`` surfaces it, and ``--resume`` / ``join``
-recompute the digest from the manifest parameters against the campaign
-as *currently defined* and refuse on a mismatch — a directory produced
-by a different spec (edited catalog, changed scale semantics) cannot be
+was asked to run; ``status`` surfaces it, and a rerun recomputes the
+digest from the manifest parameters against the campaign as *currently
+defined* and refuses on a mismatch — a directory produced by a
+different spec (edited catalog, changed scale semantics) cannot be
 silently extended.
 """
 
@@ -51,7 +51,7 @@ class TestManifestDigest:
         status = ensemble_status(str(tmp_path / "a"))
         assert status["jobspec_digest"] == expected_digest()
 
-    def test_resume_refuses_a_drifted_spec(self, tmp_path):
+    def test_rerun_refuses_a_drifted_spec(self, tmp_path):
         out = tmp_path / "a"
         run_small(out)
         manifest = load_manifest(str(out))
@@ -59,16 +59,16 @@ class TestManifestDigest:
         save_manifest(str(out), manifest)
         os.remove(os.path.join(str(out), "aggregates.json"))
         with pytest.raises(ExperimentError, match="spec changed"):
-            run_small(out, resume=True)
+            run_small(out)
 
-    def test_resume_accepts_a_matching_digest(self, tmp_path):
+    def test_rerun_accepts_a_matching_digest(self, tmp_path):
         out = tmp_path / "a"
         run_small(out)
         os.remove(os.path.join(str(out), "aggregates.json"))
-        resumed = run_small(out, resume=True)
+        resumed = run_small(out)
         assert resumed["aggregates"]["runs"] == 4
 
-    def test_predigest_manifests_still_resume(self, tmp_path):
+    def test_predigest_manifests_still_rerun(self, tmp_path):
         """Directories from before the digest existed keep working."""
         out = tmp_path / "a"
         run_small(out)
@@ -77,5 +77,5 @@ class TestManifestDigest:
         del manifest["jobspec_digest"]
         save_manifest(str(out), manifest)
         os.remove(os.path.join(str(out), "aggregates.json"))
-        resumed = run_small(out, resume=True)
+        resumed = run_small(out)
         assert resumed["aggregates"]["runs"] == 4

@@ -1,4 +1,4 @@
-"""Ensemble runner: manifests, atomic persistence, resume, bit-identity."""
+"""Ensemble runner: manifests, atomic persistence, reruns, bit-identity."""
 
 import dataclasses
 import json
@@ -91,26 +91,50 @@ class TestRunEnsemble:
             for phase in record["phases"]:
                 assert "wall_time_s" not in phase
 
-    def test_refuses_to_overwrite_without_resume(self, tmp_path):
-        self._run(tmp_path / "a")
-        with pytest.raises(ExperimentError, match="already holds"):
-            self._run(tmp_path / "a")
+    def test_rerun_of_a_finished_directory_returns_the_same_aggregate(
+        self, tmp_path
+    ):
+        out = str(tmp_path / "a")
+        first = self._run(out)
+        shards = {
+            index: file_sha256(shard_path(out, index)) for index in range(3)
+        }
+        events = []
+        again = self._run(
+            out, observer=lambda kind, fields: events.append(kind)
+        )
+        assert json.dumps(again, sort_keys=True) == json.dumps(
+            first, sort_keys=True
+        )
+        assert "shard_start" not in events  # nothing recomputed
+        assert shards == {
+            index: file_sha256(shard_path(out, index)) for index in range(3)
+        }
+        assert not [n for n in os.listdir(out) if n.endswith(".lease")]
 
-    def test_resume_rejects_contradicting_parameters(self, tmp_path):
-        self._run(tmp_path / "a")
-        with pytest.raises(ExperimentError, match="campaign"):
-            run_ensemble(
-                str(tmp_path / "a"), campaign_id="tree_corrupt_recover",
-                resume=True,
-            )
-        with pytest.raises(ExperimentError, match="runs"):
-            run_ensemble(str(tmp_path / "a"), total_runs=99, resume=True)
+    def test_rerun_refuses_contradicting_arguments(self, tmp_path):
+        out = str(tmp_path / "a")
+        self._run(out)
+        contradictions = [
+            ("campaign", dict(campaign_id="tree_corrupt_recover")),
+            ("total_runs", dict(total_runs=99)),
+            ("seed", dict(seed=18)),
+            ("scale", dict(scale="small")),
+            ("shard_size", dict(shard_size=4)),
+            ("default_max_events", dict(default_max_events=10)),
+        ]
+        for field, given in contradictions:
+            with pytest.raises(ExperimentError, match=field):
+                run_ensemble(out, **given)
+        # Arguments left out are read from the manifest.
+        assert run_ensemble(out)["aggregates"]["runs"] == 12
 
     def test_fresh_run_requires_campaign(self, tmp_path):
         with pytest.raises(ExperimentError, match="campaign id"):
             run_ensemble(str(tmp_path / "a"))
+        assert not os.path.exists(str(tmp_path / "a"))
 
-    def test_resume_recomputes_only_the_gap_bit_identically(self, tmp_path):
+    def test_rerun_recomputes_only_the_gap_bit_identically(self, tmp_path):
         reference = self._run(tmp_path / "ref")
         self._run(tmp_path / "int")
         out = str(tmp_path / "int")
@@ -121,7 +145,15 @@ class TestRunEnsemble:
             handle.write("trailing garbage")
         os.remove(shard_path(out, 2))
         untouched_sha = file_sha256(shard_path(out, 0))
-        resumed = run_ensemble(out, resume=True)
+        events = []
+        resumed = run_ensemble(
+            out, observer=lambda kind, fields: events.append((kind, fields))
+        )
+        # Only the gap was computed.
+        assert sorted(
+            fields["shard"] for kind, fields in events
+            if kind == "shard_start"
+        ) == [1, 2]
         # Corrupt shard quarantined, not destroyed.
         assert os.path.exists(shard_path(out, 1) + ".corrupt")
         # Untouched shard neither recomputed nor rewritten.
@@ -246,6 +278,8 @@ class TestObserverSeam:
             seed=17,
             observer=lambda kind, fields: events.append((kind, fields)),
         )
+        # Lease events interleave; the shard lifecycle is in order.
+        events = [(k, f) for k, f in events if k.startswith("shard_")]
         kinds = [kind for kind, _ in events]
         assert kinds == [
             "shard_start", "shard_commit", "shard_done",

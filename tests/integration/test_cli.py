@@ -1,5 +1,6 @@
 """Integration tests for the command-line interface."""
 
+import os
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,30 @@ class TestParser:
 
 
 class TestCommands:
+    def test_ensemble_run_progress_rerun_and_refusal(self, tmp_path, capsys):
+        out = str(tmp_path / "ens")
+        argv = [
+            "ensemble", "run", "--campaign", "ag_corrupt_recover",
+            "--runs", "4", "--shard-size", "2", "--seed", "17", "--out", out,
+        ]
+        assert main(argv + ["--progress"]) == 0
+        err = capsys.readouterr().err
+        dashboard = [line for line in err.splitlines() if line.startswith("[")]
+        assert len(dashboard) == 2  # one line per committed shard
+        assert "4/4 runs | shard 2/2" in dashboard[-1]
+        # `--out` alone continues the directory: here, already complete.
+        assert main(["ensemble", "run", "--out", out]) == 0
+        assert "(2 already done)" in capsys.readouterr().err
+        # A rerun's dashboard counts the shards committed before it.
+        for name in ("shard-00001.done", "shard-00001.json"):
+            os.unlink(os.path.join(out, name))
+        assert main(["ensemble", "run", "--out", out, "--progress"]) == 0
+        err = capsys.readouterr().err
+        [line] = [line for line in err.splitlines() if line.startswith("[")]
+        assert "4/4 runs | shard 2/2" in line and "- runs/s" not in line
+        assert main(["ensemble", "run", "--out", out, "--seed", "18"]) == 2
+        assert "seed 17, not 18" in capsys.readouterr().err
+
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out

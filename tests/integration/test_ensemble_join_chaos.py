@@ -1,13 +1,14 @@
-"""Multi-process chaos: SIGKILL cooperative joiners, converge anyway.
+"""Multi-process chaos: SIGKILL cooperative workers, converge anyway.
 
-The cooperative contract of ``repro ensemble join``: N workers drain
+The cooperative contract of ``repro ensemble run``: N processes drain
 one shared directory through crash-tolerant shard leases; killing any
 subset of them at any instant loses nothing — committed shards carry
-exclusive, checksummed ``.done`` markers, dead workers' leases expire
-after the TTL and are reclaimed, and the survivors (or a late joiner)
-finish the ensemble with ``aggregates.json`` byte-identical to an
-uninterrupted serial run.  This drives the real CLI in subprocesses —
-the same recipe as the CI ``chaos-smoke`` job's cooperative leg.
+exclusive, checksummed ``.done`` markers, dead workers' leases are
+reclaimed (at once on their own host, after the TTL from elsewhere),
+and the survivors (or a late rerun) finish the ensemble with
+``aggregates.json`` byte-identical to an uninterrupted single-process
+run.  This drives the real CLI in subprocesses — the same recipe as the
+CI ``chaos-smoke`` job's cooperative leg.
 """
 
 import json
@@ -37,22 +38,18 @@ def _env():
     return env
 
 
-def _run_cmd(out_dir):
+def _run_cmd(out_dir, *extra):
     return [
         sys.executable, "-m", "repro", "ensemble", "run",
         "--campaign", CAMPAIGN, "--scale", "smoke",
         "--runs", RUNS, "--shard-size", SHARD_SIZE, "--seed", SEED,
-        "--out", out_dir,
+        "--out", out_dir, *extra,
     ]
 
 
-def _join_cmd(out_dir, *extra):
-    return [
-        sys.executable, "-m", "repro", "ensemble", "join", out_dir,
-        "--campaign", CAMPAIGN, "--scale", "smoke",
-        "--runs", RUNS, "--shard-size", SHARD_SIZE, "--seed", SEED,
-        "--ttl", "3", *extra,
-    ]
+def _worker_cmd(out_dir, *extra):
+    """One cooperating worker: the same command, with a short TTL."""
+    return _run_cmd(out_dir, "--ttl", "3", *extra)
 
 
 def _reference_bytes(tmp_path):
@@ -80,18 +77,18 @@ def _shards_done(out_dir):
     return done, len(manifest["shards"])
 
 
-def test_sigkilled_joiners_do_not_stop_the_fleet(tmp_path):
+def test_sigkilled_workers_do_not_stop_the_fleet(tmp_path):
     reference = _reference_bytes(tmp_path)
     coop = str(tmp_path / "coop")
     trace = str(tmp_path / "w1.jsonl")
 
     survivor = subprocess.Popen(
-        _join_cmd(coop, "--trace", trace), env=_env(),
+        _worker_cmd(coop, "--trace", trace), env=_env(),
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     victims = [
         subprocess.Popen(
-            _join_cmd(coop), env=_env(),
+            _worker_cmd(coop), env=_env(),
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
         for _ in range(2)
@@ -121,7 +118,8 @@ def test_sigkilled_joiners_do_not_stop_the_fleet(tmp_path):
         pytest.skip("fleet finished before the kills could land")
 
     # The survivor alone must finish the whole ensemble: dead workers'
-    # leases expire after the 3s TTL and their shards are reclaimed.
+    # leases are reclaimed (their pids are gone from this namespace) and
+    # their shards recomputed.
     assert survivor.wait(timeout=240) == 0
 
     with open(os.path.join(coop, "aggregates.json"), "rb") as handle:
@@ -142,12 +140,12 @@ def test_sigkilled_joiners_do_not_stop_the_fleet(tmp_path):
     assert "shard_commit" in kinds
 
 
-def test_late_joiner_finishes_an_abandoned_directory(tmp_path):
+def test_late_rerun_finishes_an_abandoned_directory(tmp_path):
     reference = _reference_bytes(tmp_path)
     coop = str(tmp_path / "coop")
 
     victim = subprocess.Popen(
-        _join_cmd(coop), env=_env(),
+        _worker_cmd(coop), env=_env(),
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     deadline = time.monotonic() + 240.0
@@ -164,12 +162,12 @@ def test_late_joiner_finishes_an_abandoned_directory(tmp_path):
         time.sleep(0.05)
     if not killed:
         victim.wait(timeout=60)
-        pytest.skip("joiner finished before the kill could land")
+        pytest.skip("worker finished before the kill could land")
 
-    # A fresh joiner arriving later reclaims the dead worker's lease
-    # (after the TTL) and completes the ensemble bit-identically.
+    # A rerun arriving later reclaims the dead worker's lease and
+    # completes the ensemble bit-identically.
     subprocess.run(
-        _join_cmd(coop), env=_env(), check=True,
+        _worker_cmd(coop), env=_env(), check=True,
         capture_output=True, timeout=300,
     )
     with open(os.path.join(coop, "aggregates.json"), "rb") as handle:
@@ -179,7 +177,7 @@ def test_late_joiner_finishes_an_abandoned_directory(tmp_path):
 def test_sigterm_is_a_graceful_shutdown(tmp_path):
     coop = str(tmp_path / "coop")
     worker = subprocess.Popen(
-        _join_cmd(coop), env=_env(),
+        _worker_cmd(coop), env=_env(),
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
     )
     # Give it time to claim (and likely finish) a first shard.
@@ -190,7 +188,7 @@ def test_sigterm_is_a_graceful_shutdown(tmp_path):
             break
         time.sleep(0.05)
     if worker.poll() is not None:
-        pytest.skip("joiner finished before SIGTERM could land")
+        pytest.skip("worker finished before SIGTERM could land")
     worker.send_signal(signal.SIGTERM)
     try:
         _, stderr = worker.communicate(timeout=120)
@@ -198,7 +196,7 @@ def test_sigterm_is_a_graceful_shutdown(tmp_path):
         worker.kill()
         raise
     assert worker.returncode == 143
-    assert b"rejoin" in stderr
+    assert f"`repro ensemble run --out {coop}`".encode() in stderr
     # Graceful exit leaves no leases behind.
     assert not any(
         name.endswith(".lease") for name in os.listdir(coop)
